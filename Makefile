@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_PKGS = ./internal/scanner/ ./internal/pattern/ ./internal/mutator/ ./internal/interp/
 
-.PHONY: build vet test race shuffle cover fuzz-smoke golden-update bench bench-exec bench-pipeline bench-all metrics-smoke worker-chaos-smoke restart-chaos-smoke
+.PHONY: build vet test race shuffle cover fuzz-smoke golden-update bench bench-exec bench-pipeline bench-all bench-e2e bench-smoke metrics-smoke worker-chaos-smoke restart-chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -59,6 +59,23 @@ bench-exec:
 # cost, as machine-readable JSON (BENCH_pipeline.json, a CI artifact).
 bench-pipeline:
 	PROFIPY_BENCH_PIPELINE_JSON=$(CURDIR)/BENCH_pipeline.json $(GO) test -run TestEmitPipelineBenchJSON -count=1 .
+
+# The repository benchmark (BENCHMARK.json, bench/README.md): drives
+# the §V campaigns end to end through an in-process profipyd and prints
+# the gated end-to-end metrics; T=1 adds the staged per-layer ledger
+# (alloc_kb_per_unit, gc_cpu_share, env_install_us, run_us, ...).
+# W is one of mix.local, mix.remote2, late.fork, scan.large.
+W ?= mix.local
+T ?= 0
+bench-e2e:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 20 --trace $(T)
+
+# bench/ is its own module (go test ./... at the root does not see it):
+# its tests compile the benchmark against the library surface it pins
+# and run every workload briefly, so a change that breaks what the
+# benchmark imports fails here instead of in the perf gate.
+bench-smoke:
+	$(GO) test -C bench ./...
 
 # Observability gate: boots profipyd, runs a demo campaign, and fails
 # if /metrics is missing an expected family, the exposition format does

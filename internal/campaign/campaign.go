@@ -14,6 +14,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log/slog"
 	"time"
 
 	"profipy/internal/analysis"
@@ -184,16 +185,15 @@ type Result struct {
 }
 
 // engineLabel names the interpretation engine the campaign's
-// experiments execute on, for metrics: the bytecode VM by default.
-func (c *Campaign) engineLabel() string {
-	switch {
-	case c.TreeWalk:
+// experiments actually execute on, for metrics: the tree-walk when
+// there is no compiled base program (requested through TreeWalk, or
+// compileBase fell back), else the selected compiled engine — the
+// bytecode VM by default.
+func (c *Campaign) engineLabel(prog *interp.Program) string {
+	if prog == nil {
 		return "tree-walk"
-	case c.Engine == "":
-		return "bytecode"
-	default:
-		return c.Engine
 	}
+	return interp.Config{Engine: c.Engine}.EngineName()
 }
 
 // Run executes the full workflow.
@@ -206,7 +206,7 @@ func (c *Campaign) Run() (*Result, error) {
 // experiments finish, pending ones are skipped, and the ctx error is
 // returned.
 func (c *Campaign) RunContext(ctx context.Context) (*Result, error) {
-	met := newMetrics(c.Metrics, c.engineLabel())
+	met := newMetrics(c.Metrics)
 	met.run("started")
 	res, err := c.runContext(ctx, met)
 	switch {
@@ -274,6 +274,8 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	wcfg := c.Workload
 	wcfg.Program = c.compileBase(cache)
 	wcfg.Engine = c.Engine
+	engine := c.engineLabel(wcfg.Program)
+	met.setEngine(engine)
 	phaseSpan("compile", compileStart)
 
 	// --- Coverage analysis (fault-free instrumented run) ---
@@ -318,13 +320,13 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	// value-copy discipline as Skip below).
 	switch e := exec.(type) {
 	case executor.Local:
-		e.VM = c.engineLabel()
+		e.VM = engine
 		exec = e
 	case executor.Sharded:
-		e.VM = c.engineLabel()
+		e.VM = engine
 		exec = e
 	case *executor.Remote:
-		e.VM = c.engineLabel()
+		e.VM = engine
 	}
 	var collect *executor.Collect
 	if !c.DiscardRecords {
@@ -494,8 +496,9 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 // compileBase builds the campaign's compiled base program from the
 // workload's file list, reusing the scan cache's parses when the scan
 // covered those files (no re-parse in the container). Returns nil — the
-// tree-walk fallback — when compilation is disabled or fails; the
-// fallback is semantically identical, only slower.
+// tree-walk — when compilation is disabled or fails. The fallback is
+// semantically identical, only several times slower, so it is never
+// silent: it is counted by reason and logged with the campaign's name.
 func (c *Campaign) compileBase(scanCache *scanner.ProjectCache) *interp.Program {
 	if c.TreeWalk || len(c.Workload.Files) == 0 {
 		return nil
@@ -511,15 +514,29 @@ func (c *Campaign) compileBase(scanCache *scanner.ProjectCache) *interp.Program 
 		}
 		src, ok := c.Files[name]
 		if !ok {
+			c.engineFallback("missing_file", fmt.Errorf("workload file %s is not in the campaign's file set", name))
 			return nil
 		}
 		units = append(units, interp.SourceUnit{Name: name, Src: src})
 	}
 	prog, err := interp.CompileProgram(units)
 	if err != nil {
+		c.engineFallback("compile_error", err)
 		return nil
 	}
 	return prog
+}
+
+// engineFallback records that the campaign runs on the tree-walk
+// although a compiled engine was asked for.
+func (c *Campaign) engineFallback(reason string, err error) {
+	if c.Metrics != nil {
+		c.Metrics.CounterVec("profipy_campaign_engine_fallback_total",
+			"Campaigns that fell back to the tree-walk interpreter because the base program could not be compiled, by reason.",
+			"reason").With(reason).Inc()
+	}
+	slog.Warn("campaign falls back to the tree-walk interpreter",
+		"campaign", c.Name, "wanted", interp.Config{Engine: c.Engine}.EngineName(), "reason", reason, "err", err)
 }
 
 func (c *Campaign) scanSubset() map[string][]byte {

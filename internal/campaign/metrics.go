@@ -23,15 +23,12 @@ type cmetrics struct {
 // execution phases.
 var phaseBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 5, 15, 60, 300}
 
-// newMetrics builds the campaign instrumentation. engine labels the
-// interpretation engine the experiments run on ("bytecode", "closure"
-// or "tree-walk").
-func newMetrics(reg *obs.Registry, engine string) *cmetrics {
+// newMetrics builds the campaign instrumentation.
+func newMetrics(reg *obs.Registry) *cmetrics {
 	if reg == nil {
 		return nil
 	}
 	return &cmetrics{
-		engine: engine,
 		runs: reg.CounterVec("profipy_campaign_runs_total",
 			"Campaign workflow runs, by lifecycle event.", "status"),
 		experiments: reg.CounterVec("profipy_campaign_experiments_total",
@@ -46,6 +43,15 @@ func newMetrics(reg *obs.Registry, engine string) *cmetrics {
 			"Compile-cache misses served by the declaration-level incremental recompile instead of a whole-file recompile."),
 		forkEvents: reg.CounterVec("profipy_campaign_fork_events_total",
 			"Prefix-fork activity: boundary snapshots captured, experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss).", "event"),
+	}
+}
+
+// setEngine labels the interpretation engine the experiments run on
+// ("bytecode", "closure" or "tree-walk"), known once the compile phase
+// either produced a program or fell back.
+func (m *cmetrics) setEngine(engine string) {
+	if m != nil {
+		m.engine = engine
 	}
 }
 

@@ -7,8 +7,8 @@ import (
 )
 
 // builtinFuncs is the single source of truth for the global builtins:
-// registerBuiltins binds them and the compiler treats the names as
-// statically known globals when deciding whether an assigned name is a
+// builtinEnv binds them and the compiler treats the names as statically
+// known globals when deciding whether an assigned name is a
 // function-root local, so the two can never drift apart.
 var builtinFuncs = map[string]func(it *Interp, args []Value) (Value, error){
 	"len":      builtinLen,
@@ -23,11 +23,21 @@ var builtinFuncs = map[string]func(it *Interp, args []Value) (Value, error){
 	"contains": builtinContains,
 }
 
-// registerBuiltins installs the global builtins and the standard host
-// modules every minigo program can import: fmt and strlib.
-func registerBuiltins(it *Interp) {
-	for name, fn := range builtinFuncs {
-		it.RegisterHostFunc(name, fn)
+// builtinEnv holds the global builtins and the standard host modules
+// every minigo program can import: fmt and strlib. It is stateless and
+// built once; every interpreter sees it without installing anything
+// (compiled programs find the builtins pre-bound in their global-slot
+// prototype, see linker.proto).
+var builtinEnv = newBuiltinEnv()
+
+// baseEnvs is the environment list every interpreter starts from; its
+// capacity is clipped so an Install appends to a copy.
+var baseEnvs = []*HostEnv{builtinEnv}[:1:1]
+
+func newBuiltinEnv() *HostEnv {
+	env := NewHostEnv()
+	for _, name := range sortedKeys(builtinFuncs) {
+		env.Func(name, builtinFuncs[name])
 	}
 
 	fmtMod := NewModule("fmt")
@@ -42,7 +52,7 @@ func registerBuiltins(it *Interp) {
 		return FormatValue(f, args[1:]), nil
 	})
 	fmtMod.Func("Println", builtinPrintln)
-	it.RegisterModule(fmtMod)
+	env.Module(fmtMod)
 
 	strMod := NewModule("strlib")
 	strMod.Func("HasPrefix", strFunc2(strings.HasPrefix))
@@ -110,7 +120,8 @@ func registerBuiltins(it *Interp) {
 		}
 		return strings.Join(parts, sep), nil
 	})
-	it.RegisterModule(strMod)
+	env.Module(strMod)
+	return env
 }
 
 func strFunc1(f func(string) string) func(it *Interp, args []Value) (Value, error) {

@@ -65,6 +65,8 @@ const (
 	opJmpCmpF            // a=l, b=r, c=target, x=token — fused compare, jump when false
 	opIncLocal           // a=delta, x=*vbind — i++/i-- on a local
 	opCall               // a=fn reg (args at a+1..a+b), b=nargs, c=dst
+	opAttrCallee         // a=base reg, x=name — callee of base.name(...): a=value, or a=method a+1=receiver
+	opCallM              // a=callee reg (receiver a+1, args at a+2..), b=nargs, c=dst
 	opRet                // a=result reg, or <0 for nil return
 	opRetTuple           // a=first reg, b=count — multi-value return
 	opIndex              // a=container, b=key, c=dst
@@ -76,7 +78,7 @@ const (
 	opRecover            // a=dst
 	opMakeMap            // a=dst
 	opMakeList           // a=dst
-	opNewObj             // a=dst, x=type name
+	opNewObj             // a=dst, x=*Shape (the type's field-less root shape)
 	opMakeClosure        // a=dst, x=*compiledFunc — build closure + captures
 	opUnwrap1            // a=reg — single-target assign keeps Tuple's first elem
 	opRangeInit          // a=collection reg, b=state base (data, index)
@@ -102,7 +104,7 @@ var regFields = [nOpcodes]uint8{
 	opGeq: 7, opEql: 7, opNeq: 7, opBinOther: 7,
 	opNot: 3, opNeg: 3, opTruthy: 3,
 	opJmpFalse: 1, opJmpTrue: 1, opJmpCmpF: 3,
-	opCall: 5, opRet: 1, opRetTuple: 1,
+	opCall: 5, opAttrCallee: 1, opCallM: 5, opRet: 1, opRetTuple: 1,
 	opIndex: 7, opAttr: 3, opExpr: 1, opAssign: 1,
 	opPanic: 1, opRecover: 1, opMakeMap: 1, opMakeList: 1, opNewObj: 1,
 	opMakeClosure: 1, opUnwrap1: 1, opRangeInit: 3, opRangeNext: 3,
@@ -636,13 +638,29 @@ func (c *compiler) lowerCall(fc *fnCtx, x *ast.CallExpr, dst int) {
 		case "new":
 			if len(x.Args) == 1 {
 				if tid, ok := x.Args[0].(*ast.Ident); ok {
-					A.emit(opNewObj, dst, 0, 0, tid.Name)
+					A.emit(opNewObj, dst, 0, 0, c.syms.rootShape(tid.Name))
 					return
 				}
 			}
 			A.exprEscape(c.compileExpr(fc, x), dst)
 			return
 		}
+	}
+	// Method-style call: the callee lookup leaves either a plain callee
+	// or an unbound method plus its receiver in two adjacent registers,
+	// so obj.method(args) never allocates the bound closure.
+	if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+		tm := A.tmpMark()
+		base := A.tmp()
+		A.tmp() // receiver
+		c.lowerExpr(fc, sel.X, base)
+		A.emit(opAttrCallee, base, 0, 0, sel.Sel.Name)
+		for _, a := range x.Args {
+			c.lowerExpr(fc, a, A.tmp())
+		}
+		A.emit(opCallM, base, len(x.Args), dst, nil)
+		A.rel(tm)
+		return
 	}
 	// General call: callee and arguments evaluate into contiguous
 	// temporaries; opCall passes the frame subslice with no per-call

@@ -1011,11 +1011,7 @@ func (c *compiler) compileRange(fc *fnCtx, st *ast.RangeStmt) cstmt {
 				}
 			}
 		case *Map:
-			keys := cv.Keys()
-			vals := make([]Value, len(keys))
-			for i, k := range keys {
-				vals[i], _ = cv.Get(k)
-			}
+			keys, vals := cv.pairs()
 			for i, k := range keys {
 				ctl, rv, stop, err := runIter(it, fr, k, vals[i])
 				if err != nil || ctl == ctlReturn {

@@ -30,7 +30,7 @@ func (c *compiler) compileAssignTarget(fc *fnCtx, lhs ast.Expr) cassign {
 				}
 				return it.throw("TypeError", "cannot set attribute on "+TypeName(base))
 			}
-			obj.Fields[name] = v
+			obj.Set(name, v)
 			return nil
 		}
 	case *ast.IndexExpr:
@@ -368,36 +368,7 @@ func (c *compiler) compileSelector(fc *fnCtx, x *ast.SelectorExpr) cexpr {
 		if err != nil {
 			return nil, err
 		}
-		switch b := base.(type) {
-		case *Module:
-			v, ok := b.Member[name]
-			if !ok {
-				return nil, it.throw("AttributeError", "module '"+b.Name+"' has no attribute '"+name+"'")
-			}
-			return v, nil
-		case *Object:
-			if v, ok := b.Fields[name]; ok {
-				return v, nil
-			}
-			if it.prog != nil {
-				if mfn, ok := it.prog.methods[b.TypeName][name]; ok {
-					return &compiledClosure{fn: mfn, recv: b}, nil
-				}
-			}
-			return nil, it.throw("AttributeError", "'"+b.TypeName+"' object has no attribute '"+name+"'")
-		case *Exc:
-			switch name {
-			case "Type":
-				return b.Type, nil
-			case "Msg":
-				return b.Msg, nil
-			}
-			return nil, it.throw("AttributeError", "exception has no attribute '"+name+"'")
-		case nil:
-			return nil, it.throw("AttributeError", "nil object has no attribute '"+name+"'")
-		default:
-			return nil, it.throw("AttributeError", "'"+TypeName(base)+"' object has no attribute '"+name+"'")
-		}
+		return it.attrValue(base, name)
 	}
 }
 
@@ -438,31 +409,64 @@ func (c *compiler) compileCall(fc *fnCtx, x *ast.CallExpr) cexpr {
 		case "new":
 			if len(x.Args) == 1 {
 				if tid, ok := x.Args[0].(*ast.Ident); ok {
-					name := tid.Name
+					sh := c.syms.rootShape(tid.Name)
 					return func(it *Interp, fr *cframe) (Value, error) {
-						return NewObject(name), nil
+						return sh.alloc(), nil
 					}
 				}
 			}
 			return errExpr("interp: unsupported new() form")
 		}
 	}
-	fnx := c.compileExpr(fc, x.Fun)
 	argxs := make([]cexpr, len(x.Args))
 	for i, a := range x.Args {
 		argxs[i] = c.compileExpr(fc, a)
 	}
+	evalArgs := func(it *Interp, fr *cframe) ([]Value, error) {
+		args := make([]Value, len(argxs))
+		for i, ax := range argxs {
+			var err error
+			args[i], err = ax(it, fr)
+			if err != nil {
+				return nil, err
+			}
+		}
+		return args, nil
+	}
+	if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
+		// obj.method(args): the method runs straight off its receiver,
+		// without materialising the bound closure a selector read yields.
+		// Evaluation order is unchanged: callee lookup, arguments, call.
+		basex := c.compileExpr(fc, sel.X)
+		name := sel.Sel.Name
+		return func(it *Interp, fr *cframe) (Value, error) {
+			base, err := basex(it, fr)
+			if err != nil {
+				return nil, err
+			}
+			fn, mfn, err := it.lookupAttr(base, name)
+			if err != nil {
+				return nil, err
+			}
+			args, err := evalArgs(it, fr)
+			if err != nil {
+				return nil, err
+			}
+			if mfn != nil {
+				return it.callMethod(mfn, base, args)
+			}
+			return it.call(fn, args)
+		}
+	}
+	fnx := c.compileExpr(fc, x.Fun)
 	return func(it *Interp, fr *cframe) (Value, error) {
 		fn, err := fnx(it, fr)
 		if err != nil {
 			return nil, err
 		}
-		args := make([]Value, len(argxs))
-		for i, ax := range argxs {
-			args[i], err = ax(it, fr)
-			if err != nil {
-				return nil, err
-			}
+		args, err := evalArgs(it, fr)
+		if err != nil {
+			return nil, err
 		}
 		return it.call(fn, args)
 	}
@@ -709,9 +713,12 @@ func (c *compiler) compileSlice(fc *fnCtx, x *ast.SliceExpr) cexpr {
 func (c *compiler) compileComposite(fc *fnCtx, x *ast.CompositeLit) cexpr {
 	switch t := x.Type.(type) {
 	case *ast.Ident:
-		typeName := t.Name
+		// The literal's shape is known now: walk the type's transition
+		// chain once at compile time, then every evaluation fills a slot
+		// vector of that shape.
+		sh := c.syms.rootShape(t.Name)
 		type fieldInit struct {
-			name string
+			slot int
 			val  cexpr
 		}
 		var fields []fieldInit
@@ -724,16 +731,17 @@ func (c *compiler) compileComposite(fc *fnCtx, x *ast.CompositeLit) cexpr {
 			if !ok {
 				return errExpr("interp: struct literal keys must be identifiers")
 			}
-			fields = append(fields, fieldInit{name: key.Name, val: c.compileExpr(fc, kv.Value)})
+			sh = sh.with(key.Name)
+			fields = append(fields, fieldInit{slot: sh.slot(key.Name), val: c.compileExpr(fc, kv.Value)})
 		}
 		return func(it *Interp, fr *cframe) (Value, error) {
-			obj := NewObject(typeName)
+			obj := sh.alloc()
 			for _, f := range fields {
 				v, err := f.val(it, fr)
 				if err != nil {
 					return nil, err
 				}
-				obj.Fields[f.name] = v
+				obj.slots[f.slot] = v
 			}
 			return obj, nil
 		}
@@ -748,7 +756,7 @@ func (c *compiler) compileComposite(fc *fnCtx, x *ast.CompositeLit) cexpr {
 			pairs = append(pairs, kvInit{k: c.compileExpr(fc, kv.Key), v: c.compileExpr(fc, kv.Value)})
 		}
 		return func(it *Interp, fr *cframe) (Value, error) {
-			m := NewMap()
+			m := newMapCap(len(pairs))
 			for _, p := range pairs {
 				k, err := p.k(it, fr)
 				if err != nil {

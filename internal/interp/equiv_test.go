@@ -9,9 +9,11 @@ import (
 // equivSetup installs host state on an interpreter (either path).
 type equivSetup func(it *Interp)
 
-// runBothPaths executes the same program through the tree-walk and the
-// compiled path and asserts identical observable behavior: result value,
-// error rendering, step count, virtual clock and stdout bytes.
+// runBothPaths executes the same program through the tree-walk and both
+// engines of the compiled path (closure tree and bytecode VM) and asserts
+// identical observable behavior on all three: result value, error
+// rendering, step count, virtual clock and stdout bytes. It returns the
+// bytecode engine's outcome.
 func runBothPaths(t *testing.T, cfg Config, files map[string]string, order []string,
 	setup equivSetup, entry string, args ...Value) (Value, error) {
 	t.Helper()
@@ -66,32 +68,37 @@ func runBothPaths(t *testing.T, cfg Config, files map[string]string, order []str
 		t.Fatalf("CompileProgram: %v (tree-walk loaded fine)", cerr)
 	}
 
-	var compOut bytes.Buffer
-	ccfg := cfg
-	ccfg.Stdout = &compOut
-	run := NewRun(prog, ccfg)
-	if setup != nil {
-		setup(run)
-	}
-	if err := run.Boot(); err != nil {
-		t.Fatalf("Boot: %v (tree-walk loaded fine)", err)
-	}
-	compVal, compErr := run.Call(entry, args...)
+	var compVal Value
+	var compErr error
+	for _, engine := range []string{"closure", "bytecode"} {
+		var compOut bytes.Buffer
+		ccfg := cfg
+		ccfg.Stdout = &compOut
+		ccfg.Engine = engine
+		run := NewRun(prog, ccfg)
+		if setup != nil {
+			setup(run)
+		}
+		if err := run.Boot(); err != nil {
+			t.Fatalf("%s: Boot: %v (tree-walk loaded fine)", engine, err)
+		}
+		compVal, compErr = run.Call(entry, args...)
 
-	if Repr(treeVal) != Repr(compVal) {
-		t.Errorf("result mismatch:\n tree: %s\n comp: %s", Repr(treeVal), Repr(compVal))
-	}
-	if fmt.Sprint(treeErr) != fmt.Sprint(compErr) {
-		t.Errorf("error mismatch:\n tree: %v\n comp: %v", treeErr, compErr)
-	}
-	if tree.Steps() != run.Steps() {
-		t.Errorf("step count mismatch: tree=%d compiled=%d", tree.Steps(), run.Steps())
-	}
-	if tree.Clock() != run.Clock() {
-		t.Errorf("virtual clock mismatch: tree=%d compiled=%d", tree.Clock(), run.Clock())
-	}
-	if treeOut.String() != compOut.String() {
-		t.Errorf("stdout mismatch:\n tree: %q\n comp: %q", treeOut.String(), compOut.String())
+		if Repr(treeVal) != Repr(compVal) {
+			t.Errorf("%s: result mismatch:\n tree: %s\n comp: %s", engine, Repr(treeVal), Repr(compVal))
+		}
+		if fmt.Sprint(treeErr) != fmt.Sprint(compErr) {
+			t.Errorf("%s: error mismatch:\n tree: %v\n comp: %v", engine, treeErr, compErr)
+		}
+		if tree.Steps() != run.Steps() {
+			t.Errorf("%s: step count mismatch: tree=%d compiled=%d", engine, tree.Steps(), run.Steps())
+		}
+		if tree.Clock() != run.Clock() {
+			t.Errorf("%s: virtual clock mismatch: tree=%d compiled=%d", engine, tree.Clock(), run.Clock())
+		}
+		if treeOut.String() != compOut.String() {
+			t.Errorf("%s: stdout mismatch:\n tree: %q\n comp: %q", engine, treeOut.String(), compOut.String())
+		}
 	}
 	return compVal, compErr
 }
@@ -543,11 +550,186 @@ func F() any {
 	parts := strlib.Split(s, "-")
 	return fmt.Sprintf("%s_%d_%v", parts[1], len(s), strlib.HasPrefix(s, "hello"))
 }`, "F", nil},
+	// Object shapes: fields live in slot vectors laid out by an interned
+	// shape; none of that may show.
+	{"shape-field-added-after-construction", `
+type T struct{}
+func F() any {
+	t := &T{a: 1}
+	t.b = 2
+	t.c = t.a + t.b
+	t.a = 10
+	u := new(T)
+	u.z = 5
+	u.a = 6
+	return str(t.a) + "," + str(t.b) + "," + str(t.c) + "," + str(u.z) + "," + str(u.a)
+}`, "F", nil},
+	{"shape-same-type-different-field-orders", `
+type T struct{}
+func mk(flip any) any {
+	if flip {
+		return &T{b: 2, a: 1}
+	}
+	return &T{a: 1, b: 2}
+}
+func F() any {
+	x := mk(true)
+	y := mk(false)
+	x.c = 3
+	y.d = 4
+	y.c = 5
+	return str(x.a - x.b + x.c) + "," + str(y.a - y.b + y.c + y.d)
+}`, "F", nil},
+	{"shape-missing-field-after-transition", `
+type T struct{}
+func F() any {
+	x := &T{a: 1}
+	y := &T{a: 1}
+	y.extra = 2
+	return x.extra
+}`, "F", nil},
+	{"shape-wide-object", `
+type W struct{}
+func F() any {
+	w := &W{f0: 0, f1: 1, f2: 2, f3: 3, f4: 4, f5: 5, f6: 6, f7: 7, f8: 8, f9: 9}
+	w.f10 = 10
+	w.f11 = 11
+	w.f3 = 30
+	return w.f0 + w.f3 + w.f8 + w.f9 + w.f10 + w.f11
+}`, "F", nil},
+	{"shape-duplicate-literal-field", `
+type T struct{}
+func F() any {
+	t := &T{a: 1, b: 2, a: 3}
+	return str(t.a) + str(t.b)
+}`, "F", nil},
+	{"shape-field-shadows-method", `
+type T struct{}
+func (t *T) Val() any { return 1 }
+func F() any {
+	t := &T{}
+	a := t.Val()
+	t.Val = func() any { return 7 }
+	b := t.Val()
+	t.Val = 9
+	return str(a) + str(b) + str(t.Val)
+}`, "F", nil},
+	{"shape-field-not-callable", `
+type T struct{}
+func (t *T) Val() any { return 1 }
+func F() any { t := &T{}; t.Val = 9; return t.Val() }`, "F", nil},
+	{"method-callee-resolved-before-args", `
+type T struct{}
+func (t *T) m(x any) any { return "method:" + str(x) }
+func F() any {
+	t := &T{}
+	swap := func() any {
+		t.m = func(x any) any { return "field:" + str(x) }
+		return 1
+	}
+	first := t.m(swap())
+	return first + "," + t.m(2)
+}`, "F", nil},
+	{"method-value-bound-late-call", `
+type C struct{}
+func (c *C) Add(d int) any { c.n = c.n + d; return c.n }
+func F() any {
+	c := &C{n: 1}
+	f := c.Add
+	c.n = 100
+	return f(5) + c.Add(1)
+}`, "F", nil},
+	{"method-missing-on-object", `
+type T struct{}
+func F() any { t := &T{}; return t.nope(1) }`, "F", nil},
+	{"host-built-objects", `
+func F() any {
+	r := __mkresp()
+	before := str(r.Status) + ":" + r.Node.Key + ":" + str(len(r.Nodes))
+	r.Status = 500
+	r.Extra = "x"
+	r.Node.Value = r.Node.Value + "!"
+	after := str(r.Status) + ":" + r.Extra + ":" + r.Node.Value
+	other := __mkresp()
+	return before + "|" + after + "|" + str(other.Status) + ":" + other.Node.Value
+}`, "F", nil},
+	{"host-built-missing-field", `func F() any { return __mkresp().Missing }`, "F", nil},
+	// Maps: one insertion-ordered representation, linear up to the
+	// small-map limit and hash-indexed beyond.
+	{"map-grows-past-small-limit", `
+func F() any {
+	m := map[string]any{}
+	for i := 0; i < 20; i++ {
+		m["k"+str(i)] = i
+	}
+	m["k3"] = 300
+	m["k15"] = 1500
+	out := ""
+	sum := 0
+	for k, v := range m {
+		out = out + k + ";"
+		sum = sum + v
+	}
+	_, miss := m["nope"]
+	return out + str(sum) + str(len(m)) + str(contains(m, "k19")) + str(miss) + str(m["k0"])
+}`, "F", nil},
+	{"map-delete-reinsert-order", `
+func order(m any) any {
+	out := ""
+	for _, k := range keys(m) {
+		out = out + str(k) + "=" + str(m[k]) + ";"
+	}
+	return out
+}
+func F() any {
+	small := map[string]any{"a": 1, "b": 2, "c": 3}
+	delete(small, "a")
+	delete(small, "zz")
+	small["a"] = 9
+	big := map[any]any{}
+	for i := 0; i < 12; i++ {
+		big[i] = i * i
+	}
+	delete(big, 0)
+	delete(big, 5)
+	big[5] = -5
+	big[0] = -1
+	delete(big, 11)
+	return order(small) + "|" + order(big) + "|" + str(len(big))
+}`, "F", nil},
+	{"map-shrinks-below-limit-keeps-working", `
+func F() any {
+	m := map[any]any{}
+	for i := 0; i < 12; i++ {
+		m[i] = i
+	}
+	for i := 0; i < 10; i++ {
+		delete(m, i)
+	}
+	m[1.5] = "f"
+	m[true] = "t"
+	m["10"] = "s"
+	out := ""
+	for k, v := range m {
+		out = out + str(k) + ":" + str(v) + ";"
+	}
+	return out + str(m[10]) + str(m["10"]) + str(m[1])
+}`, "F", nil},
 	{"nil-not-callable", `func F(f any) any { return f() }`, "F", []Value{nil}},
 	{"int-not-callable", `func F() any { x := 3; return x() }`, "F", nil},
 }
 
+// Shapes of the host-built objects the corpus reads and writes (the
+// kvclient transport builds its Response/Node objects the same way).
+var (
+	equivRespShape = NewShape("Response", "Status", "Message", "Node", "Nodes")
+	equivNodeShape = NewShape("Node", "Key", "Value")
+)
+
 func equivHostSetup(it *Interp) {
+	it.RegisterHostFunc("__mkresp", func(it *Interp, args []Value) (Value, error) {
+		return equivRespShape.New(int64(200), "ok", equivNodeShape.New("/k", "v"), NewList()), nil
+	})
 	it.RegisterHostFunc("__mkexc", func(it *Interp, args []Value) (Value, error) {
 		return &Exc{Type: "EtcdException", Msg: "boom"}, nil
 	})
@@ -714,7 +896,7 @@ func F() any {
 		t.Run(mode.name, func(t *testing.T) {
 			var pathHooks []*countingHook
 			setup := func(it *Interp) {
-				// runBothPaths creates one interpreter per path; give
+				// runBothPaths creates one interpreter per engine; give
 				// each its own hook instance so event logs stay separate.
 				h := mode.hook
 				pathHooks = append(pathHooks, &h)
@@ -722,12 +904,14 @@ func F() any {
 			}
 			runBothPaths(t, Config{}, map[string]string{"t.go": "package main\n" + src},
 				[]string{"t.go"}, setup, "F")
-			if len(pathHooks) != 2 {
-				t.Fatalf("expected 2 interpreters, saw %d", len(pathHooks))
+			if len(pathHooks) != 3 {
+				t.Fatalf("expected 3 interpreters, saw %d", len(pathHooks))
 			}
-			tr, cp := pathHooks[0], pathHooks[1]
-			if fmt.Sprint(tr.events) != fmt.Sprint(cp.events) {
-				t.Errorf("hook event sequence mismatch:\n tree: %v\n comp: %v", tr.events, cp.events)
+			tr := pathHooks[0]
+			for _, cp := range pathHooks[1:] {
+				if fmt.Sprint(tr.events) != fmt.Sprint(cp.events) {
+					t.Errorf("hook event sequence mismatch:\n tree: %v\n comp: %v", tr.events, cp.events)
+				}
 			}
 		})
 	}

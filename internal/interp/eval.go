@@ -481,7 +481,7 @@ func (it *Interp) assignTo(lhs ast.Expr, v Value, sc *Scope) error {
 			}
 			return it.throw("TypeError", "cannot set attribute on "+TypeName(base))
 		}
-		obj.Fields[l.Sel.Name] = v
+		obj.Set(l.Sel.Name, v)
 		return nil
 	case *ast.IndexExpr:
 		container, err := it.evalExpr(l.X, sc)
@@ -630,13 +630,13 @@ func (it *Interp) evalSelector(x *ast.SelectorExpr, sc *Scope) (Value, error) {
 		}
 		return v, nil
 	case *Object:
-		if v, ok := b.Fields[name]; ok {
+		if v, ok := b.Get(name); ok {
 			return v, nil
 		}
-		if decl, ok := it.methods[b.TypeName][name]; ok {
+		if decl, ok := it.methods[b.TypeName()][name]; ok {
 			_, recvName := recvInfo(decl)
 			return &Closure{
-				Name:   b.TypeName + "." + name,
+				Name:   b.TypeName() + "." + name,
 				Params: paramNames(decl.Type),
 				Body:   decl.Body,
 				Env:    it.globals,
@@ -644,7 +644,7 @@ func (it *Interp) evalSelector(x *ast.SelectorExpr, sc *Scope) (Value, error) {
 				RecvN:  recvName,
 			}, nil
 		}
-		return nil, it.throw("AttributeError", "'"+b.TypeName+"' object has no attribute '"+name+"'")
+		return nil, it.throw("AttributeError", "'"+b.TypeName()+"' object has no attribute '"+name+"'")
 	case *Exc:
 		switch name {
 		case "Type":
@@ -682,7 +682,7 @@ func (it *Interp) evalCall(x *ast.CallExpr, sc *Scope) (Value, error) {
 		case "new":
 			if len(x.Args) == 1 {
 				if tid, ok := x.Args[0].(*ast.Ident); ok {
-					return NewObject(tid.Name), nil
+					return it.rootShape(tid.Name).alloc(), nil
 				}
 			}
 			return nil, fmt.Errorf("interp: unsupported new() form")
@@ -983,7 +983,7 @@ func (it *Interp) evalSlice(x *ast.SliceExpr, sc *Scope) (Value, error) {
 func (it *Interp) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
 	switch t := x.Type.(type) {
 	case *ast.Ident:
-		obj := NewObject(t.Name)
+		obj := it.rootShape(t.Name).alloc()
 		for _, elt := range x.Elts {
 			kv, ok := elt.(*ast.KeyValueExpr)
 			if !ok {
@@ -997,7 +997,7 @@ func (it *Interp) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			obj.Fields[key.Name] = v
+			obj.Set(key.Name, v)
 		}
 		return obj, nil
 	case *ast.MapType:

@@ -40,6 +40,15 @@ func FuzzEngineEquivalence(f *testing.F) {
 		"func F() any { s := \"hello\"\nreturn s[1:4] + s[0:1] }",
 		// Methods and structs.
 		"type P struct{}\nfunc (p P) Add(a any, b any) any { return a + b }\nfunc F() any { p := P{}\nreturn p.Add(2, 3) }",
+		// Object shapes: late fields, differing field orders, a field
+		// shadowing a method, callee lookup before argument evaluation.
+		"type T struct{}\nfunc F() any { t := &T{a: 1}\nt.b = 2\nu := new(T)\nu.b = 3\nu.a = 4\nreturn t.a + t.b*10 + u.a*100 + u.b*1000 }",
+		"type T struct{}\nfunc mk(f any) any { if f { return &T{b: 2, a: 1} }\nreturn &T{a: 1, b: 2} }\nfunc F() any { x := mk(true)\ny := mk(false)\nx.c = 3\nreturn x.a - x.b + x.c + y.a - y.b + y.c }",
+		"type T struct{}\nfunc (t *T) m(x any) any { return x + 1 }\nfunc F() any { t := &T{}\ng := func() any { t.m = func(x any) any { return x + 100 }\nreturn 1 }\nreturn t.m(g()) + t.m(1) }",
+		"type T struct{}\nfunc (t *T) v() any { return 1 }\nfunc F() any { t := &T{v: 5, v: 6}\nreturn t.v() }",
+		// Maps across the small-map limit: growth, delete + reinsert order.
+		"func F() any { m := map[any]any{}\nfor i := 0; i < 20; i++ { m[i] = i * i }\ndelete(m, 3)\nm[3] = -1\ndelete(m, 19)\ns := \"\"\nfor k, v := range m { s = s + str(k) + \":\" + str(v) + \" \" }\nreturn s + str(len(m)) }",
+		"func F() any { m := map[string]any{\"a\": 1, \"b\": 2, \"c\": 3}\ndelete(m, \"a\")\nm[\"a\"] = 4\nv, ok := m[\"zz\"]\nreturn str(keys(m)) + str(v) + str(ok) + str(contains(m, \"b\")) }",
 		// Defer ordering and virtual clock.
 		"func F() any { r := []any{}\ndefer func() { r = append(r, 1) }()\ndefer func() { r = append(r, 2) }()\nreturn len(r) }",
 		"func F() any { sleep(5)\nreturn now() }",

@@ -115,10 +115,18 @@ type Interp struct {
 	gslots []Value
 	extras map[string]Value
 
-	// hostVals records every host-registered value by a stable
-	// registration key ("g:name" for globals, "m:name" for modules).
-	// Snapshot/fork uses the keys to translate host references between
-	// the capturing interpreter and a forked one, whose environment
+	// Host environment: the shared environments installed on this
+	// interpreter (Install) and the per-run state their functions read
+	// (SetHostData), plus the tree-walk path's root-shape intern table.
+	envs     []*HostEnv
+	hostData []hostDatum
+	shapes   map[string]*Shape
+
+	// hostVals records every individually registered host value by a
+	// stable registration key ("g:name" for globals, "m:name" for
+	// modules). Snapshot/fork uses the keys — of these and of the
+	// installed environments — to translate host references between the
+	// capturing interpreter and a forked one, whose environment
 	// registers equivalent values under the same keys.
 	hostVals map[string]Value
 
@@ -163,15 +171,15 @@ func New(cfg Config) *Interp {
 		fset:       token.NewFileSet(),
 		globals:    NewScope(nil),
 		methods:    make(map[string]map[string]*ast.FuncDecl),
-		modules:    make(map[string]*Module),
 		stepNS:     cfg.StepNS,
 		deadlineNS: cfg.DeadlineNS,
 		maxSteps:   cfg.MaxSteps,
 		stdout:     cfg.Stdout,
 		hook:       cfg.Hook,
 		engine:     engineOf(cfg.Engine),
+		envs:       baseEnvs,
 	}
-	registerBuiltins(it)
+	it.bind(builtinEnv)
 	return it
 }
 
@@ -188,8 +196,25 @@ func (it *Interp) Throw(excType, msg string) error {
 
 // RegisterModule makes a host module importable by target sources.
 func (it *Interp) RegisterModule(m *Module) {
+	if it.modules == nil {
+		it.modules = make(map[string]*Module)
+	}
 	it.modules[m.Name] = m
 	it.noteHost("m:"+m.Name, m)
+}
+
+// rootShape returns the tree-walk path's interned field-less shape of a
+// struct type (compiled programs intern theirs in the linker).
+func (it *Interp) rootShape(typeName string) *Shape {
+	sh, ok := it.shapes[typeName]
+	if !ok {
+		if it.shapes == nil {
+			it.shapes = make(map[string]*Shape)
+		}
+		sh = &Shape{typeName: typeName}
+		it.shapes[typeName] = sh
+	}
+	return sh
 }
 
 // RegisterGlobal binds a name in the global scope (used for fault hooks
@@ -279,7 +304,7 @@ func (it *Interp) LoadSource(filename string, src []byte) error {
 	// Resolve imports first so top-level vars can use modules.
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
-		mod, ok := it.modules[path]
+		mod, ok := it.module(path)
 		if !ok {
 			return fmt.Errorf("interp: %s imports unknown module %q", filename, path)
 		}
@@ -409,15 +434,30 @@ func (it *Interp) call(fn Value, args []Value) (Value, error) {
 	case *Closure:
 		return it.callClosure(f, args)
 	case *compiledClosure:
-		if it.engine != engineClosure && f.fn.code != nil {
-			return it.callBytecode(f, args)
-		}
-		return it.callCompiled(f, args)
+		return it.callFunc(f.fn, f.caps, f.recv, args)
 	case nil:
 		return nil, it.throw("AttributeError", "nil object is not callable")
 	default:
 		return nil, it.throw("TypeError", TypeName(fn)+" object is not callable")
 	}
+}
+
+// callFunc runs a compiled function on the selected engine; the caller
+// has charged the call's step (see call and callMethod).
+func (it *Interp) callFunc(fn *compiledFunc, caps []*cell, recv Value, args []Value) (Value, error) {
+	if it.engine != engineClosure && fn.code != nil {
+		return it.callBytecode(fn, caps, recv, args)
+	}
+	return it.callCompiled(fn, caps, recv, args)
+}
+
+// callMethod invokes a method straight off its receiver, charging the
+// step call would charge for the bound closure.
+func (it *Interp) callMethod(mfn *compiledFunc, recv Value, args []Value) (Value, error) {
+	if err := it.step(); err != nil {
+		return nil, err
+	}
+	return it.callFunc(mfn, nil, recv, args)
 }
 
 // callClosure executes a user function with defer/recover semantics.

@@ -29,7 +29,18 @@ type linker struct {
 	mu    sync.Mutex
 	names []string
 	idx   map[string]int
-	units map[[sha256.Size]byte]*unit
+	// proto is the global-slot prototype NewRun copies, parallel to
+	// names: the builtins pre-bound, every other slot unbound.
+	proto []Value
+	// hostSlot caches, per installed host environment, the global slot
+	// of each of its names — resolved once per program family, so an
+	// Install on the Nth interpreter of a campaign is a few stores.
+	hostSlot map[*HostEnv][]int
+	units    map[[sha256.Size]byte]*unit
+	// shapes holds the field-less root shape of every struct type the
+	// program family names; literal shapes hang off them as transitions,
+	// so all experiments of a campaign share one shape tree.
+	shapes map[string]*Shape
 	// hits/misses count WithFiles derivations served from the unit
 	// cache vs recompiled — the campaign layer reports them as
 	// compile-cache metrics.
@@ -41,19 +52,64 @@ type linker struct {
 }
 
 func newLinker() *linker {
-	return &linker{idx: make(map[string]int), units: make(map[[sha256.Size]byte]*unit)}
+	l := &linker{idx: make(map[string]int), units: make(map[[sha256.Size]byte]*unit),
+		shapes: make(map[string]*Shape), hostSlot: make(map[*HostEnv][]int)}
+	for i, s := range l.hostSlots(builtinEnv) {
+		l.proto[s] = builtinEnv.vals[i]
+	}
+	return l
 }
 
 func (l *linker) intern(name string) int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	return l.internLocked(name)
+}
+
+func (l *linker) internLocked(name string) int {
 	if i, ok := l.idx[name]; ok {
 		return i
 	}
 	i := len(l.names)
 	l.names = append(l.names, name)
+	l.proto = append(l.proto, unbound)
 	l.idx[name] = i
 	return i
+}
+
+// hostSlots returns the global slot of each of e's names, interning
+// them on first use.
+func (l *linker) hostSlots(e *HostEnv) []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	slots, ok := l.hostSlot[e]
+	if !ok {
+		slots = make([]int, len(e.names))
+		for i, name := range e.names {
+			slots[i] = l.internLocked(name)
+		}
+		l.hostSlot[e] = slots
+	}
+	return slots
+}
+
+// newGlobals returns a fresh global slot array: a copy of the prototype.
+func (l *linker) newGlobals() []Value {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]Value(nil), l.proto...)
+}
+
+// rootShape returns the interned field-less shape of a struct type.
+func (l *linker) rootShape(typeName string) *Shape {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	sh, ok := l.shapes[typeName]
+	if !ok {
+		sh = &Shape{typeName: typeName}
+		l.shapes[typeName] = sh
+	}
+	return sh
 }
 
 func (l *linker) lookup(name string) (int, bool) {
@@ -61,12 +117,6 @@ func (l *linker) lookup(name string) (int, bool) {
 	defer l.mu.Unlock()
 	i, ok := l.idx[name]
 	return i, ok
-}
-
-func (l *linker) size() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.names)
 }
 
 func (l *linker) cachedUnit(key [sha256.Size]byte) (*unit, bool) {
@@ -642,8 +692,6 @@ func compileUnit(c *compiler, name string, src []byte, f *ast.File) (*unit, erro
 func NewRun(p *Program, cfg Config) *Interp {
 	cfg = cfg.withDefaults()
 	it := &Interp{
-		globals:    NewScope(nil), // unused on the compiled path
-		modules:    make(map[string]*Module),
 		stepNS:     cfg.StepNS,
 		deadlineNS: cfg.DeadlineNS,
 		maxSteps:   cfg.MaxSteps,
@@ -651,12 +699,9 @@ func NewRun(p *Program, cfg Config) *Interp {
 		hook:       cfg.Hook,
 		engine:     engineOf(cfg.Engine),
 		prog:       p,
+		envs:       baseEnvs, // already bound: the prototype carries the builtins
 	}
-	it.gslots = make([]Value, p.ln.size())
-	for i := range it.gslots {
-		it.gslots[i] = unbound
-	}
-	registerBuiltins(it)
+	it.gslots = p.ln.newGlobals()
 	return it
 }
 
@@ -670,7 +715,7 @@ func (it *Interp) Boot() error {
 	}
 	for _, u := range it.prog.units {
 		for _, imp := range u.imports {
-			mod, ok := it.modules[imp.path]
+			mod, ok := it.module(imp.path)
 			if !ok {
 				return fmt.Errorf("interp: %s imports unknown module %q", u.name, imp.path)
 			}
@@ -722,21 +767,20 @@ func (it *Interp) lookupGlobal(name string) (Value, bool) {
 
 // callCompiled executes a compiled function with defer/recover semantics
 // identical to callClosure, against a pooled slot frame.
-func (it *Interp) callCompiled(f *compiledClosure, args []Value) (result Value, err error) {
-	fn := f.fn
+func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args []Value) (result Value, err error) {
 	if len(it.frames) > 200 {
 		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)
 	}
 	fr := getFrame(fn.name)
 	it.frames = append(it.frames, fr)
 	cf := getCframe(fn.nslots)
-	cf.caps = f.caps
+	cf.caps = caps
 
 	for _, s := range fn.rootCells {
 		cf.slots[s] = &cell{v: unbound}
 	}
 	if fn.recv != nil {
-		bindSlot(cf, fn.recv, f.recv)
+		bindSlot(cf, fn.recv, recv)
 	}
 	for i, p := range fn.params {
 		var v Value

@@ -222,7 +222,7 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 	// already ran in the prefix; their results arrive via gslots below.
 	for _, u := range it.prog.units {
 		for _, imp := range u.imports {
-			mod, ok := it.modules[imp.path]
+			mod, ok := it.module(imp.path)
 			if !ok {
 				return nil, fmt.Errorf("interp: %s imports unknown module %q", u.name, imp.path)
 			}
@@ -360,8 +360,9 @@ func (it *Interp) hostIndex() (byVal map[any]string, byKey map[string]Value) {
 			}
 		}
 	}
-	for _, key := range sortedKeys(it.hostVals) {
-		v := it.hostVals[key]
+	regs := it.hostRegistrations()
+	for _, key := range sortedKeys(regs) {
+		v := regs[key]
 		note(key, v)
 		if m, ok := v.(*Module); ok {
 			for _, mk := range sortedKeys(m.Member) {
@@ -492,15 +493,20 @@ func (vc *valCopier) copyVal(v Value) Value {
 		if got, ok := vc.memo[x]; ok {
 			return got
 		}
-		nm := &Map{m: make(map[Value]Value, len(x.m))}
+		nm := &Map{}
 		vc.memo[x] = nm
 		// Keys are hashable scalars; copying preserves insertion order.
-		if x.keys != nil {
-			nm.keys = make([]Value, len(x.keys))
-			copy(nm.keys, x.keys)
+		if x.ents != nil {
+			nm.ents = make([]mapEntry, len(x.ents))
+			for i, e := range x.ents {
+				nm.ents[i] = mapEntry{e.k, vc.copyVal(e.v)}
+			}
 		}
-		for k, e := range x.m {
-			nm.m[k] = vc.copyVal(e)
+		if x.idx != nil {
+			nm.idx = make(map[Value]int, len(x.idx))
+			for k, i := range x.idx {
+				nm.idx[k] = i
+			}
 		}
 		return nm
 	case *Tuple:
@@ -520,10 +526,11 @@ func (vc *valCopier) copyVal(v Value) Value {
 		if got, ok := vc.memo[x]; ok {
 			return got
 		}
-		no := &Object{TypeName: x.TypeName, Fields: make(map[string]Value, len(x.Fields))}
+		// Shapes are immutable and shared; only the slot vector copies.
+		no := x.shape.alloc()
 		vc.memo[x] = no
-		for _, k := range sortedKeys(x.Fields) {
-			no.Fields[k] = vc.copyVal(x.Fields[k])
+		for i, e := range x.slots {
+			no.slots[i] = vc.copyVal(e)
 		}
 		return no
 	case *Exc:

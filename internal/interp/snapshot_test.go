@@ -208,6 +208,31 @@ func F() any {
 	s := a.v * 10
 	return s + b.next.v
 }`, "F", nil},
+	{"shaped-objects-and-promoted-maps", `
+type Rec struct{}
+func F() any {
+	a := &Rec{id: 1, tags: []any{"x"}}
+	a.late = "added"
+	b := &Rec{tags: a.tags, id: 2}
+	alias := a
+	big := map[any]any{}
+	for i := 0; i < 12; i++ {
+		big[i] = a
+	}
+	small := map[string]any{"a": a, "b": b}
+	delete(big, 3)
+	big["k"] = small
+	alias.id = alias.id + 10
+	b.extra = big
+	small["a"].late = small["a"].late + "!"
+	delete(small, "a")
+	small["a"] = b
+	out := ""
+	for k, v := range small {
+		out = out + k + str(v.id) + ";"
+	}
+	return out + a.late + str(big[0].id) + str(len(big)) + str(len(b.extra["k"])) + str(keys(big)[11])
+}`, "F", nil},
 	{"pending-defers", `
 func F() any {
 	out := []any{}
@@ -288,6 +313,81 @@ func F() any {
 	last := squares[len(squares)-1]
 	return total + last
 }`, "F", nil},
+}
+
+// TestForkIsolationShapedObjectsAndPromotedMaps forks one snapshot
+// several times, each fork mutating the shaped objects and the promoted
+// (hash-indexed) map it inherited: aliasing inside a fork must survive
+// the copy, and no fork may see another fork's — or the prefix run's —
+// writes through a shared slot vector, entry slice or index.
+func TestForkIsolationShapedObjectsAndPromotedMaps(t *testing.T) {
+	src := `package main
+type T struct{}
+func F() any {
+	o := &T{a: 1}
+	o.b = 2
+	m := map[any]any{}
+	for i := 0; i < 12; i++ {
+		m[i] = i
+	}
+	alias := o
+	am := m
+	k := mode()
+	o.a = o.a + k*100
+	o.c = k
+	m[k] = -k
+	delete(m, 0)
+	m[100+k] = k
+	return str(alias.a) + ":" + str(alias.c) + ":" + str(am[k]) + ":" + str(len(am)) + ":" + str(keys(am)[len(am)-1])
+}`
+	prog, err := CompileProgram([]SourceUnit{{Name: "t.go", Src: []byte(src)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newInterp := func(mode int64) *Interp {
+		it := NewRun(prog, Config{})
+		it.RegisterHostFunc("mode", func(it *Interp, args []Value) (Value, error) { return mode, nil })
+		return it
+	}
+	prefix := newInterp(7)
+	if err := prefix.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	const boundary = 6 // the statement `k := mode()`
+	var snap *Snapshot
+	if _, err := prefix.CallPrefix("F", func(stmt int) bool {
+		if stmt == boundary {
+			var serr error
+			if snap, serr = prefix.Snapshot(); serr != nil {
+				t.Fatalf("Snapshot: %v", serr)
+			}
+			return false
+		}
+		return true
+	}); err != nil {
+		t.Fatalf("CallPrefix: %v", err)
+	}
+	if snap == nil {
+		t.Fatal("boundary never reached")
+	}
+	// The prefix run went on to mutate its own copies with mode 7; every
+	// fork must still start from the state at the boundary.
+	for _, tc := range []struct {
+		mode int64
+		want string
+	}{
+		{1, "101:1:-1:12:101"},
+		{2, "201:2:-2:12:102"},
+		{1, "101:1:-1:12:101"},
+	} {
+		got, err := newInterp(tc.mode).Fork(snap)
+		if err != nil {
+			t.Fatalf("Fork(mode %d): %v", tc.mode, err)
+		}
+		if got != tc.want {
+			t.Errorf("fork with mode %d = %v, want %s", tc.mode, got, tc.want)
+		}
+	}
 }
 
 func TestForkEquivalenceCorpus(t *testing.T) {

@@ -62,6 +62,117 @@ func TestMapQuickProperties(t *testing.T) {
 	}
 }
 
+// refMap is the representation Map replaced — a Go map plus an
+// insertion-ordered key slice — kept as the reference model.
+type refMap struct {
+	m    map[Value]Value
+	keys []Value
+}
+
+func (r *refMap) set(k, v Value) {
+	if _, ok := r.m[k]; !ok {
+		r.keys = append(r.keys, k)
+	}
+	r.m[k] = v
+}
+
+func (r *refMap) del(k Value) {
+	if _, ok := r.m[k]; !ok {
+		return
+	}
+	delete(r.m, k)
+	for i, kk := range r.keys {
+		if kk == k {
+			r.keys = append(r.keys[:i], r.keys[i+1:]...)
+			break
+		}
+	}
+}
+
+// TestMapMatchesReferenceModel drives random set/delete sequences over
+// a key space that crosses the small-map limit in both directions, with
+// keys of every hashable kind (1 and 1.0 and "1" are distinct keys), and
+// compares Get, Len and key order with the reference after every step.
+func TestMapMatchesReferenceModel(t *testing.T) {
+	keyOf := func(n uint8) Value {
+		switch n % 4 {
+		case 0:
+			return int64(n / 4 % 6)
+		case 1:
+			return float64(n / 4 % 6)
+		case 2:
+			return string(rune('a' + n/4%6))
+		default:
+			return n/4%2 == 0
+		}
+	}
+	check := func(ops []uint8) bool {
+		m, ref := NewMap(), &refMap{m: map[Value]Value{}}
+		for i, op := range ops {
+			k := keyOf(op)
+			if op >= 192 { // a quarter of the steps delete
+				m.Delete(k)
+				ref.del(k)
+			} else {
+				m.Set(k, int64(i))
+				ref.set(k, int64(i))
+			}
+			if m.Len() != len(ref.keys) {
+				return false
+			}
+			for j, rk := range m.Keys() {
+				if rk != ref.keys[j] {
+					return false
+				}
+				if v, ok := m.Get(rk); !ok || v != ref.m[rk] {
+					return false
+				}
+			}
+			if _, ok := m.Get(k); ok != (ref.m[k] != nil) {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestObjectShapes pins the shape mechanics the engines rely on: objects
+// built the same way share one shape, a late field is a transition that
+// leaves siblings alone, and slot vectors grow past the inline sizes.
+func TestObjectShapes(t *testing.T) {
+	sh := NewShape("T", "a", "b")
+	x, y := sh.New(int64(1), int64(2)), sh.New(int64(3))
+	if x.TypeName() != "T" || x.shape != y.shape {
+		t.Fatal("objects of one shape do not share it")
+	}
+	if v, ok := y.Get("b"); !ok || v != nil {
+		t.Fatalf("missing trailing value = %v, %v; want nil, true", v, ok)
+	}
+	x.Set("c", int64(9))
+	y.Set("c", int64(8))
+	if x.shape != y.shape || x.shape == sh {
+		t.Fatal("the same transition from the same shape must intern to one child")
+	}
+	if _, ok := sh.New().Get("c"); ok {
+		t.Fatal("a transition leaked a field into its parent shape")
+	}
+	for i := 0; i < 20; i++ {
+		x.Set("f"+string(rune('a'+i)), int64(i))
+	}
+	if v, _ := x.Get("ft"); v != int64(19) {
+		t.Fatalf("wide object lost a field: ft = %v", v)
+	}
+	if v, _ := x.Get("a"); v != int64(1) {
+		t.Fatalf("growing the slot vector lost field a: %v", v)
+	}
+	if v, _ := y.Get("c"); v != int64(8) {
+		t.Fatalf("sibling object changed: c = %v", v)
+	}
+}
+
 func TestTruthiness(t *testing.T) {
 	tests := []struct {
 		v    Value
@@ -79,7 +190,7 @@ func TestTruthiness(t *testing.T) {
 		{NewList(), false},
 		{NewList(int64(1)), true},
 		{NewMap(), false},
-		{NewObject("T"), true},
+		{NewShape("T").New(), true},
 	}
 	for _, tc := range tests {
 		if got := Truthy(tc.v); got != tc.want {
@@ -146,7 +257,7 @@ func TestTypeNames(t *testing.T) {
 		{"s", "string"},
 		{NewList(), "list"},
 		{NewMap(), "map"},
-		{NewObject("Client"), "Client"},
+		{NewShape("Client").New(), "Client"},
 		{&Exc{}, "exception"},
 		{&Tuple{}, "tuple"},
 		{NewModule("m"), "module"},

@@ -32,21 +32,20 @@ func (cfg Config) EngineName() string {
 // callBytecode executes a lowered function with defer/recover semantics
 // identical to callCompiled, against a pooled register frame sized for
 // locals plus temporaries.
-func (it *Interp) callBytecode(f *compiledClosure, args []Value) (result Value, err error) {
-	fn := f.fn
+func (it *Interp) callBytecode(fn *compiledFunc, caps []*cell, recv Value, args []Value) (result Value, err error) {
 	if len(it.frames) > 200 {
 		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)
 	}
 	fr := getFrame(fn.name)
 	it.frames = append(it.frames, fr)
 	cf := getCframeVM(fn.code.nframe, fn.nslots)
-	cf.caps = f.caps
+	cf.caps = caps
 
 	for _, s := range fn.rootCells {
 		cf.slots[s] = &cell{v: unbound}
 	}
 	if fn.recv != nil {
-		bindSlot(cf, fn.recv, f.recv)
+		bindSlot(cf, fn.recv, recv)
 	}
 	for i, p := range fn.params {
 		var v Value
@@ -452,6 +451,32 @@ func (it *Interp) runCode(cd *code, fr *cframe, pc int) (Value, error) {
 			}
 			slots[in.c] = v
 
+		case opAttrCallee:
+			v, mfn, err := it.lookupAttr(slots[in.a], in.x.(string))
+			if err != nil {
+				return nil, err
+			}
+			if mfn != nil {
+				slots[in.a+1] = slots[in.a]
+				slots[in.a] = mfn
+			} else {
+				slots[in.a] = v
+			}
+
+		case opCallM:
+			args := slots[in.a+2 : in.a+2+in.b]
+			var v Value
+			var err error
+			if mfn, ok := slots[in.a].(*compiledFunc); ok {
+				v, err = it.callMethod(mfn, slots[in.a+1], args)
+			} else {
+				v, err = it.call(slots[in.a], args)
+			}
+			if err != nil {
+				return nil, err
+			}
+			slots[in.c] = v
+
 		case opRet:
 			if in.a < 0 {
 				return nil, nil
@@ -518,7 +543,7 @@ func (it *Interp) runCode(cd *code, fr *cframe, pc int) (Value, error) {
 			slots[in.a] = NewList()
 
 		case opNewObj:
-			slots[in.a] = NewObject(in.x.(string))
+			slots[in.a] = in.x.(*Shape).alloc()
 
 		case opMakeClosure:
 			fn := in.x.(*compiledFunc)
@@ -549,11 +574,7 @@ func (it *Interp) runCode(cd *code, fr *cframe, pc int) (Value, error) {
 				// iteration is invisible, like the closure path).
 				slots[in.b] = &rangeList{elems: append([]Value(nil), cv.Elems...)}
 			case *Map:
-				keys := cv.Keys()
-				vals := make([]Value, len(keys))
-				for i, k := range keys {
-					vals[i], _ = cv.Get(k)
-				}
+				keys, vals := cv.pairs()
 				slots[in.b] = &rangePairs{keys: keys, vals: vals}
 			case string, int64:
 				slots[in.b] = cv
@@ -620,37 +641,48 @@ func cmpTok(op uint8) token.Token {
 	}
 }
 
-// attrValue implements selector reads for the bytecode path, matching
-// compileSelector's semantics exactly.
+// attrValue implements selector reads on both compiled engines. A
+// method read yields a closure bound to its receiver.
 func (it *Interp) attrValue(base Value, name string) (Value, error) {
+	v, mfn, err := it.lookupAttr(base, name)
+	if mfn != nil {
+		return &compiledClosure{fn: mfn, recv: base}, nil
+	}
+	return v, err
+}
+
+// lookupAttr resolves base.name. A method of an object comes back
+// unbound — mfn set, the receiver being base itself — so that a call
+// site invoking it immediately need not allocate the bound closure.
+func (it *Interp) lookupAttr(base Value, name string) (v Value, mfn *compiledFunc, err error) {
 	switch b := base.(type) {
 	case *Module:
 		v, ok := b.Member[name]
 		if !ok {
-			return nil, it.throw("AttributeError", "module '"+b.Name+"' has no attribute '"+name+"'")
+			return nil, nil, it.throw("AttributeError", "module '"+b.Name+"' has no attribute '"+name+"'")
 		}
-		return v, nil
+		return v, nil, nil
 	case *Object:
-		if v, ok := b.Fields[name]; ok {
-			return v, nil
+		if i := b.shape.slot(name); i >= 0 {
+			return b.slots[i], nil, nil
 		}
 		if it.prog != nil {
-			if mfn, ok := it.prog.methods[b.TypeName][name]; ok {
-				return &compiledClosure{fn: mfn, recv: b}, nil
+			if mfn, ok := it.prog.methods[b.shape.typeName][name]; ok {
+				return nil, mfn, nil
 			}
 		}
-		return nil, it.throw("AttributeError", "'"+b.TypeName+"' object has no attribute '"+name+"'")
+		return nil, nil, it.throw("AttributeError", "'"+b.shape.typeName+"' object has no attribute '"+name+"'")
 	case *Exc:
 		switch name {
 		case "Type":
-			return b.Type, nil
+			return b.Type, nil, nil
 		case "Msg":
-			return b.Msg, nil
+			return b.Msg, nil, nil
 		}
-		return nil, it.throw("AttributeError", "exception has no attribute '"+name+"'")
+		return nil, nil, it.throw("AttributeError", "exception has no attribute '"+name+"'")
 	case nil:
-		return nil, it.throw("AttributeError", "nil object has no attribute '"+name+"'")
+		return nil, nil, it.throw("AttributeError", "nil object has no attribute '"+name+"'")
 	default:
-		return nil, it.throw("AttributeError", "'"+TypeName(base)+"' object has no attribute '"+name+"'")
+		return nil, nil, it.throw("AttributeError", "'"+TypeName(base)+"' object has no attribute '"+name+"'")
 	}
 }

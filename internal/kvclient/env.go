@@ -9,6 +9,7 @@ import (
 
 	"profipy/internal/interp"
 	"profipy/internal/kvstore"
+	"profipy/internal/lazyrand"
 	"profipy/internal/sandbox"
 	"profipy/internal/trace"
 )
@@ -66,12 +67,29 @@ const (
 // envKey* are the container env-bag keys holding per-container state that
 // must survive across workload rounds.
 const (
-	envKeyServer = "kvclient.server"
-	envKeyClock  = "kvclient.clock"
-	envKeyRNG    = "kvclient.rng"
+	envKeyState  = "kvclient.state"
 	envKeyTracer = "kvclient.tracer"
-	envKeyStall  = "kvclient.stall"
 )
+
+// envRun is the per-container state of the kvclient environment, created
+// by the first round's InstallEnv and shared by later rounds: the
+// etcd-like server, the cross-round clock, and the transport's stall RNG
+// and stall state. The host modules are shared by every interpreter of
+// the process; they reach this state through the interpreter they are
+// called on.
+type envRun struct {
+	c     *sandbox.Container
+	srv   *kvstore.Server
+	clock clockRef
+	rng   *rand.Rand
+	stall stallState
+}
+
+type envRunKey struct{}
+
+func envOf(it *interp.Interp) *envRun {
+	return it.HostData(envRunKey{}).(*envRun)
+}
 
 // stallState tracks an in-progress scheduling stall (see stallPermille).
 type stallState struct {
@@ -144,54 +162,39 @@ func (r *clockRef) setBase(ns int64) {
 // InstallEnv wires a fresh interpreter (one workload round) to a
 // container: the etcd-like server, the urllib/osio/etcdsrv/logx host
 // modules, the check() assertion builtin, and the fault hooks. Server
-// and clock state persist across rounds within the same container.
+// and clock state persist across rounds within the same container; the
+// modules and hooks are built once per process, so a round's install
+// only points them at the container's state.
 func InstallEnv(it *interp.Interp, c *sandbox.Container) *kvstore.Server {
 	sandbox.InstallHooks(it, c)
 
-	var ref *clockRef
-	if v, ok := c.GetEnv(envKeyClock); ok {
-		ref = v.(*clockRef)
+	var run *envRun
+	if v, ok := c.GetEnv(envKeyState); ok {
+		run = v.(*envRun)
 	} else {
-		ref = &clockRef{}
-		c.PutEnv(envKeyClock, ref)
-	}
-	ref.attach(it)
-
-	var srv *kvstore.Server
-	if v, ok := c.GetEnv(envKeyServer); ok {
-		srv = v.(*kvstore.Server)
-	} else {
-		srv = kvstore.New(kvstore.Config{
-			Now:        ref.Now,
+		run = &envRun{c: c, rng: lazyrand.New(c.Seed() + 1)}
+		run.srv = kvstore.New(kvstore.Config{
+			Now:        run.clock.Now,
 			Contention: c.Contention,
 			Seed:       c.Seed(),
 			Log:        c.Log("server"),
 		})
-		c.PutEnv(envKeyServer, srv)
+		c.PutEnv(envKeyState, run)
 	}
+	run.clock.attach(it)
 
-	var rng *rand.Rand
-	if v, ok := c.GetEnv(envKeyRNG); ok {
-		rng = v.(*rand.Rand)
-	} else {
-		rng = rand.New(rand.NewSource(c.Seed() + 1))
-		c.PutEnv(envKeyRNG, rng)
-	}
+	it.SetHostData(envRunKey{}, run)
+	it.Install(hostEnv)
+	return run.srv
+}
 
-	var stall *stallState
-	if v, ok := c.GetEnv(envKeyStall); ok {
-		stall = v.(*stallState)
-	} else {
-		stall = &stallState{}
-		c.PutEnv(envKeyStall, stall)
-	}
-
-	it.RegisterModule(urllibModule(c, srv, rng, stall))
-	it.RegisterModule(osioModule(c))
-	it.RegisterModule(etcdsrvModule(srv))
-	it.RegisterModule(logxModule(c))
-
-	it.RegisterHostFunc("check", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+// hostEnv is the shared kvclient host environment.
+var hostEnv = interp.NewHostEnv().
+	Module(urllibModule()).
+	Module(osioModule()).
+	Module(etcdsrvModule()).
+	Module(logxModule()).
+	Func("check", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		msg := "assertion failed"
 		if len(args) > 1 {
 			if s, ok := args[1].(string); ok {
@@ -204,9 +207,6 @@ func InstallEnv(it *interp.Interp, c *sandbox.Container) *kvstore.Server {
 		return nil, nil
 	})
 
-	return srv
-}
-
 // throwExc raises an exception from host-module code.
 func throwExc(it *interp.Interp, excType, msg string) error {
 	return &interp.PanicError{Val: &interp.Exc{Type: excType, Msg: msg}}
@@ -214,9 +214,11 @@ func throwExc(it *interp.Interp, excType, msg string) error {
 
 // urllibModule is the HTTP transport between the interpreted client and
 // the kvstore server — the injection target of campaign A.
-func urllibModule(c *sandbox.Container, srv *kvstore.Server, rng *rand.Rand, stall *stallState) *interp.Module {
+func urllibModule() *interp.Module {
 	m := interp.NewModule("urllib")
 	m.Func("Request", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+		run := envOf(it)
+		c, srv, stall := run.c, run.srv, &run.stall
 		var method, url interp.Value
 		var params interp.Value
 		if len(args) > 0 {
@@ -255,7 +257,7 @@ func urllibModule(c *sandbox.Container, srv *kvstore.Server, rng *rand.Rand, sta
 			if stall.left > 0 {
 				stall.left--
 				stalled = true
-			} else if rng.Intn(1000) < stallPermille {
+			} else if run.rng.Intn(1000) < stallPermille {
 				stall.left = stallBurst
 				stalled = true
 			}
@@ -280,7 +282,8 @@ func urllibModule(c *sandbox.Container, srv *kvstore.Server, rng *rand.Rand, sta
 			if rerr != nil {
 				span.Err = rerr.Error()
 			} else if obj, ok := out.(*interp.Object); ok {
-				if st, ok := obj.Fields["Status"].(int64); ok && st >= 400 {
+				v, _ := obj.Get("Status")
+				if st, ok := v.(int64); ok && st >= 400 {
 					span.Err = fmt.Sprintf("status %d", st)
 				}
 			}
@@ -321,12 +324,12 @@ func route(it *interp.Interp, srv *kvstore.Server, method, path string, params *
 	case path == "/health":
 		obj := newResponse(200, 0, "ok", "", 0)
 		if getStr(params, "detail") == "true" {
-			obj.Fields["Detail"] = "true"
+			obj.Set("Detail", "true")
 		}
 		return obj, nil
 	case path == "/v2/stats/self":
 		obj := newResponse(200, 0, "ok", "", 0)
-		obj.Fields["Name"] = "etcd-sim"
+		obj.Set("Name", "etcd-sim")
 		return obj, nil
 	case path == "/v2/members":
 		if method == "POST" || method == "PUT" {
@@ -386,44 +389,39 @@ func route(it *interp.Interp, srv *kvstore.Server, method, path string, params *
 	}
 }
 
+// The host-built objects have fixed layouts, laid out once: building one
+// is a single allocation filled in shape order.
+var (
+	responseShape = interp.NewShape("Response",
+		"Status", "ErrorCode", "Message", "Action", "Index", "Node", "PrevNode", "Nodes")
+	nodeShape = interp.NewShape("Node",
+		"Key", "Value", "Dir", "TTL", "Created", "Modified")
+)
+
 func newResponse(status int, code int, msg, action string, index int64) *interp.Object {
-	obj := interp.NewObject("Response")
-	obj.Fields["Status"] = int64(status)
-	obj.Fields["ErrorCode"] = int64(code)
-	obj.Fields["Message"] = msg
-	obj.Fields["Action"] = action
-	obj.Fields["Index"] = index
-	obj.Fields["Node"] = nil
-	obj.Fields["PrevNode"] = nil
-	obj.Fields["Nodes"] = interp.NewList()
-	return obj
+	return responseShape.New(int64(status), int64(code), msg, action, index, nil, nil, interp.NewList())
 }
 
 func respToObject(r kvstore.Response) *interp.Object {
-	obj := newResponse(r.Status, r.ErrorCode, r.Message, r.Action, r.Index)
+	var node, prev interp.Value
 	if r.Node != nil {
-		obj.Fields["Node"] = nodeToObject(*r.Node)
+		node = nodeToObject(*r.Node)
 	}
 	if r.PrevNode != nil {
-		obj.Fields["PrevNode"] = nodeToObject(*r.PrevNode)
+		prev = nodeToObject(*r.PrevNode)
 	}
 	nodes := interp.NewList()
-	for _, n := range r.Nodes {
-		nodes.Elems = append(nodes.Elems, nodeToObject(n))
+	if len(r.Nodes) > 0 {
+		nodes.Elems = make([]interp.Value, len(r.Nodes))
+		for i, n := range r.Nodes {
+			nodes.Elems[i] = nodeToObject(n)
+		}
 	}
-	obj.Fields["Nodes"] = nodes
-	return obj
+	return responseShape.New(int64(r.Status), int64(r.ErrorCode), r.Message, r.Action, r.Index, node, prev, nodes)
 }
 
 func nodeToObject(n kvstore.NodeInfo) *interp.Object {
-	obj := interp.NewObject("Node")
-	obj.Fields["Key"] = n.Key
-	obj.Fields["Value"] = n.Value
-	obj.Fields["Dir"] = n.Dir
-	obj.Fields["TTL"] = n.TTL
-	obj.Fields["Created"] = n.Created
-	obj.Fields["Modified"] = n.Modified
-	return obj
+	return nodeShape.New(n.Key, n.Value, n.Dir, n.TTL, n.Created, n.Modified)
 }
 
 func getVal(m *interp.Map, key string) interp.Value {
@@ -447,7 +445,7 @@ func getStr(m *interp.Map, key string) string {
 
 // osioModule exposes file I/O over the container filesystem — the second
 // injection target of campaign A (the paper's os module).
-func osioModule(c *sandbox.Container) *interp.Module {
+func osioModule() *interp.Module {
 	m := interp.NewModule("osio")
 	pathArg := func(it *interp.Interp, args []interp.Value) (string, error) {
 		if len(args) == 0 || args[0] == nil {
@@ -472,7 +470,7 @@ func osioModule(c *sandbox.Container) *interp.Module {
 			return nil, throwExc(it, "TypeError", "write data must be a string, not "+interp.TypeName(args[1]))
 		}
 		it.AdvanceClock(1_000_000)
-		c.FS.Write(p, []byte(data))
+		envOf(it).c.FS.Write(p, []byte(data))
 		return nil, nil
 	})
 	m.Func("AppendFile", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
@@ -484,9 +482,9 @@ func osioModule(c *sandbox.Container) *interp.Module {
 		if len(args) > 1 {
 			line = interp.Repr(args[1])
 		}
-		prev, _ := c.FS.Read(p)
+		prev, _ := envOf(it).c.FS.Read(p)
 		it.AdvanceClock(1_000_000)
-		c.FS.Write(p, append(prev, []byte(line+"\n")...))
+		envOf(it).c.FS.Write(p, append(prev, []byte(line+"\n")...))
 		return nil, nil
 	})
 	m.Func("ReadFile", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
@@ -495,7 +493,7 @@ func osioModule(c *sandbox.Container) *interp.Module {
 			return nil, err
 		}
 		it.AdvanceClock(1_000_000)
-		data, rerr := c.FS.Read(p)
+		data, rerr := envOf(it).c.FS.Read(p)
 		if rerr != nil {
 			return nil, throwExc(it, "IOError", "no such file: "+p)
 		}
@@ -507,7 +505,7 @@ func osioModule(c *sandbox.Container) *interp.Module {
 			return nil, err
 		}
 		it.AdvanceClock(1_000_000)
-		if rerr := c.FS.Remove(p); rerr != nil {
+		if rerr := envOf(it).c.FS.Remove(p); rerr != nil {
 			return nil, throwExc(it, "IOError", "no such file: "+p)
 		}
 		return nil, nil
@@ -517,35 +515,35 @@ func osioModule(c *sandbox.Container) *interp.Module {
 		if err != nil {
 			return nil, err
 		}
-		_, rerr := c.FS.Read(p)
+		_, rerr := envOf(it).c.FS.Read(p)
 		return rerr == nil, nil
 	})
 	return m
 }
 
 // etcdsrvModule lets the workload deploy and tear down the etcd server.
-func etcdsrvModule(srv *kvstore.Server) *interp.Module {
+func etcdsrvModule() *interp.Module {
 	m := interp.NewModule("etcdsrv")
 	m.Func("Start", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		it.AdvanceClock(500_000_000) // server boot: 0.5s
-		if err := srv.Start(); err != nil {
+		if err := envOf(it).srv.Start(); err != nil {
 			return nil, throwExc(it, "ServerStartError", err.Error())
 		}
 		return true, nil
 	})
 	m.Func("Stop", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
-		srv.Stop(true)
+		envOf(it).srv.Stop(true)
 		return nil, nil
 	})
 	m.Func("Running", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
-		return srv.Running(), nil
+		return envOf(it).srv.Running(), nil
 	})
 	return m
 }
 
 // logxModule gives target code per-component log streams (the input of
 // the failure-logging and propagation analyses).
-func logxModule(c *sandbox.Container) *interp.Module {
+func logxModule() *interp.Module {
 	m := interp.NewModule("logx")
 	write := func(level string) func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		return func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
@@ -556,7 +554,7 @@ func logxModule(c *sandbox.Container) *interp.Module {
 			if comp == "" {
 				comp = "misc"
 			}
-			fmt.Fprintf(c.Log(comp), "%s %s\n", level, interp.Repr(args[1]))
+			fmt.Fprintf(envOf(it).c.Log(comp), "%s %s\n", level, interp.Repr(args[1]))
 			return nil, nil
 		}
 	}

@@ -26,25 +26,19 @@ type envState struct {
 func CaptureEnv(c *sandbox.Container) (any, bool) {
 	for _, k := range c.EnvKeys() {
 		switch k {
-		case envKeyServer, envKeyClock, envKeyRNG, envKeyStall, envKeyTracer:
+		case envKeyState, envKeyTracer:
 		default:
 			return nil, false
 		}
 	}
 	st := &envState{}
-	if v, ok := c.GetEnv(envKeyServer); ok {
-		srv, ok := v.(*kvstore.Server)
+	if v, ok := c.GetEnv(envKeyState); ok {
+		run, ok := v.(*envRun)
 		if !ok {
 			return nil, false
 		}
-		st.server = srv.CaptureState()
-	}
-	if v, ok := c.GetEnv(envKeyClock); ok {
-		ref, ok := v.(*clockRef)
-		if !ok {
-			return nil, false
-		}
-		st.clockBase = ref.baseNS()
+		st.server = run.srv.CaptureState()
+		st.clockBase = run.clock.baseNS()
 	}
 	if rec, ok := Tracer(c); ok {
 		st.hasTracer = true
@@ -64,22 +58,16 @@ func RestoreEnv(c *sandbox.Container, state any) bool {
 		return false
 	}
 	if st.server != nil {
-		v, ok := c.GetEnv(envKeyServer)
+		v, ok := c.GetEnv(envKeyState)
 		if !ok {
 			return false
 		}
-		srv, ok := v.(*kvstore.Server)
+		run, ok := v.(*envRun)
 		if !ok {
 			return false
 		}
-		srv.RestoreState(st.server)
-	}
-	if v, ok := c.GetEnv(envKeyClock); ok {
-		ref, ok := v.(*clockRef)
-		if !ok {
-			return false
-		}
-		ref.setBase(st.clockBase)
+		run.srv.RestoreState(st.server)
+		run.clock.setBase(st.clockBase)
 	}
 	rec, traced := Tracer(c)
 	if traced != st.hasTracer {

@@ -52,7 +52,7 @@ func TestClientBasicOperations(t *testing.T) {
 	if !ok {
 		t.Fatalf("NewClient returned %T", cl)
 	}
-	if connected, _ := obj.Fields["connected"].(bool); !connected {
+	if v, _ := obj.Get("connected"); v != true {
 		t.Fatal("client did not connect")
 	}
 
@@ -82,15 +82,11 @@ func Drive(c any) any {
 
 func mustServer(t *testing.T, c *sandbox.Container) serverIface {
 	t.Helper()
-	v, ok := c.GetEnv("kvclient.server")
+	v, ok := c.GetEnv(envKeyState)
 	if !ok {
 		t.Fatal("server not installed")
 	}
-	srv, ok := v.(serverIface)
-	if !ok {
-		t.Fatal("unexpected server type")
-	}
-	return srv
+	return v.(*envRun).srv
 }
 
 type serverIface interface {

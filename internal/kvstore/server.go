@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+
+	"profipy/internal/lazyrand"
 )
 
 // Request is an etcd-v2-style API request, as produced by the client's
@@ -70,7 +72,7 @@ func New(cfg Config) *Server {
 	if cfg.Log == nil {
 		cfg.Log = io.Discard
 	}
-	return &Server{cfg: cfg, store: newStore(), rng: rand.New(rand.NewSource(cfg.Seed))}
+	return &Server{cfg: cfg, store: newStore(), rng: lazyrand.New(cfg.Seed)}
 }
 
 // Start binds the server port and boots the member. It fails when the

@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http/httptest"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -220,5 +221,31 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		h.Observe(0.042)
+	}
+}
+
+// TestRuntimeMetricsExposed checks every runtime family is registered
+// and reads a plausible value from the live process.
+func TestRuntimeMetricsExposed(t *testing.T) {
+	r := NewRegistry()
+	RegisterRuntimeMetrics(r)
+	runtime.GC() // at least one cycle, so the CPU accounting is populated
+	out := render(t, r)
+	for _, fam := range []string{
+		"profipy_runtime_gc_cpu_fraction", "profipy_runtime_gc_cycles",
+		"profipy_runtime_heap_live_bytes", "profipy_runtime_heap_goal_bytes",
+		"profipy_runtime_alloc_bytes", "profipy_runtime_goroutines",
+	} {
+		if !strings.Contains(out, "# TYPE "+fam+" gauge") {
+			t.Errorf("family %s not exposed", fam)
+		}
+	}
+	for _, positive := range []string{"profipy_runtime_gc_cycles", "profipy_runtime_alloc_bytes", "profipy_runtime_goroutines", "profipy_runtime_heap_goal_bytes"} {
+		if strings.Contains(out, "\n"+positive+" 0\n") {
+			t.Errorf("%s reads 0 on a live process", positive)
+		}
+	}
+	if v := readRuntime("/cpu/classes/gc/total:cpu-seconds")[0]; v <= 0 {
+		t.Errorf("GC CPU seconds = %v after a forced cycle", v)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"unicode/utf8"
 
 	"profipy/internal/interp"
+	"profipy/internal/lazyrand"
 	"profipy/internal/pattern"
 )
 
@@ -76,7 +77,7 @@ func NewEngine(faults []Fault, seed int64) (*Engine, error) {
 	}
 	e := &Engine{
 		faults:    make([]armedFault, len(faults)),
-		rng:       rand.New(rand.NewSource(seed)),
+		rng:       lazyrand.New(seed),
 		round:     1,
 		armed:     true,
 		everArmed: true,

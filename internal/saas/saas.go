@@ -241,6 +241,7 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 	if opt.Metrics == nil {
 		opt.Metrics = obs.NewRegistry()
 	}
+	obs.RegisterRuntimeMetrics(opt.Metrics)
 	switch opt.Engine {
 	case "", "bytecode", "closure", "tree-walk":
 	default:

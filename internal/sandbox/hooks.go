@@ -5,43 +5,69 @@ import (
 	"math/rand"
 
 	"profipy/internal/interp"
+	"profipy/internal/lazyrand"
 	"profipy/internal/mutator"
 )
 
 // HogVirtualNS is the virtual time one unit of CPU hog burns.
 const HogVirtualNS = 30_000_000_000 // 30s of virtual CPU time per hog unit
 
-// InstallHooks registers the fault-injection runtime hooks on an
-// interpreter, binding them to a container. These are the functions the
+// hookRun is the per-round state the fault hooks read off the
+// interpreter they are called on: the container, and the round's
+// corruption RNG (re-seeded from the container seed every round, and
+// only on the first $CORRUPT that actually fires).
+type hookRun struct {
+	c   *Container
+	rng *rand.Rand
+}
+
+type hookRunKey struct{}
+
+func hookState(it *interp.Interp) *hookRun {
+	return it.HostData(hookRunKey{}).(*hookRun)
+}
+
+// InstallHooks binds the fault-injection runtime hooks of an interpreter
+// (one workload round) to a container. These are the functions the
 // mutator's replacement templates call: the trigger, string corruption,
 // CPU hogs, delays, exception construction, coverage and component logs.
+// The hook functions themselves are shared by every interpreter; an
+// install only records which container this round's calls act on.
 func InstallHooks(it *interp.Interp, c *Container) {
-	rng := rand.New(rand.NewSource(c.Seed()))
+	it.SetHostData(hookRunKey{}, &hookRun{c: c, rng: lazyrand.New(c.Seed())})
+	it.Install(hooksEnv)
+}
 
-	it.RegisterHostFunc(mutator.HookTrigger, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
-		return c.TriggerEnabled(), nil
+// hooksEnv is the shared hook table.
+var hooksEnv = newHooksEnv()
+
+func newHooksEnv() *interp.HostEnv {
+	env := interp.NewHostEnv()
+
+	env.Func(mutator.HookTrigger, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+		return hookState(it).c.TriggerEnabled(), nil
 	})
 
-	it.RegisterHostFunc(mutator.HookCorrupt, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+	env.Func(mutator.HookCorrupt, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		if len(args) != 1 {
 			return nil, fmt.Errorf("__corrupt takes one argument")
 		}
-		return Corrupt(rng, args[0]), nil
+		return Corrupt(hookState(it).rng, args[0]), nil
 	})
 
-	it.RegisterHostFunc(mutator.HookHog, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+	env.Func(mutator.HookHog, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		amount := int64(1)
 		if len(args) >= 2 {
 			if n, ok := args[1].(int64); ok && n > 0 {
 				amount = n
 			}
 		}
-		c.AddContention(int(amount))
+		hookState(it).c.AddContention(int(amount))
 		it.AdvanceClock(amount * HogVirtualNS)
 		return nil, nil
 	})
 
-	it.RegisterHostFunc(mutator.HookDelay, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+	env.Func(mutator.HookDelay, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		ms := int64(1000)
 		if len(args) >= 1 {
 			if n, ok := args[0].(int64); ok && n >= 0 {
@@ -52,7 +78,7 @@ func InstallHooks(it *interp.Interp, c *Container) {
 		return nil, nil
 	})
 
-	it.RegisterHostFunc(mutator.HookExc, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+	env.Func(mutator.HookExc, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		excType, msg := "Error", "injected fault"
 		if len(args) >= 1 {
 			if s, ok := args[0].(string); ok {
@@ -67,23 +93,25 @@ func InstallHooks(it *interp.Interp, c *Container) {
 		return &interp.Exc{Type: excType, Msg: msg}, nil
 	})
 
-	it.RegisterHostFunc(mutator.HookCover, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+	env.Func(mutator.HookCover, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		if len(args) == 1 {
 			if id, ok := args[0].(string); ok {
-				c.MarkCovered(id)
+				hookState(it).c.MarkCovered(id)
 			}
 		}
 		return nil, nil
 	})
 
-	it.RegisterHostFunc("__log", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
+	env.Func("__log", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		if len(args) < 2 {
 			return nil, fmt.Errorf("__log takes component and message")
 		}
 		comp, _ := args[0].(string)
-		fmt.Fprintf(c.Log(comp), "%s\n", interp.Repr(args[1]))
+		fmt.Fprintf(hookState(it).c.Log(comp), "%s\n", interp.Repr(args[1]))
 		return nil, nil
 	})
+
+	return env
 }
 
 // Corrupt produces a deterministic corrupted variant of a value, the

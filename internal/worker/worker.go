@@ -77,19 +77,28 @@ type Agent struct {
 	hb   time.Duration
 	poll time.Duration
 
-	// runners caches the rebuilt execution context per campaign, so a
-	// worker holding several shards of one campaign scans, compiles
-	// and verifies the plan once.
-	runners map[string]*prepared
+	// runners caches the rebuilt execution context of the most recently
+	// leased campaigns (least recent first), so a worker holding several
+	// shards of one campaign scans, compiles and verifies the plan once.
+	// Only the serve loop touches it.
+	runners []cachedRunner
 
 	produced atomic.Int64
 	killed   atomic.Bool
 }
 
-type prepared struct {
-	runner *campaign.Runner
-	err    error
+type cachedRunner struct {
+	campaign string
+	runner   *campaign.Runner
 }
+
+// maxCachedRunners bounds Agent.runners. A Runner pins its campaign's
+// sources, parse cache and compiled program family (megabytes), and a
+// long-lived worker sees an unbounded stream of campaigns; the control
+// plane interleaves shards of only a few at a time, so a handful of
+// entries keeps the hit rate while an evicted campaign that is leased
+// again simply rebuilds its Runner.
+const maxCachedRunners = 4
 
 // New builds an agent.
 func New(cfg Config) *Agent {
@@ -107,7 +116,7 @@ func New(cfg Config) *Agent {
 	if log == nil {
 		log = slog.Default()
 	}
-	return &Agent{cfg: cfg, hc: hc, log: log, runners: map[string]*prepared{}}
+	return &Agent{cfg: cfg, hc: hc, log: log}
 }
 
 // ID returns the control-plane-assigned worker ID (empty before Run
@@ -251,20 +260,34 @@ func (a *Agent) lease(ctx context.Context) (remote.Lease, bool, error) {
 // runnerFor rebuilds (or returns the cached) execution context for a
 // campaign and verifies its plan matches the control plane's.
 func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (*campaign.Runner, error) {
-	if p, ok := a.runners[lease.Campaign]; ok {
-		return p.runner, p.err
+	for i, cr := range a.runners {
+		if cr.campaign == lease.Campaign {
+			// Hit: move to the most-recent end.
+			copy(a.runners[i:], a.runners[i+1:])
+			a.runners[len(a.runners)-1] = cr
+			return cr.runner, nil
+		}
 	}
-	p := &prepared{}
-	p.runner, p.err = a.buildRunner(ctx, lease)
-	if p.err != nil {
+	r, err := a.buildRunner(ctx, lease)
+	if err != nil {
 		// Don't cache failures: a transient spec-fetch error would
 		// otherwise poison the campaign on this worker forever. The
 		// failed shard stays leased until its TTL expires, so rebuild
 		// attempts are naturally paced.
-		return nil, p.err
+		return nil, err
 	}
-	a.runners[lease.Campaign] = p
-	return p.runner, nil
+	a.cacheRunner(lease.Campaign, r)
+	return r, nil
+}
+
+// cacheRunner records a freshly built Runner as most recent, evicting
+// the least recently leased campaign beyond maxCachedRunners.
+func (a *Agent) cacheRunner(campaignID string, r *campaign.Runner) {
+	if len(a.runners) == maxCachedRunners {
+		copy(a.runners, a.runners[1:])
+		a.runners = a.runners[:maxCachedRunners-1]
+	}
+	a.runners = append(a.runners, cachedRunner{campaignID, r})
 }
 
 func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.Runner, error) {

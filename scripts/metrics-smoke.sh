@@ -69,7 +69,13 @@ for fam in \
   profipy_resultstore_appends_total \
   profipy_resultstore_bytes_total \
   profipy_resultstore_fsyncs_total \
-  profipy_resultstore_follow_subscribers
+  profipy_resultstore_follow_subscribers \
+  profipy_runtime_gc_cpu_fraction \
+  profipy_runtime_gc_cycles \
+  profipy_runtime_heap_live_bytes \
+  profipy_runtime_heap_goal_bytes \
+  profipy_runtime_alloc_bytes \
+  profipy_runtime_goroutines
 do
   if ! grep -q "^# TYPE $fam " "$SCRAPE"; then
     echo "MISSING family: $fam"
