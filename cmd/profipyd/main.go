@@ -81,7 +81,6 @@ func run(ctx context.Context, args []string) error {
 	leaseTTL := fs.Duration("lease-ttl", 0, "remote worker shard lease TTL before re-dispatch (0 = 15s default)")
 	heartbeat := fs.Duration("heartbeat", 0, "heartbeat cadence suggested to remote workers (0 = lease-ttl/3)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline for non-streaming API routes (0 = 30s default, negative disables)")
-	engine := fs.String("engine", "", "default execution engine for campaigns that don't pick one: bytecode (default), closure or tree-walk")
 	debugAddr := fs.String("debug-addr", "", "optional pprof listen address (e.g. 127.0.0.1:6060); empty disables")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
 	logJSON := fs.Bool("log-json", false, "emit logs as JSON instead of text")
@@ -93,8 +92,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	srv, err := saas.NewServerWithOptions(saas.Options{
 		Cores: *cores, Workers: *workers, QueueDepth: *queue, RetainJobs: *retain,
-		DataDir: *dataDir, Engine: *engine,
-		LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, RequestTimeout: *reqTimeout,
+		DataDir: *dataDir, LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, RequestTimeout: *reqTimeout,
 	})
 	if err != nil {
 		return err

@@ -1,7 +1,7 @@
 // End-to-end execute-phase benchmarks for the compile-once/run-many
-// interpreter (PR "compile-once execute-many"): campaign throughput in
-// experiments per second, compiled vs tree-walk, plus the equivalence
-// gate asserting byte-identical campaign records between the two paths.
+// interpreter: campaign throughput in experiments per second on the
+// production path, next to the tree-walk reference driven by the
+// test-local harness of oracle_test.go.
 //
 // TestEmitExecBenchJSON (gated by PROFIPY_BENCH_JSON) writes the
 // machine-readable BENCH_exec.json consumed by `make bench` and CI, so
@@ -24,85 +24,46 @@ import (
 	"profipy/internal/workload"
 )
 
-// campaignEngines are the three execution engines every campaign-level
-// benchmark and equivalence gate below iterates: the lowered register
-// bytecode (the default), the compiled closure tree and the per-round
-// tree-walk baseline.
-var campaignEngines = []string{"bytecode", "closure", "tree-walk"}
-
-// applyEngine configures a campaign for one engine name.
-func applyEngine(c *campaign.Campaign, engine string) {
-	if engine == "tree-walk" {
-		c.TreeWalk = true
-		return
-	}
-	c.Engine = engine
-}
-
-// runCampaignMode runs one §V-A campaign on the given engine.
-func runCampaignMode(tb testing.TB, engine string, seed int64) *campaign.Result {
+// runCampaign runs one §V-A campaign.
+func runCampaign(tb testing.TB, seed int64) *campaign.Result {
 	tb.Helper()
 	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
-	c := kvclient.CampaignA(rt, seed)
-	applyEngine(c, engine)
-	res, err := c.Run()
+	res, err := kvclient.CampaignA(rt, seed).Run()
 	if err != nil {
-		tb.Fatalf("campaign (engine=%s): %v", engine, err)
+		tb.Fatalf("campaign: %v", err)
 	}
 	return res
 }
 
-// TestCompiledCampaignEquivalence runs the same campaigns through the
-// compiled path and the tree-walk and asserts byte-identical records
-// (rounds, exceptions, step counts, virtual clocks, logs) — the
-// whole-system form of the interp equivalence suite.
-func TestCompiledCampaignEquivalence(t *testing.T) {
-	builds := []struct {
-		name  string
-		build func(rt *Runtime, seed int64) *campaign.Campaign
-		seed  int64
-	}{
-		{"campaign-a", kvclient.CampaignA, 101},
-		{"campaign-b", kvclient.CampaignB, 202},
-		{"campaign-c", kvclient.CampaignC, 303},
-		{"campaign-r", kvclient.CampaignR, 404},
-		{"campaign-late", kvclient.CampaignLate, 707},
+// runTreeWalkCampaign is the tree-walk baseline of runCampaign: every
+// §V-A experiment (mutate, deploy, two rounds) on the reference
+// interpreter, scheduled N−1 parallel like the Local executor. It skips
+// the coverage pass and the analysis, both small next to the rounds.
+// Returns the experiment count.
+func runTreeWalkCampaign(tb testing.TB, seed int64) int {
+	tb.Helper()
+	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
+	c := kvclient.CampaignA(rt, seed)
+	type exp struct {
+		img  sandbox.Image
+		seed int64
 	}
-	for _, bc := range builds {
-		t.Run(bc.name, func(t *testing.T) {
-			recs := make([][]byte, len(campaignEngines))
-			reports := make([][]byte, len(campaignEngines))
-			for i, engine := range campaignEngines {
-				rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
-				c := bc.build(rt, bc.seed)
-				applyEngine(c, engine)
-				res, err := c.Run()
-				if err != nil {
-					t.Fatalf("engine=%s: %v", engine, err)
-				}
-				r, err := json.Marshal(res.Records)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rep, err := json.Marshal(res.Report)
-				if err != nil {
-					t.Fatal(err)
-				}
-				recs[i] = r
-				reports[i] = rep
-			}
-			for i := 1; i < len(campaignEngines); i++ {
-				if !bytes.Equal(recs[0], recs[i]) {
-					t.Errorf("records differ between %s and %s execution",
-						campaignEngines[0], campaignEngines[i])
-				}
-				if !bytes.Equal(reports[0], reports[i]) {
-					t.Errorf("reports differ between %s and %s execution",
-						campaignEngines[0], campaignEngines[i])
-				}
-			}
-		})
+	var exps []exp
+	eachExperiment(tb, c, func(_ InjectionPoint, img sandbox.Image, seed int64, _ *RuntimeFault) {
+		exps = append(exps, exp{img, seed})
+	})
+	errs := sandbox.RunBatch(rt, c.Image, len(exps), func(i int) error {
+		ctr := rt.CreateSeeded(exps[i].img, exps[i].seed)
+		defer func() { _ = rt.Destroy(ctr) }()
+		_, err := treeWalkRounds(ctr, c.Workload, 2)
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			tb.Fatal(err)
+		}
 	}
+	return len(exps)
 }
 
 // TestRuntimeCampaignDeterminism asserts the runtime-injection seed
@@ -169,74 +130,6 @@ func TestRuntimeOnlySkipsRecompile(t *testing.T) {
 		if rec.Result != nil && len(rec.Injections) == 0 {
 			t.Errorf("experiment %s has no injector report", rec.Point.ID())
 		}
-	}
-}
-
-// loweringAllowedEscapes are the only functions of the benchmark corpus
-// permitted to escape statements to the closure path, with their exact
-// escape counts. Anything else — a new name here, or a higher count —
-// means the bytecode engine's coverage regressed and part of the corpus
-// silently fell back to closure speed, which would quietly invalidate
-// every bytecode-vs-closure row in BENCH_exec.json.
-var loweringAllowedEscapes = map[string]int{
-	"Client.tryOnce": 1, // defer-with-closure protection wrapper
-	"runProtected":   1, // same construct on the workload side
-}
-
-// loweringMaxExprEscapes bounds expression escapes (subexpressions
-// evaluated through the closure artifact inside otherwise-lowered
-// statements) across the corpus. Raising it requires a deliberate edit
-// here, not a silent fallback.
-const loweringMaxExprEscapes = 18
-
-// TestBytecodeLoweringCoverage is the no-silent-fallback gate of the
-// benchmark suite: it compiles the benchmark corpus (both workload
-// variants) and fails when the bytecode engine stops fully lowering it.
-func TestBytecodeLoweringCoverage(t *testing.T) {
-	variants := []struct {
-		name     string
-		workload []byte
-		minFuncs int
-	}{
-		{"standard", []byte(kvclient.WorkloadSource), 40},
-		{"late-site", []byte(kvclient.LateWorkloadSource), 30},
-	}
-	for _, v := range variants {
-		t.Run(v.name, func(t *testing.T) {
-			files := kvclient.Sources()
-			files[kvclient.FileWorkload] = v.workload
-			cfg := kvclient.WorkloadConfig()
-			units := make([]interp.SourceUnit, 0, len(cfg.Files))
-			for _, f := range cfg.Files {
-				units = append(units, interp.SourceUnit{Name: f, Src: files[f]})
-			}
-			prog, err := interp.CompileProgram(units)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rep := prog.LoweringReport()
-			if rep.Funcs < v.minFuncs {
-				t.Fatalf("corpus shrank to %d compiled functions (want >= %d); the lowering gate expects the full kvclient corpus",
-					rep.Funcs, v.minFuncs)
-			}
-			for name, n := range rep.Escapes {
-				allowed, ok := loweringAllowedEscapes[name]
-				if !ok {
-					t.Errorf("function %s escapes %d statement(s) to the closure path; the corpus must stay fully lowered (known escapes: %v)",
-						name, n, loweringAllowedEscapes)
-				} else if n > allowed {
-					t.Errorf("function %s escapes %d statement(s), up from %d; bytecode lowering coverage regressed", name, n, allowed)
-				}
-			}
-			if want := rep.Funcs - len(loweringAllowedEscapes); rep.Fully < want {
-				t.Errorf("only %d of %d functions fully lowered (want >= %d); report: %+v",
-					rep.Fully, rep.Funcs, want, rep)
-			}
-			if rep.ExprEscapes > loweringMaxExprEscapes {
-				t.Errorf("corpus has %d expression escapes (gate: %d); bytecode lowering coverage regressed",
-					rep.ExprEscapes, loweringMaxExprEscapes)
-			}
-		})
 	}
 }
 
@@ -389,19 +282,28 @@ func BenchmarkRuntimeExperiment(b *testing.B) {
 
 // BenchmarkCampaignExecution measures end-to-end campaign throughput
 // (scan + coverage + all experiments + analysis) in experiments per
-// wall second, compiled vs the tree-walk baseline.
+// wall second, next to the tree-walk baseline (experiments only).
 func BenchmarkCampaignExecution(b *testing.B) {
-	for _, engine := range campaignEngines {
-		b.Run(engine, func(b *testing.B) {
+	for _, row := range campaignRows {
+		b.Run(row.name, func(b *testing.B) {
 			experiments := 0
 			for i := 0; i < b.N; i++ {
-				res := runCampaignMode(b, engine, 101)
-				experiments = len(res.Records)
+				experiments = row.run(b, 101)
 			}
 			b.ReportMetric(float64(experiments*b.N)/b.Elapsed().Seconds(), "experiments/s")
 			b.ReportMetric(float64(experiments), "experiments")
 		})
 	}
+}
+
+// campaignRows are the campaign-level benchmark rows; run returns the
+// experiment count.
+var campaignRows = []struct {
+	name string
+	run  func(tb testing.TB, seed int64) int
+}{
+	{"closure", func(tb testing.TB, seed int64) int { return len(runCampaign(tb, seed).Records) }},
+	{"tree-walk", runTreeWalkCampaign},
 }
 
 // execBenchResult is one row of BENCH_exec.json.
@@ -418,7 +320,7 @@ type execBenchResult struct {
 	BytesPerSnapshot int64 `json:"bytesPerSnapshot,omitempty"`
 }
 
-// TestEmitExecBenchJSON measures the execute phase in both modes and
+// TestEmitExecBenchJSON measures the execute phase on both rows and
 // writes machine-readable results to the path in PROFIPY_BENCH_JSON
 // (skipped otherwise). `make bench` and the CI bench job run it and
 // archive the artifact.
@@ -429,12 +331,11 @@ func TestEmitExecBenchJSON(t *testing.T) {
 	}
 
 	var rows []execBenchResult
-	measureCampaign := func(name, engine string) {
+	measureCampaign := func(name string, run func(tb testing.TB, seed int64) int) {
 		experiments := 0
 		br := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res := runCampaignMode(b, engine, 101)
-				experiments = len(res.Records)
+				experiments = run(b, 101)
 			}
 		})
 		row := execBenchResult{
@@ -448,14 +349,14 @@ func TestEmitExecBenchJSON(t *testing.T) {
 		}
 		rows = append(rows, row)
 	}
-	for _, engine := range campaignEngines {
-		measureCampaign("campaign-exec/"+engine, engine)
+	for _, row := range campaignRows {
+		measureCampaign("campaign-exec/"+row.name, row.run)
 	}
 
-	measureRound := func(name, engine string) {
+	measureRound := func(name string, treeWalk bool) {
 		files := kvclient.Sources()
 		cfg := kvclient.WorkloadConfig()
-		if engine != "tree-walk" {
+		if !treeWalk {
 			units := make([]interp.SourceUnit, 0, len(cfg.Files))
 			for _, f := range cfg.Files {
 				units = append(units, interp.SourceUnit{Name: f, Src: files[f]})
@@ -465,7 +366,6 @@ func TestEmitExecBenchJSON(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg.Program = prog
-			cfg.Engine = engine
 		}
 		br := testing.Benchmark(func(b *testing.B) {
 			rt := NewRuntime(RuntimeConfig{Cores: 2, Seed: 7})
@@ -474,7 +374,13 @@ func TestEmitExecBenchJSON(t *testing.T) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				ctr := rt.CreateSeeded(img, 7)
-				if _, err := workload.Run(ctr, cfg); err != nil {
+				var err error
+				if treeWalk {
+					_, err = treeWalkRounds(ctr, cfg, 2)
+				} else {
+					_, err = workload.Run(ctr, cfg)
+				}
+				if err != nil {
 					b.Fatal(err)
 				}
 				if err := rt.Destroy(ctr); err != nil {
@@ -489,9 +395,8 @@ func TestEmitExecBenchJSON(t *testing.T) {
 			BytesPerOp:  br.AllocedBytesPerOp(),
 		})
 	}
-	for _, engine := range campaignEngines {
-		measureRound("experiment-two-rounds/"+engine, engine)
-	}
+	measureRound("experiment-two-rounds/closure", false)
+	measureRound("experiment-two-rounds/tree-walk", true)
 
 	// Fork on/off A/B on the late-site scenario: every injection site in
 	// campaign-late is first reached near the end of round 1, so the
@@ -500,7 +405,7 @@ func TestEmitExecBenchJSON(t *testing.T) {
 	// The ForkHits assertion is the CI smoke that the fork path actually
 	// engaged — a silent fallback to full runs would otherwise report a
 	// ~1.00x row without failing anything.
-	measureForkCampaign := func(name, engine string, fork bool) {
+	measureForkCampaign := func(name string, fork bool) {
 		experiments := 0
 		snapshots, hits := 0, 0
 		br := testing.Benchmark(func(b *testing.B) {
@@ -508,17 +413,16 @@ func TestEmitExecBenchJSON(t *testing.T) {
 				rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
 				c := kvclient.CampaignLate(rt, 707)
 				c.PrefixFork = fork
-				applyEngine(c, engine)
 				res, err := c.Run()
 				if err != nil {
-					b.Fatalf("campaign-late (fork=%v, engine=%s): %v", fork, engine, err)
+					b.Fatalf("campaign-late (fork=%v): %v", fork, err)
 				}
 				experiments = len(res.Records)
 				snapshots, hits = res.ForkSnapshots, res.ForkHits
 			}
 		})
 		if fork && (snapshots == 0 || hits == 0) {
-			t.Fatalf("prefix-fork (engine=%s) did not engage: snapshots=%d hits=%d", engine, snapshots, hits)
+			t.Fatalf("prefix-fork did not engage: snapshots=%d hits=%d", snapshots, hits)
 		}
 		row := execBenchResult{
 			Name:        name,
@@ -531,9 +435,8 @@ func TestEmitExecBenchJSON(t *testing.T) {
 		}
 		rows = append(rows, row)
 	}
-	measureForkCampaign("campaign-late/prefix-fork-bytecode", "bytecode", true)
-	measureForkCampaign("campaign-late/prefix-fork-closure", "closure", true)
-	measureForkCampaign("campaign-late/full-runs-bytecode", "bytecode", false)
+	measureForkCampaign("campaign-late/prefix-fork-closure", true)
+	measureForkCampaign("campaign-late/full-runs-closure", false)
 
 	// Snapshot-size / fork-cost microbenchmark rows: what one
 	// BuildPrefixes pass costs (time and per-snapshot memory), and one
@@ -629,14 +532,10 @@ func TestEmitExecBenchJSON(t *testing.T) {
 		Speedup    map[string]string `json:"speedup"`
 	}{Benchmarks: rows, Speedup: map[string]string{}}
 	for name, pair := range map[string][2]string{
-		"campaign-exec bytecode-vs-closure":           {"campaign-exec/bytecode", "campaign-exec/closure"},
-		"campaign-exec bytecode-vs-tree-walk":         {"campaign-exec/bytecode", "campaign-exec/tree-walk"},
-		"campaign-exec closure-vs-tree-walk":          {"campaign-exec/closure", "campaign-exec/tree-walk"},
-		"experiment-two-rounds bytecode-vs-closure":   {"experiment-two-rounds/bytecode", "experiment-two-rounds/closure"},
-		"experiment-two-rounds bytecode-vs-tree-walk": {"experiment-two-rounds/bytecode", "experiment-two-rounds/tree-walk"},
-		"campaign-late prefix-fork-vs-full-runs":      {"campaign-late/prefix-fork-bytecode", "campaign-late/full-runs-bytecode"},
-		"campaign-late fork bytecode-vs-closure":      {"campaign-late/prefix-fork-bytecode", "campaign-late/prefix-fork-closure"},
-		"late-experiment forked-vs-full":              {"prefix-fork/forked-experiment", "prefix-fork/full-experiment"},
+		"campaign-exec closure-vs-tree-walk":         {"campaign-exec/closure", "campaign-exec/tree-walk"},
+		"experiment-two-rounds closure-vs-tree-walk": {"experiment-two-rounds/closure", "experiment-two-rounds/tree-walk"},
+		"campaign-late prefix-fork-vs-full-runs":     {"campaign-late/prefix-fork-closure", "campaign-late/full-runs-closure"},
+		"late-experiment forked-vs-full":             {"prefix-fork/forked-experiment", "prefix-fork/full-experiment"},
 	} {
 		if v, ok := ratio(pair[0], pair[1]); ok {
 			out.Speedup[name] = v

@@ -14,7 +14,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log/slog"
 	"time"
 
 	"profipy/internal/analysis"
@@ -58,15 +57,6 @@ type Campaign struct {
 	// SampleN caps the number of experiments (0 = no cap); sampling is
 	// deterministic under Seed.
 	SampleN int
-	// TreeWalk forces the per-round tree-walk interpreter instead of the
-	// compile-once program (used by equivalence tests and benchmarks;
-	// results are identical, execution is several times slower).
-	TreeWalk bool
-	// Engine selects the compiled path's execution engine: "" or
-	// "bytecode" runs the lowered register bytecode (default),
-	// "closure" the closure tree. Ignored under TreeWalk. Records and
-	// reports are byte-identical across engines.
-	Engine string
 
 	// PrefixFork enables experiment-prefix snapshot/fork execution: the
 	// base program's round 1 runs once, snapshotting at each injection
@@ -76,9 +66,9 @@ type Campaign struct {
 	// back to back. Records and reports are byte-identical to unforked
 	// execution at any geometry — an experiment that cannot be forked
 	// faithfully falls back to a full run rather than approximating.
-	// Requires the compiled path (ignored under TreeWalk) and a workload
-	// environment that can capture/restore its state (Workload.CaptureEnv
-	// and RestoreEnv); see Result.ForkHits/ForkMisses for engagement.
+	// Requires a workload environment that can capture/restore its state
+	// (Workload.CaptureEnv and RestoreEnv); see Result.ForkHits/ForkMisses
+	// for engagement.
 	PrefixFork bool
 	// Analysis configures failure classification and metrics.
 	Analysis analysis.Config
@@ -184,18 +174,6 @@ type Result struct {
 	Phases []trace.Span
 }
 
-// engineLabel names the interpretation engine the campaign's
-// experiments actually execute on, for metrics: the tree-walk when
-// there is no compiled base program (requested through TreeWalk, or
-// compileBase fell back), else the selected compiled engine — the
-// bytecode VM by default.
-func (c *Campaign) engineLabel(prog *interp.Program) string {
-	if prog == nil {
-		return "tree-walk"
-	}
-	return interp.Config{Engine: c.Engine}.EngineName()
-}
-
 // Run executes the full workflow.
 func (c *Campaign) Run() (*Result, error) {
 	return c.RunContext(context.Background())
@@ -268,14 +246,12 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	// Compile the unmutated base files once for the whole campaign
 	// (reusing the scan-phase parses); every round of every experiment
 	// then runs compiled code, and each experiment recompiles only its
-	// single mutated file. On any compile failure the workload falls
-	// back to the per-round tree-walk with identical semantics.
+	// single mutated file.
 	compileStart := time.Now()
 	wcfg := c.Workload
-	wcfg.Program = c.compileBase(cache)
-	wcfg.Engine = c.Engine
-	engine := c.engineLabel(wcfg.Program)
-	met.setEngine(engine)
+	if wcfg.Program, err = c.compileBase(cache); err != nil {
+		return nil, err
+	}
 	phaseSpan("compile", compileStart)
 
 	// --- Coverage analysis (fault-free instrumented run) ---
@@ -314,19 +290,6 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		img := c.Image
 		img.Files = c.Files
 		exec = executor.Local{Workers: c.Runtime.MaxParallel(img), Reg: c.Metrics}
-	}
-	// Stamp the interpretation engine on whichever executor runs the
-	// experiments, so executor metrics carry the engine label (same
-	// value-copy discipline as Skip below).
-	switch e := exec.(type) {
-	case executor.Local:
-		e.VM = engine
-		exec = e
-	case executor.Sharded:
-		e.VM = engine
-		exec = e
-	case *executor.Remote:
-		e.VM = engine
 	}
 	var collect *executor.Collect
 	if !c.DiscardRecords {
@@ -473,10 +436,8 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		res.Mutated += rmMut
 		res.Injected += rmInj
 	}
-	if prog := runner.Program(); prog != nil {
-		hits, misses := prog.CacheStats()
-		met.cache(hits, misses, prog.IncrementalRecompiles())
-	}
+	hits, misses := wcfg.Program.CacheStats()
+	met.cache(hits, misses, wcfg.Program.IncrementalRecompiles())
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
 	}
@@ -495,14 +456,9 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 
 // compileBase builds the campaign's compiled base program from the
 // workload's file list, reusing the scan cache's parses when the scan
-// covered those files (no re-parse in the container). Returns nil — the
-// tree-walk — when compilation is disabled or fails. The fallback is
-// semantically identical, only several times slower, so it is never
-// silent: it is counted by reason and logged with the campaign's name.
-func (c *Campaign) compileBase(scanCache *scanner.ProjectCache) *interp.Program {
-	if c.TreeWalk || len(c.Workload.Files) == 0 {
-		return nil
-	}
+// covered those files (no re-parse in the container). A base program
+// that does not compile fails the campaign here, naming the file.
+func (c *Campaign) compileBase(scanCache *scanner.ProjectCache) (*interp.Program, error) {
 	units := make([]interp.SourceUnit, 0, len(c.Workload.Files))
 	for _, name := range c.Workload.Files {
 		// Reuse the scan-phase parse when the file was scanned; files
@@ -514,29 +470,15 @@ func (c *Campaign) compileBase(scanCache *scanner.ProjectCache) *interp.Program 
 		}
 		src, ok := c.Files[name]
 		if !ok {
-			c.engineFallback("missing_file", fmt.Errorf("workload file %s is not in the campaign's file set", name))
-			return nil
+			return nil, fmt.Errorf("campaign %s: compile: %s: workload file is not in the campaign's file set", c.Name, name)
 		}
 		units = append(units, interp.SourceUnit{Name: name, Src: src})
 	}
 	prog, err := interp.CompileProgram(units)
 	if err != nil {
-		c.engineFallback("compile_error", err)
-		return nil
+		return nil, fmt.Errorf("campaign %s: compile: %w", c.Name, err)
 	}
-	return prog
-}
-
-// engineFallback records that the campaign runs on the tree-walk
-// although a compiled engine was asked for.
-func (c *Campaign) engineFallback(reason string, err error) {
-	if c.Metrics != nil {
-		c.Metrics.CounterVec("profipy_campaign_engine_fallback_total",
-			"Campaigns that fell back to the tree-walk interpreter because the base program could not be compiled, by reason.",
-			"reason").With(reason).Inc()
-	}
-	slog.Warn("campaign falls back to the tree-walk interpreter",
-		"campaign", c.Name, "wanted", interp.Config{Engine: c.Engine}.EngineName(), "reason", reason, "err", err)
+	return prog, nil
 }
 
 func (c *Campaign) scanSubset() map[string][]byte {

@@ -9,14 +9,13 @@ import (
 // cmetrics instruments campaign runs. A nil *cmetrics is valid and
 // inert, so call sites stay unconditional.
 type cmetrics struct {
-	engine      string          // interpretation engine label value
 	runs        *obs.CounterVec // status = started | completed | failed | canceled
-	experiments *obs.CounterVec // result = ok | error, engine = bytecode | closure | tree-walk
+	experiments *obs.CounterVec // result = ok | error
 	phaseDur    *obs.HistogramVec
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	cacheIncr   *obs.Counter
-	forkEvents  *obs.CounterVec // event = snapshot | hit | miss
+	forkEvents  *obs.CounterVec // event = snapshot | hit | miss | build_failed
 }
 
 // phaseBuckets cover millisecond scan phases through minute-scale
@@ -32,7 +31,7 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 		runs: reg.CounterVec("profipy_campaign_runs_total",
 			"Campaign workflow runs, by lifecycle event.", "status"),
 		experiments: reg.CounterVec("profipy_campaign_experiments_total",
-			"Completed experiments, by outcome (error = infrastructure abort) and interpretation engine.", "result", "engine"),
+			"Completed experiments, by outcome (error = infrastructure abort).", "result"),
 		phaseDur: reg.HistogramVec("profipy_campaign_phase_seconds",
 			"Wall-clock time per campaign workflow phase.", phaseBuckets, "phase"),
 		cacheHits: reg.Counter("profipy_campaign_compile_cache_hits_total",
@@ -42,16 +41,7 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 		cacheIncr: reg.Counter("profipy_campaign_compile_incremental_total",
 			"Compile-cache misses served by the declaration-level incremental recompile instead of a whole-file recompile."),
 		forkEvents: reg.CounterVec("profipy_campaign_fork_events_total",
-			"Prefix-fork activity: boundary snapshots captured, experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss).", "event"),
-	}
-}
-
-// setEngine labels the interpretation engine the experiments run on
-// ("bytecode", "closure" or "tree-walk"), known once the compile phase
-// either produced a program or fell back.
-func (m *cmetrics) setEngine(engine string) {
-	if m != nil {
-		m.engine = engine
+			"Prefix-fork activity: boundary snapshots captured, experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss), prefix builds that failed and left every experiment running in full (build_failed).", "event"),
 	}
 }
 
@@ -72,9 +62,9 @@ func (m *cmetrics) experiment(infraError bool) {
 		return
 	}
 	if infraError {
-		m.experiments.With("error", m.engine).Inc()
+		m.experiments.With("error").Inc()
 	} else {
-		m.experiments.With("ok", m.engine).Inc()
+		m.experiments.With("ok").Inc()
 	}
 }
 
@@ -85,6 +75,12 @@ func (m *cmetrics) fork(snapshots, hits, misses int) {
 	m.forkEvents.With("snapshot").Add(float64(snapshots))
 	m.forkEvents.With("hit").Add(float64(hits))
 	m.forkEvents.With("miss").Add(float64(misses))
+}
+
+func (m *cmetrics) forkBuildFailed() {
+	if m != nil {
+		m.forkEvents.With("build_failed").Inc()
+	}
 }
 
 func (m *cmetrics) cache(hits, misses, incremental uint64) {

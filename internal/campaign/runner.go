@@ -2,12 +2,12 @@ package campaign
 
 import (
 	"fmt"
+	"log/slog"
 	"sync"
 	"sync/atomic"
 
 	"profipy/internal/analysis"
 	"profipy/internal/coverage"
-	"profipy/internal/interp"
 	"profipy/internal/mutator"
 	"profipy/internal/pattern"
 	"profipy/internal/plan"
@@ -89,8 +89,10 @@ func NewRunner(c *Campaign, covered map[string]bool) (*Runner, error) {
 // already-scanned plan.
 func (c *Campaign) prepareRunner(cache *scanner.ProjectCache, pl *plan.Plan, covered map[string]bool) (*Runner, error) {
 	wcfg := c.Workload
-	wcfg.Program = c.compileBase(cache)
-	wcfg.Engine = c.Engine
+	var err error
+	if wcfg.Program, err = c.compileBase(cache); err != nil {
+		return nil, err
+	}
 	if wcfg.Metrics == nil {
 		wcfg.Metrics = c.Metrics
 	}
@@ -140,7 +142,7 @@ func (r *Runner) ForkStats() (snapshots, hits, misses int) {
 // sitePrefix returns the shared prefix snapshot for a point's site
 // function, building the campaign's prefix set on first use.
 func (r *Runner) sitePrefix(pt scanner.InjectionPoint) *workload.Prefix {
-	if !r.c.PrefixFork || r.wcfg.Program == nil || r.wcfg.FaultFree || pt.Func == "" {
+	if !r.c.PrefixFork || r.wcfg.FaultFree || pt.Func == "" {
 		return nil
 	}
 	r.prefixOnce.Do(r.buildPrefixes)
@@ -148,8 +150,9 @@ func (r *Runner) sitePrefix(pt scanner.InjectionPoint) *workload.Prefix {
 }
 
 // buildPrefixes runs the base program once in a scratch container and
-// snapshots at each injection site's first reach. A build failure just
-// leaves the prefix set empty: every experiment falls back to full runs.
+// snapshots at each injection site's first reach. A build failure
+// leaves the prefix set empty — every experiment falls back to full
+// runs — and is logged and counted once.
 func (r *Runner) buildPrefixes() {
 	seen := make(map[string]bool)
 	var sites []string
@@ -169,9 +172,14 @@ func (r *Runner) buildPrefixes() {
 	if r.c.TraceHook != nil {
 		r.c.TraceHook(ctr)
 	}
-	if ps, err := workload.BuildPrefixes(ctr, r.wcfg, sites); err == nil {
-		r.prefixes = ps
+	ps, err := workload.BuildPrefixes(ctr, r.wcfg, sites)
+	if err != nil {
+		slog.Warn("prefix build failed, every experiment runs in full",
+			"campaign", r.c.Name, "sites", len(sites), "err", err)
+		newMetrics(r.c.Metrics).forkBuildFailed()
+		return
 	}
+	r.prefixes = ps
 }
 
 // SiteOrder permutes the plan indices of [lo, hi) so experiments sharing
@@ -256,51 +264,44 @@ func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
 		// base file layer and shadows just the mutated file through the
 		// overlay, instead of copying the whole file map per experiment.
 		img.Overlay = map[string][]byte{pt.File: mut.Source}
-		if wcfg.Program != nil {
-			if prog, perr := wcfg.Program.WithFiles(map[string][]byte{pt.File: mut.Source}); perr == nil {
-				wcfg.Program = prog
-			} else {
-				// A mutated source the compiler rejects would not
-				// tree-walk load either; fall back so the error surfaces
-				// the same way (an infrastructure error on this
-				// experiment only).
-				wcfg.Program = nil
-			}
-		}
 		r.mutated.Add(1)
 		kind = KindMutated
+		wcfg.Program, err = wcfg.Program.WithFiles(img.Overlay)
+		if err != nil {
+			// A mutant the compiler rejects is an infrastructure error
+			// on this experiment only.
+			return rec, kind
+		}
 	}
 
-	if wcfg.Program != nil {
-		if pre := r.sitePrefix(pt); pre != nil {
-			fctr := r.c.Runtime.CreateSeeded(img, seed)
-			if r.c.TraceHook != nil {
-				r.c.TraceHook(fctr)
-			}
-			result, ok, _ := workload.RunForked(fctr, wcfg, workload.ForkSpec{
-				Prefix: pre, BaseFiles: r.c.Files, Overlay: img.Overlay,
-			})
-			_ = r.c.Runtime.Destroy(fctr)
-			if ok {
-				r.forkHits.Add(1)
-				rec.Result = result
-				if eng != nil {
-					rec.Injections = eng.Report()
-				}
-				return rec, kind
-			}
-			r.forkMisses.Add(1)
+	if pre := r.sitePrefix(pt); pre != nil {
+		fctr := r.c.Runtime.CreateSeeded(img, seed)
+		if r.c.TraceHook != nil {
+			r.c.TraceHook(fctr)
+		}
+		result, ok, _ := workload.RunForked(fctr, wcfg, workload.ForkSpec{
+			Prefix: pre, BaseFiles: r.c.Files, Overlay: img.Overlay,
+		})
+		_ = r.c.Runtime.Destroy(fctr)
+		if ok {
+			r.forkHits.Add(1)
+			rec.Result = result
 			if eng != nil {
-				// The aborted fork attempt may have advanced the engine
-				// (BeginRound, partial execution); rebuild it from the
-				// same deterministic inputs so the fallback run observes
-				// exactly the state a straight run would.
-				fault := *r.rtFaults[pt.Spec]
-				fault.Site = pt.Func
-				if neng, err := runtimefault.NewEngine([]runtimefault.Fault{fault}, seed); err == nil {
-					eng = neng
-					wcfg.Injector = eng
-				}
+				rec.Injections = eng.Report()
+			}
+			return rec, kind
+		}
+		r.forkMisses.Add(1)
+		if eng != nil {
+			// The aborted fork attempt may have advanced the engine
+			// (BeginRound, partial execution); rebuild it from the
+			// same deterministic inputs so the fallback run observes
+			// exactly the state a straight run would.
+			fault := *r.rtFaults[pt.Spec]
+			fault.Site = pt.Func
+			if neng, err := runtimefault.NewEngine([]runtimefault.Fault{fault}, seed); err == nil {
+				eng = neng
+				wcfg.Injector = eng
 			}
 		}
 	}
@@ -354,7 +355,3 @@ func (r *Runner) KindOf(i int) string {
 	}
 	return KindMutated
 }
-
-// Program exposes the compiled base program (nil when the campaign
-// fell back to the tree-walk interpreter).
-func (r *Runner) Program() *interp.Program { return r.wcfg.Program }

@@ -14,18 +14,13 @@ import (
 	"profipy/internal/workload"
 )
 
-// Analyze performs the fault-free instrumented run and returns the set of
-// covered injection-point IDs. Campaigns holding a parse cache should use
-// AnalyzeCached, which reuses the scan-phase parses.
-func Analyze(rt *sandbox.Runtime, img sandbox.Image, files map[string][]byte,
-	points []scanner.InjectionPoint, cfg workload.Config) (map[string]bool, error) {
-	return AnalyzeCached(rt, img, files, scanner.NewProjectCache(files), points, cfg)
-}
-
-// AnalyzeCached is Analyze against a per-campaign parse cache: files with
-// injection points are instrumented from their cached parse, and the
+// AnalyzeCached performs the fault-free instrumented run and returns the
+// set of covered injection-point IDs. It works against the campaign's
+// parse cache and compiled base program (cfg.Program): files with
+// injection points are instrumented from their cached parse, the
 // container image layers the instrumented copies over the untouched base
-// file set instead of rebuilding the whole map.
+// file set, and the instrumented units are recompiled into a derived
+// program whose unchanged units stay shared with the base.
 func AnalyzeCached(rt *sandbox.Runtime, img sandbox.Image, files map[string][]byte,
 	cache *scanner.ProjectCache, points []scanner.InjectionPoint, cfg workload.Config) (map[string]bool, error) {
 
@@ -58,14 +53,9 @@ func AnalyzeCached(rt *sandbox.Runtime, img sandbox.Image, files map[string][]by
 	covCfg := cfg
 	covCfg.Rounds = 1
 	covCfg.FaultFree = true
-	if covCfg.Program != nil {
-		// Compiled execution: derive a program with the instrumented
-		// units swapped in (unchanged units stay shared with the base).
-		prog, err := covCfg.Program.WithFiles(instrumented)
-		if err != nil {
-			return nil, fmt.Errorf("coverage: compile instrumented: %w", err)
-		}
-		covCfg.Program = prog
+	var err error
+	if covCfg.Program, err = cfg.Program.WithFiles(instrumented); err != nil {
+		return nil, fmt.Errorf("coverage: compile instrumented: %w", err)
 	}
 	res, err := workload.Run(c, covCfg)
 	if err != nil {

@@ -7,6 +7,7 @@ import (
 	"profipy/internal/interp"
 	"profipy/internal/plan"
 	"profipy/internal/sandbox"
+	"profipy/internal/scanner"
 	"profipy/internal/workload"
 )
 
@@ -40,6 +41,23 @@ func testEnv(it *interp.Interp, c *sandbox.Container) {
 	})
 }
 
+// analyze compiles the base program the way a campaign does and runs
+// the coverage pass over it.
+func analyze(t *testing.T, rt *sandbox.Runtime, files map[string][]byte,
+	points []scanner.InjectionPoint, cfg workload.Config) (map[string]bool, error) {
+	t.Helper()
+	units := make([]interp.SourceUnit, 0, len(cfg.Files))
+	for _, name := range cfg.Files {
+		units = append(units, interp.SourceUnit{Name: name, Src: files[name]})
+	}
+	prog, err := interp.CompileProgram(units)
+	if err != nil {
+		t.Fatalf("CompileProgram: %v", err)
+	}
+	cfg.Program = prog
+	return AnalyzeCached(rt, sandbox.Image{Name: "t"}, files, scanner.NewProjectCache(files), points, cfg)
+}
+
 func TestAnalyzeFindsCoveredPoints(t *testing.T) {
 	files := map[string][]byte{"t.go": []byte(target)}
 	specs := []faultmodel.Spec{{Name: "calls", Type: "C", DSL: `
@@ -57,7 +75,7 @@ change {
 
 	rt := sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: 2})
 	cfg := workload.Config{Entry: "Workload", Files: []string{"t.go"}, Env: testEnv}
-	covered, err := Analyze(rt, sandbox.Image{Name: "t"}, files, pl.Points, cfg)
+	covered, err := analyze(t, rt, files, pl.Points, cfg)
 	if err != nil {
 		t.Fatalf("Analyze: %v", err)
 	}
@@ -85,7 +103,7 @@ func Workload() any {
 	rt := sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: 2})
 	cfg := workload.Config{Entry: "Workload", Files: []string{"t.go"},
 		Env: func(it *interp.Interp, c *sandbox.Container) { sandbox.InstallHooks(it, c) }}
-	if _, err := Analyze(rt, sandbox.Image{Name: "t"}, files, nil, cfg); err == nil {
+	if _, err := analyze(t, rt, files, nil, cfg); err == nil {
 		t.Error("Analyze should fail when the fault-free run fails")
 	}
 }

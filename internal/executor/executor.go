@@ -104,9 +104,6 @@ type Local struct {
 	// Reg, when set, instruments the run: completed records,
 	// per-experiment latency and busy workers (see newMetrics).
 	Reg *obs.Registry
-	// VM labels the interpretation engine the experiments run on in
-	// metrics ("bytecode", "closure", "tree-walk"; empty = bytecode).
-	VM string
 	// Order, when set, permutes the execution order of a pool's index
 	// range (site-aware scheduling: the campaign groups experiments
 	// sharing an injection site so a prefix snapshot is reused while
@@ -126,7 +123,7 @@ func (l Local) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) 
 	if n == 0 {
 		return nil
 	}
-	m := newMetrics(l.Reg, l.VM, l.Name())
+	m := newMetrics(l.Reg, l.Name())
 	exp = m.instrument(exp)
 	runPool(0, n, l.Workers, l.Skip, l.Order, exp, func(r indexed) {
 		m.record()
@@ -256,8 +253,6 @@ type Sharded struct {
 	// Reg, when set, instruments the run: completed records,
 	// per-experiment latency, busy workers and shard latency.
 	Reg *obs.Registry
-	// VM labels the interpretation engine in metrics; see Local.VM.
-	VM string
 	// Order permutes execution order inside each shard's index range
 	// (site-aware scheduling); see Local.Order. Shard geometry is
 	// unaffected — grouping happens within a shard, never across.
@@ -303,7 +298,7 @@ func (s Sharded) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 		shards = n
 	}
 	workers := s.workers()
-	m := newMetrics(s.Reg, s.VM, s.Name())
+	m := newMetrics(s.Reg, s.Name())
 	exp = m.instrument(exp)
 	t0 := time.Now()
 

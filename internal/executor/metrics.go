@@ -22,22 +22,17 @@ type emetrics struct {
 // interpreter produces up to multi-second stragglers.
 var expDurBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5}
 
-// newMetrics resolves the hot-path vec children once per Run. engine is
-// the interpretation engine the experiments execute on ("bytecode",
-// "closure" or "tree-walk"; empty normalizes to the bytecode default),
-// executor the engine-agnostic scheduler identity (Name()).
-func newMetrics(reg *obs.Registry, engine, executor string) *emetrics {
+// newMetrics resolves the hot-path vec children once per Run; executor
+// is the scheduler identity (Name()).
+func newMetrics(reg *obs.Registry, executor string) *emetrics {
 	if reg == nil {
 		return nil
 	}
-	if engine == "" {
-		engine = "bytecode"
-	}
 	return &emetrics{
 		records: reg.CounterVec("profipy_executor_records_total",
-			"Experiment records delivered to the sink, by interpretation engine and executor.", "engine", "executor").With(engine, executor),
+			"Experiment records delivered to the sink, by executor.", "executor").With(executor),
 		expDur: reg.HistogramVec("profipy_executor_experiment_seconds",
-			"Wall-clock latency of one experiment, by interpretation engine and executor.", expDurBuckets, "engine", "executor").With(engine, executor),
+			"Wall-clock latency of one experiment, by executor.", expDurBuckets, "executor").With(executor),
 		busy: reg.Gauge("profipy_executor_workers_busy",
 			"Workers currently inside an experiment (utilization numerator)."),
 		shardH: reg.Histogram("profipy_executor_shard_seconds",

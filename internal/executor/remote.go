@@ -61,8 +61,6 @@ type Remote struct {
 	Skip *Mask
 	// Reg, when set, instruments the run like the other engines.
 	Reg *obs.Registry
-	// VM labels the interpretation engine in metrics; see Local.VM.
-	VM string
 
 	// mu guards the kind counters: written by Run's drain loop, read
 	// by the campaign (Counts) after Run returns.
@@ -111,7 +109,7 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	if n == 0 {
 		return nil
 	}
-	m := newMetrics(r.Reg, r.VM, "remote")
+	m := newMetrics(r.Reg, "remote")
 	exp = m.instrument(exp)
 	if r.Coord == nil {
 		// No coordinator: behave exactly like Local.

@@ -81,25 +81,20 @@ func Hot() any {
 	return count
 }`
 
-// engineBench is one row of the per-engine benchmark table. New engines
-// slot in here; every benchmark below iterates the table.
-type engineBench struct {
+// benchRows names the benchmark rows: the tree-walk reference and the
+// closure-compiled production path.
+var benchRows = []struct {
 	name     string
-	treeWalk bool   // Scope-chain front end (New + LoadSource)
-	engine   string // Config.Engine for the compiled front end
-}
-
-var engineBenches = []engineBench{
+	treeWalk bool // New + LoadSource instead of CompileProgram + NewRun
+}{
 	{name: "tree-walk", treeWalk: true},
-	{name: "closure", engine: "closure"},
-	{name: "bytecode", engine: "bytecode"},
+	{name: "closure"},
 }
 
-// newBenchInterp builds a ready-to-call interpreter for one engine row
-// over the given source.
-func newBenchInterp(tb testing.TB, eb engineBench, src string) *Interp {
-	cfg := Config{MaxSteps: 1 << 60, Engine: eb.engine}
-	if eb.treeWalk {
+// newBenchInterp builds a ready-to-call interpreter over the given source.
+func newBenchInterp(tb testing.TB, treeWalk bool, src string) *Interp {
+	cfg := Config{MaxSteps: 1 << 60}
+	if treeWalk {
 		it := New(cfg)
 		if err := it.LoadSource("w.go", []byte(src)); err != nil {
 			tb.Fatal(err)
@@ -117,12 +112,12 @@ func newBenchInterp(tb testing.TB, eb engineBench, src string) *Interp {
 	return it
 }
 
-// BenchmarkExec isolates pure execution per engine (front-end work done
+// BenchmarkExec isolates pure execution per row (front-end work done
 // once outside the loop).
 func BenchmarkExec(b *testing.B) {
-	for _, eb := range engineBenches {
+	for _, eb := range benchRows {
 		b.Run(eb.name, func(b *testing.B) {
-			it := newBenchInterp(b, eb, benchSource)
+			it := newBenchInterp(b, eb.treeWalk, benchSource)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -134,9 +129,9 @@ func BenchmarkExec(b *testing.B) {
 	}
 }
 
-// BenchmarkRound measures one full workload round per engine: what one
-// experiment round pays including interpreter setup. The compiled rows
-// compile once outside the loop (a campaign compiles once and reuses the
+// BenchmarkRound measures one full workload round per row: what one
+// experiment round pays including interpreter setup. The compiled row
+// compiles once outside the loop (a campaign compiles once and reuses the
 // Program across all experiments), so a round is NewRun + Boot + execute;
 // the tree-walk re-parses every round, as it must.
 func BenchmarkRound(b *testing.B) {
@@ -145,7 +140,7 @@ func BenchmarkRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, eb := range engineBenches {
+	for _, eb := range benchRows {
 		b.Run(eb.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -159,7 +154,7 @@ func BenchmarkRound(b *testing.B) {
 					}
 					continue
 				}
-				it := NewRun(prog, Config{Engine: eb.engine})
+				it := NewRun(prog, Config{})
 				if err := it.Boot(); err != nil {
 					b.Fatal(err)
 				}
@@ -171,12 +166,12 @@ func BenchmarkRound(b *testing.B) {
 	}
 }
 
-// BenchmarkCallHotPath runs the tight arithmetic loop per engine; the
-// compiled rows must stay allocation-free in steady state.
+// BenchmarkCallHotPath runs the tight arithmetic loop per row; the
+// compiled row must stay allocation-free in steady state.
 func BenchmarkCallHotPath(b *testing.B) {
-	for _, eb := range engineBenches {
+	for _, eb := range benchRows {
 		b.Run(eb.name, func(b *testing.B) {
-			it := newBenchInterp(b, eb, hotSource)
+			it := newBenchInterp(b, eb.treeWalk, hotSource)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -189,8 +184,7 @@ func BenchmarkCallHotPath(b *testing.B) {
 }
 
 // BenchmarkCompileProgram measures the one-time compile cost a campaign
-// amortizes over all rounds and experiments (closure tree + lowered
-// bytecode are built in the same pass).
+// amortizes over all rounds and experiments.
 func BenchmarkCompileProgram(b *testing.B) {
 	src := []byte(benchSource)
 	b.ReportAllocs()
@@ -201,38 +195,29 @@ func BenchmarkCompileProgram(b *testing.B) {
 	}
 }
 
-// TestCompiledHotPathAllocs asserts the sync.Pool'd frame path on both
-// compiled engines: the hot loop must allocate far less than the
+// TestCompiledHotPathAllocs asserts the sync.Pool'd frame path of the
+// compiled engine: the hot loop must allocate far less than the
 // tree-walk (which builds a Scope map per block per iteration) and stay
 // under a fixed small bound per call.
 func TestCompiledHotPathAllocs(t *testing.T) {
-	tw := New(Config{MaxSteps: 1 << 60})
-	if err := tw.LoadSource("w.go", []byte(hotSource)); err != nil {
-		t.Fatal(err)
-	}
+	tw := newBenchInterp(t, true, hotSource)
 	tree := testing.AllocsPerRun(200, func() {
 		if _, err := tw.Call("Hot"); err != nil {
 			t.Fatal(err)
 		}
 	})
-
-	for _, eb := range engineBenches {
-		if eb.treeWalk {
-			continue
+	crun := newBenchInterp(t, false, hotSource)
+	compiled := testing.AllocsPerRun(200, func() {
+		if _, err := crun.Call("Hot"); err != nil {
+			t.Fatal(err)
 		}
-		crun := newBenchInterp(t, eb, hotSource)
-		compiled := testing.AllocsPerRun(200, func() {
-			if _, err := crun.Call("Hot"); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("allocs/call: %s=%.1f tree-walk=%.1f", eb.name, compiled, tree)
-		if compiled > 8 {
-			t.Errorf("%s hot path allocates %.1f/call, want <= 8 (pooled frames)", eb.name, compiled)
-		}
-		if compiled*20 > tree {
-			t.Errorf("%s hot path allocates %.1f/call vs tree-walk %.1f — expected >= 20x reduction",
-				eb.name, compiled, tree)
-		}
+	})
+	t.Logf("allocs/call: compiled=%.1f tree-walk=%.1f", compiled, tree)
+	if compiled > 8 {
+		t.Errorf("compiled hot path allocates %.1f/call, want <= 8 (pooled frames)", compiled)
+	}
+	if compiled*20 > tree {
+		t.Errorf("compiled hot path allocates %.1f/call vs tree-walk %.1f — expected >= 20x reduction",
+			compiled, tree)
 	}
 }

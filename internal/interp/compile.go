@@ -78,9 +78,6 @@ type compiledFunc struct {
 	rootCells []int // slots that get a fresh *cell at frame setup
 	caps      []capSource
 	body      []cstmt
-	// code is the lowered register-bytecode form of the body (vm.go);
-	// built alongside body by the same compile walk.
-	code *code
 }
 
 // compiledClosure is the runtime value of a compiled function, optionally
@@ -120,10 +117,6 @@ type fnCtx struct {
 	// blocks is the scope stack; blocks[0] is the function root scope.
 	blocks []map[string]*vbind
 	capIdx map[*vbind]int
-	// asm receives the function's lowered instructions; set to nil while
-	// an escaped statement's closure compiles, which disables emission
-	// (the assembler methods are nil-receiver safe).
-	asm *assembler
 }
 
 func (fc *fnCtx) newSlot(name string) *vbind {
@@ -143,10 +136,6 @@ type compiler struct {
 	// uses it as the unit's provenance set when translating closures
 	// between a base program and a derived one.
 	fns []*compiledFunc
-	// litFns memoizes function-literal compilation: the fused walk can
-	// visit one literal twice (closure artifact + lowered emission) and
-	// must produce a single compiledFunc for it.
-	litFns map[*ast.FuncLit]*compiledFunc
 }
 
 // access is a resolved variable reference.
@@ -394,7 +383,6 @@ func (c *compiler) compileFunc(parent *fnCtx, name string, ft *ast.FuncType,
 		fn:     fn,
 		blocks: []map[string]*vbind{make(map[string]*vbind)},
 		capIdx: make(map[*vbind]int),
-		asm:    newAssembler(),
 	}
 	root := fc.blocks[0]
 
@@ -443,7 +431,6 @@ func (c *compiler) compileFunc(parent *fnCtx, name string, ft *ast.FuncType,
 	}
 
 	fn.body = c.compileStmts(fc, body.List)
-	fn.code = fc.asm.finish(fn.nslots)
 
 	for _, b := range root {
 		if b.cell {
@@ -458,14 +445,8 @@ func (c *compiler) compileFunc(parent *fnCtx, name string, ft *ast.FuncType,
 // Statement compilation
 
 func (c *compiler) compileStmts(fc *fnCtx, list []ast.Stmt) []cstmt {
-	// At function root (block depth 1) each statement start is a Fork
-	// resume point; record its instruction offset.
-	atRoot := len(fc.blocks) == 1
 	out := make([]cstmt, len(list))
 	for i, s := range list {
-		if atRoot {
-			fc.asm.markStmt()
-		}
 		out[i] = c.compileStmt(fc, s)
 	}
 	return out
@@ -493,30 +474,11 @@ func errStmt(format string, args ...any) cstmt {
 	}
 }
 
-// compileStmt compiles one statement into its closure form and, when
-// lowering is active, emits the equivalent instructions. Statements the
-// lowerer does not translate natively compile their closure with
-// emission disabled and run through an opStmt escape.
+// compileStmt compiles one statement into its closure form.
 func (c *compiler) compileStmt(fc *fnCtx, s ast.Stmt) cstmt {
-	if A := fc.asm; A != nil && !lowerableStmt(s) {
-		fc.asm = nil
-		cs := c.compileStmtInner(fc, s)
-		fc.asm = A
-		A.escape(cs)
-		return cs
-	}
-	return c.compileStmtInner(fc, s)
-}
-
-func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
-	A := fc.asm
 	switch st := s.(type) {
 	case *ast.ExprStmt:
 		x := c.compileExpr(fc, st.X)
-		A.step()
-		tm := A.tmpMark()
-		c.lowerExpr(fc, st.X, A.tmp())
-		A.rel(tm)
 		return func(it *Interp, fr *cframe) (control, Value, error) {
 			if err := it.step(); err != nil {
 				return ctlNone, nil, err
@@ -535,23 +497,6 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 		if st.Tok == token.DEC {
 			delta = -1
 		}
-		A.step()
-		emitted := false
-		if id, ok := st.X.(*ast.Ident); ok && A != nil {
-			if acc := c.resolve(fc, id.Name); acc.kind == accLocal {
-				A.emit(opIncLocal, int(delta), 0, 0, acc.b)
-				emitted = true
-			}
-		}
-		if A != nil && !emitted {
-			tm := A.tmpMark()
-			t1, t2 := A.tmp(), A.tmp()
-			c.lowerExpr(fc, st.X, t1)
-			A.constOp(t2, delta)
-			A.emit(opAdd, t1, t2, t1, nil)
-			c.lowerStore(fc, st.X, t1)
-			A.rel(tm)
-		}
 		return func(it *Interp, fr *cframe) (control, Value, error) {
 			if err := it.step(); err != nil {
 				return ctlNone, nil, err
@@ -568,10 +513,8 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 		}
 
 	case *ast.ReturnStmt:
-		A.step()
 		switch len(st.Results) {
 		case 0:
-			A.emit(opRet, -1, 0, 0, nil)
 			return func(it *Interp, fr *cframe) (control, Value, error) {
 				if err := it.step(); err != nil {
 					return ctlNone, nil, err
@@ -580,11 +523,6 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 			}
 		case 1:
 			x := c.compileExpr(fc, st.Results[0])
-			tm := A.tmpMark()
-			t := A.tmp()
-			c.lowerExpr(fc, st.Results[0], t)
-			A.emit(opRet, t, 0, 0, nil)
-			A.rel(tm)
 			return func(it *Interp, fr *cframe) (control, Value, error) {
 				if err := it.step(); err != nil {
 					return ctlNone, nil, err
@@ -597,17 +535,6 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 			for i, r := range st.Results {
 				xs[i] = c.compileExpr(fc, r)
 			}
-			// Contiguous temporaries so opRetTuple can slice the frame.
-			tm := A.tmpMark()
-			ts := make([]int, len(st.Results))
-			for i := range ts {
-				ts[i] = A.tmp()
-			}
-			for i, r := range st.Results {
-				c.lowerExpr(fc, r, ts[i])
-			}
-			A.emit(opRetTuple, ts[0], len(st.Results), 0, nil)
-			A.rel(tm)
 			return func(it *Interp, fr *cframe) (control, Value, error) {
 				if err := it.step(); err != nil {
 					return ctlNone, nil, err
@@ -625,27 +552,20 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 		}
 
 	case *ast.IfStmt:
-		A.step()
 		var initS cstmt
 		if st.Init != nil {
 			initS = c.compileStmt(fc, st.Init)
 		}
 		cond := c.compileExpr(fc, st.Cond)
-		jz := c.lowerCond(fc, st.Cond)
 		body := c.compileBlockStmts(fc, st.Body.List)
 		var elseList []cstmt
 		var elseS cstmt
 		if st.Else != nil {
-			jend := A.jump(opJmp, 0, 0, nil)
-			A.patch(jz)
 			if blk, ok := st.Else.(*ast.BlockStmt); ok {
 				elseList = c.compileBlockStmts(fc, blk.List)
 			} else {
 				elseS = c.compileStmt(fc, st.Else)
 			}
-			A.patch(jend)
-		} else {
-			A.patch(jz)
 		}
 		return func(it *Interp, fr *cframe) (control, Value, error) {
 			if err := it.step(); err != nil {
@@ -673,7 +593,6 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 		}
 
 	case *ast.BlockStmt:
-		A.step()
 		body := c.compileBlockStmts(fc, st.List)
 		return func(it *Interp, fr *cframe) (control, Value, error) {
 			if err := it.step(); err != nil {
@@ -683,28 +602,18 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 		}
 
 	case *ast.ForStmt:
-		A.step()
 		var initS, postS cstmt
 		if st.Init != nil {
 			initS = c.compileStmt(fc, st.Init)
 		}
-		head := A.pc()
-		A.step() // per-iteration step, matching the closure loop head
 		var cond cexpr
-		jz := -1
 		if st.Cond != nil {
 			cond = c.compileExpr(fc, st.Cond)
-			jz = c.lowerCond(fc, st.Cond)
 		}
-		A.pushLoop()
 		body := c.compileBlockStmts(fc, st.Body.List)
-		contPC := A.pc()
 		if st.Post != nil {
 			postS = c.compileStmt(fc, st.Post)
 		}
-		A.emit(opJmp, 0, 0, head, nil)
-		A.patch(jz)
-		A.popLoop(A.pc(), contPC)
 		return func(it *Interp, fr *cframe) (control, Value, error) {
 			if err := it.step(); err != nil {
 				return ctlNone, nil, err
@@ -752,8 +661,6 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 	case *ast.BranchStmt:
 		switch st.Tok {
 		case token.BREAK:
-			A.step()
-			A.breakJump(A.jump(opJmp, 0, 0, nil), 'c')
 			return func(it *Interp, fr *cframe) (control, Value, error) {
 				if err := it.step(); err != nil {
 					return ctlNone, nil, err
@@ -761,8 +668,6 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 				return ctlBreak, nil, nil
 			}
 		case token.CONTINUE:
-			A.step()
-			A.contJump(A.jump(opJmp, 0, 0, nil), 'c')
 			return func(it *Interp, fr *cframe) (control, Value, error) {
 				if err := it.step(); err != nil {
 					return ctlNone, nil, err
@@ -829,7 +734,6 @@ func (c *compiler) compileStmtInner(fc *fnCtx, s ast.Stmt) cstmt {
 		}
 
 	case *ast.EmptyStmt:
-		A.step()
 		return func(it *Interp, fr *cframe) (control, Value, error) {
 			if err := it.step(); err != nil {
 				return ctlNone, nil, err
@@ -856,8 +760,6 @@ func (c *compiler) compileDecl(fc *fnCtx, st *ast.DeclStmt) cstmt {
 	}
 	var ops []declOne
 	atRoot := len(fc.blocks) == 1
-	A := fc.asm
-	A.step()
 	for _, spec := range gd.Specs {
 		vs, ok := spec.(*ast.ValueSpec)
 		if !ok {
@@ -868,20 +770,12 @@ func (c *compiler) compileDecl(fc *fnCtx, st *ast.DeclStmt) cstmt {
 			if i < len(vs.Values) {
 				init = c.compileExpr(fc, vs.Values[i])
 			}
-			tm := A.tmpMark()
-			t := A.tmp()
-			if i < len(vs.Values) {
-				c.lowerExpr(fc, vs.Values[i], t)
-			} else {
-				A.constOp(t, nil)
-			}
 			var store cassign
 			if name.Name == "_" {
 				store = func(it *Interp, fr *cframe, v Value) error { return nil }
 			} else if atRoot {
 				// Root-level decl: same binding the pre-pass allocated.
 				store = c.storeVar(fc, name.Name)
-				c.lowerStore(fc, name, t)
 			} else {
 				// Block-scoped: fresh binding shadowing outer ones. A
 				// captured block variable gets a fresh cell every time the
@@ -901,9 +795,7 @@ func (c *compiler) compileDecl(fc *fnCtx, st *ast.DeclStmt) cstmt {
 					}
 					return nil
 				}
-				A.emit(opStoreDecl, t, 0, 0, b)
 			}
-			A.rel(tm)
 			ops = append(ops, declOne{init: init, store: store})
 		}
 	}
@@ -929,37 +821,15 @@ func (c *compiler) compileDecl(fc *fnCtx, st *ast.DeclStmt) cstmt {
 }
 
 func (c *compiler) compileRange(fc *fnCtx, st *ast.RangeStmt) cstmt {
-	A := fc.asm
-	A.step()
 	collx := c.compileExpr(fc, st.X)
-	// Iterator state lives in four contiguous temporaries that stay
-	// reserved across the body: materialized data, index, key, value.
-	tm := A.tmpMark()
-	ct := A.tmp()
-	c.lowerExpr(fc, st.X, ct)
-	state := A.tmp()
-	A.tmp() // index register at state+1
-	kv := A.tmp()
-	A.tmp() // value register at kv+1
-	A.emit(opRangeInit, ct, state, 0, nil)
-	loop := A.pc()
-	jend := A.jump(opRangeNext, state, kv, nil)
-	A.step() // per-iteration step, matching runIter
 	var bindKey, bindVal cassign
 	if st.Key != nil {
 		bindKey = c.compileAssignTarget(fc, st.Key)
-		c.lowerStore(fc, st.Key, kv)
 	}
 	if st.Value != nil {
 		bindVal = c.compileAssignTarget(fc, st.Value)
-		c.lowerStore(fc, st.Value, kv+1)
 	}
-	A.pushLoop()
 	body := c.compileBlockStmts(fc, st.Body.List)
-	A.emit(opJmp, 0, 0, loop, nil)
-	A.patch(jend)
-	A.popLoop(A.pc(), loop)
-	A.rel(tm)
 
 	runIter := func(it *Interp, fr *cframe, k, v Value) (control, Value, bool, error) {
 		if err := it.step(); err != nil {

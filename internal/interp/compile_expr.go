@@ -87,20 +87,6 @@ func (c *compiler) compileAssign(fc *fnCtx, st *ast.AssignStmt) cstmt {
 		op, opOK := compoundOp(st.Tok)
 		asn := c.compileAssignTarget(fc, st.Lhs[0])
 		tok := st.Tok
-		if A := fc.asm; A != nil && opOK {
-			A.step()
-			tm := A.tmpMark()
-			t1, t2 := A.tmp(), A.tmp()
-			c.lowerExpr(fc, st.Lhs[0], t1)
-			c.lowerExpr(fc, st.Rhs[0], t2)
-			if aop, ok := arithOps[op]; ok {
-				A.emit(aop, t1, t2, t1, nil)
-			} else {
-				A.emit(opBinOther, t1, t2, t1, op)
-			}
-			c.lowerStore(fc, st.Lhs[0], t1)
-			A.rel(tm)
-		}
 		return func(it *Interp, fr *cframe) (control, Value, error) {
 			if err := it.step(); err != nil {
 				return ctlNone, nil, err
@@ -193,16 +179,6 @@ func (c *compiler) compileAssign(fc *fnCtx, st *ast.AssignStmt) cstmt {
 		rhsxs[i] = c.compileExpr(fc, r)
 	}
 	single := len(st.Lhs) == 1
-	if single {
-		A := fc.asm
-		A.step()
-		tm := A.tmpMark()
-		t := A.tmp()
-		c.lowerExpr(fc, st.Rhs[0], t)
-		A.emit(opUnwrap1, t, 0, 0, nil)
-		c.lowerStore(fc, st.Lhs[0], t)
-		A.rel(tm)
-	}
 	return func(it *Interp, fr *cframe) (control, Value, error) {
 		if err := it.step(); err != nil {
 			return ctlNone, nil, err
@@ -317,17 +293,7 @@ func (c *compiler) compileExprF(fc *fnCtx, e ast.Expr) (cexpr, foldInfo) {
 		return c.compileComposite(fc, x), foldInfo{}
 
 	case *ast.FuncLit:
-		// Memoized: the fused walk can visit one literal from both the
-		// closure build and the lowering emitter; they must share one
-		// compiledFunc (and compile the literal's body exactly once).
-		fn := c.litFns[x]
-		if fn == nil {
-			fn = c.compileFunc(fc, "<func>", x.Type, x.Body, "")
-			if c.litFns == nil {
-				c.litFns = make(map[*ast.FuncLit]*compiledFunc)
-			}
-			c.litFns[x] = fn
-		}
+		fn := c.compileFunc(fc, "<func>", x.Type, x.Body, "")
 		return func(it *Interp, fr *cframe) (Value, error) {
 			cl := &compiledClosure{fn: fn}
 			if len(fn.caps) > 0 {
@@ -369,6 +335,52 @@ func (c *compiler) compileSelector(fc *fnCtx, x *ast.SelectorExpr) cexpr {
 			return nil, err
 		}
 		return it.attrValue(base, name)
+	}
+}
+
+// attrValue implements selector reads. A method read yields a closure
+// bound to its receiver.
+func (it *Interp) attrValue(base Value, name string) (Value, error) {
+	v, mfn, err := it.lookupAttr(base, name)
+	if mfn != nil {
+		return &compiledClosure{fn: mfn, recv: base}, nil
+	}
+	return v, err
+}
+
+// lookupAttr resolves base.name. A method of an object comes back
+// unbound — mfn set, the receiver being base itself — so that a call
+// site invoking it immediately need not allocate the bound closure.
+func (it *Interp) lookupAttr(base Value, name string) (v Value, mfn *compiledFunc, err error) {
+	switch b := base.(type) {
+	case *Module:
+		v, ok := b.Member[name]
+		if !ok {
+			return nil, nil, it.throw("AttributeError", "module '"+b.Name+"' has no attribute '"+name+"'")
+		}
+		return v, nil, nil
+	case *Object:
+		if i := b.shape.slot(name); i >= 0 {
+			return b.slots[i], nil, nil
+		}
+		if it.prog != nil {
+			if mfn, ok := it.prog.methods[b.shape.typeName][name]; ok {
+				return nil, mfn, nil
+			}
+		}
+		return nil, nil, it.throw("AttributeError", "'"+b.shape.typeName+"' object has no attribute '"+name+"'")
+	case *Exc:
+		switch name {
+		case "Type":
+			return b.Type, nil, nil
+		case "Msg":
+			return b.Msg, nil, nil
+		}
+		return nil, nil, it.throw("AttributeError", "exception has no attribute '"+name+"'")
+	case nil:
+		return nil, nil, it.throw("AttributeError", "nil object has no attribute '"+name+"'")
+	default:
+		return nil, nil, it.throw("AttributeError", "'"+TypeName(base)+"' object has no attribute '"+name+"'")
 	}
 }
 
@@ -422,16 +434,21 @@ func (c *compiler) compileCall(fc *fnCtx, x *ast.CallExpr) cexpr {
 	for i, a := range x.Args {
 		argxs[i] = c.compileExpr(fc, a)
 	}
-	evalArgs := func(it *Interp, fr *cframe) ([]Value, error) {
-		args := make([]Value, len(argxs))
-		for i, ax := range argxs {
-			var err error
-			args[i], err = ax(it, fr)
+	// Arguments are evaluated onto the interpreter's argument stack and
+	// popped when the call returns. The callee gets that window: a
+	// compiled function binds it into its frame, a host function reads
+	// it, and neither may keep the slice.
+	evalArgs := func(it *Interp, fr *cframe) (int, error) {
+		base := len(it.argStack)
+		for _, ax := range argxs {
+			v, err := ax(it, fr)
 			if err != nil {
-				return nil, err
+				it.popArgs(base)
+				return 0, err
 			}
+			it.argStack = append(it.argStack, v)
 		}
-		return args, nil
+		return base, nil
 	}
 	if sel, ok := x.Fun.(*ast.SelectorExpr); ok {
 		// obj.method(args): the method runs straight off its receiver,
@@ -448,14 +465,18 @@ func (c *compiler) compileCall(fc *fnCtx, x *ast.CallExpr) cexpr {
 			if err != nil {
 				return nil, err
 			}
-			args, err := evalArgs(it, fr)
+			sp, err := evalArgs(it, fr)
 			if err != nil {
 				return nil, err
 			}
+			var v Value
 			if mfn != nil {
-				return it.callMethod(mfn, base, args)
+				v, err = it.callMethod(mfn, base, it.argStack[sp:])
+			} else {
+				v, err = it.call(fn, it.argStack[sp:])
 			}
-			return it.call(fn, args)
+			it.popArgs(sp)
+			return v, err
 		}
 	}
 	fnx := c.compileExpr(fc, x.Fun)
@@ -464,11 +485,13 @@ func (c *compiler) compileCall(fc *fnCtx, x *ast.CallExpr) cexpr {
 		if err != nil {
 			return nil, err
 		}
-		args, err := evalArgs(it, fr)
+		sp, err := evalArgs(it, fr)
 		if err != nil {
 			return nil, err
 		}
-		return it.call(fn, args)
+		v, err := it.call(fn, it.argStack[sp:])
+		it.popArgs(sp)
+		return v, err
 	}
 }
 
@@ -614,7 +637,14 @@ func (c *compiler) compileUnary(fc *fnCtx, x *ast.UnaryExpr) (cexpr, foldInfo) {
 		// &expr — minigo objects are reference values already.
 		return vx, vf
 	default:
-		return errExpr("interp: unsupported unary operator %s", x.Op), foldInfo{}
+		// The operand is evaluated (and may fail) first, like the tree-walk.
+		err := fmt.Errorf("interp: unsupported unary operator %s", x.Op)
+		return func(it *Interp, fr *cframe) (Value, error) {
+			if _, verr := vx(it, fr); verr != nil {
+				return nil, verr
+			}
+			return nil, err
+		}, foldInfo{}
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 // equivSetup installs host state on an interpreter (either path).
 type equivSetup func(it *Interp)
 
-// runBothPaths executes the same program through the tree-walk and both
-// engines of the compiled path (closure tree and bytecode VM) and asserts
-// identical observable behavior on all three: result value, error
-// rendering, step count, virtual clock and stdout bytes. It returns the
-// bytecode engine's outcome.
+// runBothPaths executes the same program through the tree-walk and the
+// compiled path and asserts identical observable behavior: result value,
+// error rendering, step count, virtual clock and stdout bytes. It returns
+// the compiled path's outcome.
 func runBothPaths(t *testing.T, cfg Config, files map[string]string, order []string,
 	setup equivSetup, entry string, args ...Value) (Value, error) {
 	t.Helper()
@@ -68,37 +67,32 @@ func runBothPaths(t *testing.T, cfg Config, files map[string]string, order []str
 		t.Fatalf("CompileProgram: %v (tree-walk loaded fine)", cerr)
 	}
 
-	var compVal Value
-	var compErr error
-	for _, engine := range []string{"closure", "bytecode"} {
-		var compOut bytes.Buffer
-		ccfg := cfg
-		ccfg.Stdout = &compOut
-		ccfg.Engine = engine
-		run := NewRun(prog, ccfg)
-		if setup != nil {
-			setup(run)
-		}
-		if err := run.Boot(); err != nil {
-			t.Fatalf("%s: Boot: %v (tree-walk loaded fine)", engine, err)
-		}
-		compVal, compErr = run.Call(entry, args...)
+	var compOut bytes.Buffer
+	ccfg := cfg
+	ccfg.Stdout = &compOut
+	run := NewRun(prog, ccfg)
+	if setup != nil {
+		setup(run)
+	}
+	if err := run.Boot(); err != nil {
+		t.Fatalf("Boot: %v (tree-walk loaded fine)", err)
+	}
+	compVal, compErr := run.Call(entry, args...)
 
-		if Repr(treeVal) != Repr(compVal) {
-			t.Errorf("%s: result mismatch:\n tree: %s\n comp: %s", engine, Repr(treeVal), Repr(compVal))
-		}
-		if fmt.Sprint(treeErr) != fmt.Sprint(compErr) {
-			t.Errorf("%s: error mismatch:\n tree: %v\n comp: %v", engine, treeErr, compErr)
-		}
-		if tree.Steps() != run.Steps() {
-			t.Errorf("%s: step count mismatch: tree=%d compiled=%d", engine, tree.Steps(), run.Steps())
-		}
-		if tree.Clock() != run.Clock() {
-			t.Errorf("%s: virtual clock mismatch: tree=%d compiled=%d", engine, tree.Clock(), run.Clock())
-		}
-		if treeOut.String() != compOut.String() {
-			t.Errorf("%s: stdout mismatch:\n tree: %q\n comp: %q", engine, treeOut.String(), compOut.String())
-		}
+	if Repr(treeVal) != Repr(compVal) {
+		t.Errorf("result mismatch:\n tree: %s\n comp: %s", Repr(treeVal), Repr(compVal))
+	}
+	if fmt.Sprint(treeErr) != fmt.Sprint(compErr) {
+		t.Errorf("error mismatch:\n tree: %v\n comp: %v", treeErr, compErr)
+	}
+	if tree.Steps() != run.Steps() {
+		t.Errorf("step count mismatch: tree=%d compiled=%d", tree.Steps(), run.Steps())
+	}
+	if tree.Clock() != run.Clock() {
+		t.Errorf("virtual clock mismatch: tree=%d compiled=%d", tree.Clock(), run.Clock())
+	}
+	if treeOut.String() != compOut.String() {
+		t.Errorf("stdout mismatch:\n tree: %q\n comp: %q", treeOut.String(), compOut.String())
 	}
 	return compVal, compErr
 }
@@ -126,6 +120,8 @@ var equivCorpus = []struct {
 	{"type-error", `func F(s string) any { return s + 1 }`, "F", []Value{"x"}},
 	{"nil-attr", `func F(k any) any { return k.Name }`, "F", []Value{nil}},
 	{"unbound", `func F() any { return undefinedVar }`, "F", nil},
+	{"unsupported-unary-evaluates-operand", `func F() any { return ^undefinedVar }`, "F", nil},
+	{"unsupported-unary", `func F() any { return ^1 }`, "F", nil},
 	{"unbound-after-branch", `func F(b any) any { if b { x := 1; _ = x }; return x }`, "F", []Value{false}},
 	{"lists-maps", `
 func F() any {
@@ -896,7 +892,7 @@ func F() any {
 		t.Run(mode.name, func(t *testing.T) {
 			var pathHooks []*countingHook
 			setup := func(it *Interp) {
-				// runBothPaths creates one interpreter per engine; give
+				// runBothPaths creates one interpreter per path; give
 				// each its own hook instance so event logs stay separate.
 				h := mode.hook
 				pathHooks = append(pathHooks, &h)
@@ -904,14 +900,12 @@ func F() any {
 			}
 			runBothPaths(t, Config{}, map[string]string{"t.go": "package main\n" + src},
 				[]string{"t.go"}, setup, "F")
-			if len(pathHooks) != 3 {
-				t.Fatalf("expected 3 interpreters, saw %d", len(pathHooks))
+			if len(pathHooks) != 2 {
+				t.Fatalf("expected 2 interpreters, saw %d", len(pathHooks))
 			}
-			tr := pathHooks[0]
-			for _, cp := range pathHooks[1:] {
-				if fmt.Sprint(tr.events) != fmt.Sprint(cp.events) {
-					t.Errorf("hook event sequence mismatch:\n tree: %v\n comp: %v", tr.events, cp.events)
-				}
+			tr, cp := pathHooks[0], pathHooks[1]
+			if fmt.Sprint(tr.events) != fmt.Sprint(cp.events) {
+				t.Errorf("hook event sequence mismatch:\n tree: %v\n comp: %v", tr.events, cp.events)
 			}
 		})
 	}

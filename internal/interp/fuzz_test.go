@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// FuzzEngineEquivalence is the differential fuzz target over the three
-// execution engines: every program the tree-walk loads must behave
-// identically on the closure-compiled path and the bytecode VM —
-// same result rendering, same error text, same step count, same
-// virtual clock, same stdout bytes. This is the property the golden
-// campaigns rest on (records are byte-identical across engines), so
-// any divergence the fuzzer finds here is a record-corrupting bug.
+// FuzzEngineEquivalence is the differential fuzz target of the compiled
+// path against its oracle: every program the tree-walk loads must behave
+// identically when compiled — same result rendering, same error text,
+// same step count, same virtual clock, same stdout bytes. The tree-walk
+// is what defines a record's bytes, so any divergence the fuzzer finds
+// here is a record-corrupting bug.
 //
 // Programs that fail to parse or load are skipped: the front end is
 // shared, so there is nothing differential to check. MaxSteps bounds
@@ -77,33 +76,26 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("tree-walk loaded but CompileProgram failed: %v\nsource:\n%s", err, src)
 		}
-		for _, engine := range []string{"closure", "bytecode"} {
-			var out bytes.Buffer
-			run := NewRun(prog, Config{MaxSteps: maxSteps, Stdout: &out, Engine: engine})
-			if err := run.Boot(); err != nil {
-				t.Fatalf("%s: tree-walk loaded but Boot failed: %v\nsource:\n%s", engine, err, src)
-			}
-			val, cerr := run.Call("F")
-			if Repr(treeVal) != Repr(val) {
-				t.Errorf("%s: result mismatch:\n tree: %s\n  got: %s\nsource:\n%s",
-					engine, Repr(treeVal), Repr(val), src)
-			}
-			if fmt.Sprint(treeErr) != fmt.Sprint(cerr) {
-				t.Errorf("%s: error mismatch:\n tree: %v\n  got: %v\nsource:\n%s",
-					engine, treeErr, cerr, src)
-			}
-			if tree.Steps() != run.Steps() {
-				t.Errorf("%s: step count mismatch: tree=%d got=%d\nsource:\n%s",
-					engine, tree.Steps(), run.Steps(), src)
-			}
-			if tree.Clock() != run.Clock() {
-				t.Errorf("%s: clock mismatch: tree=%d got=%d\nsource:\n%s",
-					engine, tree.Clock(), run.Clock(), src)
-			}
-			if !bytes.Equal(treeOut.Bytes(), out.Bytes()) {
-				t.Errorf("%s: stdout mismatch:\n tree: %q\n  got: %q\nsource:\n%s",
-					engine, treeOut.String(), out.String(), src)
-			}
+		var out bytes.Buffer
+		run := NewRun(prog, Config{MaxSteps: maxSteps, Stdout: &out})
+		if err := run.Boot(); err != nil {
+			t.Fatalf("tree-walk loaded but Boot failed: %v\nsource:\n%s", err, src)
+		}
+		val, cerr := run.Call("F")
+		if Repr(treeVal) != Repr(val) {
+			t.Errorf("result mismatch:\n tree: %s\n  got: %s\nsource:\n%s", Repr(treeVal), Repr(val), src)
+		}
+		if fmt.Sprint(treeErr) != fmt.Sprint(cerr) {
+			t.Errorf("error mismatch:\n tree: %v\n  got: %v\nsource:\n%s", treeErr, cerr, src)
+		}
+		if tree.Steps() != run.Steps() {
+			t.Errorf("step count mismatch: tree=%d got=%d\nsource:\n%s", tree.Steps(), run.Steps(), src)
+		}
+		if tree.Clock() != run.Clock() {
+			t.Errorf("clock mismatch: tree=%d got=%d\nsource:\n%s", tree.Clock(), run.Clock(), src)
+		}
+		if !bytes.Equal(treeOut.Bytes(), out.Bytes()) {
+			t.Errorf("stdout mismatch:\n tree: %q\n  got: %q\nsource:\n%s", treeOut.String(), out.String(), src)
 		}
 	})
 }

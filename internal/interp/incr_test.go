@@ -48,11 +48,22 @@ func incrProgram(t *testing.T, src string) *Program {
 	return p
 }
 
-func incrCall(t *testing.T, p *Program, engine string, fn string, args ...Value) (Value, error) {
+func incrCall(t *testing.T, p *Program, fn string, args ...Value) (Value, error) {
 	t.Helper()
-	it := NewRun(p, Config{Engine: engine})
+	it := NewRun(p, Config{})
 	if err := it.Boot(); err != nil {
 		t.Fatalf("boot: %v", err)
+	}
+	return it.Call(fn, args...)
+}
+
+// incrTree runs src on the tree-walk, the reference the spliced program
+// must agree with.
+func incrTree(t *testing.T, src []byte, fn string, args ...Value) (Value, error) {
+	t.Helper()
+	it := New(Config{})
+	if err := it.LoadSource("t.go", src); err != nil {
+		t.Fatalf("tree-walk load: %v", err)
 	}
 	return it.Call(fn, args...)
 }
@@ -89,15 +100,15 @@ func TestIncrementalRecompileEngages(t *testing.T) {
 				t.Fatalf("incremental recompiles = %d, want 1 (fast path did not engage)", got)
 			}
 			// The spliced program must behave exactly like a from-scratch
-			// compile of the mutated source, on every engine.
-			want := incrProgram(t, string(mutated))
-			for _, engine := range []string{"bytecode", "closure"} {
-				gv, ge := incrCall(t, np, engine, "Entry", int64(4))
-				wv, we := incrCall(t, want, engine, "Entry", int64(4))
-				if gv != wv || (ge == nil) != (we == nil) {
-					t.Errorf("%s: spliced Entry(4) = (%v, %v), full recompile = (%v, %v)",
-						engine, gv, ge, wv, we)
-				}
+			// compile of the mutated source and like the tree-walk on it.
+			gv, ge := incrCall(t, np, "Entry", int64(4))
+			wv, we := incrCall(t, incrProgram(t, string(mutated)), "Entry", int64(4))
+			if gv != wv || (ge == nil) != (we == nil) {
+				t.Errorf("spliced Entry(4) = (%v, %v), full recompile = (%v, %v)", gv, ge, wv, we)
+			}
+			tv, te := incrTree(t, mutated, "Entry", int64(4))
+			if gv != tv || (ge == nil) != (te == nil) {
+				t.Errorf("spliced Entry(4) = (%v, %v), tree-walk = (%v, %v)", gv, ge, tv, te)
 			}
 		})
 	}
@@ -121,8 +132,8 @@ func TestIncrementalRecompileRepeated(t *testing.T) {
 			t.Fatalf("edit %d: %v", i, err)
 		}
 		want := incrProgram(t, string(mutated))
-		gv, _ := incrCall(t, np, "bytecode", "Entry", int64(5))
-		wv, _ := incrCall(t, want, "bytecode", "Entry", int64(5))
+		gv, _ := incrCall(t, np, "Entry", int64(5))
+		wv, _ := incrCall(t, want, "Entry", int64(5))
 		if gv != wv {
 			t.Errorf("edit %d: Entry(5) = %v, want %v", i, gv, wv)
 		}
@@ -176,8 +187,8 @@ func TestIncrementalRecompileFallbacks(t *testing.T) {
 				t.Fatalf("incremental recompiles = %d, want 0 (fallback expected)", got)
 			}
 			want := incrProgram(t, string(mutated))
-			gv, _ := incrCall(t, np, "bytecode", "Entry", int64(3))
-			wv, _ := incrCall(t, want, "bytecode", "Entry", int64(3))
+			gv, _ := incrCall(t, np, "Entry", int64(3))
+			wv, _ := incrCall(t, want, "Entry", int64(3))
 			if gv != wv {
 				t.Errorf("Entry(3) = %v, want %v", gv, wv)
 			}

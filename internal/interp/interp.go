@@ -57,13 +57,6 @@ type Config struct {
 	// Hook observes (and may perturb) every interpreted function call;
 	// nil disables the mechanism. See CallHook.
 	Hook CallHook
-	// Engine selects how compiled functions execute: "" or "bytecode"
-	// runs the lowered register code (the default), "closure" forces the
-	// closure-tree path. Both are observably identical; the knob exists
-	// for A/B benchmarking and as an escape hatch. The tree-walk is not
-	// an Engine value — it is a different front end (New + LoadSource
-	// instead of NewRun).
-	Engine string
 }
 
 // CallHook interposes on interpreted function calls — the runtime fault
@@ -105,7 +98,6 @@ type Interp struct {
 
 	stdout io.Writer
 	hook   CallHook
-	engine uint8
 	frames []*frame
 
 	// Compiled-execution state (NewRun): the program, the flat global
@@ -114,6 +106,9 @@ type Interp struct {
 	prog   *Program
 	gslots []Value
 	extras map[string]Value
+	// argStack holds the evaluated arguments of the compiled calls in
+	// progress, innermost last (see compileCall).
+	argStack []Value
 
 	// Host environment: the shared environments installed on this
 	// interpreter (Install) and the per-run state their functions read
@@ -164,7 +159,10 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// New creates an interpreter with the given configuration.
+// New creates a tree-walk interpreter: LoadSource parses target files
+// and Call evaluates their AST directly. It is the reference the
+// compiled path (CompileProgram + NewRun) is tested against; nothing
+// outside tests runs experiments on it.
 func New(cfg Config) *Interp {
 	cfg = cfg.withDefaults()
 	it := &Interp{
@@ -176,7 +174,6 @@ func New(cfg Config) *Interp {
 		maxSteps:   cfg.MaxSteps,
 		stdout:     cfg.Stdout,
 		hook:       cfg.Hook,
-		engine:     engineOf(cfg.Engine),
 		envs:       baseEnvs,
 	}
 	it.bind(builtinEnv)
@@ -434,7 +431,7 @@ func (it *Interp) call(fn Value, args []Value) (Value, error) {
 	case *Closure:
 		return it.callClosure(f, args)
 	case *compiledClosure:
-		return it.callFunc(f.fn, f.caps, f.recv, args)
+		return it.callCompiled(f.fn, f.caps, f.recv, args)
 	case nil:
 		return nil, it.throw("AttributeError", "nil object is not callable")
 	default:
@@ -442,13 +439,10 @@ func (it *Interp) call(fn Value, args []Value) (Value, error) {
 	}
 }
 
-// callFunc runs a compiled function on the selected engine; the caller
-// has charged the call's step (see call and callMethod).
-func (it *Interp) callFunc(fn *compiledFunc, caps []*cell, recv Value, args []Value) (Value, error) {
-	if it.engine != engineClosure && fn.code != nil {
-		return it.callBytecode(fn, caps, recv, args)
-	}
-	return it.callCompiled(fn, caps, recv, args)
+// popArgs drops the argument stack back to base, releasing the values.
+func (it *Interp) popArgs(base int) {
+	clear(it.argStack[base:])
+	it.argStack = it.argStack[:base]
 }
 
 // callMethod invokes a method straight off its receiver, charging the
@@ -457,7 +451,7 @@ func (it *Interp) callMethod(mfn *compiledFunc, recv Value, args []Value) (Value
 	if err := it.step(); err != nil {
 		return nil, err
 	}
-	return it.callFunc(mfn, nil, recv, args)
+	return it.callCompiled(mfn, nil, recv, args)
 }
 
 // callClosure executes a user function with defer/recover semantics.

@@ -328,9 +328,7 @@ func (p *Program) WithFiles(overlay map[string][]byte) (*Program, error) {
 // from the content-hash cache (hits) vs freshly compiled (misses),
 // accumulated across the program and everything derived from it —
 // base and derived programs share one linker, so a campaign reads its
-// whole compile-cache history off its base program. Cached units carry
-// their lowered bytecode alongside the closure trees (both artifacts
-// are built by one fused compile walk), so a hit serves both engines.
+// whole compile-cache history off its base program.
 func (p *Program) CacheStats() (hits, misses uint64) {
 	return p.ln.hits.Load(), p.ln.misses.Load()
 }
@@ -467,46 +465,6 @@ func (p *Program) incrRecompile(base *unit, src []byte) (*unit, bool) {
 	}
 	nu.incr = &incrInfo{src: src, sites: sites, ok: true}
 	return nu, true
-}
-
-// LoweringReport summarizes how completely a program lowered to
-// register bytecode. Functions whose bodies contain statements without
-// a native lowering run those statements through closure escapes —
-// correct but closure-speed — so benchmarks gate on this report to
-// catch silent regressions of the bytecode engine's coverage.
-type LoweringReport struct {
-	// Funcs counts compiled functions, nested literals included.
-	Funcs int
-	// Fully counts functions whose bodies lowered with zero statement
-	// escapes.
-	Fully int
-	// Escapes maps function name -> escaped statement count, for
-	// functions that have any (names repeat across units are summed).
-	Escapes map[string]int
-	// ExprEscapes totals expression escapes (subexpressions evaluated
-	// through the closure artifact) across all functions.
-	ExprEscapes int
-}
-
-// LoweringReport reports bytecode lowering coverage across every
-// function of the program's units.
-func (p *Program) LoweringReport() LoweringReport {
-	rep := LoweringReport{Escapes: map[string]int{}}
-	for _, u := range p.units {
-		for _, fn := range u.allFns {
-			if fn.code == nil {
-				continue
-			}
-			rep.Funcs++
-			rep.ExprEscapes += fn.code.exprEscapes
-			if fn.code.escapes == 0 {
-				rep.Fully++
-			} else {
-				rep.Escapes[fn.name] += fn.code.escapes
-			}
-		}
-	}
-	return rep
 }
 
 func unitKey(name string, src []byte) [sha256.Size]byte {
@@ -697,7 +655,6 @@ func NewRun(p *Program, cfg Config) *Interp {
 		maxSteps:   cfg.MaxSteps,
 		stdout:     cfg.Stdout,
 		hook:       cfg.Hook,
-		engine:     engineOf(cfg.Engine),
 		prog:       p,
 		envs:       baseEnvs, // already bound: the prototype carries the builtins
 	}
@@ -766,7 +723,8 @@ func (it *Interp) lookupGlobal(name string) (Value, bool) {
 }
 
 // callCompiled executes a compiled function with defer/recover semantics
-// identical to callClosure, against a pooled slot frame.
+// identical to callClosure, against a pooled slot frame; the caller has
+// charged the call's step (see call and callMethod).
 func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args []Value) (result Value, err error) {
 	if len(it.frames) > 200 {
 		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)
@@ -852,26 +810,6 @@ func getCframe(n int) *cframe {
 		cf.slots = cf.slots[:n]
 	}
 	for i := range cf.slots {
-		cf.slots[i] = unbound
-	}
-	return cf
-}
-
-// getCframeVM sizes a frame for the bytecode engine: the local region
-// [0,nslots) gets the unbound sentinel exactly like getCframe, while the
-// temp region [nslots,nframe) stays nil — temps are written before they
-// are read (stack discipline in the lowering), so the fill would be pure
-// per-call overhead. Slots beyond a pooled frame's previous length are
-// nil by construction: putCframe nils its length and fresh allocations
-// are zeroed.
-func getCframeVM(nframe, nslots int) *cframe {
-	cf := cframePool.Get().(*cframe)
-	if cap(cf.slots) < nframe {
-		cf.slots = make([]Value, nframe)
-	} else {
-		cf.slots = cf.slots[:nframe]
-	}
-	for i := 0; i < nslots; i++ {
 		cf.slots[i] = unbound
 	}
 	return cf

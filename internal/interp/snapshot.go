@@ -288,16 +288,7 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 		}
 		fr.defers = append(fr.defers, nd)
 	}
-	// Resume on the lowered code when this interpreter runs the bytecode
-	// engine: statement boundaries map 1:1 via stmtPC, and the frame is
-	// sized for registers (temporaries above nslots are dead at every
-	// top-level statement boundary, so the snapshot never carries them).
-	useCode := it.engine != engineClosure && nf.code != nil && len(nf.code.stmtPC) == len(nf.body)
-	nframe := nf.nslots
-	if useCode {
-		nframe = nf.code.nframe
-	}
-	cf := getCframe(nframe)
+	cf := getCframe(nf.nslots)
 	for i, v := range snap.slots {
 		cf.slots[i] = cp.copyVal(v)
 	}
@@ -316,20 +307,9 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 
 	it.frames = append(it.frames, fr)
 	var result Value
-	var cerr error
-	if useCode {
-		pc := len(nf.code.ins)
-		if snap.stmt < len(nf.code.stmtPC) {
-			pc = nf.code.stmtPC[snap.stmt]
-		}
-		result, cerr = it.runCode(nf.code, cf, pc)
-	} else {
-		var ctl control
-		var ret Value
-		ctl, ret, cerr = runCstmts(it, cf, nf.body[snap.stmt:])
-		if ctl == ctlReturn {
-			result = ret
-		}
+	ctl, ret, cerr := runCstmts(it, cf, nf.body[snap.stmt:])
+	if ctl == ctlReturn {
+		result = ret
 	}
 	err = it.runDefers(fr, cerr)
 	if err == nil && it.hook != nil {

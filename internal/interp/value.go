@@ -293,7 +293,9 @@ type Closure struct {
 }
 
 // HostFunc is a function implemented by the embedding environment
-// (standard modules, fault hooks, the kvstore transport, ...).
+// (standard modules, fault hooks, the kvstore transport, ...). args is
+// a window of the interpreter's argument stack, valid until Fn returns:
+// Fn may keep the values but not the slice.
 type HostFunc struct {
 	Name string
 	Fn   func(it *Interp, args []Value) (Value, error)

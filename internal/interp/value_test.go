@@ -139,7 +139,7 @@ func TestMapMatchesReferenceModel(t *testing.T) {
 	}
 }
 
-// TestObjectShapes pins the shape mechanics the engines rely on: objects
+// TestObjectShapes pins the shape mechanics both execution paths rely on: objects
 // built the same way share one shape, a late field is a transition that
 // leaves siblings alone, and slot vectors grow past the inline sizes.
 func TestObjectShapes(t *testing.T) {

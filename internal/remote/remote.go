@@ -55,11 +55,6 @@ type CampaignSpec struct {
 	Seed       int64 `json:"seed"`
 	SampleN    int   `json:"sampleN,omitempty"`
 	ReducePlan bool  `json:"reducePlan,omitempty"`
-	TreeWalk   bool  `json:"treeWalk,omitempty"`
-	// Engine selects the compiled path's execution engine ("",
-	// "bytecode" or "closure"); shipped so worker-side execution uses
-	// the same engine as the control plane would.
-	Engine string `json:"engine,omitempty"`
 
 	// Covered is the control plane's coverage verdict map; workers use
 	// it verbatim instead of re-running the coverage phase.

@@ -9,14 +9,17 @@
 package saas
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"profipy/internal/analysis"
 	"profipy/internal/campaign"
 	"profipy/internal/scheduler"
 )
@@ -389,5 +392,69 @@ func TestPrefixForkRequestByteIdentical(t *testing.T) {
 	hits := srv.Metrics().CounterVec("profipy_campaign_fork_events_total", "", "event").With("hit")
 	if hits.Value() == 0 {
 		t.Error("prefix-fork campaign engaged no fork hits")
+	}
+}
+
+// TestLegacyEngineKeyIgnored: requests written for older daemons still
+// carry "engine"; the key is ignored (not a 400) and the campaign runs
+// to the same report.
+func TestLegacyEngineKeyIgnored(t *testing.T) {
+	ts := newTestServer(t)
+	_, want := runDemoCampaign(t, ts, 6, nil)
+
+	req, err := DemoCampaignRequest("A", 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.SampleN = 6
+	data, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, out := postJSON(t, ts.URL+"/api/v1/campaigns?wait=true", withLegacyEngineKey(t, data))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("legacy engine key: status = %d: %v", resp.StatusCode, out)
+	}
+	var got analysis.Report
+	if err := json.Unmarshal(out["report"], &got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalIndent(t, &got), marshalIndent(t, want)) {
+		t.Error("report with the legacy engine key differs from the default")
+	}
+}
+
+// TestBaseCompileFailureFailsJob: a project whose base program does not
+// compile fails its job in the compile phase, and the job's error names
+// the file.
+func TestBaseCompileFailureFailsJob(t *testing.T) {
+	_, ts := newAsyncTestServer(t, Options{Cores: 4})
+	resp, out := postJSON(t, ts.URL+"/api/v1/projects", map[string]any{
+		"name": "broken",
+		"files": map[string]string{
+			"main.go": "package main\nfunc Workload() any { return f() }\nfunc f() any { return 1 }\n",
+			"ext.go":  "package main\nfunc External()\n",
+		},
+	})
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("project status = %d: %v", resp.StatusCode, out)
+	}
+	var proj string
+	_ = json.Unmarshal(out["id"], &proj)
+	resp, out = postJSON(t, ts.URL+"/api/v1/campaigns", map[string]any{
+		"project": proj, "entry": "Workload", "env": "plain",
+		"specs": []map[string]string{{"name": "omit", "type": "MFC", "dsl": "change { $VAR#v := $CALL{name=f}(...) } into { }"}},
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("enqueue status = %d: %v", resp.StatusCode, out)
+	}
+	var jobID string
+	_ = json.Unmarshal(out["job"], &jobID)
+	st, _ := pollUntilTerminal(t, ts.URL, jobID)
+	if st.State != scheduler.Failed {
+		t.Fatalf("job state = %s, want failed (%+v)", st.State, st)
+	}
+	if !strings.Contains(st.Error, ": compile: ") || !strings.Contains(st.Error, "ext.go") {
+		t.Errorf("job error = %q, want a compile-phase error naming ext.go", st.Error)
 	}
 }

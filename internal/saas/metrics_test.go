@@ -49,11 +49,11 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		"profipy_scheduler_job_duration_seconds_count 1",
 		// Campaign workflow.
 		`profipy_campaign_runs_total{status="completed"} 1`,
-		`profipy_campaign_experiments_total{result="ok",engine="bytecode"} 6`,
+		`profipy_campaign_experiments_total{result="ok"} 6`,
 		`profipy_campaign_phase_seconds_count{phase="execute"} 1`,
 		"profipy_campaign_compile_cache_",
 		// Executor (sharded engine).
-		`profipy_executor_records_total{engine="bytecode",executor="sharded(2×1)"} 6`,
+		`profipy_executor_records_total{executor="sharded(2×1)"} 6`,
 		"profipy_executor_shard_seconds_count 2",
 		// Result store.
 		"profipy_resultstore_appends_total 6",
@@ -63,6 +63,9 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		if !strings.Contains(body, want) {
 			t.Errorf("scrape missing %q", want)
 		}
+	}
+	if strings.Contains(body, `engine=`) || strings.Contains(body, "engine_fallback") {
+		t.Error("scrape still exposes an engine label or the engine fallback counter")
 	}
 	if strings.Contains(body, `route="GET /api/v1/campaigns/nope"`) {
 		t.Error("concrete path leaked into route label")

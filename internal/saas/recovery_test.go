@@ -41,6 +41,29 @@ func demoJournalPayload(t *testing.T, mutate func(*CampaignRequest)) json.RawMes
 	return payload
 }
 
+// withJSONKey returns the JSON object obj with key set to val.
+func withJSONKey(t *testing.T, obj json.RawMessage, key string, val json.RawMessage) json.RawMessage {
+	t.Helper()
+	var m map[string]json.RawMessage
+	if err := json.Unmarshal(obj, &m); err != nil {
+		t.Fatal(err)
+	}
+	m[key] = val
+	out, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// withLegacyEngineKey rewrites a campaign request the way clients and
+// daemons from before the engine knob was removed wrote it: it carries
+// "engine":"tree-walk". The key must be ignored, not rejected.
+func withLegacyEngineKey(t *testing.T, req json.RawMessage) json.RawMessage {
+	t.Helper()
+	return withJSONKey(t, req, "engine", json.RawMessage(`"tree-walk"`))
+}
+
 func recoveryCount(t *testing.T, srv *Server, outcome string) float64 {
 	t.Helper()
 	return srv.reg.CounterVec("profipy_recovery_jobs_total", "", "outcome").With(outcome).Value()
@@ -90,7 +113,14 @@ func TestRecoveryResumesMidFlightCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The payload is an older daemon's: records must come out
+	// byte-identical all the same.
 	payload := demoJournalPayload(t, nil)
+	var job struct{ Request json.RawMessage }
+	if err := json.Unmarshal(payload, &job); err != nil {
+		t.Fatal(err)
+	}
+	payload = withJSONKey(t, payload, "request", withLegacyEngineKey(t, job.Request))
 	must := func(e resultstore.JournalEntry) {
 		t.Helper()
 		if err := store.AppendJournal(e); err != nil {

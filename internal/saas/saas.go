@@ -74,11 +74,6 @@ type CampaignRequest struct {
 	SampleN    int   `json:"sampleN,omitempty"`
 	ReducePlan bool  `json:"reducePlan,omitempty"`
 	Seed       int64 `json:"seed,omitempty"`
-	// Engine selects the execution engine: "" or "bytecode" (lowered
-	// register bytecode, the default), "closure" (compiled closure
-	// tree) or "tree-walk" (per-round tree-walk interpreter). Reports
-	// are byte-identical across engines; only throughput differs.
-	Engine string `json:"engine,omitempty"`
 	// Shards switches the campaign to the sharded executor: the plan is
 	// partitioned into this many deterministic shards, ShardWorkers
 	// experiments running in parallel per shard (default 1). Zero keeps
@@ -162,7 +157,6 @@ type Server struct {
 	campaigns  map[string]*campaignRun
 	nextID     int
 	cores      int
-	engine     string
 	sched      *scheduler.Scheduler
 	store      *resultstore.Store
 	reg        *obs.Registry
@@ -212,10 +206,6 @@ type Options struct {
 	// negative disables). Streaming routes (/stream) and synchronous
 	// campaign waits (?wait=true) manage their own lifetimes.
 	RequestTimeout time.Duration
-	// Engine is the server-wide default execution engine applied to
-	// campaign requests that leave theirs empty: "" or "bytecode"
-	// (default), "closure" or "tree-walk" (profipyd -engine).
-	Engine string
 }
 
 // NewServer creates a SaaS server simulating a host with the given number
@@ -242,11 +232,6 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 		opt.Metrics = obs.NewRegistry()
 	}
 	obs.RegisterRuntimeMetrics(opt.Metrics)
-	switch opt.Engine {
-	case "", "bytecode", "closure", "tree-walk":
-	default:
-		return nil, fmt.Errorf("saas: unknown engine %q (want bytecode, closure or tree-walk)", opt.Engine)
-	}
 	store, err := resultstore.Open(opt.DataDir)
 	if err != nil {
 		return nil, err
@@ -263,7 +248,6 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 		models:     faultmodel.NewRegistry(),
 		campaigns:  make(map[string]*campaignRun),
 		cores:      opt.Cores,
-		engine:     opt.Engine,
 		store:      store,
 		reg:        opt.Metrics,
 		reqTimeout: reqTimeout,
@@ -568,15 +552,6 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 	if len(files) == 0 {
 		return nil, "", http.StatusBadRequest, "campaign needs project files"
 	}
-	if req.Engine == "" {
-		req.Engine = s.engine
-	}
-	switch req.Engine {
-	case "", "bytecode", "closure", "tree-walk":
-	default:
-		return nil, "", http.StatusBadRequest,
-			fmt.Sprintf("unknown engine %q (want bytecode, closure or tree-walk)", req.Engine)
-	}
 	names := scanner.SortedNames(files)
 	wlFiles := req.WorkloadFiles
 	if len(wlFiles) == 0 {
@@ -622,11 +597,6 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 		Metrics:        s.reg,
 		PrefixFork:     req.PrefixFork,
 	}
-	if req.Engine == "tree-walk" {
-		c.TreeWalk = true
-	} else {
-		c.Engine = req.Engine
-	}
 	switch {
 	case req.Remote:
 		// The distributed engine: the campaign spec below is what a
@@ -653,8 +623,6 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 				Seed:          req.Seed,
 				SampleN:       req.SampleN,
 				ReducePlan:    req.ReducePlan,
-				TreeWalk:      c.TreeWalk,
-				Engine:        c.Engine,
 			},
 			Shards:         req.Shards,
 			LocalWorkers:   s.cores - 1,

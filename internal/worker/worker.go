@@ -324,8 +324,6 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 		Seed:       spec.Seed,
 		SampleN:    spec.SampleN,
 		ReducePlan: spec.ReducePlan,
-		TreeWalk:   spec.TreeWalk,
-		Engine:     spec.Engine,
 	}
 	runner, err := campaign.NewRunner(c, spec.Covered)
 	if err != nil {

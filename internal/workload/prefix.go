@@ -135,7 +135,6 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 		MaxSteps:   cfg.MaxSteps,
 		Stdout:     c.Log("stdout"),
 		Hook:       rec,
-		Engine:     cfg.Engine,
 	}
 	it := interp.NewRun(cfg.Program, icfg)
 	if cfg.Env != nil {
@@ -287,7 +286,6 @@ func forkRound(c *sandbox.Container, cfg Config, pre *Prefix, overlay map[string
 		DeadlineNS: cfg.TimeoutNS,
 		MaxSteps:   cfg.MaxSteps,
 		Stdout:     c.Log("stdout"),
-		Engine:     cfg.Engine,
 	}
 	if cfg.Injector != nil {
 		icfg.Hook = cfg.Injector

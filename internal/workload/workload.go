@@ -30,18 +30,11 @@ type Config struct {
 	// Env installs host modules and hooks on each round's interpreter
 	// (the kvclient environment, for the case study).
 	Env func(it *interp.Interp, c *sandbox.Container)
-	// Program, when set, is the compiled form of Files: rounds execute
-	// the compiled program (interp.NewRun) instead of re-parsing and
-	// tree-walking the sources, and the per-round container FS reads
-	// drop out of the hot loop. The campaign compiles the base file set
-	// once and derives one program per experiment (mutated file only).
+	// Program is the compiled form of Files that every round executes.
+	// The campaign compiles the base file set once and derives one
+	// program per experiment (mutated file only); when nil, Run compiles
+	// Files as read from the container filesystem, once for all rounds.
 	Program *interp.Program
-	// Engine selects the compiled program's execution engine
-	// (interp.Config.Engine): "" or "bytecode" runs the lowered
-	// register bytecode, "closure" the closure tree. Ignored on the
-	// tree-walk path (no Program); results are byte-identical either
-	// way, only speed differs.
-	Engine string
 	// Rounds is the number of workload rounds; 0 selects the paper's
 	// two-round protocol.
 	Rounds int
@@ -136,6 +129,13 @@ func Run(c *sandbox.Container, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer c.Exit()
+	if cfg.Program == nil {
+		prog, err := compileFiles(c, cfg.Files)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Program = prog
+	}
 
 	res := &Result{Logs: map[string]string{}}
 	for i := 0; i < rounds; i++ {
@@ -157,49 +157,46 @@ func Run(c *sandbox.Container, cfg Config) (*Result, error) {
 	return res, nil
 }
 
-// runRound executes one workload round on a fresh interpreter; container
-// state (filesystem, server, logs, contention) persists across rounds.
-// With a compiled Program the round skips the parse/load front end
-// entirely (compile once, run many); otherwise the sources are read from
-// the container filesystem and tree-walked as before.
+// compileFiles compiles the sources as read from the container
+// filesystem. A source that does not compile is an experiment
+// infrastructure error, not a target failure.
+func compileFiles(c *sandbox.Container, files []string) (*interp.Program, error) {
+	units := make([]interp.SourceUnit, 0, len(files))
+	for _, f := range files {
+		src, err := c.FS.Read(f)
+		if err != nil {
+			return nil, fmt.Errorf("workload: missing target file %s: %w", f, err)
+		}
+		units = append(units, interp.SourceUnit{Name: f, Src: src})
+	}
+	prog, err := interp.CompileProgram(units)
+	if err != nil {
+		return nil, fmt.Errorf("workload: %w", err)
+	}
+	return prog, nil
+}
+
+// runRound executes one workload round of cfg.Program on a fresh
+// interpreter; container state (filesystem, server, logs, contention)
+// persists across rounds.
 func runRound(c *sandbox.Container, cfg Config) (RoundResult, error) {
 	icfg := interp.Config{
 		DeadlineNS: cfg.TimeoutNS,
 		MaxSteps:   cfg.MaxSteps,
 		Stdout:     c.Log("stdout"),
-		Engine:     cfg.Engine,
 	}
 	if cfg.Injector != nil {
 		icfg.Hook = cfg.Injector
 	}
-	var it *interp.Interp
-	if cfg.Program != nil {
-		it = interp.NewRun(cfg.Program, icfg)
-		if cfg.Env != nil {
-			cfg.Env(it, c)
-		}
-		if err := it.Boot(); err != nil {
-			// A program that no longer boots (unknown module, failing
-			// top-level init) is an experiment infrastructure error, not
-			// a target failure — same classification as a load error.
-			return RoundResult{}, fmt.Errorf("workload: %w", err)
-		}
-	} else {
-		it = interp.New(icfg)
-		if cfg.Env != nil {
-			cfg.Env(it, c)
-		}
-		for _, f := range cfg.Files {
-			src, err := c.FS.Read(f)
-			if err != nil {
-				return RoundResult{}, fmt.Errorf("workload: missing target file %s: %w", f, err)
-			}
-			if err := it.LoadSource(f, src); err != nil {
-				// A mutated source that no longer loads is an experiment
-				// infrastructure error, not a target failure.
-				return RoundResult{}, fmt.Errorf("workload: %w", err)
-			}
-		}
+	it := interp.NewRun(cfg.Program, icfg)
+	if cfg.Env != nil {
+		cfg.Env(it, c)
+	}
+	if err := it.Boot(); err != nil {
+		// A program that does not boot (unknown module, failing
+		// top-level init) is an experiment infrastructure error, not a
+		// target failure — same classification as a compile error.
+		return RoundResult{}, fmt.Errorf("workload: %w", err)
 	}
 	// Arm the wall-clock watchdog around the round only: Interrupt is
 	// the interpreter's one cross-goroutine entry point, so a round that

@@ -53,8 +53,6 @@ func remoteSpec(c *campaign.Campaign) remote.CampaignSpec {
 		Seed:          c.Seed,
 		SampleN:       c.SampleN,
 		ReducePlan:    c.ReducePlan,
-		TreeWalk:      c.TreeWalk,
-		Engine:        c.Engine,
 	}
 }
 

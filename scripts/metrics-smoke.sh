@@ -97,11 +97,14 @@ fi
 for h in profipy_campaign_phase_seconds profipy_executor_shard_seconds; do
   grep -q "^${h}_bucket{.*le=\"+Inf\"}" "$SCRAPE" || { echo "missing +Inf bucket for $h"; exit 1; }
 done
-# Executor and campaign metrics must label the interpretation engine;
-# the demo campaign runs on the default bytecode VM.
-for m in profipy_executor_records_total profipy_campaign_experiments_total; do
-  grep -q "^${m}{[^}]*engine=\"bytecode\"" "$SCRAPE" || { echo "missing engine=\"bytecode\" label on $m"; exit 1; }
-done
+# There is one engine: no executor or campaign family may carry an
+# engine label, and the fallback counter must not exist.
+if grep -E '^profipy_(executor|campaign)_[a-z_]+\{[^}]*engine=' "$SCRAPE"; then
+  echo "executor/campaign metrics still carry an engine label"; exit 1
+fi
+if grep -q 'profipy_campaign_engine_fallback_total' "$SCRAPE"; then
+  echo "profipy_campaign_engine_fallback_total is still exposed"; exit 1
+fi
 # The incremental-recompile counter family must be exposed.
 grep -q "^# TYPE profipy_campaign_compile_incremental_total " "$SCRAPE" || { echo "MISSING family: profipy_campaign_compile_incremental_total"; exit 1; }
 
