@@ -60,13 +60,15 @@ bench: bench-exec
 
 # End-to-end execute-phase benchmark: campaign throughput and two-round
 # experiment latency, the production (closure) path next to the test-only
-# tree-walk reference, as machine-readable JSON.
+# tree-walk reference, and campaign-late's experiments forked vs run in
+# full, as machine-readable JSON.
 bench-exec:
 	PROFIPY_BENCH_JSON=$(CURDIR)/BENCH_exec.json $(GO) test -run TestEmitExecBenchJSON -count=1 .
 
 # Streaming-pipeline benchmark: campaign record throughput through the
-# Local vs Sharded executors plus the online aggregator's per-record
-# cost, as machine-readable JSON (BENCH_pipeline.json, a CI artifact).
+# Local executor (bare and instrumented) and into the result store, plus
+# the online aggregator's per-record cost, as machine-readable JSON
+# (BENCH_pipeline.json, a CI artifact).
 bench-pipeline:
 	PROFIPY_BENCH_PIPELINE_JSON=$(CURDIR)/BENCH_pipeline.json $(GO) test -run TestEmitPipelineBenchJSON -count=1 .
 

@@ -114,8 +114,7 @@ change {
 	fmt.Printf("paged %d experiment records from the result store\n", records)
 
 	// 6. Fetch the machine-readable phase timeline that rides along
-	// with the report: where the campaign's wall time went, including
-	// one span per executor shard.
+	// with the report: where the campaign's wall time went.
 	var view struct {
 		Phases []struct {
 			Name      string `json:"name"`

@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"sync/atomic"
 	"testing"
 
 	"profipy/internal/campaign"
@@ -185,6 +186,66 @@ func buildLatePrefixes(tb testing.TB, rt *Runtime, img sandbox.Image, cfg worklo
 	return ps
 }
 
+// runLateExperiments runs every campaign-late experiment (recompile the
+// mutated file, deploy, two rounds) N−1 parallel by driving the
+// workload package directly: with fork, one BuildPrefixes pass and
+// RunForked per experiment, falling back to Run like the Runner does;
+// without, Run only. It skips scan-to-coverage and the analysis on both
+// sides, so the two rows differ in nothing but the fork. Returns the
+// experiment count and how many of them resumed from a snapshot.
+func runLateExperiments(tb testing.TB, fork bool) (experiments, hits int) {
+	tb.Helper()
+	_, _, cfg := latePrefixSetup(tb) // campaign-late's sources and workload config, compiled
+	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
+	c := kvclient.CampaignLate(rt, 707)
+	type exp struct {
+		site string
+		img  sandbox.Image
+		seed int64
+	}
+	var exps []exp
+	eachExperiment(tb, c, func(pt InjectionPoint, img sandbox.Image, seed int64, fault *RuntimeFault) {
+		if fault != nil {
+			tb.Fatalf("campaign-late has a runtime fault at %s; this harness only recompiles mutants", pt.ID())
+		}
+		exps = append(exps, exp{pt.Func, img, seed})
+	})
+	var prefixes *workload.PrefixSet
+	if fork {
+		img := c.Image
+		img.Files = c.Files
+		prefixes = buildLatePrefixes(tb, rt, img, cfg)
+	}
+	var forked atomic.Int64
+	errs := sandbox.RunBatch(rt, c.Image, len(exps), func(i int) error {
+		e := exps[i]
+		ecfg := cfg
+		var err error
+		if ecfg.Program, err = cfg.Program.WithFiles(e.img.Overlay); err != nil {
+			return err
+		}
+		if pre := prefixes.For(e.site); pre != nil {
+			ctr := rt.CreateSeeded(e.img, e.seed)
+			_, ok, _ := workload.RunForked(ctr, ecfg, workload.ForkSpec{Prefix: pre, BaseFiles: c.Files, Overlay: e.img.Overlay})
+			_ = rt.Destroy(ctr)
+			if ok {
+				forked.Add(1)
+				return nil
+			}
+		}
+		ctr := rt.CreateSeeded(e.img, e.seed)
+		defer func() { _ = rt.Destroy(ctr) }()
+		_, err = workload.Run(ctr, ecfg)
+		return err
+	})
+	for _, err := range errs {
+		if err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return len(exps), int(forked.Load())
+}
+
 // BenchmarkPrefixSnapshot measures the cost of one full BuildPrefixes
 // pass over the late-site workload: the base round executed once with a
 // boundary snapshot captured per top-level statement until all sites
@@ -209,12 +270,12 @@ func BenchmarkPrefixSnapshot(b *testing.B) {
 	b.ReportMetric(float64(snapshots), "snapshots")
 }
 
-// BenchmarkPrefixFork measures one forked experiment (round 1 resumed
+// BenchmarkForkedExperiment measures one forked experiment (round 1 resumed
 // from a late-site snapshot, round 2 run in full) against the full
 // two-round run of BenchmarkExperimentRound / experiment-two-rounds.
-// The headroom between them is what campaign-late's fork on/off A/B
+// The headroom between them is what campaign-late's fork-vs-full A/B
 // realizes end to end.
-func BenchmarkPrefixFork(b *testing.B) {
+func BenchmarkForkedExperiment(b *testing.B) {
 	rt, img, cfg := latePrefixSetup(b)
 	ps := buildLatePrefixes(b, rt, img, cfg)
 	pre := ps.For(lateSites[0])
@@ -398,31 +459,25 @@ func TestEmitExecBenchJSON(t *testing.T) {
 	measureRound("experiment-two-rounds/closure", false)
 	measureRound("experiment-two-rounds/tree-walk", true)
 
-	// Fork on/off A/B on the late-site scenario: every injection site in
-	// campaign-late is first reached near the end of round 1, so the
-	// prefix-fork path skips almost a full round per experiment. The rows
-	// are adjacent (fork first) so the speedup map reports on-vs-off.
-	// The ForkHits assertion is the CI smoke that the fork path actually
-	// engaged — a silent fallback to full runs would otherwise report a
-	// ~1.00x row without failing anything.
-	measureForkCampaign := func(name string, fork bool) {
-		experiments := 0
-		snapshots, hits := 0, 0
+	// Fork-vs-full A/B on the late-site scenario: every injection site
+	// in campaign-late is first reached near the end of round 1, so the
+	// prefix-fork path skips almost a full round per experiment. Forking
+	// is the Runner's own decision now, so the full-runs side cannot be
+	// had from a campaign; both rows drive the workload package directly
+	// (runLateExperiments) and differ only in RunForked vs Run. The rows
+	// are adjacent (fork first) so the speedup map reports fork-vs-full.
+	// The hits check is the CI smoke that the fork path actually engaged
+	// — a silent fallback to full runs would otherwise report a ~1.00x
+	// row without failing anything.
+	measureLate := func(name string, fork bool) {
+		experiments, hits := 0, 0
 		br := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
-				c := kvclient.CampaignLate(rt, 707)
-				c.PrefixFork = fork
-				res, err := c.Run()
-				if err != nil {
-					b.Fatalf("campaign-late (fork=%v): %v", fork, err)
-				}
-				experiments = len(res.Records)
-				snapshots, hits = res.ForkSnapshots, res.ForkHits
+				experiments, hits = runLateExperiments(b, fork)
 			}
 		})
-		if fork && (snapshots == 0 || hits == 0) {
-			t.Fatalf("prefix-fork did not engage: snapshots=%d hits=%d", snapshots, hits)
+		if fork && hits != experiments {
+			t.Fatalf("prefix-fork did not engage: %d hits of %d experiments", hits, experiments)
 		}
 		row := execBenchResult{
 			Name:        name,
@@ -435,8 +490,8 @@ func TestEmitExecBenchJSON(t *testing.T) {
 		}
 		rows = append(rows, row)
 	}
-	measureForkCampaign("campaign-late/prefix-fork-closure", true)
-	measureForkCampaign("campaign-late/full-runs-closure", false)
+	measureLate("campaign-late/prefix-fork-closure", true)
+	measureLate("campaign-late/full-runs-closure", false)
 
 	// Snapshot-size / fork-cost microbenchmark rows: what one
 	// BuildPrefixes pass costs (time and per-snapshot memory), and one

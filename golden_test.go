@@ -3,7 +3,11 @@
 // their full experiment records are compared byte-for-byte against
 // canonical JSON fixtures under testdata/golden/. Any drift — a changed
 // failure mode, step count, virtual clock, log line, trigger decision
-// or JSON encoding — fails the test.
+// or JSON encoding — fails the test. The same run pins the fork policy:
+// campaign-late's sites sit late enough in the round to be forked, the
+// §V campaigns' do not (remote_test.go holds the fleet to the same
+// fixtures; internal/workload/golden_fork_test.go forces a fork at every
+// site).
 //
 // To regenerate the fixtures after an intentional behavior change:
 //
@@ -20,6 +24,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"profipy/internal/analysis"
 	"profipy/internal/campaign"
 	"profipy/internal/kvclient"
 )
@@ -29,40 +34,63 @@ var updateGolden = flag.Bool("update", false, "rewrite the golden campaign recor
 // goldenCampaigns pins each campaign to the seed its fixture was
 // recorded with. Runtime seeds (container PRNGs, trigger decisions,
 // corruptions) all derive from it, so records are reproducible across
-// machines and worker counts.
+// machines and worker counts. forks says which side of the fork policy
+// the campaign's sites fall on.
 var goldenCampaigns = []struct {
 	name  string
 	build func(rt *Runtime, seed int64) *campaign.Campaign
 	seed  int64
+	forks bool
 }{
-	{"campaign-a", kvclient.CampaignA, 101},
-	{"campaign-b", kvclient.CampaignB, 202},
-	{"campaign-c", kvclient.CampaignC, 303},
-	{"campaign-r", kvclient.CampaignR, 404},
-	{"campaign-late", kvclient.CampaignLate, 707},
+	{"campaign-a", kvclient.CampaignA, 101, false},
+	{"campaign-b", kvclient.CampaignB, 202, false},
+	{"campaign-c", kvclient.CampaignC, 303, false},
+	{"campaign-r", kvclient.CampaignR, 404, false},
+	{"campaign-late", kvclient.CampaignLate, 707, true},
 }
 
-// goldenRecords produces the canonical JSON encoding of one campaign's
-// records: indented, trailing newline, key order fixed by the struct
-// and map encodings.
-func goldenRecords(tb testing.TB, build func(rt *Runtime, seed int64) *campaign.Campaign, seed int64) []byte {
+// canonicalRecords is the fixtures' encoding of a record set: indented,
+// trailing newline, key order fixed by the struct and map encodings.
+func canonicalRecords(tb testing.TB, recs []analysis.Record) []byte {
 	tb.Helper()
-	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
-	res, err := build(rt, seed).Run()
-	if err != nil {
-		tb.Fatalf("campaign: %v", err)
-	}
-	data, err := json.MarshalIndent(res.Records, "", "  ")
+	data, err := json.MarshalIndent(recs, "", "  ")
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return append(data, '\n')
 }
 
+// checkForkPolicy asserts the campaign forked exactly when its sites
+// are late enough to pay: a forking campaign resumed experiments from
+// snapshots, a short-prefix one took no snapshot at all and says why.
+func checkForkPolicy(t *testing.T, res *campaign.Result, forks bool) {
+	t.Helper()
+	if forks {
+		if res.ForkSnapshots == 0 || res.ForkHits == 0 {
+			t.Errorf("late sites did not fork: snapshots=%d hits=%d misses=%v",
+				res.ForkSnapshots, res.ForkHits, res.ForkMissReasons)
+		}
+		return
+	}
+	if res.ForkSnapshots != 0 || res.ForkHits != 0 || res.ForkMisses != 0 {
+		t.Errorf("short-prefix campaign forked: snapshots=%d hits=%d misses=%d",
+			res.ForkSnapshots, res.ForkHits, res.ForkMisses)
+	}
+	if res.ForkShortSites == 0 {
+		t.Error("short-prefix campaign reports no short sites: why it did not fork is not answerable from Result")
+	}
+}
+
 func TestGoldenCampaignRecords(t *testing.T) {
 	for _, gc := range goldenCampaigns {
 		t.Run(gc.name, func(t *testing.T) {
-			got := goldenRecords(t, gc.build, gc.seed)
+			rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
+			res, err := gc.build(rt, gc.seed).Run()
+			if err != nil {
+				t.Fatalf("campaign: %v", err)
+			}
+			checkForkPolicy(t, res, gc.forks)
+			got := canonicalRecords(t, res.Records)
 			path := filepath.Join("testdata", "golden", gc.name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {

@@ -12,9 +12,10 @@ import (
 )
 
 // Delay returns the wait before retry attempt (0-based): base·2^attempt
-// bounded by max, with ±jitterFrac proportional jitter drawn from rnd.
-// A nil rnd uses the global math/rand source. Zero and negative inputs
-// select safe defaults (100ms base, 30s max, no jitter).
+// with ±jitterFrac proportional jitter drawn from rnd, never more than
+// max — the cap applies to the jittered value. A nil rnd uses the global
+// math/rand source. Zero and negative inputs select safe defaults (100ms
+// base, 30s max, no jitter).
 func Delay(attempt int, base, max time.Duration, jitterFrac float64, rnd *rand.Rand) time.Duration {
 	if base <= 0 {
 		base = 100 * time.Millisecond
@@ -30,9 +31,6 @@ func Delay(attempt int, base, max time.Duration, jitterFrac float64, rnd *rand.R
 			break
 		}
 	}
-	if d > max {
-		d = max
-	}
 	if jitterFrac > 0 {
 		var f float64
 		if rnd != nil {
@@ -45,6 +43,9 @@ func Delay(attempt int, base, max time.Duration, jitterFrac float64, rnd *rand.R
 	}
 	if d < 0 {
 		d = base
+	}
+	if d > max {
+		d = max
 	}
 	return d
 }

@@ -2,7 +2,7 @@
 // Scan (DSL compile + source scan + plan), optional coverage analysis,
 // Execution (per-experiment mutation, container deploy, two workload
 // rounds, teardown — scheduled by an internal/executor engine: the
-// local N−1 pool by default, deterministic shards on request), and Data
+// local N−1 pool by default, a worker fleet on request), and Data
 // Analysis. Records stream as experiments complete — into the online
 // analysis.Aggregator, an optional caller Sink (result store, live
 // NDJSON) and, unless discarded, the plan-ordered Result.Records slice
@@ -58,33 +58,21 @@ type Campaign struct {
 	// deterministic under Seed.
 	SampleN int
 
-	// PrefixFork enables experiment-prefix snapshot/fork execution: the
-	// base program's round 1 runs once, snapshotting at each injection
-	// site's first reach, and every experiment resumes from its site's
-	// snapshot instead of re-running the shared prefix. Executors get a
-	// site-grouping order hook so a shard runs same-site experiments
-	// back to back. Records and reports are byte-identical to unforked
-	// execution at any geometry — an experiment that cannot be forked
-	// faithfully falls back to a full run rather than approximating.
-	// Requires a workload environment that can capture/restore its state
-	// (Workload.CaptureEnv and RestoreEnv); see Result.ForkHits/ForkMisses
-	// for engagement.
-	PrefixFork bool
 	// Analysis configures failure classification and metrics.
 	Analysis analysis.Config
-	// TraceHook, when set, is called on every experiment container to
-	// enable span recording (the kvclient campaign passes
-	// kvclient.EnableTracing).
+	// TraceHook, when set, is called on every experiment container (and
+	// on the prefix build's scratch container, whose captured state must
+	// match theirs) to enable span recording (the kvclient campaign
+	// passes kvclient.EnableTracing).
 	TraceHook func(c *sandbox.Container)
 	// OnProgress, when set, is called as the workflow advances: once per
 	// phase transition and once per completed experiment. Experiments run
 	// in parallel, so the callback must be safe for concurrent use.
 	OnProgress func(Progress)
 	// Executor selects the execution engine. Nil picks executor.Local
-	// sized by the runtime's N−1 rule; executor.Sharded partitions the
-	// plan into deterministic shards with per-shard streams. Records
-	// are byte-identical across engines and shard counts, because every
-	// experiment's seed derives from its plan index.
+	// sized by the runtime's N−1 rule. Records are byte-identical across
+	// engines, because every experiment's seed derives from its plan
+	// index.
 	Executor executor.Executor
 	// Sink, when set, receives every experiment record as it completes
 	// (streaming consumers: the result store, live NDJSON feeds).
@@ -104,7 +92,7 @@ type Campaign struct {
 	// DiscardRecords drops Result.Records: the report still comes from
 	// the online aggregator and records still stream to Sink, but the
 	// campaign stops materializing the full record slice — memory stays
-	// O(shards) instead of O(experiments).
+	// O(workers) instead of O(experiments).
 	DiscardRecords bool
 	// Metrics, when set, instruments the run (experiment outcomes,
 	// phase latency, compile-cache hits) and is forwarded to the
@@ -160,17 +148,24 @@ type Result struct {
 	// recompilation.
 	Mutated  int
 	Injected int
-	// Prefix-fork accounting (Campaign.PrefixFork): snapshots captured
-	// by the prefix build, experiments resumed from a snapshot, and
-	// experiments that fell back to a full run after a fork attempt.
-	ForkSnapshots int
-	ForkHits      int
-	ForkMisses    int
+	// Prefix-fork accounting. Every campaign builds its prefix set;
+	// workload.BuildPrefixes decides which sites are worth a snapshot.
+	// ForkSnapshots and ForkShortSites describe this process's build
+	// pass: snapshots captured, and sites left to full runs because
+	// their prefix is too short to pay. ForkHits counts experiments
+	// resumed from a snapshot and ForkMisses those that tried and fell
+	// back to a full run, fleet workers' experiments included;
+	// ForkMissReasons splits the misses by workload.ForkMiss ("remote":
+	// on a worker, whose envelope carries the outcome, not the reason).
+	ForkSnapshots   int
+	ForkShortSites  int
+	ForkHits        int
+	ForkMisses      int
+	ForkMissReasons map[string]int
 	// Phases is the campaign's own span timeline — the §IV-D recorder
 	// turned on the workflow itself: one span per phase (scan, compile,
-	// coverage, execute, aggregate) plus one per shard when the sharded
-	// executor ran. Offsets are nanoseconds from campaign start;
-	// ordering is deterministic (StartNS, then Name).
+	// coverage, execute, aggregate). Offsets are nanoseconds from
+	// campaign start; ordering is deterministic (StartNS, then Name).
 	Phases []trace.Span
 }
 
@@ -210,9 +205,9 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	}
 
 	// The phase recorder is the §IV-D span timeline pointed at the
-	// workflow itself: every phase (and every shard, under the sharded
-	// executor) lands as a span with nanosecond offsets from t0, so
-	// the service can answer "where did this campaign's time go".
+	// workflow itself: every phase lands as a span with nanosecond
+	// offsets from t0, so the service can answer "where did this
+	// campaign's time go".
 	t0 := time.Now()
 	spans := trace.NewRecorder()
 	phaseSpan := func(name string, from time.Time) {
@@ -347,50 +342,16 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		rm.SetPlanContext(covered, execPoints)
 	}
 	// Hand the completion bitmap to whichever engine runs the missing
-	// indices. Value engines are copied (the caller's Executor field is
+	// indices. The value engine is copied (the caller's Executor field is
 	// a template, not shared state).
 	if skip != nil {
 		switch e := exec.(type) {
 		case executor.Local:
 			e.Skip = skip
 			exec = e
-		case executor.Sharded:
-			e.Skip = skip
-			exec = e
 		case *executor.Remote:
 			e.Skip = skip
 		}
-	}
-	// Prefix-fork site grouping: hand the executors the runner's order
-	// hook so a shard runs same-site experiments back to back while the
-	// site's snapshot is warm. Same value-copy discipline as Skip.
-	if c.PrefixFork {
-		switch e := exec.(type) {
-		case executor.Local:
-			e.Order = runner.SiteOrder
-			exec = e
-		case executor.Sharded:
-			e.Order = runner.SiteOrder
-			exec = e
-		}
-	}
-	// Under the sharded engine, each shard contributes its own span to
-	// the campaign timeline (offsets are rebased from Run start to
-	// campaign start). The recorder is concurrency-safe, matching the
-	// hook's per-shard-goroutine delivery.
-	if sh, ok := exec.(executor.Sharded); ok {
-		prev := sh.OnShardSpan
-		execBase := execStart.Sub(t0).Nanoseconds()
-		sh.OnShardSpan = func(shard int, startNS, endNS int64) {
-			if prev != nil {
-				prev(shard, startNS, endNS)
-			}
-			spans.Record(trace.Span{
-				Name: fmt.Sprintf("shard-%d", shard), Component: "executor",
-				StartNS: execBase + startNS, EndNS: execBase + endNS,
-			})
-		}
-		exec = sh
 	}
 	experiment := func(i int) analysis.Record {
 		if ctx.Err() != nil {
@@ -426,16 +387,26 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		res.Records = collect.Records()
 	}
 	res.Mutated, res.Injected = runner.Counts()
-	res.ForkSnapshots, res.ForkHits, res.ForkMisses = runner.ForkStats()
-	met.fork(res.ForkSnapshots, res.ForkHits, res.ForkMisses)
+	build, forkHits, forkMisses := runner.ForkStats()
 	// Remote execution runs experiments in worker processes; their path
-	// kinds arrive with the record envelopes instead of this process's
-	// Runner (which only counts locally executed fallback shards).
+	// kinds and fork outcomes arrive with the record envelopes instead
+	// of this process's Runner (which only counts locally executed
+	// fallback shards).
 	if rm, ok := exec.(*executor.Remote); ok {
-		rmMut, rmInj := rm.Counts()
-		res.Mutated += rmMut
-		res.Injected += rmInj
+		rc := rm.Counts()
+		res.Mutated += rc.Mutated
+		res.Injected += rc.Injected
+		forkHits += rc.ForkHits
+		if rc.ForkMisses > 0 {
+			forkMisses["remote"] = rc.ForkMisses
+		}
 	}
+	res.ForkSnapshots, res.ForkShortSites = build.Snapshots, build.Short
+	res.ForkHits, res.ForkMissReasons = forkHits, forkMisses
+	for _, n := range forkMisses {
+		res.ForkMisses += n
+	}
+	met.fork(build, forkHits, forkMisses)
 	hits, misses := wcfg.Program.CacheStats()
 	met.cache(hits, misses, wcfg.Program.IncrementalRecompiles())
 	if err := ctx.Err(); err != nil {

@@ -136,24 +136,25 @@ func TestCompilerRejectedMutant(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := rt.Stats().Created
-	rec, kind := runner.ExperimentDetail(1)
-	if rec.Result != nil || kind != campaign.KindMutated {
-		t.Errorf("rejected mutant: result=%v kind=%s, want nil result and %s", rec.Result, kind, campaign.KindMutated)
+	rec, kind, fork := runner.ExperimentDetail(1)
+	if rec.Result != nil || kind != campaign.KindMutated || fork != campaign.ForkNone {
+		t.Errorf("rejected mutant: result=%v kind=%s fork=%q, want nil result, %s and no fork attempt",
+			rec.Result, kind, fork, campaign.KindMutated)
 	}
 	if n := rt.Stats().Created - before; n != 0 {
 		t.Errorf("rejected mutant created %d containers, want 0", n)
 	}
 }
 
-// TestPrefixBuildFailureIsCounted breaks the prefix build of a forking
-// campaign (the scratch container is already running when BuildPrefixes
-// tries to start it): the failure must show up as a build_failed fork
-// event, and every experiment must run in full with unchanged records.
+// TestPrefixBuildFailureIsCounted breaks the prefix build of a campaign
+// whose sites are worth forking (the scratch container is already
+// running when BuildPrefixes tries to start it): the failure must show
+// up as a build_failed fork event, and every experiment must run in
+// full with unchanged records.
 func TestPrefixBuildFailureIsCounted(t *testing.T) {
 	run := func(breakPrefix bool) (*campaign.Result, string) {
 		reg := obs.NewRegistry()
 		c := kvclient.CampaignLate(newRuntime(), 707)
-		c.PrefixFork = true
 		c.Metrics = reg
 		if breakPrefix {
 			// The prefix container is the only one seeded with the bare
@@ -183,7 +184,7 @@ func TestPrefixBuildFailureIsCounted(t *testing.T) {
 	if strings.Contains(forkedMetrics, `event="build_failed"`) {
 		t.Errorf("healthy prefix build reported build_failed")
 	}
-	if !strings.Contains(brokenMetrics, `profipy_campaign_fork_events_total{event="build_failed"} 1`) {
+	if !strings.Contains(brokenMetrics, `profipy_campaign_fork_events_total{event="build_failed",reason=""} 1`) {
 		t.Errorf("broken prefix build not counted:\n%s", brokenMetrics)
 	}
 	if broken.ForkSnapshots != 0 || broken.ForkHits != 0 || broken.ForkMisses != 0 {

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"profipy/internal/obs"
+	"profipy/internal/workload"
 )
 
 // cmetrics instruments campaign runs. A nil *cmetrics is valid and
@@ -15,7 +16,7 @@ type cmetrics struct {
 	cacheHits   *obs.Counter
 	cacheMisses *obs.Counter
 	cacheIncr   *obs.Counter
-	forkEvents  *obs.CounterVec // event = snapshot | hit | miss | build_failed
+	forkEvents  *obs.CounterVec // event = snapshot | short_site | hit | miss (by reason) | build_failed
 }
 
 // phaseBuckets cover millisecond scan phases through minute-scale
@@ -41,7 +42,7 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 		cacheIncr: reg.Counter("profipy_campaign_compile_incremental_total",
 			"Compile-cache misses served by the declaration-level incremental recompile instead of a whole-file recompile."),
 		forkEvents: reg.CounterVec("profipy_campaign_fork_events_total",
-			"Prefix-fork activity: boundary snapshots captured, experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss), prefix builds that failed and left every experiment running in full (build_failed).", "event"),
+			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason), prefix builds that failed and left every experiment running in full (build_failed).", "event", "reason"),
 	}
 }
 
@@ -68,18 +69,21 @@ func (m *cmetrics) experiment(infraError bool) {
 	}
 }
 
-func (m *cmetrics) fork(snapshots, hits, misses int) {
+func (m *cmetrics) fork(build workload.PrefixStats, hits int, misses map[string]int) {
 	if m == nil {
 		return
 	}
-	m.forkEvents.With("snapshot").Add(float64(snapshots))
-	m.forkEvents.With("hit").Add(float64(hits))
-	m.forkEvents.With("miss").Add(float64(misses))
+	m.forkEvents.With("snapshot", "").Add(float64(build.Snapshots))
+	m.forkEvents.With("short_site", "").Add(float64(build.Short))
+	m.forkEvents.With("hit", "").Add(float64(hits))
+	for reason, n := range misses {
+		m.forkEvents.With("miss", reason).Add(float64(n))
+	}
 }
 
 func (m *cmetrics) forkBuildFailed() {
 	if m != nil {
-		m.forkEvents.With("build_failed").Inc()
+		m.forkEvents.With("build_failed", "").Inc()
 	}
 }
 

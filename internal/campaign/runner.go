@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"errors"
 	"fmt"
 	"log/slog"
 	"sync"
@@ -17,12 +18,17 @@ import (
 	"profipy/internal/workload"
 )
 
-// Experiment kinds reported by Runner.ExperimentDetail, shared with
-// the remote wire protocol so workers ship them verbatim.
+// Experiment kinds and fork outcomes reported by
+// Runner.ExperimentDetail, shared with the remote wire protocol so
+// workers ship them verbatim.
 const (
 	KindMutated  = remote.KindMutated
 	KindInjected = remote.KindInjected
 	KindError    = remote.KindError
+
+	ForkHit  = remote.ForkHit
+	ForkMiss = remote.ForkMiss
+	ForkNone = remote.ForkNone
 )
 
 // Runner is a campaign's prepared execution state: the scanned plan,
@@ -50,13 +56,14 @@ type Runner struct {
 	mutated  atomic.Int64
 	injected atomic.Int64
 
-	// Prefix-fork state (Campaign.PrefixFork): the site->snapshot map is
-	// built lazily by the first experiment that wants one, off a single
-	// base-program run in a scratch container.
+	// Prefix-fork state: the site->snapshot map is built by the first
+	// experiment that runs, off a single base-program run in a scratch
+	// container. Misses are rare; their per-reason tally takes a lock.
 	prefixOnce sync.Once
 	prefixes   *workload.PrefixSet
 	forkHits   atomic.Int64
-	forkMisses atomic.Int64
+	missMu     sync.Mutex
+	forkMisses map[string]int
 }
 
 // NewRunner prepares a campaign for execution without running its
@@ -131,18 +138,27 @@ func (r *Runner) Counts() (mutated, injected int) {
 	return int(r.mutated.Load()), int(r.injected.Load())
 }
 
-// ForkStats reports prefix-fork activity: snapshots captured by the
-// prefix build, experiments resumed from a snapshot (hits) and
-// experiments that attempted a fork but fell back to a full run
-// (misses). All zero when PrefixFork is off or no experiment ran.
-func (r *Runner) ForkStats() (snapshots, hits, misses int) {
-	return r.prefixes.Stats().Snapshots, int(r.forkHits.Load()), int(r.forkMisses.Load())
+// ForkStats reports prefix-fork activity: what the prefix build
+// captured (snapshots, and sites it left to full runs because their
+// prefix is too short to pay), experiments resumed from a snapshot
+// (hits) and experiments that attempted a fork but fell back to a full
+// run, by workload.ForkMiss reason. All zero before the first
+// experiment ran.
+func (r *Runner) ForkStats() (build workload.PrefixStats, hits int, misses map[string]int) {
+	r.missMu.Lock()
+	defer r.missMu.Unlock()
+	misses = make(map[string]int, len(r.forkMisses))
+	for reason, n := range r.forkMisses {
+		misses[reason] = n
+	}
+	return r.prefixes.Stats(), int(r.forkHits.Load()), misses
 }
 
 // sitePrefix returns the shared prefix snapshot for a point's site
-// function, building the campaign's prefix set on first use.
+// function, building the campaign's prefix set on first use. Whether a
+// site gets a prefix at all is workload.BuildPrefixes' decision.
 func (r *Runner) sitePrefix(pt scanner.InjectionPoint) *workload.Prefix {
-	if !r.c.PrefixFork || r.wcfg.FaultFree || pt.Func == "" {
+	if r.wcfg.FaultFree || pt.Func == "" {
 		return nil
 	}
 	r.prefixOnce.Do(r.buildPrefixes)
@@ -182,55 +198,29 @@ func (r *Runner) buildPrefixes() {
 	r.prefixes = ps
 }
 
-// SiteOrder permutes the plan indices of [lo, hi) so experiments sharing
-// an injection site run back to back — the executors' site-aware
-// scheduling hook. Grouping maximizes reuse of the site's prefix
-// snapshot while it is warm; since records key on plan index and seeds
-// derive from it, execution order never affects record bytes.
-func (r *Runner) SiteOrder(lo, hi int) []int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(r.points) {
-		hi = len(r.points)
-	}
-	groups := make(map[string][]int)
-	var order []string
-	for i := lo; i < hi; i++ {
-		fn := r.points[i].Func
-		if _, ok := groups[fn]; !ok {
-			order = append(order, fn)
-		}
-		groups[fn] = append(groups[fn], i)
-	}
-	out := make([]int, 0, hi-lo)
-	for _, fn := range order {
-		out = append(out, groups[fn]...)
-	}
-	return out
-}
-
 // Experiment runs the experiment at plan index i and returns its
 // record. Safe for concurrent calls.
 func (r *Runner) Experiment(i int) analysis.Record {
-	rec, _ := r.ExperimentDetail(i)
+	rec, _, _ := r.ExperimentDetail(i)
 	return rec
 }
 
 // ExperimentDetail runs the experiment at plan index i and additionally
 // reports which execution path it took (KindMutated, KindInjected or
-// KindError) — remote workers ship the kind alongside the record so the
-// control plane can account injection kinds without re-deriving them.
-func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
+// KindError) and whether it resumed from its site's prefix snapshot
+// (ForkHit, ForkMiss, or ForkNone when the site has no prefix) — remote
+// workers ship both alongside the record so the control plane accounts
+// them without re-deriving anything.
+func (r *Runner) ExperimentDetail(i int) (rec analysis.Record, kind, fork string) {
 	pt := r.points[i]
-	rec := analysis.Record{Point: pt, FaultType: r.pl.TypeOf(pt), Covered: r.covered[pt.ID()]}
+	rec = analysis.Record{Point: pt, FaultType: r.pl.TypeOf(pt), Covered: r.covered[pt.ID()]}
 	seed := r.c.Seed + int64(i) + 1
 	wcfg := r.wcfg
 
 	var eng *runtimefault.Engine
 	img := r.c.Image
 	img.Files = r.c.Files
-	kind := KindError
+	kind = KindError
 
 	if rf, ok := r.rtFaults[pt.Spec]; ok {
 		// Runtime injection: bind the fault's site selector to the
@@ -242,7 +232,7 @@ func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
 		var err error
 		eng, err = runtimefault.NewEngine([]runtimefault.Fault{fault}, seed)
 		if err != nil {
-			return rec, KindError
+			return rec, KindError, ForkNone
 		}
 		wcfg.Injector = eng
 		r.injected.Add(1)
@@ -250,15 +240,15 @@ func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
 	} else {
 		mm, ok := r.models[pt.Spec]
 		if !ok {
-			return rec, KindError
+			return rec, KindError, ForkNone
 		}
 		pf, err := r.cache.Get(pt.File)
 		if err != nil {
-			return rec, KindError
+			return rec, KindError, ForkNone
 		}
 		mut, err := mutator.ApplyParsed(pf, mm, pt, mutator.Options{Triggered: true})
 		if err != nil {
-			return rec, KindError
+			return rec, KindError, ForkNone
 		}
 		// Copy-on-write deploy: the container shares the campaign's
 		// base file layer and shadows just the mutated file through the
@@ -270,7 +260,7 @@ func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
 		if err != nil {
 			// A mutant the compiler rejects is an infrastructure error
 			// on this experiment only.
-			return rec, kind
+			return rec, kind, ForkNone
 		}
 	}
 
@@ -279,7 +269,7 @@ func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
 		if r.c.TraceHook != nil {
 			r.c.TraceHook(fctr)
 		}
-		result, ok, _ := workload.RunForked(fctr, wcfg, workload.ForkSpec{
+		result, ok, miss := workload.RunForked(fctr, wcfg, workload.ForkSpec{
 			Prefix: pre, BaseFiles: r.c.Files, Overlay: img.Overlay,
 		})
 		_ = r.c.Runtime.Destroy(fctr)
@@ -289,9 +279,10 @@ func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
 			if eng != nil {
 				rec.Injections = eng.Report()
 			}
-			return rec, kind
+			return rec, kind, ForkHit
 		}
-		r.forkMisses.Add(1)
+		r.forkMissed(pt.Func, miss)
+		fork = ForkMiss
 		if eng != nil {
 			// The aborted fork attempt may have advanced the engine
 			// (BeginRound, partial execution); rebuild it from the
@@ -314,13 +305,28 @@ func (r *Runner) ExperimentDetail(i int) (analysis.Record, string) {
 
 	result, err := workload.Run(ctr, wcfg)
 	if err != nil {
-		return rec, kind
+		return rec, kind, fork
 	}
 	rec.Result = result
 	if eng != nil {
 		rec.Injections = eng.Report()
 	}
-	return rec, kind
+	return rec, kind, fork
+}
+
+// forkMissed tallies one fork attempt that fell back to a full run
+// under its workload.ForkMiss reason, and logs it: a fleet worker's
+// record envelope says hit or miss, its log says why.
+func (r *Runner) forkMissed(site string, miss error) {
+	var reason workload.ForkMiss
+	errors.As(miss, &reason)
+	slog.Debug("fork missed, experiment runs in full", "campaign", r.c.Name, "site", site, "reason", string(reason))
+	r.missMu.Lock()
+	defer r.missMu.Unlock()
+	if r.forkMisses == nil {
+		r.forkMisses = make(map[string]int)
+	}
+	r.forkMisses[string(reason)]++
 }
 
 // KindOf reports which execution path the experiment at plan index i

@@ -181,7 +181,9 @@ func TestWorkflowTraceHook(t *testing.T) {
 	if _, err := c.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if hooked.Load() != 3 {
-		t.Errorf("trace hook called %d times, want 3", hooked.Load())
+	// Three experiment containers plus the prefix build's scratch
+	// container, which must carry the same env-bag state to be captured.
+	if hooked.Load() != 4 {
+		t.Errorf("trace hook called %d times, want 4", hooked.Load())
 	}
 }

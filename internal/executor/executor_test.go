@@ -4,14 +4,28 @@ import (
 	"context"
 	"fmt"
 	"reflect"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"profipy/internal/analysis"
+	"profipy/internal/fleet"
+	"profipy/internal/remote"
 	"profipy/internal/scanner"
 )
+
+// fleetless builds a Remote whose coordinator has no workers: Run claims
+// every shard back and executes it in-process, one pool per shard — the
+// shard geometry, per-index dedup and merge all run, without HTTP.
+func fleetless(shards, localWorkers int, skip *Mask) *Remote {
+	return &Remote{
+		Coord:        fleet.New(fleet.Config{}),
+		Spec:         remote.CampaignSpec{Name: "t"},
+		Shards:       shards,
+		LocalWorkers: localWorkers,
+		Skip:         skip,
+	}
+}
 
 // testExp builds a deterministic Experiment whose record content is a
 // pure function of the index, and counts concurrent invocations.
@@ -55,11 +69,12 @@ func TestExecutorsProduceIdenticalOrderedRecords(t *testing.T) {
 	executors := []Executor{
 		Local{},
 		Local{Workers: 16},
-		Sharded{Shards: 1},
-		Sharded{Shards: 2, Workers: 3},
-		Sharded{Shards: 5},
-		Sharded{Shards: 16, Workers: 2},
-		Sharded{Shards: 64}, // more shards than experiments
+		&Remote{LocalWorkers: 3}, // no coordinator: Local's pool
+		fleetless(1, 0, nil),
+		fleetless(2, 3, nil),
+		fleetless(5, 0, nil),
+		fleetless(16, 2, nil),
+		fleetless(64, 0, nil), // more shards than experiments
 	}
 	for _, ex := range executors {
 		got := runAndCollect(t, ex, n, exp)
@@ -74,14 +89,6 @@ func TestLocalBoundsParallelism(t *testing.T) {
 	runAndCollect(t, Local{Workers: 3}, 24, testExp(&active, &peak))
 	if p := peak.Load(); p > 3 {
 		t.Errorf("peak parallelism = %d, want <= 3", p)
-	}
-}
-
-func TestShardedBoundsParallelism(t *testing.T) {
-	var active, peak atomic.Int64
-	runAndCollect(t, Sharded{Shards: 3, Workers: 2}, 24, testExp(&active, &peak))
-	if p := peak.Load(); p > 6 {
-		t.Errorf("peak parallelism = %d, want <= shards*workers = 6", p)
 	}
 }
 
@@ -106,50 +113,22 @@ func TestShardPartitionCoversPlan(t *testing.T) {
 	}
 }
 
-func TestShardedReportsPerShardProgress(t *testing.T) {
-	const n, shards = 20, 4
-	var mu sync.Mutex
-	final := map[int]ShardProgress{}
-	ex := Sharded{Shards: shards, OnShard: func(p ShardProgress) {
-		mu.Lock()
-		defer mu.Unlock()
-		if prev, ok := final[p.Shard]; ok && p.Done != prev.Done+1 {
-			t.Errorf("shard %d progress jumped %d -> %d", p.Shard, prev.Done, p.Done)
-		}
-		final[p.Shard] = p
-	}}
-	var active, peak atomic.Int64
-	runAndCollect(t, ex, n, testExp(&active, &peak))
-	if len(final) != shards {
-		t.Fatalf("progress from %d shards, want %d", len(final), shards)
-	}
-	sum := 0
-	for si, p := range final {
-		lo, hi := Shard(n, shards, si)
-		if p.Done != p.Total || p.Total != hi-lo {
-			t.Errorf("shard %d final progress %+v, want done == total == %d", si, p, hi-lo)
-		}
-		sum += p.Done
-	}
-	if sum != n {
-		t.Errorf("shard progress sums to %d, want %d", sum, n)
-	}
-}
-
 func TestSinkReceivesEveryIndexExactlyOnce(t *testing.T) {
 	const n = 29
-	seen := map[int]int{}
-	sink := SinkFunc(func(idx int, rec analysis.Record) { seen[idx]++ })
-	var active, peak atomic.Int64
-	if err := (Sharded{Shards: 3, Workers: 2}).Run(context.Background(), n, testExp(&active, &peak), sink); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != n {
-		t.Fatalf("sink saw %d distinct indices, want %d", len(seen), n)
-	}
-	for idx, c := range seen {
-		if c != 1 {
-			t.Errorf("index %d delivered %d times", idx, c)
+	for _, ex := range []Executor{Local{Workers: 3}, fleetless(3, 2, nil)} {
+		seen := map[int]int{}
+		sink := SinkFunc(func(idx int, rec analysis.Record) { seen[idx]++ })
+		var active, peak atomic.Int64
+		if err := ex.Run(context.Background(), n, testExp(&active, &peak), sink); err != nil {
+			t.Fatal(err)
+		}
+		if len(seen) != n {
+			t.Fatalf("%s: sink saw %d distinct indices, want %d", ex.Name(), len(seen), n)
+		}
+		for idx, c := range seen {
+			if c != 1 {
+				t.Errorf("%s: index %d delivered %d times", ex.Name(), idx, c)
+			}
 		}
 	}
 }
@@ -168,7 +147,7 @@ func TestMultiFansOutInOrder(t *testing.T) {
 }
 
 func TestRunZeroExperiments(t *testing.T) {
-	for _, ex := range []Executor{Local{Workers: 4}, Sharded{Shards: 4}} {
+	for _, ex := range []Executor{Local{Workers: 4}, fleetless(4, 0, nil)} {
 		called := false
 		err := ex.Run(context.Background(), 0, func(int) analysis.Record {
 			called = true
@@ -180,79 +159,24 @@ func TestRunZeroExperiments(t *testing.T) {
 	}
 }
 
-// TestOrderHookReordersExecutionNotRecords: the site-aware Order hook
-// permutes execution within a pool's range, but delivery stays
-// exactly-once and records land at their plan indices — byte-identical
-// to an unordered run.
-func TestOrderHookReordersExecutionNotRecords(t *testing.T) {
-	const n = 23
-	var active, peak atomic.Int64
-	exp := testExp(&active, &peak)
-	want := runAndCollect(t, Local{Workers: 2}, n, exp)
-
-	reverse := func(lo, hi int) []int {
-		out := make([]int, 0, hi-lo)
-		for i := hi - 1; i >= lo; i-- {
-			out = append(out, i)
-		}
-		return out
+// TestRemoteCountsEnvelopes: Remote tallies what workers shipped beside
+// each record — path kind and fork outcome. An envelope from a worker
+// that predates the fork field, and the in-process fallback's own
+// deliveries, count as neither hit nor miss.
+func TestRemoteCountsEnvelopes(t *testing.T) {
+	r := &Remote{}
+	for _, d := range []fleet.Delivery{
+		{Kind: remote.KindMutated, Fork: remote.ForkHit},
+		{Kind: remote.KindMutated, Fork: remote.ForkHit},
+		{Kind: remote.KindInjected, Fork: remote.ForkMiss},
+		{Kind: remote.KindMutated}, // old worker: no fork field
+		{Kind: remote.KindLocal},
+		{Kind: remote.KindError},
+	} {
+		r.account(d)
 	}
-	executors := []Executor{
-		Local{Order: reverse},
-		Local{Workers: 4, Order: reverse},
-		Sharded{Shards: 3, Workers: 2, Order: reverse},
-	}
-	for _, ex := range executors {
-		got := runAndCollect(t, ex, n, exp)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("%s with Order hook: records differ from unordered run", ex.Name())
-		}
-	}
-
-	// Sequential path: the hook's order is the execution order.
-	var seen []int
-	_ = Local{Order: reverse}.Run(context.Background(), n, func(idx int) analysis.Record {
-		seen = append(seen, idx)
-		return analysis.Record{}
-	}, SinkFunc(func(int, analysis.Record) {}))
-	if seen[0] != n-1 || seen[len(seen)-1] != 0 {
-		t.Errorf("sequential execution order = %v, want descending", seen)
-	}
-}
-
-// TestOrderHookValidatesDefensively: a buggy Order hook — duplicates,
-// out-of-range entries, missing indices, skip-masked indices — cannot
-// break the exactly-once contract.
-func TestOrderHookValidatesDefensively(t *testing.T) {
-	skip := NewMask(10)
-	skip.Set(4)
-	bogus := func(lo, hi int) []int {
-		// Duplicates, out-of-range values, the masked index, and only
-		// part of the range.
-		return []int{7, 7, -3, 99, 4, 2}
-	}
-	got := poolOrder(0, 10, skip, bogus)
-	want := []int{7, 2, 0, 1, 3, 5, 6, 8, 9}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("poolOrder = %v, want %v", got, want)
-	}
-
-	var mu sync.Mutex
-	counts := make(map[int]int)
-	ex := Local{Workers: 3, Skip: skip, Order: bogus}
-	_ = ex.Run(context.Background(), 10, func(idx int) analysis.Record {
-		mu.Lock()
-		counts[idx]++
-		mu.Unlock()
-		return analysis.Record{}
-	}, SinkFunc(func(int, analysis.Record) {}))
-	for i := 0; i < 10; i++ {
-		want := 1
-		if i == 4 {
-			want = 0 // masked
-		}
-		if counts[i] != want {
-			t.Errorf("index %d executed %d times, want %d", i, counts[i], want)
-		}
+	want := RemoteCounts{Mutated: 3, Injected: 1, ForkHits: 2, ForkMisses: 1}
+	if got := r.Counts(); got != want {
+		t.Errorf("counts = %+v, want %+v", got, want)
 	}
 }

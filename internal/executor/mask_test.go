@@ -53,9 +53,9 @@ func TestSkipMaskedIndicesNotExecuted(t *testing.T) {
 	engines := []Executor{
 		Local{Skip: skip},
 		Local{Workers: 4, Skip: skip},
-		Sharded{Shards: 4, Workers: 2, Skip: skip},
-		Sharded{Shards: 7, Skip: skip},
 		&Remote{LocalWorkers: 3, Skip: skip}, // Coord==nil: local degradation path
+		fleetless(4, 2, skip),
+		fleetless(7, 0, skip),
 	}
 	for _, ex := range engines {
 		var executed atomic.Int64
@@ -102,7 +102,7 @@ func TestSkipAllIndices(t *testing.T) {
 	for i := 0; i < n; i++ {
 		skip.Set(i)
 	}
-	for _, ex := range []Executor{Local{Skip: skip}, Sharded{Shards: 3, Skip: skip}} {
+	for _, ex := range []Executor{Local{Skip: skip}, fleetless(3, 0, skip)} {
 		exp := func(idx int) analysis.Record {
 			t.Fatalf("%s: executed index %d of a fully-masked plan", ex.Name(), idx)
 			return analysis.Record{}

@@ -9,13 +9,12 @@ import (
 
 // emetrics instruments one engine's Run: completed records and
 // experiment latency (both hot-path, resolved to atomic children once
-// per Run), busy-worker gauge for utilization, and shard wall time.
-// A nil *emetrics is valid and inert.
+// per Run) and the busy-worker gauge for utilization. A nil *emetrics
+// is valid and inert.
 type emetrics struct {
 	records *obs.Counter
 	expDur  *obs.Histogram
 	busy    *obs.Gauge
-	shardH  *obs.Histogram
 }
 
 // expDurBuckets resolve the sub-millisecond experiments the compiled
@@ -23,7 +22,7 @@ type emetrics struct {
 var expDurBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5}
 
 // newMetrics resolves the hot-path vec children once per Run; executor
-// is the scheduler identity (Name()).
+// is the engine, "local" or "remote".
 func newMetrics(reg *obs.Registry, executor string) *emetrics {
 	if reg == nil {
 		return nil
@@ -35,8 +34,6 @@ func newMetrics(reg *obs.Registry, executor string) *emetrics {
 			"Wall-clock latency of one experiment, by executor.", expDurBuckets, "executor").With(executor),
 		busy: reg.Gauge("profipy_executor_workers_busy",
 			"Workers currently inside an experiment (utilization numerator)."),
-		shardH: reg.Histogram("profipy_executor_shard_seconds",
-			"Wall-clock execution time of one shard.", nil),
 	}
 }
 
@@ -61,12 +58,5 @@ func (m *emetrics) instrument(exp Experiment) Experiment {
 func (m *emetrics) record() {
 	if m != nil {
 		m.records.Inc()
-	}
-}
-
-// shard records one shard's wall time.
-func (m *emetrics) shard(d time.Duration) {
-	if m != nil {
-		m.shardH.Observe(d.Seconds())
 	}
 }

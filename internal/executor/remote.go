@@ -14,9 +14,9 @@ import (
 )
 
 // Remote executes a campaign's experiments on a fleet of remote
-// workers coordinated by fleet.Coordinator: the plan is cut into the
-// same deterministic contiguous shards Sharded uses, workers pull
-// shard leases over HTTP, execute them against their own rebuilt
+// workers coordinated by fleet.Coordinator: the plan is cut into
+// deterministic contiguous shards (Shard), workers pull shard leases
+// over HTTP, execute them against their own rebuilt
 // campaign Runner and stream records back; Run drains the job's
 // deduplicated delivery channel as the single sink goroutine.
 //
@@ -59,14 +59,20 @@ type Remote struct {
 	// nor the local fallback produce records for them) and fully-covered
 	// shards complete without ever being leased.
 	Skip *Mask
-	// Reg, when set, instruments the run like the other engines.
+	// Reg, when set, instruments the run like Local.
 	Reg *obs.Registry
 
-	// mu guards the kind counters: written by Run's drain loop, read
-	// by the campaign (Counts) after Run returns.
-	mu       sync.Mutex
-	mutated  int
-	injected int
+	// mu guards the envelope counters: written by Run's drain loop,
+	// read by the campaign (Counts) after Run returns.
+	mu     sync.Mutex
+	counts RemoteCounts
+}
+
+// RemoteCounts is what worker-side experiments reported in their record
+// envelopes: the injection path taken and the fork outcome.
+type RemoteCounts struct {
+	Mutated, Injected    int
+	ForkHits, ForkMisses int
 }
 
 // Name implements Executor.
@@ -89,14 +95,14 @@ func (r *Remote) SetPlanContext(covered map[string]bool, points []scanner.Inject
 	r.Spec.NumExperiments = len(points)
 }
 
-// Counts reports how many remotely executed experiments ran the
-// compile-time mutation path and the runtime injection path, as
-// accounted from the record envelopes workers shipped. Local fallback
-// shards are excluded — the in-process Runner counts those itself.
-func (r *Remote) Counts() (mutated, injected int) {
+// Counts reports the remotely executed experiments' path kinds and fork
+// outcomes, as accounted from the record envelopes workers shipped.
+// Local fallback shards are excluded — the in-process Runner counts
+// those itself.
+func (r *Remote) Counts() RemoteCounts {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.mutated, r.injected
+	return r.counts
 }
 
 // Run implements Executor. It opens a fleet job for the campaign,
@@ -109,16 +115,12 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	if n == 0 {
 		return nil
 	}
+	if r.Coord == nil {
+		// No coordinator: this is Local.
+		return Local{Workers: r.LocalWorkers, Skip: r.Skip, Reg: r.Reg}.Run(ctx, n, exp, sink)
+	}
 	m := newMetrics(r.Reg, "remote")
 	exp = m.instrument(exp)
-	if r.Coord == nil {
-		// No coordinator: behave exactly like Local.
-		runPool(0, n, r.LocalWorkers, r.Skip, nil, exp, func(rec indexed) {
-			m.record()
-			sink.Put(rec.idx, rec.rec)
-		})
-		return nil
-	}
 
 	shards := r.shards()
 	if shards > n {
@@ -152,7 +154,7 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	var wg sync.WaitGroup
 	localShard := func(lo, hi int) {
 		defer wg.Done()
-		runPool(lo, hi, r.LocalWorkers, r.Skip, nil, func(i int) analysis.Record {
+		runPool(lo, hi, r.LocalWorkers, r.Skip, func(i int) analysis.Record {
 			if job.IsDelivered(i) {
 				// Another executor already delivered this index (a
 				// worker finished it before losing its lease); the
@@ -198,7 +200,7 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 				return nil
 			}
 			m.record()
-			r.account(d.Kind)
+			r.account(d)
 			sink.Put(d.Idx, d.Rec)
 		case <-ctxDone:
 			// Fires once (then nil-ed out so the select doesn't spin on
@@ -233,16 +235,22 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	}
 }
 
-// account tallies experiment path kinds from record envelopes. Local
-// fallback deliveries carry KindLocal and are counted by the campaign's
-// own Runner instead.
-func (r *Remote) account(kind string) {
+// account tallies path kinds and fork outcomes from record envelopes.
+// Local fallback deliveries carry KindLocal and no fork outcome; the
+// campaign's own Runner counts those.
+func (r *Remote) account(d fleet.Delivery) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	switch kind {
+	switch d.Kind {
 	case remote.KindMutated:
-		r.mutated++
+		r.counts.Mutated++
 	case remote.KindInjected:
-		r.injected++
+		r.counts.Injected++
+	}
+	switch d.Fork {
+	case remote.ForkHit:
+		r.counts.ForkHits++
+	case remote.ForkMiss:
+		r.counts.ForkMisses++
 	}
 }

@@ -91,6 +91,7 @@ type shardState struct {
 type Delivery struct {
 	Idx  int
 	Kind string
+	Fork string
 	Rec  analysis.Record
 }
 
@@ -268,7 +269,7 @@ func (c *Coordinator) Ingest(campaign string, shard int, token string, lines []r
 	}
 	fresh := 0
 	for _, ln := range lines {
-		if job.deliver(ln.Idx, ln.Kind, ln.Rec) {
+		if job.deliver(ln.Idx, ln.Kind, ln.Fork, ln.Rec) {
 			fresh++
 		}
 	}
@@ -476,14 +477,14 @@ func (j *Job) Deliveries() <-chan Delivery { return j.deliveries }
 // delivered. Reports whether the record was fresh. The channel has
 // capacity n and each index sends at most once, so the send can never
 // block.
-func (j *Job) deliver(idx int, kind string, rec analysis.Record) bool {
+func (j *Job) deliver(idx int, kind, fork string, rec analysis.Record) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if idx < 0 || idx >= j.n || j.delivered[idx] || j.closed {
 		return false
 	}
 	j.delivered[idx] = true
-	j.deliveries <- Delivery{Idx: idx, Kind: kind, Rec: rec}
+	j.deliveries <- Delivery{Idx: idx, Kind: kind, Fork: fork, Rec: rec}
 	j.remaining--
 	if j.remaining == 0 {
 		close(j.deliveries)
@@ -493,9 +494,10 @@ func (j *Job) deliver(idx int, kind string, rec analysis.Record) bool {
 }
 
 // Deliver is deliver for in-process producers (the local fallback path
-// of executor.Remote).
+// of executor.Remote, whose Runner accounts kind and fork outcome
+// itself).
 func (j *Job) Deliver(idx int, kind string, rec analysis.Record) bool {
-	return j.deliver(idx, kind, rec)
+	return j.deliver(idx, kind, remote.ForkNone, rec)
 }
 
 // IsDelivered reports whether the index already has a record.

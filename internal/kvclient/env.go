@@ -15,35 +15,27 @@ import (
 )
 
 // EnvByName resolves a named host environment for experiment
-// interpreters: "" and "kvclient" select the etcd case-study
-// environment (InstallEnv), "plain" the bare sandbox hooks. The name
-// travels in campaign specs and API requests where a function cannot —
-// remote workers and the SaaS layer resolve it through this single
-// table. Unknown names return ok=false.
-func EnvByName(name string) (fn func(it *interp.Interp, c *sandbox.Container), ok bool) {
+// interpreters into the three functions a workload.Config takes: the
+// per-round installer and the capture/restore pair prefix-snapshot
+// forking checkpoints host state with. "" and "kvclient" select the
+// etcd case-study environment (InstallEnv); "plain" the bare sandbox
+// hooks, which keep no state and so capture nothing (nil pair). The
+// name travels in campaign specs and API requests where functions
+// cannot — remote workers and the SaaS layer resolve it through this
+// single table, so both sides can fork. Unknown names return ok=false.
+func EnvByName(name string) (
+	install func(it *interp.Interp, c *sandbox.Container),
+	capture func(c *sandbox.Container) (any, bool),
+	restore func(c *sandbox.Container, state any) bool,
+	ok bool,
+) {
 	switch name {
 	case "", "kvclient":
-		return func(it *interp.Interp, c *sandbox.Container) { InstallEnv(it, c) }, true
+		return func(it *interp.Interp, c *sandbox.Container) { InstallEnv(it, c) }, CaptureEnv, RestoreEnv, true
 	case "plain":
-		return func(it *interp.Interp, c *sandbox.Container) { sandbox.InstallHooks(it, c) }, true
+		return func(it *interp.Interp, c *sandbox.Container) { sandbox.InstallHooks(it, c) }, nil, nil, true
 	default:
-		return nil, false
-	}
-}
-
-// EnvCaptureByName resolves the capture/restore pair matching
-// EnvByName's environment: prefix-snapshot forking needs both to
-// checkpoint and replay host state at entry-body boundaries. "plain"
-// installs stateless hooks, so it captures nothing (nil pair, ok=true);
-// unknown names return ok=false.
-func EnvCaptureByName(name string) (capture func(c *sandbox.Container) (any, bool), restore func(c *sandbox.Container, state any) bool, ok bool) {
-	switch name {
-	case "", "kvclient":
-		return CaptureEnv, RestoreEnv, true
-	case "plain":
-		return nil, nil, true
-	default:
-		return nil, nil, false
+		return nil, nil, nil, false
 	}
 }
 

@@ -136,13 +136,24 @@ const (
 	KindError    = ""         // experiment aborted before execution
 )
 
+// Fork outcomes carried in record envelopes: whether the experiment's
+// round 1 resumed from its site's prefix snapshot. Workers from before
+// the field existed omit it, which reads as ForkNone.
+const (
+	ForkHit  = "hit"  // resumed from the snapshot
+	ForkMiss = "miss" // tried to, fell back to a full run
+	ForkNone = ""     // the site has no prefix; ran in full
+)
+
 // RecordLine is one experiment result in a worker's NDJSON record
 // stream: the plan index, the execution-path kind (KindMutated /
-// KindInjected / "") and the record itself. Ingestion deduplicates by
-// index, so retransmits after a transport error are harmless.
+// KindInjected / ""), the fork outcome (ForkHit / ForkMiss / "") and
+// the record itself. Ingestion deduplicates by index, so retransmits
+// after a transport error are harmless.
 type RecordLine struct {
 	Idx  int             `json:"idx"`
 	Kind string          `json:"kind,omitempty"`
+	Fork string          `json:"fork,omitempty"`
 	Rec  analysis.Record `json:"rec"`
 }
 

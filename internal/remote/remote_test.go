@@ -1,6 +1,7 @@
 package remote
 
 import (
+	"bytes"
 	"encoding/json"
 	"reflect"
 	"testing"
@@ -102,5 +103,27 @@ func TestPlanHashDependsOnPointOrder(t *testing.T) {
 	}
 	if PlanHash(pts) == PlanHash(pts[:1]) {
 		t.Error("PlanHash ignores a dropped point")
+	}
+}
+
+// TestRecordLineForkOutcome: the envelope carries the fork outcome
+// beside the kind; a worker from before the field existed omits it and
+// reads as ForkNone, and ForkNone is not written at all.
+func TestRecordLineForkOutcome(t *testing.T) {
+	line := RecordLine{Idx: 3, Kind: KindMutated, Fork: ForkHit}
+	data, err := json.Marshal(line)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got RecordLine
+	if err := json.Unmarshal(data, &got); err != nil || got.Fork != ForkHit || got.Kind != KindMutated || got.Idx != 3 {
+		t.Errorf("round trip = %+v (%v), want idx 3, %s, %s", got, err, KindMutated, ForkHit)
+	}
+	var old RecordLine
+	if err := json.Unmarshal([]byte(`{"idx":1,"kind":"injected","rec":{}}`), &old); err != nil || old.Fork != ForkNone {
+		t.Errorf("envelope without a fork field = %+v (%v), want ForkNone", old, err)
+	}
+	if data, _ := json.Marshal(RecordLine{Idx: 1}); bytes.Contains(data, []byte("fork")) {
+		t.Errorf("ForkNone written to the wire: %s", data)
 	}
 }

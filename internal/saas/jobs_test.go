@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -366,41 +367,14 @@ func TestJobNotFound(t *testing.T) {
 	}
 }
 
-// TestPrefixForkRequestByteIdentical runs the same demo campaign with
-// prefixFork off and on through the HTTP API and asserts byte-identical
-// reports plus actual fork engagement — the API-level form of the
-// golden fork-equivalence suite.
-func TestPrefixForkRequestByteIdentical(t *testing.T) {
+// TestLegacyKeysIgnored: requests written for older daemons still carry
+// "engine", "prefixFork", "shardWorkers" and an in-process "shards";
+// the keys are ignored (not a 400), the campaign runs on the local pool
+// and streams the same records to the same report.
+func TestLegacyKeysIgnored(t *testing.T) {
 	srv, ts := newAsyncTestServer(t, Options{Cores: 4})
-	reports := make([]string, 2)
-	for i, fork := range []bool{false, true} {
-		req, err := DemoCampaignRequest("A", 101)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.PrefixFork = fork
-		resp, out := postJSON(t, ts.URL+"/api/v1/campaigns?wait=true", req)
-		if resp.StatusCode != http.StatusCreated {
-			t.Fatalf("wait (fork=%v) status = %d: %v", fork, resp.StatusCode, out)
-		}
-		reports[i] = string(out["report"])
-	}
-	if reports[0] == "" || reports[0] != reports[1] {
-		t.Errorf("reports differ between full-run and prefix-fork execution:\noff: %s\non:  %s",
-			reports[0], reports[1])
-	}
-	hits := srv.Metrics().CounterVec("profipy_campaign_fork_events_total", "", "event").With("hit")
-	if hits.Value() == 0 {
-		t.Error("prefix-fork campaign engaged no fork hits")
-	}
-}
-
-// TestLegacyEngineKeyIgnored: requests written for older daemons still
-// carry "engine"; the key is ignored (not a 400) and the campaign runs
-// to the same report.
-func TestLegacyEngineKeyIgnored(t *testing.T) {
-	ts := newTestServer(t)
-	_, want := runDemoCampaign(t, ts, 6, nil)
+	wantID, want := runDemoCampaign(t, ts, 6, nil)
+	wantRecs := pageRecords(t, ts, wantID, 100)
 
 	req, err := DemoCampaignRequest("A", 101)
 	if err != nil {
@@ -411,16 +385,25 @@ func TestLegacyEngineKeyIgnored(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, out := postJSON(t, ts.URL+"/api/v1/campaigns?wait=true", withLegacyEngineKey(t, data))
+	resp, out := postJSON(t, ts.URL+"/api/v1/campaigns?wait=true", withLegacyKeys(t, data))
 	if resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy engine key: status = %d: %v", resp.StatusCode, out)
+		t.Fatalf("legacy keys: status = %d: %v", resp.StatusCode, out)
 	}
 	var got analysis.Report
 	if err := json.Unmarshal(out["report"], &got); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(marshalIndent(t, &got), marshalIndent(t, want)) {
-		t.Error("report with the legacy engine key differs from the default")
+		t.Error("report with the legacy keys differs from the default")
+	}
+	var gotID string
+	_ = json.Unmarshal(out["id"], &gotID)
+	if !reflect.DeepEqual(sortedRecordLines(t, pageRecords(t, ts, gotID, 100)), sortedRecordLines(t, wantRecs)) {
+		t.Error("records with the legacy keys differ from the default")
+	}
+	records := srv.Metrics().CounterVec("profipy_executor_records_total", "", "executor")
+	if n := records.With("local").Value(); n != 12 {
+		t.Errorf("local executor delivered %v records, want both campaigns' 12", n)
 	}
 }
 

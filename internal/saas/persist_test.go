@@ -479,22 +479,6 @@ func TestShutdownMidCampaignLosesNoRecords(t *testing.T) {
 	}
 }
 
-// TestShardedCampaignRequest drives the sharded executor through the
-// API and checks the report matches the default engine's byte-for-byte.
-func TestShardedCampaignRequest(t *testing.T) {
-	ts := newTestServer(t)
-	_, repDefault := runDemoCampaign(t, ts, 6, nil)
-	_, repSharded := runDemoCampaign(t, ts, 6, func(req *CampaignRequest) {
-		req.Shards = 3
-		req.ShardWorkers = 2
-	})
-	got, _ := json.Marshal(repSharded)
-	want, _ := json.Marshal(repDefault)
-	if string(got) != string(want) {
-		t.Errorf("sharded report drifted from default:\n got %s\nwant %s", got, want)
-	}
-}
-
 func TestTextReportCappedAndTyped(t *testing.T) {
 	ts := newTestServer(t)
 	id, _ := runDemoCampaign(t, ts, 3, nil)

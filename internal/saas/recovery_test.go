@@ -56,12 +56,19 @@ func withJSONKey(t *testing.T, obj json.RawMessage, key string, val json.RawMess
 	return out
 }
 
-// withLegacyEngineKey rewrites a campaign request the way clients and
-// daemons from before the engine knob was removed wrote it: it carries
-// "engine":"tree-walk". The key must be ignored, not rejected.
-func withLegacyEngineKey(t *testing.T, req json.RawMessage) json.RawMessage {
+// withLegacyKeys rewrites a campaign request the way clients and
+// daemons from before the execution knobs were removed wrote it: it
+// carries "engine", "prefixFork", "shardWorkers" and an in-process
+// "shards". The keys must be ignored, not rejected — the campaign runs
+// on the local pool and forks wherever the Runner finds it worthwhile.
+func withLegacyKeys(t *testing.T, req json.RawMessage) json.RawMessage {
 	t.Helper()
-	return withJSONKey(t, req, "engine", json.RawMessage(`"tree-walk"`))
+	for key, val := range map[string]string{
+		"engine": `"tree-walk"`, "prefixFork": `true`, "shards": `2`, "shardWorkers": `2`,
+	} {
+		req = withJSONKey(t, req, key, json.RawMessage(val))
+	}
+	return req
 }
 
 func recoveryCount(t *testing.T, srv *Server, outcome string) float64 {
@@ -120,7 +127,7 @@ func TestRecoveryResumesMidFlightCampaign(t *testing.T) {
 	if err := json.Unmarshal(payload, &job); err != nil {
 		t.Fatal(err)
 	}
-	payload = withJSONKey(t, payload, "request", withLegacyEngineKey(t, job.Request))
+	payload = withJSONKey(t, payload, "request", withLegacyKeys(t, job.Request))
 	must := func(e resultstore.JournalEntry) {
 		t.Helper()
 		if err := store.AppendJournal(e); err != nil {
@@ -161,6 +168,11 @@ func TestRecoveryResumesMidFlightCampaign(t *testing.T) {
 	}
 	if got := srv.reg.Counter("profipy_recovery_replayed_records_total", "").Value(); got != float64(k) {
 		t.Fatalf("replayed records = %v, want %d", got, k)
+	}
+	// The legacy "shards"/"shardWorkers" keys selected nothing: the
+	// missing experiments ran on the local pool.
+	if got := srv.reg.CounterVec("profipy_executor_records_total", "", "executor").With("local").Value(); got != float64(n-k) {
+		t.Fatalf("local executor delivered %v records, want the %d missing ones", got, n-k)
 	}
 	// Exactly n records: the k replayed ones were not re-executed and
 	// not re-appended, the missing n-k executed once each.

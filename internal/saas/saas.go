@@ -23,7 +23,6 @@ import (
 	"profipy/internal/executor"
 	"profipy/internal/faultmodel"
 	"profipy/internal/fleet"
-	"profipy/internal/interp"
 	"profipy/internal/kvclient"
 	"profipy/internal/obs"
 	"profipy/internal/remote"
@@ -74,25 +73,14 @@ type CampaignRequest struct {
 	SampleN    int   `json:"sampleN,omitempty"`
 	ReducePlan bool  `json:"reducePlan,omitempty"`
 	Seed       int64 `json:"seed,omitempty"`
-	// Shards switches the campaign to the sharded executor: the plan is
-	// partitioned into this many deterministic shards, ShardWorkers
-	// experiments running in parallel per shard (default 1). Zero keeps
-	// the single-host N−1 pool. Records are byte-identical either way.
-	Shards       int `json:"shards,omitempty"`
-	ShardWorkers int `json:"shardWorkers,omitempty"`
-	// PrefixFork enables prefix-snapshot fork execution: round 1 of each
-	// experiment resumes from its fault site's shared prefix snapshot
-	// instead of replaying the workload from round zero. Records are
-	// byte-identical either way; experiments that cannot be forked
-	// faithfully fall back to full runs automatically.
-	PrefixFork bool `json:"prefixFork,omitempty"`
 	// Remote executes the campaign on the registered worker fleet:
 	// the plan is cut into Shards lease units (default 8) that remote
 	// workers pull, execute and stream back, with lease-expiry
 	// re-dispatch on worker failure. With no live workers the campaign
 	// degrades to in-process execution; records are byte-identical at
-	// any worker count either way.
+	// any worker count either way. Without Remote, Shards is ignored.
 	Remote bool `json:"remote,omitempty"`
+	Shards int  `json:"shards,omitempty"`
 	// WaitForWorkers keeps a Remote campaign's shards reserved for the
 	// fleet even while no worker is live (instead of falling back to
 	// in-process execution).
@@ -562,11 +550,12 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 		timeout = 240
 	}
 
-	env := envFunc(req.Env)
-	if env == nil {
+	// The name table is shared with the remote worker agent, so both
+	// sides resolve campaign specs identically.
+	env, captureEnv, restoreEnv, ok := kvclient.EnvByName(req.Env)
+	if !ok {
 		return nil, "", http.StatusBadRequest, fmt.Sprintf("unknown env %q (want kvclient or plain)", req.Env)
 	}
-	captureEnv, restoreEnv, _ := kvclient.EnvCaptureByName(req.Env)
 
 	c := &campaign.Campaign{
 		Name:      req.Project,
@@ -595,10 +584,8 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 		// full record slice per campaign.
 		DiscardRecords: true,
 		Metrics:        s.reg,
-		PrefixFork:     req.PrefixFork,
 	}
-	switch {
-	case req.Remote:
+	if req.Remote {
 		// The distributed engine: the campaign spec below is what a
 		// worker rebuilds its execution context from, so it mirrors the
 		// Campaign fields above — except the plan context, which the
@@ -629,8 +616,6 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 			WaitForWorkers: req.WaitForWorkers,
 			Reg:            s.reg,
 		}
-	case req.Shards > 0:
-		c.Executor = executor.Sharded{Shards: req.Shards, Workers: req.ShardWorkers, Reg: s.reg}
 	}
 	return c, projName, 0, ""
 }
@@ -1168,17 +1153,6 @@ func queryInt64(r *http.Request, name string, def int64) (int64, error) {
 		return def, nil
 	}
 	return strconv.ParseInt(raw, 10, 64)
-}
-
-// envFunc resolves the host environment for experiment interpreters.
-// The name table lives in kvclient.EnvByName, shared with the remote
-// worker agent so both sides resolve campaign specs identically.
-func envFunc(name string) func(it *interp.Interp, c *sandbox.Container) {
-	fn, ok := kvclient.EnvByName(name)
-	if !ok {
-		return nil
-	}
-	return fn
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

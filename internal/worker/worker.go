@@ -299,7 +299,7 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("worker: spec fetch: status %d", status)
 	}
-	env, ok := kvclient.EnvByName(spec.EnvName)
+	env, captureEnv, restoreEnv, ok := kvclient.EnvByName(spec.EnvName)
 	if !ok {
 		return nil, fmt.Errorf("worker: campaign %s: unknown env %q", lease.Campaign, spec.EnvName)
 	}
@@ -316,6 +316,8 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 			WallBudgetNS: spec.WallBudgetNS,
 			Rounds:       spec.Rounds,
 			Env:          env,
+			CaptureEnv:   captureEnv,
+			RestoreEnv:   restoreEnv,
 		},
 		Runtime: sandbox.NewRuntime(sandbox.RuntimeConfig{
 			Cores: a.cfg.Parallel + 1, Seed: spec.Seed,
@@ -354,13 +356,13 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) error {
 	a.log.Info("worker: executing shard", "campaign", lease.Campaign,
 		"shard", lease.Shard, "lo", lease.Lo, "hi", lease.Hi)
 
-	// Kinds are written per-index by the pool workers and read by the
-	// single sink goroutine; executor.Local's channel hand-off orders
-	// each write before its read.
-	kinds := make([]string, n)
+	// Kinds and fork outcomes are written per-index by the pool workers
+	// and read by the single sink goroutine; executor.Local's channel
+	// hand-off orders each write before its read.
+	kinds, forks := make([]string, n), make([]string, n)
 	exp := func(i int) analysis.Record {
-		rec, kind := runner.ExperimentDetail(lease.Lo + i)
-		kinds[i] = kind
+		rec, kind, fork := runner.ExperimentDetail(lease.Lo + i)
+		kinds[i], forks[i] = kind, fork
 		return rec
 	}
 
@@ -382,7 +384,7 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) error {
 		if a.dead() {
 			return
 		}
-		batch = append(batch, remote.RecordLine{Idx: lease.Lo + idx, Kind: kinds[idx], Rec: rec})
+		batch = append(batch, remote.RecordLine{Idx: lease.Lo + idx, Kind: kinds[idx], Fork: forks[idx], Rec: rec})
 		a.produced.Add(1)
 		if len(batch) >= a.cfg.BatchSize {
 			flush()

@@ -1,12 +1,12 @@
-// Prefix-snapshot fork execution (ROADMAP item 1): a campaign's
-// experiments all replay the same workload prefix until their fault site
-// is first reached — for late sites that is nearly the whole round,
-// duplicated once per experiment. BuildPrefixes runs the base program
-// once, snapshotting interpreter + container + environment state at the
-// entry function's top-level statement boundaries, and maps every
-// injection site to the snapshot taken just before the statement that
-// first reaches it. RunForked then resumes an experiment's round 1 from
-// that snapshot instead of re-running from round zero.
+// Prefix-snapshot fork execution: a campaign's experiments all replay
+// the same workload prefix until their fault site is first reached —
+// for late sites that is nearly the whole round, duplicated once per
+// experiment. BuildPrefixes runs the base program once, snapshotting
+// interpreter + container + environment state at the entry function's
+// top-level statement boundaries, and maps every injection site to the
+// snapshot taken just before the statement that first reaches it.
+// RunForked then resumes an experiment's round 1 from that snapshot
+// instead of re-running from round zero.
 //
 // Correctness rests on the boundary discipline: a site's snapshot
 // precedes the statement during which the site's function is first
@@ -18,6 +18,9 @@
 // function captured in a closure, an overlay file the prefix wrote —
 // makes the experiment fall back to a full run. Forked and straight
 // execution therefore produce byte-identical records by construction.
+//
+// Whether a prefix is worth forking from is decided here and nowhere
+// else, from what the build pass measures: see minForkSteps.
 package workload
 
 import (
@@ -29,6 +32,23 @@ import (
 	"profipy/internal/interp"
 	"profipy/internal/sandbox"
 )
+
+// minForkSteps is the fork policy: BuildPrefixes snapshots only at
+// boundaries the base round reaches with at least this many interpreter
+// steps behind it, so a site whose prefix is shorter runs in full.
+// Resuming from a snapshot costs a container-state restore plus an
+// interpreter-state copy per experiment, which a short prefix does not
+// buy back. The repository benchmark has a workload on each side:
+// mix.local's §V rounds are 1 492 steps and their sites skip 3–1 249 of
+// them — forking all of those cost 5–9 % work_per_s_p75 and 21–28 %
+// first_record_ms_p25 in interleaved 20 s pairs — while late.fork's
+// sites skip 9 685–9 799 of 9 816 steps and fork at ≈ 1.6× the full-run
+// throughput. 4 096 sits between the two with a factor of two to spare
+// on either side; at it mix.local pays one un-snapshotted base round
+// per campaign (≈ 1.4 % over 10 pairs, inside its spread) and late.fork
+// takes 7 snapshots instead of 17. A variable only so export_test.go
+// can lower it; nothing outside this package reads it.
+var minForkSteps int64 = 4096
 
 // Prefix is one shared snapshot: everything needed to resume round 1 of
 // any experiment whose site is first reached at this boundary. Immutable
@@ -52,9 +72,13 @@ type PrefixStats struct {
 	// Sites is how many injection sites were requested.
 	Sites int
 	// Covered is how many sites got a usable prefix; the rest (never
-	// reached, reached before the first boundary, or reached after
-	// snapshotting stopped) fall back to full runs.
+	// reached, reached too early, or reached after snapshotting stopped)
+	// run in full.
 	Covered int
+	// Short is how many of the uncovered sites were first reached before
+	// any boundary had minForkSteps behind it: forking them was possible
+	// but judged not worth a snapshot.
+	Short int
 }
 
 // PrefixSet maps injection sites to their shared prefixes.
@@ -109,11 +133,12 @@ func (r *siteRecorder) drain() []string {
 // container (created from the base image, no overlay, same trigger
 // conditions as an experiment's round 1), snapshotting at entry-body
 // statement boundaries and assigning each injection site the snapshot
-// captured just before the statement that first entered it. Sites
-// reached while no snapshot is available — notably the entry function
-// itself, whose EnterCall precedes the first boundary — are simply left
-// uncovered. The run's own outcome is irrelevant; prefixes captured
-// before a failure are still valid.
+// captured just before the statement that first entered it. Boundaries
+// with fewer than minForkSteps steps behind them take no snapshot, so
+// the sites first reached from them — and the entry function itself,
+// whose EnterCall precedes the first boundary — are left uncovered and
+// counted as Short. The run's own outcome is irrelevant; prefixes
+// captured before a failure are still valid.
 func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet, error) {
 	if cfg.Entry == "" || cfg.Program == nil {
 		return nil, fmt.Errorf("workload: prefixes require a compiled program and an entry")
@@ -146,10 +171,14 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 
 	ps := &PrefixSet{prefixes: make(map[string]*Prefix)}
 	var last *Prefix // snapshot captured at the previous boundary
+	short := true    // no boundary has had minForkSteps behind it yet
 	assign := func() {
 		for _, fn := range rec.drain() {
-			if last != nil {
+			switch {
+			case last != nil:
 				ps.prefixes[fn] = last
+			case short:
+				ps.stats.Short++
 			}
 		}
 	}
@@ -159,6 +188,10 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 			last = nil
 			return false // every site assigned; stop snapshotting
 		}
+		if it.Steps() < minForkSteps {
+			return true // too little to skip; look again at the next boundary
+		}
+		short = false
 		if c.Contention() != 0 {
 			// Contention drives RNG draws and stalls the capture cannot
 			// reproduce; stop snapshotting (should not happen on a base
@@ -211,17 +244,33 @@ type ForkSpec struct {
 	Overlay map[string][]byte
 }
 
+// ForkMiss is why RunForked declined to fork an experiment; its values
+// are the bounded reason set fork misses are counted by.
+type ForkMiss string
+
+func (m ForkMiss) Error() string { return "workload: fork miss: " + string(m) }
+
+const (
+	MissConfig     ForkMiss = "config"     // no prefix, program or entry, or a fault-free run
+	MissOverlay    ForkMiss = "overlay"    // the prefix wrote a path the experiment's overlay shadows
+	MissNoRestore  ForkMiss = "no_restore" // the prefix holds env state and cfg has no RestoreEnv
+	MissEnv        ForkMiss = "env"        // RestoreEnv refused the captured state
+	MissUnforkable ForkMiss = "unforkable" // interp.ErrUnforkable: a mutated function is captured in the snapshot
+	MissStart      ForkMiss = "start"      // the container did not start
+	MissRound      ForkMiss = "round"      // a round ended in an infrastructure error; the straight path surfaces it
+)
+
 // RunForked executes the experiment protocol with round 1 resumed from a
 // prefix snapshot; later rounds run normally (they depend on round 1's
 // end state, which differs per experiment). It returns ok=false — with
-// the container in an unspecified state — whenever the experiment
-// cannot be forked faithfully; the caller falls back to Run on a fresh
-// container, so every fallback path stays byte-identical by re-running
-// instead of improvising.
+// the container in an unspecified state and a ForkMiss naming the cause
+// — whenever the experiment cannot be forked faithfully; the caller
+// falls back to Run on a fresh container, so every fallback path stays
+// byte-identical by re-running instead of improvising.
 func RunForked(c *sandbox.Container, cfg Config, spec ForkSpec) (*Result, bool, error) {
 	pre := spec.Prefix
 	if pre == nil || cfg.Entry == "" || cfg.Program == nil || cfg.FaultFree {
-		return nil, false, nil
+		return nil, false, MissConfig
 	}
 	// Overlay safety: the restore below replays the prefix container's
 	// filesystem, which holds base bytes at the overlay's paths. Those
@@ -230,25 +279,25 @@ func RunForked(c *sandbox.Container, cfg Config, spec ForkSpec) (*Result, bool, 
 		got, ok := pre.Ctr.File(p)
 		base, bok := spec.BaseFiles[p]
 		if !ok || !bok || !bytes.Equal(got, base) {
-			return nil, false, nil
+			return nil, false, MissOverlay
 		}
 	}
 	if pre.HasEnv && cfg.RestoreEnv == nil {
-		return nil, false, nil
+		return nil, false, MissNoRestore
 	}
 	rounds := cfg.Rounds
 	if rounds <= 0 {
 		rounds = 2
 	}
 	if err := c.Start(); err != nil {
-		return nil, false, nil
+		return nil, false, MissStart
 	}
 	defer c.Exit()
 
 	res := &Result{Logs: map[string]string{}}
-	rr, ok := forkRound(c, cfg, pre, spec.Overlay)
-	if !ok {
-		return nil, false, nil
+	rr, miss := forkRound(c, cfg, pre, spec.Overlay)
+	if miss != "" {
+		return nil, false, miss
 	}
 	res.Rounds = append(res.Rounds, rr)
 	for i := 1; i < rounds; i++ {
@@ -258,9 +307,7 @@ func RunForked(c *sandbox.Container, cfg Config, spec ForkSpec) (*Result, bool, 
 		}
 		rr, err := runRound(c, cfg)
 		if err != nil {
-			// Infrastructure error: fall back so the straight path can
-			// surface (or not reproduce) it identically.
-			return nil, false, nil
+			return nil, false, MissRound
 		}
 		res.Rounds = append(res.Rounds, rr)
 	}
@@ -270,10 +317,10 @@ func RunForked(c *sandbox.Container, cfg Config, spec ForkSpec) (*Result, bool, 
 	return res, true, nil
 }
 
-// forkRound resumes round 1 from the prefix. ok=false means the fork
-// could not be established faithfully (nothing ran, or whatever ran is
-// being discarded along with the container).
-func forkRound(c *sandbox.Container, cfg Config, pre *Prefix, overlay map[string][]byte) (RoundResult, bool) {
+// forkRound resumes round 1 from the prefix. A non-empty ForkMiss means
+// the fork could not be established faithfully (nothing ran, or whatever
+// ran is being discarded along with the container).
+func forkRound(c *sandbox.Container, cfg Config, pre *Prefix, overlay map[string][]byte) (RoundResult, ForkMiss) {
 	c.SetTrigger(true)
 	if cfg.Injector != nil {
 		cfg.Injector.BeginRound(0, true)
@@ -295,7 +342,7 @@ func forkRound(c *sandbox.Container, cfg Config, pre *Prefix, overlay map[string
 		cfg.Env(it, c)
 	}
 	if pre.HasEnv && !cfg.RestoreEnv(c, pre.Env) {
-		return RoundResult{}, false
+		return RoundResult{}, MissEnv
 	}
 	if cfg.WallBudgetNS > 0 {
 		wd := time.AfterFunc(time.Duration(cfg.WallBudgetNS), it.Interrupt)
@@ -303,11 +350,11 @@ func forkRound(c *sandbox.Container, cfg Config, pre *Prefix, overlay map[string
 	}
 	_, err := it.Fork(pre.Snap)
 	if errors.Is(err, interp.ErrUnforkable) {
-		return RoundResult{}, false
+		return RoundResult{}, MissUnforkable
 	}
 	rr, rerr := classify(it, err, cfg)
 	if rerr != nil {
-		return RoundResult{}, false
+		return RoundResult{}, MissRound
 	}
-	return rr, true
+	return rr, ""
 }

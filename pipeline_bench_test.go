@@ -1,6 +1,6 @@
 // Streaming-pipeline benchmarks: campaign record throughput through the
-// Local vs Sharded executors, and the online aggregator's per-record
-// cost. TestEmitPipelineBenchJSON (gated by PROFIPY_BENCH_PIPELINE_JSON)
+// Local executor (bare and instrumented) and into the result store, and
+// the online aggregator's per-record cost. TestEmitPipelineBenchJSON (gated by PROFIPY_BENCH_PIPELINE_JSON)
 // writes the machine-readable BENCH_pipeline.json consumed by
 // `make bench-pipeline` and the CI bench job.
 package profipy
@@ -19,27 +19,17 @@ import (
 	"profipy/internal/resultstore"
 )
 
-// benchPipelineCampaign runs the §V-A campaign under an executor and reports
-// how many experiment records flowed through the pipeline. A non-nil
-// registry instruments the campaign and executor exactly as the saas
-// layer does, so the -metrics engine variants measure observability
-// overhead against their bare twins.
-func benchPipelineCampaign(tb testing.TB, ex executor.Executor, reg *obs.Registry) int {
+// benchPipelineCampaign runs the §V-A campaign on the Local executor
+// and reports how many experiment records flowed through the pipeline.
+// A non-nil registry instruments the campaign and executor exactly as
+// the saas layer does, so the -metrics row measures observability
+// overhead against its bare twin.
+func benchPipelineCampaign(tb testing.TB, reg *obs.Registry) int {
 	tb.Helper()
 	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
 	c := kvclient.CampaignA(rt, 101)
-	if reg != nil {
-		c.Metrics = reg
-		if sh, ok := ex.(executor.Sharded); ok {
-			sh.Reg = reg
-			ex = sh
-		}
-		if lo, ok := ex.(executor.Local); ok {
-			lo.Reg = reg
-			ex = lo
-		}
-	}
-	c.Executor = ex
+	c.Metrics = reg
+	c.Executor = executor.Local{Workers: 3, Reg: reg}
 	c.DiscardRecords = true // measure the streaming path, not slice growth
 	records := 0
 	c.Sink = executor.SinkFunc(func(idx int, rec analysis.Record) { records++ })
@@ -49,31 +39,27 @@ func benchPipelineCampaign(tb testing.TB, ex executor.Executor, reg *obs.Registr
 	return records
 }
 
-// pipelineEngines are the executor geometries the benchmarks compare.
-// The -metrics variant duplicates one geometry with full campaign +
-// executor instrumentation attached; comparing it against its bare twin
-// in BENCH_pipeline.json is the observability-overhead gate (<2%
+// pipelineEngines are the rows the benchmarks compare. The -metrics
+// variant is the same pool with full campaign + executor
+// instrumentation attached; comparing it against its bare twin in
+// BENCH_pipeline.json is the observability-overhead gate (<2%
 // records/s budget).
 var pipelineEngines = []struct {
 	name string
-	ex   executor.Executor
 	reg  *obs.Registry
 }{
-	{"local", executor.Local{Workers: 3}, nil},
-	{"sharded-2x2", executor.Sharded{Shards: 2, Workers: 2}, nil},
-	{"sharded-4x1", executor.Sharded{Shards: 4}, nil},
-	{"sharded-8x2", executor.Sharded{Shards: 8, Workers: 2}, nil},
-	{"sharded-2x2-metrics", executor.Sharded{Shards: 2, Workers: 2}, obs.NewRegistry()},
+	{"local", nil},
+	{"local-metrics", obs.NewRegistry()},
 }
 
 // BenchmarkPipelineExecutors measures end-to-end campaign record
-// throughput per engine.
+// throughput per row.
 func BenchmarkPipelineExecutors(b *testing.B) {
 	for _, eng := range pipelineEngines {
 		b.Run(eng.name, func(b *testing.B) {
 			records := 0
 			for i := 0; i < b.N; i++ {
-				records = benchPipelineCampaign(b, eng.ex, eng.reg)
+				records = benchPipelineCampaign(b, eng.reg)
 			}
 			b.ReportMetric(float64(records*b.N)/b.Elapsed().Seconds(), "records/s")
 		})
@@ -222,8 +208,8 @@ type pipelineBenchResult struct {
 	NsPerRecord float64 `json:"nsPerRecord,omitempty"`
 }
 
-// TestEmitPipelineBenchJSON measures record throughput through both
-// executors and the aggregator's per-record cost, writing the results
+// TestEmitPipelineBenchJSON measures record throughput through the
+// executor and the store, and the aggregator's per-record cost, writing the results
 // to the path in PROFIPY_BENCH_PIPELINE_JSON (skipped otherwise).
 // `make bench-pipeline` and the CI bench job run it and archive the
 // artifact next to BENCH_exec.json.
@@ -238,7 +224,7 @@ func TestEmitPipelineBenchJSON(t *testing.T) {
 		records := 0
 		br := testing.Benchmark(func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				records = benchPipelineCampaign(b, eng.ex, eng.reg)
+				records = benchPipelineCampaign(b, eng.reg)
 			}
 		})
 		row := pipelineBenchResult{
@@ -327,7 +313,7 @@ func TestEmitPipelineBenchJSON(t *testing.T) {
 }
 
 // TestCampaignMemoryFootprintNote is documentation-in-code for the
-// O(shards) claim: with DiscardRecords the campaign result carries no
+// O(workers) claim: with DiscardRecords the campaign result carries no
 // record slice however many experiments ran.
 func TestCampaignMemoryFootprintNote(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})

@@ -1,24 +1,36 @@
 // Streaming-pipeline equivalence tests: the §V campaigns must produce
 // byte-identical records and reports whichever execution engine runs
-// them — the Local N−1 pool or the Sharded executor at any shard/worker
+// them — the Local N−1 pool at any worker count or Remote at any shard
 // count — and whether records are collected, streamed to a sink, or
-// discarded for O(shards) memory. Experiment seeds derive from plan
+// discarded for O(workers) memory. Experiment seeds derive from plan
 // indices, never from scheduling, which is what makes this hold.
+// (Remote runs here against a coordinator with no workers, so every
+// shard is claimed back and executed in-process: shard geometry, dedup
+// and merge without HTTP. remote_test.go adds the fleet.)
 package profipy
 
 import (
 	"bytes"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
 	"profipy/internal/analysis"
 	"profipy/internal/campaign"
 	"profipy/internal/executor"
+	"profipy/internal/fleet"
 	"profipy/internal/kvclient"
 )
+
+// fleetless is Remote with a coordinator and no workers.
+func fleetless(shards, localWorkers int) *executor.Remote {
+	return &executor.Remote{
+		Coord:        fleet.New(fleet.Config{}),
+		CampaignID:   "fleetless",
+		Shards:       shards,
+		LocalWorkers: localWorkers,
+	}
+}
 
 func runWithExecutor(t *testing.T, build func(rt *Runtime, seed int64) *campaign.Campaign,
 	seed int64, ex executor.Executor) *campaign.Result {
@@ -33,31 +45,25 @@ func runWithExecutor(t *testing.T, build func(rt *Runtime, seed int64) *campaign
 	return res
 }
 
-// TestShardedCampaignMatchesGolden runs every golden campaign through
-// the Sharded executor at several shard geometries and compares the
-// full record JSON byte-for-byte against the same fixtures the default
-// Local path is pinned to.
-func TestShardedCampaignMatchesGolden(t *testing.T) {
-	executors := []executor.Executor{
-		executor.Sharded{Shards: 1},
-		executor.Sharded{Shards: 2, Workers: 2},
-		executor.Sharded{Shards: 3},
-		executor.Sharded{Shards: 7, Workers: 3},
+// TestGeometryMatchesGolden runs every golden campaign at several pool
+// sizes and shard geometries and compares the full record JSON
+// byte-for-byte against the same fixtures the default Local path is
+// pinned to.
+func TestGeometryMatchesGolden(t *testing.T) {
+	executors := []func() executor.Executor{
+		func() executor.Executor { return executor.Local{Workers: 1} },
+		func() executor.Executor { return fleetless(1, 0) },
+		func() executor.Executor { return fleetless(2, 2) },
+		func() executor.Executor { return fleetless(7, 3) },
 	}
 	for _, gc := range goldenCampaigns {
 		t.Run(gc.name, func(t *testing.T) {
-			want, err := os.ReadFile(filepath.Join("testdata", "golden", gc.name+".json"))
-			if err != nil {
-				t.Fatalf("missing golden fixture: %v", err)
-			}
-			for _, ex := range executors {
+			want := goldenFixture(t, gc.name)
+			for _, mk := range executors {
+				ex := mk()
 				res := runWithExecutor(t, gc.build, gc.seed, ex)
-				got, err := json.MarshalIndent(res.Records, "", "  ")
-				if err != nil {
-					t.Fatal(err)
-				}
-				got = append(got, '\n')
-				if !bytes.Equal(got, want) {
+				checkForkPolicy(t, res, gc.forks)
+				if !bytes.Equal(canonicalRecords(t, res.Records), want) {
 					t.Errorf("%s: records drifted from golden fixture", ex.Name())
 				}
 			}
@@ -67,7 +73,7 @@ func TestShardedCampaignMatchesGolden(t *testing.T) {
 
 // TestPipelineReportIdenticalAcrossEngines asserts the online
 // aggregator closes the loop: reports (not just records) are
-// byte-identical across engines and shard counts.
+// byte-identical across engines, pool sizes and shard counts.
 func TestPipelineReportIdenticalAcrossEngines(t *testing.T) {
 	base := runWithExecutor(t, kvclient.CampaignR, 404, executor.Local{Workers: 3})
 	want, err := json.Marshal(base.Report)
@@ -76,7 +82,7 @@ func TestPipelineReportIdenticalAcrossEngines(t *testing.T) {
 	}
 	for _, ex := range []executor.Executor{
 		executor.Local{Workers: 1},
-		executor.Sharded{Shards: 5, Workers: 2},
+		fleetless(5, 2),
 	} {
 		res := runWithExecutor(t, kvclient.CampaignR, 404, ex)
 		got, err := json.Marshal(res.Report)
@@ -103,7 +109,7 @@ func TestDiscardRecordsStreamsToSink(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
 	c := kvclient.CampaignA(rt, 101)
 	c.DiscardRecords = true
-	c.Executor = executor.Sharded{Shards: 4, Workers: 2}
+	c.Executor = fleetless(4, 2)
 	var mu sync.Mutex
 	streamed := map[int]analysis.Record{}
 	c.Sink = executor.SinkFunc(func(idx int, rec analysis.Record) {

@@ -10,7 +10,6 @@ package profipy
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -57,14 +56,14 @@ func remoteSpec(c *campaign.Campaign) remote.CampaignSpec {
 }
 
 // runRemote executes one golden campaign through the distributed path
-// with the given worker fleet and returns the canonical record bytes,
-// each worker's Run error and the metrics registry for assertions.
+// with the given worker fleet and returns the campaign result, each
+// worker's Run error and the metrics registry for assertions.
 // WaitForWorkers is set whenever the fleet is non-empty, so nothing
 // silently falls back to in-process execution; workers that die are
 // still covered, because lease expiry re-dispatches to the survivors
 // (or, with none left, WaitForWorkers is left off by the caller).
 func runRemote(t *testing.T, build func(rt *Runtime, seed int64) *campaign.Campaign,
-	seed int64, ttl time.Duration, wait bool, workers []worker.Config) ([]byte, []error, *obs.Registry) {
+	seed int64, ttl time.Duration, wait bool, workers []worker.Config) (*campaign.Result, []error, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	coord := fleet.New(fleet.Config{LeaseTTL: ttl, Reg: reg})
@@ -117,11 +116,7 @@ func runRemote(t *testing.T, build func(rt *Runtime, seed int64) *campaign.Campa
 	}
 	cancel()
 	wg.Wait()
-	data, err := json.MarshalIndent(res.Records, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return append(data, '\n'), errs, reg
+	return res, errs, reg
 }
 
 func goldenFixture(t *testing.T, name string) []byte {
@@ -152,21 +147,28 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 	return 0
 }
 
-// TestRemoteGoldenRecords runs golden campaigns through real HTTP
-// worker fleets of increasing size and demands byte-identical records:
-// shard geometry, worker count and batch boundaries must leave no
-// trace in the output.
+// TestRemoteGoldenRecords runs every golden campaign through a real
+// HTTP fleet of two workers (campaign A also through one and four) and
+// demands byte-identical records: shard geometry, worker count and
+// batch boundaries must leave no trace in the output. WaitForWorkers
+// keeps every shard on the fleet, so the fork outcomes the result
+// reports are the workers' own, shipped in their record envelopes: a
+// worker rebuilds its Runner from the spec alone, and campaign-late's
+// shards must fork there exactly as they do in-process.
 func TestRemoteGoldenRecords(t *testing.T) {
-	cases := []struct {
+	type remoteCase struct {
 		name    string
 		build   func(rt *Runtime, seed int64) *campaign.Campaign
 		seed    int64
+		forks   bool
 		workers int
-	}{
-		{"campaign-a", kvclient.CampaignA, 101, 1},
-		{"campaign-a", kvclient.CampaignA, 101, 2},
-		{"campaign-a", kvclient.CampaignA, 101, 4},
-		{"campaign-r", kvclient.CampaignR, 404, 2},
+	}
+	cases := []remoteCase{
+		{"campaign-a", kvclient.CampaignA, 101, false, 1},
+		{"campaign-a", kvclient.CampaignA, 101, false, 4},
+	}
+	for _, gc := range goldenCampaigns {
+		cases = append(cases, remoteCase{gc.name, gc.build, gc.seed, gc.forks, 2})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name+"/workers="+string(rune('0'+tc.workers)), func(t *testing.T) {
@@ -175,14 +177,26 @@ func TestRemoteGoldenRecords(t *testing.T) {
 			for i := range workers {
 				workers[i] = worker.Config{Name: "w", BatchSize: 3}
 			}
-			got, errs, _ := runRemote(t, tc.build, tc.seed, 10*time.Second, true, workers)
+			res, errs, _ := runRemote(t, tc.build, tc.seed, 10*time.Second, true, workers)
 			for i, err := range errs {
 				if err != nil && !errors.Is(err, context.Canceled) {
 					t.Errorf("worker %d: %v", i, err)
 				}
 			}
-			if want := goldenFixture(t, tc.name); !bytes.Equal(got, want) {
+			got, want := canonicalRecords(t, res.Records), goldenFixture(t, tc.name)
+			if !bytes.Equal(got, want) {
 				t.Errorf("remote records drifted from golden fixture (%d vs %d bytes)", len(got), len(want))
+			}
+			// The control plane's own Runner executed nothing, so it built
+			// no prefix set; hits and misses are what the workers shipped.
+			if res.ForkSnapshots != 0 {
+				t.Errorf("control plane captured %d snapshots with every shard on the fleet", res.ForkSnapshots)
+			}
+			if tc.forks && res.ForkHits == 0 {
+				t.Errorf("no worker-side experiment forked (misses=%v)", res.ForkMissReasons)
+			}
+			if !tc.forks && (res.ForkHits != 0 || res.ForkMisses != 0) {
+				t.Errorf("short-prefix campaign forked on the workers: hits=%d misses=%d", res.ForkHits, res.ForkMisses)
 			}
 		})
 	}
@@ -202,7 +216,8 @@ func TestRemoteChaosKillMidShard(t *testing.T) {
 		{Name: "victim", BatchSize: 2, Poll: time.Millisecond, KillAfterRecords: 4},
 		{Name: "survivor", BatchSize: 3, Poll: 10 * time.Millisecond},
 	}
-	got, errs, reg := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, true, workers)
+	res, errs, reg := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, true, workers)
+	got := canonicalRecords(t, res.Records)
 	if !errors.Is(errs[0], worker.ErrKilled) {
 		t.Errorf("victim returned %v, want ErrKilled", errs[0])
 	}
@@ -228,7 +243,8 @@ func TestRemoteFleetDiesCompletely(t *testing.T) {
 	workers := []worker.Config{
 		{Name: "victim", BatchSize: 2, Poll: time.Millisecond, KillAfterRecords: 4},
 	}
-	got, errs, _ := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, false, workers)
+	res, errs, _ := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, false, workers)
+	got := canonicalRecords(t, res.Records)
 	if !errors.Is(errs[0], worker.ErrKilled) {
 		t.Errorf("victim returned %v, want ErrKilled", errs[0])
 	}
@@ -242,7 +258,8 @@ func TestRemoteFleetDiesCompletely(t *testing.T) {
 // in-process, producing the exact fixture bytes — a fleet of zero is
 // just Local with extra bookkeeping.
 func TestRemoteNoWorkersFallsBackLocal(t *testing.T) {
-	got, _, _ := runRemote(t, kvclient.CampaignA, 101, time.Second, false, nil)
+	res, _, _ := runRemote(t, kvclient.CampaignA, 101, time.Second, false, nil)
+	got := canonicalRecords(t, res.Records)
 	if want := goldenFixture(t, "campaign-a"); !bytes.Equal(got, want) {
 		t.Errorf("local-fallback records drifted from golden fixture (%d vs %d bytes)", len(got), len(want))
 	}

@@ -66,8 +66,8 @@ func TestResumeProducesByteIdenticalResults(t *testing.T) {
 	n := len(full.Records)
 	for _, k := range []int{1, n / 2, n - 1, n} {
 		engines := map[string]executor.Executor{
-			"local":   nil,
-			"sharded": executor.Sharded{Shards: 3, Workers: 2},
+			"local":  nil,
+			"remote": fleetless(3, 2),
 		}
 		for name, exec := range engines {
 			resume := append([]analysis.Record(nil), full.Records[:k]...)

@@ -31,7 +31,7 @@ for _ in $(seq 1 100); do
 done
 curl -fs "http://$ADDR/api/v1/projects" >/dev/null
 
-echo "== run a demo campaign (sharded, synchronous)"
+echo "== run a demo campaign (synchronous)"
 curl -fs -X POST "http://$ADDR/api/v1/campaigns?wait=true" \
   -H 'Content-Type: application/json' -d '{
     "project": "demo-python-etcd",
@@ -39,7 +39,6 @@ curl -fs -X POST "http://$ADDR/api/v1/campaigns?wait=true" \
     "env": "kvclient",
     "seed": 42,
     "sampleN": 5,
-    "shards": 2,
     "specs": [{
       "name": "omit-write",
       "type": "MFC",
@@ -62,9 +61,9 @@ for fam in \
   profipy_campaign_runs_total \
   profipy_campaign_experiments_total \
   profipy_campaign_phase_seconds \
+  profipy_campaign_fork_events_total \
   profipy_executor_records_total \
   profipy_executor_experiment_seconds \
-  profipy_executor_shard_seconds \
   profipy_executor_workers_busy \
   profipy_resultstore_appends_total \
   profipy_resultstore_bytes_total \
@@ -94,7 +93,7 @@ if [[ -n "$bad" ]]; then
   exit 1
 fi
 # Histograms must carry the +Inf bucket.
-for h in profipy_campaign_phase_seconds profipy_executor_shard_seconds; do
+for h in profipy_campaign_phase_seconds profipy_executor_experiment_seconds; do
   grep -q "^${h}_bucket{.*le=\"+Inf\"}" "$SCRAPE" || { echo "missing +Inf bucket for $h"; exit 1; }
 done
 # There is one engine: no executor or campaign family may carry an
@@ -104,6 +103,14 @@ if grep -E '^profipy_(executor|campaign)_[a-z_]+\{[^}]*engine=' "$SCRAPE"; then
 fi
 if grep -q 'profipy_campaign_engine_fallback_total' "$SCRAPE"; then
   echo "profipy_campaign_engine_fallback_total is still exposed"; exit 1
+fi
+# There are two executors and the label names nothing else: a value
+# that encodes a geometry would be unbounded.
+if grep -E '^profipy_executor_[a-z_]+\{[^}]*executor="' "$SCRAPE" | grep -vE 'executor="(local|remote)"'; then
+  echo "executor label carries a value other than local or remote"; exit 1
+fi
+if grep -q 'profipy_executor_shard_seconds' "$SCRAPE"; then
+  echo "profipy_executor_shard_seconds is still exposed"; exit 1
 fi
 # The incremental-recompile counter family must be exposed.
 grep -q "^# TYPE profipy_campaign_compile_incremental_total " "$SCRAPE" || { echo "MISSING family: profipy_campaign_compile_incremental_total"; exit 1; }
