@@ -1,10 +1,13 @@
 package kvclient
 
 import (
+	"fmt"
+
 	"profipy/internal/analysis"
 	"profipy/internal/campaign"
 	"profipy/internal/faultmodel"
 	"profipy/internal/interp"
+	"profipy/internal/remote"
 	"profipy/internal/sandbox"
 	"profipy/internal/workload"
 )
@@ -14,6 +17,9 @@ import (
 // timeout; virtual time reproduces that scale deterministically.
 const WorkloadTimeoutNS = 240_000_000_000 // 240s virtual
 
+// WorkloadMaxSteps is the per-round interpreter step budget.
+const WorkloadMaxSteps = 20_000_000
+
 // WorkloadConfig returns the §V workload configuration: deploy the etcd
 // server, upload and query key-value pairs of different kinds (dirs,
 // sub-keys, TTL, CAS), with consistency checks.
@@ -22,7 +28,7 @@ func WorkloadConfig() workload.Config {
 		Entry:     "Workload",
 		Files:     []string{FileClient, FileLock, FileAuth, FileWorkload},
 		TimeoutNS: WorkloadTimeoutNS,
-		MaxSteps:  20_000_000,
+		MaxSteps:  WorkloadMaxSteps,
 		Env: func(it *interp.Interp, c *sandbox.Container) {
 			InstallEnv(it, c)
 		},
@@ -77,6 +83,40 @@ func newCampaign(name string, rt *sandbox.Runtime, scan []string,
 		Seed:      seed,
 		Analysis:  AnalysisConfig(),
 	}
+}
+
+// CampaignFromSpec turns a serialized campaign description into the
+// campaign that executes it on a host with the given core count. The
+// control plane and every fleet worker build theirs here, from the same
+// spec value — that is what keeps their plans and records identical —
+// and add what only their side has (analysis, sink, executor, metrics).
+func CampaignFromSpec(spec remote.CampaignSpec, cores int) (*campaign.Campaign, error) {
+	env, captureEnv, restoreEnv, ok := EnvByName(spec.EnvName)
+	if !ok {
+		return nil, fmt.Errorf("unknown env %q (want kvclient or plain)", spec.EnvName)
+	}
+	return &campaign.Campaign{
+		Name:      spec.Name,
+		Files:     spec.Files,
+		ScanFiles: spec.ScanFiles,
+		Faultload: spec.Faultload,
+		Workload: workload.Config{
+			Entry:        spec.Entry,
+			Files:        spec.WorkloadFiles,
+			TimeoutNS:    spec.TimeoutNS,
+			MaxSteps:     spec.MaxSteps,
+			WallBudgetNS: spec.WallBudgetNS,
+			Rounds:       spec.Rounds,
+			Env:          env,
+			CaptureEnv:   captureEnv,
+			RestoreEnv:   restoreEnv,
+		},
+		Runtime:    sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: cores, Seed: spec.Seed}),
+		Image:      sandbox.Image{Name: spec.ImageName, MemMB: spec.ImageMemMB, IOMBps: spec.ImageIOMBps},
+		Seed:       spec.Seed,
+		SampleN:    spec.SampleN,
+		ReducePlan: spec.ReducePlan,
+	}, nil
 }
 
 // CampaignA builds the §V-A campaign: errors from external APIs, injected

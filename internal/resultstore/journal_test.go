@@ -1,9 +1,12 @@
 package resultstore
 
 import (
+	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -272,5 +275,172 @@ func TestRestoreSalvagesTornMeta(t *testing.T) {
 	// The salvaged campaign is resumable.
 	if _, err := s.ResumeCampaign("camp-1"); err != nil {
 		t.Fatalf("resume salvaged campaign: %v", err)
+	}
+}
+
+// journalViews renders a store's two folded views for comparison.
+func journalViews(s *Store) string {
+	return string(mustJSON(map[string]any{"pending": s.PendingJobs(), "history": s.JobHistory()}))
+}
+
+// jobCycle is the three lines one campaign job leaves in the journal.
+func jobCycle(i int, payload json.RawMessage) []JournalEntry {
+	id := fmt.Sprintf("job-%d", i)
+	return []JournalEntry{
+		{Job: id, State: JournalQueued, Campaign: fmt.Sprintf("camp-%d", i), Name: "p", Payload: payload, TimeMS: int64(i)},
+		{Job: id, State: JournalRunning, TimeMS: int64(i)},
+		{Job: id, State: JournalDone, Snapshot: json.RawMessage(fmt.Sprintf(`{"id":%q,"state":"done","campaign":"camp-%d"}`, id, i)), TimeMS: int64(i)},
+	}
+}
+
+// TestJournalCompactsWhileRunning: a long-lived daemon's journal stays
+// O(pending jobs + retained history) — not 17 KB × every job ever
+// submitted — and compaction never changes what the journal means: the
+// views equal an uncompacted fold of the same entries, live and after
+// a reopen.
+func TestJournalCompactsWhileRunning(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _ := Open("") // memory-only: the same fold, never compacted
+	both := func(e JournalEntry) {
+		t.Helper()
+		if err := s.AppendJournal(e); err != nil {
+			t.Fatal(err)
+		}
+		_ = ref.AppendJournal(e)
+	}
+	payload := mustJSON(map[string]string{"files": strings.Repeat("x", 17<<10)})
+	path := filepath.Join(dir, journalFile)
+	var appended, peak int64
+	for i := 1; i <= 2000; i++ {
+		for _, e := range jobCycle(i, payload) {
+			both(e)
+			appended += int64(len(mustJSON(e))) + 1
+		}
+		if st, err := os.Stat(path); err != nil {
+			t.Fatal(err)
+		} else if st.Size() > peak {
+			peak = st.Size()
+		}
+	}
+	both(jobCycle(2001, payload)[0]) // one job still queued ...
+	both(jobCycle(2002, payload)[0]) // ... and one running at the end
+	both(jobCycle(2002, payload)[1])
+
+	// The bound: the fold holds at most maxJobsInMemory snapshot lines
+	// (~100 B here) and the pending payloads; the file may exceed the fold
+	// by journalCompactFactor× plus the floor plus the line that tripped it.
+	folded := int64(maxJobsInMemory*200 + 2*len(payload))
+	if bound := (journalCompactFactor+1)*folded + journalCompactMin + int64(len(payload)); peak > bound {
+		t.Errorf("journal peaked at %d bytes over %d appended, bound %d", peak, appended, bound)
+	}
+	if peak*10 > appended {
+		t.Errorf("journal peaked at %d of %d appended bytes: not compacting", peak, appended)
+	}
+	if got, want := journalViews(s), journalViews(ref); got != want {
+		t.Fatalf("compacted views differ from the uncompacted fold:\n got %.300s\nwant %.300s", got, want)
+	}
+	if n := len(s.JobHistory()); n != maxJobsInMemory {
+		t.Errorf("history holds %d jobs, want the newest %d", n, maxJobsInMemory)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got, want := journalViews(s2), journalViews(ref); got != want {
+		t.Fatalf("reopened views differ from the uncompacted fold:\n got %.300s\nwant %.300s", got, want)
+	}
+}
+
+// legacyDataDir lays out what a data directory from before the job logs
+// were merged holds: jobs.jsonl (a stale and a final snapshot of job-1,
+// garbage, job-2, a torn tail) next to a journal whose terminal lines
+// carry no snapshot, with job-3 still running and job-4 still queued.
+func legacyDataDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	write := func(name, data string) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(legacyJobsFile, `{"id":"job-1","state":"failed","error":"stale"}
+{"id":"job-1","state":"done","campaign":"camp-1"}
+not json
+{"id":"job-2","state":"canceled"}
+{"id":"job-9","state":"running"}
+{"id":"job-5","sta`)
+	write(journalFile, `{"job":"job-1","state":"queued","payload":{"n":1}}
+{"job":"job-1","state":"running"}
+{"job":"job-1","state":"done"}
+{"job":"job-2","state":"queued","payload":{"n":2}}
+{"job":"job-2","state":"canceled"}
+{"job":"job-3","state":"queued","campaign":"camp-3","payload":{"n":3}}
+{"job":"job-3","state":"running"}
+{"job":"job-4","state":"queued","campaign":"camp-4","payload":{"n":4}}
+`)
+	return dir
+}
+
+// TestLegacyJobsFileFoldsIntoJournal is the migration: one open folds
+// jobs.jsonl into the journal and removes it, a second open changes
+// nothing, and a process that died between the compaction and the
+// removal repeats the same fold.
+func TestLegacyJobsFileFoldsIntoJournal(t *testing.T) {
+	dir := legacyDataDir(t)
+	legacy, err := os.ReadFile(filepath.Join(dir, legacyJobsFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(step string, wantDropped int) []byte {
+		t.Helper()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("%s: %v", step, err)
+		}
+		defer s.Close()
+		if got := pendingIDs(s); !reflect.DeepEqual(got, []string{"job-3:running", "job-4:queued"}) {
+			t.Errorf("%s: pending = %v", step, got)
+		}
+		if p := s.PendingJobs(); string(p[0].Payload) != `{"n":3}` || p[1].Campaign != "camp-4" {
+			t.Errorf("%s: pending jobs lost their submission: %+v", step, p)
+		}
+		var history []string
+		for _, e := range s.JobHistory() {
+			history = append(history, string(e.Snapshot))
+		}
+		if want := []string{`{"id":"job-1","state":"done","campaign":"camp-1"}`, `{"id":"job-2","state":"canceled"}`}; !reflect.DeepEqual(history, want) {
+			t.Errorf("%s: history = %v, want %v", step, history, want)
+		}
+		if s.journalDropped != wantDropped {
+			t.Errorf("%s: dropped %d lines, want %d", step, s.journalDropped, wantDropped)
+		}
+		if _, err := os.Stat(filepath.Join(dir, legacyJobsFile)); !os.IsNotExist(err) {
+			t.Errorf("%s: jobs.jsonl still there (%v)", step, err)
+		}
+		data, err := os.ReadFile(filepath.Join(dir, journalFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// "not json" and the non-terminal job-9 snapshot are dropped and
+	// counted; the torn tail is not a line.
+	migrated := check("migration", 2)
+	if again := check("second open", 0); !bytes.Equal(again, migrated) {
+		t.Errorf("second open rewrote the journal:\n%s\nvs\n%s", again, migrated)
+	}
+	if err := os.WriteFile(filepath.Join(dir, legacyJobsFile), legacy, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if again := check("died before removing jobs.jsonl", 2); !bytes.Equal(again, migrated) {
+		t.Errorf("repeated migration changed the journal:\n%s\nvs\n%s", again, migrated)
 	}
 }

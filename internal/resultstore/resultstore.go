@@ -1,6 +1,8 @@
 // Package resultstore is the persistence layer of the as-a-service
-// workflow: an append-only store of campaign metadata, experiment
-// record segments and final reports, plus a journal of finished jobs.
+// workflow and the only record of finished work: an append-only store
+// of campaign metadata, experiment record segments and final reports
+// (what the API serves finished campaigns from), plus the write-ahead
+// job journal, whose terminal lines double as the job history.
 // Records arrive as a stream (one Append per completed experiment) and
 // are written through to JSONL segment files that roll at a fixed
 // record count with an fsync on every roll, so a crash or shutdown
@@ -19,8 +21,11 @@
 //	campaigns/<id>/meta.json            campaign metadata (rewritten at finish)
 //	campaigns/<id>/report.json          final analysis report
 //	campaigns/<id>/records-NNNNNN.jsonl record segments, SegmentRecords lines each
-//	jobs.jsonl                          terminal job snapshots, one JSON per line
-//	journal.jsonl                       write-ahead job journal, fsync per entry
+//	journal.jsonl                       job journal: queued (payload) → running → terminal (snapshot), fsync per entry
+//
+// A data directory written before the two job logs were merged also
+// holds jobs.jsonl (bare terminal snapshots); Open folds it into the
+// journal once and removes it.
 package resultstore
 
 import (
@@ -147,18 +152,20 @@ type Store struct {
 	camps map[string]*campaign
 	order []string
 
-	jobsMu   sync.Mutex
-	jobsFile *os.File
-	jobs     []json.RawMessage
-
-	// The write-ahead job journal (journal.go): journalPend is the
-	// folded view of jobs with no terminal entry yet, journalOrder their
-	// first-journaled order, journalF the fsync-per-append file handle
-	// (nil when memory-only).
-	journalMu    sync.Mutex
-	journalF     *os.File
-	journalPend  map[string]*JournalEntry
-	journalOrder []string
+	// The write-ahead job journal (journal.go): journal is the folded
+	// view — one entry per pending job and per retained finished job
+	// (journalDone of them) — journalOrder their first-journaled order,
+	// journalF the fsync-per-append file handle (nil when memory-only),
+	// journalBytes the file's size and journalFolded its size after the
+	// last compaction, journalDropped the corrupt lines Open skipped.
+	journalMu      sync.Mutex
+	journalF       *os.File
+	journal        map[string]*JournalEntry
+	journalOrder   []string
+	journalDone    int
+	journalBytes   int64
+	journalFolded  int64
+	journalDropped int
 
 	// met is set once by Instrument before traffic; nil = uninstrumented.
 	met *storeMetrics
@@ -174,7 +181,7 @@ func Open(dir string) (*Store, error) {
 		segmentRecords:  DefaultSegmentRecords,
 		retainCampaigns: DefaultRetainCampaigns,
 		camps:           map[string]*campaign{},
-		journalPend:     map[string]*JournalEntry{},
+		journal:         map[string]*JournalEntry{},
 	}
 	if dir == "" {
 		return s, nil
@@ -183,9 +190,6 @@ func Open(dir string) (*Store, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	if err := s.loadCampaigns(); err != nil {
-		return nil, err
-	}
-	if err := s.loadJobs(); err != nil {
 		return nil, err
 	}
 	if err := s.loadJournal(); err != nil {
@@ -210,9 +214,6 @@ func (s *Store) SetRetainCampaigns(n int) {
 		s.retainCampaigns = n
 	}
 }
-
-// Dir reports the backing directory ("" when memory-only).
-func (s *Store) Dir() string { return s.dir }
 
 // evictMemory drops the oldest finished campaigns beyond the retention
 // limit in memory-only mode, where every record line lives in RAM.
@@ -352,59 +353,6 @@ func completeLines(data []byte) [][]byte {
 	}
 }
 
-func (s *Store) loadJobs() error {
-	path := filepath.Join(s.dir, "jobs.jsonl")
-	if data, err := os.ReadFile(path); err == nil {
-		for _, line := range completeLines(data) {
-			if json.Valid(line) {
-				s.jobs = append(s.jobs, json.RawMessage(append([]byte(nil), line...)))
-			}
-		}
-		if len(s.jobs) > maxJobsInMemory {
-			s.jobs = append([]json.RawMessage(nil), s.jobs[len(s.jobs)-maxJobsInMemory:]...)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	s.jobsFile = f
-	return nil
-}
-
-// maxJobsInMemory bounds the in-RAM copy of the job journal: the file
-// keeps full history, but Jobs() only ever needs recent snapshots (the
-// API layer caps its restore at the scheduler's retention anyway), so
-// a long-running daemon must not grow this slice forever.
-const maxJobsInMemory = 1024
-
-// AppendJob journals one terminal job snapshot.
-func (s *Store) AppendJob(v any) error {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	s.jobs = append(s.jobs, json.RawMessage(line))
-	if len(s.jobs) > maxJobsInMemory {
-		s.jobs = append([]json.RawMessage(nil), s.jobs[len(s.jobs)-maxJobsInMemory:]...)
-	}
-	if s.jobsFile != nil {
-		if _, err := s.jobsFile.Write(append(line, '\n')); err != nil {
-			return fmt.Errorf("resultstore: jobs journal: %w", err)
-		}
-	}
-	return nil
-}
-
-// Jobs returns every journaled job snapshot in append order.
-func (s *Store) Jobs() []json.RawMessage {
-	s.jobsMu.Lock()
-	defer s.jobsMu.Unlock()
-	return append([]json.RawMessage(nil), s.jobs...)
-}
-
 // List returns the metadata of every stored campaign, sorted by ID.
 func (s *Store) List() []Meta {
 	s.mu.Lock()
@@ -417,7 +365,6 @@ func (s *Store) List() []Meta {
 	for i, c := range camps {
 		c.mu.Lock()
 		out[i] = c.meta
-		out[i].Records = c.seq
 		c.mu.Unlock()
 	}
 	return out
@@ -431,9 +378,7 @@ func (s *Store) Get(id string) (Meta, bool) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.meta
-	m.Records = c.seq
-	return m, true
+	return c.meta, true
 }
 
 func (s *Store) camp(id string) (*campaign, bool) {

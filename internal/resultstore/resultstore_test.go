@@ -342,14 +342,18 @@ func TestFollowHonorsContextAndCursor(t *testing.T) {
 	}
 }
 
-func TestJobsJournalSurvivesReopen(t *testing.T) {
+func TestJobHistorySurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 1; i <= 3; i++ {
-		if err := s.AppendJob(map[string]any{"id": fmt.Sprintf("job-%d", i), "state": "done"}); err != nil {
+		id := fmt.Sprintf("job-%d", i)
+		appendJournal(t, s, id, JournalQueued)
+		if err := s.AppendJournal(JournalEntry{
+			Job: id, State: JournalDone, Snapshot: json.RawMessage(fmt.Sprintf(`{"id":%q,"state":"done"}`, id)),
+		}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -358,15 +362,15 @@ func TestJobsJournalSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jobs := s2.Jobs()
-	if len(jobs) != 3 {
-		t.Fatalf("reloaded %d jobs, want 3", len(jobs))
+	jobs := s2.JobHistory()
+	if len(jobs) != 3 || len(s2.PendingJobs()) != 0 {
+		t.Fatalf("reloaded %d finished + %d pending jobs, want 3 + 0", len(jobs), len(s2.PendingJobs()))
 	}
 	var last struct {
 		ID string `json:"id"`
 	}
-	if err := json.Unmarshal(jobs[2], &last); err != nil || last.ID != "job-3" {
-		t.Errorf("last job = %s (%v)", jobs[2], err)
+	if err := json.Unmarshal(jobs[2].Snapshot, &last); err != nil || last.ID != "job-3" {
+		t.Errorf("last job = %s (%v)", jobs[2].Snapshot, err)
 	}
 }
 

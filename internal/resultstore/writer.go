@@ -25,7 +25,8 @@ type Writer struct {
 // campaign is visible to readers (and to a post-crash reopen) from its
 // first record on. The ID is reserved under the store lock before any
 // filesystem write, so a duplicate can never clobber an existing
-// campaign's persisted metadata.
+// campaign's persisted metadata. Only an invalid or duplicate ID is an
+// error; see attach for filesystem failures.
 func (s *Store) StartCampaign(meta Meta) (*Writer, error) {
 	if err := sanitizeID(meta.ID); err != nil {
 		return nil, err
@@ -35,6 +36,9 @@ func (s *Store) StartCampaign(meta Meta) (*Writer, error) {
 		meta.CreatedMS = time.Now().UnixMilli()
 	}
 	c := &campaign{meta: meta, live: true}
+	if s.dir != "" {
+		c.dir = filepath.Join(s.dir, "campaigns", meta.ID)
+	}
 	s.mu.Lock()
 	if _, exists := s.camps[meta.ID]; exists {
 		s.mu.Unlock()
@@ -43,30 +47,28 @@ func (s *Store) StartCampaign(meta Meta) (*Writer, error) {
 	s.camps[meta.ID] = c
 	s.order = append(s.order, meta.ID)
 	s.mu.Unlock()
-	if s.dir != "" {
-		c.dir = filepath.Join(s.dir, "campaigns", meta.ID)
+	s.evictMemory()
+	return s.attach(c, meta), nil
+}
+
+// attach hands out the writer of a campaign that just went live, after
+// persisting its running metadata. A filesystem failure here degrades
+// the campaign to memory-only records, like one mid-stream would: a
+// campaign the store has accepted is never un-registered.
+func (s *Store) attach(c *campaign, meta Meta) *Writer {
+	w := &Writer{s: s, c: c}
+	if c.dir != "" {
 		err := os.MkdirAll(c.dir, 0o755)
 		if err == nil {
-			err = writeFileSync(filepath.Join(c.dir, "meta.json"), mustJSON(meta))
-			if err == nil {
-				s.met.fsync()
-			}
+			err = w.writeFile("meta.json", mustJSON(meta))
 		}
 		if err != nil {
-			s.mu.Lock()
-			delete(s.camps, meta.ID)
-			for i, id := range s.order {
-				if id == meta.ID {
-					s.order = append(s.order[:i], s.order[i+1:]...)
-					break
-				}
-			}
-			s.mu.Unlock()
-			return nil, fmt.Errorf("resultstore: %w", err)
+			c.mu.Lock()
+			w.degradeLocked(err)
+			c.mu.Unlock()
 		}
 	}
-	s.evictMemory()
-	return &Writer{s: s, c: c}, nil
+	return w
 }
 
 // ResumeCampaign reattaches a Writer to a campaign a previous process
@@ -75,7 +77,8 @@ func (s *Store) StartCampaign(meta Meta) (*Writer, error) {
 // fresh segment — never into a file whose trailing write may be torn —
 // and the metadata goes back to StatusRunning. The caller is expected
 // to replay the stored records into its aggregation and execute only
-// the missing plan indices.
+// the missing plan indices. It fails only by name: unknown, already
+// live, already finished.
 func (s *Store) ResumeCampaign(id string) (*Writer, error) {
 	c, ok := s.camp(id)
 	if !ok {
@@ -95,18 +98,17 @@ func (s *Store) ResumeCampaign(id string) (*Writer, error) {
 	c.meta.FinishedMS = 0
 	c.meta.Error = ""
 	meta := c.meta
-	dir := c.dir
 	c.mu.Unlock()
-	if dir != "" {
-		if err := writeFileSync(filepath.Join(dir, "meta.json"), mustJSON(meta)); err != nil {
-			c.mu.Lock()
-			c.live = false
-			c.mu.Unlock()
-			return nil, err
-		}
-		s.met.fsync()
+	return s.attach(c, meta), nil
+}
+
+// writeFile durably replaces one file of the campaign directory.
+func (w *Writer) writeFile(name string, data []byte) error {
+	err := writeFileSync(filepath.Join(w.c.dir, name), data)
+	if err == nil {
+		w.s.met.fsync()
 	}
-	return &Writer{s: s, c: c}, nil
+	return err
 }
 
 // Append streams one completed experiment record into the campaign's
@@ -241,13 +243,6 @@ func (w *Writer) SetPhases(v any) error {
 	return nil
 }
 
-// Seq reports how many records have been appended.
-func (w *Writer) Seq() int64 {
-	w.c.mu.Lock()
-	defer w.c.mu.Unlock()
-	return w.c.seq
-}
-
 // Finish seals the campaign: rolls the open segment (fsync), stores the
 // final report and summary, rewrites the metadata with the terminal
 // status, and wakes followers so live streams can end. It returns the
@@ -271,7 +266,6 @@ func (w *Writer) Finish(status string, summary any, report *analysis.Report) err
 	}
 	c.meta.Status = status
 	c.meta.FinishedMS = time.Now().UnixMilli()
-	c.meta.Records = c.seq
 	if summary != nil {
 		if data, err := json.Marshal(summary); err == nil {
 			c.meta.Summary = data
@@ -282,16 +276,12 @@ func (w *Writer) Finish(status string, summary any, report *analysis.Report) err
 	}
 	if c.dir != "" {
 		if c.report != nil {
-			if err := writeFileSync(filepath.Join(c.dir, "report.json"), c.report); err != nil {
+			if err := w.writeFile("report.json", c.report); err != nil {
 				w.failLocked(err)
-			} else {
-				w.s.met.fsync()
 			}
 		}
-		if err := writeFileSync(filepath.Join(c.dir, "meta.json"), mustJSON(c.meta)); err != nil {
+		if err := w.writeFile("meta.json", mustJSON(c.meta)); err != nil {
 			w.failLocked(err)
-		} else {
-			w.s.met.fsync()
 		}
 	}
 	c.notifyLocked()
@@ -322,28 +312,11 @@ func (s *Store) Close() error {
 	}
 	s.mu.Unlock()
 	var first error
-	for _, c := range camps {
-		c.mu.Lock()
-		live := c.live
-		c.mu.Unlock()
-		if live {
-			w := &Writer{s: s, c: c}
-			if err := w.Abort(StatusInterrupted); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	s.jobsMu.Lock()
-	if s.jobsFile != nil {
-		if err := s.jobsFile.Sync(); err != nil && first == nil {
+	for _, c := range camps { // Abort is a no-op on sealed campaigns
+		if err := (&Writer{s: s, c: c}).Abort(StatusInterrupted); err != nil && first == nil {
 			first = err
 		}
-		if err := s.jobsFile.Close(); err != nil && first == nil {
-			first = err
-		}
-		s.jobsFile = nil
 	}
-	s.jobsMu.Unlock()
 	s.journalMu.Lock()
 	if s.journalF != nil {
 		// Every journal append already fsync'd; just release the handle.

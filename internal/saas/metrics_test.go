@@ -114,7 +114,7 @@ func TestCampaignPhaseTimeline(t *testing.T) {
 		}
 		got[sp.Name] = sp
 	}
-	for _, name := range []string{"scan", "compile", "execute", "aggregate", "store"} {
+	for _, name := range []string{"scan", "compile", "execute", "aggregate"} {
 		if _, ok := got[name]; !ok {
 			t.Errorf("phase timeline missing %q (have %v)", name, names(view.Phases))
 		}

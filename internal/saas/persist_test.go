@@ -11,6 +11,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,6 +20,7 @@ import (
 
 	"profipy/internal/analysis"
 	"profipy/internal/campaign"
+	"profipy/internal/kvclient"
 	"profipy/internal/resultstore"
 	"profipy/internal/scheduler"
 )
@@ -337,8 +340,9 @@ func TestCrashRestartAvoidsCampaignIDCollision(t *testing.T) {
 }
 
 // TestJobJournalDedupAndCapOnRestore: the append-only journal may hold
-// several snapshots per job and arbitrarily many jobs; a restart keeps
-// the newest snapshot per ID and at most RetainJobs of them.
+// several terminal snapshots per job and arbitrarily many jobs; a
+// restart keeps the newest snapshot per ID and at most RetainJobs of
+// them.
 func TestJobJournalDedupAndCapOnRestore(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir)
@@ -348,8 +352,15 @@ func TestJobJournalDedupAndCapOnRestore(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		id := jobIDFor(i)
 		// Two snapshots per job: the stale one must lose.
-		_ = store.AppendJob(JobStatus{ID: id, State: "failed", Error: "stale"})
-		_ = store.AppendJob(JobStatus{ID: id, State: "done", Campaign: "camp-" + jsonNum(int64(i))})
+		for _, st := range []JobStatus{
+			{ID: id, State: "failed", Error: "stale"},
+			{ID: id, State: "done", Campaign: "camp-" + jsonNum(int64(i))},
+		} {
+			snapshot, _ := json.Marshal(st)
+			if err := store.AppendJournal(resultstore.JournalEntry{Job: id, State: string(st.State), Snapshot: snapshot}); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	store.Close()
 
@@ -593,5 +604,126 @@ func TestStreamDisconnectDrainsFollowSubscribers(t *testing.T) {
 	close(gate)
 	if final, _ := pollUntilTerminal(t, ts.URL, jobID); final.State != scheduler.Done {
 		t.Fatalf("job ended %s: %s", final.State, final.Error)
+	}
+}
+
+// TestAPIBodiesIdenticalAcrossRestart: everything the API says about
+// finished work comes from the data directory, so a restart changes no
+// byte of it — campaign list, reports, text reports, job list and each
+// job, for done and failed jobs alike.
+func TestAPIBodiesIdenticalAcrossRestart(t *testing.T) {
+	dir := t.TempDir()
+	srv1, ts1 := newAsyncTestServer(t, Options{Cores: 4, DataDir: dir})
+	paths := []string{"/api/v1/campaigns", "/api/v1/jobs"}
+	for _, which := range []string{"A", "R"} {
+		req, err := DemoCampaignRequest(which, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.SampleN = 5
+		resp, out := postJSON(t, ts1.URL+"/api/v1/campaigns?wait=true", req)
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("campaign %s = %d: %v", which, resp.StatusCode, out)
+		}
+		var id, job string
+		_ = json.Unmarshal(out["id"], &id)
+		_ = json.Unmarshal(out["job"], &job)
+		paths = append(paths, "/api/v1/campaigns/"+id, "/api/v1/campaigns/"+id+"/text", "/api/v1/jobs/"+job)
+	}
+	// A failed job: its campaign has records-only status, no report.
+	resp, out := postJSON(t, ts1.URL+"/api/v1/campaigns", CampaignRequest{
+		Project: DemoProjectID, Entry: "NoSuchEntry", Env: "plain", Specs: kvclient.CampaignBFaultload(),
+	})
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("enqueue = %d: %v", resp.StatusCode, out)
+	}
+	var failed string
+	_ = json.Unmarshal(out["job"], &failed)
+	if st, _ := pollUntilTerminal(t, ts1.URL, failed); st.State != scheduler.Failed {
+		t.Fatalf("job with a missing entry = %+v, want failed", st)
+	}
+	paths = append(paths, "/api/v1/jobs/"+failed, "/api/v1/campaigns/"+campaignIDFor(failed))
+
+	before := map[string]string{}
+	for _, p := range paths {
+		code, body := getBody(t, ts1.URL+p)
+		before[p] = jsonNum(int64(code)) + " " + body
+	}
+	if !strings.HasPrefix(before["/api/v1/campaigns/"+campaignIDFor(failed)], "404 ") {
+		t.Errorf("failed campaign answered %.40s, want 404", before["/api/v1/campaigns/"+campaignIDFor(failed)])
+	}
+	ts1.Close()
+	srv1.Close()
+
+	_, ts2 := newAsyncTestServer(t, Options{Cores: 4, DataDir: dir})
+	for _, p := range paths {
+		code, body := getBody(t, ts2.URL+p)
+		if got := jsonNum(int64(code)) + " " + body; got != before[p] {
+			t.Errorf("GET %s changed across the restart:\n got %s\nwant %s", p, got, before[p])
+		}
+	}
+}
+
+// TestMemoryOnlyAPIAgreesWithStore: without -data-dir the store keeps
+// only the newest finished campaigns, and the API is exactly that
+// window — a campaign is listed, reported, rendered and paged, or it is
+// 404 everywhere.
+func TestMemoryOnlyAPIAgreesWithStore(t *testing.T) {
+	srv, ts := newAsyncTestServer(t, Options{Cores: 4})
+	const retain, total = 3, 7
+	srv.Store().SetRetainCampaigns(retain)
+	for i := 0; i < total; i++ {
+		runDemoCampaign(t, ts, 2, nil)
+	}
+	stored := map[string]bool{}
+	var wantList []string
+	for _, meta := range srv.Store().List() {
+		stored[meta.ID] = true
+		wantList = append(wantList, meta.ID)
+	}
+	if len(stored) == 0 || len(stored) >= total {
+		t.Fatalf("store holds %d of %d campaigns: retention not in play", len(stored), total)
+	}
+	code, body := getBody(t, ts.URL+"/api/v1/campaigns")
+	var list []CampaignSummary
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &list) != nil {
+		t.Fatalf("list = %d %s", code, body)
+	}
+	var gotList []string
+	for _, c := range list {
+		gotList = append(gotList, c.ID)
+	}
+	sort.Strings(wantList)
+	if !reflect.DeepEqual(gotList, wantList) {
+		t.Errorf("GET /campaigns lists %v, store holds %v", gotList, wantList)
+	}
+	for i := 1; i <= total; i++ {
+		id := "camp-" + jsonNum(int64(i))
+		want := http.StatusNotFound
+		if stored[id] {
+			want = http.StatusOK
+		}
+		for _, suffix := range []string{"", "/text", "/records", "/stream"} {
+			if code, _ := getBody(t, ts.URL+"/api/v1/campaigns/"+id+suffix); code != want {
+				t.Errorf("GET /campaigns/%s%s = %d, want %d (stored=%v)", id, suffix, code, want, stored[id])
+			}
+		}
+	}
+}
+
+// TestUnavailableCampaignIDFailsJobByName: the one way record
+// persistence can refuse a campaign is its ID — here another writer
+// owns it — and that fails the job with the ID in the error instead of
+// running a campaign nobody could read back.
+func TestUnavailableCampaignIDFailsJobByName(t *testing.T) {
+	srv, ts := newAsyncTestServer(t, Options{Cores: 4})
+	w, err := srv.Store().StartCampaign(resultstore.Meta{ID: "camp-1", Project: "squatter"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abort(resultstore.StatusCanceled)
+	st, _ := pollUntilTerminal(t, ts.URL, submitDemo(t, ts.URL, 3))
+	if st.State != scheduler.Failed || !strings.Contains(st.Error, "camp-1") || !strings.Contains(st.Error, "already has a writer") {
+		t.Fatalf("job = %+v, want failed naming camp-1 and its writer", st)
 	}
 }

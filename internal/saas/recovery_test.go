@@ -10,8 +10,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"profipy/internal/analysis"
@@ -353,5 +356,136 @@ func TestCancelRecoveredJob(t *testing.T) {
 	st2, ok := srv2.sched.Status("job-1")
 	if !ok || st2.State != scheduler.Canceled {
 		t.Fatalf("job history after reboot = %+v", st2)
+	}
+}
+
+// copyDataDir copies a data-directory fixture into a scratch directory
+// (opening a data dir rewrites it), leaving out the expectation file
+// kept next to it.
+func copyDataDir(t *testing.T, src string) string {
+	t.Helper()
+	dst := t.TempDir()
+	if err := os.CopyFS(dst, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dst, "parent-jobs.json")); err != nil {
+		t.Fatal(err)
+	}
+	return dst
+}
+
+func dirNames(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// TestLegacyDataDirMigrates opens testdata/legacy-datadir — written by
+// the last version that kept two job logs, SIGKILLed with job-3 running
+// (3 of 6 records stored) and job-4 queued; its jobs.jsonl holds a stale
+// and a repeated snapshot and a torn tail (see docs/TESTING.md for how
+// it was made). The history must list what that version listed
+// (parent-jobs.json, its own /api/v1/jobs on the same directory), the
+// pending jobs must be re-admitted, and jobs.jsonl must be gone for
+// good.
+func TestLegacyDataDirMigrates(t *testing.T) {
+	fixture := filepath.Join("testdata", "legacy-datadir")
+	dir := copyDataDir(t, fixture)
+	var want []JobStatus
+	if data, err := os.ReadFile(filepath.Join(fixture, "parent-jobs.json")); err != nil || json.Unmarshal(data, &want) != nil {
+		t.Fatalf("parent-jobs.json: %v", err)
+	}
+
+	srv, ts := newAsyncTestServer(t, Options{Cores: 4, DataDir: dir})
+	for _, id := range []string{"job-3", "job-4"} {
+		if st, ok := srv.sched.Wait(id); !ok || st.State != scheduler.Done {
+			t.Fatalf("re-admitted %s = %+v", id, st)
+		}
+	}
+	if resumed, requeued := recoveryCount(t, srv, "resumed"), recoveryCount(t, srv, "requeued"); resumed != 1 || requeued != 1 {
+		t.Errorf("recovery resumed %v and requeued %v jobs, want 1 and 1", resumed, requeued)
+	}
+	if got := srv.reg.Counter("profipy_recovery_replayed_records_total", "").Value(); got != 3 {
+		t.Errorf("replayed %v stored records into job-3, want 3", got)
+	}
+	code, jobsBody := getBody(t, ts.URL+"/api/v1/jobs")
+	var got []JobStatus
+	if code != 200 || json.Unmarshal([]byte(jobsBody), &got) != nil || len(got) != 4 {
+		t.Fatalf("jobs = %d %s", code, jobsBody)
+	}
+	for i := range got[:2] {
+		// The one intended difference: the old restore dropped the
+		// snapshot's attempt count, this one keeps it.
+		if got[i].Attempts != 1 {
+			t.Errorf("%s restored with attempts = %d, want the snapshot's 1", got[i].ID, got[i].Attempts)
+		}
+		got[i].Attempts = 0
+		if !reflect.DeepEqual(got[i], want[i]) {
+			t.Errorf("history entry %d:\n got %+v\nwant %+v", i, got[i], want[i])
+		}
+	}
+	// The finished legacy campaign is served straight from its files.
+	if code, body := getBody(t, ts.URL+"/api/v1/campaigns/camp-1"); code != 200 || !strings.Contains(body, `"total": 4`) {
+		t.Errorf("legacy campaign = %d %s", code, body)
+	}
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"campaigns", "journal.jsonl"}) {
+		t.Errorf("data dir holds %v, want campaigns and journal.jsonl only", names)
+	}
+
+	// A second open has nothing left to migrate or re-admit and lists
+	// the same jobs, byte for byte.
+	ts.Close()
+	srv.Close()
+	srv2, ts2 := newAsyncTestServer(t, Options{Cores: 4, DataDir: dir})
+	if pend := srv2.Store().PendingJobs(); len(pend) != 0 {
+		t.Errorf("second open still has pending jobs: %+v", pend)
+	}
+	if _, again := getBody(t, ts2.URL+"/api/v1/jobs"); again != jobsBody {
+		t.Errorf("job list changed on the second open:\n got %s\nwant %s", again, jobsBody)
+	}
+	if names := dirNames(t, dir); !reflect.DeepEqual(names, []string{"campaigns", "journal.jsonl"}) {
+		t.Errorf("data dir holds %v after the second open", names)
+	}
+}
+
+// TestRestoreSurvivesPoisonedSnapshots: the store hands snapshots back
+// opaquely, so values corrupted in place (same JSON type, wrong
+// content) reach restore(): it must skip what is not a finished job's
+// snapshot and keep the rest.
+func TestRestoreSurvivesPoisonedSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	store, err := resultstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, snapshot := range []string{
+		`{"id":"job-1","state":"done","campaign":"camp-1"}`,
+		`{"id":7,"state":"done"}`,          // id changed type
+		`{"state":"done"}`,                 // id gone
+		`{"id":"job-4","state":"running"}`, // not a terminal state
+		`{"id":"job-1","state":"failed"}`,  // claims another job's ID
+		`{"id":"job-6","state":"canceled"}`,
+	} {
+		if err := store.AppendJournal(resultstore.JournalEntry{
+			Job: jobIDFor(i + 1), State: resultstore.JournalDone, Snapshot: json.RawMessage(snapshot),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store.Close()
+	srv, _ := newAsyncTestServer(t, Options{Cores: 2, DataDir: dir})
+	var ids []string
+	for _, st := range srv.sched.List() {
+		ids = append(ids, st.ID+":"+string(st.State))
+	}
+	if want := []string{"job-1:done", "job-6:canceled"}; !reflect.DeepEqual(ids, want) {
+		t.Errorf("restored jobs = %v, want %v", ids, want)
 	}
 }

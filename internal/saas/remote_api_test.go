@@ -11,6 +11,10 @@ import (
 	"testing"
 	"time"
 
+	"profipy/internal/campaign"
+	"profipy/internal/executor"
+	"profipy/internal/kvclient"
+	"profipy/internal/remote"
 	"profipy/internal/worker"
 )
 
@@ -103,5 +107,63 @@ func TestRemoteCampaignOverAPI(t *testing.T) {
 	cancel()
 	if err := <-workerDone; err != nil && err != context.Canceled {
 		t.Errorf("worker: %v", err)
+	}
+}
+
+// TestOneCampaignDescription pins the single-description invariant: the
+// campaign the control plane runs and the one a worker rebuilds from
+// Remote.Spec after its trip over the wire are equal in every data
+// field, and resolve the same host environment.
+func TestOneCampaignDescription(t *testing.T) {
+	srv := NewServer(4)
+	t.Cleanup(srv.Close)
+	for _, env := range []string{"", "kvclient", "plain"} {
+		req, err := DemoCampaignRequest("R", 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Env, req.Remote = env, true
+		req.TimeoutSec, req.Rounds, req.SampleN, req.ReducePlan, req.ExperimentWallMS = 90, 3, 5, true, 250
+		if env == "plain" {
+			// Every default in play: workload files, timeout, rounds.
+			req.WorkloadFiles, req.TimeoutSec, req.Rounds = nil, 0, 0
+		}
+		local, _, status, msg := srv.buildCampaign(req)
+		if status != 0 {
+			t.Fatalf("env %q: build = %d %s", env, status, msg)
+		}
+		wire, err := json.Marshal(local.Executor.(*executor.Remote).Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var spec remote.CampaignSpec
+		if err := json.Unmarshal(wire, &spec); err != nil {
+			t.Fatal(err)
+		}
+		rebuilt, err := kvclient.CampaignFromSpec(spec, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spec.TimeoutNS <= 0 || spec.MaxSteps <= 0 || spec.ImageMemMB <= 0 || spec.ImageIOMBps <= 0 || len(spec.WorkloadFiles) == 0 {
+			t.Errorf("env %q: spec left a default unresolved: %+v", env, spec)
+		}
+		// Functions do not compare: both sides must have resolved the same
+		// env name to the same (non-)nil triple, then drop out.
+		for _, c := range []*campaign.Campaign{local, rebuilt} {
+			if c.Workload.Env == nil || (c.Workload.CaptureEnv == nil) != (env == "plain") || (c.Workload.RestoreEnv == nil) != (env == "plain") {
+				t.Errorf("env %q resolved to a wrong function triple", env)
+			}
+			c.Workload.Env, c.Workload.CaptureEnv, c.Workload.RestoreEnv = nil, nil, nil
+		}
+		// What only the control plane has is not part of the description.
+		local.Analysis, local.DiscardRecords, local.Metrics, local.Executor = rebuilt.Analysis, false, nil, nil
+		if !reflect.DeepEqual(local, rebuilt) {
+			t.Errorf("env %q: control-plane campaign differs from the one rebuilt from its spec:\n local   %+v\n rebuilt %+v", env, local, rebuilt)
+		}
+	}
+	if _, _, status, msg := srv.buildCampaign(CampaignRequest{
+		Project: DemoProjectID, Entry: "Workload", Env: "nope", Specs: kvclient.CampaignAFaultload(),
+	}); status != http.StatusBadRequest || !strings.Contains(msg, `unknown env "nope"`) {
+		t.Errorf("unknown env = %d %q, want 400 naming it", status, msg)
 	}
 }

@@ -27,11 +27,9 @@ import (
 	"profipy/internal/obs"
 	"profipy/internal/remote"
 	"profipy/internal/resultstore"
-	"profipy/internal/sandbox"
 	"profipy/internal/scanner"
 	"profipy/internal/scheduler"
 	"profipy/internal/trace"
-	"profipy/internal/workload"
 )
 
 // maxRequestBytes caps request bodies accepted by the JSON endpoints.
@@ -107,14 +105,6 @@ type CampaignSummary struct {
 	Injected int `json:"injected"`
 }
 
-// campaignRun stores a finished campaign.
-type campaignRun struct {
-	summary CampaignSummary
-	report  *analysis.Report
-	text    string
-	phases  []trace.Span
-}
-
 // JobStatus is the API view of a scheduled campaign job.
 type JobStatus struct {
 	ID       string             `json:"id"`
@@ -134,15 +124,15 @@ type JobStatus struct {
 	FinishedMS int64  `json:"finishedMs,omitempty"`
 }
 
-// Server is the SaaS API server state. The mutex guards the project,
-// model, and campaign maps only — it is never held across a campaign
-// run or any other long operation; campaign execution is owned by the
-// scheduler and record persistence by the result store.
+// Server is the SaaS API server state. The mutex guards the project
+// and model maps only — it is never held across a campaign run or any
+// other long operation; campaign execution is owned by the scheduler,
+// and everything finished (campaign reports, records, job history) by
+// the result store, which the API reads on request.
 type Server struct {
 	mu         sync.RWMutex
 	projects   map[string]*Project
 	models     *faultmodel.Registry
-	campaigns  map[string]*campaignRun
 	nextID     int
 	cores      int
 	sched      *scheduler.Scheduler
@@ -234,7 +224,6 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 	s := &Server{
 		projects:   make(map[string]*Project),
 		models:     faultmodel.NewRegistry(),
-		campaigns:  make(map[string]*campaignRun),
 		cores:      opt.Cores,
 		store:      store,
 		reg:        opt.Metrics,
@@ -254,15 +243,12 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 		QueueDepth: opt.QueueDepth,
 		Retain:     opt.RetainJobs,
 		Metrics:    opt.Metrics,
-		// Journal every terminal job so /api/v1/jobs history survives
-		// restarts alongside the campaigns, and retire the job from the
-		// write-ahead journal so the next boot does not re-admit it.
-		OnFinish: func(st scheduler.Status) {
-			_ = s.store.AppendJob(jobView(st))
-			_ = s.store.AppendJournal(resultstore.JournalEntry{
-				Job: st.ID, State: journalState(st.State), TimeMS: time.Now().UnixMilli(),
-			})
-		},
+		// One fsync'd journal line retires every terminal job (the next
+		// boot does not re-admit it) and files its snapshot, so
+		// /api/v1/jobs history survives restarts alongside the campaigns.
+		// A failed append is counted by the store (write_errors_total);
+		// the job's outcome stands either way.
+		OnFinish: func(st scheduler.Status) { _ = s.store.AppendJournal(terminalEntry(st)) },
 	})
 	// Preload the paper's case study as a demo project.
 	demo := &Project{ID: "demo-python-etcd", Name: "python-etcd", Files: map[string]string{}}
@@ -270,32 +256,42 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 		demo.Files[name] = string(data)
 	}
 	s.projects[demo.ID] = demo
-	retain := opt.RetainJobs
-	if retain <= 0 {
-		retain = 256
-	}
-	s.restore(retain)
+	s.restore()
 	s.recover()
 	return s, nil
 }
 
-// journalState maps a scheduler terminal state to its journal record
-// state (running states never reach OnFinish).
-func journalState(st scheduler.State) string {
-	switch st {
-	case scheduler.Done:
-		return resultstore.JournalDone
-	case scheduler.Canceled:
-		return resultstore.JournalCanceled
-	default:
-		return resultstore.JournalFailed
+// terminalEntry is the journal line of a finished job: its terminal
+// state (the scheduler's and the journal's state names coincide) and
+// the API snapshot restore() replays after a restart.
+func terminalEntry(st scheduler.Status) resultstore.JournalEntry {
+	snapshot, _ := json.Marshal(jobView(st)) // plain data: cannot fail
+	return resultstore.JournalEntry{
+		Job: st.ID, State: string(st.State), Snapshot: snapshot, TimeMS: time.Now().UnixMilli(),
 	}
 }
 
-// restore reloads completed campaigns and terminal job history from the
-// result store into the serving maps, so a restarted profipyd answers
-// for work a previous process finished without re-running anything.
-func (s *Server) restore(retainJobs int) {
+// restore replays the journal's finished-job snapshots into the
+// scheduler (which keeps the newest RetainJobs of them), so a restarted
+// profipyd answers /api/v1/jobs for work a previous process finished.
+func (s *Server) restore() {
+	var sts []scheduler.Status
+	for _, e := range s.store.JobHistory() {
+		var v JobStatus
+		if err := json.Unmarshal(e.Snapshot, &v); err != nil {
+			continue
+		}
+		st := scheduler.Status{
+			ID: v.ID, Name: v.Project, State: v.State, Progress: v.Progress,
+			PhaseMillis: v.PhaseMillis, Attempts: v.Attempts, Error: v.Error,
+			EnqueuedMS: v.EnqueuedMS, StartedMS: v.StartedMS, FinishedMS: v.FinishedMS,
+		}
+		if v.Campaign != "" {
+			st.Result = v.Campaign
+		}
+		sts = append(sts, st)
+	}
+	s.sched.Restore(sts)
 	// Campaign IDs derive from job numbers, so the job counter must
 	// clear every stored campaign — including ones whose job never made
 	// the journal because the process crashed mid-run.
@@ -305,63 +301,7 @@ func (s *Server) restore(retainJobs int) {
 		if _, err := fmt.Sscanf(meta.ID, "camp-%d", &n); err == nil && n > maxCamp {
 			maxCamp = n
 		}
-		if meta.Status != resultstore.StatusDone && meta.Status != resultstore.StatusDegraded {
-			continue // interrupted/canceled campaigns stay record-only
-		}
-		repData, err := s.store.Report(meta.ID)
-		if err != nil {
-			continue
-		}
-		var rep analysis.Report
-		if err := json.Unmarshal(repData, &rep); err != nil {
-			continue
-		}
-		summary := CampaignSummary{ID: meta.ID, Project: meta.Project}
-		if meta.Summary != nil {
-			_ = json.Unmarshal(meta.Summary, &summary)
-		}
-		run := &campaignRun{
-			summary: summary,
-			report:  &rep,
-			text:    rep.Render("campaign " + meta.ID + " (" + meta.Name + ")"),
-		}
-		if meta.Phases != nil {
-			_ = json.Unmarshal(meta.Phases, &run.phases)
-		}
-		s.campaigns[meta.ID] = run
 	}
-	// Reload terminal job snapshots: the journal is append-only, so
-	// dedupe by ID (the newest snapshot wins) and keep only the most
-	// recent retainJobs — matching the scheduler's in-memory retention
-	// rather than the journal's lifetime length.
-	latest := map[string]scheduler.Status{}
-	var order []string
-	for _, raw := range s.store.Jobs() {
-		var v JobStatus
-		if err := json.Unmarshal(raw, &v); err != nil || v.ID == "" {
-			continue
-		}
-		st := scheduler.Status{
-			ID: v.ID, Name: v.Project, State: v.State, Progress: v.Progress,
-			PhaseMillis: v.PhaseMillis, Error: v.Error,
-			EnqueuedMS: v.EnqueuedMS, StartedMS: v.StartedMS, FinishedMS: v.FinishedMS,
-		}
-		if v.Campaign != "" {
-			st.Result = v.Campaign
-		}
-		if _, seen := latest[v.ID]; !seen {
-			order = append(order, v.ID)
-		}
-		latest[v.ID] = st
-	}
-	if len(order) > retainJobs {
-		order = order[len(order)-retainJobs:]
-	}
-	sts := make([]scheduler.Status, 0, len(order))
-	for _, id := range order {
-		sts = append(sts, latest[id])
-	}
-	s.sched.Restore(sts)
 	s.sched.AdvanceIDs(maxCamp)
 }
 
@@ -540,77 +480,53 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 	if len(files) == 0 {
 		return nil, "", http.StatusBadRequest, "campaign needs project files"
 	}
-	names := scanner.SortedNames(files)
-	wlFiles := req.WorkloadFiles
-	if len(wlFiles) == 0 {
-		wlFiles = names
+	// One description of the campaign: the spec is what this process
+	// builds its Campaign from and, verbatim, what fleet workers rebuild
+	// theirs from (kvclient.CampaignFromSpec on both sides). Unset
+	// request fields take the case study's workload and image profile.
+	image := kvclient.Image()
+	spec := remote.CampaignSpec{
+		Name:          req.Project,
+		Files:         files,
+		ScanFiles:     req.ScanFiles,
+		Faultload:     specs,
+		Entry:         req.Entry,
+		WorkloadFiles: req.WorkloadFiles,
+		TimeoutNS:     req.TimeoutSec * 1_000_000_000,
+		MaxSteps:      kvclient.WorkloadMaxSteps,
+		WallBudgetNS:  req.ExperimentWallMS * 1_000_000,
+		Rounds:        req.Rounds,
+		EnvName:       req.Env,
+		ImageName:     req.Project,
+		ImageMemMB:    image.MemMB,
+		ImageIOMBps:   image.IOMBps,
+		Seed:          req.Seed,
+		SampleN:       req.SampleN,
+		ReducePlan:    req.ReducePlan,
 	}
-	timeout := req.TimeoutSec
-	if timeout <= 0 {
-		timeout = 240
+	if len(spec.WorkloadFiles) == 0 {
+		spec.WorkloadFiles = scanner.SortedNames(files)
 	}
-
-	// The name table is shared with the remote worker agent, so both
-	// sides resolve campaign specs identically.
-	env, captureEnv, restoreEnv, ok := kvclient.EnvByName(req.Env)
-	if !ok {
-		return nil, "", http.StatusBadRequest, fmt.Sprintf("unknown env %q (want kvclient or plain)", req.Env)
+	if spec.TimeoutNS <= 0 {
+		spec.TimeoutNS = kvclient.WorkloadTimeoutNS
 	}
-
-	c := &campaign.Campaign{
-		Name:      req.Project,
-		Files:     files,
-		ScanFiles: req.ScanFiles,
-		Faultload: specs,
-		Workload: workload.Config{
-			Entry:        req.Entry,
-			Files:        wlFiles,
-			TimeoutNS:    timeout * 1_000_000_000,
-			MaxSteps:     20_000_000,
-			WallBudgetNS: req.ExperimentWallMS * 1_000_000,
-			Rounds:       req.Rounds,
-			Env:          env,
-			CaptureEnv:   captureEnv,
-			RestoreEnv:   restoreEnv,
-		},
-		Runtime:    sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: s.cores, Seed: req.Seed}),
-		Image:      sandbox.Image{Name: req.Project, MemMB: 256, IOMBps: 10},
-		Seed:       req.Seed,
-		SampleN:    req.SampleN,
-		ReducePlan: req.ReducePlan,
-		Analysis:   analysis.Config{Classes: req.Classes, Components: map[string][]string{}},
-		// The service reads reports from the online aggregator and
-		// records from the result store: no reason to materialize the
-		// full record slice per campaign.
-		DiscardRecords: true,
-		Metrics:        s.reg,
+	c, err := kvclient.CampaignFromSpec(spec, s.cores)
+	if err != nil {
+		return nil, "", http.StatusBadRequest, err.Error()
 	}
+	c.Analysis = analysis.Config{Classes: req.Classes, Components: map[string][]string{}}
+	// The service reads reports from the online aggregator and records
+	// from the result store: no reason to materialize the full record
+	// slice per campaign.
+	c.DiscardRecords = true
+	c.Metrics = s.reg
 	if req.Remote {
-		// The distributed engine: the campaign spec below is what a
-		// worker rebuilds its execution context from, so it mirrors the
-		// Campaign fields above — except the plan context, which the
-		// campaign fills in (SetPlanContext) once scan and coverage ran.
+		// The distributed engine. The plan context is the one part of
+		// the spec still open: the campaign fills it in (SetPlanContext)
+		// once scan and coverage ran.
 		c.Executor = &executor.Remote{
-			Coord: s.fleet,
-			Spec: remote.CampaignSpec{
-				Name:          req.Project,
-				Files:         files,
-				ScanFiles:     req.ScanFiles,
-				Faultload:     specs,
-				Entry:         req.Entry,
-				WorkloadFiles: wlFiles,
-				TimeoutNS:     timeout * 1_000_000_000,
-				MaxSteps:      20_000_000,
-				WallBudgetNS:  req.ExperimentWallMS * 1_000_000,
-				Rounds:        req.Rounds,
-				EnvName:       req.Env,
-				ImageName:     req.Project,
-				ImageMemMB:    256,
-				ImageIOMBps:   10,
-				Seed:          req.Seed,
-				SampleN:       req.SampleN,
-				ReducePlan:    req.ReducePlan,
-			},
+			Coord:          s.fleet,
+			Spec:           spec,
 			Shards:         req.Shards,
 			LocalWorkers:   s.cores - 1,
 			WaitForWorkers: req.WaitForWorkers,
@@ -638,27 +554,6 @@ func summaryFor(id, project string, res *campaign.Result) CampaignSummary {
 	}
 }
 
-// storeCampaign files a finished run under its campaign ID.
-func (s *Server) storeCampaign(id, project, projName string, res *campaign.Result) {
-	s.mu.Lock()
-	s.campaigns[id] = &campaignRun{
-		summary: summaryFor(id, project, res),
-		report:  res.Report,
-		text:    res.Report.Render("campaign " + id + " (" + projName + ")"),
-	}
-	s.mu.Unlock()
-}
-
-// attachPhases records a finished campaign's phase timeline on its
-// stored run (no-op for unknown IDs).
-func (s *Server) attachPhases(id string, phases []trace.Span) {
-	s.mu.Lock()
-	if run, ok := s.campaigns[id]; ok {
-		run.phases = phases
-	}
-	s.mu.Unlock()
-}
-
 // journaledJob is the write-ahead journal payload of an accepted
 // campaign job: everything needed to rebuild and re-run (or resume) the
 // campaign in a later process. The faultload arrives pre-resolved and
@@ -677,10 +572,9 @@ func (s *Server) journalAccepted(jobID string, req CampaignRequest, projName str
 	jreq := req
 	jreq.Specs = c.Faultload // resolved: model + inline specs merged
 	jreq.Model = ""
-	payload, err := json.Marshal(journaledJob{Request: jreq, Project: projName, Files: c.Files})
-	if err != nil {
-		payload = nil // journal the lifecycle anyway; recovery will abandon it
-	}
+	// A marshal failure leaves a nil payload: the lifecycle is journaled
+	// anyway and recovery will abandon the job.
+	payload, _ := json.Marshal(journaledJob{Request: jreq, Project: projName, Files: c.Files})
 	_ = s.store.AppendJournal(resultstore.JournalEntry{
 		Job: jobID, State: resultstore.JournalQueued,
 		Campaign: campaignIDFor(jobID), Name: req.Project,
@@ -724,75 +618,48 @@ func (s *Server) campaignTask(req CampaignRequest, projName string, c *campaign.
 		// NDJSON followers and record pages see the campaign grow, and
 		// a shutdown mid-campaign loses nothing that reached the sink.
 		var writer *resultstore.Writer
-		var werr error
-		if meta, ok := s.store.Get(campID); ok {
-			// The campaign outlived a previous process.
-			if meta.Status == resultstore.StatusDone || meta.Status == resultstore.StatusDegraded {
-				// It finished before the crash — only the job's terminal
-				// state was lost. restore() already filed the report.
-				obs.Log(ctx).Info("campaign already complete, skipping re-run")
-				return campID, nil
-			}
-			writer, werr = s.store.ResumeCampaign(campID)
-			if werr == nil {
-				c.Resume = s.loadResume(campID)
-				s.recReplayed.Add(float64(len(c.Resume)))
-				obs.Log(ctx).Info("resuming campaign from stored records",
-					"replayed", len(c.Resume))
-			}
-		} else {
-			writer, werr = s.store.StartCampaign(resultstore.Meta{
+		var err error
+		if meta, ok := s.store.Get(campID); !ok {
+			writer, err = s.store.StartCampaign(resultstore.Meta{
 				ID: campID, Project: req.Project, Name: projName,
 			})
+		} else if finished(meta) {
+			// The campaign outlived a previous process that crashed after
+			// sealing it — only the job's terminal state was lost.
+			obs.Log(ctx).Info("campaign already complete, skipping re-run")
+			return campID, nil
+		} else if writer, err = s.store.ResumeCampaign(campID); err == nil {
+			c.Resume = s.loadResume(campID)
+			s.recReplayed.Add(float64(len(c.Resume)))
+			obs.Log(ctx).Info("resuming campaign from stored records",
+				"replayed", len(c.Resume))
 		}
-		if werr != nil {
-			// The campaign still runs and reports from memory, but its
-			// records endpoints will 404 — say so where an operator
-			// can see it.
-			obs.Log(ctx).Warn("record persistence unavailable", "err", werr)
-		} else {
-			c.Sink = executor.SinkFunc(func(idx int, rec analysis.Record) {
-				_ = writer.Append(rec)
-			})
+		if err != nil {
+			// Only a campaign ID the store cannot take (invalid, or owned
+			// by another writer) ends up here; disk trouble degrades the
+			// campaign inside the store instead.
+			return nil, fmt.Errorf("campaign %s: %w", campID, err)
 		}
+		c.Sink = executor.SinkFunc(func(idx int, rec analysis.Record) {
+			_ = writer.Append(rec)
+		})
 		res, err := c.RunContext(ctx)
 		if err != nil {
-			if writer != nil {
-				status := resultstore.StatusFailed
-				if errors.Is(err, context.Canceled) {
-					status = resultstore.StatusCanceled
-				}
-				if aerr := writer.Abort(status); aerr != nil {
-					obs.Log(ctx).Error("record persistence failed", "err", aerr)
-				}
+			status := resultstore.StatusFailed
+			if errors.Is(err, context.Canceled) {
+				status = resultstore.StatusCanceled
+			}
+			if aerr := writer.Abort(status); aerr != nil {
+				obs.Log(ctx).Error("record persistence failed", "err", aerr)
 			}
 			return nil, err
 		}
-		storeStart := time.Now()
-		s.storeCampaign(campID, req.Project, projName, res)
-		// The "store" phase (report rendering + in-memory filing) extends
-		// the campaign's own timeline; its offsets continue from the last
-		// recorded phase so the whole span set shares one time base.
-		base := int64(0)
-		for _, sp := range res.Phases {
-			if sp.EndNS > base {
-				base = sp.EndNS
-			}
-		}
-		res.Phases = append(res.Phases, trace.Span{
-			Name: "store", Component: "saas",
-			StartNS: base, EndNS: base + time.Since(storeStart).Nanoseconds(),
-		})
-		s.attachPhases(campID, res.Phases)
-		if writer != nil {
-			_ = writer.SetPhases(res.Phases)
-			// Finish surfaces the stream's first write error: the report
-			// itself is safe in memory, but clients paging the stored
-			// records would see silently truncated data, so make the
-			// failure loud.
-			if ferr := writer.Finish(resultstore.StatusDone, summaryFor(campID, req.Project, res), res.Report); ferr != nil {
-				obs.Log(ctx).Error("record persistence failed", "err", ferr)
-			}
+		_ = writer.SetPhases(res.Phases)
+		// Finish surfaces the stream's first write error: the report and
+		// the records still serve from the store's memory, but they will
+		// not survive a restart, so make the failure loud.
+		if ferr := writer.Finish(resultstore.StatusDone, summaryFor(campID, req.Project, res), res.Report); ferr != nil {
+			obs.Log(ctx).Error("record persistence failed", "err", ferr)
 		}
 		obs.Log(ctx).Info("campaign done",
 			"points", res.Report.Total, "covered", res.Report.Covered,
@@ -848,9 +715,8 @@ func (s *Server) recover() {
 			c, projName, status, msg = s.buildCampaignFrom(payload.Request, payload.Project, payload.Files)
 		}
 		if status == 0 {
-			jobID := e.Job
-			task := s.campaignTask(payload.Request, projName, c, func() string { return jobID })
-			if err := s.sched.SubmitID(jobID, payload.Request.Project, task); err != nil {
+			task := s.campaignTask(payload.Request, projName, c, func() string { return e.Job })
+			if err := s.sched.SubmitID(e.Job, payload.Request.Project, task); err != nil {
 				status, msg = http.StatusServiceUnavailable, err.Error()
 			}
 		}
@@ -858,15 +724,12 @@ func (s *Server) recover() {
 			outcome = "abandoned"
 			obs.Log(context.Background()).Warn("journaled job abandoned at recovery",
 				"job", e.Job, "campaign", e.Campaign, "reason", msg)
-			_ = s.store.AppendJournal(resultstore.JournalEntry{
-				Job: e.Job, State: resultstore.JournalFailed, TimeMS: time.Now().UnixMilli(),
-			})
 			failed := scheduler.Status{
 				ID: e.Job, Name: e.Name, State: scheduler.Failed,
 				Error:      "recovery failed: " + msg,
 				EnqueuedMS: e.TimeMS, FinishedMS: time.Now().UnixMilli(),
 			}
-			_ = s.store.AppendJob(jobView(failed))
+			_ = s.store.AppendJournal(terminalEntry(failed))
 			s.sched.Restore([]scheduler.Status{failed})
 		} else {
 			obs.Log(context.Background()).Info("journaled job re-admitted",
@@ -951,10 +814,12 @@ func (s *Server) handleRunCampaign(w http.ResponseWriter, r *http.Request) {
 	switch st.State {
 	case scheduler.Done:
 		campID := st.Result.(string)
-		s.mu.RLock()
-		run := s.campaigns[campID]
-		s.mu.RUnlock()
-		writeJSON(w, http.StatusCreated, map[string]any{"id": campID, "job": jobID, "report": run.report})
+		rep, _, ok := s.finishedCampaign(campID)
+		if !ok {
+			httpError(w, http.StatusInternalServerError, "campaign %s evicted before its report could be read", campID)
+			return
+		}
+		writeJSON(w, http.StatusCreated, map[string]any{"id": campID, "job": jobID, "report": rep})
 	case scheduler.Canceled:
 		httpError(w, http.StatusConflict, "campaign canceled")
 	default:
@@ -1017,18 +882,42 @@ func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, jobView(st))
 }
 
+// finished reports whether a stored campaign ran to completion and so
+// has a report (degraded = complete, but its records lost durability).
+func finished(meta resultstore.Meta) bool {
+	return meta.Status == resultstore.StatusDone || meta.Status == resultstore.StatusDegraded
+}
+
+// finishedCampaign loads a finished campaign's report and metadata from
+// the result store — the only place finished campaigns live. ok is
+// false for unknown IDs and for campaigns without a report (running,
+// interrupted, canceled, failed: those are record-only).
+func (s *Server) finishedCampaign(id string) (*analysis.Report, resultstore.Meta, bool) {
+	meta, ok := s.store.Get(id)
+	if !ok || !finished(meta) {
+		return nil, meta, false
+	}
+	data, err := s.store.Report(id)
+	var rep analysis.Report
+	if err != nil || json.Unmarshal(data, &rep) != nil {
+		return nil, meta, false
+	}
+	return &rep, meta, true
+}
+
 func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids := make([]string, 0, len(s.campaigns))
-	for id := range s.campaigns {
-		ids = append(ids, id)
+	out := []CampaignSummary{}
+	for _, meta := range s.store.List() {
+		if !finished(meta) {
+			continue
+		}
+		summary := CampaignSummary{ID: meta.ID, Project: meta.Project}
+		if meta.Summary != nil {
+			_ = json.Unmarshal(meta.Summary, &summary)
+		}
+		out = append(out, summary)
 	}
-	sort.Strings(ids)
-	out := make([]CampaignSummary, 0, len(ids))
-	for _, id := range ids {
-		out = append(out, s.campaigns[id].summary)
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	writeJSON(w, http.StatusOK, out)
 }
 
@@ -1041,20 +930,21 @@ type campaignView struct {
 }
 
 func (s *Server) handleGetCampaign(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	run, ok := s.campaigns[r.PathValue("id")]
-	s.mu.RUnlock()
+	rep, meta, ok := s.finishedCampaign(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such campaign")
 		return
 	}
-	writeJSON(w, http.StatusOK, campaignView{Report: run.report, Phases: run.phases})
+	view := campaignView{Report: rep}
+	if meta.Phases != nil {
+		_ = json.Unmarshal(meta.Phases, &view.Phases)
+	}
+	writeJSON(w, http.StatusOK, view)
 }
 
 func (s *Server) handleGetCampaignText(w http.ResponseWriter, r *http.Request) {
-	s.mu.RLock()
-	run, ok := s.campaigns[r.PathValue("id")]
-	s.mu.RUnlock()
+	id := r.PathValue("id")
+	rep, meta, ok := s.finishedCampaign(id)
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such campaign")
 		return
@@ -1064,7 +954,8 @@ func (s *Server) handleGetCampaignText(w http.ResponseWriter, r *http.Request) {
 	// names) so one campaign cannot produce an unbounded text body.
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.Header().Set("X-Content-Type-Options", "nosniff")
-	_, _ = w.Write([]byte(truncateText(run.text, maxTextReportBytes)))
+	text := rep.Render("campaign " + id + " (" + meta.Name + ")")
+	_, _ = w.Write([]byte(truncateText(text, maxTextReportBytes)))
 }
 
 // truncateText cuts s to at most max bytes without splitting a UTF-8

@@ -188,6 +188,16 @@ func (j *job) status() Status {
 	return st
 }
 
+// cancelLocked finishes a job that never ran (or never will) as
+// Canceled and releases its task; callers hold j.mu.
+func (j *job) cancelLocked() {
+	j.state = Canceled
+	j.err = context.Canceled
+	j.finished = time.Now()
+	j.task = nil
+	close(j.done)
+}
+
 func unixMS(t time.Time) int64 {
 	if t.IsZero() {
 		return 0
@@ -383,28 +393,23 @@ func (s *Scheduler) List() []Status {
 func (s *Scheduler) Cancel(id string) (Status, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
-	s.mu.Unlock()
-	if !ok {
-		return Status{}, false
-	}
 	// Pull the job out of the pending list first so its queue slot is
 	// freed immediately and no worker can start it underneath us.
-	s.mu.Lock()
 	for i, p := range s.pending {
-		if p == j {
+		if ok && p == j {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
 			s.met.dequeued(1)
 			break
 		}
 	}
 	s.mu.Unlock()
+	if !ok {
+		return Status{}, false
+	}
 	j.mu.Lock()
 	switch j.state {
 	case Queued:
-		j.state = Canceled
-		j.err = context.Canceled
-		j.finished = time.Now()
-		close(j.done)
+		j.cancelLocked()
 		j.mu.Unlock()
 		s.finished(j)
 	case Running:
@@ -449,20 +454,13 @@ func (s *Scheduler) Close() {
 	s.met.dequeued(len(drained))
 	for _, j := range drained {
 		j.mu.Lock()
-		canceled := false
-		if j.state == Queued {
-			j.state = Canceled
-			j.err = context.Canceled
-			j.finished = time.Now()
-			close(j.done)
-			canceled = true
+		canceled := j.state == Queued
+		if canceled {
+			j.cancelLocked()
 		}
 		j.mu.Unlock()
 		if canceled {
-			s.met.terminal(j.status())
-			if s.cfg.OnFinish != nil {
-				s.cfg.OnFinish(j.status())
-			}
+			s.finished(j)
 		}
 	}
 	s.baseCancel()
@@ -498,10 +496,7 @@ func (s *Scheduler) runJob(j *job) {
 		return
 	}
 	if s.baseCtx.Err() != nil { // scheduler closing: don't start the task
-		j.state = Canceled
-		j.err = context.Canceled
-		j.finished = time.Now()
-		close(j.done)
+		j.cancelLocked()
 		j.mu.Unlock()
 		s.finished(j)
 		return
@@ -510,6 +505,7 @@ func (s *Scheduler) runJob(j *job) {
 	j.started = time.Now()
 	j.phaseStart = j.started
 	j.cancel = cancel
+	task := j.task
 	j.mu.Unlock()
 	s.met.started()
 
@@ -523,7 +519,7 @@ func (s *Scheduler) runJob(j *job) {
 		j.mu.Lock()
 		j.attempts = attempt + 1
 		j.mu.Unlock()
-		result, err = j.task(ctx, j.report)
+		result, err = task(ctx, j.report)
 		if err == nil || !Retryable(err) || attempt >= s.cfg.MaxRetries {
 			break
 		}
@@ -540,7 +536,9 @@ func (s *Scheduler) runJob(j *job) {
 		j.met.phase(j.prog.Phase, time.Since(j.phaseStart))
 	}
 	j.finished = time.Now()
-	j.cancel = nil
+	// Retained for polling from here on: release what only a running job
+	// needs (the task closure pins the whole campaign).
+	j.cancel, j.task = nil, nil
 	switch {
 	case err == nil:
 		j.state = Done
@@ -609,8 +607,9 @@ func (s *Scheduler) finished(j *job) {
 // process (journaled through OnFinish and reloaded at startup): they
 // become visible to Status/List/Wait as finished history, and the ID
 // counter advances past them so new jobs never collide. Non-terminal
-// snapshots and duplicates are skipped.
+// snapshots and duplicates are skipped, the oldest beyond Retain evicted.
 func (s *Scheduler) Restore(sts []Status) {
+	defer s.evict() // after the unlock below
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, st := range sts {
@@ -625,6 +624,7 @@ func (s *Scheduler) Restore(sts []Status) {
 			name:     st.Name,
 			state:    st.State,
 			prog:     st.Progress,
+			attempts: st.Attempts,
 			result:   st.Result,
 			enqueued: msTime(st.EnqueuedMS),
 			started:  msTime(st.StartedMS),

@@ -3,6 +3,7 @@ package scheduler
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -440,5 +441,69 @@ func TestFinishedJobFeedsRetryEstimate(t *testing.T) {
 	}
 	if est <= 0 {
 		t.Fatalf("estimate = %v, want > 0", est)
+	}
+}
+
+// TestTerminalJobReleasesTask: a finished job stays retained for
+// polling, but what only a running job needs must go — the task closure
+// captures the whole campaign (project files included). Ran, canceled
+// while queued, and drained at Close are the three ways a job ends.
+func TestTerminalJobReleasesTask(t *testing.T) {
+	s := New(Config{Workers: 1})
+	collected := make(chan string, 3)
+	// submit captures a payload with a finalizer in the task closure and
+	// drops every other reference to it.
+	submit := func(name string, task func(ctx context.Context) error) string {
+		payload := &[1 << 16]byte{}
+		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { collected <- name })
+		id, err := s.Submit(name, func(ctx context.Context, report func(Progress)) (any, error) {
+			payload[0]++
+			return nil, task(ctx)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	started, release := make(chan struct{}), make(chan struct{})
+	ran := submit("ran", func(ctx context.Context) error {
+		close(started)
+		<-release
+		return nil
+	})
+	<-started // the single worker is busy: the next two stay queued
+	canceled := submit("canceled", func(context.Context) error { return nil })
+	drained := submit("drained", func(context.Context) error { return nil })
+	if st, _ := s.Cancel(canceled); st.State != Canceled {
+		t.Fatalf("cancel queued job: %+v", st)
+	}
+	// Close drains the queue (the third job never runs), then waits for
+	// the running one, which the test lets finish.
+	closed := make(chan struct{})
+	go func() { s.Close(); close(closed) }()
+	for st, _ := s.Status(drained); st.State != Canceled; st, _ = s.Status(drained) {
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	<-closed
+
+	got := map[string]bool{}
+	for deadline := time.Now().Add(5 * time.Second); len(got) < 3 && time.Now().Before(deadline); {
+		runtime.GC()
+		runtime.GC()
+		select {
+		case name := <-collected:
+			got[name] = true
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if len(got) != 3 {
+		t.Errorf("terminal jobs still pin their task: only %v collected", got)
+	}
+	// ...while the jobs themselves still answer.
+	for id, want := range map[string]State{ran: Done, canceled: Canceled, drained: Canceled} {
+		if st, ok := s.Status(id); !ok || st.State != want {
+			t.Errorf("job %s after release: %+v, want %s", id, st, want)
+		}
 	}
 }

@@ -31,8 +31,6 @@ import (
 	"profipy/internal/executor"
 	"profipy/internal/kvclient"
 	"profipy/internal/remote"
-	"profipy/internal/sandbox"
-	"profipy/internal/workload"
 )
 
 // Config parameterises an agent.
@@ -299,33 +297,9 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 	if status != http.StatusOK {
 		return nil, fmt.Errorf("worker: spec fetch: status %d", status)
 	}
-	env, captureEnv, restoreEnv, ok := kvclient.EnvByName(spec.EnvName)
-	if !ok {
-		return nil, fmt.Errorf("worker: campaign %s: unknown env %q", lease.Campaign, spec.EnvName)
-	}
-	c := &campaign.Campaign{
-		Name:      spec.Name,
-		Files:     spec.Files,
-		ScanFiles: spec.ScanFiles,
-		Faultload: spec.Faultload,
-		Workload: workload.Config{
-			Entry:        spec.Entry,
-			Files:        spec.WorkloadFiles,
-			TimeoutNS:    spec.TimeoutNS,
-			MaxSteps:     spec.MaxSteps,
-			WallBudgetNS: spec.WallBudgetNS,
-			Rounds:       spec.Rounds,
-			Env:          env,
-			CaptureEnv:   captureEnv,
-			RestoreEnv:   restoreEnv,
-		},
-		Runtime: sandbox.NewRuntime(sandbox.RuntimeConfig{
-			Cores: a.cfg.Parallel + 1, Seed: spec.Seed,
-		}),
-		Image:      sandbox.Image{Name: spec.ImageName, MemMB: spec.ImageMemMB, IOMBps: spec.ImageIOMBps},
-		Seed:       spec.Seed,
-		SampleN:    spec.SampleN,
-		ReducePlan: spec.ReducePlan,
+	c, err := kvclient.CampaignFromSpec(spec, a.cfg.Parallel+1)
+	if err != nil {
+		return nil, fmt.Errorf("worker: campaign %s: %w", lease.Campaign, err)
 	}
 	runner, err := campaign.NewRunner(c, spec.Covered)
 	if err != nil {

@@ -1,15 +1,19 @@
 #!/usr/bin/env bash
 # restart-chaos-smoke is the end-to-end gate on control-plane crash
 # consistency: it runs a campaign to completion on one daemon (the
-# golden run), then re-runs the identical campaign on a fresh data dir,
-# SIGKILLs profipyd mid-campaign — no shutdown hooks, no journal
-# flush — restarts it on the same data dir, and fails unless:
+# golden run), then re-runs the identical campaign on the same data
+# dir, SIGKILLs profipyd mid-campaign — no shutdown hooks, no journal
+# flush — restarts it on that data dir, and fails unless:
 #
 #   * the interrupted campaign resumes and finishes with a record set
 #     and report byte-identical to the golden run (a re-executed index
 #     would surface as a duplicate record line in the diff),
 #   * a second job that was still queued at the moment of the kill is
 #     re-admitted and completes after the restart,
+#   * the golden job, finished before the kill, is still listed with
+#     its campaign link and its campaign answers with the pre-kill body
+#     (finished work is served from the data dir, not from memory),
+#   * the data dir holds one job log: journal.jsonl, no jobs.jsonl,
 #   * the profipy_recovery_* metric families report one resumed job,
 #     one requeued job and a non-zero replayed-record count.
 set -euo pipefail
@@ -84,21 +88,22 @@ wait_job() { # wait_job <job-id>
 }
 
 echo "== golden run: the campaign uninterrupted"
-boot "$WORKDIR/golden"
+boot "$WORKDIR/data"
 GOLD_JOB=$(curl -fs -X POST "http://$ADDR/api/v1/campaigns" \
   -H 'Content-Type: application/json' -d "$(request)" | jq -r .job)
 wait_job "$GOLD_JOB"
 GOLD_CAMP="camp-${GOLD_JOB#job-}"
 records_of "$GOLD_CAMP" > "$WORKDIR/golden-records.txt"
 report_of "$GOLD_CAMP" > "$WORKDIR/golden-report.json"
+curl -fs "http://$ADDR/api/v1/campaigns/$GOLD_CAMP" | jq -S . > "$WORKDIR/golden-body.json"
 GOLD_N=$(wc -l < "$WORKDIR/golden-records.txt")
 [[ "$GOLD_N" -gt 1 ]] || { echo "golden run produced $GOLD_N records"; exit 1; }
 echo "   golden campaign $GOLD_CAMP: $GOLD_N records"
 kill "$PID" && wait "$PID" 2>/dev/null || true
 PID=
 
-echo "== chaos run: same campaign on a fresh data dir, plus a queued job"
-boot "$WORKDIR/chaos"
+echo "== chaos run: same campaign on the same data dir, plus a queued job"
+boot "$WORKDIR/data"
 JOB=$(curl -fs -X POST "http://$ADDR/api/v1/campaigns" \
   -H 'Content-Type: application/json' -d "$(request)" | jq -r .job)
 CAMP="camp-${JOB#job-}"
@@ -121,9 +126,22 @@ wait "$PID" 2>/dev/null || true
 echo "   killed profipyd with $N/$GOLD_N records stored"
 
 echo "== restart profipyd on the same data dir"
-boot "$WORKDIR/chaos"
+boot "$WORKDIR/data"
 wait_job "$JOB"
 wait_job "$QUEUED"
+
+echo "== check the work finished before the kill is served from the data dir"
+LINK=$(curl -fs "http://$ADDR/api/v1/jobs" \
+  | jq -r --arg id "$GOLD_JOB" '.[] | select(.id == $id) | .state + " " + .campaign')
+[[ "$LINK" == "done $GOLD_CAMP" ]] \
+  || { echo "job list has '$LINK' for $GOLD_JOB, want 'done $GOLD_CAMP'"; exit 1; }
+if ! curl -fs "http://$ADDR/api/v1/campaigns/$GOLD_CAMP" | jq -S . | diff - "$WORKDIR/golden-body.json"; then
+  echo "GET /campaigns/$GOLD_CAMP changed across the kill and restart"; exit 1
+fi
+[[ ! -e "$WORKDIR/data/jobs.jsonl" ]] || { echo "data dir still has a jobs.jsonl"; exit 1; }
+[[ "$(ls "$WORKDIR/data" | sort | xargs)" == "campaigns journal.jsonl" ]] \
+  || { echo "data dir holds: $(ls "$WORKDIR/data" | xargs)"; exit 1; }
+echo "   $GOLD_JOB -> $GOLD_CAMP intact; data dir: campaigns journal.jsonl"
 
 echo "== compare the resumed campaign against the golden run"
 records_of "$CAMP" > "$WORKDIR/chaos-records.txt"
