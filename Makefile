@@ -60,8 +60,9 @@ bench: bench-exec
 
 # End-to-end execute-phase benchmark: campaign throughput and two-round
 # experiment latency, the production (closure) path next to the test-only
-# tree-walk reference, and campaign-late's experiments forked vs run in
-# full, as machine-readable JSON.
+# tree-walk reference, campaign-late's experiments forked vs run in
+# full, and mutant → program derivation on the text and declaration
+# front ends (mutant-derive/*), as machine-readable JSON.
 bench-exec:
 	PROFIPY_BENCH_JSON=$(CURDIR)/BENCH_exec.json $(GO) test -run TestEmitExecBenchJSON -count=1 .
 

@@ -20,8 +20,12 @@ import (
 	"profipy/internal/faultmodel"
 	"profipy/internal/interp"
 	"profipy/internal/kvclient"
+	"profipy/internal/mutator"
+	"profipy/internal/pattern"
+	"profipy/internal/plan"
 	"profipy/internal/runtimefault"
 	"profipy/internal/sandbox"
+	"profipy/internal/scanner"
 	"profipy/internal/workload"
 )
 
@@ -341,6 +345,91 @@ func BenchmarkRuntimeExperiment(b *testing.B) {
 	}
 }
 
+// mutantDeriveLap prepares §V-B's whole plan for deriving every mutant's
+// program off a fresh base: what an experiment pays before its container
+// exists. The text front end is what the Runner did until it was handed
+// the declaration (print the window twice more for diagnostics, splice,
+// then diff the file against the base and re-parse the declaration);
+// the decl front end prints the deployed text once and compiles the
+// tree it was printed from. lap runs the plan once; mutants is its size.
+func mutantDeriveLap(tb testing.TB, decl bool) (lap func(), mutants int) {
+	tb.Helper()
+	c := kvclient.CampaignB(NewRuntime(RuntimeConfig{Cores: 2, Seed: 20}), 202)
+	cache := scanner.NewProjectCache(c.Files)
+	pl, err := plan.BuildFromCache(cache, c.Faultload)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	models := make(map[string]*pattern.MetaModel)
+	for _, spec := range c.Faultload {
+		if models[spec.Name], err = spec.Compile(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	units := make([]interp.SourceUnit, 0, len(c.Workload.Files))
+	for _, name := range c.Workload.Files {
+		pf, err := cache.Get(name)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		units = append(units, interp.SourceUnit{Name: name, Src: pf.Src, AST: pf.File})
+	}
+	return func() {
+		base, err := interp.CompileProgram(units)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		for _, pt := range pl.Points {
+			pf, _ := cache.Get(pt.File)
+			opts := mutator.Options{Triggered: true}
+			if !decl {
+				res, err := mutator.ApplyParsed(pf, models[pt.Spec], pt, opts)
+				if err != nil {
+					tb.Fatal(err)
+				}
+				_, _ = res.Original(), res.Mutated()
+				if _, err := base.WithFiles(map[string][]byte{pt.File: res.Source}); err != nil {
+					tb.Fatal(err)
+				}
+				continue
+			}
+			mut, err := mutator.Mutate(pf, models[pt.Spec], pt, opts)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			src, err := mut.Render()
+			if err != nil {
+				tb.Fatal(err)
+			}
+			if _, err := base.WithDecl(pt.File, mut.Decl(), src); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}, len(pl.Points)
+}
+
+var mutantDeriveRows = []struct {
+	name string
+	decl bool
+}{{"text", false}, {"decl", true}}
+
+// BenchmarkMutantDerive measures mutant → program over §V-B's plan on
+// both front ends; one op is the whole plan off a fresh base (the base
+// compile included, the same on both rows).
+func BenchmarkMutantDerive(b *testing.B) {
+	for _, row := range mutantDeriveRows {
+		b.Run(row.name, func(b *testing.B) {
+			lap, mutants := mutantDeriveLap(b, row.decl)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				lap()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*mutants), "ns/mutant")
+		})
+	}
+}
+
 // BenchmarkCampaignExecution measures end-to-end campaign throughput
 // (scan + coverage + all experiments + analysis) in experiments per
 // wall second, next to the tree-walk baseline (experiments only).
@@ -564,6 +653,22 @@ func TestEmitExecBenchJSON(t *testing.T) {
 		})
 	}
 
+	// Mutant → program on both front ends, whole §V-B plan per op.
+	for _, row := range mutantDeriveRows {
+		lap, _ := mutantDeriveLap(t, row.decl)
+		br := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				lap()
+			}
+		})
+		rows = append(rows, execBenchResult{
+			Name:        "mutant-derive/" + row.name,
+			NsPerOp:     float64(br.NsPerOp()),
+			AllocsPerOp: br.AllocsPerOp(),
+			BytesPerOp:  br.AllocedBytesPerOp(),
+		})
+	}
+
 	// The speedup map pairs rows by name: each entry divides the
 	// baseline row's ns/op by the subject row's, so >1.00x means the
 	// subject is faster.
@@ -591,6 +696,7 @@ func TestEmitExecBenchJSON(t *testing.T) {
 		"experiment-two-rounds closure-vs-tree-walk": {"experiment-two-rounds/closure", "experiment-two-rounds/tree-walk"},
 		"campaign-late prefix-fork-vs-full-runs":     {"campaign-late/prefix-fork-closure", "campaign-late/full-runs-closure"},
 		"late-experiment forked-vs-full":             {"prefix-fork/forked-experiment", "prefix-fork/full-experiment"},
+		"mutant-derive decl-vs-text":                 {"mutant-derive/decl", "mutant-derive/text"},
 	} {
 		if v, ok := ratio(pair[0], pair[1]); ok {
 			out.Speedup[name] = v

@@ -76,8 +76,8 @@ type Campaign struct {
 	Executor executor.Executor
 	// Sink, when set, receives every experiment record as it completes
 	// (streaming consumers: the result store, live NDJSON feeds).
-	// Records arrive from a single goroutine, tagged with their plan
-	// index, in completion order.
+	// Put is never called concurrently and sees every executed plan
+	// index exactly once, in completion order.
 	Sink executor.RecordSink
 	// Resume seeds a restarted campaign with records a previous run
 	// already produced (typically read back from the result store).
@@ -95,7 +95,7 @@ type Campaign struct {
 	// O(workers) instead of O(experiments).
 	DiscardRecords bool
 	// Metrics, when set, instruments the run (experiment outcomes,
-	// phase latency, compile-cache hits) and is forwarded to the
+	// phase latency, mutant compiles) and is forwarded to the
 	// default Local executor; caller-supplied executors carry their own
 	// registry reference.
 	Metrics *obs.Registry
@@ -407,8 +407,7 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		res.ForkMisses += n
 	}
 	met.fork(build, forkHits, forkMisses)
-	hits, misses := wcfg.Program.CacheStats()
-	met.cache(hits, misses, wcfg.Program.IncrementalRecompiles())
+	met.mutantCompiles(wcfg.Program.MutantCompiles())
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
 	}

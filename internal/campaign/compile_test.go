@@ -2,6 +2,8 @@ package campaign_test
 
 import (
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,8 +12,10 @@ import (
 	"profipy/internal/faultmodel"
 	"profipy/internal/interp"
 	"profipy/internal/kvclient"
+	"profipy/internal/mutator"
 	"profipy/internal/obs"
 	"profipy/internal/sandbox"
+	"profipy/internal/scanner"
 	"profipy/internal/workload"
 )
 
@@ -69,11 +73,12 @@ func TestBaseCompileFailureFailsFast(t *testing.T) {
 	}
 }
 
-// rejectedMutantCampaign is a two-point plan whose spec hoists an
-// assignment's right-hand side into an if header: fine for `n := 5`,
-// but `t := T{a: 1}` prints as `if T{a: 1} == nil {`, which does not
-// parse — a mutant the compiler rejects.
-func rejectedMutantCampaign(rt *sandbox.Runtime) *campaign.Campaign {
+// hoistCampaign is a two-point plan whose spec hoists an assignment's
+// right-hand side into an if header: fine for `n := 5`, but the bare
+// `t := T{a: 1}` would print as `if T{a: 1} == nil {`, which does not
+// parse — the one place go/printer leaves out parentheses the grammar
+// needs.
+func hoistCampaign(rt *sandbox.Runtime) *campaign.Campaign {
 	const src = `package main
 
 type T struct{}
@@ -85,7 +90,7 @@ func Workload() any {
 }
 `
 	return &campaign.Campaign{
-		Name:  "rejected-mutant",
+		Name:  "hoist",
 		Files: map[string][]byte{"w.go": []byte(src)},
 		Faultload: []faultmodel.Spec{{Name: "hoist", Type: "Hoist", DSL: `
 change {
@@ -105,18 +110,20 @@ change {
 	}
 }
 
-// rejectedMutantRecords is what the parent commit (which built a
-// container and tree-walked into the load error) recorded for
-// rejectedMutantCampaign: the rejected mutant is an infrastructure
-// error on its own experiment only.
-const rejectedMutantRecords = `[{"point":{"spec":"hoist","file":"w.go","func":"Workload","listIndex":0,"start":0,"n":1,"line":6,"snippet":"n := 5"},"faultType":"Hoist","covered":true,"result":{"rounds":[{"ok":false,"crash":true,"timeout":false,"exception":"UnboundLocalError","message":"uncaught exception: UnboundLocalError: local variable 'n' referenced before assignment (in Workload)","virtualNs":6000,"steps":6},{"ok":true,"crash":false,"timeout":false,"virtualNs":6000,"steps":6}],"logs":{"stdout":""}}},{"point":{"spec":"hoist","file":"w.go","func":"Workload","listIndex":0,"start":1,"n":1,"line":7,"snippet":"t := T{a: 1}"},"faultType":"Hoist","covered":true,"result":null}]`
+// hoistRecords is what hoistCampaign records. Until the mutator
+// parenthesized literals in headers, the second mutant's text did not
+// parse and its record was an infrastructure error ("result":null).
+const hoistRecords = `[{"point":{"spec":"hoist","file":"w.go","func":"Workload","listIndex":0,"start":0,"n":1,"line":6,"snippet":"n := 5"},"faultType":"Hoist","covered":true,"result":{"rounds":[{"ok":false,"crash":true,"timeout":false,"exception":"UnboundLocalError","message":"uncaught exception: UnboundLocalError: local variable 'n' referenced before assignment (in Workload)","virtualNs":6000,"steps":6},{"ok":true,"crash":false,"timeout":false,"virtualNs":6000,"steps":6}],"logs":{"stdout":""}}},{"point":{"spec":"hoist","file":"w.go","func":"Workload","listIndex":0,"start":1,"n":1,"line":7,"snippet":"t := T{a: 1}"},"faultType":"Hoist","covered":true,"result":{"rounds":[{"ok":false,"crash":true,"timeout":false,"exception":"UnboundLocalError","message":"uncaught exception: UnboundLocalError: local variable 't' referenced before assignment (in Workload)","virtualNs":6000,"steps":6},{"ok":true,"crash":false,"timeout":false,"virtualNs":6000,"steps":6}],"logs":{"stdout":""}}}]`
 
-// TestCompilerRejectedMutant pins the record of a mutant the compiler
-// rejects to the parent commit's bytes, and checks that the experiment
-// no longer builds a container just to fail in it.
-func TestCompilerRejectedMutant(t *testing.T) {
+// TestHoistedLiteralMutant: the compiler gets the mutant as a tree and
+// the container as text, so the two must be the same program even where
+// the printer alone would not make them so. The literal hoisted into
+// the if header is parenthesized in both; the campaign run through the
+// text front end (what a library user holding only the deployed text
+// would compile) records the same bytes.
+func TestHoistedLiteralMutant(t *testing.T) {
 	rt := newRuntime()
-	res, err := rejectedMutantCampaign(rt).Run()
+	res, err := hoistCampaign(rt).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,25 +131,81 @@ func TestCompilerRejectedMutant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(got) != rejectedMutantRecords {
-		t.Errorf("records changed:\n got: %s\nwant: %s", got, rejectedMutantRecords)
+	if string(got) != hoistRecords {
+		t.Errorf("records changed:\n got: %s\nwant: %s", got, hoistRecords)
 	}
-	if res.Errors != 1 || res.Mutated != 2 {
-		t.Errorf("errors=%d mutated=%d, want 1 and 2", res.Errors, res.Mutated)
+	if res.Errors != 0 || res.Mutated != 2 {
+		t.Errorf("errors=%d mutated=%d, want 0 and 2", res.Errors, res.Mutated)
 	}
 
-	runner, err := campaign.NewRunner(rejectedMutantCampaign(rt), res.Covered)
+	c := hoistCampaign(rt)
+	pf, err := scanner.ParseFileOnce("w.go", c.Files["w.go"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := rt.Stats().Created
-	rec, kind, fork := runner.ExperimentDetail(1)
-	if rec.Result != nil || kind != campaign.KindMutated || fork != campaign.ForkNone {
-		t.Errorf("rejected mutant: result=%v kind=%s fork=%q, want nil result, %s and no fork attempt",
-			rec.Result, kind, fork, campaign.KindMutated)
+	mm, err := c.Faultload[0].Compile()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := rt.Stats().Created - before; n != 0 {
-		t.Errorf("rejected mutant created %d containers, want 0", n)
+	base, err := interp.CompileProgram([]interp.SourceUnit{{Name: "w.go", Src: pf.Src, AST: pf.File}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, pt := range res.Plan.Points {
+		mut, err := mutator.ApplyParsed(pf, mm, pt, mutator.Options{Triggered: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 1 && !strings.Contains(string(mut.Source), "if (T{a: 1}) == nil {") {
+			t.Errorf("hoisted literal is not parenthesized:\n%s", mut.Source)
+		}
+		img := c.Image
+		img.Files = c.Files
+		img.Overlay = map[string][]byte{"w.go": mut.Source}
+		wcfg := c.Workload
+		if wcfg.Program, err = base.WithFiles(img.Overlay); err != nil {
+			t.Fatalf("mutant %d: its text does not compile: %v", i, err)
+		}
+		ctr := rt.CreateSeeded(img, c.Seed+int64(i)+1)
+		text, err := workload.Run(ctr, wcfg)
+		_ = rt.Destroy(ctr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(text, res.Records[i].Result) {
+			t.Errorf("mutant %d: compiled from text %+v, from the tree %+v", i, text, res.Records[i].Result)
+		}
+	}
+}
+
+// TestMutantsCompileOneDeclaration: every compile-time mutant of the §V
+// campaigns reaches the compiler as one declaration; the only whole-file
+// recompiles a campaign performs are the coverage pass's instrumented
+// files, whose hooks span declarations.
+func TestMutantsCompileOneDeclaration(t *testing.T) {
+	for _, build := range []func(*sandbox.Runtime, int64) *campaign.Campaign{
+		kvclient.CampaignA, kvclient.CampaignB, kvclient.CampaignC, kvclient.CampaignR, kvclient.CampaignLate,
+	} {
+		reg := obs.NewRegistry()
+		c := build(newRuntime(), 11)
+		c.Metrics = reg
+		res, err := c.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("profipy_campaign_mutant_compiles_total{path=\"decl\",reason=\"\"} %d\n", res.Mutated); !strings.Contains(sb.String(), want) {
+			t.Errorf("%s: %d mutants, scrape lacks %q", c.Name, res.Mutated, want)
+		}
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if strings.HasPrefix(line, `profipy_campaign_mutant_compiles_total{path="file"`) &&
+				!strings.HasPrefix(line, `profipy_campaign_mutant_compiles_total{path="file",reason="cross_decl"} `) {
+				t.Errorf("%s: unexpected whole-file compile: %s", c.Name, line)
+			}
+		}
 	}
 }
 

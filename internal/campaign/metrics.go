@@ -13,9 +13,7 @@ type cmetrics struct {
 	runs        *obs.CounterVec // status = started | completed | failed | canceled
 	experiments *obs.CounterVec // result = ok | error
 	phaseDur    *obs.HistogramVec
-	cacheHits   *obs.Counter
-	cacheMisses *obs.Counter
-	cacheIncr   *obs.Counter
+	compiles    *obs.CounterVec // path = decl | file (by reason)
 	forkEvents  *obs.CounterVec // event = snapshot | short_site | hit | miss (by reason) | build_failed
 }
 
@@ -35,12 +33,8 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 			"Completed experiments, by outcome (error = infrastructure abort).", "result"),
 		phaseDur: reg.HistogramVec("profipy_campaign_phase_seconds",
 			"Wall-clock time per campaign workflow phase.", phaseBuckets, "phase"),
-		cacheHits: reg.Counter("profipy_campaign_compile_cache_hits_total",
-			"Per-experiment program derivations served from the content-hash unit cache."),
-		cacheMisses: reg.Counter("profipy_campaign_compile_cache_misses_total",
-			"Per-experiment program derivations that had to recompile the mutated file."),
-		cacheIncr: reg.Counter("profipy_campaign_compile_incremental_total",
-			"Compile-cache misses served by the declaration-level incremental recompile instead of a whole-file recompile."),
+		compiles: reg.CounterVec("profipy_campaign_mutant_compiles_total",
+			"Per-experiment program derivations in this process: one declaration compiled (path=decl), or the whole mutated file recompiled (path=file) because no declaration was given (no_decl), it names no single function (rename), the text changed outside one function (cross_decl), it declares a new top-level name (new_name) or the declaration does not parse (parse_error).", "path", "reason"),
 		forkEvents: reg.CounterVec("profipy_campaign_fork_events_total",
 			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason), prefix builds that failed and left every experiment running in full (build_failed).", "event", "reason"),
 	}
@@ -87,10 +81,12 @@ func (m *cmetrics) forkBuildFailed() {
 	}
 }
 
-func (m *cmetrics) cache(hits, misses, incremental uint64) {
-	if m != nil {
-		m.cacheHits.Add(float64(hits))
-		m.cacheMisses.Add(float64(misses))
-		m.cacheIncr.Add(float64(incremental))
+func (m *cmetrics) mutantCompiles(decl uint64, file map[string]uint64) {
+	if m == nil {
+		return
+	}
+	m.compiles.With("decl", "").Add(float64(decl))
+	for reason, n := range file {
+		m.compiles.With("file", reason).Add(float64(n))
 	}
 }

@@ -246,17 +246,23 @@ func (r *Runner) ExperimentDetail(i int) (rec analysis.Record, kind, fork string
 		if err != nil {
 			return rec, KindError, ForkNone
 		}
-		mut, err := mutator.ApplyParsed(pf, mm, pt, mutator.Options{Triggered: true})
+		mut, err := mutator.Mutate(pf, mm, pt, mutator.Options{Triggered: true})
+		if err != nil {
+			return rec, KindError, ForkNone
+		}
+		src, err := mut.Render()
 		if err != nil {
 			return rec, KindError, ForkNone
 		}
 		// Copy-on-write deploy: the container shares the campaign's
 		// base file layer and shadows just the mutated file through the
 		// overlay, instead of copying the whole file map per experiment.
-		img.Overlay = map[string][]byte{pt.File: mut.Source}
+		img.Overlay = map[string][]byte{pt.File: src}
 		r.mutated.Add(1)
 		kind = KindMutated
-		wcfg.Program, err = wcfg.Program.WithFiles(img.Overlay)
+		// The container gets the mutant as text, the compiler as the
+		// tree that text was printed from: one compileFunc, no re-parse.
+		wcfg.Program, err = wcfg.Program.WithDecl(pt.File, mut.Decl(), src)
 		if err != nil {
 			// A mutant the compiler rejects is an infrastructure error
 			// on this experiment only.
@@ -356,7 +362,8 @@ func (r *Runner) KindOf(i int) string {
 	if err != nil {
 		return KindError
 	}
-	if _, err := mutator.ApplyParsed(pf, mm, pt, mutator.Options{Triggered: true}); err != nil {
+	// The structured core decides; nothing is rendered or compiled.
+	if _, err := mutator.Mutate(pf, mm, pt, mutator.Options{Triggered: true}); err != nil {
 		return KindError
 	}
 	return KindMutated

@@ -1,7 +1,7 @@
 // Package executor owns the execution phase of a fault injection
 // campaign: given a plan of n experiments, an Executor schedules them,
 // bounds their parallelism and streams every completed record — exactly
-// once, from a single goroutine — into a RecordSink. Splitting this out
+// once, never two at a time — into a RecordSink. Splitting this out
 // of the campaign workflow turns "collect a slice, then analyze" into a
 // streaming pipeline: records flow to online aggregation and durable
 // storage as experiments finish, and campaign memory no longer grows
@@ -16,6 +16,9 @@ package executor
 
 import (
 	"context"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"profipy/internal/analysis"
 	"profipy/internal/obs"
@@ -27,9 +30,11 @@ import (
 // context is canceled.
 type Experiment func(idx int) analysis.Record
 
-// RecordSink receives completed experiment records. Executors call Put
-// from a single collector goroutine, so implementations need no
-// internal locking; idx is the experiment's plan index, which is not
+// RecordSink receives completed experiment records. Executors never
+// call Put concurrently and order each call before the next, so
+// implementations need no internal locking — but the calls may come
+// from different goroutines (the pool's workers deliver their own
+// records). idx is the experiment's plan index, which is not
 // necessarily the arrival order.
 type RecordSink interface {
 	Put(idx int, rec analysis.Record)
@@ -73,7 +78,7 @@ type Executor interface {
 	// Name labels the engine in benchmarks and logs.
 	Name() string
 	// Run executes experiments [0, n), delivering every record exactly
-	// once to sink (single-goroutine). Cancellation is cooperative: the
+	// once to sink (never concurrently). Cancellation is cooperative: the
 	// Experiment function is expected to observe ctx and return stub
 	// records, so Run always delivers n records.
 	Run(ctx context.Context, n int, exp Experiment, sink RecordSink) error
@@ -118,48 +123,60 @@ func (l Local) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) 
 	return nil
 }
 
-// runPool executes the experiments of [lo, hi) not masked by skip, in
-// ascending order, on a bounded worker pool, delivering each record to
-// emit from the calling goroutine — the one pump shared by Local, the
-// fleet worker's shard loop and Remote's in-process fallback.
+// runPool executes the experiments of [lo, hi) not masked by skip on a
+// bounded worker pool — the one pump shared by Local, the fleet worker's
+// shard loop and Remote's in-process fallback. Workers (the calling
+// goroutine is one of them) claim ascending indices off a shared cursor
+// and deliver their own record to emit under the pool's mutex: emit is
+// never entered twice at once, and a slow emit stalls the workers
+// instead of queueing records.
 func runPool(lo, hi, workers int, skip *Mask, exp Experiment, emit func(indexed)) {
-	seq := make([]int, 0, hi-lo)
+	n := 0
 	for i := lo; i < hi; i++ {
 		if !skip.Has(i) {
-			seq = append(seq, i)
+			n++
 		}
-	}
-	n := len(seq)
-	if n == 0 {
-		return
 	}
 	if workers > n {
 		workers = n
 	}
-	if workers <= 1 {
-		for _, i := range seq {
-			emit(indexed{i, exp(i)})
-		}
-		return
+	if workers < 1 {
+		workers = 1 // the caller alone: sequential, ascending
 	}
-	jobs := make(chan int)
-	out := make(chan indexed, workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			for i := range jobs {
-				out <- indexed{i, exp(i)}
+	var (
+		next atomic.Int64
+		mu   sync.Mutex
+		wg   sync.WaitGroup
+	)
+	next.Store(int64(lo))
+	deliver := func(r indexed) {
+		mu.Lock()
+		defer mu.Unlock()
+		emit(r)
+	}
+	work := func() {
+		defer wg.Done()
+		for {
+			i := int(next.Add(1) - 1)
+			if i >= hi {
+				return
 			}
-		}()
-	}
-	go func() {
-		for _, i := range seq {
-			jobs <- i
+			if !skip.Has(i) {
+				deliver(indexed{i, exp(i)})
+				// A delivery usually wakes someone (a stream follower,
+				// a progress poller). The pool may own every P and never
+				// blocks between experiments, so let them run now rather
+				// than at the scheduler's next forced preemption.
+				runtime.Gosched()
+			}
 		}
-		close(jobs)
-	}()
-	for received := 0; received < n; received++ {
-		emit(<-out)
 	}
+	wg.Add(workers)
+	for w := 1; w < workers; w++ {
+		go work()
+	}
+	work()
+	wg.Wait()
 }
 
 // Shard returns the half-open index range [lo, hi) of one shard of n

@@ -67,7 +67,7 @@ func Workload() any {
 }
 `
 
-// hotSource isolates the pooled slot-frame call path with small-int
+// hotSource isolates the recycled slot-frame call path with small-int
 // arithmetic (values stay in the runtime's small-value cache), so
 // allocs/op reflects frame setup only.
 const hotSource = `package main
@@ -195,7 +195,7 @@ func BenchmarkCompileProgram(b *testing.B) {
 	}
 }
 
-// TestCompiledHotPathAllocs asserts the sync.Pool'd frame path of the
+// TestCompiledHotPathAllocs asserts the recycled-frame path of the
 // compiled engine: the hot loop must allocate far less than the
 // tree-walk (which builds a Scope map per block per iteration) and stay
 // under a fixed small bound per call.
@@ -214,7 +214,7 @@ func TestCompiledHotPathAllocs(t *testing.T) {
 	})
 	t.Logf("allocs/call: compiled=%.1f tree-walk=%.1f", compiled, tree)
 	if compiled > 8 {
-		t.Errorf("compiled hot path allocates %.1f/call, want <= 8 (pooled frames)", compiled)
+		t.Errorf("compiled hot path allocates %.1f/call, want <= 8 (recycled frames)", compiled)
 	}
 	if compiled*20 > tree {
 		t.Errorf("compiled hot path allocates %.1f/call vs tree-walk %.1f — expected >= 20x reduction",

@@ -932,8 +932,8 @@ func Bump() any { n = n + 1; return n }`)}})
 }
 
 // TestWithFilesRecompilesOneUnit checks the single-file derivation used
-// by experiments: shared base units, swapped mutated unit, content-hash
-// memoization.
+// by text-holding callers: shared base units, swapped mutated unit, and
+// no derivation at all for text that did not change.
 func TestWithFilesRecompilesOneUnit(t *testing.T) {
 	base, err := CompileProgram([]SourceUnit{
 		{Name: "lib.go", Src: []byte("package main\nfunc helper() any { return 1 }")},
@@ -947,12 +947,12 @@ func TestWithFilesRecompilesOneUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p3, err := base.WithFiles(map[string][]byte{"lib.go": mutated})
+	p3, err := p2.WithFiles(map[string][]byte{"lib.go": mutated})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p2.units[0] != p3.units[0] {
-		t.Error("identical mutated sources should share one compiled unit (hash memoization)")
+	if p3 != p2 {
+		t.Error("an overlay equal to the unit's own text should return the program itself")
 	}
 	if p2.units[1] != base.units[1] {
 		t.Error("unchanged units must be shared with the base program")

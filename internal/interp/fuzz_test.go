@@ -3,6 +3,9 @@ package interp
 import (
 	"bytes"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"testing"
 )
 
@@ -11,7 +14,9 @@ import (
 // identically when compiled — same result rendering, same error text,
 // same step count, same virtual clock, same stdout bytes. The tree-walk
 // is what defines a record's bytes, so any divergence the fuzzer finds
-// here is a record-corrupting bug.
+// here is a record-corrupting bug. Each program also runs in its
+// decl-derived form (every function re-spliced through WithDecl), so
+// the derivation campaigns use is held to the same oracle.
 //
 // Programs that fail to parse or load are skipped: the front end is
 // shared, so there is nothing differential to check. MaxSteps bounds
@@ -76,26 +81,46 @@ func FuzzEngineEquivalence(f *testing.F) {
 		if err != nil {
 			t.Fatalf("tree-walk loaded but CompileProgram failed: %v\nsource:\n%s", err, src)
 		}
-		var out bytes.Buffer
-		run := NewRun(prog, Config{MaxSteps: maxSteps, Stdout: &out})
-		if err := run.Boot(); err != nil {
-			t.Fatalf("tree-walk loaded but Boot failed: %v\nsource:\n%s", err, src)
+		// The decl-derived variant: every function of the file spliced
+		// back in through WithDecl, one fresh compileFunc each, the way
+		// a campaign derives its mutants.
+		derived := prog
+		file, err := parser.ParseFile(token.NewFileSet(), "fuzz.go", src, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatalf("tree-walk loaded but the source does not parse: %v", err)
 		}
-		val, cerr := run.Call("F")
-		if Repr(treeVal) != Repr(val) {
-			t.Errorf("result mismatch:\n tree: %s\n  got: %s\nsource:\n%s", Repr(treeVal), Repr(val), src)
+		for _, d := range file.Decls {
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				if derived, err = derived.WithDecl("fuzz.go", fd, src); err != nil {
+					t.Fatalf("WithDecl(%s): %v\nsource:\n%s", fd.Name.Name, err, src)
+				}
+			}
 		}
-		if fmt.Sprint(treeErr) != fmt.Sprint(cerr) {
-			t.Errorf("error mismatch:\n tree: %v\n  got: %v\nsource:\n%s", treeErr, cerr, src)
-		}
-		if tree.Steps() != run.Steps() {
-			t.Errorf("step count mismatch: tree=%d got=%d\nsource:\n%s", tree.Steps(), run.Steps(), src)
-		}
-		if tree.Clock() != run.Clock() {
-			t.Errorf("clock mismatch: tree=%d got=%d\nsource:\n%s", tree.Clock(), run.Clock(), src)
-		}
-		if !bytes.Equal(treeOut.Bytes(), out.Bytes()) {
-			t.Errorf("stdout mismatch:\n tree: %q\n  got: %q\nsource:\n%s", treeOut.String(), out.String(), src)
+		for _, v := range []struct {
+			name string
+			prog *Program
+		}{{"compiled", prog}, {"decl-derived", derived}} {
+			var out bytes.Buffer
+			run := NewRun(v.prog, Config{MaxSteps: maxSteps, Stdout: &out})
+			if err := run.Boot(); err != nil {
+				t.Fatalf("%s: tree-walk loaded but Boot failed: %v\nsource:\n%s", v.name, err, src)
+			}
+			val, cerr := run.Call("F")
+			if Repr(treeVal) != Repr(val) {
+				t.Errorf("%s: result mismatch:\n tree: %s\n  got: %s\nsource:\n%s", v.name, Repr(treeVal), Repr(val), src)
+			}
+			if fmt.Sprint(treeErr) != fmt.Sprint(cerr) {
+				t.Errorf("%s: error mismatch:\n tree: %v\n  got: %v\nsource:\n%s", v.name, treeErr, cerr, src)
+			}
+			if tree.Steps() != run.Steps() {
+				t.Errorf("%s: step count mismatch: tree=%d got=%d\nsource:\n%s", v.name, tree.Steps(), run.Steps(), src)
+			}
+			if tree.Clock() != run.Clock() {
+				t.Errorf("%s: clock mismatch: tree=%d got=%d\nsource:\n%s", v.name, tree.Clock(), run.Clock(), src)
+			}
+			if !bytes.Equal(treeOut.Bytes(), out.Bytes()) {
+				t.Errorf("%s: stdout mismatch:\n tree: %q\n  got: %q\nsource:\n%s", v.name, treeOut.String(), out.String(), src)
+			}
 		}
 	})
 }

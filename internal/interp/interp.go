@@ -109,6 +109,10 @@ type Interp struct {
 	// argStack holds the evaluated arguments of the compiled calls in
 	// progress, innermost last (see compileCall).
 	argStack []Value
+	// freeFrames and freeCframes hold the frames of returned compiled
+	// calls for the next call to reuse (see getFrame, getCframe).
+	freeFrames  []*frame
+	freeCframes []*cframe
 
 	// Host environment: the shared environments installed on this
 	// interpreter (Install) and the per-run state their functions read

@@ -1,7 +1,7 @@
 package interp
 
 import (
-	"crypto/sha256"
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -21,10 +21,10 @@ type SourceUnit struct {
 	AST  *ast.File
 }
 
-// linker is the program-wide symbol table plus the content-hash unit
-// cache shared by a base program and every derived (mutated) program of
-// a campaign. Interning happens at compile time under the lock; compiled
-// code carries baked indices and never touches the linker at run time.
+// linker is the program-wide symbol table shared by a base program and
+// every derived (mutated) program of a campaign. Interning happens at
+// compile time under the lock; compiled code carries baked indices and
+// never touches the linker at run time.
 type linker struct {
 	mu    sync.Mutex
 	names []string
@@ -36,24 +36,30 @@ type linker struct {
 	// of each of its names — resolved once per program family, so an
 	// Install on the Nth interpreter of a campaign is a few stores.
 	hostSlot map[*HostEnv][]int
-	units    map[[sha256.Size]byte]*unit
 	// shapes holds the field-less root shape of every struct type the
 	// program family names; literal shapes hang off them as transitions,
 	// so all experiments of a campaign share one shape tree.
 	shapes map[string]*Shape
-	// hits/misses count WithFiles derivations served from the unit
-	// cache vs recompiled — the campaign layer reports them as
-	// compile-cache metrics.
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	// incremental counts the subset of misses served by the
-	// declaration-level recompile fast path (see incrRecompile).
-	incremental atomic.Uint64
+	// declCompiles counts derivations that compiled one declaration;
+	// fileCompiles those that recompiled a whole file, by the reason the
+	// declaration path did not apply (indexed by the file* constants).
+	declCompiles atomic.Uint64
+	fileCompiles [len(fileReasons)]atomic.Uint64
 }
 
+// Why a derivation recompiled a whole file instead of one declaration.
+const (
+	fileNoDecl     = iota // no declaration given, or the unit has no text to diff against
+	fileRename            // the declaration names no single function of the unit
+	fileCrossDecl         // the text changed outside a single function
+	fileNewName           // the file declares a top-level name the program did not have
+	fileParseError        // the changed declaration does not parse on its own
+)
+
+var fileReasons = [...]string{"no_decl", "rename", "cross_decl", "new_name", "parse_error"}
+
 func newLinker() *linker {
-	l := &linker{idx: make(map[string]int), units: make(map[[sha256.Size]byte]*unit),
-		shapes: make(map[string]*Shape), hostSlot: make(map[*HostEnv][]int)}
+	l := &linker{idx: make(map[string]int), shapes: make(map[string]*Shape), hostSlot: make(map[*HostEnv][]int)}
 	for i, s := range l.hostSlots(builtinEnv) {
 		l.proto[s] = builtinEnv.vals[i]
 	}
@@ -119,19 +125,6 @@ func (l *linker) lookup(name string) (int, bool) {
 	return i, ok
 }
 
-func (l *linker) cachedUnit(key [sha256.Size]byte) (*unit, bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	u, ok := l.units[key]
-	return u, ok
-}
-
-func (l *linker) storeUnit(key [sha256.Size]byte, u *unit) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.units[key] = u
-}
-
 // importBind records one import declaration: at boot the registered
 // module for path is stored into the bound global slot.
 type importBind struct {
@@ -159,55 +152,73 @@ type unit struct {
 	// allFns is every compiledFunc the unit's compile produced, nested
 	// function literals included — the provenance set snapshot/fork
 	// consults when deciding whether a captured closure belongs to a
-	// unit that was swapped out by WithFiles.
+	// declaration a derivation swapped out.
 	allFns []*compiledFunc
-	// incr is the incremental-recompile index: the unit's source bytes
-	// plus the byte span and provenance range of every top-level
-	// function, so WithFiles can recompile just the one declaration a
-	// mutation touched. Nil (or ok=false) disables the fast path.
-	incr *incrInfo
+	// sites indexes the unit's top-level functions, in source order, so
+	// a derivation can recompile just the one declaration a mutation
+	// touched.
+	sites []declSite
+	// src is the text the sites' byte spans refer to. Nil when the unit
+	// was compiled from a tree alone (or its spans did not validate):
+	// WithDecl still applies, WithFiles recompiles the file.
+	src []byte
 }
 
-// Incremental recompilation: a fault-injection campaign derives hundreds
-// of programs that each differ from the base in one contiguous byte
-// window inside one function body. Reparsing and recompiling the whole
-// file per experiment is the single largest shared cost of the execute
-// phase, so WithFiles first tries a declaration-level fast path: diff
-// the new source against the unit's recorded source, and when the
-// changed window falls inside exactly one top-level function, reparse
-// and recompile only that declaration, splicing the fresh artifact into
-// a copy of the unit. Compiled functions are position-free and resolve
-// globals through the shared interned symbol table, so the spliced unit
-// is observably identical to a full recompile. Anything unusual — a
-// window spanning declarations, a renamed function, a changed receiver
-// type, a parse error — falls back to the full path.
+// Derivation: a fault-injection campaign derives hundreds of programs
+// that each differ from the base inside one function body. Compiled
+// functions are position-free and resolve globals through the shared
+// interned symbol table, so a derived program is the base with one
+// freshly compiled declaration spliced into a copy of its unit —
+// observably identical to recompiling the file. The campaign's mutator
+// holds the mutated declaration as a tree and hands it over (WithDecl);
+// callers that hold only text (WithFiles) get there by diffing it
+// against the unit's recorded source and reparsing the one declaration
+// the change falls in. Anything else — a window spanning declarations, a
+// renamed function, a changed receiver type, a parse error — recompiles
+// the whole file, counted by reason.
 
 const (
 	siteFunc   = iota // top-level plain function
 	siteMethod        // method declaration
 )
 
-// declSite records where one top-level function declaration sits in the
-// unit's source and which artifacts it produced.
+// declSite records one top-level function declaration of a unit: how it
+// is named, which artifacts it produced and where it sits in unit.src.
 type declSite struct {
-	start, end int    // byte offsets of the decl ("func" .. closing brace)
 	kind       int    // siteFunc or siteMethod
 	name       string // function or method name
 	typeName   string // receiver type for methods
 	opIdx      int    // index into unit.ops (siteFunc only)
 	fnsLo      int    // provenance range [fnsLo,fnsHi) into allFns:
 	fnsHi      int    // the decl's compiledFunc plus its nested literals
+	start, end int    // byte offsets of the decl ("func" .. closing brace)
 }
 
-type incrInfo struct {
-	src   []byte
-	sites []declSite
-	ok    bool // offsets validated against src
+// siteOf returns the index of the one site fd redeclares, or -1 when
+// the unit has no such function or more than one.
+func (u *unit) siteOf(fd *ast.FuncDecl) int {
+	kind, typeName := siteFunc, ""
+	if fd.Recv != nil && len(fd.Recv.List) > 0 {
+		kind = siteMethod
+		typeName, _ = recvInfo(fd)
+	}
+	found := -1
+	for i := range u.sites {
+		s := &u.sites[i]
+		if s.kind == kind && s.name == fd.Name.Name && s.typeName == typeName {
+			if found >= 0 {
+				return -1
+			}
+			found = i
+		}
+	}
+	return found
 }
 
 // Program is a compiled, immutable minigo program: safe for concurrent
 // use, one compile serves unlimited rounds and experiments. Derived
-// programs (WithFiles) share unchanged units and the symbol table.
+// programs (WithDecl, WithFiles) share unchanged units, unchanged method
+// tables and the symbol table.
 type Program struct {
 	ln      *linker
 	units   []*unit
@@ -252,9 +263,6 @@ func CompileProgram(files []SourceUnit) (*Program, error) {
 		if err != nil {
 			return nil, err
 		}
-		if len(su.Src) > 0 {
-			ln.storeUnit(unitKey(su.Name, su.Src), u)
-		}
 		p.units = append(p.units, u)
 	}
 	p.methods = mergeMethods(p.units)
@@ -270,88 +278,123 @@ func (p *Program) Files() []string {
 	return out
 }
 
-// WithFiles derives a program with the named units recompiled from new
-// sources — the per-experiment "recompile only the mutated file" path.
-// Unchanged units and the symbol table are shared; recompiles are
-// memoized by content hash, so identical mutations compile once per
-// campaign. Overlay entries naming files outside the program are
-// ignored (the tree-walk never loads them either).
-func (p *Program) WithFiles(overlay map[string][]byte) (*Program, error) {
-	byName := make(map[string]int, len(p.units))
+func (p *Program) unitIndex(name string) int {
 	for i, u := range p.units {
-		byName[u.name] = i
-	}
-	np := &Program{ln: p.ln, globals: p.globals, units: append([]*unit(nil), p.units...)}
-	changed := false
-	for name, src := range overlay {
-		i, ok := byName[name]
-		if !ok {
-			continue
+		if u.name == name {
+			return i
 		}
-		key := unitKey(name, src)
-		u, ok := p.ln.cachedUnit(key)
-		if ok {
-			p.ln.hits.Add(1)
-		} else if nu, ok := p.incrRecompile(p.units[i], src); ok {
-			p.ln.misses.Add(1)
-			p.ln.incremental.Add(1)
-			u = nu
-			p.ln.storeUnit(key, u)
-		} else {
-			p.ln.misses.Add(1)
-			f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.SkipObjectResolution)
-			if err != nil {
-				return nil, fmt.Errorf("interp: parse %s: %w", name, err)
-			}
-			globals := p.globals
-			if extra := topLevelNames(f); hasNew(globals, extra) {
-				globals = cloneWith(globals, extra)
-			}
-			c := &compiler{file: name, syms: p.ln, globals: globals}
-			u, err = compileUnit(c, name, src, f)
-			if err != nil {
-				return nil, err
-			}
-			p.ln.storeUnit(key, u)
-		}
-		np.units[i] = u
-		changed = true
 	}
-	if !changed {
+	return -1
+}
+
+// WithDecl derives a program in which fd replaces the same-named
+// top-level function (or method of the same receiver type) of the named
+// unit: one compileFunc, nothing parsed. fd is read, never written, and
+// may share subtrees with the tree the unit was compiled from. src is
+// the file's text with the same change applied; it is compiled instead,
+// whole, when fd is nil or names no single function of the unit. A file
+// outside the program is ignored, as WithFiles does.
+func (p *Program) WithDecl(file string, fd *ast.FuncDecl, src []byte) (*Program, error) {
+	ui := p.unitIndex(file)
+	if ui < 0 {
 		return p, nil
 	}
+	if fd == nil {
+		return p.withFile(ui, src, fileNoDecl)
+	}
+	if fd.Body == nil {
+		return nil, fmt.Errorf("interp: %s: function %s has no body", file, fd.Name.Name)
+	}
+	si := p.units[ui].siteOf(fd)
+	if si < 0 {
+		return p.withFile(ui, src, fileRename)
+	}
+	return p.withSite(ui, si, fd, nil, 0), nil
+}
+
+// WithFiles derives a program with the named units recompiled from new
+// sources — the derivation for callers that hold only text. Overlay
+// entries naming files outside the program are ignored (the tree-walk
+// never loads them either).
+func (p *Program) WithFiles(overlay map[string][]byte) (*Program, error) {
+	np := p
+	for name, src := range overlay {
+		ui := p.unitIndex(name)
+		if ui < 0 || (p.units[ui].src != nil && bytes.Equal(src, p.units[ui].src)) {
+			continue
+		}
+		var err error
+		if si, fd, reason := p.units[ui].changedDecl(src); fd != nil {
+			np = np.withSite(ui, si, fd, src, len(src)-len(p.units[ui].src))
+		} else if np, err = np.withFile(ui, src, reason); err != nil {
+			return nil, err
+		}
+	}
+	return np, nil
+}
+
+// withFile derives a program with unit ui recompiled whole from src.
+func (p *Program) withFile(ui int, src []byte, reason int) (*Program, error) {
+	name := p.units[ui].name
+	f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.SkipObjectResolution)
+	if err != nil {
+		p.ln.fileCompiles[reason].Add(1)
+		return nil, fmt.Errorf("interp: parse %s: %w", name, err)
+	}
+	globals := p.globals
+	if extra := topLevelNames(f); hasNew(globals, extra) {
+		globals = cloneWith(globals, extra)
+		reason = fileNewName
+	}
+	p.ln.fileCompiles[reason].Add(1)
+	c := &compiler{file: name, syms: p.ln, globals: globals}
+	u, err := compileUnit(c, name, src, f)
+	if err != nil {
+		return nil, err
+	}
+	np := &Program{ln: p.ln, globals: p.globals, units: append([]*unit(nil), p.units...)}
+	np.units[ui] = u
 	np.methods = mergeMethods(np.units)
 	return np, nil
 }
 
-// CacheStats reports how many WithFiles unit derivations were served
-// from the content-hash cache (hits) vs freshly compiled (misses),
-// accumulated across the program and everything derived from it —
-// base and derived programs share one linker, so a campaign reads its
-// whole compile-cache history off its base program.
+// CacheStats reports how many unit derivations this program and
+// everything derived from it performed (base and derived programs share
+// one linker, so a campaign reads its whole history off its base
+// program). There is no unit cache any more — hits is always 0 and
+// misses is the derivation count; the two-value shape stays only because
+// the repository benchmark (bench/) calls it.
 func (p *Program) CacheStats() (hits, misses uint64) {
-	return p.ln.hits.Load(), p.ln.misses.Load()
-}
-
-// IncrementalRecompiles reports how many of the CacheStats misses were
-// served by the declaration-level fast path (one decl reparsed and
-// recompiled) instead of a whole-file recompile.
-func (p *Program) IncrementalRecompiles() uint64 {
-	return p.ln.incremental.Load()
-}
-
-// incrRecompile attempts the declaration-level WithFiles fast path:
-// when src differs from base's recorded source in one contiguous
-// window inside a single top-level function, recompile only that
-// declaration and splice it into a copy of the unit. Returns false
-// whenever the diff is not provably that shape — the caller then takes
-// the full reparse+recompile path, which handles everything.
-func (p *Program) incrRecompile(base *unit, src []byte) (*unit, bool) {
-	inc := base.incr
-	if inc == nil || !inc.ok {
-		return nil, false
+	misses = p.ln.declCompiles.Load()
+	for i := range p.ln.fileCompiles {
+		misses += p.ln.fileCompiles[i].Load()
 	}
-	old := inc.src
+	return 0, misses
+}
+
+// MutantCompiles splits the derivation count by what was compiled: one
+// declaration (decl), or the whole file, keyed by why the declaration
+// path did not apply ("no_decl", "rename", "cross_decl", "new_name",
+// "parse_error"; reasons that never occurred are absent).
+func (p *Program) MutantCompiles() (decl uint64, file map[string]uint64) {
+	file = make(map[string]uint64)
+	for i := range p.ln.fileCompiles {
+		if n := p.ln.fileCompiles[i].Load(); n > 0 {
+			file[fileReasons[i]] = n
+		}
+	}
+	return p.ln.declCompiles.Load(), file
+}
+
+// changedDecl finds the one declaration in which src differs from the
+// unit's recorded source and reparses it. A nil fd means the difference
+// is not provably that shape, with the reason; the caller then
+// recompiles the file, which handles everything.
+func (u *unit) changedDecl(src []byte) (si int, fd *ast.FuncDecl, reason int) {
+	old := u.src
+	if old == nil {
+		return 0, nil, fileNoDecl
+	}
 	delta := len(src) - len(old)
 
 	// Changed window: common prefix, then common suffix of the rest.
@@ -360,9 +403,6 @@ func (p *Program) incrRecompile(base *unit, src []byte) (*unit, bool) {
 	for a < n && old[a] == src[a] {
 		a++
 	}
-	if a == len(old) && delta == 0 {
-		return nil, false // identical bytes; the unit cache already covers this
-	}
 	b := 0
 	for b < n-a && old[len(old)-1-b] == src[len(src)-1-b] {
 		b++
@@ -370,111 +410,108 @@ func (p *Program) incrRecompile(base *unit, src []byte) (*unit, bool) {
 	lo, hi := a, len(old)-b // changed window in old's coordinates
 
 	// The window must fall inside exactly one recorded function decl.
-	var site *declSite
-	for i := range inc.sites {
-		s := &inc.sites[i]
-		if lo >= s.start && hi <= s.end {
-			site = s
+	si = -1
+	for i := range u.sites {
+		if lo >= u.sites[i].start && hi <= u.sites[i].end {
+			si = i
 			break
 		}
 	}
-	if site == nil {
-		return nil, false
+	if si < 0 {
+		return 0, nil, fileCrossDecl
 	}
+	site := &u.sites[si]
 
 	// Reparse just that declaration. A standalone parse needs a package
 	// clause; compiled artifacts are position-free, so the shifted
 	// offsets don't matter. Parse errors fall back to the full path,
 	// which reports them with the file's real context.
 	text := src[site.start : site.end+delta]
-	pf, err := parser.ParseFile(token.NewFileSet(), base.name,
+	pf, err := parser.ParseFile(token.NewFileSet(), u.name,
 		append([]byte("package p\n"), text...), parser.SkipObjectResolution)
-	if err != nil || len(pf.Decls) != 1 || len(pf.Imports) != 0 {
-		return nil, false
+	if err != nil {
+		return 0, nil, fileParseError
+	}
+	if len(pf.Decls) != 1 || len(pf.Imports) != 0 {
+		return 0, nil, fileCrossDecl
 	}
 	fd, ok := pf.Decls[0].(*ast.FuncDecl)
-	if !ok || fd.Name.Name != site.name || fd.Body == nil {
-		return nil, false
+	if !ok || fd.Body == nil || u.siteOf(fd) != si {
+		return 0, nil, fileRename
 	}
-
-	// Compile the one declaration against the shared symbol table and
-	// the program's global name set (unchanged: the name check above
-	// rules out new top-level bindings).
-	c := &compiler{file: base.name, syms: p.ln, globals: p.globals}
-	var newFn *compiledFunc
-	var newOp initOp
-	switch site.kind {
-	case siteMethod:
-		if fd.Recv == nil || len(fd.Recv.List) == 0 {
-			return nil, false
-		}
-		typeName, recvName := recvInfo(fd)
-		if typeName != site.typeName {
-			return nil, false
-		}
-		newFn = c.compileFunc(nil, typeName+"."+fd.Name.Name, fd.Type, fd.Body, recvName)
-	default:
-		if fd.Recv != nil && len(fd.Recv.List) > 0 {
-			return nil, false
-		}
-		newFn = c.compileFunc(nil, fd.Name.Name, fd.Type, fd.Body, "")
-		newOp = initOp{gidx: p.ln.intern(fd.Name.Name), name: fd.Name.Name,
-			fn: &compiledClosure{fn: newFn}}
-	}
-
-	// Splice: copy the unit, swap the one artifact, rebuild provenance
-	// and the incremental index (byte spans and provenance ranges after
-	// the changed decl shift by the respective deltas).
-	nu := &unit{name: base.name, imports: base.imports, topNames: base.topNames}
-	nu.ops = append([]initOp(nil), base.ops...)
-	nu.methods = base.methods
-	if site.kind == siteMethod {
-		nu.methods = make(map[string]map[string]*compiledFunc, len(base.methods))
-		for tn, ms := range base.methods {
-			nu.methods[tn] = ms
-		}
-		ms := make(map[string]*compiledFunc, len(base.methods[site.typeName]))
-		for mn, fn := range base.methods[site.typeName] {
-			ms[mn] = fn
-		}
-		ms[site.name] = newFn
-		nu.methods[site.typeName] = ms
-	} else {
-		nu.ops[site.opIdx] = newOp
-	}
-	newFns := c.fns
-	dn := len(newFns) - (site.fnsHi - site.fnsLo)
-	nu.allFns = make([]*compiledFunc, 0, len(base.allFns)+dn)
-	nu.allFns = append(nu.allFns, base.allFns[:site.fnsLo]...)
-	nu.allFns = append(nu.allFns, newFns...)
-	nu.allFns = append(nu.allFns, base.allFns[site.fnsHi:]...)
-
-	sites := append([]declSite(nil), inc.sites...)
-	for i := range sites {
-		s := &sites[i]
-		switch {
-		case s.start >= site.end: // strictly after the changed decl
-			s.start += delta
-			s.end += delta
-			s.fnsLo += dn
-			s.fnsHi += dn
-		case s.start == site.start: // the changed decl itself
-			s.end += delta
-			s.fnsHi = s.fnsLo + len(newFns)
-		}
-	}
-	nu.incr = &incrInfo{src: src, sites: sites, ok: true}
-	return nu, true
+	return si, fd, 0
 }
 
-func unitKey(name string, src []byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write([]byte(name))
-	h.Write([]byte{0})
-	h.Write(src)
-	var key [sha256.Size]byte
-	copy(key[:], h.Sum(nil))
-	return key
+// withSite derives a program in which fd, freshly compiled, replaces
+// site si of unit ui. src, when non-nil, is the unit's new text —
+// delta bytes longer, all of them inside the site — and keeps the text
+// index alive for later WithFiles derivations.
+func (p *Program) withSite(ui, si int, fd *ast.FuncDecl, src []byte, delta int) *Program {
+	p.ln.declCompiles.Add(1)
+	base := p.units[ui]
+	site := &base.sites[si]
+
+	// Compile the one declaration against the shared symbol table and
+	// the program's global name set (unchanged: the site lookup rules
+	// out new top-level bindings).
+	c := &compiler{file: base.name, syms: p.ln, globals: p.globals}
+	nu := &unit{name: base.name, imports: base.imports, topNames: base.topNames,
+		ops: base.ops, methods: base.methods, src: src}
+	np := &Program{ln: p.ln, globals: p.globals, methods: p.methods, units: append([]*unit(nil), p.units...)}
+	np.units[ui] = nu
+	if site.kind == siteMethod {
+		_, recvName := recvInfo(fd)
+		fn := c.compileFunc(nil, site.typeName+"."+site.name, fd.Type, fd.Body, recvName)
+		old := base.methods[site.typeName][site.name]
+		nu.methods = withMethod(base.methods, site.typeName, site.name, fn)
+		// The program-wide table changes only where this unit's method
+		// was the one it held (a later unit may redeclare it).
+		if p.methods[site.typeName][site.name] == old {
+			np.methods = withMethod(p.methods, site.typeName, site.name, fn)
+		}
+	} else {
+		fn := c.compileFunc(nil, site.name, fd.Type, fd.Body, "")
+		nu.ops = append([]initOp(nil), base.ops...)
+		nu.ops[site.opIdx] = initOp{gidx: base.ops[site.opIdx].gidx, name: site.name, fn: &compiledClosure{fn: fn}}
+	}
+
+	// Provenance and site index: ranges after the changed decl shift by
+	// the change in its function count, byte spans by delta.
+	dn := len(c.fns) - (site.fnsHi - site.fnsLo)
+	nu.allFns = make([]*compiledFunc, 0, len(base.allFns)+dn)
+	nu.allFns = append(nu.allFns, base.allFns[:site.fnsLo]...)
+	nu.allFns = append(nu.allFns, c.fns...)
+	nu.allFns = append(nu.allFns, base.allFns[site.fnsHi:]...)
+	nu.sites = base.sites
+	if dn != 0 || delta != 0 {
+		nu.sites = append([]declSite(nil), base.sites...)
+		nu.sites[si].fnsHi += dn
+		nu.sites[si].end += delta
+		for i := si + 1; i < len(nu.sites); i++ {
+			s := &nu.sites[i]
+			s.fnsLo += dn
+			s.fnsHi += dn
+			s.start += delta
+			s.end += delta
+		}
+	}
+	return np
+}
+
+// withMethod returns tables with one method replaced, copying the outer
+// map and the one receiver type's map and sharing the rest.
+func withMethod(tables map[string]map[string]*compiledFunc, typeName, name string, fn *compiledFunc) map[string]map[string]*compiledFunc {
+	out := make(map[string]map[string]*compiledFunc, len(tables))
+	for tn, ms := range tables {
+		out[tn] = ms
+	}
+	ms := make(map[string]*compiledFunc, len(tables[typeName]))
+	for mn, f := range tables[typeName] {
+		ms[mn] = f
+	}
+	ms[name] = fn
+	out[typeName] = ms
+	return out
 }
 
 func hasNew(set map[string]bool, names []string) bool {
@@ -550,13 +587,13 @@ func topLevelNames(f *ast.File) []string {
 
 // compileUnit lowers one parsed file, mirroring LoadSource's declaration
 // walk (imports, then declarations in source order). src, when
-// non-empty, is the file's source bytes; it feeds the incremental
-// recompile index (declaration byte spans validated against it).
+// non-empty, is the file's source bytes the site index's byte spans are
+// validated against.
 func compileUnit(c *compiler, name string, src []byte, f *ast.File) (*unit, error) {
 	u := &unit{name: name, topNames: topLevelNames(f)}
 	defer func() { u.allFns = c.fns }()
 	if len(src) > 0 {
-		u.incr = &incrInfo{src: src, ok: true}
+		u.src = src
 	}
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
@@ -576,18 +613,15 @@ func compileUnit(c *compiler, name string, src []byte, f *ast.File) (*unit, erro
 				// Same load-time rejection as the tree-walk's LoadSource.
 				return nil, fmt.Errorf("interp: %s: function %s has no body", name, decl.Name.Name)
 			}
-			site := declSite{opIdx: -1, fnsLo: len(c.fns)}
-			if u.incr != nil {
-				// Offsets are fset-independent: positions relative to the
-				// file's own start. Validate against the bytes so an AST
-				// parsed from a different source can never mislead the
-				// incremental differ.
-				site.start = int(decl.Pos() - f.FileStart)
-				site.end = int(decl.End() - f.FileStart)
-				if site.start < 0 || site.end <= site.start || site.end > len(src) ||
-					!strings.HasPrefix(string(src[site.start:min(site.start+4, len(src))]), "func") {
-					u.incr.ok = false
-				}
+			// Offsets are fset-independent: positions relative to the
+			// file's own start. Validate against the bytes so an AST
+			// parsed from a different source can never mislead the
+			// text differ.
+			site := declSite{name: decl.Name.Name, opIdx: -1, fnsLo: len(c.fns),
+				start: int(decl.Pos() - f.FileStart), end: int(decl.End() - f.FileStart)}
+			if u.src != nil && (site.start < 0 || site.end <= site.start || site.end > len(src) ||
+				!bytes.HasPrefix(src[site.start:], []byte("func"))) {
+				u.src = nil
 			}
 			if decl.Recv != nil && len(decl.Recv.List) > 0 {
 				typeName, recvName := recvInfo(decl)
@@ -602,24 +636,18 @@ func compileUnit(c *compiler, name string, src []byte, f *ast.File) (*unit, erro
 					u.methods[typeName] = make(map[string]*compiledFunc)
 				}
 				u.methods[typeName][decl.Name.Name] = fn
-				if u.incr != nil {
-					site.kind, site.name, site.typeName = siteMethod, decl.Name.Name, typeName
-					site.fnsHi = len(c.fns)
-					u.incr.sites = append(u.incr.sites, site)
-				}
-				continue
+				site.kind, site.typeName = siteMethod, typeName
+			} else {
+				fn := c.compileFunc(nil, decl.Name.Name, decl.Type, decl.Body, "")
+				u.ops = append(u.ops, initOp{
+					gidx: c.syms.intern(decl.Name.Name),
+					name: decl.Name.Name,
+					fn:   &compiledClosure{fn: fn},
+				})
+				site.kind, site.opIdx = siteFunc, len(u.ops)-1
 			}
-			fn := c.compileFunc(nil, decl.Name.Name, decl.Type, decl.Body, "")
-			u.ops = append(u.ops, initOp{
-				gidx: c.syms.intern(decl.Name.Name),
-				name: decl.Name.Name,
-				fn:   &compiledClosure{fn: fn},
-			})
-			if u.incr != nil {
-				site.kind, site.name, site.opIdx = siteFunc, decl.Name.Name, len(u.ops)-1
-				site.fnsHi = len(c.fns)
-				u.incr.sites = append(u.incr.sites, site)
-			}
+			site.fnsHi = len(c.fns)
+			u.sites = append(u.sites, site)
 		case *ast.GenDecl:
 			if decl.Tok == token.VAR || decl.Tok == token.CONST {
 				for _, spec := range decl.Specs {
@@ -723,15 +751,15 @@ func (it *Interp) lookupGlobal(name string) (Value, bool) {
 }
 
 // callCompiled executes a compiled function with defer/recover semantics
-// identical to callClosure, against a pooled slot frame; the caller has
+// identical to callClosure, against a recycled slot frame; the caller has
 // charged the call's step (see call and callMethod).
 func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args []Value) (result Value, err error) {
 	if len(it.frames) > 200 {
 		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)
 	}
-	fr := getFrame(fn.name)
+	fr := it.getFrame(fn.name)
 	it.frames = append(it.frames, fr)
-	cf := getCframe(fn.nslots)
+	cf := it.getCframe(fn.nslots)
 	cf.caps = caps
 
 	for _, s := range fn.rootCells {
@@ -766,8 +794,8 @@ func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args 
 		result, err = it.hook.LeaveCall(it, fn.name, result)
 	}
 	it.frames = it.frames[:len(it.frames)-1]
-	putCframe(cf)
-	putFrame(fr)
+	it.putCframe(cf)
+	it.putFrame(fr)
 	return result, err
 }
 
@@ -779,31 +807,39 @@ func bindSlot(cf *cframe, b *vbind, v Value) {
 	}
 }
 
-// Frame and slot-frame pools: the per-call allocations that survive
-// compilation are recycled so the slot-frame hot path stays allocation
-// free (see BenchmarkCompiledCallAllocs).
-var framePool = sync.Pool{New: func() any { return &frame{} }}
+// Frame free lists: the per-call allocations that survive compilation
+// are recycled per interpreter, so the slot-frame hot path allocates
+// only until the deepest call chain has been reached once (see
+// TestCompiledHotPathAllocs) and pays no synchronization to do it.
 
-func getFrame(name string) *frame {
-	fr := framePool.Get().(*frame)
-	fr.name = name
-	return fr
+func (it *Interp) getFrame(name string) *frame {
+	if n := len(it.freeFrames); n > 0 {
+		fr := it.freeFrames[n-1]
+		it.freeFrames = it.freeFrames[:n-1]
+		fr.name = name
+		return fr
+	}
+	return &frame{name: name}
 }
 
-func putFrame(fr *frame) {
+func (it *Interp) putFrame(fr *frame) {
 	for i := range fr.defers {
 		fr.defers[i] = deferredCall{}
 	}
 	fr.defers = fr.defers[:0]
 	fr.panicking = nil
 	fr.name = ""
-	framePool.Put(fr)
+	it.freeFrames = append(it.freeFrames, fr)
 }
 
-var cframePool = sync.Pool{New: func() any { return &cframe{} }}
-
-func getCframe(n int) *cframe {
-	cf := cframePool.Get().(*cframe)
+func (it *Interp) getCframe(n int) *cframe {
+	var cf *cframe
+	if k := len(it.freeCframes); k > 0 {
+		cf = it.freeCframes[k-1]
+		it.freeCframes = it.freeCframes[:k-1]
+	} else {
+		cf = &cframe{}
+	}
 	if cap(cf.slots) < n {
 		cf.slots = make([]Value, n)
 	} else {
@@ -815,11 +851,11 @@ func getCframe(n int) *cframe {
 	return cf
 }
 
-func putCframe(cf *cframe) {
+func (it *Interp) putCframe(cf *cframe) {
 	for i := range cf.slots {
 		cf.slots[i] = nil
 	}
 	cf.slots = cf.slots[:0]
 	cf.caps = nil
-	cframePool.Put(cf)
+	it.freeCframes = append(it.freeCframes, cf)
 }

@@ -93,9 +93,9 @@ func (it *Interp) callCompiledPrefix(f *compiledClosure, args []Value, checkpoin
 	if len(it.frames) > 200 {
 		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)
 	}
-	fr := getFrame(fn.name)
+	fr := it.getFrame(fn.name)
 	it.frames = append(it.frames, fr)
-	cf := getCframe(fn.nslots)
+	cf := it.getCframe(fn.nslots)
 	cf.caps = f.caps
 
 	for _, s := range fn.rootCells {
@@ -142,8 +142,8 @@ func (it *Interp) callCompiledPrefix(f *compiledClosure, args []Value, checkpoin
 		result, err = it.hook.LeaveCall(it, fn.name, result)
 	}
 	it.frames = it.frames[:len(it.frames)-1]
-	putCframe(cf)
-	putFrame(fr)
+	it.putCframe(cf)
+	it.putFrame(fr)
 	return result, err
 }
 
@@ -280,7 +280,7 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 	it.steps = snap.steps
 	it.clockNS = snap.clockNS
 
-	fr := getFrame(nf.name)
+	fr := it.getFrame(nf.name)
 	for _, d := range snap.defers {
 		nd := deferredCall{fn: cp.copyVal(d.fn), args: make([]Value, len(d.args))}
 		for i, a := range d.args {
@@ -288,7 +288,7 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 		}
 		fr.defers = append(fr.defers, nd)
 	}
-	cf := getCframe(nf.nslots)
+	cf := it.getCframe(nf.nslots)
 	for i, v := range snap.slots {
 		cf.slots[i] = cp.copyVal(v)
 	}
@@ -300,8 +300,8 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 		cf.caps = caps
 	}
 	if cp.err != nil {
-		putCframe(cf)
-		putFrame(fr)
+		it.putCframe(cf)
+		it.putFrame(fr)
 		return nil, cp.err
 	}
 
@@ -316,8 +316,8 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 		result, err = it.hook.LeaveCall(it, nf.name, result)
 	}
 	it.frames = it.frames[:len(it.frames)-1]
-	putCframe(cf)
-	putFrame(fr)
+	it.putCframe(cf)
+	it.putFrame(fr)
 	return result, err
 }
 

@@ -21,272 +21,120 @@ const (
 )
 
 // expander instantiates a meta-model's replacement template against the
-// bindings captured by a match.
+// bindings captured by a match (the copier in clone.go does the walking).
+// The first failure sticks in err.
 type expander struct {
-	mm *pattern.MetaModel
-	b  pattern.Bindings
+	mm  *pattern.MetaModel
+	b   pattern.Bindings
+	err error
 }
 
-// expandStmts expands a replacement statement list; block-directive
-// placeholders splice multiple statements.
+func (x *expander) fail(format string, args ...any) {
+	if x != nil && x.err == nil {
+		x.err = fmt.Errorf("mutator: "+format, args...)
+	}
+}
+
+// expandStmts expands a replacement statement list.
 func (x *expander) expandStmts(list []ast.Stmt) ([]ast.Stmt, error) {
-	out := make([]ast.Stmt, 0, len(list))
-	for _, s := range list {
-		ex, err := x.expandStmt(s)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, ex...)
-	}
-	return out, nil
+	out := x.stmts(list)
+	return out, x.err
 }
 
-func (x *expander) expandStmt(s ast.Stmt) ([]ast.Stmt, error) {
-	// Bare directive in statement position.
-	if es, ok := s.(*ast.ExprStmt); ok {
-		if d := x.mm.HoleFor(es.X); d != nil {
-			return x.expandStmtDirective(d)
-		}
-	}
-	one, err := x.expandSingleStmt(s)
-	if err != nil {
-		return nil, err
-	}
-	return []ast.Stmt{one}, nil
-}
-
-func (x *expander) expandStmtDirective(d *pattern.Directive) ([]ast.Stmt, error) {
+// stmtDirective expands a directive standing alone as a statement;
+// block directives yield several statements.
+func (x *expander) stmtDirective(d *pattern.Directive) []ast.Stmt {
 	switch d.Kind {
 	case pattern.KindBlock, pattern.KindAny:
 		bound, ok := x.b[d.Tag]
 		if !ok {
-			return nil, fmt.Errorf("mutator: replacement $%s references unbound tag %q", d.Kind, d.Tag)
+			x.fail("replacement $%s references unbound tag %q", d.Kind, d.Tag)
 		}
-		return clonePlainStmts(bound.Stmts), nil
-	case pattern.KindCall:
-		call, err := x.expandCallRef(d)
-		if err != nil {
-			return nil, err
-		}
-		return []ast.Stmt{&ast.ExprStmt{X: call}}, nil
-	case pattern.KindCorrupt, pattern.KindHog, pattern.KindTimeout, pattern.KindPanic, pattern.KindNil:
-		e, err := x.expandDirectiveExpr(d)
-		if err != nil {
-			return nil, err
-		}
-		return []ast.Stmt{&ast.ExprStmt{X: e}}, nil
+		return clonePlainStmts(bound.Stmts)
+	case pattern.KindCall, pattern.KindCorrupt, pattern.KindHog, pattern.KindTimeout, pattern.KindPanic, pattern.KindNil:
+		return []ast.Stmt{&ast.ExprStmt{X: x.directiveExpr(d)}}
 	default:
-		return nil, fmt.Errorf("mutator: directive $%s cannot appear in statement position of a replacement", d.Kind)
+		x.fail("directive $%s cannot appear in statement position of a replacement", d.Kind)
+		return nil
 	}
 }
 
-// expandExpr expands a replacement expression template.
-func (x *expander) expandExpr(e ast.Expr) (ast.Expr, error) {
-	if e == nil {
-		return nil, nil
-	}
-	if d := x.mm.HoleFor(e); d != nil {
-		return x.expandDirectiveExpr(d)
-	}
-	switch n := e.(type) {
-	case *ast.Ident:
-		return ast.NewIdent(n.Name), nil
-	case *ast.BasicLit:
-		return &ast.BasicLit{Kind: n.Kind, Value: n.Value}, nil
-	case *ast.SelectorExpr:
-		xe, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.SelectorExpr{X: xe, Sel: ast.NewIdent(n.Sel.Name)}, nil
-	case *ast.CallExpr:
-		fun, err := x.expandExpr(n.Fun)
-		if err != nil {
-			return nil, err
-		}
-		args, err := x.expandExprs(n.Args)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.CallExpr{Fun: fun, Args: args}, nil
-	case *ast.BinaryExpr:
-		xe, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		ye, err := x.expandExpr(n.Y)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.BinaryExpr{X: xe, Op: n.Op, Y: ye}, nil
-	case *ast.UnaryExpr:
-		xe, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.UnaryExpr{Op: n.Op, X: xe}, nil
-	case *ast.ParenExpr:
-		xe, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.ParenExpr{X: xe}, nil
-	case *ast.IndexExpr:
-		xe, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := x.expandExpr(n.Index)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.IndexExpr{X: xe, Index: idx}, nil
-	case *ast.CompositeLit:
-		elts, err := x.expandExprs(n.Elts)
-		if err != nil {
-			return nil, err
-		}
-		typ, err := x.expandExpr(n.Type)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.CompositeLit{Type: typ, Elts: elts}, nil
-	case *ast.KeyValueExpr:
-		k, err := x.expandExpr(n.Key)
-		if err != nil {
-			return nil, err
-		}
-		v, err := x.expandExpr(n.Value)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.KeyValueExpr{Key: k, Value: v}, nil
-	default:
-		return clonePlainExpr(e), nil
-	}
-}
-
-func (x *expander) expandExprs(es []ast.Expr) ([]ast.Expr, error) {
-	if es == nil {
-		return nil, nil
-	}
-	out := make([]ast.Expr, len(es))
-	for i, e := range es {
-		var err error
-		out[i], err = x.expandExpr(e)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-func (x *expander) expandDirectiveExpr(d *pattern.Directive) (ast.Expr, error) {
+// directiveExpr expands a directive in expression position.
+func (x *expander) directiveExpr(d *pattern.Directive) ast.Expr {
 	switch d.Kind {
 	case pattern.KindNil:
-		return ast.NewIdent("nil"), nil
+		return ast.NewIdent("nil")
 	case pattern.KindCorrupt:
-		args, err := x.expandDirectiveArgs(d)
-		if err != nil {
-			return nil, err
-		}
-		return hookCall(HookCorrupt, args...), nil
+		return hookCall(HookCorrupt, x.directiveArgs(d)...)
 	case pattern.KindHog:
 		if d.HasArgs {
-			args, err := x.expandDirectiveArgs(d)
-			if err != nil {
-				return nil, err
-			}
-			return hookCall(HookHog, args...), nil
+			return hookCall(HookHog, x.directiveArgs(d)...)
 		}
-		res := attrOr(d, "res", "cpu")
-		amount := attrOr(d, "amount", "1")
-		return hookCall(HookHog, strLit(res), intLit(amount)), nil
+		return hookCall(HookHog, strLit(attrOr(d, "res", "cpu")), intLit(attrOr(d, "amount", "1")))
 	case pattern.KindTimeout:
 		if d.HasArgs {
-			args, err := x.expandDirectiveArgs(d)
-			if err != nil {
-				return nil, err
-			}
-			return hookCall(HookDelay, args...), nil
+			return hookCall(HookDelay, x.directiveArgs(d)...)
 		}
-		return hookCall(HookDelay, intLit(attrOr(d, "ms", "1000"))), nil
+		return hookCall(HookDelay, intLit(attrOr(d, "ms", "1000")))
 	case pattern.KindPanic:
 		if d.HasArgs {
-			args, err := x.expandDirectiveArgs(d)
-			if err != nil {
-				return nil, err
-			}
-			return hookCall("panic", hookCall(HookExc, args...)), nil
+			return hookCall("panic", hookCall(HookExc, x.directiveArgs(d)...))
 		}
-		excType := attrOr(d, "type", "Error")
-		msg := attrOr(d, "msg", "injected fault")
-		return hookCall("panic", hookCall(HookExc, strLit(excType), strLit(msg))), nil
+		return hookCall("panic", hookCall(HookExc, strLit(attrOr(d, "type", "Error")), strLit(attrOr(d, "msg", "injected fault"))))
 	case pattern.KindCall:
-		return x.expandCallRef(d)
+		return x.callRef(d)
 	case pattern.KindExpr, pattern.KindVar, pattern.KindString, pattern.KindInt, pattern.KindAny:
 		bound, ok := x.b[d.Tag]
 		if !ok || bound.Expr == nil {
-			return nil, fmt.Errorf("mutator: replacement $%s references unbound tag %q", d.Kind, d.Tag)
+			x.fail("replacement $%s references unbound tag %q", d.Kind, d.Tag)
 		}
-		return clonePlainExpr(bound.Expr), nil
+		return clonePlainExpr(bound.Expr)
 	default:
-		return nil, fmt.Errorf("mutator: directive $%s cannot appear in expression position of a replacement", d.Kind)
+		x.fail("directive $%s cannot appear in expression position of a replacement", d.Kind)
+		return nil
 	}
 }
 
-func (x *expander) expandDirectiveArgs(d *pattern.Directive) ([]ast.Expr, error) {
+func (x *expander) directiveArgs(d *pattern.Directive) []ast.Expr {
 	out := make([]ast.Expr, 0, len(d.Args))
 	for _, a := range d.Args {
 		if a.Ellipsis {
-			return nil, fmt.Errorf("mutator: '...' is not allowed in $%s replacement arguments", d.Kind)
+			x.fail("'...' is not allowed in $%s replacement arguments", d.Kind)
+			continue
 		}
-		e, err := x.expandExpr(a.Expr)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
+		out = append(out, x.expr(a.Expr))
 	}
-	return out, nil
+	return out
 }
 
-// expandCallRef rebuilds a call bound to a $CALL tag, applying per-argument
+// callRef rebuilds a call bound to a $CALL tag, applying per-argument
 // transformations written in the replacement (e.g. `$CALL#c(...,
 // $CORRUPT($STRING#s), ...)` replaces the argument bound to tag s with a
 // corruption of it, keeping all other arguments intact).
-func (x *expander) expandCallRef(d *pattern.Directive) (*ast.CallExpr, error) {
-	bound, ok := x.b[d.Tag]
-	if !ok || bound.Expr == nil {
-		return nil, fmt.Errorf("mutator: replacement $CALL references unbound tag %q", d.Tag)
+func (x *expander) callRef(d *pattern.Directive) ast.Expr {
+	orig, ok := x.b[d.Tag].Expr.(*ast.CallExpr)
+	if !ok {
+		if x.b[d.Tag].Expr == nil {
+			x.fail("replacement $CALL references unbound tag %q", d.Tag)
+		} else {
+			x.fail("bound node is not a call expression")
+		}
+		return nil
 	}
-	orig, err := mustCall(bound.Expr)
-	if err != nil {
-		return nil, err
-	}
-	cloned, err := mustCall(clonePlainExpr(orig))
-	if err != nil {
-		return nil, err
-	}
+	cloned := clonePlainExpr(orig).(*ast.CallExpr)
 	if !d.HasArgs {
-		return cloned, nil
+		return cloned
 	}
 	// Without an ellipsis the replacement arg list is exhaustive: the call
 	// is rebuilt with exactly those arguments (this is how "missing
 	// parameter" faults drop trailing arguments).
 	hasEllipsis := false
 	for _, a := range d.Args {
-		if a.Ellipsis {
-			hasEllipsis = true
-			break
-		}
+		hasEllipsis = hasEllipsis || a.Ellipsis
 	}
 	if !hasEllipsis {
-		args, err := x.expandDirectiveArgs(d)
-		if err != nil {
-			return nil, err
-		}
-		cloned.Args = args
-		return cloned, nil
+		cloned.Args = x.directiveArgs(d)
+		return cloned
 	}
 	for _, a := range d.Args {
 		if a.Ellipsis {
@@ -294,29 +142,28 @@ func (x *expander) expandCallRef(d *pattern.Directive) (*ast.CallExpr, error) {
 		}
 		anchor := x.anchorTag(a.Expr)
 		if anchor == "" {
-			return nil, fmt.Errorf("mutator: replacement $CALL#%s argument pattern must reference a tagged directive", d.Tag)
+			x.fail("replacement $CALL#%s argument pattern must reference a tagged directive", d.Tag)
+			continue
 		}
-		boundArg, ok := x.b[anchor]
-		if !ok || boundArg.Expr == nil {
-			return nil, fmt.Errorf("mutator: replacement references unbound argument tag %q", anchor)
+		boundArg := x.b[anchor].Expr
+		if boundArg == nil {
+			x.fail("replacement references unbound argument tag %q", anchor)
+			continue
 		}
 		idx := -1
 		for i, arg := range orig.Args {
-			if containsNode(arg, boundArg.Expr) {
+			if containsNode(arg, boundArg) {
 				idx = i
 				break
 			}
 		}
 		if idx < 0 {
-			return nil, fmt.Errorf("mutator: tag %q is not bound to an argument of $CALL#%s", anchor, d.Tag)
+			x.fail("tag %q is not bound to an argument of $CALL#%s", anchor, d.Tag)
+			continue
 		}
-		ne, err := x.expandExpr(a.Expr)
-		if err != nil {
-			return nil, err
-		}
-		cloned.Args[idx] = ne
+		cloned.Args[idx] = x.expr(a.Expr)
 	}
-	return cloned, nil
+	return cloned
 }
 
 // anchorTag finds the first tagged directive reachable from a replacement
@@ -380,122 +227,6 @@ func containsNode(hay ast.Node, needle ast.Node) bool {
 	return found
 }
 
-func (x *expander) expandSingleStmt(s ast.Stmt) (ast.Stmt, error) {
-	switch n := s.(type) {
-	case *ast.ExprStmt:
-		e, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.ExprStmt{X: e}, nil
-	case *ast.AssignStmt:
-		lhs, err := x.expandExprs(n.Lhs)
-		if err != nil {
-			return nil, err
-		}
-		rhs, err := x.expandExprs(n.Rhs)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.AssignStmt{Lhs: lhs, Tok: n.Tok, Rhs: rhs}, nil
-	case *ast.ReturnStmt:
-		res, err := x.expandExprs(n.Results)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.ReturnStmt{Results: res}, nil
-	case *ast.IfStmt:
-		cond, err := x.expandExpr(n.Cond)
-		if err != nil {
-			return nil, err
-		}
-		body, err := x.expandStmts(n.Body.List)
-		if err != nil {
-			return nil, err
-		}
-		out := &ast.IfStmt{Cond: cond, Body: &ast.BlockStmt{List: body}}
-		if n.Init != nil {
-			if out.Init, err = x.expandSingleStmt(n.Init); err != nil {
-				return nil, err
-			}
-		}
-		if n.Else != nil {
-			if out.Else, err = x.expandSingleStmt(n.Else); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	case *ast.BlockStmt:
-		body, err := x.expandStmts(n.List)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.BlockStmt{List: body}, nil
-	case *ast.ForStmt:
-		out := &ast.ForStmt{}
-		var err error
-		if n.Init != nil {
-			if out.Init, err = x.expandSingleStmt(n.Init); err != nil {
-				return nil, err
-			}
-		}
-		if n.Cond != nil {
-			if out.Cond, err = x.expandExpr(n.Cond); err != nil {
-				return nil, err
-			}
-		}
-		if n.Post != nil {
-			if out.Post, err = x.expandSingleStmt(n.Post); err != nil {
-				return nil, err
-			}
-		}
-		body, err := x.expandStmts(n.Body.List)
-		if err != nil {
-			return nil, err
-		}
-		out.Body = &ast.BlockStmt{List: body}
-		return out, nil
-	case *ast.RangeStmt:
-		ke, err := x.expandExpr(n.Key)
-		if err != nil {
-			return nil, err
-		}
-		ve, err := x.expandExpr(n.Value)
-		if err != nil {
-			return nil, err
-		}
-		xe, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		body, err := x.expandStmts(n.Body.List)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.RangeStmt{Key: ke, Value: ve, Tok: n.Tok, X: xe, Body: &ast.BlockStmt{List: body}}, nil
-	case *ast.BranchStmt, *ast.EmptyStmt:
-		return clonePlainStmt(s), nil
-	case *ast.DeferStmt:
-		e, err := x.expandExpr(n.Call)
-		if err != nil {
-			return nil, err
-		}
-		call, err := mustCall(e)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.DeferStmt{Call: call}, nil
-	case *ast.IncDecStmt:
-		e, err := x.expandExpr(n.X)
-		if err != nil {
-			return nil, err
-		}
-		return &ast.IncDecStmt{X: e, Tok: n.Tok}, nil
-	default:
-		return clonePlainStmt(s), nil
-	}
-}
-
 func hookCall(name string, args ...ast.Expr) *ast.CallExpr {
 	return &ast.CallExpr{Fun: ast.NewIdent(name), Args: args}
 }
@@ -516,4 +247,78 @@ func attrOr(d *pattern.Directive, key, def string) string {
 		return v
 	}
 	return def
+}
+
+// parenHeaderLits parenthesizes the composite literals of a named type
+// that a substitution left bare in the header of an if, for, range or
+// switch statement. The grammar reads `if T{} == x {` as a block
+// following `T`, and go/printer — which does add the parentheses
+// operator precedence calls for — adds none here, so without them the
+// printed mutant would not parse while its tree compiles. Subtrees
+// shared with the cached parse already carry theirs and are only read.
+func parenHeaderLits(list []ast.Stmt) {
+	for _, s := range list {
+		ast.Inspect(s, func(n ast.Node) bool {
+			switch st := n.(type) {
+			case *ast.IfStmt:
+				parenStmt(st.Init)
+				parenExpr(&st.Cond)
+			case *ast.ForStmt:
+				parenStmt(st.Init)
+				parenExpr(&st.Cond)
+				parenStmt(st.Post)
+			case *ast.RangeStmt:
+				parenExpr(&st.X)
+			case *ast.SwitchStmt:
+				parenStmt(st.Init)
+				parenExpr(&st.Tag)
+			}
+			return true
+		})
+	}
+}
+
+func parenStmt(s ast.Stmt) {
+	switch st := s.(type) {
+	case *ast.ExprStmt:
+		parenExpr(&st.X)
+	case *ast.IncDecStmt:
+		parenExpr(&st.X)
+	case *ast.AssignStmt:
+		for i := range st.Lhs {
+			parenExpr(&st.Lhs[i])
+		}
+		for i := range st.Rhs {
+			parenExpr(&st.Rhs[i])
+		}
+	}
+}
+
+// parenExpr wraps the bare literals reachable from *e without passing
+// through parentheses, brackets, braces or a function body.
+func parenExpr(e *ast.Expr) {
+	switch x := (*e).(type) {
+	case *ast.CompositeLit:
+		switch x.Type.(type) {
+		case *ast.Ident, *ast.SelectorExpr:
+			*e = &ast.ParenExpr{X: x}
+		}
+	case *ast.BinaryExpr:
+		parenExpr(&x.X)
+		parenExpr(&x.Y)
+	case *ast.UnaryExpr:
+		parenExpr(&x.X)
+	case *ast.StarExpr:
+		parenExpr(&x.X)
+	case *ast.SelectorExpr:
+		parenExpr(&x.X)
+	case *ast.CallExpr:
+		parenExpr(&x.Fun)
+	case *ast.IndexExpr:
+		parenExpr(&x.X)
+	case *ast.SliceExpr:
+		parenExpr(&x.X)
+	case *ast.TypeAssertExpr:
+		parenExpr(&x.X)
+	}
 }

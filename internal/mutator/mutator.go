@@ -18,6 +18,7 @@ import (
 	"go/ast"
 	"go/printer"
 	"go/token"
+	"reflect"
 	"sort"
 	"strconv"
 
@@ -32,11 +33,23 @@ type Options struct {
 	Triggered bool
 }
 
-// Result is a mutated source file plus diagnostics about the change.
+// Mutant is one injection point applied to a cached parse, in structured
+// form: the statement window it replaces and the statements it puts
+// there. It yields the mutated declaration as a tree (Decl) for the
+// compiler and the mutated file as text (Render) for deployment; both
+// come from the same statements, so they describe the same program.
+type Mutant struct {
+	pf       *scanner.ParsedFile
+	list     scanner.StmtList
+	start, n int
+	injected []ast.Stmt
+}
+
+// Result is a rendered Mutant: the full mutated file next to the
+// structured form it was printed from.
 type Result struct {
-	Source   []byte // full mutated file
-	Original string // source text of the replaced statements
-	Mutated  string // source text of the injected statements
+	Source []byte // full mutated file
+	*Mutant
 }
 
 // Apply mutates one injection point in a source file: the file is parsed,
@@ -52,13 +65,26 @@ func Apply(filename string, src []byte, mm *pattern.MetaModel, point scanner.Inj
 	return ApplyParsed(pf, mm, point, opts)
 }
 
-// ApplyParsed mutates one injection point against a cached parse. The
-// cached AST is strictly read-only — the same ParsedFile is shared by
-// every parallel experiment of a campaign — so instead of rewriting the
-// tree and re-printing the whole file, the rendered replacement text is
-// spliced into a copy of the source bytes at the statement window's byte
-// offsets. Source outside the window is preserved byte-for-byte.
+// ApplyParsed is Mutate followed by Render, for callers that want the
+// mutated file's text only.
 func ApplyParsed(pf *scanner.ParsedFile, mm *pattern.MetaModel, point scanner.InjectionPoint, opts Options) (*Result, error) {
+	m, err := Mutate(pf, mm, point, opts)
+	if err != nil {
+		return nil, err
+	}
+	src, err := m.Render()
+	if err != nil {
+		return nil, err
+	}
+	return &Result{Source: src, Mutant: m}, nil
+}
+
+// Mutate applies one injection point against a cached parse: it
+// re-establishes the match, instantiates the replacement template
+// against the bindings and wraps it in the run-time trigger. The cached
+// AST is strictly read-only — the same ParsedFile is shared by every
+// parallel experiment of a campaign — and nothing is printed here.
+func Mutate(pf *scanner.ParsedFile, mm *pattern.MetaModel, point scanner.InjectionPoint, opts Options) (*Mutant, error) {
 	if point.Spec != mm.Name {
 		return nil, fmt.Errorf("mutator: injection point is for spec %q, not %q", point.Spec, mm.Name)
 	}
@@ -77,38 +103,132 @@ func ApplyParsed(pf *scanner.ParsedFile, mm *pattern.MetaModel, point scanner.In
 	}
 
 	ex := &expander{mm: mm, b: bindings}
-	faulty, err := ex.expandStmts(mm.Replace)
+	injected, err := ex.expandStmts(mm.Replace)
 	if err != nil {
 		return nil, err
 	}
-
-	originals := stmts[point.Start : point.Start+n]
-	origText := renderStmts(pf.Fset, originals)
-
-	var injected []ast.Stmt
 	if opts.Triggered {
 		// Keep a pristine copy of the originals in the else branch so the
 		// fault can be disabled at run time.
 		injected = []ast.Stmt{&ast.IfStmt{
 			Cond: &ast.CallExpr{Fun: ast.NewIdent(HookTrigger)},
-			Body: &ast.BlockStmt{List: faulty},
-			Else: &ast.BlockStmt{List: clonePlainStmts(originals)},
+			Body: &ast.BlockStmt{List: injected},
+			Else: &ast.BlockStmt{List: clonePlainStmts(stmts[point.Start : point.Start+n])},
 		}}
-	} else {
-		injected = faulty
 	}
-	mutText := renderStmts(pf.Fset, injected)
+	parenHeaderLits(injected)
+	return &Mutant{pf: pf, list: lists[point.ListIndex], start: point.Start, n: n, injected: injected}, nil
+}
 
+// Original is the source text of the replaced statements.
+func (m *Mutant) Original() string {
+	return renderStmts(m.pf.Fset, (*m.list.Ptr)[m.start:m.start+m.n])
+}
+
+// Mutated is the source text of the injected statements.
+func (m *Mutant) Mutated() string { return renderStmts(m.pf.Fset, m.injected) }
+
+// Decl returns the enclosing top-level function with the window
+// replaced. Only the nodes on the path from the function body to the
+// window's statement list are copied; every other subtree is shared
+// with the cached parse, which is left untouched.
+func (m *Mutant) Decl() *ast.FuncDecl {
+	old := *m.list.Ptr
+	list := make([]ast.Stmt, 0, len(old)-m.n+len(m.injected))
+	list = append(list, old[:m.start]...)
+	list = append(list, m.injected...)
+	list = append(list, old[m.start+m.n:]...)
+
+	// The path: every node from the body down to the list's owner, each
+	// a child of the one before (Inspect pops a node once its subtree is
+	// done, unless the owner was found inside). node is the owner's copy
+	// holding the new list.
+	var path []ast.Node
+	var node ast.Node
+	ptr := m.list.Ptr
+	ast.Inspect(m.list.Decl.Body, func(n ast.Node) bool {
+		if node != nil {
+			return false
+		}
+		if n == nil {
+			path = path[:len(path)-1]
+			return true
+		}
+		path = append(path, n)
+		switch owner := n.(type) {
+		case *ast.BlockStmt:
+			if &owner.List == ptr {
+				c := *owner
+				c.List, node = list, &c
+			}
+		case *ast.CaseClause:
+			if &owner.Body == ptr {
+				c := *owner
+				c.Body, node = list, &c
+			}
+		case *ast.CommClause:
+			if &owner.Body == ptr {
+				c := *owner
+				c.Body, node = list, &c
+			}
+		}
+		return node == nil
+	})
+	for i := len(path) - 2; i >= 0; i-- {
+		node = withChild(path[i], path[i+1], node)
+	}
+	fd := *m.list.Decl
+	fd.Body = node.(*ast.BlockStmt)
+	return &fd
+}
+
+// withChild returns a shallow copy of parent in which the child old is
+// replaced by repl. The path to a statement list can run through any
+// node kind (a function literal sits anywhere an expression does), so
+// the fields are found by reflection instead of one case per kind.
+func withChild(parent, old, repl ast.Node) ast.Node {
+	src := reflect.ValueOf(parent).Elem()
+	cp := reflect.New(src.Type())
+	cp.Elem().Set(src)
+	for i := 0; i < src.NumField(); i++ {
+		f := cp.Elem().Field(i)
+		switch f.Kind() {
+		case reflect.Pointer, reflect.Interface:
+			if !f.IsNil() && f.Interface() == old {
+				f.Set(reflect.ValueOf(repl))
+				return cp.Interface().(ast.Node)
+			}
+		case reflect.Slice:
+			for j := 0; j < f.Len(); j++ {
+				if e := f.Index(j); e.Kind() == reflect.Interface && e.Interface() == old {
+					elems := reflect.MakeSlice(f.Type(), f.Len(), f.Len())
+					reflect.Copy(elems, f)
+					elems.Index(j).Set(reflect.ValueOf(repl))
+					f.Set(elems)
+					return cp.Interface().(ast.Node)
+				}
+			}
+		}
+	}
+	panic(fmt.Sprintf("mutator: %T is not a child of %T", old, parent))
+}
+
+// Render returns the mutated file. Instead of re-printing the whole
+// file, the rendered replacement text is spliced into a copy of the
+// source bytes at the statement window's byte offsets; source outside
+// the window is preserved byte-for-byte.
+func (m *Mutant) Render() ([]byte, error) {
+	pf, stmts := m.pf, *m.list.Ptr
 	// Zero-width matches (a pattern that consumes no statements, e.g. a
 	// 0-minimum block) insert before the statement at Start instead of
 	// replacing a window.
-	startOff := pf.Offset(stmts[point.Start].Pos())
+	startOff := pf.Offset(stmts[m.start].Pos())
 	endOff := startOff
-	if n > 0 {
-		endOff = pf.Offset(originals[n-1].End())
+	if m.n > 0 {
+		endOff = pf.Offset(stmts[m.start+m.n-1].End())
 	}
 	spliceFrom, indent := spliceAnchor(pf.Src, startOff)
-	rendered, err := renderIndented(injected, indent)
+	rendered, err := renderIndented(m.injected, indent)
 	if err != nil {
 		return nil, err
 	}
@@ -116,7 +236,7 @@ func ApplyParsed(pf *scanner.ParsedFile, mm *pattern.MetaModel, point scanner.In
 	out := make([]byte, 0, len(pf.Src)-(endOff-spliceFrom)+len(rendered)+1)
 	out = append(out, pf.Src[:spliceFrom]...)
 	out = append(out, rendered...)
-	if n == 0 {
+	if m.n == 0 {
 		// Pure insertion: the statement at Start survives on its own
 		// line (endOff sits at spliceFrom or just past the indent, so
 		// the indent bytes cut by the anchor are restored too).
@@ -124,7 +244,7 @@ func ApplyParsed(pf *scanner.ParsedFile, mm *pattern.MetaModel, point scanner.In
 		out = append(out, pf.Src[spliceFrom:startOff]...)
 	}
 	out = append(out, pf.Src[endOff:]...)
-	return &Result{Source: out, Original: origText, Mutated: mutText}, nil
+	return out, nil
 }
 
 // spliceAnchor decides where a statement-window splice begins. When the

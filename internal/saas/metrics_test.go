@@ -50,7 +50,8 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		`profipy_campaign_runs_total{status="completed"} 1`,
 		`profipy_campaign_experiments_total{result="ok"} 6`,
 		`profipy_campaign_phase_seconds_count{phase="execute"} 1`,
-		"profipy_campaign_compile_cache_",
+		// A compile-time mutant costs one declaration compile.
+		`profipy_campaign_mutant_compiles_total{path="decl",reason=""} `,
 		// Fork policy: campaign A's sites sit too early in the round to
 		// be worth a snapshot, and the scrape says so.
 		`profipy_campaign_fork_events_total{event="snapshot",reason=""} 0`,
@@ -68,6 +69,9 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 	}
 	if strings.Contains(body, `engine=`) || strings.Contains(body, "engine_fallback") {
 		t.Error("scrape still exposes an engine label or the engine fallback counter")
+	}
+	if strings.Contains(body, "profipy_campaign_compile_cache_") || strings.Contains(body, "profipy_campaign_compile_incremental_total") {
+		t.Error("scrape still exposes the compile-cache or incremental-recompile counters")
 	}
 	if strings.Contains(body, "profipy_executor_shard_seconds") || strings.Contains(body, `executor="sharded`) {
 		t.Error("scrape still exposes the sharded executor's histogram or label value")

@@ -40,6 +40,8 @@ func (p InjectionPoint) ID() string {
 type StmtList struct {
 	Ptr  *[]ast.Stmt
 	Func string
+	// Decl is the top-level function the list sits in.
+	Decl *ast.FuncDecl
 }
 
 // CollectLists returns every statement list in the file in deterministic
@@ -47,11 +49,12 @@ type StmtList struct {
 // (if/else/for/range/switch-case bodies) depth-first.
 func CollectLists(f *ast.File) []StmtList {
 	var lists []StmtList
+	var decl *ast.FuncDecl
 	var walkStmts func(fn string, ptr *[]ast.Stmt)
 	var walkStmt func(fn string, s ast.Stmt)
 
 	walkStmts = func(fn string, ptr *[]ast.Stmt) {
-		lists = append(lists, StmtList{Ptr: ptr, Func: fn})
+		lists = append(lists, StmtList{Ptr: ptr, Func: fn, Decl: decl})
 		for _, s := range *ptr {
 			walkStmt(fn, s)
 			// Function-literal bodies hang off expressions (deferred
@@ -103,6 +106,7 @@ func CollectLists(f *ast.File) []StmtList {
 		if !ok || fd.Body == nil {
 			continue
 		}
+		decl = fd
 		walkStmts(funcDisplayName(fd), &fd.Body.List)
 	}
 	return lists

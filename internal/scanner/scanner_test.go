@@ -1,6 +1,7 @@
 package scanner
 
 import (
+	"go/ast"
 	"strings"
 	"testing"
 
@@ -199,6 +200,49 @@ change {
 	}
 	if len(pts) != 3 {
 		t.Fatalf("points = %d, want 3 (if body, for body, case body)", len(pts))
+	}
+}
+
+// TestCollectListsRecordsDecl: every list knows the top-level function
+// it sits in, however deep — clause bodies and function literals buried
+// in expressions included.
+func TestCollectListsRecordsDecl(t *testing.T) {
+	src := `package p
+
+func F(xs []int) {
+	if len(xs) > 0 {
+		g()
+	} else if len(xs) < 0 {
+		h()
+	}
+	defer func() {
+		go func() { g() }()
+	}()
+	use(1, []any{func() { h() }})
+}
+
+func (r *R) M() {
+	switch v := r.v.(type) {
+	case int:
+		g(v)
+	}
+}
+`
+	pf, err := ParseFileOnce("p.go", []byte(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pf.Lists) != 8 {
+		t.Fatalf("%d lists, want 8", len(pf.Lists))
+	}
+	for i, sl := range pf.Lists {
+		want := pf.File.Decls[0].(*ast.FuncDecl)
+		if sl.Func == "R.M" {
+			want = pf.File.Decls[1].(*ast.FuncDecl)
+		}
+		if sl.Decl != want {
+			t.Errorf("list %d (%s): Decl is %v", i, sl.Func, sl.Decl)
+		}
 	}
 }
 

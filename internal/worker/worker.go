@@ -330,9 +330,9 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) error {
 	a.log.Info("worker: executing shard", "campaign", lease.Campaign,
 		"shard", lease.Shard, "lo", lease.Lo, "hi", lease.Hi)
 
-	// Kinds and fork outcomes are written per-index by the pool workers
-	// and read by the single sink goroutine; executor.Local's channel
-	// hand-off orders each write before its read.
+	// Kinds and fork outcomes are written per-index by the pool worker
+	// that ran the experiment and read by the sink, which that same
+	// worker calls with the record.
 	kinds, forks := make([]string, n), make([]string, n)
 	exp := func(i int) analysis.Record {
 		rec, kind, fork := runner.ExperimentDetail(lease.Lo + i)

@@ -141,7 +141,7 @@ func Mutate(src []byte, spec Spec, point InjectionPoint, opts MutateOptions) (*M
 	if err != nil {
 		return nil, err
 	}
-	return &Mutation{Source: res.Source, Original: res.Original, Mutated: res.Mutated}, nil
+	return &Mutation{Source: res.Source, Original: res.Original(), Mutated: res.Mutated()}, nil
 }
 
 // Instrument inserts coverage hooks at the given injection points of a

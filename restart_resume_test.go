@@ -141,3 +141,45 @@ func TestResumeRoundTripsThroughJSON(t *testing.T) {
 		t.Fatal("round-tripped resume records drifted")
 	}
 }
+
+// TestResumeAccountsKindsLikeAStraightRun: a resumed run classifies the
+// records it replays (Runner.KindOf — the mutator's structured core, no
+// rendering, no compile) instead of executing them, so its Mutated,
+// Injected and Errors must come out as one uninterrupted run's do — on
+// a compile-time campaign and a runtime-injection one, with a stale
+// record (its window no longer in the plan) among the replayed set.
+func TestResumeAccountsKindsLikeAStraightRun(t *testing.T) {
+	for _, gc := range goldenCampaigns {
+		if gc.name != "campaign-a" && gc.name != "campaign-r" {
+			continue
+		}
+		t.Run(gc.name, func(t *testing.T) {
+			full, err := gc.build(NewRuntime(RuntimeConfig{Cores: 4, Seed: 20}), gc.seed).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if full.Mutated+full.Injected != len(full.Records) {
+				t.Fatalf("straight run: %d mutated + %d injected of %d records", full.Mutated, full.Injected, len(full.Records))
+			}
+			k := len(full.Records) / 2
+			stale := full.Records[0]
+			stale.Point.Start += 1000
+			c := gc.build(NewRuntime(RuntimeConfig{Cores: 4, Seed: 20}), gc.seed)
+			c.Resume = append([]analysis.Record{stale}, full.Records[:k]...)
+			res, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Replayed != k {
+				t.Errorf("replayed %d records, want %d (the stale one ignored)", res.Replayed, k)
+			}
+			if res.Mutated != full.Mutated || res.Injected != full.Injected || res.Errors != full.Errors {
+				t.Errorf("resumed mutated/injected/errors = %d/%d/%d, straight run %d/%d/%d",
+					res.Mutated, res.Injected, res.Errors, full.Mutated, full.Injected, full.Errors)
+			}
+			if !bytes.Equal(recordsJSON(t, res), recordsJSON(t, full)) {
+				t.Error("resumed records differ from the straight run")
+			}
+		})
+	}
+}

@@ -112,8 +112,13 @@ fi
 if grep -q 'profipy_executor_shard_seconds' "$SCRAPE"; then
   echo "profipy_executor_shard_seconds is still exposed"; exit 1
 fi
-# The incremental-recompile counter family must be exposed.
-grep -q "^# TYPE profipy_campaign_compile_incremental_total " "$SCRAPE" || { echo "MISSING family: profipy_campaign_compile_incremental_total"; exit 1; }
+# Mutant compiles are one family, split by path and reason; the
+# compile-cache and incremental-recompile counters it replaced are gone.
+grep -q "^# TYPE profipy_campaign_mutant_compiles_total " "$SCRAPE" || { echo "MISSING family: profipy_campaign_mutant_compiles_total"; exit 1; }
+grep -q '^profipy_campaign_mutant_compiles_total{path="decl",reason=""} ' "$SCRAPE" || { echo "no path=\"decl\" sample in profipy_campaign_mutant_compiles_total"; exit 1; }
+if grep -E '^# TYPE profipy_campaign_compile_(cache_hits|cache_misses|incremental)_total ' "$SCRAPE"; then
+  echo "a compile-cache / incremental-recompile family is still exposed"; exit 1
+fi
 
 echo "== check pprof debug listener"
 curl -fs "http://$DEBUG_ADDR/debug/pprof/cmdline" >/dev/null
