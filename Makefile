@@ -25,7 +25,8 @@ cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./...
 	$(GO) tool cover -func=coverage.out | tail -1
 
-# Short fuzz runs over the DSL compiler, the pattern matcher and the
+# Short fuzz runs over the DSL compiler, the pattern matcher, the
+# scanner's index (indexed scan vs MatchPrefix at every start) and the
 # oracle-equivalence interpreter target (compiled path vs the tree-walk
 # reference; the seed corpora live under the packages' testdata/fuzz/
 # directories).
@@ -33,6 +34,7 @@ FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/dsl/
 	$(GO) test -run '^$$' -fuzz FuzzMatchPrefix -fuzztime $(FUZZTIME) ./internal/pattern/
+	$(GO) test -run '^$$' -fuzz FuzzScanAgreesWithMatchPrefix -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime $(FUZZTIME) ./internal/interp/
 
 # Regenerate the golden campaign-record fixtures (testdata/golden/)
@@ -48,8 +50,9 @@ loc:
 	  | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); pkg[d] += $$1; t += $$1 } \
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-# Engine benchmarks: scan throughput, match-engine hot paths, cached
-# mutation, interpreter round execution (tree-walk vs compiled). Writes
+# Engine benchmarks: scan throughput (cold, warm, and warm by pattern
+# shape — BenchmarkScanShapes), match-engine hot paths, cached mutation,
+# interpreter round execution (tree-walk vs compiled). Writes
 # bench.txt so CI can upload it as an artifact and the perf trajectory
 # stays comparable across PRs. No pipe to tee: the recipe must fail when
 # go test fails. Also emits the machine-readable execute-phase results

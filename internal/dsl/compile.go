@@ -108,6 +108,7 @@ func CompileFull(name, src string) (*CompiledSpec, error) {
 	if err := attachArgExprs(mm); err != nil {
 		return nil, fmt.Errorf("spec %q: %w", name, err)
 	}
+	mm.Finish()
 	if err := validate(mm); err != nil {
 		return nil, fmt.Errorf("spec %q: %w", name, err)
 	}
@@ -268,7 +269,9 @@ func parseStmts(fset *token.FileSet, body string) ([]ast.Stmt, error) {
 // attachArgExprs parses the stashed argument-piece texts of directives
 // that carry argument patterns ($CALL, $CORRUPT, ...) into expressions.
 func attachArgExprs(mm *pattern.MetaModel) error {
-	for _, d := range mm.Holes {
+	// In placeholder order, so the first error is the same on every run.
+	for h := 0; h < len(mm.Holes); h++ {
+		d := mm.Holes[holeName(h)]
 		for i := range d.Args {
 			if d.Args[i].Ellipsis {
 				continue

@@ -60,7 +60,7 @@ func TestFig1aMFCCompiles(t *testing.T) {
 			}
 		case pattern.KindCall:
 			calls++
-			if got := d.NamePattern(); got != "Delete*" {
+			if got := d.Attrs["name"]; got != "Delete*" {
 				t.Errorf("call name pattern = %q, want Delete*", got)
 			}
 			if !d.HasArgs || len(d.Args) != 1 || !d.Args[0].Ellipsis {
@@ -124,13 +124,13 @@ func TestFig1cWPFCompiles(t *testing.T) {
 			}
 		}
 	}
-	if call == nil || call.Tag != "c" || call.NamePattern() != "utils.Execute" {
+	if call == nil || call.Tag != "c" || call.Attrs["name"] != "utils.Execute" {
 		t.Fatalf("pattern $CALL directive wrong: %+v", call)
 	}
 	if len(call.Args) != 3 || !call.Args[0].Ellipsis || call.Args[1].Ellipsis || !call.Args[2].Ellipsis {
 		t.Fatalf("pattern $CALL args = %+v, want [..., expr, ...]", call.Args)
 	}
-	if str == nil || str.ValPattern() != "*-*" {
+	if str == nil || str.Attrs["val"] != "*-*" {
 		t.Fatalf("pattern $STRING directive wrong: %+v", str)
 	}
 	if corrupt == nil || len(corrupt.Args) != 1 {
@@ -289,6 +289,37 @@ change {
 	for _, k := range []pattern.Kind{pattern.KindPanic, pattern.KindHog, pattern.KindTimeout} {
 		if !kinds[k] {
 			t.Errorf("missing directive kind %v", k)
+		}
+	}
+}
+
+// TestDiagnosticsAreDeterministic: an error that quotes a directive lists
+// its attributes in one order, without the compiler's __argN stash keys,
+// and with several bad directives the first one in the text is reported.
+func TestDiagnosticsAreDeterministic(t *testing.T) {
+	const bad = `
+change {
+	$CALL#c{name=Execute; tag=c; zeta=1; alpha=2}($EXPR#a, 1 +, $STRING#s)
+	$CALL{name=Later}(2 *)
+} into {
+}`
+	seen := map[string]bool{}
+	for i := 0; i < 50; i++ {
+		_, err := Compile("bad", bad)
+		if err == nil {
+			t.Fatal("bad argument pattern compiled")
+		}
+		seen[err.Error()] = true
+	}
+	if len(seen) != 1 {
+		t.Fatalf("50 compilations of one spec gave %d different errors: %v", len(seen), seen)
+	}
+	for msg := range seen {
+		if strings.Contains(msg, "__arg") {
+			t.Errorf("diagnostic leaks the compiler's stash keys: %s", msg)
+		}
+		if want := `bad argument pattern "1 +" in $CALL#c{alpha=2; name=Execute; tag=c; zeta=1}`; !strings.Contains(msg, want) {
+			t.Errorf("diagnostic %q does not contain %q", msg, want)
 		}
 	}
 }

@@ -29,8 +29,11 @@ func newPreprocessor() *preprocessor {
 	return &preprocessor{holes: make(map[string]*pattern.Directive)}
 }
 
+// holeName is the placeholder identifier of the n-th directive of a spec.
+func holeName(n int) string { return "__dsl_" + strconv.Itoa(n) }
+
 func (p *preprocessor) fresh(d *pattern.Directive) string {
-	name := "__dsl_" + strconv.Itoa(p.next)
+	name := holeName(p.next)
 	p.next++
 	p.holes[name] = d
 	return name

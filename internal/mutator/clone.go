@@ -2,6 +2,8 @@ package mutator
 
 import (
 	"go/ast"
+
+	"profipy/internal/pattern"
 )
 
 // The copier: one deep copy of statements and expressions with all
@@ -27,7 +29,7 @@ func (x *expander) expr(e ast.Expr) ast.Expr {
 		return nil
 	}
 	if x != nil {
-		if d := x.mm.HoleFor(e); d != nil {
+		if d := pattern.HoleFor(e); d != nil {
 			return x.directiveExpr(d)
 		}
 	}
@@ -116,7 +118,7 @@ func (x *expander) stmts(list []ast.Stmt) []ast.Stmt {
 	for _, s := range list {
 		if es, ok := s.(*ast.ExprStmt); ok && x != nil {
 			// Bare directive in statement position.
-			if d := x.mm.HoleFor(es.X); d != nil {
+			if d := pattern.HoleFor(es.X); d != nil {
 				out = append(out, x.stmtDirective(d)...)
 				continue
 			}

@@ -24,7 +24,6 @@ const (
 // bindings captured by a match (the copier in clone.go does the walking).
 // The first failure sticks in err.
 type expander struct {
-	mm  *pattern.MetaModel
 	b   pattern.Bindings
 	err error
 }
@@ -176,7 +175,7 @@ func (x *expander) anchorTag(e ast.Expr) string {
 		if tag != "" || e == nil {
 			return
 		}
-		if d := x.mm.HoleFor(e); d != nil {
+		if d := pattern.HoleFor(e); d != nil {
 			if d.Tag != "" && d.Kind != pattern.KindCorrupt && d.Kind != pattern.KindHog &&
 				d.Kind != pattern.KindTimeout && d.Kind != pattern.KindPanic {
 				tag = d.Tag
@@ -194,11 +193,10 @@ func (x *expander) anchorTag(e ast.Expr) string {
 				return false
 			}
 			if id, ok := n.(*ast.Ident); ok {
-				if d := x.mm.Holes[id.Name]; d != nil {
+				if pattern.HoleFor(id) != nil {
 					visit(id)
 					return false
 				}
-				_ = id
 			}
 			return true
 		})

@@ -102,7 +102,7 @@ func Mutate(pf *scanner.ParsedFile, mm *pattern.MetaModel, point scanner.Injecti
 		return nil, fmt.Errorf("mutator: stale injection point: pattern no longer matches at %s", point.ID())
 	}
 
-	ex := &expander{mm: mm, b: bindings}
+	ex := &expander{b: bindings}
 	injected, err := ex.expandStmts(mm.Replace)
 	if err != nil {
 		return nil, err
@@ -351,7 +351,7 @@ func renderStmts(fset *token.FileSet, stmts []ast.Stmt) string {
 		if i > 0 {
 			buf.WriteString("; ")
 		}
-		buf.WriteString(pattern.StmtString(fset, s))
+		pattern.PrintNode(&buf, fset, s)
 	}
 	return buf.String()
 }

@@ -1,5 +1,7 @@
 package pattern
 
+import "strings"
+
 // Glob reports whether s matches the glob pattern pat. The pattern
 // supports '*' (any run of characters, including empty) and '?' (exactly
 // one character); all other characters match literally. Matching is
@@ -41,6 +43,60 @@ func GlobAny(pat, s string) bool {
 				return true
 			}
 			start = i + 1
+		}
+	}
+	return false
+}
+
+// globSet is a comma-separated glob list split and classified once, when
+// the model is built: a "*" alternative makes the set match everything,
+// an alternative without metacharacters is compared with ==, the rest go
+// through Glob. A nil set is an absent attribute and matches everything.
+type globSet struct {
+	any   bool
+	lits  []string
+	globs []string
+}
+
+func compileGlobs(pat string) *globSet {
+	g := &globSet{}
+	for _, alt := range strings.Split(pat, ",") {
+		switch {
+		case alt == "*":
+			g.any = true
+		case strings.ContainsAny(alt, "*?"):
+			g.globs = append(g.globs, alt)
+		default:
+			g.lits = append(g.lits, alt)
+		}
+	}
+	return g
+}
+
+// literal returns the one string the set matches, or "" when it matches
+// several, a pattern or, being nil, everything.
+func (g *globSet) literal() string {
+	if g == nil || g.any || len(g.globs) != 0 || len(g.lits) != 1 {
+		return ""
+	}
+	return g.lits[0]
+}
+
+// all reports whether the set accepts every string.
+func (g *globSet) all() bool { return g == nil || g.any }
+
+func (g *globSet) match(s string) bool {
+	if g.all() {
+		return true
+	}
+	for _, l := range g.lits {
+		if l == s {
+			return true
+		}
+	}
+	for _, p := range g.globs {
+		if Glob(p, s) {
+			return true
 		}
 	}
 	return false

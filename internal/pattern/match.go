@@ -17,121 +17,132 @@ func (m *MetaModel) MatchPrefix(stmts []ast.Stmt, start int) (int, Bindings, boo
 	if start < 0 || start > len(stmts) {
 		return 0, nil, false
 	}
-	// Fast reject: most start positions die on the pattern's first
-	// element, so a one-comparison kind check beats a full unify.
-	if start < len(stmts) && !m.CanStartWith(stmts[start]) {
-		return 0, nil, false
-	}
-	// Internally, bindings thread through the matcher as a persistent
-	// linked list: extending costs one small node, failed trials leave no
-	// garbage, and nothing is cloned on the backtracking paths. The map
-	// form the public API promises is materialized only here, once per
-	// successful match.
-	n, b, ok := m.matchSeq(m.Pattern, stmts[start:], false, nil)
+	u := unifier{m: m, record: true}
+	n, ok := u.seq(m.Pattern, stmts[start:], false)
 	if !ok {
 		return 0, nil, false
 	}
-	return n, b.bindings(), true
+	return n, u.bindings(), true
 }
 
-// bindNode is one link of the matcher-internal persistent bindings list.
-// Prepending shadows earlier entries for the same tag, which is how a
-// backtracking block trial rebinds its tag per extent.
-type bindNode struct {
-	tag  string
-	val  Bound
-	next *bindNode
+// unifier is the state of one match attempt. There is one unify routine;
+// its two callers differ only in what they put here. MatchPrefix asks for
+// bindings (record) and gets them on the trail; the scan does not, so a
+// trial that fails allocates nothing and one that succeeds allocates
+// nothing either. The scan of a block-led model also hands over what the
+// list index knows (indexed): occ holds, ascending, the positions at or
+// after start+min of the statements the model's lead anchor admits, so
+// the leading block jumps from one to the next instead of trying every
+// extent. Without an index the same loop asks the anchor per statement.
+type unifier struct {
+	m      *MetaModel
+	record bool
+	trail  []binding
+
+	indexed bool
+	start   int
+	occ     []Pos
 }
 
-// with returns the list extended by one binding; the receiver (which may
-// be nil) is shared, not copied.
-func (n *bindNode) with(tag string, v Bound) *bindNode {
-	return &bindNode{tag: tag, val: v, next: n}
+// binding is one trail entry. A later entry for the same tag shadows an
+// earlier one; a choice point that fails cuts the trail back to where it
+// stood (the block and "..." loops are the only choice points).
+type binding struct {
+	tag string
+	val Bound
 }
 
-// bindings converts the list to the public map form; the most recent
-// binding of a tag wins. A nil list yields nil.
-func (n *bindNode) bindings() Bindings {
-	if n == nil {
+func (u *unifier) bind(tag string, v Bound) {
+	if u.record && tag != "" {
+		u.trail = append(u.trail, binding{tag, v})
+	}
+}
+
+// bindings converts the trail to the public map form; nil when nothing
+// was bound.
+func (u *unifier) bindings() Bindings {
+	if len(u.trail) == 0 {
 		return nil
 	}
-	out := make(Bindings)
-	for c := n; c != nil; c = c.next {
-		if _, ok := out[c.tag]; !ok {
-			out[c.tag] = c.val
-		}
+	out := make(Bindings, len(u.trail))
+	for _, b := range u.trail {
+		out[b.tag] = b.val
 	}
 	return out
 }
 
-// matchSeq matches a pattern statement sequence against target statements.
+// seq matches a pattern statement sequence against target statements.
 // When anchored, the pattern must consume the entire target list (used for
 // nested bodies such as if/for blocks); otherwise a prefix match suffices.
-func (m *MetaModel) matchSeq(pat, tgt []ast.Stmt, anchored bool, b *bindNode) (int, *bindNode, bool) {
+// Only the top-level sequence of a model is unanchored.
+func (u *unifier) seq(pat, tgt []ast.Stmt, anchored bool) (int, bool) {
 	if len(pat) == 0 {
-		if anchored && len(tgt) != 0 {
-			return 0, nil, false
-		}
-		return 0, b, true
+		return 0, !anchored || len(tgt) == 0
 	}
-
-	// Block directives get sequence-level treatment with backtracking.
-	if d := m.stmtDirective(pat[0]); d != nil && d.Kind == KindBlock {
-		maxK := d.MaxStmts
-		if maxK < 0 || maxK > len(tgt) {
-			maxK = len(tgt)
-		}
-		for k := d.MinStmts; k <= maxK; k++ {
-			// Lookahead prune: skip extents whose follow-up statement
-			// cannot possibly unify with the next pattern element.
-			if len(pat) > 1 && k < len(tgt) && !m.canOpen(pat[1], tgt[k]) {
-				continue
-			}
-			trial := b
-			if d.Tag != "" {
-				// Full slice expression: consumers treat bound statement
-				// runs as read-only, so aliasing the target list avoids a
-				// copy per backtracking step; the cap guard keeps an
-				// appending consumer from clobbering the target.
-				trial = b.with(d.Tag, Bound{Stmts: tgt[:k:k]})
-			}
-			rest, out, ok := m.matchSeq(pat[1:], tgt[k:], anchored, trial)
-			if ok {
-				return k + rest, out, true
-			}
-		}
-		return 0, nil, false
+	if d := stmtDirective(pat[0]); d != nil && d.Kind == KindBlock {
+		return u.block(d, pat, tgt, anchored)
 	}
-
-	if len(tgt) == 0 {
-		return 0, nil, false
+	if len(tgt) == 0 || !u.stmt(pat[0], tgt[0]) {
+		return 0, false
 	}
-	out, ok := m.matchStmt(pat[0], tgt[0], b)
+	rest, ok := u.seq(pat[1:], tgt[1:], anchored)
 	if !ok {
-		return 0, nil, false
+		return 0, false
 	}
-	rest, out, ok := m.matchSeq(pat[1:], tgt[1:], anchored, out)
-	if !ok {
-		return 0, nil, false
-	}
-	return 1 + rest, out, true
+	return 1 + rest, true
 }
 
-// stmtDirective returns the directive when the pattern statement is a bare
-// placeholder expression statement, else nil.
-func (m *MetaModel) stmtDirective(s ast.Stmt) *Directive {
-	es, ok := s.(*ast.ExprStmt)
-	if !ok {
-		return nil
+// block matches pat, whose head is the block directive d, trying extents
+// shortest first. An extent is tried only if the statement after it can
+// open the next pattern element (its anchor).
+func (u *unifier) block(d *Directive, pat, tgt []ast.Stmt, anchored bool) (int, bool) {
+	hi := d.MaxStmts
+	if hi < 0 || hi > len(tgt) {
+		hi = len(tgt)
 	}
-	return m.HoleFor(es.X)
+	// Only the model's own sequence is unanchored, and its elements'
+	// anchors are compiled; a nested body tries every extent.
+	var next anchor
+	if at := len(u.m.Pattern) - len(pat) + 1; !anchored && at < len(u.m.Pattern) {
+		next = u.m.anchors[at]
+	}
+	jump := u.indexed && !anchored && len(pat) == len(u.m.Pattern)
+	occ, mark := u.occ, len(u.trail)
+	for k := d.MinStmts; k <= hi; k++ {
+		switch {
+		case !next.set():
+		case jump:
+			for len(occ) > 0 && int(occ[0].Start)-u.start < k {
+				occ = occ[1:]
+			}
+			if len(occ) == 0 {
+				return 0, false
+			}
+			if k = int(occ[0].Start) - u.start; k > hi {
+				return 0, false
+			}
+		case k == len(tgt):
+			return 0, false
+		case !next.admits(tgt[k]):
+			continue
+		}
+		// Full slice expression: consumers treat bound statement runs as
+		// read-only, so aliasing the target list avoids a copy; the cap
+		// guard keeps an appending consumer from clobbering the target.
+		u.bind(d.Tag, Bound{Stmts: tgt[:k:k]})
+		if rest, ok := u.seq(pat[1:], tgt[k:], anchored); ok {
+			return k + rest, true
+		}
+		u.trail = u.trail[:mark]
+	}
+	return 0, false
 }
 
-// matchStmt matches a single pattern statement against a single target
-// statement, returning the (possibly extended) bindings.
-func (m *MetaModel) matchStmt(p, t ast.Stmt, b *bindNode) (*bindNode, bool) {
+// stmt matches a single pattern statement against a single target
+// statement.
+func (u *unifier) stmt(p, t ast.Stmt) bool {
 	// A bare directive in statement position.
-	if d := m.stmtDirective(p); d != nil {
+	if d := stmtDirective(p); d != nil {
 		switch d.Kind {
 		case KindCall:
 			// Statement-position $CALL matches only statements whose
@@ -139,513 +150,238 @@ func (m *MetaModel) matchStmt(p, t ast.Stmt, b *bindNode) (*bindNode, bool) {
 			// the return value must be unused).
 			es, ok := t.(*ast.ExprStmt)
 			if !ok {
-				return nil, false
+				return false
 			}
 			call, ok := es.X.(*ast.CallExpr)
-			if !ok {
-				return nil, false
-			}
-			return m.matchCallDirective(d, call, b)
+			return ok && u.call(d, call)
 		case KindAny:
-			if d.Tag != "" {
-				b = b.with(d.Tag, Bound{Stmts: []ast.Stmt{t}})
+			if u.record && d.Tag != "" {
+				u.bind(d.Tag, Bound{Stmts: []ast.Stmt{t}})
 			}
-			return b, true
+			return true
 		default:
-			return nil, false
+			return false
 		}
 	}
 
 	switch ps := p.(type) {
 	case *ast.ExprStmt:
 		ts, ok := t.(*ast.ExprStmt)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(ps.X, ts.X, b)
+		return ok && u.expr(ps.X, ts.X)
 	case *ast.AssignStmt:
 		ts, ok := t.(*ast.AssignStmt)
-		if !ok || ps.Tok != ts.Tok || len(ps.Lhs) != len(ts.Lhs) || len(ps.Rhs) != len(ts.Rhs) {
-			return nil, false
-		}
-		// Sides matched separately: concatenating with append would
-		// allocate two scratch slices per unify attempt on this hot path.
-		if b, ok = m.matchExprLists(ps.Lhs, ts.Lhs, b); !ok {
-			return nil, false
-		}
-		return m.matchExprLists(ps.Rhs, ts.Rhs, b)
+		return ok && ps.Tok == ts.Tok && u.exprs(ps.Lhs, ts.Lhs) && u.exprs(ps.Rhs, ts.Rhs)
 	case *ast.ReturnStmt:
 		ts, ok := t.(*ast.ReturnStmt)
-		if !ok || len(ps.Results) != len(ts.Results) {
-			return nil, false
-		}
-		return m.matchExprLists(ps.Results, ts.Results, b)
+		return ok && u.exprs(ps.Results, ts.Results)
 	case *ast.IfStmt:
 		ts, ok := t.(*ast.IfStmt)
-		if !ok {
-			return nil, false
-		}
-		if (ps.Init == nil) != (ts.Init == nil) {
-			return nil, false
-		}
-		if ps.Init != nil {
-			var okInit bool
-			b, okInit = m.matchStmt(ps.Init, ts.Init, b)
-			if !okInit {
-				return nil, false
-			}
-		}
-		b, ok = m.matchExpr(ps.Cond, ts.Cond, b)
-		if !ok {
-			return nil, false
-		}
-		_, b, ok = m.matchSeq(ps.Body.List, ts.Body.List, true, b)
-		if !ok {
-			return nil, false
-		}
-		if (ps.Else == nil) != (ts.Else == nil) {
-			return nil, false
-		}
-		if ps.Else != nil {
-			return m.matchStmt(ps.Else, ts.Else, b)
-		}
-		return b, true
+		return ok && u.optStmt(ps.Init, ts.Init) && u.expr(ps.Cond, ts.Cond) &&
+			u.body(ps.Body.List, ts.Body.List) && u.optStmt(ps.Else, ts.Else)
 	case *ast.BlockStmt:
 		ts, ok := t.(*ast.BlockStmt)
-		if !ok {
-			return nil, false
-		}
-		_, b, ok = m.matchSeq(ps.List, ts.List, true, b)
-		return b, ok
+		return ok && u.body(ps.List, ts.List)
 	case *ast.ForStmt:
 		ts, ok := t.(*ast.ForStmt)
-		if !ok {
-			return nil, false
-		}
-		if (ps.Init == nil) != (ts.Init == nil) || (ps.Cond == nil) != (ts.Cond == nil) || (ps.Post == nil) != (ts.Post == nil) {
-			return nil, false
-		}
-		if ps.Init != nil {
-			if b, ok = m.matchStmt(ps.Init, ts.Init, b); !ok {
-				return nil, false
-			}
-		}
-		if ps.Cond != nil {
-			if b, ok = m.matchExpr(ps.Cond, ts.Cond, b); !ok {
-				return nil, false
-			}
-		}
-		if ps.Post != nil {
-			if b, ok = m.matchStmt(ps.Post, ts.Post, b); !ok {
-				return nil, false
-			}
-		}
-		_, b, ok = m.matchSeq(ps.Body.List, ts.Body.List, true, b)
-		return b, ok
+		return ok && u.optStmt(ps.Init, ts.Init) && u.optExpr(ps.Cond, ts.Cond) &&
+			u.optStmt(ps.Post, ts.Post) && u.body(ps.Body.List, ts.Body.List)
 	case *ast.RangeStmt:
 		ts, ok := t.(*ast.RangeStmt)
-		if !ok || ps.Tok != ts.Tok {
-			return nil, false
-		}
-		if (ps.Key == nil) != (ts.Key == nil) || (ps.Value == nil) != (ts.Value == nil) {
-			return nil, false
-		}
-		if ps.Key != nil {
-			if b, ok = m.matchExpr(ps.Key, ts.Key, b); !ok {
-				return nil, false
-			}
-		}
-		if ps.Value != nil {
-			if b, ok = m.matchExpr(ps.Value, ts.Value, b); !ok {
-				return nil, false
-			}
-		}
-		if b, ok = m.matchExpr(ps.X, ts.X, b); !ok {
-			return nil, false
-		}
-		_, b, ok = m.matchSeq(ps.Body.List, ts.Body.List, true, b)
-		return b, ok
+		return ok && ps.Tok == ts.Tok && u.optExpr(ps.Key, ts.Key) && u.optExpr(ps.Value, ts.Value) &&
+			u.expr(ps.X, ts.X) && u.body(ps.Body.List, ts.Body.List)
 	case *ast.BranchStmt:
 		ts, ok := t.(*ast.BranchStmt)
-		if !ok || ps.Tok != ts.Tok {
-			return nil, false
-		}
-		if (ps.Label == nil) != (ts.Label == nil) {
-			return nil, false
-		}
-		if ps.Label != nil && ps.Label.Name != ts.Label.Name {
-			return nil, false
-		}
-		return b, true
+		return ok && ps.Tok == ts.Tok && (ps.Label == nil) == (ts.Label == nil) &&
+			(ps.Label == nil || ps.Label.Name == ts.Label.Name)
 	case *ast.DeferStmt:
 		ts, ok := t.(*ast.DeferStmt)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(ps.Call, ts.Call, b)
+		return ok && u.expr(ps.Call, ts.Call)
 	case *ast.GoStmt:
 		ts, ok := t.(*ast.GoStmt)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(ps.Call, ts.Call, b)
+		return ok && u.expr(ps.Call, ts.Call)
 	case *ast.IncDecStmt:
 		ts, ok := t.(*ast.IncDecStmt)
-		if !ok || ps.Tok != ts.Tok {
-			return nil, false
-		}
-		return m.matchExpr(ps.X, ts.X, b)
+		return ok && ps.Tok == ts.Tok && u.expr(ps.X, ts.X)
 	case *ast.SwitchStmt:
 		ts, ok := t.(*ast.SwitchStmt)
-		if !ok {
-			return nil, false
-		}
-		if (ps.Tag == nil) != (ts.Tag == nil) {
-			return nil, false
-		}
-		if ps.Tag != nil {
-			if b, ok = m.matchExpr(ps.Tag, ts.Tag, b); !ok {
-				return nil, false
-			}
-		}
-		if len(ps.Body.List) != len(ts.Body.List) {
-			return nil, false
+		if !ok || !u.optExpr(ps.Tag, ts.Tag) || len(ps.Body.List) != len(ts.Body.List) {
+			return false
 		}
 		for i := range ps.Body.List {
 			pc, okP := ps.Body.List[i].(*ast.CaseClause)
 			tc, okT := ts.Body.List[i].(*ast.CaseClause)
-			if !okP || !okT || len(pc.List) != len(tc.List) {
-				return nil, false
-			}
-			if b, ok = m.matchExprLists(pc.List, tc.List, b); !ok {
-				return nil, false
-			}
-			if _, b, ok = m.matchSeq(pc.Body, tc.Body, true, b); !ok {
-				return nil, false
+			if !okP || !okT || !u.exprs(pc.List, tc.List) || !u.body(pc.Body, tc.Body) {
+				return false
 			}
 		}
-		return b, true
+		return true
 	case *ast.LabeledStmt:
 		ts, ok := t.(*ast.LabeledStmt)
-		if !ok || ps.Label.Name != ts.Label.Name {
-			return nil, false
-		}
-		return m.matchStmt(ps.Stmt, ts.Stmt, b)
+		return ok && ps.Label.Name == ts.Label.Name && u.stmt(ps.Stmt, ts.Stmt)
 	case *ast.EmptyStmt:
 		_, ok := t.(*ast.EmptyStmt)
-		if !ok {
-			return nil, false
-		}
-		return b, true
+		return ok
 	default:
-		return nil, false
+		return false
 	}
 }
 
-func (m *MetaModel) matchExprLists(ps, ts []ast.Expr, b *bindNode) (*bindNode, bool) {
+// body matches a nested statement list, which the pattern must consume
+// whole.
+func (u *unifier) body(pat, tgt []ast.Stmt) bool {
+	_, ok := u.seq(pat, tgt, true)
+	return ok
+}
+
+// optStmt and optExpr match an optional child: both absent, or both
+// present and unifying.
+func (u *unifier) optStmt(p, t ast.Stmt) bool {
+	return (p == nil) == (t == nil) && (p == nil || u.stmt(p, t))
+}
+
+func (u *unifier) optExpr(p, t ast.Expr) bool {
+	return (p == nil) == (t == nil) && (p == nil || u.expr(p, t))
+}
+
+func (u *unifier) exprs(ps, ts []ast.Expr) bool {
 	if len(ps) != len(ts) {
-		return nil, false
+		return false
 	}
 	for i := range ps {
-		var ok bool
-		b, ok = m.matchExpr(ps[i], ts[i], b)
-		if !ok {
-			return nil, false
+		if !u.expr(ps[i], ts[i]) {
+			return false
 		}
 	}
-	return b, true
+	return true
 }
 
-// matchExpr matches a pattern expression (which may be a directive
+// expr matches a pattern expression (which may be a directive
 // placeholder) against a target expression.
-func (m *MetaModel) matchExpr(p, t ast.Expr, b *bindNode) (*bindNode, bool) {
-	for {
-		if pp, ok := p.(*ast.ParenExpr); ok {
-			p = pp.X
-			continue
-		}
-		break
-	}
-	for {
-		if tp, ok := t.(*ast.ParenExpr); ok {
-			t = tp.X
-			continue
-		}
-		break
-	}
-
-	if d := m.HoleFor(p); d != nil {
-		return m.matchDirectiveExpr(d, t, b)
+func (u *unifier) expr(p, t ast.Expr) bool {
+	p, t = ast.Unparen(p), ast.Unparen(t)
+	if d := HoleFor(p); d != nil {
+		return u.directive(d, t)
 	}
 
 	switch pe := p.(type) {
 	case *ast.Ident:
 		te, ok := t.(*ast.Ident)
-		if !ok || pe.Name != te.Name {
-			return nil, false
-		}
-		return b, true
+		return ok && pe.Name == te.Name
 	case *ast.BasicLit:
 		te, ok := t.(*ast.BasicLit)
-		if !ok || pe.Kind != te.Kind || pe.Value != te.Value {
-			return nil, false
-		}
-		return b, true
+		return ok && pe.Kind == te.Kind && pe.Value == te.Value
 	case *ast.SelectorExpr:
 		te, ok := t.(*ast.SelectorExpr)
-		if !ok || pe.Sel.Name != te.Sel.Name {
-			return nil, false
-		}
-		return m.matchExpr(pe.X, te.X, b)
+		return ok && pe.Sel.Name == te.Sel.Name && u.expr(pe.X, te.X)
 	case *ast.CallExpr:
+		// A raw-Go argument list has exact arity but still honours
+		// placeholders inside individual arguments.
 		te, ok := t.(*ast.CallExpr)
-		if !ok {
-			return nil, false
-		}
-		b, ok = m.matchExpr(pe.Fun, te.Fun, b)
-		if !ok {
-			return nil, false
-		}
-		return m.matchRawArgs(pe.Args, te.Args, b)
+		return ok && u.expr(pe.Fun, te.Fun) && u.exprs(pe.Args, te.Args)
 	case *ast.BinaryExpr:
 		te, ok := t.(*ast.BinaryExpr)
-		if !ok || pe.Op != te.Op {
-			return nil, false
-		}
-		b, ok = m.matchExpr(pe.X, te.X, b)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(pe.Y, te.Y, b)
+		return ok && pe.Op == te.Op && u.expr(pe.X, te.X) && u.expr(pe.Y, te.Y)
 	case *ast.UnaryExpr:
 		te, ok := t.(*ast.UnaryExpr)
-		if !ok || pe.Op != te.Op {
-			return nil, false
-		}
-		return m.matchExpr(pe.X, te.X, b)
+		return ok && pe.Op == te.Op && u.expr(pe.X, te.X)
 	case *ast.IndexExpr:
 		te, ok := t.(*ast.IndexExpr)
-		if !ok {
-			return nil, false
-		}
-		b, ok = m.matchExpr(pe.X, te.X, b)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(pe.Index, te.Index, b)
+		return ok && u.expr(pe.X, te.X) && u.expr(pe.Index, te.Index)
 	case *ast.SliceExpr:
 		te, ok := t.(*ast.SliceExpr)
-		if !ok {
-			return nil, false
-		}
-		pairs := [][2]ast.Expr{{pe.Low, te.Low}, {pe.High, te.High}, {pe.Max, te.Max}}
-		b, ok = m.matchExpr(pe.X, te.X, b)
-		if !ok {
-			return nil, false
-		}
-		for _, pr := range pairs {
-			if (pr[0] == nil) != (pr[1] == nil) {
-				return nil, false
-			}
-			if pr[0] != nil {
-				if b, ok = m.matchExpr(pr[0], pr[1], b); !ok {
-					return nil, false
-				}
-			}
-		}
-		return b, true
+		return ok && u.expr(pe.X, te.X) && u.optExpr(pe.Low, te.Low) &&
+			u.optExpr(pe.High, te.High) && u.optExpr(pe.Max, te.Max)
 	case *ast.StarExpr:
 		te, ok := t.(*ast.StarExpr)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(pe.X, te.X, b)
+		return ok && u.expr(pe.X, te.X)
 	case *ast.KeyValueExpr:
 		te, ok := t.(*ast.KeyValueExpr)
-		if !ok {
-			return nil, false
-		}
-		b, ok = m.matchExpr(pe.Key, te.Key, b)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(pe.Value, te.Value, b)
+		return ok && u.expr(pe.Key, te.Key) && u.expr(pe.Value, te.Value)
 	case *ast.CompositeLit:
 		te, ok := t.(*ast.CompositeLit)
-		if !ok || len(pe.Elts) != len(te.Elts) {
-			return nil, false
-		}
-		if (pe.Type == nil) != (te.Type == nil) {
-			return nil, false
-		}
-		if pe.Type != nil {
-			if b, ok = m.matchExpr(pe.Type, te.Type, b); !ok {
-				return nil, false
-			}
-		}
-		return m.matchExprLists(pe.Elts, te.Elts, b)
+		return ok && len(pe.Elts) == len(te.Elts) && u.optExpr(pe.Type, te.Type) && u.exprs(pe.Elts, te.Elts)
 	case *ast.MapType:
 		te, ok := t.(*ast.MapType)
-		if !ok {
-			return nil, false
-		}
-		b, ok = m.matchExpr(pe.Key, te.Key, b)
-		if !ok {
-			return nil, false
-		}
-		return m.matchExpr(pe.Value, te.Value, b)
+		return ok && u.expr(pe.Key, te.Key) && u.expr(pe.Value, te.Value)
 	case *ast.ArrayType:
 		te, ok := t.(*ast.ArrayType)
-		if !ok || (pe.Len == nil) != (te.Len == nil) {
-			return nil, false
-		}
-		if pe.Len != nil {
-			if b, ok = m.matchExpr(pe.Len, te.Len, b); !ok {
-				return nil, false
-			}
-		}
-		return m.matchExpr(pe.Elt, te.Elt, b)
+		return ok && u.optExpr(pe.Len, te.Len) && u.expr(pe.Elt, te.Elt)
 	default:
-		return nil, false
+		return false
 	}
 }
 
-// matchRawArgs matches a raw-Go argument list (exact arity) but still
-// honours placeholder patterns inside individual arguments.
-func (m *MetaModel) matchRawArgs(ps, ts []ast.Expr, b *bindNode) (*bindNode, bool) {
-	return m.matchExprLists(ps, ts, b)
-}
-
-// matchDirectiveExpr matches a directive placeholder in expression context.
-func (m *MetaModel) matchDirectiveExpr(d *Directive, t ast.Expr, b *bindNode) (*bindNode, bool) {
-	bind := func(b *bindNode) *bindNode {
-		if d.Tag == "" {
-			return b
-		}
-		return b.with(d.Tag, Bound{Expr: t})
-	}
+// directive matches a directive placeholder in expression context.
+func (u *unifier) directive(d *Directive, t ast.Expr) bool {
 	switch d.Kind {
 	case KindCall:
 		call, ok := t.(*ast.CallExpr)
-		if !ok {
-			return nil, false
-		}
-		return m.matchCallDirective(d, call, b)
+		return ok && u.call(d, call)
 	case KindExpr:
-		if v, ok := d.Attrs["var"]; ok && !MentionsIdent(t, v) {
-			return nil, false
+		if d.glob != nil && !mentions(t, d.glob) {
+			return false
 		}
-		return bind(b), true
 	case KindVar:
 		id, ok := t.(*ast.Ident)
-		if !ok || id.Name == "nil" {
-			return nil, false
+		if !ok || id.Name == "nil" || !d.glob.match(id.Name) {
+			return false
 		}
-		if v, ok := d.Attrs["name"]; ok && !GlobAny(v, id.Name) {
-			return nil, false
-		}
-		return bind(b), true
 	case KindString:
 		lit, ok := t.(*ast.BasicLit)
 		if !ok || lit.Kind != token.STRING {
-			return nil, false
+			return false
 		}
-		val, err := strconv.Unquote(lit.Value)
-		if err != nil {
-			return nil, false
-		}
-		if !GlobAny(d.ValPattern(), val) {
-			return nil, false
-		}
-		return bind(b), true
-	case KindInt:
-		lit, ok := t.(*ast.BasicLit)
-		if !ok || lit.Kind != token.INT {
-			return nil, false
-		}
-		if !GlobAny(d.ValPattern(), lit.Value) {
-			return nil, false
-		}
-		return bind(b), true
-	case KindNil:
-		id, ok := t.(*ast.Ident)
-		if !ok || id.Name != "nil" {
-			return nil, false
-		}
-		return b, true
-	case KindAny:
-		return bind(b), true
-	default:
-		// Replacement-only directives never match in pattern position.
-		return nil, false
-	}
-}
-
-// matchCallDirective matches a $CALL directive against a call expression:
-// the callee name must match the name glob (against either the full dotted
-// path or its final segment) and, when an argument pattern was written,
-// the arguments must match it.
-func (m *MetaModel) matchCallDirective(d *Directive, call *ast.CallExpr, b *bindNode) (*bindNode, bool) {
-	name := CalleeName(call.Fun)
-	if name == "" {
-		return nil, false
-	}
-	pat := d.NamePattern()
-	last := name
-	if i := lastDot(name); i >= 0 {
-		last = name[i+1:]
-	}
-	if !GlobAny(pat, name) && !GlobAny(pat, last) {
-		return nil, false
-	}
-	if d.HasArgs {
-		var ok bool
-		b, ok = m.matchArgSeq(d.Args, call.Args, b)
-		if !ok {
-			return nil, false
-		}
-	}
-	if d.Tag != "" {
-		b = b.with(d.Tag, Bound{Expr: call})
-	}
-	return b, true
-}
-
-// matchArgSeq matches a $CALL argument pattern (with "..." wildcards)
-// against concrete call arguments, lazily and with backtracking.
-func (m *MetaModel) matchArgSeq(pats []ArgPat, args []ast.Expr, b *bindNode) (*bindNode, bool) {
-	if len(pats) == 0 {
-		if len(args) != 0 {
-			return nil, false
-		}
-		return b, true
-	}
-	p0 := pats[0]
-	if p0.Ellipsis {
-		// No clone per extent: downstream matchers copy-on-write, so a
-		// failed trial leaves b untouched.
-		for k := 0; k <= len(args); k++ {
-			if out, ok := m.matchArgSeq(pats[1:], args[k:], b); ok {
-				return out, true
+		// Unquoted only when there is something to compare it with.
+		if !d.glob.all() {
+			val, err := strconv.Unquote(lit.Value)
+			if err != nil || !d.glob.match(val) {
+				return false
 			}
 		}
-		return nil, false
+	case KindInt:
+		lit, ok := t.(*ast.BasicLit)
+		if !ok || lit.Kind != token.INT || !d.glob.match(lit.Value) {
+			return false
+		}
+	case KindNil:
+		id, ok := t.(*ast.Ident)
+		return ok && id.Name == "nil"
+	case KindAny:
+	default:
+		// Replacement-only directives never match in pattern position.
+		return false
 	}
-	if len(args) == 0 {
-		return nil, false
-	}
-	out, ok := m.matchExpr(p0.Expr, args[0], b)
-	if !ok {
-		return nil, false
-	}
-	return m.matchArgSeq(pats[1:], args[1:], out)
+	u.bind(d.Tag, Bound{Expr: t})
+	return true
 }
 
-func lastDot(s string) int {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == '.' {
-			return i
-		}
+// call matches a $CALL directive against a call expression: the callee
+// name must match the name glob (against either the full dotted path or
+// its final segment) and, when an argument pattern was written, the
+// arguments must match it.
+func (u *unifier) call(d *Directive, call *ast.CallExpr) bool {
+	if !d.glob.matchCallee(call.Fun) || d.HasArgs && !u.args(d.Args, call.Args) {
+		return false
 	}
-	return -1
+	u.bind(d.Tag, Bound{Expr: call})
+	return true
+}
+
+// args matches a $CALL argument pattern (with "..." wildcards) against
+// concrete call arguments, lazily and with backtracking.
+func (u *unifier) args(pats []ArgPat, args []ast.Expr) bool {
+	if len(pats) == 0 {
+		return len(args) == 0
+	}
+	if pats[0].Ellipsis {
+		mark := len(u.trail)
+		for k := 0; k <= len(args); k++ {
+			if u.args(pats[1:], args[k:]) {
+				return true
+			}
+			u.trail = u.trail[:mark]
+		}
+		return false
+	}
+	return len(args) > 0 && u.expr(pats[0].Expr, args[0]) && u.args(pats[1:], args[1:])
 }

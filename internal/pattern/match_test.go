@@ -217,21 +217,28 @@ change {
 	}
 }
 
-func TestMentionsIdentGlob(t *testing.T) {
-	fset := token.NewFileSet()
-	expr, err := parser.ParseExpr("node.Status + retries")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = fset
-	if !pattern.MentionsIdent(expr, "node") {
-		t.Error("should mention node")
-	}
-	if !pattern.MentionsIdent(expr, "retr*") {
-		t.Error("should mention retr* glob")
-	}
-	if pattern.MentionsIdent(expr, "missing") {
-		t.Error("should not mention missing")
+// TestExprVarMentionsIdent: $EXPR{var=glob} takes an expression that
+// mentions an identifier matching the glob anywhere in its tree — through
+// the hand-walked expression kinds and the ast.Inspect fallback alike.
+func TestExprVarMentionsIdent(t *testing.T) {
+	for _, tc := range []struct {
+		glob, cond string
+		want       int
+	}{
+		{"node", "node.Status+retries > 0", 1},
+		{"retr*", "node.Status+retries > 0", 1},
+		{"Status", "node.Status+retries > 0", 1},
+		{"missing", "node.Status+retries > 0", 0},
+		{"node,missing", "check(-x, *p, xs[node])", 1},
+		{"node", "(ok(T{f: node}))", 1},
+		{"node", "func() bool { return node }()", 1},
+		{"node", "func() bool { return nodes }()", 0},
+		{"*", "1 > 0", 0},
+	} {
+		spec := "change {\n\tif $EXPR{var=" + tc.glob + "} {\n\t\t$BLOCK{stmts=1,*}\n\t}\n} into {\n}"
+		if n := matchCount(t, spec, "if "+tc.cond+" {\n\tf()\n}"); n != tc.want {
+			t.Errorf("var=%s on %q: %d matches, want %d", tc.glob, tc.cond, n, tc.want)
+		}
 	}
 }
 

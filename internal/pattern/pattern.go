@@ -13,10 +13,9 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"reflect"
+	"sort"
 	"strconv"
 	"strings"
-	"sync"
 )
 
 // Kind identifies a DSL directive.
@@ -97,23 +96,11 @@ type Directive struct {
 	// HasArgs records whether an argument list was written at all. A bare
 	// $CALL{...} with no parentheses matches a call with any arguments.
 	HasArgs bool
-}
 
-// NamePattern returns the glob the directive's name attribute holds
-// ("*" when absent).
-func (d *Directive) NamePattern() string {
-	if v, ok := d.Attrs["name"]; ok {
-		return v
-	}
-	return "*"
-}
-
-// ValPattern returns the glob for literal-value matching ("*" when absent).
-func (d *Directive) ValPattern() string {
-	if v, ok := d.Attrs["val"]; ok {
-		return v
-	}
-	return "*"
+	// glob is the attribute the matcher compares text against — name= of
+	// $CALL/$VAR, val= of $STRING/$INT, var= of $EXPR — split and
+	// classified by Finish; nil when the attribute is absent.
+	glob *globSet
 }
 
 // String renders the directive roughly in DSL syntax, for diagnostics.
@@ -125,18 +112,26 @@ func (d *Directive) String() string {
 		sb.WriteByte('#')
 		sb.WriteString(d.Tag)
 	}
-	if len(d.Attrs) > 0 {
-		sb.WriteByte('{')
-		first := true
-		for k, v := range d.Attrs {
-			if !first {
-				sb.WriteString("; ")
-			}
-			first = false
-			sb.WriteString(k)
-			sb.WriteByte('=')
-			sb.WriteString(v)
+	// Sorted, and without the compiler's __argN stash keys, so a
+	// diagnostic reads the same on every run.
+	keys := make([]string, 0, len(d.Attrs))
+	for k := range d.Attrs {
+		if !strings.HasPrefix(k, "__arg") {
+			keys = append(keys, k)
 		}
+	}
+	sort.Strings(keys)
+	for i, k := range keys {
+		if i == 0 {
+			sb.WriteByte('{')
+		} else {
+			sb.WriteString("; ")
+		}
+		sb.WriteString(k)
+		sb.WriteByte('=')
+		sb.WriteString(d.Attrs[k])
+	}
+	if len(keys) > 0 {
 		sb.WriteByte('}')
 	}
 	return sb.String()
@@ -152,81 +147,85 @@ type MetaModel struct {
 	Holes   map[string]*Directive
 	Fset    *token.FileSet
 
-	// First-statement pre-filter index, computed lazily (and race-free)
-	// on first match: when the pattern's leading element can only match
-	// one concrete statement kind, MatchPrefix rejects every other start
-	// position with a single type comparison instead of a full unify.
-	startOnce sync.Once
-	startAny  bool
-	startType reflect.Type
+	// anchors, set by Finish, holds for each element of Pattern what it
+	// demands of a statement before a unify is worth trying.
+	anchors []anchor
 }
 
-// initStartFilter computes the pre-filter index from the pattern head.
-//
-//   - empty pattern, leading $BLOCK, or leading $ANY: any statement (or
-//     none at all) can open a match, so the filter stays permissive;
-//   - leading bare $CALL: only an expression statement can open a match
-//     (statement-position $CALL requires the call's value to be unused);
-//   - leading concrete statement: only the same statement kind can open a
-//     match, since matchStmt unifies like-with-like.
-func (m *MetaModel) initStartFilter() {
-	if len(m.Pattern) == 0 {
-		m.startAny = true
-		return
-	}
-	if d := m.stmtDirective(m.Pattern[0]); d != nil {
-		if d.Kind == KindCall {
-			m.startType = reflect.TypeOf((*ast.ExprStmt)(nil))
-			return
-		}
-		// $BLOCK and $ANY accept any leading statement; other directives
-		// never match in statement position, which matchStmt rejects
-		// uniformly, so staying permissive is still correct.
-		m.startAny = true
-		return
-	}
-	m.startType = reflect.TypeOf(m.Pattern[0])
-}
-
-// CanStartWith reports whether a match could possibly begin at the given
-// statement, per the pre-filter index. A false answer is definitive; a
-// true answer still requires a full MatchPrefix.
-func (m *MetaModel) CanStartWith(s ast.Stmt) bool {
-	m.startOnce.Do(m.initStartFilter)
-	return m.startAny || reflect.TypeOf(s) == m.startType
-}
-
-// canOpen is the uncached form of the pre-filter, applied to an arbitrary
-// pattern element: it reports whether target statement t could possibly
-// unify with pattern statement p. Used by the block matcher to discard
-// extents whose follow-up statement is of the wrong kind before paying
-// for a recursive unify. False negatives are not allowed; false
-// positives just cost the unify that would have happened anyway.
-func (m *MetaModel) canOpen(p, t ast.Stmt) bool {
-	if d := m.stmtDirective(p); d != nil {
-		if d.Kind == KindCall {
-			_, ok := t.(*ast.ExprStmt)
-			return ok
+// Finish completes a model whose Pattern, Replace, Holes and argument
+// expressions are in place, so that matching decides nothing twice:
+// every placeholder identifier is tied to its directive (HoleFor reads
+// the link, it does not look the name up), every name=/val=/var= glob is
+// split and classified, and every pattern element gets its anchor. The
+// model is read-only afterwards.
+func (m *MetaModel) Finish() {
+	link := func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if d := m.Holes[id.Name]; d != nil {
+				id.Obj = &ast.Object{Kind: ast.Bad, Name: id.Name, Data: d}
+			}
 		}
 		return true
 	}
-	return reflect.TypeOf(p) == reflect.TypeOf(t)
+	for _, list := range [][]ast.Stmt{m.Pattern, m.Replace} {
+		for _, s := range list {
+			ast.Inspect(s, link)
+		}
+	}
+	for _, d := range m.Holes {
+		for _, a := range d.Args {
+			if a.Expr != nil {
+				ast.Inspect(a.Expr, link)
+			}
+		}
+		if pat, ok := d.Attrs[globAttr(d.Kind)]; ok {
+			d.glob = compileGlobs(pat)
+		}
+	}
+	m.anchors = make([]anchor, len(m.Pattern))
+	for i, p := range m.Pattern {
+		m.anchors[i] = anchorOf(p)
+	}
+}
+
+// globAttr names the attribute a directive kind compares text against.
+func globAttr(k Kind) string {
+	switch k {
+	case KindCall, KindVar:
+		return "name"
+	case KindString, KindInt:
+		return "val"
+	case KindExpr:
+		return "var"
+	}
+	return ""
 }
 
 // HoleFor returns the directive bound to a placeholder expression, or nil
 // when the expression is not a placeholder. Directives that consume an
 // argument list ($CALL, $CORRUPT, ...) are emitted as zero-argument calls
 // (`__dsl_N()`) so they parse in call-only positions such as defer and go
-// statements; both spellings resolve here.
-func (m *MetaModel) HoleFor(e ast.Expr) *Directive {
+// statements; both spellings resolve here. The link is the one Finish
+// stored on the identifier: target code, parsed without object
+// resolution, never carries one.
+func HoleFor(e ast.Expr) *Directive {
 	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 0 {
 		e = call.Fun
 	}
-	id, ok := e.(*ast.Ident)
-	if !ok {
-		return nil
+	if id, ok := e.(*ast.Ident); ok && id.Obj != nil {
+		d, _ := id.Obj.Data.(*Directive)
+		return d
 	}
-	return m.Holes[id.Name]
+	return nil
+}
+
+// stmtDirective returns the directive when the pattern statement is a bare
+// placeholder expression statement, else nil.
+func stmtDirective(s ast.Stmt) *Directive {
+	if es, ok := s.(*ast.ExprStmt); ok {
+		return HoleFor(es.X)
+	}
+	return nil
 }
 
 // Bound is a value captured by a tagged directive during matching: either
@@ -237,8 +236,8 @@ type Bound struct {
 }
 
 // Bindings maps directive tags to the nodes they captured. The matcher
-// threads bindings internally as a persistent list (see bindNode) and
-// materializes this map once per successful match.
+// records them on a trail (see unifier) and materializes this map once
+// per successful MatchPrefix.
 type Bindings map[string]Bound
 
 // Match is one occurrence of a meta-model's code pattern in a target file:

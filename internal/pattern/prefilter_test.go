@@ -4,10 +4,33 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"reflect"
 	"testing"
 
 	"profipy/internal/dsl"
+	"profipy/internal/pattern"
 )
+
+// bruteForce is the scan the index must agree with: MatchPrefix at every
+// start of the list.
+func bruteForce(mm *pattern.MetaModel, stmts []ast.Stmt) [][2]int {
+	var out [][2]int
+	for start := range stmts {
+		if n, _, ok := mm.MatchPrefix(stmts, start); ok {
+			out = append(out, [2]int{start, n})
+		}
+	}
+	return out
+}
+
+// indexed is what Scan finds in the same list through an index.
+func indexed(mm *pattern.MetaModel, stmts []ast.Stmt) [][2]int {
+	var out [][2]int
+	mm.Scan(pattern.NewIndex([][]ast.Stmt{stmts}), func(_, start, n int) {
+		out = append(out, [2]int{start, n})
+	})
+	return out
+}
 
 func parseBody(t *testing.T, body string) []ast.Stmt {
 	t.Helper()
@@ -20,7 +43,7 @@ func parseBody(t *testing.T, body string) []ast.Stmt {
 	return f.Decls[0].(*ast.FuncDecl).Body.List
 }
 
-// TestPrefilterAgreesWithMatch: CanStartWith may only reject start
+// TestPrefilterAgreesWithMatch: the lead anchor may only skip start
 // positions that MatchPrefix would reject too — across pattern heads of
 // every flavor (concrete statement, bare $CALL, $BLOCK, $ANY).
 func TestPrefilterAgreesWithMatch(t *testing.T) {
@@ -67,6 +90,7 @@ change {
 	stmts := parseBody(t, `
 	x := get(1)
 	use(x)
+	mark(x)
 	if x != nil {
 		mark(x)
 	}
@@ -80,17 +104,23 @@ change {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for start := range stmts {
-			_, _, matched := mm.MatchPrefix(stmts, start)
-			if matched && !mm.CanStartWith(stmts[start]) {
-				t.Errorf("%s: prefilter rejects start %d that the matcher accepts", name, start)
+		want := bruteForce(mm, stmts)
+		if len(want) == 0 {
+			t.Errorf("%s: matches nowhere, the case proves nothing", name)
+		}
+		if got := indexed(mm, stmts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: indexed scan found %v, MatchPrefix at every start %v", name, got, want)
+		}
+		for _, w := range want {
+			if admits, blockLed := mm.LeadAdmits(stmts[w[0]]); !blockLed && !admits {
+				t.Errorf("%s: anchor rejects start %d that the matcher accepts", name, w[0])
 			}
 		}
 	}
 }
 
-// TestPrefilterRejectsImpossibleKinds: the index must actually prune —
-// an if-headed pattern refuses non-if starts with a single comparison.
+// TestPrefilterRejectsImpossibleKinds: the anchor must actually prune —
+// an if-headed pattern refuses non-if starts without a unify.
 func TestPrefilterRejectsImpossibleKinds(t *testing.T) {
 	mm, err := dsl.Compile("mifs", `
 change {
@@ -109,13 +139,13 @@ change {
 		mark(x)
 	}
 `)
-	if mm.CanStartWith(stmts[0]) {
+	if ok, _ := mm.LeadAdmits(stmts[0]); ok {
 		t.Error("if-headed pattern must reject an assignment start")
 	}
-	if mm.CanStartWith(stmts[1]) {
+	if ok, _ := mm.LeadAdmits(stmts[1]); ok {
 		t.Error("if-headed pattern must reject a call start")
 	}
-	if !mm.CanStartWith(stmts[2]) {
+	if ok, _ := mm.LeadAdmits(stmts[2]); !ok {
 		t.Error("if-headed pattern must accept an if start")
 	}
 }
@@ -135,21 +165,73 @@ change {
 	x := get(1)
 	use(x)
 `)
-	if mm.CanStartWith(stmts[0]) {
+	if ok, _ := mm.LeadAdmits(stmts[0]); ok {
 		t.Error("$CALL head must reject an assignment")
 	}
-	if !mm.CanStartWith(stmts[1]) {
+	if ok, _ := mm.LeadAdmits(stmts[1]); !ok {
 		t.Error("$CALL head must accept an expression statement")
 	}
 }
 
+// TestPrefilterFeatureAnchors: a literal callee — written as a $CALL
+// name or as a raw call, plain or dotted — anchors on the callee's final
+// segment, a $STRING that names its value on a literal among the
+// statement's operands; a glob or a list of alternatives anchors on the
+// statement kind alone.
+func TestPrefilterFeatureAnchors(t *testing.T) {
+	stmts := parseBody(t, `
+	audit(x)
+	c.conn.Do(x)
+	v := conn.Do(x)
+	w := 1
+	label := ("abc")
+	run(x, "abc", "abc")
+	run(x, "ab")
+`)
+	cases := []struct{ pat, admits string }{
+		{"$CALL{name=audit}(...)", "1000000"},
+		{"$CALL{name=Do}(...)", "0100000"},
+		{"$CALL{name=c.conn.Do}(...)", "0100000"},
+		{"$VAR#v := $CALL{name=conn.Do}(...)", "0010000"},
+		{"$VAR#v := conn.Do($EXPR#e)", "0010000"},
+		{"$VAR#v := $EXPR#o.Do($EXPR#e)", "0010000"},
+		{"$VAR#v := $EXPR#f($EXPR#e)", "0011100"},
+		{"$CALL{name=D*}(...)", "1100011"},
+		{"$CALL{name=audit,Do}(...)", "1100011"},
+		{"$VAR#v := $STRING#s{val=abc}", "0000100"},
+		{"$VAR#v := $STRING#s{val=a*}", "0011100"},
+		{"$CALL{name=run}(..., $STRING#s{val=abc}, ...)", "0000010"},
+		{"$CALL{name=*}(..., $STRING#s{val=abc})", "0000010"},
+		{"run($EXPR#e, $STRING#s{val=ab})", "0000001"},
+	}
+	for _, tc := range cases {
+		mm, err := dsl.Compile("m", "change {\n\t"+tc.pat+"\n} into {\n}")
+		if err != nil {
+			t.Fatalf("%s: %v", tc.pat, err)
+		}
+		for i, s := range stmts {
+			if got, _ := mm.LeadAdmits(s); got != (tc.admits[i] == '1') {
+				t.Errorf("%s: anchor admits statement %d = %v, want %c", tc.pat, i, got, tc.admits[i])
+			}
+		}
+		want := bruteForce(mm, stmts)
+		if len(want) == 0 {
+			t.Errorf("%s: matches nowhere, the case proves nothing", tc.pat)
+		}
+		if got := indexed(mm, stmts); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: indexed scan found %v, MatchPrefix at every start %v", tc.pat, got, want)
+		}
+	}
+}
+
 // TestPrefilterBlockHeadIsPermissive: $BLOCK swallows any leading
-// statement, so nothing may be pruned.
+// statement, so a block-led model is anchored on what follows the block
+// and still matches from a start of any kind.
 func TestPrefilterBlockHeadIsPermissive(t *testing.T) {
 	mm, err := dsl.Compile("mfc", `
 change {
 	$BLOCK{tag=b1; stmts=1,*}
-	$CALL{name=Delete*}(...)
+	$CALL{name=DeletePort}(...)
 	$BLOCK{tag=b2; stmts=1,*}
 } into {
 	$BLOCK{tag=b1}
@@ -158,17 +240,30 @@ change {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range parseBody(t, `
+	stmts := parseBody(t, `
 	x := get(1)
 	use(x)
 	if x != nil {
 		mark(x)
 	}
+	DeletePort(x)
+	DeletePort(y)
 	return x
-`) {
-		if !mm.CanStartWith(s) {
-			t.Errorf("$BLOCK head must accept %T", s)
-		}
+`)
+	if admits, blockLed := mm.LeadAdmits(stmts[3]); !blockLed || !admits {
+		t.Errorf("lead anchor: admits DeletePort(x) = %v, blockLed = %v; want true, true", admits, blockLed)
+	}
+	if admits, _ := mm.LeadAdmits(stmts[1]); admits {
+		t.Error("lead anchor admits use(x); the callee is fixed to DeletePort")
+	}
+	// Starts 0-2 end their block at the first DeletePort, start 3 at the
+	// second (the block takes at least one statement).
+	want := [][2]int{{0, 5}, {1, 4}, {2, 3}, {3, 3}}
+	if got := indexed(mm, stmts); !reflect.DeepEqual(got, want) {
+		t.Errorf("indexed scan found %v, want %v", got, want)
+	}
+	if got := bruteForce(mm, stmts); !reflect.DeepEqual(got, want) {
+		t.Errorf("MatchPrefix at every start found %v, want %v", got, want)
 	}
 }
 

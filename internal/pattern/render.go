@@ -28,50 +28,54 @@ func CalleeName(e ast.Expr) string {
 	}
 }
 
-// ExprString renders an expression as source text. Used in diagnostics
-// and injection-point snippets.
-func ExprString(fset *token.FileSet, e ast.Expr) string {
-	if e == nil {
-		return ""
-	}
+// PrintNode appends a node's source text, as go/printer normalises it,
+// to buf: the rendering of every diagnostic and injection-point snippet.
+func PrintNode(buf *bytes.Buffer, fset *token.FileSet, n ast.Node) {
 	if fset == nil {
 		fset = token.NewFileSet()
 	}
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, e); err != nil {
-		return "<unprintable>"
+	mark := buf.Len()
+	if err := printer.Fprint(buf, fset, n); err != nil {
+		buf.Truncate(mark)
+		buf.WriteString("<unprintable>")
 	}
-	return buf.String()
 }
 
-// StmtString renders a statement as source text.
-func StmtString(fset *token.FileSet, s ast.Stmt) string {
-	if s == nil {
-		return ""
+// mentions walks the expression kinds conditions are made of by hand, so
+// the $EXPR{var=...} test allocates nothing; the rest go through
+// ast.Inspect.
+func mentions(e ast.Expr, g *globSet) bool {
+	switch x := e.(type) {
+	case nil, *ast.BasicLit:
+		return false
+	case *ast.Ident:
+		return g.match(x.Name)
+	case *ast.ParenExpr:
+		return mentions(x.X, g)
+	case *ast.SelectorExpr:
+		return mentions(x.X, g) || g.match(x.Sel.Name)
+	case *ast.StarExpr:
+		return mentions(x.X, g)
+	case *ast.UnaryExpr:
+		return mentions(x.X, g)
+	case *ast.BinaryExpr:
+		return mentions(x.X, g) || mentions(x.Y, g)
+	case *ast.IndexExpr:
+		return mentions(x.X, g) || mentions(x.Index, g)
+	case *ast.CallExpr:
+		for _, a := range x.Args {
+			if mentions(a, g) {
+				return true
+			}
+		}
+		return mentions(x.Fun, g)
 	}
-	if fset == nil {
-		fset = token.NewFileSet()
-	}
-	var buf bytes.Buffer
-	if err := printer.Fprint(&buf, fset, s); err != nil {
-		return "<unprintable>"
-	}
-	return buf.String()
-}
-
-// MentionsIdent reports whether the expression tree mentions an identifier
-// whose name matches the given glob.
-func MentionsIdent(e ast.Expr, nameGlob string) bool {
 	found := false
 	ast.Inspect(e, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && GlobAny(nameGlob, id.Name) {
+		if id, ok := n.(*ast.Ident); ok && g.match(id.Name) {
 			found = true
-			return false
 		}
-		return true
+		return !found
 	})
 	return found
 }

@@ -20,13 +20,29 @@ import (
 type Plan struct {
 	Specs  []faultmodel.Spec        `json:"specs"`
 	Points []scanner.InjectionPoint `json:"points"`
+
+	// byName maps a spec name to its index in Specs (the first, when a
+	// name repeats). TypeOf sits on per-record paths, so New and Load
+	// build it once; it is not part of the saved plan.
+	byName map[string]int
 }
 
 // New builds a plan from a faultload and the points its scan produced.
 func New(specs []faultmodel.Spec, points []scanner.InjectionPoint) *Plan {
-	return &Plan{
+	p := &Plan{
 		Specs:  append([]faultmodel.Spec(nil), specs...),
 		Points: append([]scanner.InjectionPoint(nil), points...),
+	}
+	p.indexSpecs()
+	return p
+}
+
+func (p *Plan) indexSpecs() {
+	p.byName = make(map[string]int, len(p.Specs))
+	for i, s := range p.Specs {
+		if _, dup := p.byName[s.Name]; !dup {
+			p.byName[s.Name] = i
+		}
 	}
 }
 
@@ -35,6 +51,14 @@ func (p *Plan) Len() int { return len(p.Points) }
 
 // Spec returns the spec for a point, by name.
 func (p *Plan) Spec(name string) (faultmodel.Spec, bool) {
+	if p.byName != nil {
+		i, ok := p.byName[name]
+		if !ok {
+			return faultmodel.Spec{}, false
+		}
+		return p.Specs[i], true
+	}
+	// A Plan assembled field by field has no index.
 	for _, s := range p.Specs {
 		if s.Name == name {
 			return s, true
@@ -143,6 +167,7 @@ func Load(data []byte) (*Plan, error) {
 	if err := json.Unmarshal(data, &p); err != nil {
 		return nil, fmt.Errorf("plan: parse: %w", err)
 	}
+	p.indexSpecs()
 	return &p, nil
 }
 

@@ -1,6 +1,8 @@
 package plan
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"profipy/internal/faultmodel"
@@ -205,5 +207,47 @@ func TestTypeOfFallsBackToSpecName(t *testing.T) {
 	p := New(nil, []scanner.InjectionPoint{{Spec: "unknown-spec"}})
 	if got := p.TypeOf(p.Points[0]); got != "unknown-spec" {
 		t.Errorf("TypeOf = %q", got)
+	}
+}
+
+// TestSpecLookupByName: the name index answers what the walk over Specs
+// answered — first spec wins a repeated name, an unknown name is not
+// found — for plans from New, from Load and assembled by hand, and it
+// never reaches the saved bytes.
+func TestSpecLookupByName(t *testing.T) {
+	specs := []faultmodel.Spec{
+		{Name: "a", Type: "First"},
+		{Name: "b", Type: "B"},
+		{Name: "a", Type: "Second"},
+		{Name: "untyped"},
+	}
+	points := []scanner.InjectionPoint{{Spec: "a"}, {Spec: "b"}, {Spec: "untyped"}, {Spec: "gone"}}
+	built := New(specs, points)
+	data, err := built.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := loaded.Save(); err != nil || string(again) != string(data) {
+		t.Errorf("Load(Save(p)) saves to different bytes (err %v)", err)
+	}
+	if bytes.Contains(data, []byte("byName")) {
+		t.Error("the name index leaked into the saved plan")
+	}
+	byHand := &Plan{Specs: specs, Points: points}
+	for name, p := range map[string]*Plan{"New": built, "Load": loaded, "literal": byHand, "filtered": built.FilterType("*")} {
+		if s, ok := p.Spec("a"); !ok || s.Type != "First" {
+			t.Errorf("%s: Spec(a) = %+v, %v; want the first of the two", name, s, ok)
+		}
+		if _, ok := p.Spec("gone"); ok {
+			t.Errorf("%s: Spec(gone) found", name)
+		}
+		want := map[string]int{"First": 1, "B": 1, "untyped": 1, "gone": 1}
+		if got := p.CountByType(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: CountByType = %v, want %v", name, got, want)
+		}
 	}
 }

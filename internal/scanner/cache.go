@@ -5,6 +5,8 @@ import (
 	"go/token"
 	"sort"
 	"sync"
+
+	"profipy/internal/pattern"
 )
 
 // ParsedFile is one target source file parsed once and shared by every
@@ -23,6 +25,9 @@ type ParsedFile struct {
 	Fset  *token.FileSet
 	File  *ast.File
 	Lists []StmtList
+	// Index answers, for every model and every scan of this parse, which
+	// statements of Lists a pattern element could unify with.
+	Index *pattern.Index
 }
 
 // ParseFileOnce parses a source file and pre-collects its statement lists.
@@ -32,7 +37,8 @@ func ParseFileOnce(name string, src []byte) (*ParsedFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ParsedFile{Name: name, Src: src, Fset: fset, File: f, Lists: CollectLists(f)}, nil
+	lists := CollectLists(f)
+	return &ParsedFile{Name: name, Src: src, Fset: fset, File: f, Lists: lists, Index: indexLists(lists)}, nil
 }
 
 // Offset translates a token position into a byte offset within Src.

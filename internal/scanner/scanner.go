@@ -5,6 +5,7 @@
 package scanner
 
 import (
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -160,53 +161,80 @@ const snippetMax = 120
 
 // truncateSnippet cuts a snippet to at most max bytes without splitting a
 // UTF-8 rune mid-sequence: the cut backs up to the nearest rune boundary.
-func truncateSnippet(s string, max int) string {
+func truncateSnippet[T string | []byte](s T, max int) string {
 	if len(s) <= max {
-		return s
+		return string(s)
 	}
 	cut := max
 	for cut > 0 && !utf8.RuneStart(s[cut]) {
 		cut--
 	}
-	return s[:cut] + "..."
+	return string(s[:cut]) + "..."
 }
 
 // ScanFile finds all matches of the given meta-models in a parsed file.
 // Matches are enumerated deterministically: per spec, per statement list
 // (DFS order), per start index.
 func ScanFile(fset *token.FileSet, filename string, f *ast.File, specs []*pattern.MetaModel) []InjectionPoint {
-	return scanLists(fset, filename, CollectLists(f), specs)
+	lists := CollectLists(f)
+	return scanLists(fset, filename, lists, indexLists(lists), specs)
 }
 
 // ScanParsed scans a cached parse, reusing its pre-collected statement
-// lists across every spec.
+// lists and their index across every spec.
 func ScanParsed(pf *ParsedFile, specs []*pattern.MetaModel) []InjectionPoint {
-	return scanLists(pf.Fset, pf.Name, pf.Lists, specs)
+	return scanLists(pf.Fset, pf.Name, pf.Lists, pf.Index, specs)
 }
 
-func scanLists(fset *token.FileSet, filename string, lists []StmtList, specs []*pattern.MetaModel) []InjectionPoint {
-	var points []InjectionPoint
-	for _, mm := range specs {
-		for li, sl := range lists {
-			stmts := *sl.Ptr
-			for start := 0; start < len(stmts); start++ {
-				n, _, ok := mm.MatchPrefix(stmts, start)
-				if !ok {
-					continue
-				}
-				pos := fset.Position(stmts[start].Pos())
-				points = append(points, InjectionPoint{
-					Spec:      mm.Name,
-					File:      filename,
-					Func:      sl.Func,
-					ListIndex: li,
-					Start:     start,
-					N:         n,
-					Line:      pos.Line,
-					Snippet:   truncateSnippet(pattern.StmtString(fset, stmts[start]), snippetMax),
-				})
-			}
+func indexLists(lists []StmtList) *pattern.Index {
+	raw := make([][]ast.Stmt, len(lists))
+	for i, sl := range lists {
+		raw[i] = *sl.Ptr
+	}
+	return pattern.NewIndex(raw)
+}
+
+// scanLists asks each model for its matches (pattern.Scan decides which
+// starts are worth a unify) and turns them into injection points. Line
+// and snippet belong to the start statement, not to the spec, so each is
+// rendered once however many specs match there, into one buffer.
+func scanLists(fset *token.FileSet, filename string, lists []StmtList, ix *pattern.Index, specs []*pattern.MetaModel) []InjectionPoint {
+	base := make([]int, len(lists)+1)
+	for i, sl := range lists {
+		base[i+1] = base[i] + len(*sl.Ptr)
+	}
+	rendered := make([]struct {
+		line    int
+		snippet string
+	}, base[len(lists)])
+	var (
+		points []InjectionPoint
+		spec   string
+		buf    bytes.Buffer
+	)
+	emit := func(li, start, n int) {
+		r := &rendered[base[li]+start]
+		if r.line == 0 {
+			stmt := (*lists[li].Ptr)[start]
+			r.line = fset.Position(stmt.Pos()).Line
+			buf.Reset()
+			pattern.PrintNode(&buf, fset, stmt)
+			r.snippet = truncateSnippet(buf.Bytes(), snippetMax)
 		}
+		points = append(points, InjectionPoint{
+			Spec:      spec,
+			File:      filename,
+			Func:      lists[li].Func,
+			ListIndex: li,
+			Start:     start,
+			N:         n,
+			Line:      r.line,
+			Snippet:   r.snippet,
+		})
+	}
+	for _, mm := range specs {
+		spec = mm.Name
+		mm.Scan(ix, emit)
 	}
 	return points
 }
