@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_PKGS = ./internal/scanner/ ./internal/pattern/ ./internal/mutator/ ./internal/interp/
 
-.PHONY: build vet test race shuffle cover fuzz-smoke golden-update loc bench bench-exec bench-pipeline bench-all bench-e2e bench-smoke metrics-smoke worker-chaos-smoke restart-chaos-smoke
+.PHONY: build vet test race shuffle cover fuzz-smoke golden-update loc loc-check bench bench-exec bench-pipeline bench-all bench-e2e bench-smoke metrics-smoke worker-chaos-smoke restart-chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -49,6 +49,17 @@ loc:
 	  | xargs -0 wc -l \
 	  | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); pkg[d] += $$1; t += $$1 } \
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
+
+# loc's total may not exceed the budget: the figure the last
+# simplification PR left (PR 19). A PR that needs more lines raises the
+# constant in the same diff, where a reviewer sees it; CI runs this
+# instead of loc, so the size cannot silently grow back.
+LOC_BUDGET := 22872
+
+loc-check:
+	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \
+	  END { if (t == "" || t + 0 > budget) { printf "loc-check: FAIL: %s non-test lines, budget %d (LOC_BUDGET in Makefile)\n", t, budget; exit 1 } \
+	        printf "loc-check: ok: %d of %d lines\n", t, budget }'
 
 # Engine benchmarks: scan throughput (cold, warm, and warm by pattern
 # shape — BenchmarkScanShapes), match-engine hot paths, cached mutation,

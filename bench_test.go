@@ -351,26 +351,29 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := scheduler.New(scheduler.Config{Workers: workers, QueueDepth: batch})
-				ids := make([]string, 0, batch)
+				// The scheduler forgets a job once OnFinish has it, so that is
+				// where outcomes are read.
+				finished := make(chan scheduler.Status, batch)
+				s := scheduler.New(scheduler.Config{Workers: workers, QueueDepth: batch,
+					OnFinish: func(st scheduler.Status) { finished <- st }})
 				for j := 0; j < batch; j++ {
 					seed := int64(101 + j)
-					id, err := s.Submit("bench", func(ctx context.Context, report func(scheduler.Progress)) (any, error) {
+					_, err := s.Submit("bench", func(ctx context.Context, report func(scheduler.Progress)) error {
 						c := kvclient.CampaignA(NewRuntime(RuntimeConfig{Cores: 4, Seed: 20}), seed)
 						c.SampleN = 4
 						c.OnProgress = func(p campaign.Progress) {
 							report(scheduler.Progress{Phase: p.Phase, Done: p.Done, Total: p.Total})
 						}
-						return c.RunContext(ctx)
+						_, err := c.RunContext(ctx)
+						return err
 					})
 					if err != nil {
 						b.Fatal(err)
 					}
-					ids = append(ids, id)
 				}
-				for _, id := range ids {
-					if st, _ := s.Wait(id); st.State != scheduler.Done {
-						b.Fatalf("job %s ended %s: %s", id, st.State, st.Error)
+				for j := 0; j < batch; j++ {
+					if st := <-finished; st.State != scheduler.Done {
+						b.Fatalf("job %s ended %s: %s", st.ID, st.State, st.Error)
 					}
 				}
 				s.Close()
@@ -385,17 +388,18 @@ func BenchmarkSchedulerThroughput(b *testing.B) {
 // draining no-op jobs: the jobs/s ceiling the scheduling layer itself
 // imposes on campaign throughput.
 func BenchmarkSchedulerOverhead(b *testing.B) {
-	s := scheduler.New(scheduler.Config{Workers: 4, QueueDepth: 1, Retain: 1})
+	finished := make(chan scheduler.Status, 1)
+	s := scheduler.New(scheduler.Config{Workers: 4, QueueDepth: 1,
+		OnFinish: func(st scheduler.Status) { finished <- st }})
 	defer s.Close()
-	noop := func(ctx context.Context, report func(scheduler.Progress)) (any, error) { return nil, nil }
+	noop := func(ctx context.Context, report func(scheduler.Progress)) error { return nil }
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id, err := s.Submit("noop", noop)
-		if err != nil {
+		if _, err := s.Submit("noop", noop); err != nil {
 			b.Fatal(err)
 		}
-		if st, _ := s.Wait(id); st.State != scheduler.Done {
-			b.Fatalf("job %s: %s", id, st.State)
+		if st := <-finished; st.State != scheduler.Done {
+			b.Fatalf("job %s: %s", st.ID, st.State)
 		}
 	}
 	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "jobs/s")

@@ -10,7 +10,7 @@
 // boot re-enqueues queued jobs and resumes mid-flight campaigns from
 // their stored records, re-executing only the missing experiments.
 //
-//	profipyd -addr :8080 -cores 8 -workers 2 -queue 64 -retain 256 -data-dir /var/lib/profipy
+//	profipyd -addr :8080 -cores 8 -workers 2 -queue 64 -data-dir /var/lib/profipy
 //
 // On SIGINT/SIGTERM the daemon shuts down gracefully: the HTTP server
 // stops accepting work and drains in-flight requests (bounded by
@@ -75,7 +75,6 @@ func run(ctx context.Context, args []string) error {
 	cores := fs.Int("cores", 4, "simulated host cores (experiments run N-1 in parallel)")
 	workers := fs.Int("workers", 2, "campaign scheduler worker pool size")
 	queue := fs.Int("queue", 64, "max queued campaign jobs before 429")
-	retain := fs.Int("retain", 256, "finished jobs kept for polling")
 	dataDir := fs.String("data-dir", "", "persistent result store directory (empty = in-memory only)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "graceful HTTP drain deadline on SIGINT/SIGTERM")
 	leaseTTL := fs.Duration("lease-ttl", 0, "remote worker shard lease TTL before re-dispatch (0 = 15s default)")
@@ -91,7 +90,7 @@ func run(ctx context.Context, args []string) error {
 		return err
 	}
 	srv, err := saas.NewServerWithOptions(saas.Options{
-		Cores: *cores, Workers: *workers, QueueDepth: *queue, RetainJobs: *retain,
+		Cores: *cores, Workers: *workers, QueueDepth: *queue,
 		DataDir: *dataDir, LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, RequestTimeout: *reqTimeout,
 	})
 	if err != nil {

@@ -160,7 +160,8 @@ change {
 	return nil
 }
 
-// jobStatus mirrors the saas.JobStatus JSON shape.
+// jobStatus is what this client reads of a job (scheduler.Status on
+// the wire).
 type jobStatus struct {
 	ID       string `json:"id"`
 	State    string `json:"state"`

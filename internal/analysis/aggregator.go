@@ -130,50 +130,8 @@ func (a *Aggregator) Add(rec Record) {
 	}
 }
 
-// Count reports how many records have been folded in (including merges).
+// Count reports how many records have been folded in.
 func (a *Aggregator) Count() int { return a.total }
-
-// Merge folds another shard's aggregate into this one. Every field is a
-// counter, so merging is commutative and associative; b must have been
-// built from the same Config and must not be used afterwards.
-func (a *Aggregator) Merge(b *Aggregator) {
-	a.total += b.total
-	a.covered += b.covered
-	a.failures += b.failures
-	a.unavailable += b.unavailable
-	a.available += b.available
-	a.logged += b.logged
-	a.propagated += b.propagated
-	a.watchdog += b.watchdog
-	for k, v := range b.modes {
-		a.modes[k] += v
-	}
-	mergeStats(a.byType, b.byType)
-	mergeStats(a.byComp, b.byComp)
-	for k, v := range b.triggers {
-		if a.triggers == nil {
-			a.triggers = map[string]*TriggerStats{}
-		}
-		ts, ok := a.triggers[k]
-		if !ok {
-			ts = &TriggerStats{}
-			a.triggers[k] = ts
-		}
-		ts.Experiments += v.Experiments
-		ts.Activations += v.Activations
-		ts.Fires += v.Fires
-	}
-}
-
-func mergeStats(dst, src map[string]*TypeStats) {
-	for k, v := range src {
-		st := statsFor(dst, k)
-		st.Total += v.Total
-		st.Covered += v.Covered
-		st.Failures += v.Failures
-		st.Unavailable += v.Unavailable
-	}
-}
 
 // Report materializes the aggregate as a full analysis Report,
 // byte-identical to BuildReport over the same records. The snapshot is

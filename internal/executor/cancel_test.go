@@ -66,7 +66,6 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 	engines := []func() Executor{
 		func() Executor { return Local{} },
 		func() Executor { return Local{Workers: 4} },
-		func() Executor { return &Remote{Shards: 4, LocalWorkers: 2} }, // nil Coord: pure local path
 		func() Executor { return fleetless(4, 2, nil) },
 	}
 	for _, mk := range engines {

@@ -46,17 +46,6 @@ type SinkFunc func(idx int, rec analysis.Record)
 // Put calls f.
 func (f SinkFunc) Put(idx int, rec analysis.Record) { f(idx, rec) }
 
-// Multi fans one record stream out to several sinks, in order.
-func Multi(sinks ...RecordSink) RecordSink {
-	return SinkFunc(func(idx int, rec analysis.Record) {
-		for _, s := range sinks {
-			if s != nil {
-				s.Put(idx, rec)
-			}
-		}
-	})
-}
-
 // Collect is a RecordSink that reassembles the stream into plan order,
 // for callers that still need the full record slice (golden tests, the
 // library API's Result.Records).

@@ -69,7 +69,6 @@ func TestExecutorsProduceIdenticalOrderedRecords(t *testing.T) {
 	executors := []Executor{
 		Local{},
 		Local{Workers: 16},
-		&Remote{LocalWorkers: 3}, // no coordinator: Local's pool
 		fleetless(1, 0, nil),
 		fleetless(2, 3, nil),
 		fleetless(5, 0, nil),
@@ -130,19 +129,6 @@ func TestSinkReceivesEveryIndexExactlyOnce(t *testing.T) {
 				t.Errorf("%s: index %d delivered %d times", ex.Name(), idx, c)
 			}
 		}
-	}
-}
-
-func TestMultiFansOutInOrder(t *testing.T) {
-	var order []string
-	a := SinkFunc(func(idx int, rec analysis.Record) { order = append(order, fmt.Sprintf("a%d", idx)) })
-	b := SinkFunc(func(idx int, rec analysis.Record) { order = append(order, fmt.Sprintf("b%d", idx)) })
-	m := Multi(a, nil, b)
-	m.Put(1, analysis.Record{})
-	m.Put(2, analysis.Record{})
-	want := []string{"a1", "b1", "a2", "b2"}
-	if !reflect.DeepEqual(order, want) {
-		t.Errorf("fan-out order = %v, want %v", order, want)
 	}
 }
 

@@ -53,7 +53,6 @@ func TestSkipMaskedIndicesNotExecuted(t *testing.T) {
 	engines := []Executor{
 		Local{Skip: skip},
 		Local{Workers: 4, Skip: skip},
-		&Remote{LocalWorkers: 3, Skip: skip}, // Coord==nil: local degradation path
 		fleetless(4, 2, skip),
 		fleetless(7, 0, skip),
 	}

@@ -33,8 +33,8 @@ import (
 // byte-identical to Local's at any worker count, through any number of
 // mid-shard failures.
 type Remote struct {
-	// Coord is the fleet coordinator; nil degrades Run to pure local
-	// execution.
+	// Coord is the fleet coordinator. Required: a campaign without a
+	// fleet uses Local.
 	Coord *fleet.Coordinator
 	// CampaignID keys the job, leases and record streams; the SaaS
 	// layer sets it to the campaign's public ID.
@@ -114,10 +114,6 @@ func (r *Remote) Counts() RemoteCounts {
 func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) error {
 	if n == 0 {
 		return nil
-	}
-	if r.Coord == nil {
-		// No coordinator: this is Local.
-		return Local{Workers: r.LocalWorkers, Skip: r.Skip, Reg: r.Reg}.Run(ctx, n, exp, sink)
 	}
 	m := newMetrics(r.Reg, "remote")
 	exp = m.instrument(exp)

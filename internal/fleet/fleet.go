@@ -507,13 +507,6 @@ func (j *Job) IsDelivered(idx int) bool {
 	return idx < 0 || idx >= j.n || j.delivered[idx]
 }
 
-// Remaining reports how many indices still lack a record.
-func (j *Job) Remaining() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.remaining
-}
-
 // ClaimLocal atomically takes one unfinished shard away from the fleet
 // for in-process execution: the oldest pending shard if any, else —
 // when force is set — the oldest leased shard (revoking its lease, used

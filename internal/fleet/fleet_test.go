@@ -81,8 +81,8 @@ func TestLeaseLifecycle(t *testing.T) {
 	if c.Complete("camp", l1.Shard, l1.Token) {
 		t.Fatal("double complete accepted")
 	}
-	if job.Remaining() != 9 {
-		t.Fatalf("remaining = %d, want 9", job.Remaining())
+	if !job.IsDelivered(0) || job.IsDelivered(1) {
+		t.Fatalf("delivered = %v/%v for indices 0/1, want exactly the ingested one", job.IsDelivered(0), job.IsDelivered(1))
 	}
 }
 

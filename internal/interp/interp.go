@@ -264,9 +264,6 @@ func (it *Interp) AdvanceClock(ns int64) {
 	it.clockNS += ns
 }
 
-// SetDeadline replaces the virtual deadline (absolute nanoseconds).
-func (it *Interp) SetDeadline(ns int64) { it.deadlineNS = ns }
-
 // Interrupt asks the interpreter to abort execution with ErrInterrupted
 // at the next interrupt poll. It is the only method safe to call from
 // another goroutine while the interpreter runs; the workload watchdog

@@ -31,14 +31,14 @@ type JournalEntry struct {
 	Job      string `json:"job"`
 	State    string `json:"state"`
 	Campaign string `json:"campaign,omitempty"`
-	// Name is the job's display name (the project name), replayed into
-	// the scheduler on recovery.
+	// Name is the job's display name (the project name), kept for the
+	// history entry of a pending job that recovery has to abandon.
 	Name string `json:"name,omitempty"`
 	// Payload is the opaque serialized submission (the SaaS layer's
 	// request plus its project file snapshot).
 	Payload json.RawMessage `json:"payload,omitempty"`
-	// Snapshot is the opaque final view of a finished job (the SaaS
-	// layer's JobStatus), set on terminal entries only.
+	// Snapshot is the opaque final view of a finished job (what the SaaS
+	// layer serves as the job), set on terminal entries only.
 	Snapshot json.RawMessage `json:"snapshot,omitempty"`
 	TimeMS   int64           `json:"timeMs,omitempty"`
 }
@@ -67,9 +67,9 @@ const (
 	// terminal snapshots); Open folds it into the journal and removes it.
 	legacyJobsFile = "jobs.jsonl"
 
-	// maxJobsInMemory bounds the finished jobs the fold retains (the API
-	// layer caps its restore at the scheduler's retention anyway), so
-	// neither the map nor the compacted file grows with the daemon's age.
+	// maxJobsInMemory bounds the finished jobs the fold retains — the
+	// job history the API serves, memory-only stores included — so neither
+	// the map nor the compacted file grows with the daemon's age.
 	maxJobsInMemory = 1024
 
 	// The file is rewritten as its fold once the bytes appended since the
@@ -95,7 +95,9 @@ func (s *Store) AppendJournal(e JournalEntry) error {
 	}
 	s.journalMu.Lock()
 	defer s.journalMu.Unlock()
+	s.foldMu.Lock()
 	s.foldJournalLocked(e)
+	s.foldMu.Unlock()
 	if s.journalF == nil {
 		return nil
 	}
@@ -120,9 +122,9 @@ func (s *Store) AppendJournal(e JournalEntry) error {
 }
 
 // foldJournalLocked merges one entry into the folded view; callers hold
-// journalMu. A terminal entry with a snapshot takes the job's place
-// (newest snapshot wins, the payload goes) and stays as history, bounded
-// by maxJobsInMemory; one without — journals from before snapshots rode
+// journalMu and foldMu. A terminal entry with a snapshot takes the
+// job's place (newest snapshot wins, the payload goes) and stays as
+// history, bounded by maxJobsInMemory; one without — journals from before snapshots rode
 // along — only retires the pending job. Non-terminal states upgrade a
 // pending job by rank and fill in fields the first entry carried.
 func (s *Store) foldJournalLocked(e JournalEntry) {
@@ -166,7 +168,7 @@ func (s *Store) foldJournalLocked(e JournalEntry) {
 }
 
 // dropJournalLocked forgets one job (a no-op for unknown ones); callers
-// hold journalMu.
+// hold journalMu and foldMu.
 func (s *Store) dropJournalLocked(job string) {
 	delete(s.journal, job)
 	s.journalOrder = slices.DeleteFunc(s.journalOrder, func(id string) bool { return id == job })
@@ -181,9 +183,20 @@ func (s *Store) PendingJobs() []JournalEntry { return s.journalView(false) }
 // retained finished job, in first-journaled order.
 func (s *Store) JobHistory() []JournalEntry { return s.journalView(true) }
 
+// Job returns the folded journal entry of one job: pending, or finished
+// and still retained.
+func (s *Store) Job(id string) (JournalEntry, bool) {
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
+	if e := s.journal[id]; e != nil {
+		return *e, true
+	}
+	return JournalEntry{}, false
+}
+
 func (s *Store) journalView(terminal bool) []JournalEntry {
-	s.journalMu.Lock()
-	defer s.journalMu.Unlock()
+	s.foldMu.Lock()
+	defer s.foldMu.Unlock()
 	var out []JournalEntry
 	for _, id := range s.journalOrder {
 		if e := s.journal[id]; e.Terminal() == terminal {

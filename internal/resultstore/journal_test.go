@@ -75,6 +75,57 @@ func TestJournalFoldPrecedence(t *testing.T) {
 	}
 }
 
+// TestJobLooksUpOneFoldedEntry: the by-ID accessor answers what the
+// fold holds of one job — pending with its payload, finished with its
+// snapshot, nothing for a job retired without one — on a memory-only
+// store as on disk, and again after a reopen.
+func TestJobLooksUpOneFoldedEntry(t *testing.T) {
+	for _, dir := range []string{"", t.TempDir()} {
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(s *Store) {
+			t.Helper()
+			if e, ok := s.Job("job-1"); !ok || !e.Terminal() || string(e.Snapshot) != `{"id":"job-1"}` || e.Payload != nil {
+				t.Errorf("dir %q: finished job = %+v, %v", dir, e, ok)
+			}
+			if e, ok := s.Job("job-2"); !ok || e.Terminal() || e.State != JournalRunning || string(e.Payload) != `{"x":2}` {
+				t.Errorf("dir %q: pending job = %+v, %v", dir, e, ok)
+			}
+			for _, id := range []string{"job-3", "job-4", ""} {
+				if e, ok := s.Job(id); ok {
+					t.Errorf("dir %q: Job(%q) = %+v, want none", dir, id, e)
+				}
+			}
+		}
+		for _, e := range []JournalEntry{
+			{Job: "job-1", State: JournalQueued, Payload: json.RawMessage(`{"x":1}`)},
+			{Job: "job-2", State: JournalQueued, Payload: json.RawMessage(`{"x":2}`)},
+			{Job: "job-3", State: JournalQueued},
+			{Job: "job-1", State: JournalDone, Snapshot: json.RawMessage(`{"id":"job-1"}`)},
+			{Job: "job-2", State: JournalRunning},
+			{Job: "job-3", State: JournalCanceled}, // no snapshot: retired, not history
+		} {
+			if err := s.AppendJournal(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		check(s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if dir != "" {
+			s2, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(s2)
+			s2.Close()
+		}
+	}
+}
+
 func TestJournalSurvivesRestartAndCompacts(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

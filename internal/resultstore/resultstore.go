@@ -37,6 +37,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -116,14 +117,14 @@ type segment struct {
 
 // campaign is the in-store state of one campaign.
 type campaign struct {
-	mu    sync.Mutex
-	meta  Meta
-	dir   string // campaign directory, "" in memory-only mode
-	segs  []*segment
-	open  *segment
-	file  *os.File // open segment file (disk mode, while writing)
-	seq   int64    // records appended
-	live  bool     // a Writer is attached
+	mu   sync.Mutex
+	meta Meta
+	dir  string // campaign directory, "" in memory-only mode
+	segs []*segment
+	open *segment
+	file *os.File // open segment file (disk mode, while writing)
+	seq  int64    // records appended
+	live bool     // a Writer is attached
 	// nextSeg numbers the next segment file. It advances past every
 	// segment ever created in the directory — including quarantined
 	// ones — so a resumed campaign can never append into a file whose
@@ -158,7 +159,11 @@ type Store struct {
 	// journalF the fsync-per-append file handle (nil when memory-only),
 	// journalBytes the file's size and journalFolded its size after the
 	// last compaction, journalDropped the corrupt lines Open skipped.
+	// journalMu serializes the writers — fold, append, fsync, compaction —
+	// and foldMu is held only while the fold itself changes, so the API's
+	// per-request reads of it (Job, JobHistory) never wait for an fsync.
 	journalMu      sync.Mutex
+	foldMu         sync.Mutex
 	journalF       *os.File
 	journal        map[string]*JournalEntry
 	journalOrder   []string
@@ -289,8 +294,18 @@ func (s *Store) loadCampaigns() error {
 		s.camps[meta.ID] = c
 		s.order = append(s.order, meta.ID)
 	}
-	sort.Strings(s.order)
+	// Stable: IDs without a number keep ReadDir's name order.
+	sort.SliceStable(s.order, func(i, j int) bool { return Seq(s.order[i]) < Seq(s.order[j]) })
 	return nil
+}
+
+// Seq is the number an ID such as "camp-12" or "job-12" ends in, 0 when
+// it ends in none. The service numbers jobs from one counter and names
+// each campaign after its job, so ordering by Seq is creation order
+// where ordering the strings is not ("camp-10" < "camp-2").
+func Seq(id string) int {
+	n, _ := strconv.Atoi(id[strings.LastIndexByte(id, '-')+1:])
+	return n
 }
 
 // loadSegments scans the campaign directory's record segments, counting
@@ -353,7 +368,8 @@ func completeLines(data []byte) [][]byte {
 	}
 }
 
-// List returns the metadata of every stored campaign, sorted by ID.
+// List returns the metadata of every stored campaign, oldest first:
+// creation order, which a reopen reproduces from the IDs' numbers.
 func (s *Store) List() []Meta {
 	s.mu.Lock()
 	camps := make([]*campaign, 0, len(s.order))

@@ -473,3 +473,13 @@ func TestFollowCancelsMidDrain(t *testing.T) {
 		t.Fatalf("follow_subscribers gauge = %v after follower detached, want 0", got)
 	}
 }
+
+func TestSeq(t *testing.T) {
+	for id, want := range map[string]int{
+		"camp-12": 12, "job-7": 7, "camp-0": 0, "demo-python-etcd": 0, "alpha": 0, "": 0, "camp-": 0, "a-b-3": 3,
+	} {
+		if got := Seq(id); got != want {
+			t.Errorf("Seq(%q) = %d, want %d", id, got, want)
+		}
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -58,20 +59,31 @@ func installGate(t *testing.T, srv *Server) (started chan campaign.Progress, rel
 	return started, release
 }
 
-func getJob(t *testing.T, base, id string) JobStatus {
+func getJob(t *testing.T, base, id string) scheduler.Status {
 	t.Helper()
 	code, body := getBody(t, base+"/api/v1/jobs/"+id)
 	if code != http.StatusOK {
 		t.Fatalf("GET job %s = %d: %s", id, code, body)
 	}
-	var st JobStatus
+	var st scheduler.Status
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatalf("job json: %v: %s", err, body)
 	}
 	return st
 }
 
-func deleteJob(t *testing.T, base, id string) (int, JobStatus) {
+// listJobs fetches GET /api/v1/jobs.
+func listJobs(t *testing.T, base string) []scheduler.Status {
+	t.Helper()
+	code, body := getBody(t, base+"/api/v1/jobs")
+	var list []scheduler.Status
+	if code != http.StatusOK || json.Unmarshal([]byte(body), &list) != nil {
+		t.Fatalf("job list = %d %s", code, body)
+	}
+	return list
+}
+
+func deleteJob(t *testing.T, base, id string) (int, scheduler.Status) {
 	t.Helper()
 	req, err := http.NewRequest(http.MethodDelete, base+"/api/v1/jobs/"+id, nil)
 	if err != nil {
@@ -82,7 +94,7 @@ func deleteJob(t *testing.T, base, id string) (int, JobStatus) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	var st JobStatus
+	var st scheduler.Status
 	_ = json.NewDecoder(resp.Body).Decode(&st)
 	return resp.StatusCode, st
 }
@@ -106,21 +118,24 @@ func submitDemo(t *testing.T, base string, sampleN int) string {
 	return jobID
 }
 
+// stateRank orders job states by how far along they are: a job's state
+// may never be seen moving backwards.
+var stateRank = map[scheduler.State]int{
+	scheduler.Queued: 0, scheduler.Running: 1,
+	scheduler.Done: 2, scheduler.Failed: 2, scheduler.Canceled: 2,
+}
+
 // pollUntilTerminal polls the job, collecting every snapshot, and fails
 // the test if state or progress ever moves backwards.
-func pollUntilTerminal(t *testing.T, base, id string) (JobStatus, []JobStatus) {
+func pollUntilTerminal(t *testing.T, base, id string) (scheduler.Status, []scheduler.Status) {
 	t.Helper()
-	rank := map[scheduler.State]int{
-		scheduler.Queued: 0, scheduler.Running: 1,
-		scheduler.Done: 2, scheduler.Failed: 2, scheduler.Canceled: 2,
-	}
-	var snaps []JobStatus
+	var snaps []scheduler.Status
 	deadline := time.Now().Add(2 * time.Minute)
 	for {
 		st := getJob(t, base, id)
 		if n := len(snaps); n > 0 {
 			prev := snaps[n-1]
-			if rank[st.State] < rank[prev.State] {
+			if stateRank[st.State] < stateRank[prev.State] {
 				t.Fatalf("state went backwards: %s after %s", st.State, prev.State)
 			}
 			if st.Progress.Done < prev.Progress.Done {
@@ -181,22 +196,9 @@ func TestAsyncJobLifecycle(t *testing.T) {
 		t.Fatalf("campaign fetch = %d: %s", code, body)
 	}
 	// And the job shows up in the listing.
-	code, body = getBody(t, ts.URL+"/api/v1/jobs")
-	if code != http.StatusOK {
-		t.Fatalf("job list = %d", code)
-	}
-	var list []JobStatus
-	if err := json.Unmarshal([]byte(body), &list); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, st := range list {
-		if st.ID == jobID {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("job %s not in list %s", jobID, body)
+	list := listJobs(t, ts.URL)
+	if !slices.ContainsFunc(list, func(st scheduler.Status) bool { return st.ID == jobID }) {
+		t.Fatalf("job %s not in list %+v", jobID, list)
 	}
 }
 

@@ -184,7 +184,7 @@ func TestLiveStreamFollowsRunningCampaign(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("job status = %d", code)
 	}
-	var st JobStatus
+	var st scheduler.Status
 	if err := json.Unmarshal([]byte(body), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestRestartServesPersistedCampaign(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("jobs = %d", code)
 	}
-	var sts []JobStatus
+	var sts []scheduler.Status
 	if err := json.Unmarshal([]byte(jobs), &sts); err != nil {
 		t.Fatal(err)
 	}
@@ -340,9 +340,9 @@ func TestCrashRestartAvoidsCampaignIDCollision(t *testing.T) {
 }
 
 // TestJobJournalDedupAndCapOnRestore: the append-only journal may hold
-// several terminal snapshots per job and arbitrarily many jobs; a
-// restart keeps the newest snapshot per ID and at most RetainJobs of
-// them.
+// several terminal snapshots per job; a restart serves the newest
+// snapshot per ID. (The cap on how many jobs is the journal fold's own,
+// TestJournalCompactsWhileRunning in resultstore.)
 func TestJobJournalDedupAndCapOnRestore(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir)
@@ -352,7 +352,7 @@ func TestJobJournalDedupAndCapOnRestore(t *testing.T) {
 	for i := 1; i <= 6; i++ {
 		id := jobIDFor(i)
 		// Two snapshots per job: the stale one must lose.
-		for _, st := range []JobStatus{
+		for _, st := range []scheduler.Status{
 			{ID: id, State: "failed", Error: "stale"},
 			{ID: id, State: "done", Campaign: "camp-" + jsonNum(int64(i))},
 		} {
@@ -364,23 +364,10 @@ func TestJobJournalDedupAndCapOnRestore(t *testing.T) {
 	}
 	store.Close()
 
-	srv, err := NewServerWithOptions(Options{Cores: 2, DataDir: dir, RetainJobs: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
-	code, body := getBody(t, ts.URL+"/api/v1/jobs")
-	if code != http.StatusOK {
-		t.Fatal(code)
-	}
-	var sts []JobStatus
-	if err := json.Unmarshal([]byte(body), &sts); err != nil {
-		t.Fatal(err)
-	}
-	if len(sts) != 3 {
-		t.Fatalf("restored %d jobs, want RetainJobs=3 newest", len(sts))
+	_, ts := newAsyncTestServer(t, Options{Cores: 2, DataDir: dir})
+	sts := listJobs(t, ts.URL)
+	if len(sts) != 6 {
+		t.Fatalf("listed %d jobs, want one per journaled ID (6)", len(sts))
 	}
 	for _, st := range sts {
 		if st.State != "done" {
@@ -662,6 +649,51 @@ func TestAPIBodiesIdenticalAcrossRestart(t *testing.T) {
 			t.Errorf("GET %s changed across the restart:\n got %s\nwant %s", p, got, before[p])
 		}
 	}
+}
+
+// TestCampaignsListInCreationOrder: campaigns are numbered, so "camp-10"
+// sorts before "camp-2" as a string. Store.List, GET /api/v1/campaigns
+// and GET /api/v1/jobs must all say 1 … 12, in the process that ran them
+// and in the next one, which has only the directory names to go by.
+func TestCampaignsListInCreationOrder(t *testing.T) {
+	dir := t.TempDir()
+	var wantCamps, wantJobs []string
+	for i := 1; i <= 12; i++ {
+		wantCamps = append(wantCamps, "camp-"+jsonNum(int64(i)))
+		wantJobs = append(wantJobs, jobIDFor(i))
+	}
+	check := func(when string, srv *Server, ts *httptest.Server) {
+		t.Helper()
+		var stored, listed, jobs []string
+		for _, meta := range srv.Store().List() {
+			stored = append(stored, meta.ID)
+		}
+		code, body := getBody(t, ts.URL+"/api/v1/campaigns")
+		var list []CampaignSummary
+		if code != http.StatusOK || json.Unmarshal([]byte(body), &list) != nil {
+			t.Fatalf("%s: list = %d %s", when, code, body)
+		}
+		for _, c := range list {
+			listed = append(listed, c.ID)
+		}
+		for _, st := range listJobs(t, ts.URL) {
+			jobs = append(jobs, st.ID)
+		}
+		if !reflect.DeepEqual(stored, wantCamps) || !reflect.DeepEqual(listed, wantCamps) || !reflect.DeepEqual(jobs, wantJobs) {
+			t.Errorf("%s:\n store %v\n   api %v\n  jobs %v\n  want camp-1 … camp-12 and job-1 … job-12", when, stored, listed, jobs)
+		}
+	}
+	srv1, ts1 := newAsyncTestServer(t, Options{Cores: 2, Workers: 1, DataDir: dir})
+	for range wantCamps {
+		if st, _ := pollUntilTerminal(t, ts1.URL, submitDemo(t, ts1.URL, 1)); st.State != scheduler.Done {
+			t.Fatalf("campaign ended %+v", st)
+		}
+	}
+	check("before the restart", srv1, ts1)
+	ts1.Close()
+	srv1.Close()
+	srv2, ts2 := newAsyncTestServer(t, Options{Cores: 2, Workers: 1, DataDir: dir})
+	check("after the restart", srv2, ts2)
 }
 
 // TestMemoryOnlyAPIAgreesWithStore: without -data-dir the store keeps

@@ -162,7 +162,7 @@ func TestRecoveryResumesMidFlightCampaign(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 
-	st, ok := srv.sched.Wait("job-1")
+	st, ok := srv.job(srv.sched.Wait, "job-1")
 	if !ok || st.State != scheduler.Done {
 		t.Fatalf("recovered job = %+v", st)
 	}
@@ -244,7 +244,7 @@ func TestRecoveryRequeuesQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
-	st, ok := srv.sched.Wait("job-1")
+	st, ok := srv.job(srv.sched.Wait, "job-1")
 	if !ok || st.State != scheduler.Done {
 		t.Fatalf("requeued job = %+v", st)
 	}
@@ -291,7 +291,7 @@ func TestRecoveryAbandonsUnusablePayload(t *testing.T) {
 	if got := recoveryCount(t, srv, "abandoned"); got != 1 {
 		t.Fatalf("abandoned count = %v, want 1", got)
 	}
-	st, ok := srv.sched.Status("job-1")
+	st, ok := srv.job(srv.sched.Status, "job-1")
 	if !ok || st.State != scheduler.Failed || st.Error == "" {
 		t.Fatalf("abandoned job = %+v", st)
 	}
@@ -338,7 +338,7 @@ func TestCancelRecoveredJob(t *testing.T) {
 	if _, ok := srv.sched.Cancel("job-1"); !ok {
 		t.Fatal("recovered job unknown to scheduler")
 	}
-	st, ok := srv.sched.Wait("job-1")
+	st, ok := srv.job(srv.sched.Wait, "job-1")
 	if !ok || st.State != scheduler.Canceled {
 		t.Fatalf("canceled recovered job = %+v", st)
 	}
@@ -353,7 +353,7 @@ func TestCancelRecoveredJob(t *testing.T) {
 	if pend := srv2.Store().PendingJobs(); len(pend) != 0 {
 		t.Fatalf("canceled job still pending: %+v", pend)
 	}
-	st2, ok := srv2.sched.Status("job-1")
+	st2, ok := srv2.job(srv2.sched.Status, "job-1")
 	if !ok || st2.State != scheduler.Canceled {
 		t.Fatalf("job history after reboot = %+v", st2)
 	}
@@ -398,14 +398,14 @@ func dirNames(t *testing.T, dir string) []string {
 func TestLegacyDataDirMigrates(t *testing.T) {
 	fixture := filepath.Join("testdata", "legacy-datadir")
 	dir := copyDataDir(t, fixture)
-	var want []JobStatus
+	var want []scheduler.Status
 	if data, err := os.ReadFile(filepath.Join(fixture, "parent-jobs.json")); err != nil || json.Unmarshal(data, &want) != nil {
 		t.Fatalf("parent-jobs.json: %v", err)
 	}
 
 	srv, ts := newAsyncTestServer(t, Options{Cores: 4, DataDir: dir})
 	for _, id := range []string{"job-3", "job-4"} {
-		if st, ok := srv.sched.Wait(id); !ok || st.State != scheduler.Done {
+		if st, ok := srv.job(srv.sched.Wait, id); !ok || st.State != scheduler.Done {
 			t.Fatalf("re-admitted %s = %+v", id, st)
 		}
 	}
@@ -416,17 +416,11 @@ func TestLegacyDataDirMigrates(t *testing.T) {
 		t.Errorf("replayed %v stored records into job-3, want 3", got)
 	}
 	code, jobsBody := getBody(t, ts.URL+"/api/v1/jobs")
-	var got []JobStatus
+	var got []scheduler.Status
 	if code != 200 || json.Unmarshal([]byte(jobsBody), &got) != nil || len(got) != 4 {
 		t.Fatalf("jobs = %d %s", code, jobsBody)
 	}
 	for i := range got[:2] {
-		// The one intended difference: the old restore dropped the
-		// snapshot's attempt count, this one keeps it.
-		if got[i].Attempts != 1 {
-			t.Errorf("%s restored with attempts = %d, want the snapshot's 1", got[i].ID, got[i].Attempts)
-		}
-		got[i].Attempts = 0
 		if !reflect.DeepEqual(got[i], want[i]) {
 			t.Errorf("history entry %d:\n got %+v\nwant %+v", i, got[i], want[i])
 		}
@@ -457,8 +451,8 @@ func TestLegacyDataDirMigrates(t *testing.T) {
 
 // TestRestoreSurvivesPoisonedSnapshots: the store hands snapshots back
 // opaquely, so values corrupted in place (same JSON type, wrong
-// content) reach restore(): it must skip what is not a finished job's
-// snapshot and keep the rest.
+// content) reach the API's decoder: it must skip what is not the
+// snapshot of the finished job it is filed under and keep the rest.
 func TestRestoreSurvivesPoisonedSnapshots(t *testing.T) {
 	dir := t.TempDir()
 	store, err := resultstore.Open(dir)
@@ -480,12 +474,18 @@ func TestRestoreSurvivesPoisonedSnapshots(t *testing.T) {
 		}
 	}
 	store.Close()
-	srv, _ := newAsyncTestServer(t, Options{Cores: 2, DataDir: dir})
+	_, ts := newAsyncTestServer(t, Options{Cores: 2, DataDir: dir})
 	var ids []string
-	for _, st := range srv.sched.List() {
+	for _, st := range listJobs(t, ts.URL) {
 		ids = append(ids, st.ID+":"+string(st.State))
 	}
 	if want := []string{"job-1:done", "job-6:canceled"}; !reflect.DeepEqual(ids, want) {
-		t.Errorf("restored jobs = %v, want %v", ids, want)
+		t.Errorf("listed jobs = %v, want %v", ids, want)
+	}
+	// The by-ID route reads the same snapshots through the same check.
+	for id, want := range map[string]int{"job-1": 200, "job-2": 404, "job-4": 404, "job-5": 404, "job-6": 200} {
+		if code, body := getBody(t, ts.URL+"/api/v1/jobs/"+id); code != want {
+			t.Errorf("GET %s = %d %s, want %d", id, code, body, want)
+		}
 	}
 }

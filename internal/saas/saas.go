@@ -105,30 +105,11 @@ type CampaignSummary struct {
 	Injected int `json:"injected"`
 }
 
-// JobStatus is the API view of a scheduled campaign job.
-type JobStatus struct {
-	ID       string             `json:"id"`
-	Project  string             `json:"project,omitempty"`
-	State    scheduler.State    `json:"state"`
-	Progress scheduler.Progress `json:"progress"`
-	// PhaseMillis holds wall time per completed workflow phase.
-	PhaseMillis map[string]int64 `json:"phaseMillis,omitempty"`
-	// Campaign is the finished campaign's ID, set once State is "done";
-	// fetch the report at /api/v1/campaigns/{campaign}.
-	Campaign string `json:"campaign,omitempty"`
-	// Attempts counts task executions (>1 after scheduler retries).
-	Attempts   int    `json:"attempts,omitempty"`
-	Error      string `json:"error,omitempty"`
-	EnqueuedMS int64  `json:"enqueuedMs,omitempty"`
-	StartedMS  int64  `json:"startedMs,omitempty"`
-	FinishedMS int64  `json:"finishedMs,omitempty"`
-}
-
 // Server is the SaaS API server state. The mutex guards the project
 // and model maps only — it is never held across a campaign run or any
-// other long operation; campaign execution is owned by the scheduler,
-// and everything finished (campaign reports, records, job history) by
-// the result store, which the API reads on request.
+// other long operation; queued and running jobs are owned by the
+// scheduler, and everything finished (campaign reports, records, job
+// history) by the result store, which the API reads on request.
 type Server struct {
 	mu         sync.RWMutex
 	projects   map[string]*Project
@@ -162,8 +143,6 @@ type Options struct {
 	Workers int
 	// QueueDepth bounds pending campaign jobs (default 64).
 	QueueDepth int
-	// RetainJobs bounds finished jobs kept for polling (default 256).
-	RetainJobs int
 	// DataDir roots the persistent result store: campaign metadata,
 	// record segments, reports and the job journal survive restarts
 	// there. Empty keeps the store memory-only (records and streams
@@ -241,14 +220,14 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 	s.sched = scheduler.New(scheduler.Config{
 		Workers:    opt.Workers,
 		QueueDepth: opt.QueueDepth,
-		Retain:     opt.RetainJobs,
 		Metrics:    opt.Metrics,
 		// One fsync'd journal line retires every terminal job (the next
-		// boot does not re-admit it) and files its snapshot, so
-		// /api/v1/jobs history survives restarts alongside the campaigns.
-		// A failed append is counted by the store (write_errors_total);
+		// boot does not re-admit it) and files its snapshot: from here on
+		// the journal, not the scheduler, answers for the job, in this
+		// process and after a restart alike. A failed append is counted by
+		// the store (write_errors_total) and still folded into its memory;
 		// the job's outcome stands either way.
-		OnFinish: func(st scheduler.Status) { _ = s.store.AppendJournal(terminalEntry(st)) },
+		OnFinish: func(st scheduler.Status) { _ = s.store.AppendJournal(terminalEntry(s.jobView(st))) },
 	})
 	// Preload the paper's case study as a demo project.
 	demo := &Project{ID: "demo-python-etcd", Name: "python-etcd", Files: map[string]string{}}
@@ -256,53 +235,55 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 		demo.Files[name] = string(data)
 	}
 	s.projects[demo.ID] = demo
-	s.restore()
 	s.recover()
+	// New job numbers must clear everything a previous process numbered:
+	// the journal's finished jobs (recover re-admitted the pending ones
+	// under their own IDs) and every stored campaign, including those of
+	// jobs that never made the journal because the process crashed.
+	last := 0
+	for _, e := range s.store.JobHistory() {
+		last = max(last, resultstore.Seq(e.Job))
+	}
+	for _, meta := range s.store.List() {
+		last = max(last, resultstore.Seq(meta.ID))
+	}
+	s.sched.AdvanceIDs(last)
 	return s, nil
 }
 
 // terminalEntry is the journal line of a finished job: its terminal
 // state (the scheduler's and the journal's state names coincide) and
-// the API snapshot restore() replays after a restart.
+// the snapshot the API serves from then on.
 func terminalEntry(st scheduler.Status) resultstore.JournalEntry {
-	snapshot, _ := json.Marshal(jobView(st)) // plain data: cannot fail
+	snapshot, _ := json.Marshal(st) // plain data: cannot fail
 	return resultstore.JournalEntry{
 		Job: st.ID, State: string(st.State), Snapshot: snapshot, TimeMS: time.Now().UnixMilli(),
 	}
 }
 
-// restore replays the journal's finished-job snapshots into the
-// scheduler (which keeps the newest RetainJobs of them), so a restarted
-// profipyd answers /api/v1/jobs for work a previous process finished.
-func (s *Server) restore() {
-	var sts []scheduler.Status
-	for _, e := range s.store.JobHistory() {
-		var v JobStatus
-		if err := json.Unmarshal(e.Snapshot, &v); err != nil {
-			continue
-		}
-		st := scheduler.Status{
-			ID: v.ID, Name: v.Project, State: v.State, Progress: v.Progress,
-			PhaseMillis: v.PhaseMillis, Attempts: v.Attempts, Error: v.Error,
-			EnqueuedMS: v.EnqueuedMS, StartedMS: v.StartedMS, FinishedMS: v.FinishedMS,
-		}
-		if v.Campaign != "" {
-			st.Result = v.Campaign
-		}
-		sts = append(sts, st)
+// finishedJobView decodes a terminal journal entry's snapshot. The
+// store hands snapshots back opaquely, so this is where one corrupted in
+// place is caught: anything but the finished job the entry is filed
+// under is skipped (a pending entry has no snapshot at all).
+func finishedJobView(e resultstore.JournalEntry) (scheduler.Status, bool) {
+	var st scheduler.Status
+	ok := json.Unmarshal(e.Snapshot, &st) == nil && st.ID == e.Job && st.State.Terminal()
+	return st, ok
+}
+
+// job puts a question about one job — the scheduler's Status, Wait or
+// Cancel — to whoever owns the job: the scheduler while it is queued or
+// running, the journal once it has finished. Scheduler first: it lets go
+// of a job only after the journal has it, so a job is never in neither.
+// Wait lands on the journal when a fast campaign beat its own
+// ?wait=true submitter to the end, Cancel when there is nothing left to
+// cancel; both then answer with the job as it ended.
+func (s *Server) job(ask func(id string) (scheduler.Status, bool), id string) (scheduler.Status, bool) {
+	if st, ok := ask(id); ok {
+		return s.jobView(st), true
 	}
-	s.sched.Restore(sts)
-	// Campaign IDs derive from job numbers, so the job counter must
-	// clear every stored campaign — including ones whose job never made
-	// the journal because the process crashed mid-run.
-	maxCamp := 0
-	for _, meta := range s.store.List() {
-		var n int
-		if _, err := fmt.Sscanf(meta.ID, "camp-%d", &n); err == nil && n > maxCamp {
-			maxCamp = n
-		}
-	}
-	s.sched.AdvanceIDs(maxCamp)
+	e, _ := s.store.Job(id)
+	return finishedJobView(e)
 }
 
 // Close stops the campaign scheduler — running campaigns are canceled,
@@ -539,8 +520,8 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 // campaignIDFor derives the campaign ID from its job ID ("job-7" →
 // "camp-7"): deterministic before the job runs, so live record streams
 // are addressable while the campaign is still executing, and collision
-// free across restarts because restored job history advances the
-// scheduler's ID counter.
+// free across restarts because the scheduler's ID counter starts past
+// everything the data directory holds.
 func campaignIDFor(jobID string) string {
 	return "camp-" + strings.TrimPrefix(jobID, "job-")
 }
@@ -591,7 +572,7 @@ func (s *Server) journalAccepted(jobID string, req CampaignRequest, projName str
 // experiments execute, producing a report byte-identical to an
 // uninterrupted run.
 func (s *Server) campaignTask(req CampaignRequest, projName string, c *campaign.Campaign, jobIDFn func() string) scheduler.Task {
-	return func(ctx context.Context, report func(scheduler.Progress)) (any, error) {
+	return func(ctx context.Context, report func(scheduler.Progress)) error {
 		jobID := jobIDFn()
 		campID := campaignIDFor(jobID)
 		// The remote executor keys its fleet job, leases and record
@@ -627,7 +608,7 @@ func (s *Server) campaignTask(req CampaignRequest, projName string, c *campaign.
 			// The campaign outlived a previous process that crashed after
 			// sealing it — only the job's terminal state was lost.
 			obs.Log(ctx).Info("campaign already complete, skipping re-run")
-			return campID, nil
+			return nil
 		} else if writer, err = s.store.ResumeCampaign(campID); err == nil {
 			c.Resume = s.loadResume(campID)
 			s.recReplayed.Add(float64(len(c.Resume)))
@@ -638,7 +619,7 @@ func (s *Server) campaignTask(req CampaignRequest, projName string, c *campaign.
 			// Only a campaign ID the store cannot take (invalid, or owned
 			// by another writer) ends up here; disk trouble degrades the
 			// campaign inside the store instead.
-			return nil, fmt.Errorf("campaign %s: %w", campID, err)
+			return fmt.Errorf("campaign %s: %w", campID, err)
 		}
 		c.Sink = executor.SinkFunc(func(idx int, rec analysis.Record) {
 			_ = writer.Append(rec)
@@ -652,7 +633,7 @@ func (s *Server) campaignTask(req CampaignRequest, projName string, c *campaign.
 			if aerr := writer.Abort(status); aerr != nil {
 				obs.Log(ctx).Error("record persistence failed", "err", aerr)
 			}
-			return nil, err
+			return err
 		}
 		_ = writer.SetPhases(res.Phases)
 		// Finish surfaces the stream's first write error: the report and
@@ -665,7 +646,7 @@ func (s *Server) campaignTask(req CampaignRequest, projName string, c *campaign.
 			"points", res.Report.Total, "covered", res.Report.Covered,
 			"failures", res.Report.Failures, "records", res.Mutated+res.Injected,
 			"replayed", res.Replayed)
-		return campID, nil
+		return nil
 	}
 }
 
@@ -730,7 +711,6 @@ func (s *Server) recover() {
 				EnqueuedMS: e.TimeMS, FinishedMS: time.Now().UnixMilli(),
 			}
 			_ = s.store.AppendJournal(terminalEntry(failed))
-			s.sched.Restore([]scheduler.Status{failed})
 		} else {
 			obs.Log(context.Background()).Info("journaled job re-admitted",
 				"job", e.Job, "campaign", e.Campaign, "outcome", outcome)
@@ -804,22 +784,17 @@ func (s *Server) handleRunCampaign(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, map[string]string{"job": jobID})
 		return
 	}
-	st, ok := s.sched.Wait(jobID)
-	if !ok {
-		// Only possible when the finished job was already evicted by the
-		// retention limit before we could read it.
-		httpError(w, http.StatusInternalServerError, "job %s evicted before its result could be read", jobID)
-		return
-	}
+	s.answerWhenFinished(w, jobID)
+}
+
+// answerWhenFinished is the ?wait=true half of a submission: it blocks
+// until the job is terminal and answers with the outcome.
+func (s *Server) answerWhenFinished(w http.ResponseWriter, jobID string) {
+	st, _ := s.job(s.sched.Wait, jobID)
 	switch st.State {
 	case scheduler.Done:
-		campID := st.Result.(string)
-		rep, _, ok := s.finishedCampaign(campID)
-		if !ok {
-			httpError(w, http.StatusInternalServerError, "campaign %s evicted before its report could be read", campID)
-			return
-		}
-		writeJSON(w, http.StatusCreated, map[string]any{"id": campID, "job": jobID, "report": rep})
+		rep, _, _ := s.finishedCampaign(st.Campaign)
+		writeJSON(w, http.StatusCreated, map[string]any{"id": st.Campaign, "job": jobID, "report": rep})
 	case scheduler.Canceled:
 		httpError(w, http.StatusConflict, "campaign canceled")
 	default:
@@ -827,59 +802,62 @@ func (s *Server) handleRunCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// jobView converts a scheduler snapshot to the API shape.
-func jobView(st scheduler.Status) JobStatus {
-	out := JobStatus{
-		ID: st.ID, Project: st.Name, State: st.State, Progress: st.Progress,
-		PhaseMillis: st.PhaseMillis, Attempts: st.Attempts, Error: st.Error,
-		EnqueuedMS: st.EnqueuedMS, StartedMS: st.StartedMS, FinishedMS: st.FinishedMS,
-	}
-	if id, ok := st.Result.(string); ok {
-		out.Campaign = id
-	}
-	return out
-}
-
-// jobStatus is jobView plus the live-campaign link: a running job
-// already has a campaign in the result store (records streaming in),
-// so clients can follow /campaigns/{id}/stream before the job is done.
-func (s *Server) jobStatus(st scheduler.Status) JobStatus {
-	out := jobView(st)
-	if out.Campaign == "" && out.State == scheduler.Running {
-		if id := campaignIDFor(out.ID); id != out.ID {
-			if _, ok := s.store.Get(id); ok {
-				out.Campaign = id
-			}
+// jobView names the job's campaign in a snapshot the scheduler took.
+// A done job's is finished; a running job's is already in the result
+// store once records stream in, so clients can follow
+// /campaigns/{id}/stream before the job is done.
+func (s *Server) jobView(st scheduler.Status) scheduler.Status {
+	campID := campaignIDFor(st.ID)
+	switch st.State {
+	case scheduler.Done:
+		st.Campaign = campID
+	case scheduler.Running:
+		if _, streaming := s.store.Get(campID); streaming {
+			st.Campaign = campID
 		}
 	}
-	return out
+	return st
 }
 
+// handleListJobs lists the journal's finished jobs and the scheduler's
+// live ones as one history in submission order. The live jobs are read
+// first: one that finishes meanwhile is in the journal by the time that
+// is read, and listed from there.
 func (s *Server) handleListJobs(w http.ResponseWriter, r *http.Request) {
-	sts := s.sched.List()
-	out := make([]JobStatus, len(sts))
-	for i, st := range sts {
-		out[i] = s.jobStatus(st)
+	live := s.sched.List()
+	out := []scheduler.Status{}
+	journaled := map[string]bool{}
+	for _, e := range s.store.JobHistory() {
+		if st, ok := finishedJobView(e); ok {
+			out = append(out, st)
+			journaled[st.ID] = true
+		}
 	}
+	for _, st := range live {
+		if !journaled[st.ID] {
+			out = append(out, s.jobView(st))
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return resultstore.Seq(out[i].ID) < resultstore.Seq(out[j].ID) })
 	writeJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.sched.Status(r.PathValue("id"))
+	st, ok := s.job(s.sched.Status, r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusOK, s.jobStatus(st))
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	st, ok := s.sched.Cancel(r.PathValue("id"))
+	st, ok := s.job(s.sched.Cancel, r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	writeJSON(w, http.StatusAccepted, jobView(st))
+	writeJSON(w, http.StatusAccepted, st)
 }
 
 // finished reports whether a stored campaign ran to completion and so
@@ -917,7 +895,7 @@ func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, summary)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	sort.SliceStable(out, func(i, j int) bool { return resultstore.Seq(out[i].ID) < resultstore.Seq(out[j].ID) })
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -100,11 +100,6 @@ func (c *Container) AddContention(n int) { c.contention.Add(int32(n)) }
 // Contention returns the current contention level.
 func (c *Container) Contention() int { return int(c.contention.Load()) }
 
-// ResetContention clears contention (e.g. at round boundaries, modelling
-// the scheduler eventually reaping stale threads between rounds is NOT
-// done — contention persists within the container, like stale threads).
-func (c *Container) ResetContention() { c.contention.Store(0) }
-
 // Log returns (creating if needed) a named log stream; component logs are
 // the input of the failure logging / propagation analyses.
 func (c *Container) Log(name string) *bytes.Buffer {

@@ -16,7 +16,6 @@ type metrics struct {
 	finished   *obs.CounterVec // state = done | failed | canceled
 	jobDur     *obs.Histogram
 	phaseDur   *obs.HistogramVec // phase = scan | coverage | execute | analyze | ...
-	retries    *obs.Counter
 }
 
 // jobDurBuckets spans sub-second demo campaigns to hour-long sweeps.
@@ -37,14 +36,6 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Wall-clock job execution time (start to terminal state).", jobDurBuckets),
 		phaseDur: reg.HistogramVec("profipy_scheduler_job_phase_seconds",
 			"Wall-clock time jobs spend in each workflow phase.", jobDurBuckets, "phase"),
-		retries: reg.Counter("profipy_scheduler_job_retries_total",
-			"Job attempts re-run after a retryable error."),
-	}
-}
-
-func (m *metrics) retried() {
-	if m != nil {
-		m.retries.Inc()
 	}
 }
 

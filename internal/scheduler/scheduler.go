@@ -1,22 +1,23 @@
 // Package scheduler turns campaign execution into an asynchronous
 // service: a bounded job queue drained by a fixed worker pool, with
 // per-job lifecycle (queued → running → done/failed/canceled), live
-// progress counters, per-phase timings, cancellation, and a bounded
-// in-memory store of finished jobs. It is the missing layer between the
-// HTTP front end and the campaign engine — ZOFI (Porpodas, 2019)
-// observes that campaign throughput is dominated by how experiments are
-// scheduled, and the same holds one level up for whole campaigns in the
-// as-a-service setting.
+// progress counters, per-phase timings and cancellation. It owns a job
+// only while it owes it work: a job that reaches a terminal state is
+// handed to Config.OnFinish (the journal) and forgotten. It is the
+// missing layer between the HTTP front end and the campaign engine —
+// ZOFI (Porpodas, 2019) observes that campaign throughput is dominated
+// by how experiments are scheduled, and the same holds one level up for
+// whole campaigns in the as-a-service setting.
 package scheduler
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
-	"profipy/internal/backoff"
 	"profipy/internal/obs"
 )
 
@@ -45,28 +46,29 @@ type Progress struct {
 }
 
 // Task is the unit of work a job runs. It must honor ctx cancellation
-// and may call report (safe for concurrent use) as it advances. The
-// returned value is retained as the job result until eviction.
-type Task func(ctx context.Context, report func(Progress)) (any, error)
+// and may call report (safe for concurrent use) as it advances.
+type Task func(ctx context.Context, report func(Progress)) error
 
-// Status is the externally visible snapshot of a job.
+// Status is the snapshot of a job — and the one declaration of the job
+// view's wire shape: the API serves it and the journal stores it as is.
 type Status struct {
-	ID       string   `json:"id"`
-	Name     string   `json:"name,omitempty"`
+	ID string `json:"id"`
+	// Name is the job's display name; the service submits campaigns
+	// under their project's name.
+	Name     string   `json:"project,omitempty"`
 	State    State    `json:"state"`
 	Progress Progress `json:"progress"`
 	// PhaseMillis records wall-clock time spent in each completed phase.
 	PhaseMillis map[string]int64 `json:"phaseMillis,omitempty"`
-	Error       string           `json:"error,omitempty"`
-	// Attempts counts task executions: 1 for a job that ran once,
-	// more when retryable failures were re-run (Config.MaxRetries).
-	Attempts int `json:"attempts,omitempty"`
+	// Campaign names what the job produces. The scheduler never sets it:
+	// the service derives it from the job ID, once there is a campaign of
+	// that name to fetch or follow.
+	Campaign string `json:"campaign,omitempty"`
+	Error    string `json:"error,omitempty"`
 	// Unix-millisecond lifecycle timestamps (zero = not reached).
 	EnqueuedMS int64 `json:"enqueuedMs,omitempty"`
 	StartedMS  int64 `json:"startedMs,omitempty"`
 	FinishedMS int64 `json:"finishedMs,omitempty"`
-	// Result is whatever the task returned; nil unless State is Done.
-	Result any `json:"-"`
 }
 
 // Errors returned by Submit and Cancel.
@@ -82,26 +84,18 @@ type Config struct {
 	// QueueDepth bounds the number of submitted-but-not-started jobs;
 	// Submit fails with ErrQueueFull beyond it (default 64).
 	QueueDepth int
-	// Retain bounds how many finished jobs are kept for inspection;
-	// the oldest terminal jobs are evicted first (default 256).
-	Retain int
-	// OnFinish, when set, observes every job that reaches a terminal
+	// OnFinish, when set, takes over every job that reaches a terminal
 	// state (done, failed or canceled — including jobs canceled while
-	// still queued). The SaaS layer journals these snapshots to the
-	// result store so job history survives restarts. Called outside
-	// scheduler locks; must be safe for concurrent use.
+	// still queued): the SaaS layer journals the snapshot to the result
+	// store, which owns finished jobs. The scheduler keeps answering for
+	// the job until OnFinish returns and forgets it then, so a job is
+	// always visible in one of the two places. Called outside scheduler
+	// locks; must be safe for concurrent use.
 	OnFinish func(Status)
 	// Metrics, when set, registers the scheduler's metric families
 	// (queue depth, running/finished jobs, job and phase latency) on
 	// the registry and keeps them current.
 	Metrics *obs.Registry
-	// MaxRetries re-runs a job up to this many extra times when its
-	// task fails with a retryable error (wrapped via MarkRetryable).
-	// Cancellation is never retried. Default 0: fail fast.
-	MaxRetries int
-	// RetryBackoff is the base delay between attempts; attempt k waits
-	// RetryBackoff·2^k with ±20% jitter, capped at 30s (default 250ms).
-	RetryBackoff time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -111,39 +105,7 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.Retain <= 0 {
-		c.Retain = 256
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 250 * time.Millisecond
-	}
 	return c
-}
-
-// retryableError marks a task error as safe to re-run.
-type retryableError struct{ err error }
-
-func (e *retryableError) Error() string { return e.err.Error() }
-func (e *retryableError) Unwrap() error { return e.err }
-
-// MarkRetryable wraps an error so the scheduler may re-run the job
-// (transient infrastructure failures: an unreachable store, a worker
-// fleet mid-restart). Idempotent tasks only — the whole job re-executes.
-func MarkRetryable(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &retryableError{err: err}
-}
-
-// Retryable reports whether err (or anything it wraps) was marked
-// retryable. Context cancellation is never retryable.
-func Retryable(err error) bool {
-	if err == nil || errors.Is(err, context.Canceled) {
-		return false
-	}
-	var re *retryableError
-	return errors.As(err, &re)
 }
 
 // job is the internal mutable record behind a Status.
@@ -156,11 +118,9 @@ type job struct {
 	mu         sync.Mutex
 	state      State
 	prog       Progress
-	attempts   int
 	phaseMS    map[string]int64
 	phaseStart time.Time
 	err        error
-	result     any
 	enqueued   time.Time
 	started    time.Time
 	finished   time.Time
@@ -172,9 +132,8 @@ func (j *job) status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := Status{
-		ID: j.id, Name: j.name, State: j.state, Progress: j.prog, Attempts: j.attempts,
+		ID: j.id, Name: j.name, State: j.state, Progress: j.prog,
 		EnqueuedMS: unixMS(j.enqueued), StartedMS: unixMS(j.started), FinishedMS: unixMS(j.finished),
-		Result: j.result,
 	}
 	if j.err != nil {
 		st.Error = j.err.Error()
@@ -234,10 +193,10 @@ func (j *job) report(p Progress) {
 	}
 }
 
-// Scheduler owns the queue, the worker pool, and the job store. The
-// queue is an explicit pending list (not a channel) so that canceling a
-// queued job frees its slot immediately instead of holding it until a
-// worker pops and skips the corpse.
+// Scheduler owns the queue, the worker pool, and the jobs that are
+// queued or running. The queue is an explicit pending list (not a
+// channel) so that canceling a queued job frees its slot immediately
+// instead of holding it until a worker pops and skips the corpse.
 type Scheduler struct {
 	cfg Config
 	met *metrics // nil when Config.Metrics is unset
@@ -245,7 +204,7 @@ type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signals workers: pending grew or closed
 	jobs    map[string]*job
-	order   []string // submission order, for listing and eviction
+	order   []string // submission order, for listing
 	pending []*job   // FIFO of queued jobs, bounded by QueueDepth
 	nextID  int
 	closed  bool
@@ -284,66 +243,46 @@ func New(cfg Config) *Scheduler {
 	return s
 }
 
-// Workers reports the configured pool size.
-func (s *Scheduler) Workers() int { return s.cfg.Workers }
-
 // Submit enqueues a task and returns its job ID immediately. It fails
 // with ErrQueueFull when the queue is at capacity and ErrClosed after
 // Close.
-func (s *Scheduler) Submit(name string, t Task) (string, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return "", ErrClosed
-	}
-	if len(s.pending) >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		return "", ErrQueueFull
-	}
-	s.nextID++
-	id := fmt.Sprintf("job-%d", s.nextID)
-	s.enqueueLocked(id, name, t)
-	s.mu.Unlock()
-	s.met.enqueued()
-	return id, nil
-}
+func (s *Scheduler) Submit(name string, t Task) (string, error) { return s.submit("", name, t) }
 
 // SubmitID enqueues a task under a caller-chosen job ID — the recovery
 // path re-admits journaled jobs this way, so IDs the API layer derived
 // from job numbers (campaign IDs) stay stable across restarts. The ID
 // counter advances past numeric IDs ("job-N"), so later Submit calls
 // cannot collide with recovered jobs. Fails with ErrQueueFull,
-// ErrClosed, or an error when the ID is empty or already known.
+// ErrClosed, or an error when the ID is empty or names a job the
+// scheduler already owns.
 func (s *Scheduler) SubmitID(id, name string, t Task) error {
 	if id == "" {
 		return errors.New("scheduler: empty job id")
 	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if _, exists := s.jobs[id]; exists {
-		s.mu.Unlock()
-		return fmt.Errorf("scheduler: job %s already exists", id)
-	}
-	if len(s.pending) >= s.cfg.QueueDepth {
-		s.mu.Unlock()
-		return ErrQueueFull
-	}
-	var n int
-	if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > s.nextID {
-		s.nextID = n
-	}
-	s.enqueueLocked(id, name, t)
-	s.mu.Unlock()
-	s.met.enqueued()
-	return nil
+	_, err := s.submit(id, name, t)
+	return err
 }
 
-// enqueueLocked creates a queued job and places it on the pending list.
-// Caller holds s.mu and has already checked closed/queue-depth.
-func (s *Scheduler) enqueueLocked(id, name string, t Task) {
+// submit creates a queued job — under the next free ID when id is
+// empty — and places it on the pending list.
+func (s *Scheduler) submit(id, name string, t Task) (string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.closed:
+		return "", ErrClosed
+	case s.jobs[id] != nil:
+		return "", fmt.Errorf("scheduler: job %s already exists", id)
+	case len(s.pending) >= s.cfg.QueueDepth:
+		return "", ErrQueueFull
+	}
+	var n int
+	if id == "" {
+		s.nextID++
+		id = fmt.Sprintf("job-%d", s.nextID)
+	} else if _, err := fmt.Sscanf(id, "job-%d", &n); err == nil && n > s.nextID {
+		s.nextID = n
+	}
 	j := &job{
 		id:       id,
 		name:     name,
@@ -358,6 +297,8 @@ func (s *Scheduler) enqueueLocked(id, name string, t Task) {
 	s.order = append(s.order, id)
 	s.pending = append(s.pending, j)
 	s.cond.Signal()
+	s.met.enqueued()
+	return id, nil
 }
 
 // Status returns the snapshot of one job.
@@ -371,7 +312,8 @@ func (s *Scheduler) Status(id string) (Status, bool) {
 	return j.status(), true
 }
 
-// List returns snapshots of every retained job in submission order.
+// List returns snapshots of every job the scheduler still owns, in
+// submission order.
 func (s *Scheduler) List() []Status {
 	s.mu.Lock()
 	js := make([]*job, 0, len(s.order))
@@ -388,8 +330,9 @@ func (s *Scheduler) List() []Status {
 
 // Cancel requests cancellation of a job. A queued job is finished as
 // Canceled immediately; a running job has its context canceled and
-// finishes once in-flight experiments drain. Canceling a terminal job
-// is a no-op. The returned snapshot reflects the post-cancel state.
+// finishes once in-flight experiments drain. The returned snapshot
+// reflects the post-cancel state; the second result is false for jobs
+// the scheduler does not own — unknown ones, and finished ones.
 func (s *Scheduler) Cancel(id string) (Status, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -425,7 +368,9 @@ func (s *Scheduler) Cancel(id string) (Status, bool) {
 }
 
 // Wait blocks until the job reaches a terminal state and returns its
-// final snapshot. The second result is false for unknown job IDs.
+// final snapshot. The second result is false for jobs the scheduler
+// does not own: unknown ones, and ones that finished before the call —
+// those are OnFinish's receiver's to answer for.
 func (s *Scheduler) Wait(id string) (Status, bool) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
@@ -509,26 +454,7 @@ func (s *Scheduler) runJob(j *job) {
 	j.mu.Unlock()
 	s.met.started()
 
-	// Retry loop: a task failure marked retryable (MarkRetryable) is
-	// re-run up to MaxRetries extra times with exponential backoff and
-	// jitter. Cancellation always wins; progress counters carry over
-	// monotonically across attempts.
-	var result any
-	var err error
-	for attempt := 0; ; attempt++ {
-		j.mu.Lock()
-		j.attempts = attempt + 1
-		j.mu.Unlock()
-		result, err = task(ctx, j.report)
-		if err == nil || !Retryable(err) || attempt >= s.cfg.MaxRetries {
-			break
-		}
-		s.met.retried()
-		if !backoff.Sleep(ctx, attempt, s.cfg.RetryBackoff, 30*time.Second, 0.2, nil) {
-			err = context.Canceled
-			break
-		}
-	}
+	err := task(ctx, j.report)
 
 	j.mu.Lock()
 	if j.prog.Phase != "" {
@@ -536,13 +462,12 @@ func (s *Scheduler) runJob(j *job) {
 		j.met.phase(j.prog.Phase, time.Since(j.phaseStart))
 	}
 	j.finished = time.Now()
-	// Retained for polling from here on: release what only a running job
-	// needs (the task closure pins the whole campaign).
+	// A Wait caller may hold the job past this point: release what only
+	// a running job needs (the task closure pins the whole campaign).
 	j.cancel, j.task = nil, nil
 	switch {
 	case err == nil:
 		j.state = Done
-		j.result = result
 	case errors.Is(err, context.Canceled):
 		j.state = Canceled
 		j.err = context.Canceled
@@ -592,109 +517,28 @@ func (s *Scheduler) RetryAfterEstimate() (time.Duration, bool) {
 	return mean * time.Duration(waiting) / time.Duration(s.cfg.Workers), true
 }
 
-// finished runs the terminal-state bookkeeping for a job: metrics,
-// retention eviction, then the OnFinish journal hook (outside all
-// locks).
+// finished hands a terminal job over: metrics, then the OnFinish
+// journal hook (outside all locks), and only once that has returned —
+// the job's line is durable — does the scheduler forget the job.
 func (s *Scheduler) finished(j *job) {
-	s.met.terminal(j.status())
-	s.evict()
+	st := j.status()
+	s.met.terminal(st)
 	if s.cfg.OnFinish != nil {
-		s.cfg.OnFinish(j.status())
+		s.cfg.OnFinish(st)
 	}
-}
-
-// Restore seeds the job store with terminal jobs from a previous
-// process (journaled through OnFinish and reloaded at startup): they
-// become visible to Status/List/Wait as finished history, and the ID
-// counter advances past them so new jobs never collide. Non-terminal
-// snapshots and duplicates are skipped, the oldest beyond Retain evicted.
-func (s *Scheduler) Restore(sts []Status) {
-	defer s.evict() // after the unlock below
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, st := range sts {
-		if st.ID == "" || !st.State.Terminal() {
-			continue
-		}
-		if _, exists := s.jobs[st.ID]; exists {
-			continue
-		}
-		j := &job{
-			id:       st.ID,
-			name:     st.Name,
-			state:    st.State,
-			prog:     st.Progress,
-			attempts: st.Attempts,
-			result:   st.Result,
-			enqueued: msTime(st.EnqueuedMS),
-			started:  msTime(st.StartedMS),
-			finished: msTime(st.FinishedMS),
-			phaseMS:  make(map[string]int64, len(st.PhaseMillis)),
-			done:     make(chan struct{}),
-		}
-		for k, v := range st.PhaseMillis {
-			j.phaseMS[k] = v
-		}
-		if st.Error != "" {
-			j.err = errors.New(st.Error)
-		}
-		close(j.done)
-		s.jobs[j.id] = j
-		s.order = append(s.order, j.id)
-		var n int
-		if _, err := fmt.Sscanf(st.ID, "job-%d", &n); err == nil && n > s.nextID {
-			s.nextID = n
-		}
-	}
+	delete(s.jobs, j.id)
+	s.order = slices.DeleteFunc(s.order, func(id string) bool { return id == j.id })
+	s.mu.Unlock()
 }
 
-// AdvanceIDs bumps the job ID counter to at least n, so IDs derived
-// from job numbers by the API layer (campaign IDs) can never collide
-// with artifacts of a crashed process whose jobs were never journaled.
+// AdvanceIDs bumps the job ID counter to at least n, so Submit never
+// reuses a number a previous process gave out — to a job in the journal
+// or to a campaign on disk whose job was never journaled.
 func (s *Scheduler) AdvanceIDs(n int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if n > s.nextID {
 		s.nextID = n
 	}
-}
-
-func msTime(ms int64) time.Time {
-	if ms == 0 {
-		return time.Time{}
-	}
-	return time.UnixMilli(ms)
-}
-
-// evict drops the oldest terminal jobs beyond the retention limit.
-// Queued and running jobs are never evicted.
-func (s *Scheduler) evict() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	terminal := 0
-	for _, id := range s.order {
-		if st := s.jobState(id); st.Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= s.cfg.Retain {
-		return
-	}
-	keep := s.order[:0]
-	for _, id := range s.order {
-		if terminal > s.cfg.Retain && s.jobState(id).Terminal() {
-			delete(s.jobs, id)
-			terminal--
-			continue
-		}
-		keep = append(keep, id)
-	}
-	s.order = keep
-}
-
-func (s *Scheduler) jobState(id string) State {
-	j := s.jobs[id]
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
 }

@@ -2,6 +2,7 @@ package scheduler
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -10,36 +11,71 @@ import (
 	"time"
 )
 
+// outcomes collects what OnFinish is handed. A finished job is its
+// receiver's to answer for — the scheduler has forgotten it, and Wait
+// only serves callers that got there before the job ended.
+type outcomes struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+	got  map[string]Status
+}
+
+func newOutcomes() *outcomes {
+	o := &outcomes{got: map[string]Status{}}
+	o.cond = sync.NewCond(&o.mu)
+	return o
+}
+
+func (o *outcomes) hook(st Status) {
+	o.mu.Lock()
+	o.got[st.ID] = st
+	o.mu.Unlock()
+	o.cond.Broadcast()
+}
+
+// wait blocks until the job has been handed to OnFinish.
+func (o *outcomes) wait(id string) Status {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for {
+		if st, ok := o.got[id]; ok {
+			return st
+		}
+		o.cond.Wait()
+	}
+}
+
 // noop is a task that finishes immediately.
-func noop(ctx context.Context, report func(Progress)) (any, error) { return nil, nil }
+func noop(ctx context.Context, report func(Progress)) error { return nil }
 
 // gated builds a task that signals on started and blocks until release
 // is closed (or ctx is canceled, returning the ctx error).
 func gated(started chan<- string, release <-chan struct{}, name string) Task {
-	return func(ctx context.Context, report func(Progress)) (any, error) {
+	return func(ctx context.Context, report func(Progress)) error {
 		started <- name
 		select {
 		case <-release:
-			return name, nil
+			return nil
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 	}
 }
 
 func TestDrainOrderingSingleWorker(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 64})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, QueueDepth: 64, OnFinish: out.hook})
 	defer s.Close()
 	var mu sync.Mutex
 	var got []int
 	var ids []string
 	for i := 0; i < 20; i++ {
 		i := i
-		id, err := s.Submit(fmt.Sprintf("t%d", i), func(ctx context.Context, report func(Progress)) (any, error) {
+		id, err := s.Submit(fmt.Sprintf("t%d", i), func(ctx context.Context, report func(Progress)) error {
 			mu.Lock()
 			got = append(got, i)
 			mu.Unlock()
-			return nil, nil
+			return nil
 		})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
@@ -47,8 +83,7 @@ func TestDrainOrderingSingleWorker(t *testing.T) {
 		ids = append(ids, id)
 	}
 	for _, id := range ids {
-		st, ok := s.Wait(id)
-		if !ok || st.State != Done {
+		if st := out.wait(id); st.State != Done {
 			t.Fatalf("job %s: %+v", id, st)
 		}
 	}
@@ -60,7 +95,8 @@ func TestDrainOrderingSingleWorker(t *testing.T) {
 }
 
 func TestConcurrentSubmitAllComplete(t *testing.T) {
-	s := New(Config{Workers: 4, QueueDepth: 256})
+	out := newOutcomes()
+	s := New(Config{Workers: 4, QueueDepth: 256, OnFinish: out.hook})
 	defer s.Close()
 	const n = 64
 	var ran atomic.Int64
@@ -70,9 +106,9 @@ func TestConcurrentSubmitAllComplete(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			id, err := s.Submit("c", func(ctx context.Context, report func(Progress)) (any, error) {
+			id, err := s.Submit("c", func(ctx context.Context, report func(Progress)) error {
 				ran.Add(1)
-				return nil, nil
+				return nil
 			})
 			if err != nil {
 				t.Errorf("submit: %v", err)
@@ -89,7 +125,7 @@ func TestConcurrentSubmitAllComplete(t *testing.T) {
 			t.Fatalf("duplicate job id %s", id)
 		}
 		seen[id] = true
-		if st, ok := s.Wait(id); !ok || st.State != Done {
+		if st := out.wait(id); st.State != Done {
 			t.Fatalf("job %s did not finish: %+v", id, st)
 		}
 	}
@@ -100,7 +136,8 @@ func TestConcurrentSubmitAllComplete(t *testing.T) {
 
 func TestWorkerPoolSizing(t *testing.T) {
 	const workers = 3
-	s := New(Config{Workers: workers, QueueDepth: 16})
+	out := newOutcomes()
+	s := New(Config{Workers: workers, QueueDepth: 16, OnFinish: out.hook})
 	defer s.Close()
 	started := make(chan string, 8)
 	release := make(chan struct{})
@@ -138,14 +175,15 @@ func TestWorkerPoolSizing(t *testing.T) {
 		<-started
 	}
 	for _, id := range ids {
-		if st, _ := s.Wait(id); st.State != Done {
+		if st := out.wait(id); st.State != Done {
 			t.Fatalf("job %s = %s, want done", id, st.State)
 		}
 	}
 }
 
 func TestCancelQueuedJob(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
 	defer s.Close()
 	started := make(chan string, 1)
 	release := make(chan struct{})
@@ -154,7 +192,11 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started // worker is now occupied
-	second, err := s.Submit("second", noop)
+	var secondRan atomic.Bool
+	second, err := s.Submit("second", func(context.Context, func(Progress)) error {
+		secondRan.Store(true)
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,18 +207,26 @@ func TestCancelQueuedJob(t *testing.T) {
 	if st.FinishedMS == 0 {
 		t.Error("canceled job has no finish time")
 	}
+	// Canceled while queued is terminal: journaled, then forgotten.
+	if st := out.wait(second); st.State != Canceled {
+		t.Fatalf("second job handed over as %s, want canceled", st.State)
+	}
+	if _, ok := s.Status(second); ok {
+		t.Error("scheduler still owns the canceled job")
+	}
 	close(release)
-	if st, _ := s.Wait(first); st.State != Done {
+	if st := out.wait(first); st.State != Done {
 		t.Fatalf("first job = %s, want done", st.State)
 	}
-	// The canceled job must stay canceled and never run.
-	if st, _ := s.Wait(second); st.State != Canceled {
-		t.Fatalf("second job = %s, want canceled", st.State)
+	s.Close() // drains the pool: had the canceled job stayed queued, it ran
+	if secondRan.Load() {
+		t.Error("canceled job ran")
 	}
 }
 
 func TestCancelRunningJob(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
 	defer s.Close()
 	started := make(chan string, 1)
 	release := make(chan struct{}) // never closed: only ctx can end the task
@@ -188,33 +238,134 @@ func TestCancelRunningJob(t *testing.T) {
 	if st, _ := s.Status(id); st.State != Running {
 		t.Fatalf("state = %s, want running", st.State)
 	}
-	if _, ok := s.Cancel(id); !ok {
-		t.Fatal("cancel: job not found")
+	go func() {
+		time.Sleep(20 * time.Millisecond) // let Wait block first
+		if _, ok := s.Cancel(id); !ok {
+			t.Error("cancel: job not found")
+		}
+	}()
+	// Wait answers while the scheduler owns the job; had the cancel won
+	// the race after all, the outcome is OnFinish's to give.
+	st, ok := s.Wait(id)
+	if !ok {
+		st = out.wait(id)
 	}
-	st, _ := s.Wait(id)
 	if st.State != Canceled {
 		t.Fatalf("state after cancel = %s, want canceled", st.State)
 	}
 	if st.Error != context.Canceled.Error() {
 		t.Fatalf("error = %q", st.Error)
 	}
-	// Canceling a terminal job is a harmless no-op.
-	if st, ok := s.Cancel(id); !ok || st.State != Canceled {
-		t.Fatalf("re-cancel = %+v", st)
+}
+
+// TestOwnershipEndsWhenOnFinishReturns: a terminal job stays visible —
+// Status, List, Wait, Cancel — exactly until the OnFinish hook (the
+// journal append) has returned, and is forgotten then. Whoever polls
+// scheduler-then-journal therefore never finds a job in neither.
+func TestOwnershipEndsWhenOnFinishReturns(t *testing.T) {
+	entered, leave := make(chan Status), make(chan struct{})
+	s := New(Config{Workers: 1, OnFinish: func(st Status) {
+		entered <- st
+		<-leave
+	}})
+	id, err := s.Submit("p", noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	handed := <-entered // the task returned; its journal line is "being written"
+	if handed.ID != id || handed.State != Done || handed.FinishedMS == 0 {
+		t.Fatalf("OnFinish got %+v", handed)
+	}
+	for name, get := range map[string]func(string) (Status, bool){
+		"Status": s.Status, "Wait": s.Wait, "Cancel": s.Cancel,
+	} {
+		if st, ok := get(id); !ok || st.State != Done {
+			t.Errorf("%s during OnFinish = %+v, %v; want the done job", name, st, ok)
+		}
+	}
+	if l := s.List(); len(l) != 1 || l[0].State != Done {
+		t.Errorf("List during OnFinish = %+v", l)
+	}
+	close(leave)
+	s.Close() // the worker has run finished() to its end
+	for name, get := range map[string]func(string) (Status, bool){
+		"Status": s.Status, "Wait": s.Wait, "Cancel": s.Cancel,
+	} {
+		if st, ok := get(id); ok {
+			t.Errorf("%s after OnFinish still answers: %+v", name, st)
+		}
+	}
+	if l := s.List(); len(l) != 0 {
+		t.Errorf("List after OnFinish = %+v", l)
+	}
+}
+
+// TestOnFinishObservesEveryTerminalJob covers the journal hook across
+// the terminal paths: completion, failure, cancellation while running
+// and while queued, and the queue drained at Close.
+func TestOnFinishObservesEveryTerminalJob(t *testing.T) {
+	out := newOutcomes()
+	s := New(Config{Workers: 1, OnFinish: out.hook})
+
+	okID, err := s.Submit("ok", noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failID, err := s.Submit("fail", func(context.Context, func(Progress)) error {
+		return errors.New("boom")
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out.wait(okID)
+	out.wait(failID)
+
+	started := make(chan string, 2)
+	release := make(chan struct{}) // never closed
+	blockID, err := s.Submit("block", gated(started, release, "block"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	// While the worker is blocked, a queued job canceled before running
+	// must also reach the hook — as must one still queued at Close.
+	queuedID, err := s.Submit("queued", noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drainedID, err := s.Submit("drained", noop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Cancel(queuedID)
+	s.Close() // cancels the running job too
+
+	want := map[string]State{okID: Done, failID: Failed, queuedID: Canceled, drainedID: Canceled, blockID: Canceled}
+	for id, state := range want {
+		if st := out.wait(id); st.State != state {
+			t.Errorf("job %s handed over as %q, want %q", id, st.State, state)
+		}
+	}
+	if st := out.wait(failID); st.Error != "boom" {
+		t.Errorf("failed job's error = %q", st.Error)
+	}
+	if l := s.List(); len(l) != 0 {
+		t.Errorf("scheduler still owns %+v", l)
 	}
 }
 
 func TestProgressMonotonicAndPhaseTimings(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
 	defer s.Close()
 	steps := make(chan Progress)
 	reported := make(chan struct{})
-	id, err := s.Submit("prog", func(ctx context.Context, report func(Progress)) (any, error) {
+	id, err := s.Submit("prog", func(ctx context.Context, report func(Progress)) error {
 		for p := range steps {
 			report(p)
 			reported <- struct{}{}
 		}
-		return nil, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -239,7 +390,7 @@ func TestProgressMonotonicAndPhaseTimings(t *testing.T) {
 	check(Progress{Phase: "execute", Done: 7, Total: 40}, 7, 40)
 	check(Progress{Phase: "analyze", Done: 40, Total: 40}, 40, 40)
 	close(steps)
-	st, _ := s.Wait(id)
+	st := out.wait(id)
 	if st.State != Done {
 		t.Fatalf("state = %s", st.State)
 	}
@@ -295,32 +446,9 @@ func TestCancelQueuedFreesQueueSlot(t *testing.T) {
 	}
 }
 
-func TestRetentionEvictsOldestFinished(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 16, Retain: 2})
-	defer s.Close()
-	var ids []string
-	for i := 0; i < 5; i++ {
-		id, err := s.Submit(fmt.Sprintf("r%d", i), noop)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-		s.Wait(id)
-	}
-	list := s.List()
-	if len(list) != 2 {
-		t.Fatalf("retained %d jobs, want 2: %+v", len(list), list)
-	}
-	if list[0].ID != ids[3] || list[1].ID != ids[4] {
-		t.Fatalf("retained %s,%s; want newest %s,%s", list[0].ID, list[1].ID, ids[3], ids[4])
-	}
-	if _, ok := s.Status(ids[0]); ok {
-		t.Error("evicted job still visible")
-	}
-}
-
 func TestCloseCancelsAndRejects(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
 	started := make(chan string, 1)
 	release := make(chan struct{}) // never closed
 	running, err := s.Submit("running", gated(started, release, "running"))
@@ -329,18 +457,18 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	}
 	<-started
 	var queuedRan atomic.Bool
-	queued, err := s.Submit("queued", func(ctx context.Context, report func(Progress)) (any, error) {
+	queued, err := s.Submit("queued", func(ctx context.Context, report func(Progress)) error {
 		queuedRan.Store(true)
-		return nil, ctx.Err()
+		return ctx.Err()
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	if st, _ := s.Status(running); st.State != Canceled {
+	if st := out.wait(running); st.State != Canceled {
 		t.Fatalf("running job after Close = %s, want canceled", st.State)
 	}
-	if st, _ := s.Status(queued); st.State != Canceled {
+	if st := out.wait(queued); st.State != Canceled {
 		t.Fatalf("queued job after Close = %s, want canceled", st.State)
 	}
 	// Close must not waste work running queued tasks against a dead
@@ -368,18 +496,13 @@ func TestUnknownJobID(t *testing.T) {
 	}
 }
 
-func TestFailedTaskReportsError(t *testing.T) {
+func TestAdvanceIDsSkipsNumbersAlreadyGivenOut(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Close()
-	id, err := s.Submit("boom", func(ctx context.Context, report func(Progress)) (any, error) {
-		return nil, fmt.Errorf("scan: bad DSL")
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ := s.Wait(id)
-	if st.State != Failed || st.Error != "scan: bad DSL" {
-		t.Fatalf("status = %+v", st)
+	s.AdvanceIDs(7)
+	s.AdvanceIDs(3) // never backwards
+	if id, err := s.Submit("new", noop); err != nil || id != "job-8" {
+		t.Fatalf("submit after AdvanceIDs(7) = %s, %v; want job-8", id, err)
 	}
 }
 
@@ -425,16 +548,17 @@ func TestRetryAfterEstimate(t *testing.T) {
 }
 
 func TestFinishedJobFeedsRetryEstimate(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 4})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, QueueDepth: 4, OnFinish: out.hook})
 	defer s.Close()
-	id, err := s.Submit("slow", func(ctx context.Context, report func(Progress)) (any, error) {
+	id, err := s.Submit("slow", func(ctx context.Context, report func(Progress)) error {
 		time.Sleep(5 * time.Millisecond)
-		return nil, nil
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Wait(id)
+	out.wait(id)
 	est, ok := s.RetryAfterEstimate()
 	if !ok {
 		t.Fatal("no estimate after a job finished")
@@ -444,21 +568,22 @@ func TestFinishedJobFeedsRetryEstimate(t *testing.T) {
 	}
 }
 
-// TestTerminalJobReleasesTask: a finished job stays retained for
-// polling, but what only a running job needs must go — the task closure
-// captures the whole campaign (project files included). Ran, canceled
-// while queued, and drained at Close are the three ways a job ends.
+// TestTerminalJobReleasesTask: a Wait caller may hold a finished job,
+// but what only a running job needs must go — the task closure captures
+// the whole campaign (project files included). Ran, canceled while
+// queued, and drained at Close are the three ways a job ends.
 func TestTerminalJobReleasesTask(t *testing.T) {
-	s := New(Config{Workers: 1})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, OnFinish: out.hook})
 	collected := make(chan string, 3)
 	// submit captures a payload with a finalizer in the task closure and
 	// drops every other reference to it.
 	submit := func(name string, task func(ctx context.Context) error) string {
 		payload := &[1 << 16]byte{}
 		runtime.SetFinalizer(payload, func(*[1 << 16]byte) { collected <- name })
-		id, err := s.Submit(name, func(ctx context.Context, report func(Progress)) (any, error) {
+		id, err := s.Submit(name, func(ctx context.Context, report func(Progress)) error {
 			payload[0]++
-			return nil, task(ctx)
+			return task(ctx)
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -481,9 +606,7 @@ func TestTerminalJobReleasesTask(t *testing.T) {
 	// the running one, which the test lets finish.
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
-	for st, _ := s.Status(drained); st.State != Canceled; st, _ = s.Status(drained) {
-		time.Sleep(time.Millisecond)
-	}
+	out.wait(drained)
 	close(release)
 	<-closed
 
@@ -500,10 +623,9 @@ func TestTerminalJobReleasesTask(t *testing.T) {
 	if len(got) != 3 {
 		t.Errorf("terminal jobs still pin their task: only %v collected", got)
 	}
-	// ...while the jobs themselves still answer.
 	for id, want := range map[string]State{ran: Done, canceled: Canceled, drained: Canceled} {
-		if st, ok := s.Status(id); !ok || st.State != want {
-			t.Errorf("job %s after release: %+v, want %s", id, st, want)
+		if st := out.wait(id); st.State != want {
+			t.Errorf("job %s ended %s, want %s", id, st.State, want)
 		}
 	}
 }

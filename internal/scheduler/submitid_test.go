@@ -5,13 +5,13 @@ import (
 )
 
 func TestSubmitIDRunsUnderChosenID(t *testing.T) {
-	s := New(Config{Workers: 1, QueueDepth: 8})
+	out := newOutcomes()
+	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
 	defer s.Close()
 	if err := s.SubmitID("job-7", "recovered", noop); err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s.Wait("job-7")
-	if !ok || st.State != Done || st.Name != "recovered" {
+	if st := out.wait("job-7"); st.State != Done || st.Name != "recovered" {
 		t.Fatalf("recovered job = %+v", st)
 	}
 	// The ID counter advanced past the recovered job: the next Submit
@@ -31,18 +31,22 @@ func TestSubmitIDRejectsBadIDs(t *testing.T) {
 	if err := s.SubmitID("", "x", noop); err == nil {
 		t.Fatal("empty ID accepted")
 	}
-	if err := s.SubmitID("job-3", "x", noop); err != nil {
+	started := make(chan string, 1)
+	release := make(chan struct{})
+	defer close(release)
+	if err := s.SubmitID("job-3", "x", gated(started, release, "x")); err != nil {
 		t.Fatal(err)
 	}
+	<-started
 	if err := s.SubmitID("job-3", "x", noop); err == nil {
-		t.Fatal("duplicate ID accepted")
+		t.Fatal("ID of a live job accepted")
 	}
 	// Non-numeric IDs work too; they just don't advance the counter.
 	if err := s.SubmitID("weird-id", "x", noop); err != nil {
 		t.Fatal(err)
 	}
-	if st, ok := s.Wait("weird-id"); !ok || st.State != Done {
-		t.Fatalf("weird-id = %+v", st)
+	if _, ok := s.Status("weird-id"); !ok {
+		t.Fatal("weird-id not queued")
 	}
 }
 

@@ -169,35 +169,6 @@ func BenchmarkAggregatorAdd(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(recs)), "ns/record")
 }
 
-// BenchmarkAggregatorMerge measures shard-merge cost.
-func BenchmarkAggregatorMerge(b *testing.B) {
-	recs := loadGoldenRecords(b, "campaign-r")
-	cfg := kvclient.AnalysisConfig()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		const shards = 8
-		root, err := analysis.NewAggregator(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for s := 0; s < shards; s++ {
-			agg, err := analysis.NewAggregator(cfg)
-			if err != nil {
-				b.Fatal(err)
-			}
-			lo, hi := executor.Shard(len(recs), shards, s)
-			for _, rec := range recs[lo:hi] {
-				agg.Add(rec)
-			}
-			root.Merge(agg)
-		}
-		if root.Report().Total != len(recs) {
-			b.Fatal("bad merge")
-		}
-	}
-}
-
 // pipelineBenchResult is one row of BENCH_pipeline.json.
 type pipelineBenchResult struct {
 	Name        string  `json:"name"`
