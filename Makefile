@@ -26,16 +26,18 @@ cover:
 	$(GO) tool cover -func=coverage.out | tail -1
 
 # Short fuzz runs over the DSL compiler, the pattern matcher, the
-# scanner's index (indexed scan vs MatchPrefix at every start) and the
+# scanner's index (indexed scan vs MatchPrefix at every start), the
 # oracle-equivalence interpreter target (compiled path vs the tree-walk
 # reference; the seed corpora live under the packages' testdata/fuzz/
-# directories).
+# directories) and the fleet's record-stream decoder (arbitrary
+# records/complete bodies against a live coordinator).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/dsl/
 	$(GO) test -run '^$$' -fuzz FuzzMatchPrefix -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz FuzzScanAgreesWithMatchPrefix -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime $(FUZZTIME) ./internal/interp/
+	$(GO) test -run '^$$' -fuzz FuzzRecordsBody -fuzztime $(FUZZTIME) ./internal/fleet/
 
 # Regenerate the golden campaign-record fixtures (testdata/golden/)
 # after an intentional behavior change; review the diff before commit.
@@ -51,10 +53,11 @@ loc:
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # loc's total may not exceed the budget: the figure the last
-# simplification PR left (PR 19). A PR that needs more lines raises the
+# simplification PR left (PR 19: 22 872) plus what PR 20's fleet hot
+# path measured (+449). A PR that needs more lines raises the
 # constant in the same diff, where a reviewer sees it; CI runs this
 # instead of loc, so the size cannot silently grow back.
-LOC_BUDGET := 22872
+LOC_BUDGET := 23321
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \

@@ -42,7 +42,7 @@ func run(ctx context.Context, args []string) error {
 	name := fs.String("name", "", "worker name shown in the fleet listing (default: hostname)")
 	parallel := fs.Int("parallel", 2, "concurrent experiments per shard")
 	batch := fs.Int("batch", 8, "records per ingest batch")
-	poll := fs.Duration("poll", 0, "lease poll interval override (0 = control plane's suggestion)")
+	poll := fs.Duration("poll", 0, "how long the control plane may hold an idle lease request (0 = its own suggestion)")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
 	logJSON := fs.Bool("log-json", false, "emit logs as JSON instead of text")
 	if err := fs.Parse(args); err != nil {

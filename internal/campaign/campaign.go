@@ -99,6 +99,12 @@ type Campaign struct {
 	// default Local executor; caller-supplied executors carry their own
 	// registry reference.
 	Metrics *obs.Registry
+	// Prepared, when set, is where the scan and compile phases look the
+	// project up before parsing and compiling it, and leave it for the
+	// next campaign over the same files. The process that runs many
+	// campaigns (a fleet worker, the SaaS server) owns one set and wires
+	// it here; nil prepares the project for this campaign alone.
+	Prepared *PreparedSet
 }
 
 // Phase names reported through OnProgress, in workflow order.
@@ -194,12 +200,6 @@ func (c *Campaign) RunContext(ctx context.Context) (*Result, error) {
 }
 
 func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, error) {
-	if len(c.Files) == 0 {
-		return nil, fmt.Errorf("campaign %s: no target files", c.Name)
-	}
-	if c.Runtime == nil {
-		return nil, fmt.Errorf("campaign %s: no runtime", c.Name)
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
 	}
@@ -219,32 +219,30 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	}
 
 	// --- Scan phase ---
-	// The parse cache is the campaign's shared front-end: every file is
-	// parsed once here and the same parses serve the coverage
-	// instrumentation and every experiment's mutation below.
+	// The project's parse cache is the campaign's shared front-end:
+	// every file is parsed once (in this campaign, or in an earlier one
+	// that left the project in c.Prepared) and the same parses serve the
+	// coverage instrumentation and every experiment's mutation below.
 	c.progress(PhaseScan, 0, 0)
 	scanStart := time.Now()
-	cache := scanner.NewProjectCache(c.scanSubset())
-	pl, err := plan.BuildFromCache(cache, c.Faultload)
+	proj, pl, err := c.scan()
 	if err != nil {
-		return nil, fmt.Errorf("campaign %s: scan: %w", c.Name, err)
+		return nil, err
 	}
-	if c.SampleN > 0 {
-		pl = pl.Sample(c.SampleN, c.Seed)
-	}
+	cache := proj.cache
 	res := &Result{Plan: pl, ScanTime: time.Since(scanStart)}
 	phaseSpan("scan", scanStart)
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
 	}
 
-	// Compile the unmutated base files once for the whole campaign
-	// (reusing the scan-phase parses); every round of every experiment
-	// then runs compiled code, and each experiment recompiles only its
-	// single mutated file.
+	// Compile the unmutated base files once per project (reusing the
+	// scan-phase parses); every round of every experiment then runs
+	// compiled code, and each experiment recompiles only its single
+	// mutated declaration.
 	compileStart := time.Now()
 	wcfg := c.Workload
-	if wcfg.Program, err = c.compileBase(cache); err != nil {
+	if wcfg.Program, _, err = c.baseProgram(proj, met); err != nil {
 		return nil, err
 	}
 	phaseSpan("compile", compileStart)
@@ -422,6 +420,26 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	phaseSpan("aggregate", aggStart)
 	res.Phases = spans.Spans()
 	return res, nil
+}
+
+// scan is the scan phase: the project's parses (borrowed or fresh) and
+// the faultload's plan over them, deterministically sampled.
+func (c *Campaign) scan() (*Prepared, *plan.Plan, error) {
+	if len(c.Files) == 0 {
+		return nil, nil, fmt.Errorf("campaign %s: no target files", c.Name)
+	}
+	if c.Runtime == nil {
+		return nil, nil, fmt.Errorf("campaign %s: no runtime", c.Name)
+	}
+	proj := c.project()
+	pl, err := plan.BuildFromCache(proj.cache, c.Faultload)
+	if err != nil {
+		return nil, nil, fmt.Errorf("campaign %s: scan: %w", c.Name, err)
+	}
+	if c.SampleN > 0 {
+		pl = pl.Sample(c.SampleN, c.Seed)
+	}
+	return proj, pl, nil
 }
 
 // compileBase builds the campaign's compiled base program from the

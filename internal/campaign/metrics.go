@@ -15,6 +15,7 @@ type cmetrics struct {
 	phaseDur    *obs.HistogramVec
 	compiles    *obs.CounterVec // path = decl | file (by reason)
 	forkEvents  *obs.CounterVec // event = snapshot | short_site | hit | miss (by reason) | build_failed
+	prepares    *obs.CounterVec // result = hit | miss | too_large
 }
 
 // phaseBuckets cover millisecond scan phases through minute-scale
@@ -37,6 +38,14 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 			"Per-experiment program derivations in this process: one declaration compiled (path=decl), or the whole mutated file recompiled (path=file) because no declaration was given (no_decl), it names no single function (rename), the text changed outside one function (cross_decl), it declares a new top-level name (new_name) or the declaration does not parse (parse_error).", "path", "reason"),
 		forkEvents: reg.CounterVec("profipy_campaign_fork_events_total",
 			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason), prefix builds that failed and left every experiment running in full (build_failed).", "event", "reason"),
+		prepares: reg.CounterVec("profipy_campaign_prepared_total",
+			"Campaigns by how they came by their parsed and compiled project in this process's prepared set: borrowed (hit), prepared and retained (miss), prepared but over the set's byte bound and not retained (too_large).", "result"),
+	}
+}
+
+func (m *cmetrics) prepared(result string) {
+	if m != nil {
+		m.prepares.With(result).Inc()
 	}
 }
 

@@ -2,7 +2,6 @@ package campaign
 
 import (
 	"errors"
-	"fmt"
 	"log/slog"
 	"sync"
 	"sync/atomic"
@@ -53,6 +52,9 @@ type Runner struct {
 	models   map[string]*pattern.MetaModel
 	rtFaults map[string]*runtimefault.Fault
 
+	// prepared is how NewRunner came by the project (PreparedHit, …).
+	prepared string
+
 	mutated  atomic.Int64
 	injected atomic.Int64
 
@@ -75,35 +77,24 @@ type Runner struct {
 // its Runner through the same code path, so a worker-side Runner is the
 // control-plane Runner by construction.
 func NewRunner(c *Campaign, covered map[string]bool) (*Runner, error) {
-	if len(c.Files) == 0 {
-		return nil, fmt.Errorf("campaign %s: no target files", c.Name)
-	}
-	if c.Runtime == nil {
-		return nil, fmt.Errorf("campaign %s: no runtime", c.Name)
-	}
-	cache := scanner.NewProjectCache(c.scanSubset())
-	pl, err := plan.BuildFromCache(cache, c.Faultload)
+	proj, pl, err := c.scan()
 	if err != nil {
-		return nil, fmt.Errorf("campaign %s: scan: %w", c.Name, err)
+		return nil, err
 	}
-	if c.SampleN > 0 {
-		pl = pl.Sample(c.SampleN, c.Seed)
-	}
-	return c.prepareRunner(cache, pl, covered)
-}
-
-// prepareRunner compiles the base program and builds the Runner from an
-// already-scanned plan.
-func (c *Campaign) prepareRunner(cache *scanner.ProjectCache, pl *plan.Plan, covered map[string]bool) (*Runner, error) {
 	wcfg := c.Workload
-	var err error
-	if wcfg.Program, err = c.compileBase(cache); err != nil {
+	var prepared string
+	if wcfg.Program, prepared, err = c.baseProgram(proj, newMetrics(c.Metrics)); err != nil {
 		return nil, err
 	}
 	if wcfg.Metrics == nil {
 		wcfg.Metrics = c.Metrics
 	}
-	return c.buildRunner(cache, pl, covered, wcfg)
+	r, err := c.buildRunner(proj.cache, pl, covered, wcfg)
+	if err != nil {
+		return nil, err
+	}
+	r.prepared = prepared
+	return r, nil
 }
 
 // buildRunner assembles a Runner around an already-prepared workload
@@ -131,6 +122,11 @@ func (r *Runner) Len() int { return len(r.points) }
 // Points returns the experiments' injection points in plan order.
 // Callers must not mutate the slice.
 func (r *Runner) Points() []scanner.InjectionPoint { return r.points }
+
+// Prepared reports how NewRunner came by the parsed and compiled
+// project: PreparedHit, PreparedMiss or PreparedTooLarge against the
+// campaign's PreparedSet, "" without one.
+func (r *Runner) Prepared() string { return r.prepared }
 
 // Counts reports how many experiments ran the compile-time mutation
 // path and the runtime injection path so far.

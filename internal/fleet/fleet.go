@@ -8,18 +8,30 @@
 // facade (handlers.go). executor.Remote drives it in-process: it opens
 // a Job per campaign, drains the job's delivery channel as the single
 // record producer for the campaign sink, and claims shards back for
-// local execution when no workers are alive. Failure handling is
+// local execution when no workers are alive. An idle worker's lease
+// request parks on the coordinator's wake channel, so a shard that
+// becomes pending is granted within microseconds, not after a poll
+// interval; a busy worker gets its next lease in the answer to the
+// completion that carried its last records. Failure handling is
 // lease-based: a worker that dies mid-shard simply stops renewing its
 // lease; Sweep expires the lease, returns the shard to the pending
-// queue and the next lease poll (or the local fallback) re-runs it.
+// queue and wakes the parked requests (or the local fallback re-runs
+// it). A worker that asks for work while a shard is still leased to it
+// has lost that shard some other way (a grant whose response never
+// arrived, a Runner it could not build) and gets it back at once.
 // Per-index deduplication makes the re-run safe — experiment seeds
 // derive from plan indices, so a re-executed index reproduces the exact
 // record bytes the dead worker would have shipped.
 package fleet
 
 import (
+	"context"
+	"crypto/rand"
+	"encoding/hex"
+	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -37,8 +49,8 @@ type Config struct {
 	// Heartbeat is the cadence workers are told to heartbeat at;
 	// 0 selects LeaseTTL/3.
 	Heartbeat time.Duration
-	// Poll is the lease-poll interval suggested to idle workers;
-	// 0 selects 500ms.
+	// Poll is how long idle workers are told to let one lease request
+	// wait for work before asking again; 0 selects 500ms.
 	Poll time.Duration
 	// Reg, when set, instruments the fleet.
 	Reg *obs.Registry
@@ -56,11 +68,25 @@ type Coordinator struct {
 	workers map[string]*workerState
 	jobs    map[string]*Job
 	order   []string // job campaign IDs in insertion order
+	// epoch marks this coordinator's worker IDs. A worker asking for
+	// work under an ID proves that ID holds no shard, so no ID may be
+	// valid again after a restart, when another worker could be given it.
+	epoch   string
 	nextID  int
 	nextTok int
+	// wake is closed and replaced whenever a shard becomes pending;
+	// parked lease requests wait on the value they read under mu.
+	wake chan struct{}
+	// done is closed by Close: parked lease requests return empty.
+	done     chan struct{}
+	doneOnce sync.Once
 
 	met *fmetrics
 }
+
+// ErrUnknownWorker is Lease's answer to a worker ID the coordinator
+// never issued (a worker registered before a restart): re-register.
+var ErrUnknownWorker = errors.New("fleet: unknown worker")
 
 type workerState struct {
 	id       string
@@ -83,6 +109,7 @@ type shardState struct {
 	worker     string
 	token      string
 	expires    time.Time
+	leasedAt   time.Time
 	dispatches int
 }
 
@@ -127,13 +154,32 @@ func New(cfg Config) *Coordinator {
 	if cfg.Log == nil {
 		cfg.Log = slog.Default()
 	}
+	var nonce [3]byte
+	_, _ = rand.Read(nonce[:]) // crypto/rand does not fail
 	c := &Coordinator{
 		cfg:     cfg,
+		epoch:   hex.EncodeToString(nonce[:]),
 		workers: map[string]*workerState{},
 		jobs:    map[string]*Job{},
+		wake:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
 	c.met = newMetrics(cfg.Reg, c)
 	return c
+}
+
+// Close releases every parked lease request (each answers "no work")
+// and makes later ones return without waiting, so an HTTP server
+// draining its connections never waits out a poll. State and the other
+// calls are unaffected.
+func (c *Coordinator) Close() {
+	c.doneOnce.Do(func() { close(c.done) })
+}
+
+// wakeLocked releases the parked lease requests to look again.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // LeaseTTL reports the configured lease TTL.
@@ -144,7 +190,7 @@ func (c *Coordinator) RegisterWorker(req remote.RegisterRequest) remote.Register
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.nextID++
-	id := fmt.Sprintf("w%04d", c.nextID)
+	id := fmt.Sprintf("w%04d-%s", c.nextID, c.epoch)
 	c.workers[id] = &workerState{
 		id: id, name: req.Name, parallel: req.Parallel, lastSeen: c.cfg.now(),
 	}
@@ -181,19 +227,49 @@ func (c *Coordinator) Heartbeat(workerID string) bool {
 	return true
 }
 
-// Lease grants the oldest pending shard to the worker, or returns false
-// when no shard is pending. Sweeps expired leases first, so a freshly
-// orphaned shard is immediately re-dispatchable.
-func (c *Coordinator) Lease(workerID string) (remote.Lease, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.workers[workerID]
-	if !ok {
-		return remote.Lease{}, false
+// Lease grants the oldest pending shard to the worker. With none
+// pending it parks for at most wait (capped at the heartbeat interval)
+// and grants the moment StartJob, a lease expiry or a release makes one
+// pending; it returns empty-handed at the deadline, when ctx is done or
+// when the coordinator closes.
+func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Duration) (remote.Lease, bool, error) {
+	timer := time.NewTimer(min(wait, c.cfg.Heartbeat))
+	defer timer.Stop()
+	start, result := time.Now(), "granted"
+	for {
+		c.mu.Lock()
+		w, ok := c.workers[workerID]
+		if !ok {
+			c.mu.Unlock()
+			return remote.Lease{}, false, ErrUnknownWorker
+		}
+		lease, granted := c.grantLocked(w)
+		wake := c.wake
+		c.mu.Unlock()
+		if granted {
+			c.met.leaseRequest(result, time.Since(start))
+			return lease, true, nil
+		}
+		result = "woken"
+		select {
+		case <-wake:
+			continue
+		case <-timer.C:
+		case <-ctx.Done():
+		case <-c.done:
+		}
+		c.met.leaseRequest("empty", time.Since(start))
+		return remote.Lease{}, false, nil
 	}
+}
+
+// grantLocked leases the oldest pending shard to w, after returning to
+// pending what lapsed and what w itself still holds: a worker runs one
+// shard at a time, so its asking for work proves it holds nothing.
+func (c *Coordinator) grantLocked(w *workerState) (remote.Lease, bool) {
 	now := c.cfg.now()
 	w.lastSeen = now
-	c.sweepLocked(now)
+	c.sweepLocked(now, w.id)
 	for _, camp := range c.order {
 		job := c.jobs[camp]
 		for i := range job.shards {
@@ -203,15 +279,16 @@ func (c *Coordinator) Lease(workerID string) (remote.Lease, bool) {
 			}
 			c.nextTok++
 			sh.state = shardLeased
-			sh.worker = workerID
+			sh.worker = w.id
 			sh.token = fmt.Sprintf("t%06d", c.nextTok)
 			sh.expires = now.Add(c.cfg.LeaseTTL)
+			sh.leasedAt = now
 			sh.dispatches++
 			w.leases++
 			if sh.dispatches > 1 {
 				c.met.redispatch()
 				c.cfg.Log.Warn("fleet: shard re-dispatched",
-					"campaign", camp, "shard", i, "worker", workerID, "dispatch", sh.dispatches)
+					"campaign", camp, "shard", i, "worker", w.id, "dispatch", sh.dispatches)
 			}
 			return remote.Lease{
 				Campaign: camp, Shard: i, Lo: sh.lo, Hi: sh.hi,
@@ -223,15 +300,21 @@ func (c *Coordinator) Lease(workerID string) (remote.Lease, bool) {
 	return remote.Lease{}, false
 }
 
-// Spec returns the campaign spec a worker rebuilds its Runner from.
-func (c *Coordinator) Spec(campaign string) (remote.CampaignSpec, bool) {
+// Spec returns the campaign spec a worker rebuilds its Runner from —
+// without the files when the worker names the spec's project among the
+// digests it already holds.
+func (c *Coordinator) Spec(campaign string, have []string) (remote.CampaignSpec, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	job, ok := c.jobs[campaign]
 	if !ok {
 		return remote.CampaignSpec{}, false
 	}
-	return job.spec, true
+	spec := job.spec
+	if spec.ProjectDigest != "" && slices.Contains(have, spec.ProjectDigest) {
+		spec.Files = nil
+	}
+	return spec, true
 }
 
 // checkToken validates a (campaign, shard, token) triple against the
@@ -267,6 +350,11 @@ func (c *Coordinator) Ingest(campaign string, shard int, token string, lines []r
 		c.met.staleBatch(len(lines))
 		return false
 	}
+	c.deliver(job, lines, start)
+	return true
+}
+
+func (c *Coordinator) deliver(job *Job, lines []remote.RecordLine, start time.Time) {
 	fresh := 0
 	for _, ln := range lines {
 		if job.deliver(ln.Idx, ln.Kind, ln.Fork, ln.Rec) {
@@ -274,54 +362,81 @@ func (c *Coordinator) Ingest(campaign string, shard int, token string, lines []r
 		}
 	}
 	c.met.ingest(fresh, len(lines)-fresh, c.cfg.now().Sub(start))
-	return true
 }
 
-// Complete marks a shard fully executed. Stale tokens return false.
-func (c *Coordinator) Complete(campaign string, shard int, token string) bool {
+// Complete ingests the shard's last records, marks it fully executed
+// and leases the worker its next shard if one is pending. All three
+// happen in one critical section: the campaign cannot close between
+// the records that finish it and the completion that reports them, and
+// a worker with work waiting never polls for it. Stale tokens return
+// ok=false and drop the records.
+func (c *Coordinator) Complete(campaign string, shard int, token string, tail []remote.RecordLine) (next remote.Lease, granted, ok bool) {
+	start := c.cfg.now()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	job, ok := c.checkToken(campaign, shard, token)
 	if !ok {
-		return false
+		c.met.staleBatch(len(tail))
+		return remote.Lease{}, false, false
+	}
+	if len(tail) > 0 {
+		c.deliver(job, tail, start)
 	}
 	sh := &job.shards[shard]
-	sh.state = shardDone
-	sh.token = ""
-	if w, ok := c.workers[sh.worker]; ok && w.leases > 0 {
+	c.met.shardDone(start.Sub(sh.leasedAt))
+	holder := c.workers[sh.worker]
+	c.releaseLocked(sh, shardDone)
+	next, granted = c.grantLocked(holder)
+	return next, granted, true
+}
+
+// releaseLocked ends a shard's lease, if it has one, and leaves the
+// shard in the given state.
+func (c *Coordinator) releaseLocked(sh *shardState, state int) {
+	if w := c.workers[sh.worker]; sh.state == shardLeased && w.leases > 0 {
 		w.leases--
 	}
-	return true
+	sh.state, sh.worker, sh.token = state, "", ""
 }
 
 // Sweep expires leases whose TTL lapsed, returning their shards to the
-// pending queue for re-dispatch. Returns the number of expired leases.
+// pending queue for re-dispatch and waking the parked lease requests.
+// Returns the number of expired leases.
 func (c *Coordinator) Sweep() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.sweepLocked(c.cfg.now())
+	return c.sweepLocked(c.cfg.now(), "")
 }
 
-func (c *Coordinator) sweepLocked(now time.Time) int {
-	expired := 0
+// sweepLocked returns to pending every shard whose lease lapsed, and
+// every shard still leased to the worker named asking, which is asking
+// for work and therefore not running it.
+func (c *Coordinator) sweepLocked(now time.Time, asking string) int {
+	expired, released := 0, 0
 	for _, camp := range c.order {
 		job := c.jobs[camp]
 		for i := range job.shards {
 			sh := &job.shards[i]
-			if sh.state != shardLeased || now.Before(sh.expires) {
+			switch {
+			case sh.state != shardLeased:
+				continue
+			case sh.worker == asking:
+				c.cfg.Log.Warn("fleet: lease released, its holder asked for work",
+					"campaign", camp, "shard", i, "worker", sh.worker)
+				released++
+			case !now.Before(sh.expires):
+				c.cfg.Log.Warn("fleet: lease expired",
+					"campaign", camp, "shard", i, "worker", sh.worker)
+				expired++
+				c.met.leaseExpired()
+			default:
 				continue
 			}
-			c.cfg.Log.Warn("fleet: lease expired",
-				"campaign", camp, "shard", i, "worker", sh.worker)
-			if w, ok := c.workers[sh.worker]; ok && w.leases > 0 {
-				w.leases--
-			}
-			sh.state = shardPending
-			sh.worker = ""
-			sh.token = ""
-			expired++
-			c.met.leaseExpired()
+			c.releaseLocked(sh, shardPending)
 		}
+	}
+	if expired+released > 0 {
+		c.wakeLocked()
 	}
 	return expired
 }
@@ -389,6 +504,7 @@ func (c *Coordinator) StartJob(campaign string, spec remote.CampaignSpec, n int,
 	defer c.mu.Unlock()
 	c.jobs[campaign] = job
 	c.order = append(c.order, campaign)
+	c.wakeLocked()
 	return job
 }
 
@@ -453,12 +569,7 @@ func (c *Coordinator) CloseJob(campaign string) {
 		return
 	}
 	for i := range job.shards {
-		sh := &job.shards[i]
-		if sh.state == shardLeased {
-			if w, ok := c.workers[sh.worker]; ok && w.leases > 0 {
-				w.leases--
-			}
-		}
+		c.releaseLocked(&job.shards[i], shardDone)
 	}
 	delete(c.jobs, campaign)
 	for i, camp := range c.order {
@@ -522,14 +633,7 @@ func (j *Job) ClaimLocal(force bool) (lo, hi int, ok bool) {
 		for i := range j.shards {
 			sh := &j.shards[i]
 			if (pass == 0 && sh.state == shardPending) || (pass == 1 && sh.state == shardLeased) {
-				if sh.state == shardLeased {
-					if w, ok := c.workers[sh.worker]; ok && w.leases > 0 {
-						w.leases--
-					}
-				}
-				sh.state = shardDone
-				sh.worker = ""
-				sh.token = ""
+				c.releaseLocked(sh, shardDone)
 				return sh.lo, sh.hi, true
 			}
 		}

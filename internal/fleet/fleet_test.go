@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -47,6 +48,18 @@ func startTestJob(c *Coordinator, camp string, n, shards int) *Job {
 	return c.StartJob(camp, remote.CampaignSpec{Name: camp, PlanHash: "h", NumExperiments: n}, n, ranges)
 }
 
+// lease asks for a shard without waiting.
+func lease(c *Coordinator, worker string) (remote.Lease, bool) {
+	l, ok, _ := c.Lease(context.Background(), worker, 0)
+	return l, ok
+}
+
+// complete reports l's shard of "camp" done, with no records.
+func complete(c *Coordinator, l remote.Lease) bool {
+	_, _, ok := c.Complete("camp", l.Shard, l.Token, nil)
+	return ok
+}
+
 func rec(i int) analysis.Record {
 	return analysis.Record{FaultType: "T", Point: scanner.InjectionPoint{Line: i}}
 }
@@ -59,15 +72,19 @@ func TestLeaseLifecycle(t *testing.T) {
 	}
 	job := startTestJob(c, "camp", 10, 2)
 
-	l1, ok := c.Lease(w.ID)
+	l1, ok := lease(c, w.ID)
 	if !ok || l1.Shard != 0 || l1.Lo != 0 || l1.Hi != 5 {
 		t.Fatalf("first lease = %+v, %v", l1, ok)
 	}
-	l2, ok := c.Lease(w.ID)
+	// A worker runs one shard at a time: the second shard goes to a
+	// second worker, and a third has nothing to get.
+	w2 := c.RegisterWorker(remote.RegisterRequest{Name: "b"})
+	l2, ok := lease(c, w2.ID)
 	if !ok || l2.Shard != 1 {
 		t.Fatalf("second lease = %+v, %v", l2, ok)
 	}
-	if _, ok := c.Lease(w.ID); ok {
+	w3 := c.RegisterWorker(remote.RegisterRequest{Name: "c"})
+	if _, ok := lease(c, w3.ID); ok {
 		t.Fatal("third lease granted with no pending shard")
 	}
 
@@ -75,10 +92,10 @@ func TestLeaseLifecycle(t *testing.T) {
 	if !c.Ingest("camp", l1.Shard, l1.Token, lines) {
 		t.Fatal("ingest with live token rejected")
 	}
-	if !c.Complete("camp", l1.Shard, l1.Token) {
+	if !complete(c, l1) {
 		t.Fatal("complete with live token rejected")
 	}
-	if c.Complete("camp", l1.Shard, l1.Token) {
+	if complete(c, l1) {
 		t.Fatal("double complete accepted")
 	}
 	if !job.IsDelivered(0) || job.IsDelivered(1) {
@@ -91,7 +108,7 @@ func TestLeaseExpiryAndRedispatch(t *testing.T) {
 	w1 := c.RegisterWorker(remote.RegisterRequest{Name: "w1"})
 	startTestJob(c, "camp", 10, 1)
 
-	l1, ok := c.Lease(w1.ID)
+	l1, ok := lease(c, w1.ID)
 	if !ok {
 		t.Fatal("no lease granted")
 	}
@@ -104,13 +121,13 @@ func TestLeaseExpiryAndRedispatch(t *testing.T) {
 	if c.Ingest("camp", l1.Shard, l1.Token, []remote.RecordLine{{Idx: 1, Rec: rec(1)}}) {
 		t.Fatal("ingest with expired token accepted")
 	}
-	if c.Complete("camp", l1.Shard, l1.Token) {
+	if complete(c, l1) {
 		t.Fatal("complete with expired token accepted")
 	}
 
 	// The orphaned shard re-dispatches with a fresh fencing token.
 	w2 := c.RegisterWorker(remote.RegisterRequest{Name: "w2"})
-	l2, ok := c.Lease(w2.ID)
+	l2, ok := lease(c, w2.ID)
 	if !ok || l2.Shard != l1.Shard {
 		t.Fatalf("re-dispatch lease = %+v, %v", l2, ok)
 	}
@@ -126,7 +143,7 @@ func TestHeartbeatRenewsLeases(t *testing.T) {
 	c, ck := newTestCoordinator()
 	w := c.RegisterWorker(remote.RegisterRequest{})
 	startTestJob(c, "camp", 10, 1)
-	if _, ok := c.Lease(w.ID); !ok {
+	if _, ok := lease(c, w.ID); !ok {
 		t.Fatal("no lease granted")
 	}
 
@@ -159,7 +176,7 @@ func TestIngestRenewsLease(t *testing.T) {
 	c, ck := newTestCoordinator()
 	w := c.RegisterWorker(remote.RegisterRequest{})
 	startTestJob(c, "camp", 10, 1)
-	l, _ := c.Lease(w.ID)
+	l, _ := lease(c, w.ID)
 
 	// A worker whose heartbeat goroutine starves but keeps shipping
 	// records stays leased: receipt of records proves liveness.
@@ -206,7 +223,7 @@ func TestClaimLocal(t *testing.T) {
 	c, _ := newTestCoordinator()
 	w := c.RegisterWorker(remote.RegisterRequest{})
 	job := startTestJob(c, "camp", 10, 3)
-	if _, ok := c.Lease(w.ID); !ok {
+	if _, ok := lease(c, w.ID); !ok {
 		t.Fatal("no lease granted")
 	}
 
@@ -237,7 +254,7 @@ func TestUnknownWorkerMustReregister(t *testing.T) {
 	if c.Heartbeat("w9999") {
 		t.Fatal("heartbeat for unknown worker accepted")
 	}
-	if _, ok := c.Lease("w9999"); ok {
+	if _, ok := lease(c, "w9999"); ok {
 		t.Fatal("lease granted to unknown worker")
 	}
 }
@@ -246,12 +263,12 @@ func TestCloseJobInvalidatesTokens(t *testing.T) {
 	c, _ := newTestCoordinator()
 	w := c.RegisterWorker(remote.RegisterRequest{})
 	startTestJob(c, "camp", 4, 1)
-	l, _ := c.Lease(w.ID)
+	l, _ := lease(c, w.ID)
 	c.CloseJob("camp")
 	if c.Ingest("camp", l.Shard, l.Token, []remote.RecordLine{{Idx: 0, Rec: rec(0)}}) {
 		t.Fatal("ingest accepted after job close")
 	}
-	if _, ok := c.Spec("camp"); ok {
+	if _, ok := c.Spec("camp", nil); ok {
 		t.Fatal("spec served after job close")
 	}
 }
@@ -276,7 +293,7 @@ func TestIngestLatencyUsesInjectedClock(t *testing.T) {
 	c := New(Config{LeaseTTL: ttl, Reg: reg, now: now})
 	w := c.RegisterWorker(remote.RegisterRequest{Name: "a"})
 	startTestJob(c, "camp", 4, 1)
-	l, ok := c.Lease(w.ID)
+	l, ok := lease(c, w.ID)
 	if !ok {
 		t.Fatal("no lease granted")
 	}

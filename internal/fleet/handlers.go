@@ -3,22 +3,29 @@ package fleet
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
+	"time"
 
 	"profipy/internal/remote"
 )
 
+// maxBody bounds a worker-facing request body, like the API's.
+const maxBody = 16 << 20
+
 // Mount registers the worker-facing HTTP API on mux. All routes live
 // under /api/v1/workers and speak the wire types of internal/remote.
+// records and complete carry campaign, shard and fencing token in the
+// query and an NDJSON stream of remote.RecordLine as body.
 //
 //	POST /api/v1/workers                          register       → RegisterResponse
 //	GET  /api/v1/workers                          list           → []WorkerInfo
 //	POST /api/v1/workers/{id}/heartbeat           renew liveness → 204 (410 unknown worker)
-//	POST /api/v1/workers/{id}/lease               pull a shard   → Lease or 204
-//	GET  /api/v1/workers/campaigns/{camp}/spec    campaign spec  → CampaignSpec
+//	POST /api/v1/workers/{id}/lease?wait=<ms>     pull a shard   → Lease, or 204 after at most wait (410 unknown worker)
+//	GET  /api/v1/workers/campaigns/{camp}/spec    campaign spec  → CampaignSpec (?have=<digest>… elides held files)
 //	POST /api/v1/workers/{id}/records             NDJSON batch   → 202 (410 stale lease)
-//	POST /api/v1/workers/{id}/complete            shard done     → 204 (410 stale lease)
+//	POST /api/v1/workers/{id}/complete            last records + shard done → next Lease or 204 (410 stale lease)
 func (c *Coordinator) Mount(mux *http.ServeMux) {
 	mux.HandleFunc("POST /api/v1/workers", c.handleRegister)
 	mux.HandleFunc("GET /api/v1/workers", c.handleList)
@@ -35,10 +42,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
+// rejectBody answers a request whose body could not be taken: 413 when
+// it ran into maxBody, 400 otherwise.
+func (c *Coordinator) rejectBody(w http.ResponseWriter, what string, err error) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) || errors.Is(err, bufio.ErrTooLong) {
+		c.met.reject("too_large")
+		http.Error(w, what+": body over 16 MiB", http.StatusRequestEntityTooLarge)
+		return
+	}
+	c.met.reject("malformed")
+	http.Error(w, what+": "+err.Error(), http.StatusBadRequest)
+}
+
 func (c *Coordinator) handleRegister(w http.ResponseWriter, r *http.Request) {
 	var req remote.RegisterRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad register request: "+err.Error(), http.StatusBadRequest)
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody)).Decode(&req); err != nil {
+		c.rejectBody(w, "bad register request", err)
 		return
 	}
 	writeJSON(w, http.StatusOK, c.RegisterWorker(req))
@@ -58,17 +78,28 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
+// handleLease holds the request for up to ?wait=<ms> while nothing is
+// pending — never past half of what a deadline on the request (the
+// API's timeout wrapper) leaves.
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	lease, ok := c.Lease(r.PathValue("id"))
-	if !ok {
-		w.WriteHeader(http.StatusNoContent)
-		return
+	ms, _ := strconv.Atoi(r.URL.Query().Get("wait")) // absent or malformed: do not wait
+	wait := time.Duration(ms) * time.Millisecond
+	if dl, ok := r.Context().Deadline(); ok {
+		wait = min(wait, time.Until(dl)/2)
 	}
-	writeJSON(w, http.StatusOK, lease)
+	lease, ok, err := c.Lease(r.Context(), r.PathValue("id"), wait)
+	switch {
+	case err != nil:
+		http.Error(w, "unknown worker", http.StatusGone)
+	case ok:
+		writeJSON(w, http.StatusOK, lease)
+	default:
+		w.WriteHeader(http.StatusNoContent)
+	}
 }
 
 func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
-	spec, ok := c.Spec(r.PathValue("camp"))
+	spec, ok := c.Spec(r.PathValue("camp"), r.URL.Query()["have"])
 	if !ok {
 		http.Error(w, "unknown campaign", http.StatusNotFound)
 		return
@@ -76,34 +107,43 @@ func (c *Coordinator) handleSpec(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, spec)
 }
 
-// handleRecords ingests one NDJSON batch of remote.RecordLine. The
-// campaign, shard and fencing token ride in query parameters so the
-// body stays a pure record stream.
-func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
+// shardBatch reads what records and complete share: the (campaign,
+// shard, token) triple from the query — so the body stays a pure record
+// stream — and the NDJSON body, bounded by maxBody. It has answered the
+// request when ok is false.
+func (c *Coordinator) shardBatch(w http.ResponseWriter, r *http.Request) (campaign string, shard int, token string, lines []remote.RecordLine, ok bool) {
 	q := r.URL.Query()
-	campaign := q.Get("campaign")
-	token := q.Get("token")
+	campaign, token = q.Get("campaign"), q.Get("token")
 	shard, err := strconv.Atoi(q.Get("shard"))
 	if err != nil || campaign == "" || token == "" {
-		http.Error(w, "records request needs campaign, shard and token", http.StatusBadRequest)
+		http.Error(w, "request needs campaign, shard and token", http.StatusBadRequest)
 		return
 	}
-	var lines []remote.RecordLine
-	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	sc := bufio.NewScanner(http.MaxBytesReader(w, r.Body, maxBody))
+	sc.Buffer(make([]byte, 0, 64*1024), maxBody)
 	for sc.Scan() {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		var ln remote.RecordLine
 		if err := json.Unmarshal(sc.Bytes(), &ln); err != nil {
-			http.Error(w, "bad record line: "+err.Error(), http.StatusBadRequest)
+			c.rejectBody(w, "bad record line", err)
 			return
 		}
 		lines = append(lines, ln)
 	}
 	if err := sc.Err(); err != nil {
-		http.Error(w, "reading record stream: "+err.Error(), http.StatusBadRequest)
+		c.rejectBody(w, "reading record stream", err)
+		return
+	}
+	return campaign, shard, token, lines, true
+}
+
+// handleRecords ingests one intermediate batch of a shard longer than a
+// batch.
+func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
+	campaign, shard, token, lines, ok := c.shardBatch(w, r)
+	if !ok {
 		return
 	}
 	if !c.Ingest(campaign, shard, token, lines) {
@@ -113,15 +153,20 @@ func (c *Coordinator) handleRecords(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusAccepted)
 }
 
+// handleComplete ends a shard in one exchange: the body is the shard's
+// not-yet-sent records, the answer the worker's next lease.
 func (c *Coordinator) handleComplete(w http.ResponseWriter, r *http.Request) {
-	var req remote.CompleteRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad complete request: "+err.Error(), http.StatusBadRequest)
+	campaign, shard, token, lines, ok := c.shardBatch(w, r)
+	if !ok {
 		return
 	}
-	if !c.Complete(req.Campaign, req.Shard, req.Token) {
+	next, granted, ok := c.Complete(campaign, shard, token, lines)
+	switch {
+	case !ok:
 		http.Error(w, "stale lease", http.StatusGone)
-		return
+	case granted:
+		writeJSON(w, http.StatusOK, next)
+	default:
+		w.WriteHeader(http.StatusNoContent)
 	}
-	w.WriteHeader(http.StatusNoContent)
 }

@@ -40,11 +40,15 @@ type linker struct {
 	// program family names; literal shapes hang off them as transitions,
 	// so all experiments of a campaign share one shape tree.
 	shapes map[string]*Shape
-	// declCompiles counts derivations that compiled one declaration;
-	// fileCompiles those that recompiled a whole file, by the reason the
-	// declaration path did not apply (indexed by the file* constants).
-	declCompiles atomic.Uint64
-	fileCompiles [len(fileReasons)]atomic.Uint64
+}
+
+// compileCounts tallies the derivations of one program lineage: decl
+// counts those that compiled one declaration, file those that recompiled
+// a whole file, by the reason the declaration path did not apply
+// (indexed by the file* constants).
+type compileCounts struct {
+	decl atomic.Uint64
+	file [len(fileReasons)]atomic.Uint64
 }
 
 // Why a derivation recompiled a whole file instead of one declaration.
@@ -220,7 +224,9 @@ func (u *unit) siteOf(fd *ast.FuncDecl) int {
 // programs (WithDecl, WithFiles) share unchanged units, unchanged method
 // tables and the symbol table.
 type Program struct {
-	ln      *linker
+	ln *linker
+	// counts is shared with every program derived from this one.
+	counts  *compileCounts
 	units   []*unit
 	methods map[string]map[string]*compiledFunc
 	globals map[string]bool
@@ -256,7 +262,7 @@ func CompileProgram(files []SourceUnit) (*Program, error) {
 	}
 
 	// Phase 2: compile each unit against the shared table.
-	p := &Program{ln: ln, globals: globals}
+	p := &Program{ln: ln, counts: new(compileCounts), globals: globals}
 	for i, su := range files {
 		c := &compiler{file: su.Name, syms: ln, globals: globals}
 		u, err := compileUnit(c, su.Name, su.Src, asts[i])
@@ -338,7 +344,7 @@ func (p *Program) withFile(ui int, src []byte, reason int) (*Program, error) {
 	name := p.units[ui].name
 	f, err := parser.ParseFile(token.NewFileSet(), name, src, parser.SkipObjectResolution)
 	if err != nil {
-		p.ln.fileCompiles[reason].Add(1)
+		p.counts.file[reason].Add(1)
 		return nil, fmt.Errorf("interp: parse %s: %w", name, err)
 	}
 	globals := p.globals
@@ -346,28 +352,37 @@ func (p *Program) withFile(ui int, src []byte, reason int) (*Program, error) {
 		globals = cloneWith(globals, extra)
 		reason = fileNewName
 	}
-	p.ln.fileCompiles[reason].Add(1)
+	p.counts.file[reason].Add(1)
 	c := &compiler{file: name, syms: p.ln, globals: globals}
 	u, err := compileUnit(c, name, src, f)
 	if err != nil {
 		return nil, err
 	}
-	np := &Program{ln: p.ln, globals: p.globals, units: append([]*unit(nil), p.units...)}
+	np := &Program{ln: p.ln, counts: p.counts, globals: p.globals, units: append([]*unit(nil), p.units...)}
 	np.units[ui] = u
 	np.methods = mergeMethods(np.units)
 	return np, nil
 }
 
+// Counted returns p with derivation counters of its own, starting at
+// zero: campaigns that share one compiled base program each derive from
+// their own Counted view, so MutantCompiles reads one campaign's mutants.
+func (p *Program) Counted() *Program {
+	np := *p
+	np.counts = new(compileCounts)
+	return &np
+}
+
 // CacheStats reports how many unit derivations this program and
 // everything derived from it performed (base and derived programs share
-// one linker, so a campaign reads its whole history off its base
-// program). There is no unit cache any more — hits is always 0 and
+// one set of counters, so a campaign reads its whole history off its
+// base program). There is no unit cache any more — hits is always 0 and
 // misses is the derivation count; the two-value shape stays only because
 // the repository benchmark (bench/) calls it.
 func (p *Program) CacheStats() (hits, misses uint64) {
-	misses = p.ln.declCompiles.Load()
-	for i := range p.ln.fileCompiles {
-		misses += p.ln.fileCompiles[i].Load()
+	misses = p.counts.decl.Load()
+	for i := range p.counts.file {
+		misses += p.counts.file[i].Load()
 	}
 	return 0, misses
 }
@@ -378,12 +393,12 @@ func (p *Program) CacheStats() (hits, misses uint64) {
 // "parse_error"; reasons that never occurred are absent).
 func (p *Program) MutantCompiles() (decl uint64, file map[string]uint64) {
 	file = make(map[string]uint64)
-	for i := range p.ln.fileCompiles {
-		if n := p.ln.fileCompiles[i].Load(); n > 0 {
+	for i := range p.counts.file {
+		if n := p.counts.file[i].Load(); n > 0 {
 			file[fileReasons[i]] = n
 		}
 	}
-	return p.ln.declCompiles.Load(), file
+	return p.counts.decl.Load(), file
 }
 
 // changedDecl finds the one declaration in which src differs from the
@@ -447,7 +462,7 @@ func (u *unit) changedDecl(src []byte) (si int, fd *ast.FuncDecl, reason int) {
 // delta bytes longer, all of them inside the site — and keeps the text
 // index alive for later WithFiles derivations.
 func (p *Program) withSite(ui, si int, fd *ast.FuncDecl, src []byte, delta int) *Program {
-	p.ln.declCompiles.Add(1)
+	p.counts.decl.Add(1)
 	base := p.units[ui]
 	site := &base.sites[si]
 
@@ -457,7 +472,7 @@ func (p *Program) withSite(ui, si int, fd *ast.FuncDecl, src []byte, delta int) 
 	c := &compiler{file: base.name, syms: p.ln, globals: p.globals}
 	nu := &unit{name: base.name, imports: base.imports, topNames: base.topNames,
 		ops: base.ops, methods: base.methods, src: src}
-	np := &Program{ln: p.ln, globals: p.globals, methods: p.methods, units: append([]*unit(nil), p.units...)}
+	np := &Program{ln: p.ln, counts: p.counts, globals: p.globals, methods: p.methods, units: append([]*unit(nil), p.units...)}
 	np.units[ui] = nu
 	if site.kind == siteMethod {
 		_, recvName := recvInfo(fd)

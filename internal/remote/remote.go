@@ -5,8 +5,16 @@
 // results back with.
 //
 // The protocol is deliberately pull-based and idempotent. Workers
-// register, then poll for shard leases; the control plane never dials a
-// worker. Every lease carries a fencing token, every record envelope
+// register, then ask for shard leases; the control plane never dials a
+// worker. An idle worker's lease request names how long it would have
+// slept before asking again (?wait=<ms>) and the control plane holds the
+// request that long, answering the moment a shard becomes pending. A
+// shard costs one exchange: its completion carries the shard's last
+// records as an NDJSON body and is answered with the worker's next lease
+// (or 204); record batches before that are for shards longer than a
+// batch. A worker names the project digests it has prepared
+// (…/spec?have=) and gets the spec without the files it already holds.
+// Every lease carries a fencing token, every record envelope
 // carries its plan index, and the control plane deduplicates by index —
 // so a lease that expires mid-shard and is re-dispatched to another
 // worker can only ever fill holes, never corrupt or duplicate records.
@@ -32,7 +40,9 @@ type CampaignSpec struct {
 	Name string `json:"name"`
 	// Files is the full container file set (target + workload sources),
 	// keyed by container path. JSON transports the bytes as base64.
-	Files     map[string][]byte `json:"files"`
+	// A worker that named ProjectDigest among the projects it holds gets
+	// the spec without them.
+	Files     map[string][]byte `json:"files,omitempty"`
 	ScanFiles []string          `json:"scanFiles,omitempty"`
 	Faultload []faultmodel.Spec `json:"faultload"`
 
@@ -59,6 +69,12 @@ type CampaignSpec struct {
 	// Covered is the control plane's coverage verdict map; workers use
 	// it verbatim instead of re-running the coverage phase.
 	Covered map[string]bool `json:"covered,omitempty"`
+
+	// ProjectDigest is campaign.ProjectDigest over Files, ScanFiles and
+	// WorkloadFiles: the key under which both sides keep the parsed and
+	// compiled project between campaigns. Empty from a control plane
+	// that keeps none; the spec then always carries its files.
+	ProjectDigest string `json:"projectDigest,omitempty"`
 
 	// PlanHash fingerprints the control plane's post-reduction
 	// exec-point list. A worker whose rebuilt Runner derives a
@@ -155,13 +171,6 @@ type RecordLine struct {
 	Kind string          `json:"kind,omitempty"`
 	Fork string          `json:"fork,omitempty"`
 	Rec  analysis.Record `json:"rec"`
-}
-
-// CompleteRequest reports a fully executed shard.
-type CompleteRequest struct {
-	Campaign string `json:"campaign"`
-	Shard    int    `json:"shard"`
-	Token    string `json:"token"`
 }
 
 // WorkerInfo is the control plane's view of one registered worker.

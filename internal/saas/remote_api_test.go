@@ -155,8 +155,9 @@ func TestOneCampaignDescription(t *testing.T) {
 			}
 			c.Workload.Env, c.Workload.CaptureEnv, c.Workload.RestoreEnv = nil, nil, nil
 		}
-		// What only the control plane has is not part of the description.
-		local.Analysis, local.DiscardRecords, local.Metrics, local.Executor = rebuilt.Analysis, false, nil, nil
+		// What only the control plane has — the worker wires a prepared
+		// set of its own — is not part of the description.
+		local.Analysis, local.DiscardRecords, local.Metrics, local.Executor, local.Prepared = rebuilt.Analysis, false, nil, nil, nil
 		if !reflect.DeepEqual(local, rebuilt) {
 			t.Errorf("env %q: control-plane campaign differs from the one rebuilt from its spec:\n local   %+v\n rebuilt %+v", env, local, rebuilt)
 		}

@@ -121,6 +121,10 @@ type Server struct {
 	reg        *obs.Registry
 	fleet      *fleet.Coordinator
 	reqTimeout time.Duration
+	// prepared keeps the parsed and compiled projects of recent
+	// campaigns, so the next campaign over the same files starts at
+	// its scan's matching pass.
+	prepared *campaign.PreparedSet
 	// Startup-recovery metrics: jobs re-admitted from the job journal by
 	// outcome (requeued/resumed/abandoned), and stored records replayed
 	// into resumed campaigns instead of re-executed.
@@ -207,6 +211,7 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 		store:      store,
 		reg:        opt.Metrics,
 		reqTimeout: reqTimeout,
+		prepared:   new(campaign.PreparedSet),
 		fleet: fleet.New(fleet.Config{
 			LeaseTTL:  opt.LeaseTTL,
 			Heartbeat: opt.Heartbeat,
@@ -286,10 +291,12 @@ func (s *Server) job(ask func(id string) (scheduler.Status, bool), id string) (s
 	return finishedJobView(e)
 }
 
-// Close stops the campaign scheduler — running campaigns are canceled,
-// queued ones finish as canceled, the worker pool drains — then seals
-// the result store so every streamed record is flushed to disk.
+// Close answers the fleet's parked lease requests, stops the campaign
+// scheduler — running campaigns are canceled, queued ones finish as
+// canceled, the worker pool drains — then seals the result store so
+// every streamed record is flushed to disk.
 func (s *Server) Close() {
+	s.fleet.Close()
 	s.sched.Close()
 	_ = s.store.Close()
 }
@@ -491,6 +498,9 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 	if spec.TimeoutNS <= 0 {
 		spec.TimeoutNS = kvclient.WorkloadTimeoutNS
 	}
+	if req.Remote {
+		spec.ProjectDigest = campaign.ProjectDigest(spec.Files, spec.ScanFiles, spec.WorkloadFiles)
+	}
 	c, err := kvclient.CampaignFromSpec(spec, s.cores)
 	if err != nil {
 		return nil, "", http.StatusBadRequest, err.Error()
@@ -501,6 +511,7 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 	// slice per campaign.
 	c.DiscardRecords = true
 	c.Metrics = s.reg
+	c.Prepared = s.prepared
 	if req.Remote {
 		// The distributed engine. The plan context is the one part of
 		// the spec still open: the campaign fills it in (SetPlanContext)

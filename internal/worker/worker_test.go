@@ -28,20 +28,8 @@ func specServer(t *testing.T) (*httptest.Server, func(id string) int64) {
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
-	spec := remote.CampaignSpec{
-		Name:           c.Name,
-		Files:          c.Files,
-		ScanFiles:      c.ScanFiles,
-		Faultload:      c.Faultload,
-		Entry:          c.Workload.Entry,
-		WorkloadFiles:  c.Workload.Files,
-		TimeoutNS:      c.Workload.TimeoutNS,
-		MaxSteps:       c.Workload.MaxSteps,
-		EnvName:        "kvclient",
-		Seed:           c.Seed,
-		PlanHash:       remote.PlanHash(r.Points()),
-		NumExperiments: r.Len(),
-	}
+	spec := specOf(c)
+	spec.PlanHash, spec.NumExperiments = remote.PlanHash(r.Points()), r.Len()
 	encode := func(spec remote.CampaignSpec) []byte {
 		data, err := json.Marshal(spec)
 		if err != nil {
