@@ -53,11 +53,11 @@ loc:
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # loc's total may not exceed the budget: the figure the last
-# simplification left (the fleet cutting its own shards, 23 321 →
-# 23 274). A change that needs more lines raises the constant in the
-# same diff, where a reviewer sees it; CI runs this instead of loc, so
-# the size cannot silently grow back.
-LOC_BUDGET := 23274
+# simplification left (one way into the interpreter — no text differ, no
+# per-interpreter Register* API — 23 274 → 23 125). A change that needs
+# more lines raises the constant in the same diff, where code review sees
+# it; CI runs this instead of loc, so the size cannot silently grow back.
+LOC_BUDGET := 23125
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \

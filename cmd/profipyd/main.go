@@ -89,6 +89,13 @@ func run(ctx context.Context, args []string) error {
 	if err := setupLogging(*logLevel, *logJSON); err != nil {
 		return err
 	}
+	if *dataDir != "" {
+		unlock, err := lockDataDir(*dataDir)
+		if err != nil {
+			return err
+		}
+		defer unlock()
+	}
 	srv, err := saas.NewServerWithOptions(saas.Options{
 		Cores: *cores, Workers: *workers, QueueDepth: *queue,
 		DataDir: *dataDir, LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, RequestTimeout: *reqTimeout,
@@ -117,6 +124,24 @@ func run(ctx context.Context, args []string) error {
 	fmt.Printf("profipyd listening on %s (demo project: %s, %d campaign workers, %s)\n",
 		ln.Addr(), saas.DemoProjectID, *workers, persistence)
 	return serve(ctx, srv, ln, *shutdownTimeout)
+}
+
+// lockDataDir flocks the data directory itself (no lockfile) until the
+// returned func runs: a second daemon on the same dir fails here, before
+// its store replays or compacts the first one's journal.
+func lockDataDir(dir string) (func(), error) {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, err
+	}
+	f, err := os.Open(dir)
+	if err != nil {
+		return nil, err
+	}
+	if err := syscall.Flock(int(f.Fd()), syscall.LOCK_EX|syscall.LOCK_NB); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("data dir %s is in use by another profipyd: %w", dir, err)
+	}
+	return func() { f.Close() }, nil
 }
 
 // setupLogging installs the process-wide slog default the saas layer

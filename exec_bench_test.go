@@ -347,11 +347,11 @@ func BenchmarkRuntimeExperiment(b *testing.B) {
 
 // mutantDeriveLap prepares §V-B's whole plan for deriving every mutant's
 // program off a fresh base: what an experiment pays before its container
-// exists. The text front end is what the Runner did until it was handed
-// the declaration (print the window twice more for diagnostics, splice,
-// then diff the file against the base and re-parse the declaration);
-// the decl front end prints the deployed text once and compiles the
-// tree it was printed from. lap runs the plan once; mutants is its size.
+// exists. The text front end is what a caller holding only the mutated
+// bytes pays (print the window twice more for diagnostics, splice, then
+// parse and compile the whole file); the decl front end prints the
+// deployed text once and compiles the one declaration it was printed
+// from. lap runs the plan once; mutants is its size.
 func mutantDeriveLap(tb testing.TB, decl bool) (lap func(), mutants int) {
 	tb.Helper()
 	c := kvclient.CampaignB(NewRuntime(RuntimeConfig{Cores: 2, Seed: 20}), 202)

@@ -181,13 +181,16 @@ func TestHoistedLiteralMutant(t *testing.T) {
 // TestMutantsCompileOneDeclaration: every compile-time mutant of the §V
 // campaigns reaches the compiler as one declaration; the only whole-file
 // recompiles a campaign performs are the coverage pass's instrumented
-// files, whose hooks span declarations.
+// files, which it holds as text — one no_decl per file it instruments.
 func TestMutantsCompileOneDeclaration(t *testing.T) {
-	for _, build := range []func(*sandbox.Runtime, int64) *campaign.Campaign{
-		kvclient.CampaignA, kvclient.CampaignB, kvclient.CampaignC, kvclient.CampaignR, kvclient.CampaignLate,
+	for _, tc := range []struct {
+		build        func(*sandbox.Runtime, int64) *campaign.Campaign
+		instrumented int
+	}{
+		{kvclient.CampaignA, 3}, {kvclient.CampaignB, 1}, {kvclient.CampaignC, 1}, {kvclient.CampaignR, 3}, {kvclient.CampaignLate, 2},
 	} {
 		reg := obs.NewRegistry()
-		c := build(newRuntime(), 11)
+		c := tc.build(newRuntime(), 11)
 		c.Metrics = reg
 		res, err := c.Run()
 		if err != nil {
@@ -200,11 +203,14 @@ func TestMutantsCompileOneDeclaration(t *testing.T) {
 		if want := fmt.Sprintf("profipy_campaign_mutant_compiles_total{path=\"decl\",reason=\"\"} %d\n", res.Mutated); !strings.Contains(sb.String(), want) {
 			t.Errorf("%s: %d mutants, scrape lacks %q", c.Name, res.Mutated, want)
 		}
+		want := fmt.Sprintf(`profipy_campaign_mutant_compiles_total{path="file",reason="no_decl"} %d`, tc.instrumented)
 		for _, line := range strings.Split(sb.String(), "\n") {
-			if strings.HasPrefix(line, `profipy_campaign_mutant_compiles_total{path="file"`) &&
-				!strings.HasPrefix(line, `profipy_campaign_mutant_compiles_total{path="file",reason="cross_decl"} `) {
-				t.Errorf("%s: unexpected whole-file compile: %s", c.Name, line)
+			if strings.HasPrefix(line, `profipy_campaign_mutant_compiles_total{path="file"`) && line != want {
+				t.Errorf("%s: whole-file compiles %q, want only %q", c.Name, line, want)
 			}
+		}
+		if !strings.Contains(sb.String(), want+"\n") {
+			t.Errorf("%s: scrape lacks %q", c.Name, want)
 		}
 	}
 }

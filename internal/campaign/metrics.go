@@ -35,7 +35,7 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 		phaseDur: reg.HistogramVec("profipy_campaign_phase_seconds",
 			"Wall-clock time per campaign workflow phase.", phaseBuckets, "phase"),
 		compiles: reg.CounterVec("profipy_campaign_mutant_compiles_total",
-			"Per-experiment program derivations in this process: one declaration compiled (path=decl), or the whole mutated file recompiled (path=file) because no declaration was given (no_decl), it names no single function (rename), the text changed outside one function (cross_decl), it declares a new top-level name (new_name) or the declaration does not parse (parse_error).", "path", "reason"),
+			"Per-experiment program derivations in this process: one declaration compiled (path=decl), or the whole mutated file recompiled (path=file) because the caller held only text (no_decl), the declaration names no single function (rename) or the file declares a new top-level name (new_name).", "path", "reason"),
 		forkEvents: reg.CounterVec("profipy_campaign_fork_events_total",
 			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason), prefix builds that failed and left every experiment running in full (build_failed).", "event", "reason"),
 		prepares: reg.CounterVec("profipy_campaign_prepared_total",

@@ -31,14 +31,13 @@ func Workload() any {
 	return "ok"
 }`
 
+func nop(*interp.Interp, []interp.Value) (interp.Value, error) { return nil, nil }
+
+var testHost = interp.NewHostEnv().Func("a", nop).Func("b", nop)
+
 func testEnv(it *interp.Interp, c *sandbox.Container) {
 	sandbox.InstallHooks(it, c)
-	it.RegisterHostFunc("a", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
-		return nil, nil
-	})
-	it.RegisterHostFunc("b", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
-		return nil, nil
-	})
+	it.Install(testHost)
 }
 
 // analyze compiles the base program the way a campaign does and runs

@@ -32,10 +32,9 @@ func (e *HostEnv) Module(m *Module) *HostEnv {
 }
 
 // Install makes the environment's globals and modules available to the
-// interpreter, like RegisterGlobal / RegisterModule for each of them but
-// without building anything: on the compiled path the global slots are
-// resolved once per program family and an install is a handful of
-// stores. Later installs and registrations shadow earlier ones.
+// interpreter without building anything: on the compiled path the global
+// slots are resolved once per program family and an install is a
+// handful of stores. Later installs shadow earlier ones.
 func (it *Interp) Install(e *HostEnv) {
 	it.envs = append(it.envs, e)
 	it.bind(e)
@@ -84,37 +83,13 @@ func (it *Interp) HostData(key any) any {
 	return nil
 }
 
-// module resolves an import path: individually registered modules
-// first, then the environments latest first (the builtins are always
-// the earliest, see baseEnvs).
+// module resolves an import path against the environments, latest
+// first (the builtins are always the earliest, see baseEnvs).
 func (it *Interp) module(path string) (*Module, bool) {
-	if m, ok := it.modules[path]; ok {
-		return m, true
-	}
 	for i := len(it.envs) - 1; i >= 0; i-- {
 		if m, ok := it.envs[i].modules[path]; ok {
 			return m, true
 		}
 	}
 	return nil, false
-}
-
-// hostRegistrations lists every host-registered reference value by its
-// stable registration key ("g:name" for globals, "m:name" for modules),
-// in the order shadowing resolves: environments as installed (builtins
-// first), then individual registrations — later entries win.
-func (it *Interp) hostRegistrations() map[string]Value {
-	out := make(map[string]Value)
-	for _, e := range it.envs {
-		for i, name := range e.names {
-			out["g:"+name] = e.vals[i]
-		}
-		for name, m := range e.modules {
-			out["m:"+name] = m
-		}
-	}
-	for k, v := range it.hostVals {
-		out[k] = v
-	}
-	return out
 }

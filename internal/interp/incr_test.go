@@ -10,11 +10,12 @@ import (
 )
 
 // Program derivation: campaigns derive hundreds of programs that differ
-// from the base inside one function, so a derivation compiles just that
-// declaration — handed over as a tree (WithDecl) or found by diffing
-// text (WithFiles). These tests pin the declaration path's engagement
-// on both front ends, its equivalence with a full recompile, and every
-// rule that sends a derivation to the whole-file path, by reason.
+// from the base inside one function, so a derivation handed the mutated
+// declaration as a tree (WithDecl) compiles just that declaration; text
+// (WithFiles) recompiles the file whole. These tests pin the declaration
+// path's engagement, its equivalence with a full recompile, the text
+// front end and the tree-walk, and the reason every whole-file recompile
+// is counted under.
 
 const incrBase = `package main
 
@@ -81,38 +82,86 @@ func mutate(t *testing.T, src, old, new string) []byte {
 	return []byte(strings.Replace(src, old, new, 1))
 }
 
+// declOf parses src and returns its top-level function (or method) name.
+func declOf(t *testing.T, src []byte, name string) *ast.FuncDecl {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "t.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	for _, d := range f.Decls {
+		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
+			return fd
+		}
+	}
+	t.Fatalf("no function %s in source", name)
+	return nil
+}
+
+// TestIncrementalRecompileEngages: a derivation recompiles only the
+// declaration it was handed. Besides behaving like a full recompile,
+// the spliced program shares with the base everything the edit
+// did not touch — the other files, the table of the other declaration
+// kind (functions for a method edit, methods for a function edit) and
+// the compiled code of every other function.
 func TestIncrementalRecompileEngages(t *testing.T) {
+	compile := func(src string) *Program {
+		t.Helper()
+		p, err := CompileProgram([]SourceUnit{
+			{Name: "t.go", Src: []byte(src)},
+			{Name: "o.go", Src: []byte("package main\n\nfunc other() any { return 7 }\n")},
+		})
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		return p
+	}
 	cases := []struct {
-		name string
-		old  string
-		new  string
+		name, decl, old, new string
+		method               bool
 	}{
-		{"plain function body", "return x + 1", "return x + 2"},
-		{"method body", "s = s + helper(i)", "s = s - helper(i)"},
-		{"shrinking edit", "s := 0\n\tfor i := 0; i < n; i++ {\n\t\ts = s + helper(i)\n\t}\n\treturn s", "return n"},
-		{"growing edit", "return b.Get(n) + limit", "x := b.Get(n)\n\tx = x * 2\n\treturn x + limit"},
+		{"plain function body", "helper", "return x + 1", "return x + 2", false},
+		{"method body", "Get", "s = s + helper(i)", "s = s - helper(i)", true},
+		{"shrinking edit", "Get", "s := 0\n\tfor i := 0; i < n; i++ {\n\t\ts = s + helper(i)\n\t}\n\treturn s", "return n", true},
+		{"growing edit", "Entry", "return b.Get(n) + limit", "x := b.Get(n)\n\tx = x * 2\n\treturn x + limit", false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			base := incrProgram(t, incrBase)
+			base := compile(incrBase)
 			mutated := mutate(t, incrBase, tc.old, tc.new)
-			np, err := base.WithFiles(map[string][]byte{"t.go": mutated})
+			fd := declOf(t, mutated, tc.decl)
+			np, err := base.WithDecl("t.go", fd, mutated)
 			if err != nil {
-				t.Fatalf("WithFiles: %v", err)
+				t.Fatalf("WithDecl: %v", err)
 			}
 			if decl, file := base.MutantCompiles(); decl != 1 || len(file) != 0 {
 				t.Fatalf("compiles = %d decl, %v file; want 1 decl (declaration path did not engage)", decl, file)
 			}
-			// The spliced program must behave exactly like a from-scratch
-			// compile of the mutated source and like the tree-walk on it.
-			gv, ge := incrCall(t, np, "Entry", int64(4))
-			wv, we := incrCall(t, incrProgram(t, string(mutated)), "Entry", int64(4))
-			if gv != wv || (ge == nil) != (we == nil) {
-				t.Errorf("spliced Entry(4) = (%v, %v), full recompile = (%v, %v)", gv, ge, wv, we)
+			if np.units[1] != base.units[1] {
+				t.Error("a file the edit did not touch was recompiled")
 			}
-			tv, te := incrTree(t, mutated, "Entry", int64(4))
-			if gv != tv || (ge == nil) != (te == nil) {
-				t.Errorf("spliced Entry(4) = (%v, %v), tree-walk = (%v, %v)", gv, ge, tv, te)
+			bu, nu := base.units[0], np.units[0]
+			if tc.method && &nu.ops[0] != &bu.ops[0] {
+				t.Error("a method edit copied the function table")
+			}
+			if !tc.method && reflect.ValueOf(nu.methods).Pointer() != reflect.ValueOf(bu.methods).Pointer() {
+				t.Error("a function edit copied the method table")
+			}
+			site := bu.sites[bu.siteOf(fd)]
+			head, tail := bu.allFns[:site.fnsLo], bu.allFns[site.fnsHi:]
+			for i, fn := range head {
+				if nu.allFns[i] != fn {
+					t.Errorf("%s before the edited declaration was recompiled", fn.name)
+				}
+			}
+			for i, fn := range tail {
+				if nu.allFns[len(nu.allFns)-len(tail)+i] != fn {
+					t.Errorf("%s after the edited declaration was recompiled", fn.name)
+				}
+			}
+			gv, ge := incrCall(t, np, "Entry", int64(4))
+			if wv, we := incrCall(t, compile(string(mutated)), "Entry", int64(4)); gv != wv || (ge == nil) != (we == nil) {
+				t.Errorf("spliced Entry(4) = (%v, %v), full recompile = (%v, %v)", gv, ge, wv, we)
 			}
 		})
 	}
@@ -120,18 +169,17 @@ func TestIncrementalRecompileEngages(t *testing.T) {
 
 // TestIncrementalRecompileRepeated drives a chain of derivations off one
 // base, the way a campaign does, and checks each splice lands on the
-// declaration the edit touched — including decls after an earlier edit
-// shifted byte offsets.
+// declaration the edit touched.
 func TestIncrementalRecompileRepeated(t *testing.T) {
 	base := incrProgram(t, incrBase)
-	edits := []struct{ old, new string }{
-		{"return x + 1", "return x + 100"},
-		{"s = s + helper(i)", "s = s + helper(i) + 1"},
-		{"return b.Get(n) + limit", "return b.Get(n) - limit"},
+	edits := []struct{ decl, old, new string }{
+		{"helper", "return x + 1", "return x + 100"},
+		{"Get", "s = s + helper(i)", "s = s + helper(i) + 1"},
+		{"Entry", "return b.Get(n) + limit", "return b.Get(n) - limit"},
 	}
 	for i, e := range edits {
 		mutated := mutate(t, incrBase, e.old, e.new)
-		np, err := base.WithFiles(map[string][]byte{"t.go": mutated})
+		np, err := base.WithDecl("t.go", declOf(t, mutated, e.decl), mutated)
 		if err != nil {
 			t.Fatalf("edit %d: %v", i, err)
 		}
@@ -147,34 +195,38 @@ func TestIncrementalRecompileRepeated(t *testing.T) {
 	}
 }
 
-// TestIncrementalRecompileFallbacks enumerates the diffs the text front
-// end must refuse — anything that is not one window inside one function
-// — and the reason each whole-file recompile is counted under.
+// TestIncrementalRecompileFallbacks: text never reaches the declaration
+// path. Whatever the edit's shape, WithFiles recompiles the file, counted
+// as no_decl unless the file gained a top-level name, and a file that
+// does not parse fails the derivation.
 func TestIncrementalRecompileFallbacks(t *testing.T) {
 	cases := []struct {
 		name   string
 		reason string
 		src    func() []byte
 	}{
-		{"edit outside any function", "cross_decl", func() []byte {
+		{"function body", "no_decl", func() []byte {
+			return mutate(t, incrBase, "return x + 1", "return x + 2")
+		}},
+		{"edit outside any function", "no_decl", func() []byte {
 			return mutate(t, incrBase, "var limit = 3", "var limit = 4")
 		}},
 		{"renamed function", "new_name", func() []byte {
 			return mutate(t, incrBase, "func helper(x any) any {\n\treturn x + 1",
 				"func helper2(x any) any {\n\treturn x + 9")
 		}},
-		{"renamed method", "rename", func() []byte {
+		{"renamed method", "no_decl", func() []byte {
 			return mutate(t, incrBase, "func (b Box) Get(n any) any {\n\ts := 0",
 				"func (b Box) Got(n any) any {\n\ts := 1")
 		}},
-		{"window spanning two decls", "cross_decl", func() []byte {
+		{"window spanning two decls", "no_decl", func() []byte {
 			return mutate(t, incrBase, "return x + 1\n}\n\ntype Box struct{}\n\nfunc (b Box) Get(n any) any {\n\ts := 0",
 				"return x + 7\n}\n\ntype Box struct{}\n\nfunc (b Box) Get(n any) any {\n\ts := 9")
 		}},
 		{"appended declaration", "new_name", func() []byte {
 			return []byte(incrBase + "\nfunc extra() any { return 1 }\n")
 		}},
-		{"syntax error in body", "parse_error", func() []byte {
+		{"syntax error in body", "no_decl", func() []byte {
 			return mutate(t, incrBase, "return x + 1", "return x +")
 		}},
 	}
@@ -186,9 +238,9 @@ func TestIncrementalRecompileFallbacks(t *testing.T) {
 			if decl, file := base.MutantCompiles(); decl != 0 || !reflect.DeepEqual(file, map[string]uint64{tc.reason: 1}) {
 				t.Fatalf("compiles = %d decl, %v file; want one whole-file compile for %s", decl, file, tc.reason)
 			}
-			if tc.reason == "parse_error" {
+			if tc.name == "syntax error in body" {
 				if err == nil {
-					t.Fatalf("expected parse error from full path")
+					t.Fatalf("WithFiles compiled text that does not parse")
 				}
 				return
 			}
@@ -201,24 +253,12 @@ func TestIncrementalRecompileFallbacks(t *testing.T) {
 			if gv != wv || (ge == nil) != (we == nil) {
 				t.Errorf("Entry(3) = (%v, %v), want (%v, %v)", gv, ge, wv, we)
 			}
+			tv, te := incrTree(t, mutated, "Entry", int64(3))
+			if gv != tv || (ge == nil) != (te == nil) {
+				t.Errorf("Entry(3) = (%v, %v), tree-walk = (%v, %v)", gv, ge, tv, te)
+			}
 		})
 	}
-}
-
-// declOf parses src and returns its top-level function (or method) name.
-func declOf(t *testing.T, src []byte, name string) *ast.FuncDecl {
-	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "t.go", src, parser.SkipObjectResolution)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	for _, d := range f.Decls {
-		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == name {
-			return fd
-		}
-	}
-	t.Fatalf("no function %s in source", name)
-	return nil
 }
 
 // TestWithDeclEngages hands the compiler the changed declaration as a
@@ -380,8 +420,7 @@ func TestWithDeclProvenance(t *testing.T) {
 			t.Errorf("edit %d: Entry() = %v, want %v", i, gv, wv)
 		}
 	}
-	// A decl-derived unit has no text to diff against: the text front
-	// end recompiles the file and says so.
+	// The text front end recompiles a decl-derived unit whole and says so.
 	next := mutate(t, src, "return 4", "return 6")
 	if _, err := p.WithFiles(map[string][]byte{"t.go": next}); err != nil {
 		t.Fatal(err)

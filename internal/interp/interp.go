@@ -85,7 +85,6 @@ type Interp struct {
 	fset    *token.FileSet
 	globals *Scope
 	methods map[string]map[string]*ast.FuncDecl
-	modules map[string]*Module
 
 	clockNS    int64
 	stepNS     int64
@@ -100,12 +99,10 @@ type Interp struct {
 	hook   CallHook
 	frames []*frame
 
-	// Compiled-execution state (NewRun): the program, the flat global
-	// slot array indexed by the program's symbol table, and the side
-	// table for host-registered names compiled code never references.
+	// Compiled-execution state (NewRun): the program and the flat global
+	// slot array indexed by the program's symbol table.
 	prog   *Program
 	gslots []Value
-	extras map[string]Value
 	// argStack holds the evaluated arguments of the compiled calls in
 	// progress, innermost last (see compileCall).
 	argStack []Value
@@ -120,14 +117,6 @@ type Interp struct {
 	envs     []*HostEnv
 	hostData []hostDatum
 	shapes   map[string]*Shape
-
-	// hostVals records every individually registered host value by a
-	// stable registration key ("g:name" for globals, "m:name" for
-	// modules). Snapshot/fork uses the keys — of these and of the
-	// installed environments — to translate host references between the
-	// capturing interpreter and a forked one, whose environment
-	// registers equivalent values under the same keys.
-	hostVals map[string]Value
 
 	// Checkpoint context, non-nil only while a CallPrefix checkpoint
 	// callback runs: the paused entry frame Snapshot captures.
@@ -195,15 +184,6 @@ func (it *Interp) Throw(excType, msg string) error {
 	return it.throw(excType, msg)
 }
 
-// RegisterModule makes a host module importable by target sources.
-func (it *Interp) RegisterModule(m *Module) {
-	if it.modules == nil {
-		it.modules = make(map[string]*Module)
-	}
-	it.modules[m.Name] = m
-	it.noteHost("m:"+m.Name, m)
-}
-
 // rootShape returns the tree-walk path's interned field-less shape of a
 // struct type (compiled programs intern theirs in the linker).
 func (it *Interp) rootShape(typeName string) *Shape {
@@ -216,30 +196,6 @@ func (it *Interp) rootShape(typeName string) *Shape {
 		it.shapes[typeName] = sh
 	}
 	return sh
-}
-
-// RegisterGlobal binds a name in the global scope (used for fault hooks
-// such as __fault_enabled and __corrupt).
-func (it *Interp) RegisterGlobal(name string, v Value) {
-	it.noteHost("g:"+name, v)
-	if it.prog != nil {
-		it.defineGlobal(name, v)
-		return
-	}
-	it.globals.Define(name, v)
-}
-
-// noteHost records a host registration for snapshot/fork translation.
-func (it *Interp) noteHost(key string, v Value) {
-	if it.hostVals == nil {
-		it.hostVals = make(map[string]Value)
-	}
-	it.hostVals[key] = v
-}
-
-// RegisterHostFunc binds a global host function.
-func (it *Interp) RegisterHostFunc(name string, fn func(it *Interp, args []Value) (Value, error)) {
-	it.RegisterGlobal(name, &HostFunc{Name: name, Fn: fn})
 }
 
 // Clock returns the current virtual time in nanoseconds.
@@ -293,7 +249,7 @@ func (it *Interp) step() error {
 
 // LoadSource parses and loads one target source file: top-level functions,
 // methods, constants and vars become available for execution. Imports are
-// resolved against registered host modules.
+// resolved against the installed host environments' modules.
 func (it *Interp) LoadSource(filename string, src []byte) error {
 	f, err := parser.ParseFile(it.fset, filename, src, parser.SkipObjectResolution)
 	if err != nil {
@@ -406,10 +362,13 @@ func paramNames(ft *ast.FuncType) []string {
 
 // Global returns the value bound to a global name.
 func (it *Interp) Global(name string) (Value, bool) {
-	if it.prog != nil {
-		return it.lookupGlobal(name)
+	if it.prog == nil {
+		return it.globals.Lookup(name)
 	}
-	return it.globals.Lookup(name)
+	if idx, ok := it.prog.ln.lookup(name); ok && idx < len(it.gslots) && it.gslots[idx] != unbound {
+		return it.gslots[idx], true
+	}
+	return nil, false
 }
 
 // Call invokes a loaded function by name with the given arguments.

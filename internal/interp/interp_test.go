@@ -217,9 +217,9 @@ func F() any {
 	return result
 }`
 	it := New(Config{})
-	it.RegisterHostFunc("__mkexc", func(it *Interp, args []Value) (Value, error) {
+	it.Install(NewHostEnv().Func("__mkexc", func(it *Interp, args []Value) (Value, error) {
 		return &Exc{Type: "EtcdException", Msg: "boom"}, nil
-	})
+	}))
 	if err := it.LoadSource("t.go", []byte("package main\n"+src)); err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
@@ -271,10 +271,10 @@ func F() any {
 }`
 	var notes []string
 	it := New(Config{})
-	it.RegisterHostFunc("__note", func(it *Interp, args []Value) (Value, error) {
+	it.Install(NewHostEnv().Func("__note", func(it *Interp, args []Value) (Value, error) {
 		notes = append(notes, Repr(args[0]))
 		return nil, nil
-	})
+	}))
 	if err := it.LoadSource("t.go", []byte("package main\n"+src)); err != nil {
 		t.Fatalf("LoadSource: %v", err)
 	}
@@ -347,7 +347,7 @@ func TestModulesAndImports(t *testing.T) {
 	mod.Func("Get", func(it *Interp, args []Value) (Value, error) {
 		return "response:" + Repr(args[0]), nil
 	})
-	it.RegisterModule(mod)
+	it.Install(NewHostEnv().Module(mod))
 	src := `package main
 
 import "urllib"
@@ -591,10 +591,10 @@ func F() any {
 }`
 	var notes []Value
 	it := New(Config{})
-	it.RegisterHostFunc("__note", func(it *Interp, args []Value) (Value, error) {
+	it.Install(NewHostEnv().Func("__note", func(it *Interp, args []Value) (Value, error) {
 		notes = append(notes, args[0])
 		return nil, nil
-	})
+	}))
 	if err := it.LoadSource("t.go", []byte("package main\n"+src)); err != nil {
 		t.Fatal(err)
 	}
@@ -617,10 +617,10 @@ func F() any {
 }`
 	it := New(Config{})
 	bumped := false
-	it.RegisterHostFunc("bump", func(it *Interp, args []Value) (Value, error) {
+	it.Install(NewHostEnv().Func("bump", func(it *Interp, args []Value) (Value, error) {
 		bumped = true
 		return nil, nil
-	})
+	}))
 	if err := it.LoadSource("t.go", []byte("package main\n"+src)); err != nil {
 		t.Fatal(err)
 	}
@@ -683,9 +683,9 @@ func failAgain() any {
 	panic(__exc2("Second", "from defer"))
 }`
 	it := New(Config{})
-	it.RegisterHostFunc("__exc2", func(it *Interp, args []Value) (Value, error) {
+	it.Install(NewHostEnv().Func("__exc2", func(it *Interp, args []Value) (Value, error) {
 		return &Exc{Type: Repr(args[0]), Msg: Repr(args[1])}, nil
-	})
+	}))
 	if err := it.LoadSource("t.go", []byte("package main\n"+src)); err != nil {
 		t.Fatal(err)
 	}

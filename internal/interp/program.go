@@ -1,7 +1,6 @@
 package interp
 
 import (
-	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -53,14 +52,12 @@ type compileCounts struct {
 
 // Why a derivation recompiled a whole file instead of one declaration.
 const (
-	fileNoDecl     = iota // no declaration given, or the unit has no text to diff against
-	fileRename            // the declaration names no single function of the unit
-	fileCrossDecl         // the text changed outside a single function
-	fileNewName           // the file declares a top-level name the program did not have
-	fileParseError        // the changed declaration does not parse on its own
+	fileNoDecl  = iota // no declaration given: the caller holds only text
+	fileRename         // the declaration names no single function of the unit
+	fileNewName        // the file declares a top-level name the program did not have
 )
 
-var fileReasons = [...]string{"no_decl", "rename", "cross_decl", "new_name", "parse_error"}
+var fileReasons = [...]string{"no_decl", "rename", "new_name"}
 
 func newLinker() *linker {
 	l := &linker{idx: make(map[string]int), shapes: make(map[string]*Shape), hostSlot: make(map[*HostEnv][]int)}
@@ -162,10 +159,6 @@ type unit struct {
 	// a derivation can recompile just the one declaration a mutation
 	// touched.
 	sites []declSite
-	// src is the text the sites' byte spans refer to. Nil when the unit
-	// was compiled from a tree alone (or its spans did not validate):
-	// WithDecl still applies, WithFiles recompiles the file.
-	src []byte
 }
 
 // Derivation: a fault-injection campaign derives hundreds of programs
@@ -174,12 +167,10 @@ type unit struct {
 // interned symbol table, so a derived program is the base with one
 // freshly compiled declaration spliced into a copy of its unit —
 // observably identical to recompiling the file. The campaign's mutator
-// holds the mutated declaration as a tree and hands it over (WithDecl);
-// callers that hold only text (WithFiles) get there by diffing it
-// against the unit's recorded source and reparsing the one declaration
-// the change falls in. Anything else — a window spanning declarations, a
-// renamed function, a changed receiver type, a parse error — recompiles
-// the whole file, counted by reason.
+// holds the mutated declaration as a tree and hands it over (WithDecl).
+// Everything else — callers that hold only text (WithFiles), a renamed
+// function, a changed receiver type — recompiles the whole file,
+// counted by reason.
 
 const (
 	siteFunc   = iota // top-level plain function
@@ -187,15 +178,14 @@ const (
 )
 
 // declSite records one top-level function declaration of a unit: how it
-// is named, which artifacts it produced and where it sits in unit.src.
+// is named and which artifacts it produced.
 type declSite struct {
-	kind       int    // siteFunc or siteMethod
-	name       string // function or method name
-	typeName   string // receiver type for methods
-	opIdx      int    // index into unit.ops (siteFunc only)
-	fnsLo      int    // provenance range [fnsLo,fnsHi) into allFns:
-	fnsHi      int    // the decl's compiledFunc plus its nested literals
-	start, end int    // byte offsets of the decl ("func" .. closing brace)
+	kind     int    // siteFunc or siteMethod
+	name     string // function or method name
+	typeName string // receiver type for methods
+	opIdx    int    // index into unit.ops (siteFunc only)
+	fnsLo    int    // provenance range [fnsLo,fnsHi) into allFns:
+	fnsHi    int    // the decl's compiledFunc plus its nested literals
 }
 
 // siteOf returns the index of the one site fd redeclares, or -1 when
@@ -265,7 +255,7 @@ func CompileProgram(files []SourceUnit) (*Program, error) {
 	p := &Program{ln: ln, counts: new(compileCounts), globals: globals}
 	for i, su := range files {
 		c := &compiler{file: su.Name, syms: ln, globals: globals}
-		u, err := compileUnit(c, su.Name, su.Src, asts[i])
+		u, err := compileUnit(c, su.Name, asts[i])
 		if err != nil {
 			return nil, err
 		}
@@ -306,24 +296,22 @@ func (p *Program) WithDecl(file string, fd *ast.FuncDecl, src []byte) (*Program,
 	if si < 0 {
 		return p.withFile(ui, src, fileRename)
 	}
-	return p.withSite(ui, si, fd, nil, 0), nil
+	return p.withSite(ui, si, fd), nil
 }
 
-// WithFiles derives a program with the named units recompiled from new
-// sources — the derivation for callers that hold only text. Overlay
-// entries naming files outside the program are ignored (the tree-walk
-// never loads them either).
+// WithFiles derives a program with each named unit recompiled whole from
+// its new source — the derivation for callers that hold only text.
+// Overlay entries naming files outside the program are ignored (the
+// tree-walk never loads them either).
 func (p *Program) WithFiles(overlay map[string][]byte) (*Program, error) {
 	np := p
 	for name, src := range overlay {
 		ui := p.unitIndex(name)
-		if ui < 0 || (p.units[ui].src != nil && bytes.Equal(src, p.units[ui].src)) {
+		if ui < 0 {
 			continue
 		}
 		var err error
-		if si, fd, reason := p.units[ui].changedDecl(src); fd != nil {
-			np = np.withSite(ui, si, fd, src, len(src)-len(p.units[ui].src))
-		} else if np, err = np.withFile(ui, src, reason); err != nil {
+		if np, err = np.withFile(ui, src, fileNoDecl); err != nil {
 			return nil, err
 		}
 	}
@@ -345,7 +333,7 @@ func (p *Program) withFile(ui int, src []byte, reason int) (*Program, error) {
 	}
 	p.counts.file[reason].Add(1)
 	c := &compiler{file: name, syms: p.ln, globals: globals}
-	u, err := compileUnit(c, name, src, f)
+	u, err := compileUnit(c, name, f)
 	if err != nil {
 		return nil, err
 	}
@@ -380,8 +368,8 @@ func (p *Program) CacheStats() (hits, misses uint64) {
 
 // MutantCompiles splits the derivation count by what was compiled: one
 // declaration (decl), or the whole file, keyed by why the declaration
-// path did not apply ("no_decl", "rename", "cross_decl", "new_name",
-// "parse_error"; reasons that never occurred are absent).
+// path did not apply ("no_decl", "rename", "new_name"; reasons that never
+// occurred are absent).
 func (p *Program) MutantCompiles() (decl uint64, file map[string]uint64) {
 	file = make(map[string]uint64)
 	for i := range p.counts.file {
@@ -392,67 +380,9 @@ func (p *Program) MutantCompiles() (decl uint64, file map[string]uint64) {
 	return p.counts.decl.Load(), file
 }
 
-// changedDecl finds the one declaration in which src differs from the
-// unit's recorded source and reparses it. A nil fd means the difference
-// is not provably that shape, with the reason; the caller then
-// recompiles the file, which handles everything.
-func (u *unit) changedDecl(src []byte) (si int, fd *ast.FuncDecl, reason int) {
-	old := u.src
-	if old == nil {
-		return 0, nil, fileNoDecl
-	}
-	delta := len(src) - len(old)
-
-	// Changed window: common prefix, then common suffix of the rest.
-	n := min(len(old), len(src))
-	a := 0
-	for a < n && old[a] == src[a] {
-		a++
-	}
-	b := 0
-	for b < n-a && old[len(old)-1-b] == src[len(src)-1-b] {
-		b++
-	}
-	lo, hi := a, len(old)-b // changed window in old's coordinates
-
-	// The window must fall inside exactly one recorded function decl.
-	si = -1
-	for i := range u.sites {
-		if lo >= u.sites[i].start && hi <= u.sites[i].end {
-			si = i
-			break
-		}
-	}
-	if si < 0 {
-		return 0, nil, fileCrossDecl
-	}
-	site := &u.sites[si]
-
-	// Reparse just that declaration. A standalone parse needs a package
-	// clause; compiled artifacts are position-free, so the shifted
-	// offsets don't matter. Parse errors fall back to the full path,
-	// which reports them with the file's real context.
-	text := src[site.start : site.end+delta]
-	pf, err := parser.ParseFile(token.NewFileSet(), u.name,
-		append([]byte("package p\n"), text...), parser.SkipObjectResolution)
-	if err != nil {
-		return 0, nil, fileParseError
-	}
-	if len(pf.Decls) != 1 || len(pf.Imports) != 0 {
-		return 0, nil, fileCrossDecl
-	}
-	fd, ok := pf.Decls[0].(*ast.FuncDecl)
-	if !ok || fd.Body == nil || u.siteOf(fd) != si {
-		return 0, nil, fileRename
-	}
-	return si, fd, 0
-}
-
 // withSite derives a program in which fd, freshly compiled, replaces
-// site si of unit ui. src, when non-nil, is the unit's new text —
-// delta bytes longer, all of them inside the site — and keeps the text
-// index alive for later WithFiles derivations.
-func (p *Program) withSite(ui, si int, fd *ast.FuncDecl, src []byte, delta int) *Program {
+// site si of unit ui.
+func (p *Program) withSite(ui, si int, fd *ast.FuncDecl) *Program {
 	p.counts.decl.Add(1)
 	base := p.units[ui]
 	site := &base.sites[si]
@@ -462,7 +392,7 @@ func (p *Program) withSite(ui, si int, fd *ast.FuncDecl, src []byte, delta int) 
 	// out new top-level bindings).
 	c := &compiler{file: base.name, syms: p.ln, globals: p.globals}
 	nu := &unit{name: base.name, imports: base.imports, topNames: base.topNames,
-		ops: base.ops, methods: base.methods, src: src}
+		ops: base.ops, methods: base.methods}
 	np := &Program{ln: p.ln, counts: p.counts, globals: p.globals, methods: p.methods, units: append([]*unit(nil), p.units...)}
 	np.units[ui] = nu
 	if site.kind == siteMethod {
@@ -482,23 +412,19 @@ func (p *Program) withSite(ui, si int, fd *ast.FuncDecl, src []byte, delta int) 
 	}
 
 	// Provenance and site index: ranges after the changed decl shift by
-	// the change in its function count, byte spans by delta.
+	// the change in its function count.
 	dn := len(c.fns) - (site.fnsHi - site.fnsLo)
 	nu.allFns = make([]*compiledFunc, 0, len(base.allFns)+dn)
 	nu.allFns = append(nu.allFns, base.allFns[:site.fnsLo]...)
 	nu.allFns = append(nu.allFns, c.fns...)
 	nu.allFns = append(nu.allFns, base.allFns[site.fnsHi:]...)
 	nu.sites = base.sites
-	if dn != 0 || delta != 0 {
+	if dn != 0 {
 		nu.sites = append([]declSite(nil), base.sites...)
 		nu.sites[si].fnsHi += dn
-		nu.sites[si].end += delta
 		for i := si + 1; i < len(nu.sites); i++ {
-			s := &nu.sites[i]
-			s.fnsLo += dn
-			s.fnsHi += dn
-			s.start += delta
-			s.end += delta
+			nu.sites[i].fnsLo += dn
+			nu.sites[i].fnsHi += dn
 		}
 	}
 	return np
@@ -592,15 +518,10 @@ func topLevelNames(f *ast.File) []string {
 }
 
 // compileUnit lowers one parsed file, mirroring LoadSource's declaration
-// walk (imports, then declarations in source order). src, when
-// non-empty, is the file's source bytes the site index's byte spans are
-// validated against.
-func compileUnit(c *compiler, name string, src []byte, f *ast.File) (*unit, error) {
+// walk (imports, then declarations in source order).
+func compileUnit(c *compiler, name string, f *ast.File) (*unit, error) {
 	u := &unit{name: name, topNames: topLevelNames(f)}
 	defer func() { u.allFns = c.fns }()
-	if len(src) > 0 {
-		u.src = src
-	}
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
 		bound := path
@@ -619,16 +540,7 @@ func compileUnit(c *compiler, name string, src []byte, f *ast.File) (*unit, erro
 				// Same load-time rejection as the tree-walk's LoadSource.
 				return nil, fmt.Errorf("interp: %s: function %s has no body", name, decl.Name.Name)
 			}
-			// Offsets are fset-independent: positions relative to the
-			// file's own start. Validate against the bytes so an AST
-			// parsed from a different source can never mislead the
-			// text differ.
-			site := declSite{name: decl.Name.Name, opIdx: -1, fnsLo: len(c.fns),
-				start: int(decl.Pos() - f.FileStart), end: int(decl.End() - f.FileStart)}
-			if u.src != nil && (site.start < 0 || site.end <= site.start || site.end > len(src) ||
-				!bytes.HasPrefix(src[site.start:], []byte("func"))) {
-				u.src = nil
-			}
+			site := declSite{name: decl.Name.Name, opIdx: -1, fnsLo: len(c.fns)}
 			if decl.Recv != nil && len(decl.Recv.List) > 0 {
 				typeName, recvName := recvInfo(decl)
 				if typeName == "" {
@@ -679,8 +591,8 @@ func compileUnit(c *compiler, name string, src []byte, f *ast.File) (*unit, erro
 // Run-time side: NewRun / Boot / compiled calls / pools
 
 // NewRun creates an interpreter executing a compiled program: the
-// compile-once / run-many counterpart of New+LoadSource. Register host
-// modules and hooks as usual, then call Boot once before Call.
+// compile-once / run-many counterpart of New+LoadSource. Install the
+// host environment and hooks, then call Boot once before Call.
 func NewRun(p *Program, cfg Config) *Interp {
 	cfg = cfg.withDefaults()
 	it := &Interp{
@@ -696,7 +608,7 @@ func NewRun(p *Program, cfg Config) *Interp {
 	return it
 }
 
-// Boot resolves imports against the registered modules and executes the
+// Boot resolves imports against the installed modules and executes the
 // top-level declarations (function bindings and var initializers) in
 // load order — the compiled analog of LoadSource's load-time work. Call
 // it after installing the environment and before the first Call.
@@ -729,31 +641,6 @@ func (it *Interp) Boot() error {
 		}
 	}
 	return nil
-}
-
-// defineGlobal binds a host-registered name on the compiled path: into
-// its interned slot when compiled code references the name, else into
-// the side table consulted by Global and Call.
-func (it *Interp) defineGlobal(name string, v Value) {
-	if idx, ok := it.prog.ln.lookup(name); ok && idx < len(it.gslots) {
-		it.gslots[idx] = v
-		return
-	}
-	if it.extras == nil {
-		it.extras = make(map[string]Value)
-	}
-	it.extras[name] = v
-}
-
-func (it *Interp) lookupGlobal(name string) (Value, bool) {
-	if idx, ok := it.prog.ln.lookup(name); ok && idx < len(it.gslots) {
-		if v := it.gslots[idx]; v != unbound {
-			return v, true
-		}
-		return nil, false
-	}
-	v, ok := it.extras[name]
-	return v, ok
 }
 
 // callCompiled executes a compiled function with defer/recover semantics

@@ -53,7 +53,6 @@ type Snapshot struct {
 	clockNS int64
 
 	gslots  []Value
-	extras  map[string]Value
 	hostKey map[any]string // host value identity -> registration key
 }
 
@@ -149,7 +148,7 @@ func (it *Interp) callCompiledPrefix(f *compiledClosure, args []Value, checkpoin
 
 // Snapshot captures the interpreter state paused at the current
 // CallPrefix checkpoint: entry frame slots, captured cells, pending
-// defers, the global slot array and side table, step count and virtual
+// defers, the global slot array, step count and virtual
 // clock. Valid only while a checkpoint callback runs.
 func (it *Interp) Snapshot() (*Snapshot, error) {
 	if it.cpFrame == nil {
@@ -187,12 +186,6 @@ func (it *Interp) Snapshot() (*Snapshot, error) {
 	sn.gslots = make([]Value, len(it.gslots))
 	for i, v := range it.gslots {
 		sn.gslots[i] = cp.copyVal(v)
-	}
-	if len(it.extras) > 0 {
-		sn.extras = make(map[string]Value, len(it.extras))
-		for k, v := range it.extras {
-			sn.extras[k] = cp.copyVal(v)
-		}
 	}
 	if cp.err != nil {
 		return nil, cp.err
@@ -255,16 +248,13 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 		}
 		it.gslots[i] = cp.copyVal(snap.gslots[i])
 	}
-	for _, k := range sortedKeys(snap.extras) {
-		it.defineGlobal(k, cp.copyVal(snap.extras[k]))
-	}
 	if cp.err != nil {
 		return nil, cp.err
 	}
 
 	// Entry frame: the fork-side entry function must have the shape the
 	// snapshot recorded (same slot count, same body length).
-	ev, ok := it.lookupGlobal(snap.entry)
+	ev, ok := it.Global(snap.entry)
 	if !ok {
 		return nil, fmt.Errorf("%w: entry %q not bound", ErrUnforkable, snap.entry)
 	}
@@ -321,9 +311,13 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 	return result, err
 }
 
-// hostIndex maps host-registered values both ways: by identity to their
+// hostIndex maps installed host values both ways: by identity to their
 // registration key (capture side) and by key to the value (fork side).
-// Module members get compound keys so a captured reference to a member
+// Keys are stable across interpreters — "g:name" for globals, "m:name"
+// for modules, later environments shadowing earlier ones — so a forked
+// interpreter, whose environment installs equivalent values under the
+// same keys, finds the counterpart of every captured reference. Module
+// members get compound keys so a captured reference to a member
 // function translates to the fork module's member. Only reference
 // values (host functions, modules) are indexed; scalars copy as-is.
 func (it *Interp) hostIndex() (byVal map[any]string, byKey map[string]Value) {
@@ -340,7 +334,15 @@ func (it *Interp) hostIndex() (byVal map[any]string, byKey map[string]Value) {
 			}
 		}
 	}
-	regs := it.hostRegistrations()
+	regs := make(map[string]Value)
+	for _, e := range it.envs {
+		for i, name := range e.names {
+			regs["g:"+name] = e.vals[i]
+		}
+		for name, m := range e.modules {
+			regs["m:"+name] = m
+		}
+	}
 	for _, key := range sortedKeys(regs) {
 		v := regs[key]
 		note(key, v)

@@ -346,7 +346,7 @@ func F() any {
 	}
 	newInterp := func(mode int64) *Interp {
 		it := NewRun(prog, Config{})
-		it.RegisterHostFunc("mode", func(it *Interp, args []Value) (Value, error) { return mode, nil })
+		it.Install(NewHostEnv().Func("mode", func(it *Interp, args []Value) (Value, error) { return mode, nil }))
 		return it
 	}
 	prefix := newInterp(7)
@@ -422,10 +422,9 @@ func F() any {
 		mod.Member["Incr"] = &HostFunc{Name: "ctr.Incr", Fn: func(it *Interp, args []Value) (Value, error) {
 			return int64(7), nil
 		}}
-		it.RegisterModule(mod)
-		it.RegisterHostFunc("hostDouble", func(it *Interp, args []Value) (Value, error) {
+		it.Install(NewHostEnv().Module(mod).Func("hostDouble", func(it *Interp, args []Value) (Value, error) {
 			return args[0].(int64) * 2, nil
-		})
+		}))
 	}
 	runForkVsStraight(t, map[string]string{"t.go": src}, []string{"t.go"}, pure, "F")
 }
@@ -626,9 +625,9 @@ func F() any {
 		t.Fatal(err)
 	}
 	reg := func(it *Interp) {
-		it.RegisterHostFunc("hostFn", func(it *Interp, args []Value) (Value, error) {
+		it.Install(NewHostEnv().Func("hostFn", func(it *Interp, args []Value) (Value, error) {
 			return int64(42), nil
-		})
+		}))
 	}
 	pre := NewRun(prog, Config{})
 	reg(pre)

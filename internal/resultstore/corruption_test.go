@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,30 +50,40 @@ func segments(t *testing.T, cdir string) []string {
 	return names
 }
 
-// TestRestoreDropsTornTrailingWrite truncates the last segment
-// mid-line (a crashed process's torn write): restore must drop only
-// the torn fragment and keep serving every complete record.
+// TestRestoreDropsTornTrailingWrite truncates the last segment at
+// every byte offset (a crashed process's torn write): restore must drop
+// only the torn fragment and keep serving every complete record — a
+// prefix of what was written, never a panic or a reordered record.
 func TestRestoreDropsTornTrailingWrite(t *testing.T) {
 	dir := t.TempDir()
 	cdir := writeCampaign(t, dir, "camp-torn", 10)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	written := recordLines(t, s, "camp-torn")
+	_ = s.Close()
 	segs := segments(t, cdir)
 	last := segs[len(segs)-1]
 	data, err := os.ReadFile(last)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(last, data[:len(data)-7], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	s, err := Open(dir)
-	if err != nil {
-		t.Fatalf("restore with torn segment failed: %v", err)
-	}
-	defer s.Close()
-	got := recordLines(t, s, "camp-torn")
-	if len(got) != 9 { // 10 minus the torn final line
-		t.Fatalf("restored %d records, want 9", len(got))
+	kept := len(written) - bytes.Count(data, []byte("\n")) // records in earlier segments
+	for cut := 0; cut <= len(data); cut++ {
+		if err := os.WriteFile(last, data[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: restore failed: %v", cut, err)
+		}
+		got := recordLines(t, s, "camp-torn")
+		_ = s.Close()
+		want := kept + bytes.Count(data[:cut], []byte("\n"))
+		if len(got) != want || !reflect.DeepEqual(got, written[:want]) {
+			t.Fatalf("cut at %d: restored %d records, want the first %d written", cut, len(got), want)
+		}
 	}
 }
 

@@ -298,34 +298,53 @@ func TestWriteErrorDegradesCampaignButKeepsReads(t *testing.T) {
 	}
 }
 
+// TestRestoreSalvagesTornMeta tears meta.json at every byte offset, as
+// after a crash mid-rename on a filesystem without atomic rename (or a
+// corrupted sector). Whatever still parses loads as written; anything
+// else is quarantined and the campaign comes back interrupted,
+// resumable and serving all its records — never dropped, never a panic.
 func TestRestoreSalvagesTornMeta(t *testing.T) {
 	dir := t.TempDir()
 	cdir := writeCampaign(t, dir, "camp-1", 5)
-	// Torn meta.json: half a JSON object, as after a crash mid-rename on
-	// a filesystem without atomic rename (or a corrupted sector).
-	if err := os.WriteFile(filepath.Join(cdir, "meta.json"), []byte(`{"id":"camp-`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
+	metaPath := filepath.Join(cdir, "meta.json")
+	orig, err := os.ReadFile(metaPath)
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta, ok := s.Get("camp-1")
-	if !ok {
-		t.Fatal("campaign with torn meta was dropped")
-	}
-	if meta.Status != StatusInterrupted {
-		t.Fatalf("salvaged status = %q, want %q", meta.Status, StatusInterrupted)
-	}
-	if lines := recordLines(t, s, "camp-1"); len(lines) != 5 {
-		t.Fatalf("salvaged campaign serves %d records, want 5", len(lines))
-	}
-	if _, err := os.Stat(filepath.Join(cdir, "meta.json.bad")); err != nil {
-		t.Fatalf("torn meta not quarantined: %v", err)
-	}
-	// The salvaged campaign is resumable.
-	if _, err := s.ResumeCampaign("camp-1"); err != nil {
-		t.Fatalf("resume salvaged campaign: %v", err)
+	for cut := 0; cut < len(orig); cut++ {
+		_ = os.Remove(metaPath + ".bad")
+		if err := os.WriteFile(metaPath, orig[:cut], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatalf("cut at %d: %v", cut, err)
+		}
+		meta, ok := s.Get("camp-1")
+		if !ok {
+			t.Fatalf("cut at %d: campaign with torn meta was dropped", cut)
+		}
+		if lines := recordLines(t, s, "camp-1"); len(lines) != 5 {
+			t.Fatalf("cut at %d: salvaged campaign serves %d records, want 5", cut, len(lines))
+		}
+		if json.Valid(orig[:cut]) {
+			if meta.Status != StatusDone {
+				t.Fatalf("cut at %d: intact meta loaded as %q", cut, meta.Status)
+			}
+			_ = s.Close()
+			continue
+		}
+		if meta.Status != StatusInterrupted {
+			t.Fatalf("cut at %d: salvaged status = %q, want %q", cut, meta.Status, StatusInterrupted)
+		}
+		if _, err := os.Stat(metaPath + ".bad"); err != nil {
+			t.Fatalf("cut at %d: torn meta not quarantined: %v", cut, err)
+		}
+		// The salvaged campaign is resumable.
+		if _, err := s.ResumeCampaign("camp-1"); err != nil {
+			t.Fatalf("cut at %d: resume salvaged campaign: %v", cut, err)
+		}
+		_ = s.Close()
 	}
 }
 

@@ -368,8 +368,8 @@ func completeLines(data []byte) [][]byte {
 	}
 }
 
-// List returns the metadata of every stored campaign, oldest first:
-// creation order, which a reopen reproduces from the IDs' numbers.
+// List returns the metadata of every stored campaign in the order of
+// the IDs' numbers (creation order), live and after a reopen alike.
 func (s *Store) List() []Meta {
 	s.mu.Lock()
 	camps := make([]*campaign, 0, len(s.order))

@@ -483,3 +483,46 @@ func TestSeq(t *testing.T) {
 		}
 	}
 }
+
+// TestListOrdersByNumberLive: the store owns campaign order. A scheduler
+// with several workers may start camp-3 before camp-2; List returns them
+// in number order while the store is live and after a reopen alike, so
+// no reader has to re-sort.
+func TestListOrdersByNumberLive(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := func(s *Store) []string {
+		var out []string
+		for _, m := range s.List() {
+			out = append(out, m.ID)
+		}
+		return out
+	}
+	for _, id := range []string{"camp-1", "camp-10", "camp-3", "camp-2"} {
+		w, err := s.StartCampaign(Meta{ID: id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Finish(StatusDone, nil, &analysis.Report{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"camp-1", "camp-2", "camp-3", "camp-10"}
+	if got := ids(s); !reflect.DeepEqual(got, want) {
+		t.Errorf("live List = %v, want %v", got, want)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := ids(s2); !reflect.DeepEqual(got, want) {
+		t.Errorf("reopened List = %v, want %v", got, want)
+	}
+}

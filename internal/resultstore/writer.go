@@ -7,6 +7,8 @@ import (
 	"log/slog"
 	"os"
 	"path/filepath"
+	"slices"
+	"sort"
 	"time"
 
 	"profipy/internal/analysis"
@@ -45,7 +47,9 @@ func (s *Store) StartCampaign(meta Meta) (*Writer, error) {
 		return nil, fmt.Errorf("resultstore: campaign %s already stored", meta.ID)
 	}
 	s.camps[meta.ID] = c
-	s.order = append(s.order, meta.ID)
+	// In Seq order, ties by arrival, as a reopen lays it out.
+	i := sort.Search(len(s.order), func(j int) bool { return Seq(s.order[j]) > Seq(meta.ID) })
+	s.order = slices.Insert(s.order, i, meta.ID)
 	s.mu.Unlock()
 	s.evictMemory()
 	return s.attach(c, meta), nil

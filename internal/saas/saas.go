@@ -899,7 +899,6 @@ func (s *Server) handleListCampaigns(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, summary)
 	}
-	sort.SliceStable(out, func(i, j int) bool { return resultstore.Seq(out[i].ID) < resultstore.Seq(out[j].ID) })
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -141,7 +141,7 @@ func Workload() any {
 			_, ok := ctr.GetEnv("corrupt")
 			return ok, nil
 		})
-		it.RegisterModule(mod)
+		it.Install(interp.NewHostEnv().Module(mod))
 	}}
 	res, err := Run(c, cfg)
 	if err != nil {
