@@ -15,8 +15,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"profipy"
@@ -128,8 +130,9 @@ func runScan(args []string) error {
 		return err
 	}
 	fmt.Printf("scanned %d files with %d specs: %d injection points\n", len(files), len(specs), pl.Len())
-	for typ, n := range pl.CountByType() {
-		fmt.Printf("  %-24s %d\n", typ, n)
+	byType := pl.CountByType()
+	for _, typ := range slices.Sorted(maps.Keys(byType)) {
+		fmt.Printf("  %-24s %d\n", typ, byType[typ])
 	}
 	if *planOut != "" {
 		data, err := pl.Save()

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"profipy"
 )
 
 const cliTarget = `package svc
@@ -52,6 +55,77 @@ func TestRunScanWithPredefinedModel(t *testing.T) {
 	}
 	if !strings.Contains(string(data), "MFC") {
 		t.Error("plan JSON missing MFC points")
+	}
+}
+
+// TestRunScanIsStable: the per-type counts print in type order, so two
+// scans of one tree print the same stdout, and the -plan file holds the
+// bytes the library's plan saves to.
+func TestRunScanIsStable(t *testing.T) {
+	dir := t.TempDir()
+	src := cliTarget + `
+func Sync(c *Conn, node string, n int) {
+	label := "sync-node"
+	if node != "" && c != nil {
+		audit(c, label)
+	} else {
+		notify(c)
+	}
+	send(c, n+1)
+}
+`
+	if err := os.WriteFile(filepath.Join(dir, "svc.go"), []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	planPath := filepath.Join(t.TempDir(), "plan.json")
+	scan := func() string {
+		t.Helper()
+		out, err := os.CreateTemp(t.TempDir(), "stdout")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer out.Close()
+		stdout := os.Stdout
+		os.Stdout = out
+		err = run([]string{"scan", "-dir", dir, "-model", "gswfit", "-plan", planPath})
+		os.Stdout = stdout
+		if err != nil {
+			t.Fatalf("scan: %v", err)
+		}
+		data, err := os.ReadFile(out.Name())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	first := scan()
+	if types := strings.Count(first, "\n  "); types < 4 {
+		t.Fatalf("the target should give at least 4 fault types, got %d:\n%s", types, first)
+	}
+	for i := 0; i < 5; i++ {
+		if again := scan(); again != first {
+			t.Fatalf("two scans printed different output:\n%s\n---\n%s", first, again)
+		}
+	}
+
+	files, err := loadTargetDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs, err := loadModelSpecs("gswfit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := profipy.Scan(files, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := pl.Save()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(planPath); err != nil || !bytes.Equal(got, want) {
+		t.Errorf("the -plan file differs from profipy.Scan(files, specs).Save() (read error %v)", err)
 	}
 }
 

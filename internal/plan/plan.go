@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 
 	"profipy/internal/faultmodel"
 	"profipy/internal/pattern"
@@ -156,9 +157,63 @@ func (p *Plan) CountByFile() map[string]int {
 	return out
 }
 
-// Save serializes the plan to JSON.
+// Save serializes the plan to JSON: the bytes of json.MarshalIndent(p, "",
+// "  "), written in one pass into one buffer. A plan is mostly points, and
+// a point's layout is fixed, so points are encoded here; the specs (few,
+// with omitempty fields) go through encoding/json.
 func (p *Plan) Save() ([]byte, error) {
-	return json.MarshalIndent(p, "", "  ")
+	specs, err := json.MarshalIndent(p.Specs, "  ", "  ")
+	if err != nil {
+		return nil, err
+	}
+	size := len(specs) + 32
+	for i := range p.Points {
+		pt := &p.Points[i]
+		// 192 covers a point's keys, indentation and four integers; a
+		// string that needs escapes may still grow the buffer.
+		size += 192 + len(pt.Spec) + len(pt.File) + len(pt.Func) + len(pt.Snippet)
+	}
+	b := append(make([]byte, 0, size), "{\n  \"specs\": "...)
+	b = append(append(b, specs...), ",\n  \"points\": "...)
+	switch {
+	case p.Points == nil:
+		b = append(b, "null"...)
+	case len(p.Points) == 0:
+		b = append(b, "[]"...)
+	default:
+		b = append(b, '[')
+		for i := range p.Points {
+			pt := &p.Points[i]
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = appendString(append(b, "\n    {\n      \"spec\": "...), pt.Spec)
+			b = appendString(append(b, ",\n      \"file\": "...), pt.File)
+			b = appendString(append(b, ",\n      \"func\": "...), pt.Func)
+			b = strconv.AppendInt(append(b, ",\n      \"listIndex\": "...), int64(pt.ListIndex), 10)
+			b = strconv.AppendInt(append(b, ",\n      \"start\": "...), int64(pt.Start), 10)
+			b = strconv.AppendInt(append(b, ",\n      \"n\": "...), int64(pt.N), 10)
+			b = strconv.AppendInt(append(b, ",\n      \"line\": "...), int64(pt.Line), 10)
+			b = appendString(append(b, ",\n      \"snippet\": "...), pt.Snippet)
+			b = append(b, "\n    }"...)
+		}
+		b = append(b, "\n  ]"...)
+	}
+	return append(b, "\n}"...), nil
+}
+
+// appendString appends s as a JSON string. Printable ASCII other than the
+// quote, the backslash and the HTML characters needs no escape; anything
+// else goes to encoding/json, which owns the escaping rules (HTML,
+// U+2028/U+2029, invalid UTF-8).
+func appendString(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c > 0x7e || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
+		}
+	}
+	return append(append(append(b, '"'), s...), '"')
 }
 
 // Load parses a plan from JSON.
@@ -171,9 +226,18 @@ func Load(data []byte) (*Plan, error) {
 	return &p, nil
 }
 
-// Build scans a project with a faultload and returns the full plan.
+// Build scans a project with a faultload and returns the full plan. The
+// scan keeps no parse (scanner.ScanProject): a one-shot plan needs none.
 func Build(files map[string][]byte, specs []faultmodel.Spec) (*Plan, error) {
-	return BuildFromCache(scanner.NewProjectCache(files), specs)
+	models, err := faultmodel.CompileAll(specs)
+	if err != nil {
+		return nil, err
+	}
+	points, err := scanner.ScanProject(files, models)
+	if err != nil {
+		return nil, err
+	}
+	return New(specs, points), nil
 }
 
 // BuildFromCache builds a plan against a per-campaign parse cache, so the

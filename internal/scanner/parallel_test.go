@@ -2,10 +2,16 @@ package scanner
 
 import (
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 	"unicode/utf8"
 
+	"profipy/internal/faultmodel"
+	"profipy/internal/genproject"
 	"profipy/internal/pattern"
 )
 
@@ -135,6 +141,69 @@ func TestScanCacheReusesParses(t *testing.T) {
 	}
 	if _, err := cache.Get("dir/missing.go"); err == nil {
 		t.Error("cache.Get of a missing file must fail")
+	}
+}
+
+// TestOneShotScanRetainsNoParse: a one-shot scan drops each parse before
+// it takes the next file — with one worker, at most one ParsedFile may be
+// reachable when a parse starts — while ScanCache leaves every parse in
+// its cache, and both scans give the same points at any worker count.
+func TestOneShotScanRetainsNoParse(t *testing.T) {
+	files := genproject.Generate(genproject.DefaultConfig(10_000, 1))
+	if len(files) < 8 {
+		t.Fatalf("corpus has %d files, want at least 8", len(files))
+	}
+	models, err := faultmodel.CompileAll(genproject.Patterns(120))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var live atomic.Int64
+	maxLive := int64(0)
+	parse := func(name string) (*ParsedFile, error) {
+		// Finalizers run on their own goroutine after the collection
+		// that found the parse unreachable: wait for them, not longer.
+		runtime.GC()
+		for deadline := time.Now().Add(time.Second); live.Load() > 1 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+			runtime.GC()
+		}
+		maxLive = max(maxLive, live.Load())
+		pf, err := ParseFileOnce(name, files[name])
+		if err == nil {
+			live.Add(1)
+			runtime.SetFinalizer(pf, func(*ParsedFile) { live.Add(-1) })
+		}
+		return pf, err
+	}
+	if _, err := scanFiles(SortedNames(files), models, 1, parse); err != nil {
+		t.Fatal(err)
+	}
+	if maxLive > 1 {
+		t.Errorf("%d parses were reachable when a parse started, want at most 1", maxLive)
+	}
+
+	cache := NewProjectCache(files)
+	for _, workers := range []int{1, 2, 8} {
+		cached, err := ScanCache(cache, models, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, err := ScanProjectParallel(files, models, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(streamed) == 0 || !reflect.DeepEqual(streamed, cached) {
+			t.Errorf("workers=%d: ScanProjectParallel gave %d points, ScanCache %d, or they differ", workers, len(streamed), len(cached))
+		}
+	}
+	if len(cache.entries) != len(files) {
+		t.Fatalf("ScanCache left %d parses in its cache, want %d", len(cache.entries), len(files))
+	}
+	for name, e := range cache.entries {
+		if pf, err := cache.Get(name); err != nil || pf == nil || pf != e.pf {
+			t.Errorf("%s: cache.Get = %p, %v; want the parse the scan left", name, pf, err)
+		}
 	}
 }
 

@@ -254,22 +254,30 @@ func ScanSource(filename string, src []byte, specs []*pattern.MetaModel) ([]Inje
 // deterministic: points appear in sorted-file-name order regardless of
 // worker count or scheduling.
 func ScanProject(files map[string][]byte, specs []*pattern.MetaModel) ([]InjectionPoint, error) {
-	return ScanCache(NewProjectCache(files), specs, 0)
+	return ScanProjectParallel(files, specs, 0)
 }
 
 // ScanProjectParallel scans with an explicit worker count (0 = one per
-// available CPU).
+// available CPU). It keeps no parse: each worker parses a file, scans it
+// and drops the parse before taking the next, so a one-shot scan holds at
+// most one parse per worker however large the project is.
 func ScanProjectParallel(files map[string][]byte, specs []*pattern.MetaModel, workers int) ([]InjectionPoint, error) {
-	return ScanCache(NewProjectCache(files), specs, workers)
+	return scanFiles(SortedNames(files), specs, workers, func(name string) (*ParsedFile, error) {
+		return ParseFileOnce(name, files[name])
+	})
 }
 
 // ScanCache scans every file of a project cache with a worker pool,
-// leaving the parses behind for the coverage and mutation phases. Results
-// are concatenated in sorted-file-name order; when several files fail to
-// parse, the error of the first failing file (in that same order) is
-// returned, so error reporting is deterministic too.
+// leaving the parses behind for the coverage and mutation phases.
 func ScanCache(cache *ProjectCache, specs []*pattern.MetaModel, workers int) ([]InjectionPoint, error) {
-	names := cache.Names()
+	return scanFiles(cache.Names(), specs, workers, cache.Get)
+}
+
+// scanFiles is the scan's one worker pool: parse (through get) names[i],
+// scan it, take the next. Results are concatenated in names order; when
+// several files fail to parse, the error of the first failing file (in
+// that same order) is returned, so error reporting is deterministic too.
+func scanFiles(names []string, specs []*pattern.MetaModel, workers int, get func(string) (*ParsedFile, error)) ([]InjectionPoint, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -284,7 +292,7 @@ func ScanCache(cache *ProjectCache, specs []*pattern.MetaModel, workers int) ([]
 	errs := make([]error, len(names))
 	if workers == 1 {
 		for i, name := range names {
-			perFile[i], errs[i] = scanCached(cache, name, specs)
+			perFile[i], errs[i] = scanOne(get, name, specs)
 		}
 	} else {
 		next := make(chan int)
@@ -294,7 +302,7 @@ func ScanCache(cache *ProjectCache, specs []*pattern.MetaModel, workers int) ([]
 			go func() {
 				defer wg.Done()
 				for i := range next {
-					perFile[i], errs[i] = scanCached(cache, names[i], specs)
+					perFile[i], errs[i] = scanOne(get, names[i], specs)
 				}
 			}()
 		}
@@ -319,8 +327,8 @@ func ScanCache(cache *ProjectCache, specs []*pattern.MetaModel, workers int) ([]
 	return all, nil
 }
 
-func scanCached(cache *ProjectCache, name string, specs []*pattern.MetaModel) ([]InjectionPoint, error) {
-	pf, err := cache.Get(name)
+func scanOne(get func(string) (*ParsedFile, error), name string, specs []*pattern.MetaModel) ([]InjectionPoint, error) {
+	pf, err := get(name)
 	if err != nil {
 		return nil, err
 	}
