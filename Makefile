@@ -1,7 +1,7 @@
 GO ?= go
 BENCH_PKGS = ./internal/scanner/ ./internal/plan/ ./internal/pattern/ ./internal/mutator/ ./internal/interp/
 
-.PHONY: build vet test race shuffle cover fuzz-smoke golden-update loc loc-check bench bench-exec bench-pipeline bench-all bench-e2e bench-smoke metrics-smoke worker-chaos-smoke restart-chaos-smoke
+.PHONY: build vet test race shuffle cover fuzz-smoke golden-update loc loc-check bench bench-exec bench-pipeline bench-all bench-e2e ab bench-smoke metrics-smoke worker-chaos-smoke restart-chaos-smoke
 
 build:
 	$(GO) build ./...
@@ -55,13 +55,12 @@ loc:
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # loc's total may not exceed the budget: the figure the last
-# simplification left (one way into the interpreter — no text differ, no
-# per-interpreter Register* API — 23 274 → 23 125), plus the one-shot
-# scan that keeps one parse per worker and the one-pass plan encoder
-# (23 125 → 23 200). A change that needs more lines raises the constant
-# in the same diff, where code review sees it; CI runs this instead of
-# loc, so the size cannot silently grow back.
-LOC_BUDGET := 23200
+# simplification left (one fault-free pass per campaign — coverage read
+# off the compiled program, no text instrumenter — 23 200 → 23 198).
+# A change that needs more lines raises the constant in the same diff,
+# where code review sees it; CI runs this instead of loc, so the size
+# cannot silently grow back.
+LOC_BUDGET := 23198
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \
@@ -104,6 +103,16 @@ W ?= mix.local
 T ?= 0
 bench-e2e:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 20 --trace $(T)
+
+# A/B against a commit: N interleaved pairs of bench-e2e runs (20 s,
+# seeds 1..N), REF built in a temporary git worktree, the side that
+# runs first alternating; prints per end-to-end metric each side's
+# median and q1–q3, head/base and wins-of-N, then fail_share. Needs jq.
+# Example: make ab REF=HEAD~1 W=late.fork N=10
+REF ?= HEAD
+N ?= 10
+ab:
+	bash scripts/ab.sh $(REF) $(W) $(N)
 
 # bench/ is its own module (go test ./... at the root does not see it):
 # its tests compile the benchmark against the library surface it pins

@@ -25,6 +25,7 @@ import (
 	"profipy/internal/campaign"
 	"profipy/internal/faultmodel"
 	"profipy/internal/genproject"
+	"profipy/internal/interp"
 	"profipy/internal/kvclient"
 	"profipy/internal/sandbox"
 	"profipy/internal/scanner"
@@ -300,19 +301,28 @@ func BenchmarkAblationTrigger(b *testing.B) {
 	runOnce := func(b *testing.B, srcs map[string][]byte) {
 		b.Helper()
 		rt := NewRuntime(RuntimeConfig{Cores: 2, Seed: 3})
+		cfg := kvclient.WorkloadConfig()
 		for i := 0; i < b.N; i++ {
 			img := kvclient.Image()
 			img.Files = srcs
 			ctr := rt.CreateSeeded(img, 3)
-			cfg := kvclient.WorkloadConfig()
-			cfg.Rounds = 1
-			cfg.FaultFree = true
-			res, err := workload.Run(ctr, cfg)
+			// One round with the trigger left off, as a new container
+			// has it: the wrapped mutation takes its original branch.
+			units := make([]interp.SourceUnit, 0, len(cfg.Files))
+			for _, f := range cfg.Files {
+				units = append(units, interp.SourceUnit{Name: f, Src: srcs[f]})
+			}
+			prog, err := interp.CompileProgram(units)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if !res.Round1().OK {
-				b.Fatalf("fault-free round failed: %s", res.Round1().Message)
+			it := interp.NewRun(prog, interp.Config{DeadlineNS: cfg.TimeoutNS, MaxSteps: cfg.MaxSteps})
+			cfg.Env(it, ctr)
+			if err := it.Boot(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := it.Call(cfg.Entry); err != nil {
+				b.Fatalf("fault-free round failed: %v", err)
 			}
 			if err := rt.Destroy(ctr); err != nil {
 				b.Fatal(err)

@@ -1,5 +1,5 @@
 // Package campaign orchestrates the complete ProFIPy workflow of Fig. 2:
-// Scan (DSL compile + source scan + plan), optional coverage analysis,
+// Scan (DSL compile + source scan + plan), one fault-free coverage run,
 // Execution (per-experiment mutation, container deploy, two workload
 // rounds, teardown — scheduled by an internal/executor engine: the
 // local N−1 pool by default, a worker fleet on request), and Data
@@ -61,8 +61,8 @@ type Campaign struct {
 	// Analysis configures failure classification and metrics.
 	Analysis analysis.Config
 	// TraceHook, when set, is called on every experiment container (and
-	// on the prefix build's scratch container, whose captured state must
-	// match theirs) to enable span recording (the kvclient campaign
+	// on the coverage pass's container, whose captured state must match
+	// theirs) to enable span recording (the kvclient campaign
 	// passes kvclient.EnableTracing).
 	TraceHook func(c *sandbox.Container)
 	// OnProgress, when set, is called as the workflow advances: once per
@@ -222,7 +222,7 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	// The project's parse cache is the campaign's shared front-end:
 	// every file is parsed once (in this campaign, or in an earlier one
 	// that left the project in c.Prepared) and the same parses serve the
-	// coverage instrumentation and every experiment's mutation below.
+	// coverage verdicts and every experiment's mutation below.
 	c.progress(PhaseScan, 0, 0)
 	scanStart := time.Now()
 	proj, pl, err := c.scan()
@@ -247,10 +247,19 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	}
 	phaseSpan("compile", compileStart)
 
-	// --- Coverage analysis (fault-free instrumented run) ---
+	// --- Coverage analysis: the base program's one fault-free run ---
+	// Its reach gives the verdicts, its snapshots the fork prefixes; a
+	// remote campaign's workers build their own, so it takes none here.
 	c.progress(PhaseCoverage, 0, len(pl.Points))
 	covStart := time.Now()
-	covered, err := coverage.AnalyzeCached(c.Runtime, c.Image, c.Files, cache, pl.Points, wcfg)
+	_, remote := c.Executor.(*executor.Remote)
+	var sites []string
+	if !remote {
+		sites = coverage.Sites(pl.Points)
+	}
+	ctr := c.baseContainer()
+	covered, prefixes, err := coverage.Run(ctr, cache, pl.Points, sites, wcfg)
+	_ = c.Runtime.Destroy(ctr)
 	if err != nil {
 		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
 	}
@@ -272,6 +281,9 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	runner, err := c.buildRunner(cache, pl, covered, wcfg)
 	if err != nil {
 		return nil, err
+	}
+	if !remote { // else a takeover drain builds this process's own
+		runner.prefixOnce.Do(func() { runner.prefixes = prefixes })
 	}
 	execPoints := runner.Points()
 	agg, err := analysis.NewAggregator(c.Analysis)

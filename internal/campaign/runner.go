@@ -13,6 +13,7 @@ import (
 	"profipy/internal/plan"
 	"profipy/internal/remote"
 	"profipy/internal/runtimefault"
+	"profipy/internal/sandbox"
 	"profipy/internal/scanner"
 	"profipy/internal/workload"
 )
@@ -58,9 +59,9 @@ type Runner struct {
 	mutated  atomic.Int64
 	injected atomic.Int64
 
-	// Prefix-fork state: the site->snapshot map is built by the first
-	// experiment that runs, off a single base-program run in a scratch
-	// container. Misses are rare; their per-reason tally takes a lock.
+	// Prefix-fork state: the site->snapshot map is the coverage pass's,
+	// or built by the first experiment (a fleet worker's Runner) off the
+	// same base-program run. Misses are rare; their tally takes a lock.
 	prefixOnce sync.Once
 	prefixes   *workload.PrefixSet
 	forkHits   atomic.Int64
@@ -138,8 +139,8 @@ func (r *Runner) Counts() (mutated, injected int) {
 // captured (snapshots, and sites it left to full runs because their
 // prefix is too short to pay), experiments resumed from a snapshot
 // (hits) and experiments that attempted a fork but fell back to a full
-// run, by workload.ForkMiss reason. All zero before the first
-// experiment ran.
+// run, by workload.ForkMiss reason. All zero until a prefix set was
+// built.
 func (r *Runner) ForkStats() (build workload.PrefixStats, hits int, misses map[string]int) {
 	r.missMu.Lock()
 	defer r.missMu.Unlock()
@@ -151,12 +152,10 @@ func (r *Runner) ForkStats() (build workload.PrefixStats, hits int, misses map[s
 }
 
 // sitePrefix returns the shared prefix snapshot for a point's site
-// function, building the campaign's prefix set on first use. Whether a
-// site gets a prefix at all is workload.BuildPrefixes' decision.
+// function, building the campaign's prefix set on first use unless the
+// coverage pass handed one over. Whether a site gets a prefix at all is
+// workload.BuildPrefixes' decision.
 func (r *Runner) sitePrefix(pt scanner.InjectionPoint) *workload.Prefix {
-	if r.wcfg.FaultFree || pt.Func == "" {
-		return nil
-	}
 	r.prefixOnce.Do(r.buildPrefixes)
 	return r.prefixes.For(pt.Func)
 }
@@ -166,24 +165,12 @@ func (r *Runner) sitePrefix(pt scanner.InjectionPoint) *workload.Prefix {
 // leaves the prefix set empty — every experiment falls back to full
 // runs — and is logged and counted once.
 func (r *Runner) buildPrefixes() {
-	seen := make(map[string]bool)
-	var sites []string
-	for _, pt := range r.points {
-		if pt.Func != "" && !seen[pt.Func] {
-			seen[pt.Func] = true
-			sites = append(sites, pt.Func)
-		}
-	}
+	sites := coverage.Sites(r.points)
 	if len(sites) == 0 {
 		return
 	}
-	img := r.c.Image
-	img.Files = r.c.Files
-	ctr := r.c.Runtime.CreateSeeded(img, r.c.Seed)
+	ctr := r.c.baseContainer()
 	defer func() { _ = r.c.Runtime.Destroy(ctr) }()
-	if r.c.TraceHook != nil {
-		r.c.TraceHook(ctr)
-	}
 	ps, err := workload.BuildPrefixes(ctr, r.wcfg, sites)
 	if err != nil {
 		slog.Warn("prefix build failed, every experiment runs in full",
@@ -192,6 +179,18 @@ func (r *Runner) buildPrefixes() {
 		return
 	}
 	r.prefixes = ps
+}
+
+// baseContainer creates the base program's fault-free run's container:
+// base image, bare campaign seed, the experiments' trace hook.
+func (c *Campaign) baseContainer() *sandbox.Container {
+	img := c.Image
+	img.Files = c.Files
+	ctr := c.Runtime.CreateSeeded(img, c.Seed)
+	if c.TraceHook != nil {
+		c.TraceHook(ctr)
+	}
+	return ctr
 }
 
 // Experiment runs the experiment at plan index i and returns its

@@ -1,75 +1,72 @@
-// Package coverage implements the coverage analysis of §IV-D: before
-// running experiments, a single fault-free execution of the workload runs
-// against an instrumented copy of the target (a logging hook at every
-// injection point). Points the workload never reaches are pruned from the
-// plan, since injecting there cannot have any effect.
+// Package coverage implements the coverage analysis of §IV-D: a point is
+// covered when one fault-free run of the base program (the campaign's
+// prefix build; statements report their own reach) ran its first
+// statement. Uncovered points can be pruned: injecting there does nothing.
 package coverage
 
 import (
 	"fmt"
 
-	"profipy/internal/mutator"
 	"profipy/internal/sandbox"
 	"profipy/internal/scanner"
 	"profipy/internal/workload"
 )
 
-// AnalyzeCached performs the fault-free instrumented run and returns the
-// set of covered injection-point IDs. It works against the campaign's
-// parse cache and compiled base program (cfg.Program): files with
-// injection points are instrumented from their cached parse, the
-// container image layers the instrumented copies over the untouched base
-// file set, and the instrumented units are recompiled into a derived
-// program whose unchanged units stay shared with the base.
+// Run is a campaign's one fault-free pass in c, a base-image container
+// the caller destroys: workload.BuildPrefixes for sites. It returns the
+// covered point IDs and the prefix set, and fails unless the round is OK.
+func Run(c *sandbox.Container, cache *scanner.ProjectCache, points []scanner.InjectionPoint,
+	sites []string, cfg workload.Config) (map[string]bool, *workload.PrefixSet, error) {
+
+	ps, err := workload.BuildPrefixes(c, cfg, sites)
+	if err != nil {
+		return nil, nil, fmt.Errorf("coverage: fault-free run: %w", err)
+	}
+	if rr, err := ps.Round(); err != nil {
+		return nil, nil, fmt.Errorf("coverage: fault-free run: %w", err)
+	} else if !rr.OK {
+		return nil, nil, fmt.Errorf("coverage: fault-free run failed: %s", rr.Message)
+	}
+	covered := make(map[string]bool)
+	for _, p := range points {
+		pf, err := cache.Get(p.File)
+		if err != nil {
+			return nil, nil, fmt.Errorf("coverage: %s: %w", p.ID(), err)
+		}
+		if p.ListIndex < 0 || p.ListIndex >= len(pf.Lists) || p.Start < 0 || p.Start >= len(*pf.Lists[p.ListIndex].Ptr) {
+			return nil, nil, fmt.Errorf("coverage: stale injection point %s", p.ID())
+		}
+		stmt := (*pf.Lists[p.ListIndex].Ptr)[p.Start]
+		if ps.Reached(p.File, pf.Offset(stmt.Pos())) {
+			covered[p.ID()] = true
+		}
+	}
+	return covered, ps, nil
+}
+
+// AnalyzeCached is Run without snapshots in a fresh base-image container
+// seeded 0; cfg.Program must be the compiled base program.
 func AnalyzeCached(rt *sandbox.Runtime, img sandbox.Image, files map[string][]byte,
 	cache *scanner.ProjectCache, points []scanner.InjectionPoint, cfg workload.Config) (map[string]bool, error) {
 
-	// Group points per file and instrument each file once.
-	byFile := map[string][]scanner.InjectionPoint{}
-	for _, p := range points {
-		byFile[p.File] = append(byFile[p.File], p)
-	}
-	instrumented := make(map[string][]byte, len(byFile))
-	for name, pts := range byFile {
-		pf, err := cache.Get(name)
-		if err != nil {
-			return nil, fmt.Errorf("coverage: instrument %s: %w", name, err)
-		}
-		out, err := mutator.InstrumentParsed(pf, pts)
-		if err != nil {
-			return nil, fmt.Errorf("coverage: instrument %s: %w", name, err)
-		}
-		instrumented[name] = out
-	}
-
-	covImg := img
-	covImg.Name = img.Name + "-coverage"
-	covImg.Files = files
-	covImg.Overlay = instrumented
-	c := rt.CreateSeeded(covImg, 0)
+	img.Files, img.Overlay = files, nil
+	c := rt.CreateSeeded(img, 0)
 	defer func() { _ = rt.Destroy(c) }()
+	covered, _, err := Run(c, cache, points, nil, cfg)
+	return covered, err
+}
 
-	// One fault-free round: the trigger stays off.
-	covCfg := cfg
-	covCfg.Rounds = 1
-	covCfg.FaultFree = true
-	var err error
-	if covCfg.Program, err = cfg.Program.WithFiles(instrumented); err != nil {
-		return nil, fmt.Errorf("coverage: compile instrumented: %w", err)
+// Sites lists the distinct site functions of points, in plan order.
+func Sites(points []scanner.InjectionPoint) []string {
+	seen := make(map[string]bool)
+	var sites []string
+	for _, pt := range points {
+		if pt.Func != "" && !seen[pt.Func] {
+			seen[pt.Func] = true
+			sites = append(sites, pt.Func)
+		}
 	}
-	res, err := workload.Run(c, covCfg)
-	if err != nil {
-		return nil, fmt.Errorf("coverage: fault-free run: %w", err)
-	}
-	if !res.Round1().OK {
-		return nil, fmt.Errorf("coverage: fault-free run failed: %s", res.Round1().Message)
-	}
-
-	covered := make(map[string]bool)
-	for _, id := range c.Covered() {
-		covered[id] = true
-	}
-	return covered, nil
+	return sites
 }
 
 // Reduce filters points down to the covered ones (the reduced fault

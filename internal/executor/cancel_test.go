@@ -2,12 +2,14 @@ package executor
 
 import (
 	"context"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"profipy/internal/analysis"
 	"profipy/internal/fleet"
+	"profipy/internal/obs"
 	"profipy/internal/remote"
 	"profipy/internal/scanner"
 )
@@ -60,13 +62,15 @@ func verifyDrain(t *testing.T, name string, recs []analysis.Record, n int) {
 // TestCancellationDrainsCleanly cancels the context mid-run for every
 // engine and requires a complete, well-indexed record set anyway:
 // cancellation is cooperative and must never lose or duplicate an
-// index, only downgrade unexecuted experiments to stubs.
+// index, only downgrade unexecuted experiments to stubs. A fleetless
+// Remote's one shard is already in its no_worker drain when the cancel
+// lands, so the canceled drain finds nothing left to take over.
 func TestCancellationDrainsCleanly(t *testing.T) {
 	const n = 40
 	engines := []func() Executor{
 		func() Executor { return Local{} },
 		func() Executor { return Local{Workers: 4} },
-		func() Executor { return fleetless(2, nil) },
+		func() Executor { r := fleetless(2, nil); r.Reg = obs.NewRegistry(); return r },
 	}
 	for _, mk := range engines {
 		ex := mk()
@@ -78,6 +82,11 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 				t.Fatalf("run: %v", err)
 			}
 			verifyDrain(t, ex.Name(), col.Records(), n)
+			if r, ok := ex.(*Remote); ok {
+				if got, want := takeovers(r.Reg), map[string]float64{"no_worker": 1}; !reflect.DeepEqual(got, want) {
+					t.Errorf("takeovers = %v, want %v", got, want)
+				}
+			}
 		})
 	}
 }
@@ -86,7 +95,7 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 // coordinator has a live worker that never asks for work, so every shard
 // is still pending — and no drain running — when the cancellation
 // lands: Run must revoke them all and drain the full index range as
-// stubs in-process.
+// stubs in-process, in one takeover counted as canceled.
 func TestRemoteCancellationRevokesLeasedShards(t *testing.T) {
 	const n = 24
 	coord := fleet.New(fleet.Config{LeaseTTL: 10 * time.Second})
@@ -96,6 +105,7 @@ func TestRemoteCancellationRevokesLeasedShards(t *testing.T) {
 		CampaignID:   "cancel-test",
 		Spec:         remote.CampaignSpec{Name: "cancel-test"},
 		LocalWorkers: 2,
+		Reg:          obs.NewRegistry(),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
@@ -129,5 +139,8 @@ func TestRemoteCancellationRevokesLeasedShards(t *testing.T) {
 	}
 	if stubs != n {
 		t.Fatalf("%d stubs, want all %d (no worker ever ran an experiment)", stubs, n)
+	}
+	if got, want := takeovers(r.Reg), map[string]float64{"canceled": 1}; !reflect.DeepEqual(got, want) {
+		t.Errorf("takeovers = %v, want %v", got, want)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"profipy/internal/analysis"
 	"profipy/internal/fleet"
+	"profipy/internal/obs"
 	"profipy/internal/remote"
 	"profipy/internal/scanner"
 )
@@ -37,6 +38,17 @@ func staleFleet(workers, localWorkers int, skip *Mask) *Remote {
 		r.Coord.RegisterWorker(remote.RegisterRequest{Name: "silent"})
 	}
 	return r
+}
+
+// takeovers reads profipy_executor_takeover_total off reg, by reason.
+func takeovers(reg *obs.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, reason := range []string{"no_worker", "fleet_lost", "canceled"} {
+		if n := reg.CounterVec("profipy_executor_takeover_total", "", "reason").With(reason).Value(); n > 0 {
+			out[reason] = n
+		}
+	}
+	return out
 }
 
 func testRecord(idx int) analysis.Record {
@@ -111,11 +123,13 @@ func TestLocalBoundsParallelism(t *testing.T) {
 // plan in-process — no worker from the start, or a fleet whose plan was
 // cut into several shards falling silent mid-campaign — one drain runs
 // at a time, so no more than LocalWorkers experiments execute at once
-// (§IV-D's N−1), and every index is delivered exactly once.
+// (§IV-D's N−1), every index is delivered exactly once, and the takeover
+// is counted once, by what triggered it.
 func TestRemoteTakeoverBoundsParallelism(t *testing.T) {
 	const n, localWorkers = 48, 2
-	check := func(t *testing.T, r *Remote, active, peak *atomic.Int64) {
+	check := func(t *testing.T, r *Remote, active, peak *atomic.Int64, reason string) {
 		t.Helper()
+		r.Reg = obs.NewRegistry()
 		seen := map[int]int{}
 		err := r.Run(context.Background(), n, testExp(active, peak), SinkFunc(func(idx int, rec analysis.Record) {
 			seen[idx]++
@@ -134,18 +148,21 @@ func TestRemoteTakeoverBoundsParallelism(t *testing.T) {
 		if p := peak.Load(); p > localWorkers {
 			t.Errorf("peak parallelism = %d, want <= %d", p, localWorkers)
 		}
+		if got, want := takeovers(r.Reg), map[string]float64{reason: 1}; !reflect.DeepEqual(got, want) {
+			t.Errorf("takeovers = %v, want %v", got, want)
+		}
 	}
 
 	t.Run("no worker", func(t *testing.T) {
 		var active, peak atomic.Int64
-		check(t, fleetless(localWorkers, nil), &active, &peak)
+		check(t, fleetless(localWorkers, nil), &active, &peak, "no_worker")
 	})
 
 	t.Run("fleet falls silent", func(t *testing.T) {
 		// Two live workers: eight shards of six. One leases the first
-		// shard and ships half of it; then both fall silent, the lease
-		// expires and the drain takes over the whole plan, the half-done
-		// shard included.
+		// shard, ships half of it and heartbeats once; then both fall
+		// silent, the lease expires as the worker goes stale, and one
+		// drain takes over the whole plan, the half-done shard included.
 		r := staleFleet(1, localWorkers, nil)
 		r.CampaignID = "silent"
 		w := r.Coord.RegisterWorker(remote.RegisterRequest{Name: "leaser"})
@@ -162,12 +179,13 @@ func TestRemoteTakeoverBoundsParallelism(t *testing.T) {
 					lines = append(lines, remote.RecordLine{Idx: i, Kind: remote.KindMutated, Rec: testRecord(i)})
 				}
 				r.Coord.Ingest(l.Campaign, l.Shard, l.Token, lines)
+				r.Coord.Heartbeat(w.ID)
 				leased <- l
 				return
 			}
 		}()
 		var active, peak atomic.Int64
-		check(t, r, &active, &peak)
+		check(t, r, &active, &peak, "fleet_lost")
 		if l := <-leased; l.Lo != 0 || l.Hi != 6 {
 			t.Errorf("first lease = [%d,%d), want [0,6)", l.Lo, l.Hi)
 		}

@@ -12,9 +12,10 @@ import (
 // per Run) and the busy-worker gauge for utilization. A nil *emetrics
 // is valid and inert.
 type emetrics struct {
-	records *obs.Counter
-	expDur  *obs.Histogram
-	busy    *obs.Gauge
+	records   *obs.Counter
+	expDur    *obs.Histogram
+	busy      *obs.Gauge
+	takeovers *obs.CounterVec
 }
 
 // expDurBuckets resolve the sub-millisecond experiments the compiled
@@ -34,6 +35,8 @@ func newMetrics(reg *obs.Registry, executor string) *emetrics {
 			"Wall-clock latency of one experiment, by executor.", expDurBuckets, "executor").With(executor),
 		busy: reg.Gauge("profipy_executor_workers_busy",
 			"Workers currently inside an experiment (utilization numerator)."),
+		takeovers: reg.CounterVec("profipy_executor_takeover_total",
+			"In-process drains that took shards over from the fleet, by trigger: no worker live when the job started (no_worker), every worker fell silent (fleet_lost), the campaign was canceled (canceled).", "reason"),
 	}
 }
 
@@ -51,6 +54,13 @@ func (m *emetrics) instrument(exp Experiment) Experiment {
 		m.expDur.ObserveSince(start)
 		m.busy.Dec()
 		return rec
+	}
+}
+
+// takeover counts one in-process drain that claimed work.
+func (m *emetrics) takeover(reason string) {
+	if m != nil {
+		m.takeovers.With(reason).Inc()
 	}
 }
 

@@ -121,12 +121,12 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	// Liveness is checked before every claim, so a worker that comes back
 	// gets the rest of the plan. At most one drain runs, so local
 	// parallelism stays LocalWorkers; a trigger that arrives while one
-	// runs (again) starts the next when it ends.
-	draining, again := false, false
+	// runs (again) starts the next, under its own reason, when it ends.
+	draining, again := false, ""
 	drained := make(chan struct{}, 1)
-	drain := func() {
+	drain := func(reason string) {
 		if draining {
-			again = true
+			again = reason
 			return
 		}
 		draining = true
@@ -135,6 +135,10 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 				lo, hi, ok := job.ClaimLocal(ctx.Err() != nil)
 				if !ok {
 					break
+				}
+				if reason != "" { // the first claim: count the takeover once
+					m.takeover(reason)
+					reason = ""
 				}
 				runPool(lo, hi, r.LocalWorkers, r.Skip, func(i int) analysis.Record {
 					if job.IsDelivered(i) {
@@ -151,7 +155,7 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 		}()
 	}
 	if r.Coord.LiveWorkers() == 0 {
-		drain()
+		drain("no_worker")
 	}
 
 	sweep := r.Coord.LeaseTTL() / 4
@@ -177,17 +181,17 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 			sink.Put(d.Idx, d.Rec)
 		case <-drained:
 			draining = false
-			if again {
-				again = false
-				drain()
+			if reason := again; reason != "" {
+				again = ""
+				drain(reason)
 			}
 		case <-ctxDone:
 			ctxDone = nil // fires once; the drain now revokes every shard
-			drain()
+			drain("canceled")
 		case <-ticker.C:
 			r.Coord.Sweep()
 			if r.Coord.LiveWorkers() == 0 {
-				drain()
+				drain("fleet_lost")
 			}
 		}
 	}

@@ -77,7 +77,7 @@ type compiledFunc struct {
 	nslots    int
 	rootCells []int // slots that get a fresh *cell at frame setup
 	caps      []capSource
-	body      []cstmt
+	body      cblock
 }
 
 // compiledClosure is the runtime value of a compiled function, optionally
@@ -95,9 +95,18 @@ type cframe struct {
 	caps  []*cell
 }
 
+// cblock is a compiled statement list; list[i] has the ID id+i.
+type cblock struct {
+	list []cstmt
+	id   int
+}
+
 // runCstmts executes a compiled statement list (the analog of execBlock).
-func runCstmts(it *Interp, fr *cframe, list []cstmt) (control, Value, error) {
-	for _, s := range list {
+func runCstmts(it *Interp, fr *cframe, b cblock) (control, Value, error) {
+	for i, s := range b.list {
+		if it.reach != nil {
+			it.reach.Reach(b.id + i)
+		}
 		ctl, v, err := s(it, fr)
 		if err != nil || ctl != ctlNone {
 			return ctl, v, err
@@ -136,6 +145,11 @@ type compiler struct {
 	// uses it as the unit's provenance set when translating closures
 	// between a base program and a derived one.
 	fns []*compiledFunc
+	// nextStmt is the next statement's ID; offs gets its offset from
+	// base, the unit's start (NoPos: a lone declaration, no offsets).
+	nextStmt int
+	base     token.Pos
+	offs     []int
 }
 
 // access is a resolved variable reference.
@@ -444,10 +458,17 @@ func (c *compiler) compileFunc(parent *fnCtx, name string, ft *ast.FuncType,
 // ---------------------------------------------------------------------------
 // Statement compilation
 
-func (c *compiler) compileStmts(fc *fnCtx, list []ast.Stmt) []cstmt {
-	out := make([]cstmt, len(list))
+func (c *compiler) compileStmts(fc *fnCtx, list []ast.Stmt) cblock {
+	// IDs before nested lists, so the list's own are consecutive.
+	out := cblock{list: make([]cstmt, len(list)), id: c.nextStmt}
+	c.nextStmt += len(list)
+	if c.base != token.NoPos {
+		for _, s := range list {
+			c.offs = append(c.offs, int(s.Pos()-c.base))
+		}
+	}
 	for i, s := range list {
-		out[i] = c.compileStmt(fc, s)
+		out.list[i] = c.compileStmt(fc, s)
 	}
 	return out
 }
@@ -455,7 +476,7 @@ func (c *compiler) compileStmts(fc *fnCtx, list []ast.Stmt) []cstmt {
 // compileBlockStmts compiles a nested statement list in its own block
 // scope (the analog of execBlock with a fresh Scope: only var/const
 // declarations are block-scoped).
-func (c *compiler) compileBlockStmts(fc *fnCtx, list []ast.Stmt) []cstmt {
+func (c *compiler) compileBlockStmts(fc *fnCtx, list []ast.Stmt) cblock {
 	fc.blocks = append(fc.blocks, make(map[string]*vbind))
 	out := c.compileStmts(fc, list)
 	fc.blocks = fc.blocks[:len(fc.blocks)-1]
@@ -558,7 +579,7 @@ func (c *compiler) compileStmt(fc *fnCtx, s ast.Stmt) cstmt {
 		}
 		cond := c.compileExpr(fc, st.Cond)
 		body := c.compileBlockStmts(fc, st.Body.List)
-		var elseList []cstmt
+		var elseList cblock
 		var elseS cstmt
 		if st.Else != nil {
 			if blk, ok := st.Else.(*ast.BlockStmt); ok {
@@ -583,7 +604,7 @@ func (c *compiler) compileStmt(fc *fnCtx, s ast.Stmt) cstmt {
 			if Truthy(cv) {
 				return runCstmts(it, fr, body)
 			}
-			if elseList != nil {
+			if elseList.list != nil {
 				return runCstmts(it, fr, elseList)
 			}
 			if elseS != nil {
@@ -931,10 +952,10 @@ func (c *compiler) compileSwitch(fc *fnCtx, st *ast.SwitchStmt) cstmt {
 	}
 	type clause struct {
 		exprs []cexpr
-		body  []cstmt
+		body  cblock
 	}
 	var clauses []clause
-	var defaultBody []cstmt
+	var defaultBody cblock
 	hasDefault := false
 	for _, raw := range st.Body.List {
 		cc, ok := raw.(*ast.CaseClause)

@@ -55,7 +55,7 @@ type Config struct {
 	// Stdout receives print/println output; nil discards it.
 	Stdout io.Writer
 	// Hook observes (and may perturb) every interpreted function call;
-	// nil disables the mechanism. See CallHook.
+	// nil disables the mechanism. See CallHook and ReachHook.
 	Hook CallHook
 }
 
@@ -80,6 +80,14 @@ type CallHook interface {
 	LeaveCall(it *Interp, fn string, result Value) (Value, error)
 }
 
+// ReachHook is an optional interface of Config.Hook: the compiled path
+// calls Reach with a statement's ID (below Program.Stmts; see StmtAt) as
+// each statement starts, before its step — no step, no clock, and one nil
+// check per statement when absent. The tree-walk does not call it.
+type ReachHook interface {
+	Reach(stmt int)
+}
+
 // Interp executes a loaded minigo program.
 type Interp struct {
 	fset    *token.FileSet
@@ -97,6 +105,7 @@ type Interp struct {
 
 	stdout io.Writer
 	hook   CallHook
+	reach  ReachHook // hook, when it implements ReachHook
 	frames []*frame
 
 	// Compiled-execution state (NewRun): the program and the flat global
@@ -175,7 +184,7 @@ func New(cfg Config) *Interp {
 
 // SetCallHook installs (or clears, with nil) the call hook. Install it
 // before the first Call; swapping hooks mid-execution is not supported.
-func (it *Interp) SetCallHook(h CallHook) { it.hook = h }
+func (it *Interp) SetCallHook(h CallHook) { it.hook = h; it.reach, _ = h.(ReachHook) }
 
 // Throw raises an interpreted exception from host code (hook or host
 // function): the error is a *PanicError carrying an *Exc, recoverable by

@@ -159,6 +159,9 @@ type unit struct {
 	// a derivation can recompile just the one declaration a mutation
 	// touched.
 	sites []declSite
+	// offs[i] is the byte offset of the statement with ID stmt0+i.
+	stmt0 int
+	offs  []int
 }
 
 // Derivation: a fault-injection campaign derives hundreds of programs
@@ -220,6 +223,8 @@ type Program struct {
 	units   []*unit
 	methods map[string]map[string]*compiledFunc
 	globals map[string]bool
+	// nstmt bounds the program's reach IDs: [0, nstmt).
+	nstmt int
 }
 
 // CompileProgram compiles an ordered file set (the workload's load
@@ -254,12 +259,13 @@ func CompileProgram(files []SourceUnit) (*Program, error) {
 	// Phase 2: compile each unit against the shared table.
 	p := &Program{ln: ln, counts: new(compileCounts), globals: globals}
 	for i, su := range files {
-		c := &compiler{file: su.Name, syms: ln, globals: globals}
+		c := &compiler{file: su.Name, syms: ln, globals: globals, nextStmt: p.nstmt}
 		u, err := compileUnit(c, su.Name, asts[i])
 		if err != nil {
 			return nil, err
 		}
 		p.units = append(p.units, u)
+		p.nstmt = c.nextStmt
 	}
 	p.methods = mergeMethods(p.units)
 	return p, nil
@@ -332,12 +338,12 @@ func (p *Program) withFile(ui int, src []byte, reason int) (*Program, error) {
 		reason = fileNewName
 	}
 	p.counts.file[reason].Add(1)
-	c := &compiler{file: name, syms: p.ln, globals: globals}
+	c := &compiler{file: name, syms: p.ln, globals: globals, nextStmt: p.nstmt}
 	u, err := compileUnit(c, name, f)
 	if err != nil {
 		return nil, err
 	}
-	np := &Program{ln: p.ln, counts: p.counts, globals: p.globals, units: append([]*unit(nil), p.units...)}
+	np := &Program{ln: p.ln, counts: p.counts, globals: p.globals, units: append([]*unit(nil), p.units...), nstmt: c.nextStmt}
 	np.units[ui] = u
 	np.methods = mergeMethods(np.units)
 	return np, nil
@@ -366,6 +372,25 @@ func (p *Program) CacheStats() (hits, misses uint64) {
 	return 0, misses
 }
 
+// Stmts bounds the statement IDs a ReachHook sees on p.
+func (p *Program) Stmts() int { return p.nstmt }
+
+// StmtAt returns the ID of the statement that starts at byte offset off
+// of file; a declaration WithDecl compiled has none.
+func (p *Program) StmtAt(file string, off int) (int, bool) {
+	ui := p.unitIndex(file)
+	if ui < 0 {
+		return 0, false
+	}
+	u := p.units[ui]
+	for i, o := range u.offs {
+		if o == off {
+			return u.stmt0 + i, true
+		}
+	}
+	return 0, false
+}
+
 // MutantCompiles splits the derivation count by what was compiled: one
 // declaration (decl), or the whole file, keyed by why the declaration
 // path did not apply ("no_decl", "rename", "new_name"; reasons that never
@@ -390,9 +415,9 @@ func (p *Program) withSite(ui, si int, fd *ast.FuncDecl) *Program {
 	// Compile the one declaration against the shared symbol table and
 	// the program's global name set (unchanged: the site lookup rules
 	// out new top-level bindings).
-	c := &compiler{file: base.name, syms: p.ln, globals: p.globals}
+	c := &compiler{file: base.name, syms: p.ln, globals: p.globals, nextStmt: p.nstmt}
 	nu := &unit{name: base.name, imports: base.imports, topNames: base.topNames,
-		ops: base.ops, methods: base.methods}
+		ops: base.ops, methods: base.methods, stmt0: base.stmt0, offs: base.offs}
 	np := &Program{ln: p.ln, counts: p.counts, globals: p.globals, methods: p.methods, units: append([]*unit(nil), p.units...)}
 	np.units[ui] = nu
 	if site.kind == siteMethod {
@@ -418,6 +443,7 @@ func (p *Program) withSite(ui, si int, fd *ast.FuncDecl) *Program {
 	nu.allFns = append(nu.allFns, base.allFns[:site.fnsLo]...)
 	nu.allFns = append(nu.allFns, c.fns...)
 	nu.allFns = append(nu.allFns, base.allFns[site.fnsHi:]...)
+	np.nstmt = c.nextStmt
 	nu.sites = base.sites
 	if dn != 0 {
 		nu.sites = append([]declSite(nil), base.sites...)
@@ -520,8 +546,9 @@ func topLevelNames(f *ast.File) []string {
 // compileUnit lowers one parsed file, mirroring LoadSource's declaration
 // walk (imports, then declarations in source order).
 func compileUnit(c *compiler, name string, f *ast.File) (*unit, error) {
-	u := &unit{name: name, topNames: topLevelNames(f)}
-	defer func() { u.allFns = c.fns }()
+	u := &unit{name: name, topNames: topLevelNames(f), stmt0: c.nextStmt}
+	c.base = f.FileStart
+	defer func() { u.allFns, u.offs = c.fns, c.offs }()
 	for _, imp := range f.Imports {
 		path := strings.Trim(imp.Path.Value, `"`)
 		bound := path
@@ -604,6 +631,7 @@ func NewRun(p *Program, cfg Config) *Interp {
 		prog:       p,
 		envs:       baseEnvs, // already bound: the prototype carries the builtins
 	}
+	it.reach, _ = cfg.Hook.(ReachHook)
 	it.gslots = p.ln.newGlobals()
 	return it
 }

@@ -118,7 +118,7 @@ func (it *Interp) callCompiledPrefix(f *compiledClosure, args []Value, checkpoin
 	if cerr == nil {
 		var ctl control
 		var ret Value
-		for si := 0; si < len(fn.body); si++ {
+		for si := 0; si < len(fn.body.list); si++ {
 			if checkpoint != nil {
 				it.cpFrame, it.cpEntry, it.cpMeta, it.cpStmt = cf, f, fr, si
 				keep := checkpoint(si)
@@ -127,7 +127,10 @@ func (it *Interp) callCompiledPrefix(f *compiledClosure, args []Value, checkpoin
 					checkpoint = nil
 				}
 			}
-			ctl, ret, cerr = fn.body[si](it, cf)
+			if it.reach != nil {
+				it.reach.Reach(fn.body.id + si)
+			}
+			ctl, ret, cerr = fn.body.list[si](it, cf)
 			if cerr != nil || ctl != ctlNone {
 				break
 			}
@@ -159,7 +162,7 @@ func (it *Interp) Snapshot() (*Snapshot, error) {
 		prog:    it.prog,
 		entry:   fn.name,
 		stmt:    it.cpStmt,
-		bodyLen: len(fn.body),
+		bodyLen: len(fn.body.list),
 		nslots:  fn.nslots,
 		steps:   it.steps,
 		clockNS: it.clockNS,
@@ -263,7 +266,7 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 		return nil, fmt.Errorf("%w: entry %q is not a compiled function", ErrUnforkable, snap.entry)
 	}
 	nf := ec.fn
-	if nf.nslots != snap.nslots || len(nf.body) != snap.bodyLen || snap.stmt > len(nf.body) {
+	if nf.nslots != snap.nslots || len(nf.body.list) != snap.bodyLen || snap.stmt > len(nf.body.list) {
 		return nil, fmt.Errorf("%w: entry %q changed shape", ErrUnforkable, snap.entry)
 	}
 
@@ -297,7 +300,7 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 
 	it.frames = append(it.frames, fr)
 	var result Value
-	ctl, ret, cerr := runCstmts(it, cf, nf.body[snap.stmt:])
+	ctl, ret, cerr := runCstmts(it, cf, cblock{list: nf.body.list[snap.stmt:], id: nf.body.id + snap.stmt})
 	if ctl == ctlReturn {
 		result = ret
 	}

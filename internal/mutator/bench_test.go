@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"profipy/internal/dsl"
-	"profipy/internal/faultmodel"
 	"profipy/internal/genproject"
 	"profipy/internal/mutator"
 	"profipy/internal/pattern"
@@ -72,35 +71,6 @@ func BenchmarkMutateFresh(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := mutator.Apply(name, src, mm, pt, mutator.Options{Triggered: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkInstrumentCached measures coverage instrumentation of a whole
-// file from a warm parse (text insertion at cached offsets).
-func BenchmarkInstrumentCached(b *testing.B) {
-	files := genproject.Generate(genproject.Config{Files: 1, FuncsPerFile: 20, StmtsPerFunc: 10, Seed: 7})
-	var name string
-	var src []byte
-	for n, s := range files {
-		name, src = n, s
-	}
-	models, err := faultmodel.CompileAll(genproject.Patterns(24))
-	if err != nil {
-		b.Fatal(err)
-	}
-	pts, err := scanner.ScanSource(name, src, models)
-	if err != nil {
-		b.Fatal(err)
-	}
-	pf, err := scanner.ParseFileOnce(name, src)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := mutator.InstrumentParsed(pf, pts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -108,34 +108,6 @@ change {
 	}
 }
 
-// TestInstrumentParsedKeepsLineNumbers: hooks are inserted on the target
-// statement's own line, so the instrumented file reports the same line
-// numbers as the original — coverage output stays comparable to the plan.
-func TestInstrumentParsedKeepsLineNumbers(t *testing.T) {
-	mm, err := dsl.Compile("calls", `
-change {
-	$CALL{name=*}(...)
-} into {
-}`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pts, err := scanner.ScanSource("client.go", []byte(target), []*pattern.MetaModel{mm})
-	if err != nil {
-		t.Fatal(err)
-	}
-	instr, err := Instrument("client.go", []byte(target), pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := bytes.Count(instr, []byte("\n")), bytes.Count([]byte(target), []byte("\n")); got != want {
-		t.Errorf("instrumented line count = %d, want %d (hooks must not add lines)", got, want)
-	}
-	if got := bytes.Count(instr, []byte(HookCover+"(")); got != len(pts) {
-		t.Errorf("hooks = %d, want %d", got, len(pts))
-	}
-}
-
 // TestApplyZeroWidthPoint: a pattern that consumes no statements (a
 // 0-minimum block) produces N=0 injection points; applying one is a pure
 // insertion before the statement at Start, not a panic (regression: the
@@ -172,20 +144,5 @@ change {
 		if _, err := scanner.ScanSource("client.go", res.Source, nil); err != nil {
 			t.Errorf("triggered=%v: mutated source does not parse: %v\n%s", opts.Triggered, err, out)
 		}
-	}
-}
-
-func TestInstrumentParsedRejectsForeignPoint(t *testing.T) {
-	pf, err := scanner.ParseFileOnce("client.go", []byte(target))
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := scanner.InjectionPoint{Spec: "x", File: "other.go"}
-	if _, err := InstrumentParsed(pf, []scanner.InjectionPoint{bad}); err == nil {
-		t.Error("point from another file must be rejected")
-	}
-	stale := scanner.InjectionPoint{Spec: "x", File: "client.go", ListIndex: 99}
-	if _, err := InstrumentParsed(pf, []scanner.InjectionPoint{stale}); err == nil {
-		t.Error("stale list index must be rejected")
 	}
 }

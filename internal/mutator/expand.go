@@ -17,7 +17,6 @@ const (
 	HookHog     = "__hog"
 	HookDelay   = "__delay"
 	HookExc     = "__exc"
-	HookCover   = "__cover"
 )
 
 // expander instantiates a meta-model's replacement template against the

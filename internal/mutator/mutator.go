@@ -19,8 +19,6 @@ import (
 	"go/printer"
 	"go/token"
 	"reflect"
-	"sort"
-	"strconv"
 
 	"profipy/internal/pattern"
 	"profipy/internal/scanner"
@@ -287,61 +285,6 @@ func renderIndented(stmts []ast.Stmt, indent int) ([]byte, error) {
 			return nil, fmt.Errorf("mutator: render mutated statements: %w", err)
 		}
 	}
-	return buf.Bytes(), nil
-}
-
-// Instrument inserts a coverage hook call (__cover(id)) before the first
-// statement of every injection point in a file, producing a single
-// instrumented version used by the coverage analysis (§IV-D). Points must
-// all belong to this file.
-func Instrument(filename string, src []byte, points []scanner.InjectionPoint) ([]byte, error) {
-	pf, err := scanner.ParseFileOnce(filename, src)
-	if err != nil {
-		return nil, err
-	}
-	return InstrumentParsed(pf, points)
-}
-
-// InstrumentParsed instruments against a cached parse without touching the
-// shared AST: each hook is rendered as text and inserted at the byte
-// offset of its point's first statement, on the same line, so the
-// instrumented file keeps the original's line numbers (coverage and
-// injection-point line reports stay comparable).
-func InstrumentParsed(pf *scanner.ParsedFile, points []scanner.InjectionPoint) ([]byte, error) {
-	lists := pf.Lists
-	offsets := make([]int, 0, len(points))
-	hooks := make([]string, 0, len(points))
-	for _, p := range points {
-		if p.File != pf.Name {
-			return nil, fmt.Errorf("mutator: point %s does not belong to file %s", p.ID(), pf.Name)
-		}
-		if p.ListIndex < 0 || p.ListIndex >= len(lists) {
-			return nil, fmt.Errorf("mutator: stale injection point %s", p.ID())
-		}
-		stmts := *lists[p.ListIndex].Ptr
-		if p.Start < 0 || p.Start >= len(stmts) {
-			return nil, fmt.Errorf("mutator: stale injection point %s", p.ID())
-		}
-		offsets = append(offsets, pf.Offset(stmts[p.Start].Pos()))
-		hooks = append(hooks, HookCover+"("+strconv.Quote(p.ID())+"); ")
-	}
-
-	// Insert in ascending offset order while walking the source once.
-	order := make([]int, len(points))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return offsets[order[a]] < offsets[order[b]] })
-
-	var buf bytes.Buffer
-	buf.Grow(len(pf.Src) + 48*len(points))
-	prev := 0
-	for _, i := range order {
-		buf.Write(pf.Src[prev:offsets[i]])
-		buf.WriteString(hooks[i])
-		prev = offsets[i]
-	}
-	buf.Write(pf.Src[prev:])
 	return buf.Bytes(), nil
 }
 

@@ -212,32 +212,6 @@ change {
 	}
 }
 
-func TestInstrumentInsertsCoverageHooks(t *testing.T) {
-	mm, err := dsl.Compile("calls", `
-change {
-	$CALL{name=*}(...)
-} into {
-}`)
-	if err != nil {
-		t.Fatalf("Compile: %v", err)
-	}
-	pts, err := scanner.ScanSource("client.go", []byte(target), []*pattern.MetaModel{mm})
-	if err != nil {
-		t.Fatalf("ScanSource: %v", err)
-	}
-	instr, err := Instrument("client.go", []byte(target), pts)
-	if err != nil {
-		t.Fatalf("Instrument: %v", err)
-	}
-	out := string(instr)
-	if got := strings.Count(out, HookCover+"("); got != len(pts) {
-		t.Errorf("coverage hooks = %d, want %d\n%s", got, len(pts), out)
-	}
-	if _, err := scanner.ScanSource("client.go", instr, nil); err != nil {
-		t.Fatalf("instrumented source does not parse: %v", err)
-	}
-}
-
 func TestMutatedSourceReScannable(t *testing.T) {
 	// The tool re-scans mutated sources in the container; a triggered
 	// mutation must not create new matches of the same spec ad infinitum.

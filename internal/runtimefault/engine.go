@@ -33,8 +33,8 @@ type Engine struct {
 	// Round-scoped faults are instead gated by everArmed — whether any
 	// round of this experiment ran fault-enabled — so a round(2) fault
 	// can fire during the normally-disarmed round 2 of a fault-enabled
-	// experiment while staying silent in fault-free runs (coverage,
-	// golden passes), which never arm.
+	// experiment while staying silent in a run that never arms a round
+	// (the coverage pass installs no injector at all).
 	round     int
 	armed     bool
 	everArmed bool

@@ -67,11 +67,10 @@ type Container struct {
 	ioMBps int
 	seed   int64
 
-	mu      sync.Mutex
-	state   State
-	logs    map[string]*bytes.Buffer
-	covered map[string]bool
-	env     map[string]any
+	mu    sync.Mutex
+	state State
+	logs  map[string]*bytes.Buffer
+	env   map[string]any
 
 	trigger    atomic.Bool
 	contention atomic.Int32
@@ -133,25 +132,6 @@ func (c *Container) LogContents(name string) string {
 		return buf.String()
 	}
 	return ""
-}
-
-// MarkCovered records execution of an instrumented injection point.
-func (c *Container) MarkCovered(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.covered[id] = true
-}
-
-// Covered returns the covered injection-point IDs, sorted.
-func (c *Container) Covered() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.covered))
-	for id := range c.covered {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // PutEnv stores environment state that must persist across rounds within

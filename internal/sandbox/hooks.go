@@ -30,7 +30,7 @@ func hookState(it *interp.Interp) *hookRun {
 // InstallHooks binds the fault-injection runtime hooks of an interpreter
 // (one workload round) to a container. These are the functions the
 // mutator's replacement templates call: the trigger, string corruption,
-// CPU hogs, delays, exception construction, coverage and component logs.
+// CPU hogs, delays, exception construction and component logs.
 // The hook functions themselves are shared by every interpreter; an
 // install only records which container this round's calls act on.
 func InstallHooks(it *interp.Interp, c *Container) {
@@ -91,15 +91,6 @@ func newHooksEnv() *interp.HostEnv {
 			}
 		}
 		return &interp.Exc{Type: excType, Msg: msg}, nil
-	})
-
-	env.Func(mutator.HookCover, func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
-		if len(args) == 1 {
-			if id, ok := args[0].(string); ok {
-				hookState(it).c.MarkCovered(id)
-			}
-		}
-		return nil, nil
 	})
 
 	env.Func("__log", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {

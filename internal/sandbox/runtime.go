@@ -68,16 +68,15 @@ func (r *Runtime) createLocked(img Image, seed int64) *Container {
 	r.nextID++
 	r.created++
 	c := &Container{
-		ID:      img.Name + "-" + strconv.Itoa(r.nextID),
-		Image:   img.Name,
-		FS:      NewFS(),
-		memMB:   img.MemMB,
-		ioMBps:  img.IOMBps,
-		seed:    seed,
-		state:   StateCreated,
-		logs:    make(map[string]*bytes.Buffer),
-		covered: make(map[string]bool),
-		env:     make(map[string]any),
+		ID:     img.Name + "-" + strconv.Itoa(r.nextID),
+		Image:  img.Name,
+		FS:     NewFS(),
+		memMB:  img.MemMB,
+		ioMBps: img.IOMBps,
+		seed:   seed,
+		state:  StateCreated,
+		logs:   make(map[string]*bytes.Buffer),
+		env:    make(map[string]any),
 	}
 	for p, d := range img.Files {
 		c.FS.preload(p, d)

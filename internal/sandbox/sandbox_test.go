@@ -189,31 +189,6 @@ func F() any {
 	}
 }
 
-func TestCoverageHook(t *testing.T) {
-	rt := NewRuntime(RuntimeConfig{Cores: 2})
-	c := rt.Create(Image{Name: "kv"})
-	it := interp.New(interp.Config{})
-	InstallHooks(it, c)
-	src := `package main
-func F(b bool) any {
-	__cover("pt1")
-	if b {
-		__cover("pt2")
-	}
-	return nil
-}`
-	if err := it.LoadSource("t.go", []byte(src)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := it.Call("F", false); err != nil {
-		t.Fatal(err)
-	}
-	cov := c.Covered()
-	if len(cov) != 1 || cov[0] != "pt1" {
-		t.Fatalf("covered = %v, want [pt1]", cov)
-	}
-}
-
 func TestComponentLogs(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Cores: 2})
 	c := rt.Create(Image{Name: "kv"})

@@ -6,16 +6,15 @@ import (
 )
 
 // ContainerState is a frozen copy of a container's mutable experiment
-// state — filesystem, log streams, coverage marks and contention level —
-// taken at a prefix-snapshot boundary. It is immutable after capture and
-// may be restored into any number of forked containers. The environment
+// state — filesystem, log streams and contention level — taken at a
+// prefix-snapshot boundary. It is immutable after capture and may be
+// restored into any number of forked containers. The environment
 // bag (PutEnv) is deliberately excluded: its values are live host
 // objects owned by the workload environment, which captures and restores
 // them itself.
 type ContainerState struct {
 	fs         map[string][]byte
 	logs       map[string][]byte
-	covered    []string
 	contention int32
 }
 
@@ -33,7 +32,6 @@ func (c *Container) CaptureState() *ContainerState {
 	st := &ContainerState{
 		fs:         c.FS.snapshot(),
 		logs:       make(map[string][]byte),
-		covered:    c.Covered(),
 		contention: c.contention.Load(),
 	}
 	c.mu.Lock()
@@ -44,21 +42,17 @@ func (c *Container) CaptureState() *ContainerState {
 	return st
 }
 
-// RestoreState replaces the container's filesystem, log streams,
-// coverage marks and contention level with the captured state. Log
-// buffers handed out by Log before the restore keep pointing at the
-// old streams; grab streams after restoring. The environment bag and
-// the fault trigger are left untouched.
+// RestoreState replaces the container's filesystem, log streams and
+// contention level with the captured state. Log buffers handed out by
+// Log before the restore keep pointing at the old streams; grab streams
+// after restoring. The environment bag and the fault trigger are left
+// untouched.
 func (c *Container) RestoreState(st *ContainerState) {
 	c.FS.restore(st.fs)
 	c.mu.Lock()
 	c.logs = make(map[string]*bytes.Buffer, len(st.logs))
 	for name, data := range st.logs {
 		c.logs[name] = bytes.NewBuffer(append([]byte(nil), data...))
-	}
-	c.covered = make(map[string]bool, len(st.covered))
-	for _, id := range st.covered {
-		c.covered[id] = true
 	}
 	c.mu.Unlock()
 	c.contention.Store(st.contention)

@@ -11,7 +11,7 @@ import (
 
 // ParsedFile is one target source file parsed once and shared by every
 // consumer of the scan→plan→mutate pipeline: the scanner matches against
-// it, the coverage phase derives instrumentation offsets from it, and the
+// it, the coverage phase reads its points' statement offsets off it, and the
 // mutator re-establishes matches on it for each experiment.
 //
 // A ParsedFile is READ-ONLY after construction: the AST, the statement

@@ -6,7 +6,8 @@
 // top-level statement boundaries, and maps every injection site to the
 // snapshot taken just before the statement that first reaches it.
 // RunForked then resumes an experiment's round 1 from that snapshot
-// instead of re-running from round zero.
+// instead of re-running from round zero. The run also records every
+// statement it reaches: it is the campaign's coverage pass (§IV-D).
 //
 // Correctness rests on the boundary discipline: a site's snapshot
 // precedes the statement during which the site's function is first
@@ -54,11 +55,9 @@ var minForkSteps int64 = 4096
 // any experiment whose site is first reached at this boundary. Immutable
 // after capture; restores always copy.
 type Prefix struct {
-	// Stmt is the entry-body statement index the snapshot resumes at.
-	Stmt int
 	// Snap is the interpreter state (frames, cells, globals, clock).
 	Snap *interp.Snapshot
-	// Ctr is the container state (filesystem, logs, coverage).
+	// Ctr is the container state (filesystem, logs, contention).
 	Ctr *sandbox.ContainerState
 	// Env is the environment state from Config.CaptureEnv, if any.
 	Env    any
@@ -85,6 +84,10 @@ type PrefixStats struct {
 type PrefixSet struct {
 	prefixes map[string]*Prefix
 	stats    PrefixStats
+	round    RoundResult // how the building run ended
+	roundErr error
+	prog     *interp.Program
+	reached  []uint64 // one bit per statement ID of prog the run reached
 }
 
 // For returns the prefix for a site's function, or nil.
@@ -103,13 +106,25 @@ func (ps *PrefixSet) Stats() PrefixStats {
 	return ps.stats
 }
 
-// siteRecorder observes first-reach of injection sites during the
-// prefix run. It never perturbs execution (no errors, no extra steps).
-type siteRecorder struct {
-	want  map[string]bool
-	seen  map[string]bool
-	fresh []string // sites first seen since the last drain
+// Round reports how the build's round ended (see classify).
+func (ps *PrefixSet) Round() (RoundResult, error) { return ps.round, ps.roundErr }
+
+// Reached reports whether the round ran the statement at offset off of file.
+func (ps *PrefixSet) Reached(file string, off int) bool {
+	id, ok := ps.prog.StmtAt(file, off)
+	return ok && ps.reached[id>>6]&(1<<(id&63)) != 0
 }
+
+// siteRecorder observes first-reach of injection sites and every statement
+// run (interp.ReachHook); it never perturbs execution or adds a step.
+type siteRecorder struct {
+	want    map[string]bool
+	seen    map[string]bool
+	fresh   []string // sites first seen since the last drain
+	reached []uint64
+}
+
+func (r *siteRecorder) Reach(stmt int) { r.reached[stmt>>6] |= 1 << (stmt & 63) }
 
 func (r *siteRecorder) EnterCall(it *interp.Interp, fn string) error {
 	if r.want[fn] && !r.seen[fn] {
@@ -137,8 +152,8 @@ func (r *siteRecorder) drain() []string {
 // with fewer than minForkSteps steps behind them take no snapshot, so
 // the sites first reached from them — and the entry function itself,
 // whose EnterCall precedes the first boundary — are left uncovered and
-// counted as Short. The run's own outcome is irrelevant; prefixes
-// captured before a failure are still valid.
+// counted as Short. Prefixes captured before a failure are still valid;
+// the outcome and the reach stay on the set (Round, Reached).
 func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet, error) {
 	if cfg.Entry == "" || cfg.Program == nil {
 		return nil, fmt.Errorf("workload: prefixes require a compiled program and an entry")
@@ -151,7 +166,8 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 	// consults it (only injected fault code does, and there is none).
 	c.SetTrigger(true)
 
-	rec := &siteRecorder{want: make(map[string]bool, len(sites)), seen: make(map[string]bool)}
+	rec := &siteRecorder{want: make(map[string]bool, len(sites)), seen: make(map[string]bool),
+		reached: make([]uint64, (cfg.Program.Stmts()+63)/64)}
 	for _, s := range sites {
 		rec.want[s] = true
 	}
@@ -204,7 +220,7 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 			last = nil
 			return false
 		}
-		pre := &Prefix{Stmt: stmt, Snap: snap, Ctr: c.CaptureState()}
+		pre := &Prefix{Snap: snap, Ctr: c.CaptureState()}
 		if cfg.CaptureEnv != nil {
 			env, ok := cfg.CaptureEnv(c)
 			if !ok {
@@ -225,8 +241,10 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 		wd := time.AfterFunc(time.Duration(cfg.WallBudgetNS), it.Interrupt)
 		defer wd.Stop()
 	}
-	_, _ = it.CallPrefix(cfg.Entry, checkpoint)
+	_, err := it.CallPrefix(cfg.Entry, checkpoint)
 	assign()
+	ps.round, ps.roundErr = classify(it, err, cfg)
+	ps.prog, ps.reached = cfg.Program, rec.reached
 	ps.stats.Sites = len(sites)
 	ps.stats.Covered = len(ps.prefixes)
 	return ps, nil
@@ -251,7 +269,7 @@ type ForkMiss string
 func (m ForkMiss) Error() string { return "workload: fork miss: " + string(m) }
 
 const (
-	MissConfig     ForkMiss = "config"     // no prefix, program or entry, or a fault-free run
+	MissConfig     ForkMiss = "config"     // no prefix, program or entry
 	MissOverlay    ForkMiss = "overlay"    // the prefix wrote a path the experiment's overlay shadows
 	MissNoRestore  ForkMiss = "no_restore" // the prefix holds env state and cfg has no RestoreEnv
 	MissEnv        ForkMiss = "env"        // RestoreEnv refused the captured state
@@ -269,7 +287,7 @@ const (
 // byte-identical by re-running instead of improvising.
 func RunForked(c *sandbox.Container, cfg Config, spec ForkSpec) (*Result, bool, error) {
 	pre := spec.Prefix
-	if pre == nil || cfg.Entry == "" || cfg.Program == nil || cfg.FaultFree {
+	if pre == nil || cfg.Entry == "" || cfg.Program == nil {
 		return nil, false, MissConfig
 	}
 	// Overlay safety: the restore below replays the prefix container's

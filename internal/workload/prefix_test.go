@@ -166,10 +166,9 @@ func TestRunForkedNamesItsMisses(t *testing.T) {
 	if err := started.Start(); err != nil {
 		t.Fatal(err)
 	}
-	noRestore, refuses, faultFree := cfg, cfg, cfg
+	noRestore, refuses := cfg, cfg
 	noRestore.RestoreEnv = nil
 	refuses.RestoreEnv = func(*sandbox.Container, any) bool { return false }
-	faultFree.FaultFree = true
 	foreign := spec
 	foreign.Overlay = map[string][]byte{"not-in-base.go": src}
 	for _, tc := range []struct {
@@ -178,7 +177,7 @@ func TestRunForkedNamesItsMisses(t *testing.T) {
 		cfg  workload.Config
 		spec workload.ForkSpec
 	}{
-		{workload.MissConfig, rt.CreateSeeded(img, 2), faultFree, spec},
+		{workload.MissConfig, rt.CreateSeeded(img, 2), cfg, workload.ForkSpec{BaseFiles: img.Files}},
 		{workload.MissOverlay, rt.CreateSeeded(img, 2), cfg, foreign},
 		{workload.MissNoRestore, rt.CreateSeeded(img, 2), noRestore, spec},
 		{workload.MissEnv, rt.CreateSeeded(img, 2), refuses, spec},

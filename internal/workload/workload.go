@@ -38,9 +38,6 @@ type Config struct {
 	// Rounds is the number of workload rounds; 0 selects the paper's
 	// two-round protocol.
 	Rounds int
-	// FaultFree keeps the trigger disabled in every round (used by the
-	// coverage analysis pass and by golden runs).
-	FaultFree bool
 	// Injector, when set, is the experiment's runtime fault injector
 	// table (runtimefault.Engine): it is installed as the call hook of
 	// every round's interpreter and armed per round exactly like the
@@ -140,7 +137,7 @@ func Run(c *sandbox.Container, cfg Config) (*Result, error) {
 	res := &Result{Logs: map[string]string{}}
 	for i := 0; i < rounds; i++ {
 		// Round 1 runs with the fault enabled, later rounds disabled.
-		enabled := i == 0 && !cfg.FaultFree
+		enabled := i == 0
 		c.SetTrigger(enabled)
 		if cfg.Injector != nil {
 			cfg.Injector.BeginRound(i, enabled)

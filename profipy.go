@@ -21,9 +21,9 @@
 // failure propagation.
 //
 // The complete workflow is driven through Campaign; the individual phases
-// are available as Compile, Scan, Mutate and Instrument for custom
-// pipelines. See examples/ for runnable end-to-end scenarios and
-// EXPERIMENTS.md for the paper-reproduction results.
+// are available as Compile, Scan and Mutate for custom pipelines. See
+// examples/ for runnable end-to-end scenarios and EXPERIMENTS.md for the
+// paper-reproduction results.
 package profipy
 
 import (
@@ -142,12 +142,6 @@ func Mutate(src []byte, spec Spec, point InjectionPoint, opts MutateOptions) (*M
 		return nil, err
 	}
 	return &Mutation{Source: res.Source, Original: res.Original(), Mutated: res.Mutated()}, nil
-}
-
-// Instrument inserts coverage hooks at the given injection points of a
-// file (the fault-free coverage pass uses the result).
-func Instrument(filename string, src []byte, points []InjectionPoint) ([]byte, error) {
-	return mutator.Instrument(filename, src, points)
 }
 
 // NewRuntime creates a container runtime for the given host shape.

@@ -49,22 +49,6 @@ func TestFacadeCompileScanMutate(t *testing.T) {
 	}
 }
 
-func TestFacadeInstrument(t *testing.T) {
-	specs := []Spec{{Name: "MFC", Type: "MFC", DSL: sampleSpec}}
-	files := map[string][]byte{"svc.go": []byte(sampleTarget)}
-	pl, err := Scan(files, specs)
-	if err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	out, err := Instrument("svc.go", files["svc.go"], pl.Points)
-	if err != nil {
-		t.Fatalf("Instrument: %v", err)
-	}
-	if !strings.Contains(string(out), "__cover(") {
-		t.Error("instrumented source missing coverage hook")
-	}
-}
-
 func TestFacadePredefinedModels(t *testing.T) {
 	reg := PredefinedModels()
 	m, ok := reg.Get("gswfit")

@@ -1,0 +1,84 @@
+#!/usr/bin/env bash
+# ab compares the repository benchmark between a commit and the working
+# tree: N interleaved pairs of
+#
+#   bash bench/run.sh --workload W --seed s --seconds 20
+#
+# one run on each side per pair (seed s = the pair's number), the side
+# that runs first alternating from pair to pair. REF is built in a
+# temporary `git worktree`, removed on exit. Each run's last stdout line
+# is its JSON result. For every end-to-end metric BENCHMARK.json lists,
+# ab prints each side's median and q1–q3, the working tree's ratio to
+# REF's median, and in how many of the N pairs the working tree did
+# better; then each side's fail_share over all its runs.
+#
+#   make ab REF=<commit> W=<workload> N=<pairs>
+#   bash scripts/ab.sh <commit> <workload> <pairs>
+#
+# Needs bash, git and jq. One run at a time: the two sides never share
+# the machine.
+set -euo pipefail
+
+usage="usage: ab.sh REF WORKLOAD PAIRS"
+ref=${1:?$usage}
+wl=${2:?$usage}
+n=${3:?$usage}
+root=$(git rev-parse --show-toplevel)
+work=$(mktemp -d)
+cleanup() {
+  git -C "$root" worktree remove --force "$work/ref" >/dev/null 2>&1 || true
+  rm -rf "$work"
+}
+trap cleanup EXIT
+
+git -C "$root" worktree add --detach "$work/ref" "$ref" >/dev/null 2>&1
+sha=$(git -C "$work/ref" rev-parse --short HEAD)
+
+# run DIR SIDE SEED: one benchmark run in checkout DIR, its result line
+# appended to SIDE.jsonl.
+run() {
+  (cd "$1" && bash bench/run.sh --workload "$wl" --seed "$3" --seconds 20) | tail -n 1 >>"$work/$2.jsonl"
+}
+
+for ((i = 1; i <= n; i++)); do
+  if ((i % 2)); then
+    run "$work/ref" base "$i"
+    run "$root" head "$i"
+  else
+    run "$root" head "$i"
+    run "$work/ref" base "$i"
+  fi
+  echo "ab: pair $i of $n done" >&2
+done
+
+jq -n -r --arg wl "$wl" --arg ref "$sha" --argjson n "$n" \
+  --slurpfile base "$work/base.jsonl" --slurpfile head "$work/head.jsonl" \
+  --slurpfile spec "$root/BENCHMARK.json" '
+# q(p): the p-quantile of an array, interpolating between ranks.
+def q($p): sort as $s | ($s | length) as $k
+  | if $k == 0 then null
+    else (($k - 1) * $p) as $x | ($x | floor) as $i
+      | $s[$i] + ($s[[$i + 1, $k - 1] | min] - $s[$i]) * ($x - $i)
+    end;
+def num: if . == null then "-" else (. * 1000 | round / 1000 | tostring) end;
+def pad($w): tostring | if length < $w then . + (" " * ($w - length)) else . end;
+def vals($runs; $m): [$runs[] | .metrics[$m].value | select(. != null)];
+def side($runs; $m): vals($runs; $m)
+  | "\(q(0.5) | num) [\(q(0.25) | num), \(q(0.75) | num)]";
+def share($runs): ([$runs[].failed] | add) as $f | ([$runs[].attempted] | add) as $a
+  | "\(if $a > 0 then $f / $a else 0 end | num) (\($f) of \($a))";
+"workload \($wl): \($n) pairs, REF \($ref) (base) against the working tree (head)",
+("metric" | pad(22)) + ("better" | pad(7)) + ("base median [q1, q3]" | pad(34))
+  + ("head median [q1, q3]" | pad(34)) + ("head/base" | pad(10)) + "head wins",
+($spec[0].end_to_end[] | .name as $m | .better as $b
+  | (vals($base; $m) | q(0.5)) as $bm
+  | (vals($head; $m) | q(0.5)) as $hm
+  | ([range(0; [$base, $head | length] | min)
+      | ($base[.].metrics[$m].value) as $x | ($head[.].metrics[$m].value) as $y
+      | select($x != null and $y != null and (if $b == "higher" then $y > $x else $y < $x end))]
+     | length) as $wins
+  | ($m | pad(22)) + ($b | pad(7)) + (side($base; $m) | pad(34)) + (side($head; $m) | pad(34))
+    + ((if $bm == null or $hm == null or $bm == 0 then null else $hm / $bm end) | num | pad(10))
+    + "\($wins) of \($n)"),
+"fail_share             base \(share($base))   head \(share($head))"
+'

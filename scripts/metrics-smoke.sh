@@ -119,6 +119,11 @@ grep -q '^profipy_campaign_mutant_compiles_total{path="decl",reason=""} ' "$SCRA
 if grep -E '^# TYPE profipy_campaign_compile_(cache_hits|cache_misses|incremental)_total ' "$SCRAPE"; then
   echo "a compile-cache / incremental-recompile family is still exposed"; exit 1
 fi
+# Coverage runs the compiled base program itself: a healthy campaign
+# recompiles no file whole.
+if grep -E '^profipy_campaign_mutant_compiles_total\{path="file"' "$SCRAPE"; then
+  echo "a healthy campaign recompiled a whole file (path=\"file\" sample above)"; exit 1
+fi
 
 echo "== check pprof debug listener"
 curl -fs "http://$DEBUG_ADDR/debug/pprof/cmdline" >/dev/null
