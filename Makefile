@@ -38,6 +38,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatchPrefix -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz FuzzScanAgreesWithMatchPrefix -fuzztime $(FUZZTIME) ./internal/pattern/
 	$(GO) test -run '^$$' -fuzz FuzzEngineEquivalence -fuzztime $(FUZZTIME) ./internal/interp/
+	$(GO) test -run '^$$' -fuzz FuzzForkEquivalence -fuzztime $(FUZZTIME) ./internal/interp/
 	$(GO) test -run '^$$' -fuzz FuzzRecordsBody -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzSaveMatchesMarshalIndent -fuzztime $(FUZZTIME) ./internal/plan/
 
@@ -55,12 +56,13 @@ loc:
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # loc's total may not exceed the budget: the figure the last
-# simplification left (one fault-free pass per campaign — coverage read
-# off the compiled program, no text instrumenter — 23 200 → 23 198).
+# simplification left (one round path — straight, prefix-building and
+# forked rounds armed, run and looped by one function each, one
+# compiled-call body — 23 198 → 23 124).
 # A change that needs more lines raises the constant in the same diff,
 # where code review sees it; CI runs this instead of loc, so the size
 # cannot silently grow back.
-LOC_BUDGET := 23198
+LOC_BUDGET := 23124
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \

@@ -241,8 +241,8 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	// compiled code, and each experiment recompiles only its single
 	// mutated declaration.
 	compileStart := time.Now()
-	wcfg := c.Workload
-	if wcfg.Program, _, err = c.baseProgram(proj, met); err != nil {
+	wcfg, _, err := c.baseWorkload(proj, met)
+	if err != nil {
 		return nil, err
 	}
 	phaseSpan("compile", compileStart)

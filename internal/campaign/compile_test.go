@@ -320,3 +320,87 @@ func TestOneFaultFreeRunPerCampaign(t *testing.T) {
 		}
 	}
 }
+
+// TestWatchdogKillsAreCounted runs a campaign whose one mutant spins in
+// round 1 until the wall-clock watchdog kills it, through the workflow
+// (Run) and through a NewRunner Runner (a fleet worker's path): both
+// count the kill in the campaign's registry. A campaign that kills
+// nothing still exposes the family, at 0.
+func TestWatchdogKillsAreCounted(t *testing.T) {
+	const src = `package main
+
+var n = 0
+
+func advance() { n = n + 1 }
+
+func Workload() any {
+	n = 0
+	for n < 3 {
+		advance()
+	}
+	return n
+}
+`
+	spin := func(reg *obs.Registry) *campaign.Campaign {
+		return &campaign.Campaign{
+			Name:  "spin",
+			Files: map[string][]byte{"w.go": []byte(src)},
+			Faultload: []faultmodel.Spec{{Name: "omit-advance", Type: "MFC", DSL: `
+change {
+	$CALL{name=advance}(...)
+} into {
+}`}},
+			Workload: workload.Config{
+				Entry: "Workload", Files: []string{"w.go"}, TimeoutNS: 3_600_000_000_000, MaxSteps: 1 << 60,
+				WallBudgetNS: 20_000_000,
+				Env:          func(it *interp.Interp, c *sandbox.Container) { sandbox.InstallHooks(it, c) },
+			},
+			Runtime: newRuntime(),
+			Image:   sandbox.Image{Name: "t"},
+			Seed:    5,
+			Metrics: reg,
+		}
+	}
+	scrape := func(reg *obs.Registry) string {
+		var sb strings.Builder
+		if err := reg.WritePrometheus(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	const killed = "\nprofipy_workload_watchdog_timeouts_total 1\n"
+
+	reg := obs.NewRegistry()
+	res, err := spin(reg).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Records) != 1 || !res.Records[0].Result.Round1().Watchdog {
+		t.Fatalf("records = %+v, want one watchdog-killed round 1", res.Records)
+	}
+	if got := scrape(reg); !strings.Contains(got, killed) {
+		t.Errorf("Run: scrape lacks %q:\n%s", killed, got)
+	}
+
+	reg = obs.NewRegistry()
+	r, err := campaign.NewRunner(spin(reg), res.Covered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := r.Experiment(0); rec.Result == nil || !rec.Result.Round1().Watchdog {
+		t.Fatalf("Runner record = %+v, want a watchdog-killed round 1", rec)
+	}
+	if got := scrape(reg); !strings.Contains(got, killed) {
+		t.Errorf("NewRunner: scrape lacks %q:\n%s", killed, got)
+	}
+
+	reg = obs.NewRegistry()
+	c := hoistCampaign(newRuntime())
+	c.Metrics = reg
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := scrape(reg), "\nprofipy_workload_watchdog_timeouts_total 0\n"; !strings.Contains(got, want) {
+		t.Errorf("no kill: scrape lacks %q:\n%s", want, got)
+	}
+}

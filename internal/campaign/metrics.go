@@ -27,6 +27,9 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 	if reg == nil {
 		return nil
 	}
+	// The rounds' own counter: registered here so it reads 0 until the
+	// first kill.
+	workload.WatchdogTimeouts(reg)
 	return &cmetrics{
 		runs: reg.CounterVec("profipy_campaign_runs_total",
 			"Campaign workflow runs, by lifecycle event.", "status"),

@@ -9,6 +9,7 @@ import (
 
 	"profipy/internal/interp"
 	"profipy/internal/scanner"
+	"profipy/internal/workload"
 )
 
 // Prepared is a project made ready to run campaigns on: its files, the
@@ -155,23 +156,31 @@ func (c *Campaign) project() *Prepared {
 	return &Prepared{digest: digest, files: c.Files, cache: scanner.NewProjectCache(c.scanSubset())}
 }
 
-// baseProgram returns the project's compiled base program behind
-// derivation counters of this campaign's own, and how it came by it
-// ("" without a PreparedSet). A fresh project is compiled here and,
-// having compiled, offered to c.Prepared: a failure is never retained.
-func (c *Campaign) baseProgram(p *Prepared, met *cmetrics) (*interp.Program, string, error) {
+// baseWorkload returns the campaign's workload config running the project's
+// compiled base program — behind derivation counters of this campaign's
+// own — and counting into c.Metrics unless it names a registry, and how
+// it came by the program ("" without a PreparedSet). A fresh project is
+// compiled here and, having compiled, offered to c.Prepared: a failure
+// is never retained.
+func (c *Campaign) baseWorkload(p *Prepared, met *cmetrics) (workload.Config, string, error) {
+	wcfg := c.Workload
+	if wcfg.Metrics == nil {
+		wcfg.Metrics = c.Metrics
+	}
 	result := PreparedHit
 	if p.prog == nil {
 		prog, err := c.compileBase(p.cache)
 		if err != nil {
-			return nil, "", err
+			return wcfg, "", err
 		}
 		p.prog = prog
 		if c.Prepared == nil {
-			return prog, "", nil
+			wcfg.Program = prog
+			return wcfg, "", nil
 		}
 		result = c.Prepared.put(p)
 	}
 	met.prepared(result)
-	return p.prog.Counted(), result, nil
+	wcfg.Program = p.prog.Counted()
+	return wcfg, result, nil
 }

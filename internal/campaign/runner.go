@@ -82,13 +82,9 @@ func NewRunner(c *Campaign, covered map[string]bool) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	wcfg := c.Workload
-	var prepared string
-	if wcfg.Program, prepared, err = c.baseProgram(proj, newMetrics(c.Metrics)); err != nil {
+	wcfg, prepared, err := c.baseWorkload(proj, newMetrics(c.Metrics))
+	if err != nil {
 		return nil, err
-	}
-	if wcfg.Metrics == nil {
-		wcfg.Metrics = c.Metrics
 	}
 	r, err := c.buildRunner(proj.cache, pl, covered, wcfg)
 	if err != nil {
@@ -182,11 +178,17 @@ func (r *Runner) buildPrefixes() {
 }
 
 // baseContainer creates the base program's fault-free run's container:
-// base image, bare campaign seed, the experiments' trace hook.
+// base image, bare campaign seed.
 func (c *Campaign) baseContainer() *sandbox.Container {
 	img := c.Image
 	img.Files = c.Files
-	ctr := c.Runtime.CreateSeeded(img, c.Seed)
+	return c.container(img, c.Seed)
+}
+
+// container creates every container the campaign runs code in: seeded,
+// then hooked with the experiments' trace hook.
+func (c *Campaign) container(img sandbox.Image, seed int64) *sandbox.Container {
+	ctr := c.Runtime.CreateSeeded(img, seed)
 	if c.TraceHook != nil {
 		c.TraceHook(ctr)
 	}
@@ -202,59 +204,34 @@ func (r *Runner) Experiment(i int) analysis.Record {
 
 // ExperimentDetail runs the experiment at plan index i and additionally
 // reports which execution path it took (KindMutated, KindInjected or
-// KindError) and whether it resumed from its site's prefix snapshot
-// (ForkHit, ForkMiss, or ForkNone when the site has no prefix) — remote
-// workers ship both alongside the record so the control plane accounts
-// them without re-deriving anything.
+// KindError, as KindOf) and whether it resumed from its site's prefix
+// snapshot (ForkHit, ForkMiss, or ForkNone when the site has no prefix) —
+// remote workers ship both alongside the record so the control plane
+// accounts them without re-deriving anything.
 func (r *Runner) ExperimentDetail(i int) (rec analysis.Record, kind, fork string) {
 	pt := r.points[i]
 	rec = analysis.Record{Point: pt, FaultType: r.pl.TypeOf(pt), Covered: r.covered[pt.ID()]}
-	seed := r.c.Seed + int64(i) + 1
 	wcfg := r.wcfg
-
-	var eng *runtimefault.Engine
 	img := r.c.Image
 	img.Files = r.c.Files
-	kind = KindError
 
-	if rf, ok := r.rtFaults[pt.Spec]; ok {
-		// Runtime injection: bind the fault's site selector to the
-		// point's enclosing function (injection granularity is the
-		// function entered at run time) and draw all trigger/corruption
-		// randomness from this experiment's seed.
-		fault := *rf
-		fault.Site = pt.Func
-		var err error
-		eng, err = runtimefault.NewEngine([]runtimefault.Fault{fault}, seed)
-		if err != nil {
-			return rec, KindError, ForkNone
-		}
+	eng, mut, kind := r.path(i)
+	switch kind {
+	case KindError:
+		return rec, kind, ForkNone
+	case KindInjected:
 		wcfg.Injector = eng
 		r.injected.Add(1)
-		kind = KindInjected
-	} else {
-		mm, ok := r.models[pt.Spec]
-		if !ok {
-			return rec, KindError, ForkNone
-		}
-		pf, err := r.cache.Get(pt.File)
-		if err != nil {
-			return rec, KindError, ForkNone
-		}
-		mut, err := mutator.Mutate(pf, mm, pt, mutator.Options{Triggered: true})
-		if err != nil {
-			return rec, KindError, ForkNone
-		}
+	case KindMutated:
+		r.mutated.Add(1)
 		src, err := mut.Render()
 		if err != nil {
-			return rec, KindError, ForkNone
+			return rec, kind, ForkNone
 		}
 		// Copy-on-write deploy: the container shares the campaign's
 		// base file layer and shadows just the mutated file through the
 		// overlay, instead of copying the whole file map per experiment.
 		img.Overlay = map[string][]byte{pt.File: src}
-		r.mutated.Add(1)
-		kind = KindMutated
 		// The container gets the mutant as text, the compiler as the
 		// tree that text was printed from: one compileFunc, no re-parse.
 		wcfg.Program, err = wcfg.Program.WithDecl(pt.File, mut.Decl(), src)
@@ -266,10 +243,7 @@ func (r *Runner) ExperimentDetail(i int) (rec analysis.Record, kind, fork string
 	}
 
 	if pre := r.sitePrefix(pt); pre != nil {
-		fctr := r.c.Runtime.CreateSeeded(img, seed)
-		if r.c.TraceHook != nil {
-			r.c.TraceHook(fctr)
-		}
+		fctr := r.c.container(img, r.seed(i))
 		result, ok, miss := workload.RunForked(fctr, wcfg, workload.ForkSpec{
 			Prefix: pre, BaseFiles: r.c.Files, Overlay: img.Overlay,
 		})
@@ -289,21 +263,15 @@ func (r *Runner) ExperimentDetail(i int) (rec analysis.Record, kind, fork string
 			// (BeginRound, partial execution); rebuild it from the
 			// same deterministic inputs so the fallback run observes
 			// exactly the state a straight run would.
-			fault := *r.rtFaults[pt.Spec]
-			fault.Site = pt.Func
-			if neng, err := runtimefault.NewEngine([]runtimefault.Fault{fault}, seed); err == nil {
+			if neng, err := r.injector(i); err == nil {
 				eng = neng
 				wcfg.Injector = eng
 			}
 		}
 	}
 
-	ctr := r.c.Runtime.CreateSeeded(img, seed)
+	ctr := r.c.container(img, r.seed(i))
 	defer func() { _ = r.c.Runtime.Destroy(ctr) }()
-	if r.c.TraceHook != nil {
-		r.c.TraceHook(ctr)
-	}
-
 	result, err := workload.Run(ctr, wcfg)
 	if err != nil {
 		return rec, kind, fork
@@ -313,6 +281,50 @@ func (r *Runner) ExperimentDetail(i int) (rec analysis.Record, kind, fork string
 		rec.Injections = eng.Report()
 	}
 	return rec, kind, fork
+}
+
+// seed is the experiment at plan index i's seed: the campaign seed plus
+// the index, never anything scheduling decides.
+func (r *Runner) seed(i int) int64 { return r.c.Seed + int64(i) + 1 }
+
+// path decides how the experiment at plan index i runs: through a fresh
+// runtime injector (KindInjected), through a mutant of its point
+// (KindMutated), or not at all (KindError). ExperimentDetail and KindOf
+// both decide here.
+func (r *Runner) path(i int) (*runtimefault.Engine, *mutator.Mutant, string) {
+	pt := r.points[i]
+	if _, ok := r.rtFaults[pt.Spec]; ok {
+		eng, err := r.injector(i)
+		if err != nil {
+			return nil, nil, KindError
+		}
+		return eng, nil, KindInjected
+	}
+	mm, ok := r.models[pt.Spec]
+	if !ok {
+		return nil, nil, KindError
+	}
+	pf, err := r.cache.Get(pt.File)
+	if err != nil {
+		return nil, nil, KindError
+	}
+	mut, err := mutator.Mutate(pf, mm, pt, mutator.Options{Triggered: true})
+	if err != nil {
+		return nil, nil, KindError
+	}
+	return nil, mut, KindMutated
+}
+
+// injector builds the runtime injector of the experiment at plan index
+// i, whose point's spec names a runtime fault: the fault's site selector
+// is bound to the point's enclosing function (injection granularity is
+// the function entered at run time), and all trigger/corruption
+// randomness is drawn from the experiment's seed.
+func (r *Runner) injector(i int) (*runtimefault.Engine, error) {
+	pt := r.points[i]
+	fault := *r.rtFaults[pt.Spec]
+	fault.Site = pt.Func
+	return runtimefault.NewEngine([]runtimefault.Fault{fault}, r.seed(i))
 }
 
 // forkMissed tallies one fork attempt that fell back to a full run
@@ -332,34 +344,12 @@ func (r *Runner) forkMissed(site string, miss error) {
 
 // KindOf reports which execution path the experiment at plan index i
 // takes — KindMutated, KindInjected or KindError — without running its
-// workload. The path decision depends only on the faultload, the
-// scanned sources and the plan-index-derived seed, all deterministic,
-// so KindOf mirrors ExperimentDetail's kind exactly; a resumed campaign
+// workload: ExperimentDetail's decision (path), deterministic in the
+// faultload, the scanned sources and the plan index. A resumed campaign
 // uses it to account replayed records the same way the original
 // execution did (workload failures still count their kind, so a nil
 // Result does not mean KindError).
 func (r *Runner) KindOf(i int) string {
-	pt := r.points[i]
-	if rf, ok := r.rtFaults[pt.Spec]; ok {
-		fault := *rf
-		fault.Site = pt.Func
-		seed := r.c.Seed + int64(i) + 1
-		if _, err := runtimefault.NewEngine([]runtimefault.Fault{fault}, seed); err != nil {
-			return KindError
-		}
-		return KindInjected
-	}
-	mm, ok := r.models[pt.Spec]
-	if !ok {
-		return KindError
-	}
-	pf, err := r.cache.Get(pt.File)
-	if err != nil {
-		return KindError
-	}
-	// The structured core decides; nothing is rendered or compiled.
-	if _, err := mutator.Mutate(pf, mm, pt, mutator.Options{Triggered: true}); err != nil {
-		return KindError
-	}
-	return KindMutated
+	_, _, kind := r.path(i)
+	return kind
 }

@@ -130,7 +130,7 @@ type Interp struct {
 	// Checkpoint context, non-nil only while a CallPrefix checkpoint
 	// callback runs: the paused entry frame Snapshot captures.
 	cpFrame *cframe
-	cpEntry *compiledClosure
+	cpFn    *compiledFunc
 	cpMeta  *frame
 	cpStmt  int
 }
@@ -400,7 +400,7 @@ func (it *Interp) call(fn Value, args []Value) (Value, error) {
 	case *Closure:
 		return it.callClosure(f, args)
 	case *compiledClosure:
-		return it.callCompiled(f.fn, f.caps, f.recv, args)
+		return it.callCompiled(f.fn, f.caps, f.recv, args, nil)
 	case nil:
 		return nil, it.throw("AttributeError", "nil object is not callable")
 	default:
@@ -420,7 +420,7 @@ func (it *Interp) callMethod(mfn *compiledFunc, recv Value, args []Value) (Value
 	if err := it.step(); err != nil {
 		return nil, err
 	}
-	return it.callCompiled(mfn, nil, recv, args)
+	return it.callCompiled(mfn, nil, recv, args, nil)
 }
 
 // callClosure executes a user function with defer/recover semantics.

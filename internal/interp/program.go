@@ -673,8 +673,10 @@ func (it *Interp) Boot() error {
 
 // callCompiled executes a compiled function with defer/recover semantics
 // identical to callClosure, against a recycled slot frame; the caller has
-// charged the call's step (see call and callMethod).
-func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args []Value) (result Value, err error) {
+// charged the call's step (see call and callMethod). checkpoint is nil
+// except on CallPrefix's entry call, whose top-level body statements it
+// pauses before (see runCheckpointed).
+func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args []Value, checkpoint func(int) bool) (result Value, err error) {
 	if len(it.frames) > 200 {
 		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)
 	}
@@ -698,21 +700,28 @@ func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args 
 	}
 	// Extra args beyond declared params are dropped (tree-walk parity).
 
-	var cerr error
+	var ctl control
 	if it.hook != nil {
-		cerr = it.hook.EnterCall(it, fn.name)
+		err = it.hook.EnterCall(it, fn.name)
 	}
-	if cerr == nil {
-		var ctl control
-		var ret Value
-		ctl, ret, cerr = runCstmts(it, cf, fn.body)
-		if ctl == ctlReturn {
-			result = ret
-		}
+	if err == nil && checkpoint == nil {
+		ctl, result, err = runCstmts(it, cf, fn.body)
+	} else if err == nil {
+		ctl, result, err = it.runCheckpointed(fn, fr, cf, checkpoint)
 	}
-	err = it.runDefers(fr, cerr)
+	return it.endCall(fn.name, fr, cf, ctl, result, err)
+}
+
+// endCall is the epilogue of every compiled call, Fork's resumed entry
+// included, once its body ended with ctl: it runs the pending defers,
+// then the LeaveCall hook, and pops and recycles the call's frames.
+func (it *Interp) endCall(name string, fr *frame, cf *cframe, ctl control, result Value, err error) (Value, error) {
+	if ctl != ctlReturn {
+		result = nil
+	}
+	err = it.runDefers(fr, err)
 	if err == nil && it.hook != nil {
-		result, err = it.hook.LeaveCall(it, fn.name, result)
+		result, err = it.hook.LeaveCall(it, name, result)
 	}
 	it.frames = it.frames[:len(it.frames)-1]
 	it.putCframe(cf)

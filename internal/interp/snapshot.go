@@ -46,7 +46,6 @@ type Snapshot struct {
 
 	slots  []Value
 	caps   []*cell
-	recv   Value
 	defers []deferredCall
 
 	steps   int64
@@ -63,9 +62,10 @@ func (s *Snapshot) Stmt() int { return s.stmt }
 // each top-level statement of its body to run checkpoint(stmt). While
 // checkpoint executes, Snapshot may capture the paused state; checkpoint
 // returning false stops further checkpointing (execution continues to
-// completion either way). The entry's EnterCall hook fires before
-// checkpoint(0), so a hook observing the entry itself sees it with no
-// snapshot boundary preceding it.
+// completion either way), and a nil checkpoint makes CallPrefix Call.
+// The entry's EnterCall hook fires before checkpoint(0), so a hook
+// observing the entry itself sees it with no snapshot boundary
+// preceding it.
 func (it *Interp) CallPrefix(entry string, checkpoint func(stmt int) bool, args ...Value) (Value, error) {
 	if it.prog == nil {
 		return nil, fmt.Errorf("interp: CallPrefix requires a compiled program")
@@ -81,72 +81,28 @@ func (it *Interp) CallPrefix(entry string, checkpoint func(stmt int) bool, args 
 	if err := it.step(); err != nil {
 		return nil, err
 	}
-	return it.callCompiledPrefix(f, args, checkpoint)
+	return it.callCompiled(f.fn, f.caps, f.recv, args, checkpoint)
 }
 
-// callCompiledPrefix is callCompiled with a per-statement checkpoint on
-// the outer frame. Everything observable (steps, clock, hooks, defers)
-// matches callCompiled exactly; the checkpoint itself charges nothing.
-func (it *Interp) callCompiledPrefix(f *compiledClosure, args []Value, checkpoint func(int) bool) (result Value, err error) {
-	fn := f.fn
-	if len(it.frames) > 200 {
-		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)
-	}
-	fr := it.getFrame(fn.name)
-	it.frames = append(it.frames, fr)
-	cf := it.getCframe(fn.nslots)
-	cf.caps = f.caps
-
-	for _, s := range fn.rootCells {
-		cf.slots[s] = &cell{v: unbound}
-	}
-	if fn.recv != nil {
-		bindSlot(cf, fn.recv, f.recv)
-	}
-	for i, p := range fn.params {
-		var v Value
-		if i < len(args) {
-			v = args[i]
+// runCheckpointed is runCstmts over the entry body with checkpoint run
+// before each statement until it declines; the checkpoint itself
+// charges nothing, so steps, clock, hooks and defers match Call's.
+func (it *Interp) runCheckpointed(fn *compiledFunc, fr *frame, cf *cframe, checkpoint func(int) bool) (control, Value, error) {
+	for si, s := range fn.body.list {
+		it.cpFrame, it.cpFn, it.cpMeta, it.cpStmt = cf, fn, fr, si
+		keep := checkpoint(si)
+		it.cpFrame, it.cpFn, it.cpMeta = nil, nil, nil
+		if !keep {
+			return runCstmts(it, cf, cblock{list: fn.body.list[si:], id: fn.body.id + si})
 		}
-		bindSlot(cf, p, v)
-	}
-
-	var cerr error
-	if it.hook != nil {
-		cerr = it.hook.EnterCall(it, fn.name)
-	}
-	if cerr == nil {
-		var ctl control
-		var ret Value
-		for si := 0; si < len(fn.body.list); si++ {
-			if checkpoint != nil {
-				it.cpFrame, it.cpEntry, it.cpMeta, it.cpStmt = cf, f, fr, si
-				keep := checkpoint(si)
-				it.cpFrame, it.cpEntry, it.cpMeta = nil, nil, nil
-				if !keep {
-					checkpoint = nil
-				}
-			}
-			if it.reach != nil {
-				it.reach.Reach(fn.body.id + si)
-			}
-			ctl, ret, cerr = fn.body.list[si](it, cf)
-			if cerr != nil || ctl != ctlNone {
-				break
-			}
+		if it.reach != nil {
+			it.reach.Reach(fn.body.id + si)
 		}
-		if ctl == ctlReturn {
-			result = ret
+		if ctl, v, err := s(it, cf); err != nil || ctl != ctlNone {
+			return ctl, v, err
 		}
 	}
-	err = it.runDefers(fr, cerr)
-	if err == nil && it.hook != nil {
-		result, err = it.hook.LeaveCall(it, fn.name, result)
-	}
-	it.frames = it.frames[:len(it.frames)-1]
-	it.putCframe(cf)
-	it.putFrame(fr)
-	return result, err
+	return ctlNone, nil, nil
 }
 
 // Snapshot captures the interpreter state paused at the current
@@ -157,7 +113,7 @@ func (it *Interp) Snapshot() (*Snapshot, error) {
 	if it.cpFrame == nil {
 		return nil, errNotCheckpoint
 	}
-	fn := it.cpEntry.fn
+	fn := it.cpFn
 	sn := &Snapshot{
 		prog:    it.prog,
 		entry:   fn.name,
@@ -178,7 +134,6 @@ func (it *Interp) Snapshot() (*Snapshot, error) {
 			sn.caps[i] = cp.copyCell(c)
 		}
 	}
-	sn.recv = cp.copyVal(it.cpEntry.recv)
 	for _, d := range it.cpMeta.defers {
 		nd := deferredCall{fn: cp.copyVal(d.fn), args: make([]Value, len(d.args))}
 		for i, a := range d.args {
@@ -299,19 +254,8 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 	}
 
 	it.frames = append(it.frames, fr)
-	var result Value
-	ctl, ret, cerr := runCstmts(it, cf, cblock{list: nf.body.list[snap.stmt:], id: nf.body.id + snap.stmt})
-	if ctl == ctlReturn {
-		result = ret
-	}
-	err = it.runDefers(fr, cerr)
-	if err == nil && it.hook != nil {
-		result, err = it.hook.LeaveCall(it, nf.name, result)
-	}
-	it.frames = it.frames[:len(it.frames)-1]
-	it.putCframe(cf)
-	it.putFrame(fr)
-	return result, err
+	ctl, result, err := runCstmts(it, cf, cblock{list: nf.body.list[snap.stmt:], id: nf.body.id + snap.stmt})
+	return it.endCall(nf.name, fr, cf, ctl, result, err)
 }
 
 // hostIndex maps installed host values both ways: by identity to their

@@ -61,91 +61,125 @@ func runForkVsStraight(t *testing.T, files map[string]string, order []string,
 	if err != nil {
 		t.Fatalf("CompileProgram: %v", err)
 	}
-
-	newInterp := func(out *bytes.Buffer) *Interp {
-		it := NewRun(prog, Config{Stdout: out})
-		if setup != nil {
-			setup(it)
+	want := straightRun(t, prog, Config{}, setup, entry, args...)
+	got, bounds, refused := prefixRun(t, prog, Config{}, setup, entry, args...)
+	if refused != nil {
+		t.Fatalf("Snapshot at stmt %d: %v", len(bounds), refused)
+	}
+	// CallPrefix itself must be observation-identical to Call.
+	if got != want {
+		t.Fatalf("CallPrefix diverged from Call:\n prefix:   %+v\n straight: %+v", got, want)
+	}
+	if len(bounds) == 0 {
+		t.Fatalf("no snapshot boundaries captured for entry %s", entry)
+	}
+	for _, b := range bounds {
+		if got, err := forkRun(prog, Config{}, setup, b); err != nil {
+			t.Errorf("fork@%d: %v", b.snap.Stmt(), err)
+		} else if got != want {
+			t.Errorf("fork@%d diverged from the straight run:\n prefix+fork: %+v\n straight:    %+v", b.snap.Stmt(), got, want)
 		}
-		return it
 	}
+}
 
-	// Straight run: the reference behavior.
-	var straightOut bytes.Buffer
-	straight := newInterp(&straightOut)
-	if err := straight.Boot(); err != nil {
+// forkOutcome is everything a fork-equivalence check compares: result
+// and error rendering, step count, virtual clock and stdout bytes.
+type forkOutcome struct {
+	val, err, out string
+	steps, clock  int64
+}
+
+func outcomeOf(it *Interp, v Value, err error, out string) forkOutcome {
+	return forkOutcome{val: Repr(v), err: fmt.Sprint(err), out: out, steps: it.Steps(), clock: it.Clock()}
+}
+
+// forkBoundary is one snapshot a prefix run captured, with the stdout the
+// prefix had written before it and the functions it had entered.
+type forkBoundary struct {
+	snap    *Snapshot
+	out     string
+	entered map[string]bool
+}
+
+// enterLog is a CallHook recording the functions a run enters; it
+// changes nothing about the run.
+type enterLog map[string]bool
+
+func (l enterLog) EnterCall(it *Interp, fn string) error { l[fn] = true; return nil }
+func (l enterLog) LeaveCall(it *Interp, fn string, result Value) (Value, error) {
+	return result, nil
+}
+
+// straightRun calls entry on a fresh booted interpreter of prog.
+func straightRun(t *testing.T, prog *Program, cfg Config, setup forkSetup, entry string, args ...Value) forkOutcome {
+	t.Helper()
+	var out bytes.Buffer
+	cfg.Stdout = &out
+	it := NewRun(prog, cfg)
+	if setup != nil {
+		setup(it)
+	}
+	if err := it.Boot(); err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
-	wantVal, wantErr := straight.Call(entry, args...)
+	v, err := it.Call(entry, args...)
+	return outcomeOf(it, v, err, out.String())
+}
 
-	// Prefix run: capture a snapshot at every boundary, remembering how
-	// much stdout the prefix had produced at each.
-	var prefixOut bytes.Buffer
-	prefix := newInterp(&prefixOut)
-	if err := prefix.Boot(); err != nil {
+// prefixRun calls entry through CallPrefix on a fresh booted interpreter
+// of prog, snapshotting at every boundary until a snapshot is refused
+// (refused: the ErrUnforkable error, from then on no boundary is taken).
+func prefixRun(t *testing.T, prog *Program, cfg Config, setup forkSetup, entry string, args ...Value) (
+	_ forkOutcome, bounds []forkBoundary, refused error) {
+	t.Helper()
+	var out bytes.Buffer
+	entered := enterLog{}
+	cfg.Stdout, cfg.Hook = &out, entered
+	it := NewRun(prog, cfg)
+	if setup != nil {
+		setup(it)
+	}
+	if err := it.Boot(); err != nil {
 		t.Fatalf("Boot: %v", err)
 	}
-	type boundary struct {
-		snap   *Snapshot
-		outLen int
-	}
-	var bounds []boundary
 	checkpoint := func(stmt int) bool {
-		snap, err := prefix.Snapshot()
+		snap, err := it.Snapshot()
+		if errors.Is(err, ErrUnforkable) {
+			refused = err
+			return false
+		}
 		if err != nil {
 			t.Fatalf("Snapshot at stmt %d: %v", stmt, err)
 		}
 		if snap.Stmt() != stmt {
 			t.Fatalf("snapshot stmt = %d, want %d", snap.Stmt(), stmt)
 		}
-		bounds = append(bounds, boundary{snap, prefixOut.Len()})
+		seen := make(map[string]bool, len(entered))
+		for fn := range entered {
+			seen[fn] = true
+		}
+		bounds = append(bounds, forkBoundary{snap, out.String(), seen})
 		return true
 	}
-	preVal, preErr := prefix.CallPrefix(entry, checkpoint, args...)
+	v, err := it.CallPrefix(entry, checkpoint, args...)
+	return outcomeOf(it, v, err, out.String()), bounds, refused
+}
 
-	// CallPrefix itself must be observation-identical to Call.
-	if Repr(preVal) != Repr(wantVal) || fmt.Sprint(preErr) != fmt.Sprint(wantErr) {
-		t.Fatalf("CallPrefix diverged from Call:\n prefix: %s / %v\n straight: %s / %v",
-			Repr(preVal), preErr, Repr(wantVal), wantErr)
+// forkRun resumes b on a fresh interpreter of prog; its outcome's stdout
+// is the prefix's followed by the fork's. The error is Fork's refusal
+// (ErrUnforkable), when it refuses.
+func forkRun(prog *Program, cfg Config, setup forkSetup, b forkBoundary) (forkOutcome, error) {
+	var out bytes.Buffer
+	cfg.Stdout = &out
+	it := NewRun(prog, cfg)
+	if setup != nil {
+		setup(it)
 	}
-	if prefix.Steps() != straight.Steps() || prefix.Clock() != straight.Clock() {
-		t.Fatalf("CallPrefix accounting diverged: steps %d/%d clock %d/%d",
-			prefix.Steps(), straight.Steps(), prefix.Clock(), straight.Clock())
+	v, err := it.Fork(b.snap)
+	if errors.Is(err, ErrUnforkable) {
+		return forkOutcome{}, err
 	}
-	if prefixOut.String() != straightOut.String() {
-		t.Fatalf("CallPrefix stdout diverged:\n prefix: %q\n straight: %q",
-			prefixOut.String(), straightOut.String())
-	}
-	if len(bounds) == 0 {
-		t.Fatalf("no snapshot boundaries captured for entry %s", entry)
-	}
-
-	prefixBytes := prefixOut.String()
-	for _, b := range bounds {
-		var forkOut bytes.Buffer
-		fork := newInterp(&forkOut)
-		gotVal, gotErr := fork.Fork(b.snap)
-		if Repr(gotVal) != Repr(wantVal) {
-			t.Errorf("fork@%d result mismatch:\n fork: %s\n straight: %s",
-				b.snap.Stmt(), Repr(gotVal), Repr(wantVal))
-		}
-		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
-			t.Errorf("fork@%d error mismatch:\n fork: %v\n straight: %v",
-				b.snap.Stmt(), gotErr, wantErr)
-		}
-		if fork.Steps() != straight.Steps() {
-			t.Errorf("fork@%d step count mismatch: fork=%d straight=%d",
-				b.snap.Stmt(), fork.Steps(), straight.Steps())
-		}
-		if fork.Clock() != straight.Clock() {
-			t.Errorf("fork@%d clock mismatch: fork=%d straight=%d",
-				b.snap.Stmt(), fork.Clock(), straight.Clock())
-		}
-		if got := prefixBytes[:b.outLen] + forkOut.String(); got != straightOut.String() {
-			t.Errorf("fork@%d stdout mismatch:\n prefix+fork: %q\n straight: %q",
-				b.snap.Stmt(), got, straightOut.String())
-		}
-	}
+	return outcomeOf(it, v, err, b.out+out.String()), nil
 }
 
 func forkOne(t *testing.T, src, entry string, args ...Value) {

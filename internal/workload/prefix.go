@@ -28,7 +28,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"time"
 
 	"profipy/internal/interp"
 	"profipy/internal/sandbox"
@@ -162,27 +161,17 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 		return nil, err
 	}
 	defer c.Exit()
-	// Round-1 conditions: the trigger is on, but the base program never
-	// consults it (only injected fault code does, and there is none).
-	c.SetTrigger(true)
 
 	rec := &siteRecorder{want: make(map[string]bool, len(sites)), seen: make(map[string]bool),
 		reached: make([]uint64, (cfg.Program.Stmts()+63)/64)}
 	for _, s := range sites {
 		rec.want[s] = true
 	}
-	icfg := interp.Config{
-		DeadlineNS: cfg.TimeoutNS,
-		MaxSteps:   cfg.MaxSteps,
-		Stdout:     c.Log("stdout"),
-		Hook:       rec,
-	}
-	it := interp.NewRun(cfg.Program, icfg)
-	if cfg.Env != nil {
-		cfg.Env(it, c)
-	}
-	if err := it.Boot(); err != nil {
-		return nil, fmt.Errorf("workload: %w", err)
+	// Round-1 conditions: the trigger is on, but the base program never
+	// consults it (only injected fault code does, and there is none).
+	it, err := arm(c, cfg, 0, rec, nil)
+	if err != nil {
+		return nil, err
 	}
 
 	ps := &PrefixSet{prefixes: make(map[string]*Prefix)}
@@ -237,13 +226,8 @@ func BuildPrefixes(c *sandbox.Container, cfg Config, sites []string) (*PrefixSet
 		last = pre
 		return true
 	}
-	if cfg.WallBudgetNS > 0 {
-		wd := time.AfterFunc(time.Duration(cfg.WallBudgetNS), it.Interrupt)
-		defer wd.Stop()
-	}
-	_, err := it.CallPrefix(cfg.Entry, checkpoint)
+	ps.round, ps.roundErr = play(it, cfg, nil, checkpoint)
 	assign()
-	ps.round, ps.roundErr = classify(it, err, cfg)
 	ps.prog, ps.reached = cfg.Program, rec.reached
 	ps.stats.Sites = len(sites)
 	ps.stats.Covered = len(ps.prefixes)
@@ -303,76 +287,19 @@ func RunForked(c *sandbox.Container, cfg Config, spec ForkSpec) (*Result, bool, 
 	if pre.HasEnv && cfg.RestoreEnv == nil {
 		return nil, false, MissNoRestore
 	}
-	rounds := cfg.Rounds
-	if rounds <= 0 {
-		rounds = 2
-	}
 	if err := c.Start(); err != nil {
 		return nil, false, MissStart
 	}
 	defer c.Exit()
-
-	res := &Result{Logs: map[string]string{}}
-	rr, miss := forkRound(c, cfg, pre, spec.Overlay)
-	if miss != "" {
+	res, err := protocol(c, cfg, &spec)
+	if err != nil {
+		miss := MissRound
+		switch {
+		case errors.As(err, &miss): // arm's refusal, MissEnv
+		case errors.Is(err, interp.ErrUnforkable):
+			miss = MissUnforkable
+		}
 		return nil, false, miss
 	}
-	res.Rounds = append(res.Rounds, rr)
-	for i := 1; i < rounds; i++ {
-		c.SetTrigger(false)
-		if cfg.Injector != nil {
-			cfg.Injector.BeginRound(i, false)
-		}
-		rr, err := runRound(c, cfg)
-		if err != nil {
-			return nil, false, MissRound
-		}
-		res.Rounds = append(res.Rounds, rr)
-	}
-	for _, name := range c.LogNames() {
-		res.Logs[name] = c.LogContents(name)
-	}
 	return res, true, nil
-}
-
-// forkRound resumes round 1 from the prefix. A non-empty ForkMiss means
-// the fork could not be established faithfully (nothing ran, or whatever
-// ran is being discarded along with the container).
-func forkRound(c *sandbox.Container, cfg Config, pre *Prefix, overlay map[string][]byte) (RoundResult, ForkMiss) {
-	c.SetTrigger(true)
-	if cfg.Injector != nil {
-		cfg.Injector.BeginRound(0, true)
-	}
-	c.RestoreState(pre.Ctr)
-	for p, src := range overlay {
-		c.FS.Write(p, src)
-	}
-	icfg := interp.Config{
-		DeadlineNS: cfg.TimeoutNS,
-		MaxSteps:   cfg.MaxSteps,
-		Stdout:     c.Log("stdout"),
-	}
-	if cfg.Injector != nil {
-		icfg.Hook = cfg.Injector
-	}
-	it := interp.NewRun(cfg.Program, icfg)
-	if cfg.Env != nil {
-		cfg.Env(it, c)
-	}
-	if pre.HasEnv && !cfg.RestoreEnv(c, pre.Env) {
-		return RoundResult{}, MissEnv
-	}
-	if cfg.WallBudgetNS > 0 {
-		wd := time.AfterFunc(time.Duration(cfg.WallBudgetNS), it.Interrupt)
-		defer wd.Stop()
-	}
-	_, err := it.Fork(pre.Snap)
-	if errors.Is(err, interp.ErrUnforkable) {
-		return RoundResult{}, MissUnforkable
-	}
-	rr, rerr := classify(it, err, cfg)
-	if rerr != nil {
-		return RoundResult{}, MissRound
-	}
-	return rr, ""
 }

@@ -54,8 +54,7 @@ type Config struct {
 	// Watchdog firings are inherently wall-clock-dependent, so leave
 	// this off for campaigns that must be byte-reproducible.
 	WallBudgetNS int64
-	// Metrics, when set, counts watchdog firings
-	// (profipy_workload_watchdog_timeouts_total).
+	// Metrics, when set, counts watchdog firings (WatchdogTimeouts).
 	Metrics *obs.Registry
 	// CaptureEnv and RestoreEnv freeze and reapply whatever state Env
 	// keeps in the container's env bag (the kvclient server, clock base,
@@ -118,10 +117,6 @@ func Run(c *sandbox.Container, cfg Config) (*Result, error) {
 	if cfg.Entry == "" {
 		return nil, fmt.Errorf("workload: no entry function configured")
 	}
-	rounds := cfg.Rounds
-	if rounds <= 0 {
-		rounds = 2
-	}
 	if err := c.Start(); err != nil {
 		return nil, err
 	}
@@ -133,25 +128,7 @@ func Run(c *sandbox.Container, cfg Config) (*Result, error) {
 		}
 		cfg.Program = prog
 	}
-
-	res := &Result{Logs: map[string]string{}}
-	for i := 0; i < rounds; i++ {
-		// Round 1 runs with the fault enabled, later rounds disabled.
-		enabled := i == 0
-		c.SetTrigger(enabled)
-		if cfg.Injector != nil {
-			cfg.Injector.BeginRound(i, enabled)
-		}
-		rr, err := runRound(c, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res.Rounds = append(res.Rounds, rr)
-	}
-	for _, name := range c.LogNames() {
-		res.Logs[name] = c.LogContents(name)
-	}
-	return res, nil
+	return protocol(c, cfg, nil)
 }
 
 // compileFiles compiles the sources as read from the container
@@ -173,38 +150,106 @@ func compileFiles(c *sandbox.Container, files []string) (*interp.Program, error)
 	return prog, nil
 }
 
-// runRound executes one workload round of cfg.Program on a fresh
-// interpreter; container state (filesystem, server, logs, contention)
-// persists across rounds.
-func runRound(c *sandbox.Container, cfg Config) (RoundResult, error) {
+// protocol runs the experiment's rounds of cfg.Program in a started
+// container and collects its logs. Each round gets a fresh interpreter;
+// container state (filesystem, server, logs, contention) persists
+// across rounds. Round 1 resumes from fork when it is set (RunForked);
+// every other round runs the entry from its start.
+func protocol(c *sandbox.Container, cfg Config, fork *ForkSpec) (*Result, error) {
+	rounds := cfg.Rounds
+	if rounds <= 0 {
+		rounds = 2
+	}
+	res := &Result{Logs: map[string]string{}}
+	for i := 0; i < rounds; i++ {
+		it, err := arm(c, cfg, i, nil, fork)
+		var rr RoundResult
+		if err == nil {
+			rr, err = play(it, cfg, fork, nil)
+		}
+		if err != nil {
+			return nil, err
+		}
+		res.Rounds = append(res.Rounds, rr)
+		fork = nil
+	}
+	for _, name := range c.LogNames() {
+		res.Logs[name] = c.LogContents(name)
+	}
+	return res, nil
+}
+
+// arm prepares round i (0-based) in c and returns its interpreter. The
+// trigger and the injector are on in round 1 only; hook, when set (the
+// prefix build's recorder), replaces the injector. A round resumed from
+// fork first takes the prefix's container state and the experiment's
+// overlay, and after the environment is installed, the prefix's
+// environment state; any other round boots.
+func arm(c *sandbox.Container, cfg Config, i int, hook interp.CallHook, fork *ForkSpec) (*interp.Interp, error) {
+	if fork != nil {
+		// Before the interpreter takes the stdout stream: RestoreState
+		// swaps the log buffers.
+		c.RestoreState(fork.Prefix.Ctr)
+		for p, src := range fork.Overlay {
+			c.FS.Write(p, src)
+		}
+	}
+	enabled := i == 0
+	c.SetTrigger(enabled)
 	icfg := interp.Config{
 		DeadlineNS: cfg.TimeoutNS,
 		MaxSteps:   cfg.MaxSteps,
 		Stdout:     c.Log("stdout"),
+		Hook:       hook,
 	}
-	if cfg.Injector != nil {
+	if hook == nil && cfg.Injector != nil {
+		cfg.Injector.BeginRound(i, enabled)
 		icfg.Hook = cfg.Injector
 	}
 	it := interp.NewRun(cfg.Program, icfg)
 	if cfg.Env != nil {
 		cfg.Env(it, c)
 	}
-	if err := it.Boot(); err != nil {
-		// A program that does not boot (unknown module, failing
-		// top-level init) is an experiment infrastructure error, not a
-		// target failure — same classification as a compile error.
-		return RoundResult{}, fmt.Errorf("workload: %w", err)
+	switch {
+	case fork == nil:
+		if err := it.Boot(); err != nil {
+			// A program that does not boot (unknown module, failing
+			// top-level init) is an experiment infrastructure error, not
+			// a target failure — same classification as a compile error.
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+	case fork.Prefix.HasEnv && !cfg.RestoreEnv(c, fork.Prefix.Env):
+		return nil, MissEnv
 	}
-	// Arm the wall-clock watchdog around the round only: Interrupt is
-	// the interpreter's one cross-goroutine entry point, so a round that
-	// burns real time inside a loop the virtual clock undercounts is
-	// killed instead of pinning its shard worker.
+	return it, nil
+}
+
+// play runs an armed round — resumed from fork's snapshot when set,
+// else the entry through CallPrefix with checkpoint (nil: a plain call)
+// — and classifies how it ended. The wall-clock watchdog is armed
+// around the run only: Interrupt is the interpreter's one cross-goroutine
+// entry point, so a round that burns real time inside a loop the virtual
+// clock undercounts is killed instead of pinning its shard worker.
+func play(it *interp.Interp, cfg Config, fork *ForkSpec, checkpoint func(int) bool) (RoundResult, error) {
 	if cfg.WallBudgetNS > 0 {
 		wd := time.AfterFunc(time.Duration(cfg.WallBudgetNS), it.Interrupt)
 		defer wd.Stop()
 	}
-	_, err := it.Call(cfg.Entry)
+	var err error
+	if fork != nil {
+		_, err = it.Fork(fork.Prefix.Snap)
+	} else {
+		_, err = it.CallPrefix(cfg.Entry, checkpoint)
+	}
 	return classify(it, err, cfg)
+}
+
+// WatchdogTimeouts is reg's count of rounds the wall-clock watchdog
+// killed. A campaign registers it when instrumented, so the family reads
+// 0 before the first kill instead of being absent.
+func WatchdogTimeouts(reg *obs.Registry) *obs.Counter {
+	return reg.Counter("profipy_workload_watchdog_timeouts_total",
+		"Experiment rounds killed by the wall-clock watchdog.")
 }
 
 // classify turns one round's interpreter outcome into a RoundResult;
@@ -219,8 +264,7 @@ func classify(it *interp.Interp, err error, cfg Config) (RoundResult, error) {
 		rr.Watchdog = true
 		rr.Message = "workload timeout (watchdog: wall-clock budget exceeded)"
 		if cfg.Metrics != nil {
-			cfg.Metrics.Counter("profipy_workload_watchdog_timeouts_total",
-				"Experiment rounds killed by the wall-clock watchdog.").Inc()
+			WatchdogTimeouts(cfg.Metrics).Inc()
 		}
 	case errors.Is(err, interp.ErrTimeout), errors.Is(err, interp.ErrSteps):
 		rr.Timeout = true

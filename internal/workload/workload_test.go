@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -16,82 +18,166 @@ func newContainer(files map[string][]byte) (*sandbox.Runtime, *sandbox.Container
 
 func env(it *interp.Interp, c *sandbox.Container) { sandbox.InstallHooks(it, c) }
 
-func TestTwoRoundProtocol(t *testing.T) {
-	// A target that fails while the fault trigger is on and recovers
-	// when it is off.
-	src := []byte(`package main
+// roundLog records the BeginRound sequence an injector is driven through.
+type roundLog struct {
+	Injector
+	calls []string
+}
 
-func Workload() any {
+func (l *roundLog) BeginRound(round int, faultEnabled bool) {
+	l.calls = append(l.calls, fmt.Sprintf("%d:%v", round, faultEnabled))
+	l.Injector.BeginRound(round, faultEnabled)
+}
+
+// runProtocol runs the experiment of cfg over the single source w.go and
+// returns its result and container: straight through Run, or, when
+// forked, with round 1 resumed from the base program's prefix for site
+// (BuildPrefixes at threshold 0, then RunForked). A forked run must
+// return the straight run's Result — same trigger arming, same logs —
+// and drive its injector (built by newInjector, when set) through the
+// same BeginRound sequence; the prefix build, whose recorder replaces
+// the injector, drives none.
+func runProtocol(t *testing.T, src, site string, cfg Config, newInjector func() Injector, forked bool) (*Result, *sandbox.Container) {
+	t.Helper()
+	files := map[string][]byte{"w.go": []byte(src)}
+	cfg.Files, cfg.Env = []string{"w.go"}, env
+	cfg.Program = compileSrc(t, src)
+	logged := func() (Config, *roundLog) {
+		l := &roundLog{}
+		if newInjector != nil {
+			l.Injector = newInjector()
+			cfg := cfg
+			cfg.Injector = l
+			return cfg, l
+		}
+		return cfg, l
+	}
+
+	scfg, straightLog := logged()
+	_, sc := newContainer(files)
+	want, err := Run(sc, scfg)
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !forked {
+		return want, sc
+	}
+
+	SetMinForkSteps(t, 0)
+	bcfg, buildLog := logged()
+	_, bc := newContainer(files)
+	ps, err := BuildPrefixes(bc, bcfg, []string{site})
+	if err != nil {
+		t.Fatalf("BuildPrefixes: %v", err)
+	}
+	if len(buildLog.calls) != 0 {
+		t.Errorf("prefix build drove the injector: %v", buildLog.calls)
+	}
+	fcfg, forkLog := logged()
+	_, fc := newContainer(files)
+	got, ok, miss := RunForked(fc, fcfg, ForkSpec{Prefix: ps.For(site), BaseFiles: files})
+	if !ok {
+		t.Fatalf("RunForked missed: %v", miss)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("forked result differs from the straight run:\n got %+v\nwant %+v", got, want)
+	}
+	if !reflect.DeepEqual(forkLog.calls, straightLog.calls) {
+		t.Errorf("forked BeginRound sequence = %v, straight %v", forkLog.calls, straightLog.calls)
+	}
+	return got, fc
+}
+
+// TestTwoRoundProtocol runs a target that fails while the fault trigger
+// is on and recovers when it is off, straight and forked, over two and
+// three rounds; the target prints the trigger each round, so the logs
+// hold the arming.
+func TestTwoRoundProtocol(t *testing.T) {
+	src := `package main
+
+func site() any {
+	println("trigger", __fault_enabled())
 	if __fault_enabled() {
 		panic(__exc("Boom", "fault active"))
 	}
 	return "ok"
-}`)
-	_, c := newContainer(map[string][]byte{"w.go": src})
-	res, err := Run(c, Config{Entry: "Workload", Files: []string{"w.go"}, Env: env})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(res.Rounds) != 2 {
-		t.Fatalf("rounds = %d, want 2", len(res.Rounds))
-	}
-	r1, r2 := res.Round1(), res.Round2()
-	if r1.OK || !r1.Crash || r1.Exception != "Boom" {
-		t.Errorf("round 1 = %+v, want Boom crash", r1)
-	}
-	if !r2.OK {
-		t.Errorf("round 2 = %+v, want recovery once fault disabled", r2)
-	}
-	if c.State() != sandbox.StateExited {
-		t.Errorf("container state = %v", c.State())
+}
+
+func Workload() any {
+	return site()
+}`
+	for _, tc := range []struct {
+		rounds, want int
+		forked       bool
+	}{{0, 2, false}, {0, 2, true}, {3, 3, false}, {3, 3, true}} {
+		t.Run(fmt.Sprintf("rounds=%d/forked=%v", tc.rounds, tc.forked), func(t *testing.T) {
+			res, c := runProtocol(t, src, "site", Config{Entry: "Workload", Rounds: tc.rounds}, nil, tc.forked)
+			if len(res.Rounds) != tc.want {
+				t.Fatalf("rounds = %d, want %d", len(res.Rounds), tc.want)
+			}
+			if r1 := res.Round1(); r1.OK || !r1.Crash || r1.Exception != "Boom" {
+				t.Errorf("round 1 = %+v, want Boom crash", r1)
+			}
+			for i, r := range res.Rounds[1:] {
+				if !r.OK {
+					t.Errorf("round %d = %+v, want recovery once fault disabled", i+2, r)
+				}
+			}
+			if want := "trigger true\n" + strings.Repeat("trigger false\n", tc.want-1); res.Logs["stdout"] != want {
+				t.Errorf("stdout = %q, want %q", res.Logs["stdout"], want)
+			}
+			if c.State() != sandbox.StateExited {
+				t.Errorf("container state = %v", c.State())
+			}
+		})
 	}
 }
 
 // TestInjectorTwoRoundProtocol runs the runtime-injector analog of the
-// two-round protocol through the real Run loop: an always fault fires
-// in round 1 and stays silent in the disarmed round 2, while a
-// round(2)-scoped fault does the inverse.
+// two-round protocol through the real round loop, straight and forked:
+// an always fault fires in round 1 and stays silent in the disarmed
+// later rounds, while a round(N)-scoped fault fires in round N only.
 func TestInjectorTwoRoundProtocol(t *testing.T) {
-	src := []byte(`package main
+	src := `package main
 
 func hooked() any { return 1 }
 
-func Workload() any { return hooked() }`)
-	mkEngine := func(when runtimefault.Trigger) *runtimefault.Engine {
-		eng, err := runtimefault.NewEngine([]runtimefault.Fault{{
-			Name: "rt", Site: "hooked", When: when,
-			Do: runtimefault.Action{Kind: runtimefault.ActionRaise, ExcType: "Injected", Message: "m"},
-		}}, 7)
-		if err != nil {
-			t.Fatal(err)
+func Workload() any { return hooked() }`
+	mkEngine := func(when runtimefault.Trigger) func() Injector {
+		return func() Injector {
+			eng, err := runtimefault.NewEngine([]runtimefault.Fault{{
+				Name: "rt", Site: "hooked", When: when,
+				Do: runtimefault.Action{Kind: runtimefault.ActionRaise, ExcType: "Injected", Message: "m"},
+			}}, 7)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng
 		}
-		return eng
 	}
-
-	_, c := newContainer(map[string][]byte{"w.go": src})
-	res, err := Run(c, Config{Entry: "Workload", Files: []string{"w.go"}, Env: env,
-		Injector: mkEngine(runtimefault.Trigger{Mode: runtimefault.TriggerAlways})})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if r1 := res.Round1(); r1.OK || r1.Exception != "Injected" {
-		t.Errorf("always fault round 1 = %+v, want injected crash", r1)
-	}
-	if r2 := res.Round2(); !r2.OK {
-		t.Errorf("always fault round 2 = %+v, want recovery once disarmed", r2)
-	}
-
-	_, c2 := newContainer(map[string][]byte{"w.go": src})
-	res, err = Run(c2, Config{Entry: "Workload", Files: []string{"w.go"}, Env: env,
-		Injector: mkEngine(runtimefault.Trigger{Mode: runtimefault.TriggerRound, Round: 2})})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if r1 := res.Round1(); !r1.OK {
-		t.Errorf("round(2) fault round 1 = %+v, want clean run", r1)
-	}
-	if r2 := res.Round2(); r2.OK || r2.Exception != "Injected" {
-		t.Errorf("round(2) fault round 2 = %+v, want injected crash", r2)
+	for _, tc := range []struct {
+		name   string
+		when   runtimefault.Trigger
+		rounds int
+		fires  int // the 1-based round the fault crashes
+	}{
+		{"always", runtimefault.Trigger{Mode: runtimefault.TriggerAlways}, 0, 1},
+		{"round(2)", runtimefault.Trigger{Mode: runtimefault.TriggerRound, Round: 2}, 0, 2},
+		{"round(3)", runtimefault.Trigger{Mode: runtimefault.TriggerRound, Round: 3}, 3, 3},
+	} {
+		for _, forked := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/forked=%v", tc.name, forked), func(t *testing.T) {
+				res, _ := runProtocol(t, src, "hooked", Config{Entry: "Workload", Rounds: tc.rounds}, mkEngine(tc.when), forked)
+				for i, r := range res.Rounds {
+					if i+1 == tc.fires && (r.OK || r.Exception != "Injected") {
+						t.Errorf("round %d = %+v, want injected crash", i+1, r)
+					}
+					if i+1 != tc.fires && !r.OK {
+						t.Errorf("round %d = %+v, want clean run", i+1, r)
+					}
+				}
+			})
+		}
 	}
 }
 
@@ -200,21 +286,21 @@ func TestUnparseableMutantIsInfraError(t *testing.T) {
 }
 
 func TestSingleRoundConfig(t *testing.T) {
-	src := []byte(`package main
+	src := `package main
+
+func site() any { return "ok" }
 
 func Workload() any {
-	return "ok"
-}`)
-	_, c := newContainer(map[string][]byte{"w.go": src})
-	res, err := Run(c, Config{Entry: "Workload", Files: []string{"w.go"}, Env: env, Rounds: 1})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if len(res.Rounds) != 1 {
-		t.Errorf("rounds = %d, want 1", len(res.Rounds))
-	}
-	if r2 := res.Round2(); r2.OK {
-		t.Errorf("round 2 of single-round run should be zero value, got %+v", r2)
+	return site()
+}`
+	for _, forked := range []bool{false, true} {
+		res, _ := runProtocol(t, src, "site", Config{Entry: "Workload", Rounds: 1}, nil, forked)
+		if len(res.Rounds) != 1 {
+			t.Errorf("forked=%v: rounds = %d, want 1", forked, len(res.Rounds))
+		}
+		if r2 := res.Round2(); r2.OK {
+			t.Errorf("forked=%v: round 2 of single-round run should be zero value, got %+v", forked, r2)
+		}
 	}
 }
 

@@ -62,6 +62,7 @@ for fam in \
   profipy_campaign_experiments_total \
   profipy_campaign_phase_seconds \
   profipy_campaign_fork_events_total \
+  profipy_workload_watchdog_timeouts_total \
   profipy_executor_records_total \
   profipy_executor_experiment_seconds \
   profipy_executor_workers_busy \
