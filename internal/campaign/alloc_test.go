@@ -23,7 +23,7 @@ func TestExperimentAllocationBudget(t *testing.T) {
 		t.Skip("the race detector's instrumentation inflates allocated bytes")
 	}
 	c := kvclient.CampaignA(newRuntime(), 101)
-	r, err := campaign.NewRunner(c, nil)
+	r, err := campaign.NewRunner(c)
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"profipy/internal/analysis"
-	"profipy/internal/coverage"
 	"profipy/internal/executor"
 	"profipy/internal/faultmodel"
 	"profipy/internal/interp"
@@ -154,15 +153,16 @@ type Result struct {
 	// recompilation.
 	Mutated  int
 	Injected int
-	// Prefix-fork accounting. Every campaign builds its prefix set;
-	// workload.BuildPrefixes decides which sites are worth a snapshot.
-	// ForkSnapshots and ForkShortSites describe this process's build
-	// pass: snapshots captured, and sites left to full runs because
-	// their prefix is too short to pay. ForkHits counts experiments
-	// resumed from a snapshot and ForkMisses those that tried and fell
-	// back to a full run, fleet workers' experiments included;
-	// ForkMissReasons splits the misses by workload.ForkMiss ("remote":
-	// on a worker, whose envelope carries the outcome, not the reason).
+	// Prefix-fork accounting. The campaign's fault-free pass is its
+	// prefix build; workload.BuildPrefixes decides which sites are worth
+	// a snapshot. ForkSnapshots and ForkShortSites describe this
+	// process's pass: snapshots captured, and sites left to full runs
+	// because their prefix is too short to pay. ForkHits counts
+	// experiments resumed from a snapshot and ForkMisses those that
+	// tried and fell back to a full run, fleet workers' experiments
+	// included; ForkMissReasons splits the misses by workload.ForkMiss
+	// ("remote": on a worker, whose envelope carries the outcome, not
+	// the reason).
 	ForkSnapshots   int
 	ForkShortSites  int
 	ForkHits        int
@@ -200,8 +200,8 @@ func (c *Campaign) RunContext(ctx context.Context) (*Result, error) {
 }
 
 func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
+	if err := c.canceled(ctx); err != nil {
+		return nil, err
 	}
 
 	// The phase recorder is the §IV-D span timeline pointed at the
@@ -210,81 +210,39 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	// campaign's time go".
 	t0 := time.Now()
 	spans := trace.NewRecorder()
+	res := &Result{}
 	phaseSpan := func(name string, from time.Time) {
+		d := time.Since(from)
 		spans.Record(trace.Span{
 			Name: name, Component: "campaign",
 			StartNS: from.Sub(t0).Nanoseconds(), EndNS: time.Since(t0).Nanoseconds(),
 		})
-		met.phase(name, time.Since(from))
+		met.phase(name, d)
+		switch name {
+		case "scan":
+			res.ScanTime = d
+		case "coverage":
+			res.CovTime = d
+		case "execute":
+			res.ExecTime = d
+		}
 	}
 
-	// --- Scan phase ---
-	// The project's parse cache is the campaign's shared front-end:
-	// every file is parsed once (in this campaign, or in an earlier one
-	// that left the project in c.Prepared) and the same parses serve the
-	// coverage verdicts and every experiment's mutation below.
-	c.progress(PhaseScan, 0, 0)
-	scanStart := time.Now()
-	proj, pl, err := c.scan()
+	// --- Scan, compile and coverage phases ---
+	// The Runner is the campaign's prepared execution state: plan,
+	// compiled base program, the one fault-free pass's verdicts and fork
+	// prefixes, reduced plan, compiled faultload. Remote workers build
+	// the very same Runner from the campaign spec, so experiments are
+	// interchangeable between this process and the fleet.
+	runner, err := c.newRunner(ctx, met, phaseSpan)
 	if err != nil {
 		return nil, err
 	}
-	cache := proj.cache
-	res := &Result{Plan: pl, ScanTime: time.Since(scanStart)}
-	phaseSpan("scan", scanStart)
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
-	}
-
-	// Compile the unmutated base files once per project (reusing the
-	// scan-phase parses); every round of every experiment then runs
-	// compiled code, and each experiment recompiles only its single
-	// mutated declaration.
-	compileStart := time.Now()
-	wcfg, _, err := c.baseWorkload(proj, met)
-	if err != nil {
-		return nil, err
-	}
-	phaseSpan("compile", compileStart)
-
-	// --- Coverage analysis: the base program's one fault-free run ---
-	// Its reach gives the verdicts, its snapshots the fork prefixes; a
-	// remote campaign's workers build their own, so it takes none here.
-	c.progress(PhaseCoverage, 0, len(pl.Points))
-	covStart := time.Now()
-	_, remote := c.Executor.(*executor.Remote)
-	var sites []string
-	if !remote {
-		sites = coverage.Sites(pl.Points)
-	}
-	ctr := c.baseContainer()
-	covered, prefixes, err := coverage.Run(ctr, cache, pl.Points, sites, wcfg)
-	_ = c.Runtime.Destroy(ctr)
-	if err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
-	}
-	res.Covered = covered
-	res.CovTime = time.Since(covStart)
-	phaseSpan("coverage", covStart)
-
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
-	}
+	res.Plan, res.Covered = runner.pl, runner.covered
 
 	// --- Execution phase (streaming pipeline) ---
-	// The Runner is the campaign's prepared execution state: reduced
-	// plan, compiled faultload, coverage verdicts. Remote workers build
-	// the very same Runner from the campaign spec, so experiments are
-	// interchangeable between this process and the fleet. Records
-	// stream once each into the online aggregator, the caller's sink
-	// and (unless discarded) the plan-ordered collector.
-	runner, err := c.buildRunner(cache, pl, covered, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	if !remote { // else a takeover drain builds this process's own
-		runner.prefixOnce.Do(func() { runner.prefixes = prefixes })
-	}
+	// Records stream once each into the online aggregator, the caller's
+	// sink and (unless discarded) the plan-ordered collector.
 	execPoints := runner.Points()
 	agg, err := analysis.NewAggregator(c.Analysis)
 	if err != nil {
@@ -344,12 +302,11 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	}
 	c.progress(PhaseExecute, res.Replayed, len(execPoints))
 	execStart := time.Now()
-	// The remote executor needs the resolved plan context — coverage
-	// verdicts and the exec-point list — to complete the campaign spec
-	// its workers rebuild their Runners from, and to fingerprint the
-	// plan so a worker that derived a different plan refuses the shard.
+	// The remote executor's spec is completed with the resolved plan's
+	// fingerprint — exec points and verdicts — and size, so a worker
+	// whose Runner derived a different plan refuses the shard.
 	if rm, ok := exec.(*executor.Remote); ok {
-		rm.SetPlanContext(covered, execPoints)
+		rm.Spec.PlanHash, rm.Spec.NumExperiments = runner.PlanHash(), len(execPoints)
 	}
 	// Hand the completion bitmap to whichever engine runs the missing
 	// indices. The value engine is copied (the caller's Executor field is
@@ -365,7 +322,7 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	}
 	experiment := func(i int) analysis.Record {
 		if ctx.Err() != nil {
-			return analysis.Record{Point: execPoints[i], FaultType: pl.TypeOf(execPoints[i])}
+			return analysis.Record{Point: execPoints[i], FaultType: runner.pl.TypeOf(execPoints[i])}
 		}
 		return runner.Experiment(i)
 	}
@@ -391,7 +348,6 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	if err := exec.Run(ctx, len(execPoints), experiment, sink); err != nil {
 		return nil, fmt.Errorf("campaign %s: execute: %w", c.Name, err)
 	}
-	res.ExecTime = time.Since(execStart)
 	phaseSpan("execute", execStart)
 	if collect != nil {
 		res.Records = collect.Records()
@@ -417,9 +373,9 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		res.ForkMisses += n
 	}
 	met.fork(build, forkHits, forkMisses)
-	met.mutantCompiles(wcfg.Program.MutantCompiles())
-	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
+	met.mutantCompiles(runner.wcfg.Program.MutantCompiles())
+	if err := c.canceled(ctx); err != nil {
+		return nil, err
 	}
 
 	// --- Data analysis phase ---
@@ -432,6 +388,14 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	phaseSpan("aggregate", aggStart)
 	res.Phases = spans.Spans()
 	return res, nil
+}
+
+// canceled wraps ctx's error, if any, in the campaign's name.
+func (c *Campaign) canceled(ctx context.Context) error {
+	if err := ctx.Err(); err != nil {
+		return fmt.Errorf("campaign %s: %w", c.Name, err)
+	}
+	return nil
 }
 
 // scan is the scan phase: the project's parses (borrowed or fresh) and

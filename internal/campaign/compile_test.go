@@ -7,14 +7,15 @@ import (
 	"strings"
 	"testing"
 
-	"profipy/internal/analysis"
 	"profipy/internal/campaign"
 	"profipy/internal/executor"
 	"profipy/internal/faultmodel"
+	"profipy/internal/fleet"
 	"profipy/internal/interp"
 	"profipy/internal/kvclient"
 	"profipy/internal/mutator"
 	"profipy/internal/obs"
+	"profipy/internal/remote"
 	"profipy/internal/sandbox"
 	"profipy/internal/scanner"
 	"profipy/internal/workload"
@@ -48,7 +49,7 @@ func TestBaseCompileFailureFailsFast(t *testing.T) {
 			wantPrefix := "campaign " + c.Name + ": compile: "
 
 			_, runErr := c.Run()
-			_, runnerErr := campaign.NewRunner(c, nil)
+			_, runnerErr := campaign.NewRunner(c)
 			for what, err := range map[string]error{"Run": runErr, "NewRunner": runnerErr} {
 				if err == nil {
 					t.Fatalf("%s succeeded on a base program that does not compile", what)
@@ -209,114 +210,107 @@ func TestMutantsCompileOneDeclaration(t *testing.T) {
 	}
 }
 
-// TestPrefixBuildFailureIsCounted breaks the prefix build of a campaign
-// whose sites are worth forking, on the path that builds it lazily — a
-// NewRunner Runner, as on a fleet worker — by starting the
-// scratch container before BuildPrefixes does: the failure must show up
-// as a build_failed fork event, and every experiment must run in full
-// with unchanged records.
+// TestPrefixBuildFailureIsCounted breaks the fault-free pass of a
+// campaign whose sites are worth forking — by starting its container
+// before BuildPrefixes does — and runs it through Campaign.Run and
+// through NewRunner (a fleet worker's path): a broken pass fails both
+// alike, by name, and never degrades into a campaign without verdicts or
+// prefixes.
 func TestPrefixBuildFailureIsCounted(t *testing.T) {
-	type result struct {
-		records                 []analysis.Record
-		snapshots, hits, misses int
-	}
-	run := func(breakPrefix bool) (result, string) {
+	errs := map[string]error{}
+	for _, via := range []string{"Run", "NewRunner"} {
 		reg := obs.NewRegistry()
 		c := kvclient.CampaignLate(newRuntime(), 707)
 		c.Metrics = reg
-		if breakPrefix {
-			// The prefix container is the only one seeded with the bare
-			// campaign seed (experiments use seed+index+1).
-			c.TraceHook = func(ctr *sandbox.Container) {
-				if ctr.Seed() == c.Seed {
-					_ = ctr.Start()
-				}
+		// The pass's container is the only one seeded with the bare
+		// campaign seed (experiments use seed+index+1).
+		c.TraceHook = func(ctr *sandbox.Container) {
+			if ctr.Seed() == c.Seed {
+				_ = ctr.Start()
 			}
 		}
-		r, err := campaign.NewRunner(c, nil)
-		if err != nil {
-			t.Fatal(err)
+		if via == "Run" {
+			_, errs[via] = c.Run()
+		} else {
+			_, errs[via] = campaign.NewRunner(c)
 		}
-		var res result
-		for i := 0; i < r.Len(); i++ {
-			res.records = append(res.records, r.Experiment(i))
-		}
-		build, hits, misses := r.ForkStats()
-		res.snapshots, res.hits = build.Snapshots, hits
-		for _, n := range misses {
-			res.misses += n
+		want := "campaign " + c.Name + ": coverage: fault-free run"
+		if err := errs[via]; err == nil || !strings.HasPrefix(err.Error(), want) {
+			t.Errorf("%s on a broken pass: err = %v, want prefix %q", via, err, want)
 		}
 		var sb strings.Builder
 		if err := reg.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)
 		}
-		return res, sb.String()
+		if strings.Contains(sb.String(), `event="snapshot"`) {
+			t.Errorf("%s: a failed pass reported fork activity:\n%s", via, sb.String())
+		}
 	}
-	forked, forkedMetrics := run(false)
-	broken, brokenMetrics := run(true)
-
-	if forked.hits == 0 {
-		t.Fatal("control run did not fork; the test would prove nothing")
-	}
-	if strings.Contains(forkedMetrics, `event="build_failed"`) {
-		t.Errorf("healthy prefix build reported build_failed")
-	}
-	if !strings.Contains(brokenMetrics, `profipy_campaign_fork_events_total{event="build_failed",reason=""} 1`) {
-		t.Errorf("broken prefix build not counted:\n%s", brokenMetrics)
-	}
-	if broken.snapshots != 0 || broken.hits != 0 || broken.misses != 0 {
-		t.Errorf("broken prefix build still forked: snapshots=%d hits=%d misses=%d",
-			broken.snapshots, broken.hits, broken.misses)
-	}
-	if !sameRecords(t, forked.records, broken.records) {
-		t.Error("records differ between forked execution and full runs after a failed prefix build")
+	if errs["Run"] != nil && errs["NewRunner"] != nil && errs["Run"].Error() != errs["NewRunner"].Error() {
+		t.Errorf("Run and NewRunner disagree:\n %v\n %v", errs["Run"], errs["NewRunner"])
 	}
 }
 
-func sameRecords(t *testing.T, a, b []analysis.Record) bool {
-	t.Helper()
-	ja, err := json.Marshal(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := json.Marshal(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(ja) == string(jb)
-}
-
-// TestOneFaultFreeRunPerCampaign: a local campaign runs its base program
-// fault-free exactly once, before its first experiment — the coverage
-// pass, which is also the prefix build: one container seeded with the
-// bare campaign seed and hooked like the experiments' containers (seed
-// plus plan index plus one). Every other container is an experiment's.
+// TestOneFaultFreeRunPerCampaign: every Runner runs its campaign's base
+// program fault-free exactly once, when it is built — the coverage pass,
+// which is also the prefix build: one container seeded with the bare
+// campaign seed and hooked like the experiments' containers (seed plus
+// plan index plus one). Every other container is an experiment's. That
+// holds for a local campaign, for a remote one whose takeover drain runs
+// every experiment on the control plane's Runner, and for a Runner built
+// the way a fleet worker builds it, which runs no more base runs once
+// built.
 func TestOneFaultFreeRunPerCampaign(t *testing.T) {
 	for _, build := range []func(*sandbox.Runtime, int64) *campaign.Campaign{kvclient.CampaignA, kvclient.CampaignLate} {
-		rt := newRuntime()
-		c := build(rt, 707)
-		var hooked []int64 // container seeds, in creation order
-		c.TraceHook = func(ctr *sandbox.Container) { hooked = append(hooked, ctr.Seed()) }
-		c.Executor = executor.Local{Workers: 1}
-		res, err := c.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(hooked) == 0 || hooked[0] != c.Seed {
-			t.Fatalf("%s: first hooked container seeds %v, want the campaign seed %d", c.Name, hooked[:min(len(hooked), 3)], c.Seed)
-		}
-		base := 0
-		for _, seed := range hooked {
-			if seed == c.Seed {
-				base++
+		for _, via := range []string{"local", "remote", "runner"} {
+			rt := newRuntime()
+			c := build(rt, 707)
+			var hooked []int64 // container seeds, in creation order
+			c.TraceHook = func(ctr *sandbox.Container) { hooked = append(hooked, ctr.Seed()) }
+			base := func() int {
+				n := 0
+				for _, seed := range hooked {
+					if seed == c.Seed {
+						n++
+					}
+				}
+				return n
 			}
-		}
-		if created := rt.Stats().Created; base != 1 || created != len(hooked) {
-			t.Errorf("%s: %d containers, %d hooked, %d of them fault-free runs of the base program; want every container hooked and one base run",
-				c.Name, created, len(hooked), base)
-		}
-		if len(res.Records) == 0 {
-			t.Errorf("%s: no experiments ran", c.Name)
+			experiments := 0
+			switch via {
+			case "local", "remote":
+				c.Executor = executor.Local{Workers: 1}
+				if via == "remote" { // no worker: the drain runs every shard
+					c.Executor = &executor.Remote{Coord: fleet.New(fleet.Config{}), Spec: remote.CampaignSpec{Name: c.Name}, LocalWorkers: 1}
+				}
+				res, err := c.Run()
+				if err != nil {
+					t.Fatal(err)
+				}
+				experiments = len(res.Records)
+			case "runner":
+				r, err := campaign.NewRunner(c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(hooked) != 1 || base() != 1 {
+					t.Errorf("%s/%s: built with containers seeded %v, want the one base run", c.Name, via, hooked)
+				}
+				for i := 0; i < r.Len(); i++ {
+					r.Experiment(i)
+				}
+				experiments = r.Len()
+			}
+			if len(hooked) == 0 || hooked[0] != c.Seed {
+				t.Fatalf("%s/%s: first hooked container seeds %v, want the campaign seed %d", c.Name, via, hooked[:min(len(hooked), 3)], c.Seed)
+			}
+			if created := rt.Stats().Created; base() != 1 || created != len(hooked) {
+				t.Errorf("%s/%s: %d containers, %d hooked, %d of them fault-free runs of the base program; want every container hooked and one base run",
+					c.Name, via, created, len(hooked), base())
+			}
+			if experiments == 0 {
+				t.Errorf("%s/%s: no experiments ran", c.Name, via)
+			}
 		}
 	}
 }
@@ -383,7 +377,7 @@ change {
 	}
 
 	reg = obs.NewRegistry()
-	r, err := campaign.NewRunner(spin(reg), res.Covered)
+	r, err := campaign.NewRunner(spin(reg))
 	if err != nil {
 		t.Fatal(err)
 	}

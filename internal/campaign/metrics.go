@@ -14,7 +14,7 @@ type cmetrics struct {
 	experiments *obs.CounterVec // result = ok | error
 	phaseDur    *obs.HistogramVec
 	compiles    *obs.CounterVec // path = decl | file (by reason)
-	forkEvents  *obs.CounterVec // event = snapshot | short_site | hit | miss (by reason) | build_failed
+	forkEvents  *obs.CounterVec // event = snapshot | short_site | hit | miss (by reason)
 	prepares    *obs.CounterVec // result = hit | miss | too_large
 }
 
@@ -40,7 +40,7 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 		compiles: reg.CounterVec("profipy_campaign_mutant_compiles_total",
 			"Per-experiment program derivations in this process: one declaration compiled (path=decl), or the whole mutated file recompiled (path=file) because the caller held only text (no_decl), the declaration names no single function (rename) or the file declares a new top-level name (new_name).", "path", "reason"),
 		forkEvents: reg.CounterVec("profipy_campaign_fork_events_total",
-			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason), prefix builds that failed and left every experiment running in full (build_failed).", "event", "reason"),
+			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason).", "event", "reason"),
 		prepares: reg.CounterVec("profipy_campaign_prepared_total",
 			"Campaigns by how they came by their parsed and compiled project in this process's prepared set: borrowed (hit), prepared and retained (miss), prepared but over the set's byte bound and not retained (too_large).", "result"),
 	}
@@ -84,12 +84,6 @@ func (m *cmetrics) fork(build workload.PrefixStats, hits int, misses map[string]
 	m.forkEvents.With("hit", "").Add(float64(hits))
 	for reason, n := range misses {
 		m.forkEvents.With("miss", reason).Add(float64(n))
-	}
-}
-
-func (m *cmetrics) forkBuildFailed() {
-	if m != nil {
-		m.forkEvents.With("build_failed", "").Inc()
 	}
 }
 

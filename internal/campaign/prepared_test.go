@@ -108,7 +108,7 @@ func TestPreparedCompileFailureIsNotRetained(t *testing.T) {
 		c := kvclient.CampaignB(sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: 2, Seed: 1}), 202)
 		c.Prepared = set
 		c.Files[kvclient.FileAuth] = append(append([]byte(nil), c.Files[kvclient.FileAuth]...), "\nfunc External()\n"...)
-		if _, err := campaign.NewRunner(c, nil); err == nil || !strings.Contains(err.Error(), ": compile: ") {
+		if _, err := campaign.NewRunner(c); err == nil || !strings.Contains(err.Error(), ": compile: ") {
 			t.Fatalf("attempt %d: err = %v, want the compile error", attempt, err)
 		}
 		if got := set.Digests(); len(got) != 0 {
@@ -129,7 +129,7 @@ func TestPreparedBounds(t *testing.T) {
 		// A file outside the scan subset and the workload: ballast that
 		// changes the digest and the project's size, nothing else.
 		c.Files["ballast.txt"] = pad
-		r, err := campaign.NewRunner(c, nil)
+		r, err := campaign.NewRunner(c)
 		if err != nil {
 			t.Fatal(err)
 		}

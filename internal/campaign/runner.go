@@ -1,10 +1,13 @@
 package campaign
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"log/slog"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"profipy/internal/analysis"
 	"profipy/internal/coverage"
@@ -32,13 +35,14 @@ const (
 )
 
 // Runner is a campaign's prepared execution state: the scanned plan,
-// the compiled base program, the compiled faultload and the coverage
-// verdicts — everything needed to run any experiment of the campaign by
-// plan index, independently of the workflow that produced it. The
-// campaign's own execute phase runs through a Runner, and so does a
-// remote worker that received the campaign spec and a shard lease: both
-// sides derive the Runner deterministically from the same inputs, which
-// is what keeps records byte-identical across process boundaries.
+// the compiled base program, the coverage verdicts and fork prefixes of
+// the campaign's one fault-free pass, and the compiled faultload —
+// everything needed to run any experiment of the campaign by plan
+// index, independently of the workflow that produced it. The campaign's
+// own execute phase runs through a Runner, and so does a remote worker
+// that received the campaign spec and a shard lease: both sides build
+// it through NewRunner from the same inputs, which is what keeps records
+// byte-identical across process boundaries.
 //
 // Experiment seeds derive from the campaign seed plus the plan index,
 // never from scheduling, so any subset of indices can run anywhere, in
@@ -49,6 +53,7 @@ type Runner struct {
 	pl       *plan.Plan
 	points   []scanner.InjectionPoint
 	covered  map[string]bool
+	prefixes *workload.PrefixSet
 	wcfg     workload.Config
 	models   map[string]*pattern.MetaModel
 	rtFaults map[string]*runtimefault.Fault
@@ -59,46 +64,73 @@ type Runner struct {
 	mutated  atomic.Int64
 	injected atomic.Int64
 
-	// Prefix-fork state: the site->snapshot map is the coverage pass's,
-	// or built by the first experiment (a fleet worker's Runner) off the
-	// same base-program run. Misses are rare; their tally takes a lock.
-	prefixOnce sync.Once
-	prefixes   *workload.PrefixSet
+	// Fork outcomes. Misses are rare; their tally takes a lock.
 	forkHits   atomic.Int64
 	missMu     sync.Mutex
 	forkMisses map[string]int
 }
 
 // NewRunner prepares a campaign for execution without running its
-// workflow: scan, plan, deterministic sampling, base-program compile
-// and faultload compile. covered is the coverage verdict map produced
-// by the campaign's coverage phase (remote workers receive it with the
-// campaign spec; passing nil marks every point uncovered and, with
-// ReducePlan, selects no points). The campaign's own workflow builds
-// its Runner through the same code path, so a worker-side Runner is the
-// control-plane Runner by construction.
-func NewRunner(c *Campaign, covered map[string]bool) (*Runner, error) {
+// experiments: scan, plan, deterministic sampling, base-program
+// compile, the campaign's one fault-free pass (coverage verdicts and
+// fork prefixes), plan reduction and faultload compile. It is the only
+// way a Runner is built — the campaign's own workflow and a fleet
+// worker rebuilding the campaign from its spec both come through here —
+// so a worker-side Runner is the control-plane Runner by construction,
+// and PlanHash proves it. A pass that fails fails NewRunner.
+func NewRunner(c *Campaign) (*Runner, error) {
+	return c.newRunner(context.TODO(), newMetrics(c.Metrics), func(string, time.Time) {})
+}
+
+// newRunner is NewRunner under a workflow's context, metrics and phase
+// timeline: each step reports its progress and its span, and
+// cancellation is honored between steps.
+func (c *Campaign) newRunner(ctx context.Context, met *cmetrics, phase func(name string, from time.Time)) (*Runner, error) {
+	// --- Scan phase ---
+	// The project's parse cache is the campaign's shared front-end:
+	// every file is parsed once (in this campaign, or in an earlier one
+	// that left the project in c.Prepared) and the same parses serve the
+	// coverage verdicts and every experiment's mutation.
+	c.progress(PhaseScan, 0, 0)
+	start := time.Now()
 	proj, pl, err := c.scan()
 	if err != nil {
 		return nil, err
 	}
-	wcfg, prepared, err := c.baseWorkload(proj, newMetrics(c.Metrics))
-	if err != nil {
+	phase("scan", start)
+	if err := c.canceled(ctx); err != nil {
 		return nil, err
 	}
-	r, err := c.buildRunner(proj.cache, pl, covered, wcfg)
-	if err != nil {
-		return nil, err
-	}
-	r.prepared = prepared
-	return r, nil
-}
 
-// buildRunner assembles a Runner around an already-prepared workload
-// config (the campaign workflow compiles the base program during its
-// compile phase and reuses it here): reduce the plan to covered points
-// when requested and compile the faultload into its execution forms.
-func (c *Campaign) buildRunner(cache *scanner.ProjectCache, pl *plan.Plan, covered map[string]bool, wcfg workload.Config) (*Runner, error) {
+	// Compile the unmutated base files once per project (reusing the
+	// scan-phase parses); every round of every experiment then runs
+	// compiled code, and each experiment recompiles only its single
+	// mutated declaration.
+	start = time.Now()
+	wcfg, prepared, err := c.baseWorkload(proj, met)
+	if err != nil {
+		return nil, err
+	}
+	phase("compile", start)
+
+	// --- Coverage analysis: the base program's one fault-free run ---
+	// Its reach gives the verdicts, its snapshots the fork prefixes. It
+	// runs on the base image under the bare campaign seed.
+	c.progress(PhaseCoverage, 0, len(pl.Points))
+	start = time.Now()
+	img := c.Image
+	img.Files = c.Files
+	ctr := c.container(img, c.Seed)
+	covered, prefixes, err := coverage.Run(ctr, proj.cache, pl.Points, coverage.Sites(pl.Points), wcfg)
+	_ = c.Runtime.Destroy(ctr)
+	if err != nil {
+		return nil, fmt.Errorf("campaign %s: %w", c.Name, err)
+	}
+	phase("coverage", start)
+	if err := c.canceled(ctx); err != nil {
+		return nil, err
+	}
+
 	points := pl.Points
 	if c.ReducePlan {
 		points = coverage.Reduce(pl.Points, covered)
@@ -108,8 +140,8 @@ func (c *Campaign) buildRunner(cache *scanner.ProjectCache, pl *plan.Plan, cover
 		return nil, err
 	}
 	return &Runner{
-		c: c, cache: cache, pl: pl, points: points, covered: covered,
-		wcfg: wcfg, models: models, rtFaults: rtFaults,
+		c: c, cache: proj.cache, pl: pl, points: points, covered: covered, prefixes: prefixes,
+		wcfg: wcfg, models: models, rtFaults: rtFaults, prepared: prepared,
 	}, nil
 }
 
@@ -119,6 +151,11 @@ func (r *Runner) Len() int { return len(r.points) }
 // Points returns the experiments' injection points in plan order.
 // Callers must not mutate the slice.
 func (r *Runner) Points() []scanner.InjectionPoint { return r.points }
+
+// PlanHash is remote.PlanHash over the exec points and their coverage
+// verdicts: what a worker's Runner must reproduce to run the control
+// plane's shards.
+func (r *Runner) PlanHash() string { return remote.PlanHash(r.points, r.covered) }
 
 // Prepared reports how NewRunner came by the parsed and compiled
 // project: PreparedHit, PreparedMiss or PreparedTooLarge against the
@@ -131,12 +168,11 @@ func (r *Runner) Counts() (mutated, injected int) {
 	return int(r.mutated.Load()), int(r.injected.Load())
 }
 
-// ForkStats reports prefix-fork activity: what the prefix build
+// ForkStats reports prefix-fork activity: what the fault-free pass
 // captured (snapshots, and sites it left to full runs because their
 // prefix is too short to pay), experiments resumed from a snapshot
 // (hits) and experiments that attempted a fork but fell back to a full
-// run, by workload.ForkMiss reason. All zero until a prefix set was
-// built.
+// run, by workload.ForkMiss reason.
 func (r *Runner) ForkStats() (build workload.PrefixStats, hits int, misses map[string]int) {
 	r.missMu.Lock()
 	defer r.missMu.Unlock()
@@ -145,44 +181,6 @@ func (r *Runner) ForkStats() (build workload.PrefixStats, hits int, misses map[s
 		misses[reason] = n
 	}
 	return r.prefixes.Stats(), int(r.forkHits.Load()), misses
-}
-
-// sitePrefix returns the shared prefix snapshot for a point's site
-// function, building the campaign's prefix set on first use unless the
-// coverage pass handed one over. Whether a site gets a prefix at all is
-// workload.BuildPrefixes' decision.
-func (r *Runner) sitePrefix(pt scanner.InjectionPoint) *workload.Prefix {
-	r.prefixOnce.Do(r.buildPrefixes)
-	return r.prefixes.For(pt.Func)
-}
-
-// buildPrefixes runs the base program once in a scratch container and
-// snapshots at each injection site's first reach. A build failure
-// leaves the prefix set empty — every experiment falls back to full
-// runs — and is logged and counted once.
-func (r *Runner) buildPrefixes() {
-	sites := coverage.Sites(r.points)
-	if len(sites) == 0 {
-		return
-	}
-	ctr := r.c.baseContainer()
-	defer func() { _ = r.c.Runtime.Destroy(ctr) }()
-	ps, err := workload.BuildPrefixes(ctr, r.wcfg, sites)
-	if err != nil {
-		slog.Warn("prefix build failed, every experiment runs in full",
-			"campaign", r.c.Name, "sites", len(sites), "err", err)
-		newMetrics(r.c.Metrics).forkBuildFailed()
-		return
-	}
-	r.prefixes = ps
-}
-
-// baseContainer creates the base program's fault-free run's container:
-// base image, bare campaign seed.
-func (c *Campaign) baseContainer() *sandbox.Container {
-	img := c.Image
-	img.Files = c.Files
-	return c.container(img, c.Seed)
 }
 
 // container creates every container the campaign runs code in: seeded,
@@ -242,7 +240,7 @@ func (r *Runner) ExperimentDetail(i int) (rec analysis.Record, kind, fork string
 		}
 	}
 
-	if pre := r.sitePrefix(pt); pre != nil {
+	if pre := r.prefixes.For(pt.Func); pre != nil {
 		fctr := r.c.container(img, r.seed(i))
 		result, ok, miss := workload.RunForked(fctr, wcfg, workload.ForkSpec{
 			Prefix: pre, BaseFiles: r.c.Files, Overlay: img.Overlay,

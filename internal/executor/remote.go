@@ -9,7 +9,6 @@ import (
 	"profipy/internal/fleet"
 	"profipy/internal/obs"
 	"profipy/internal/remote"
-	"profipy/internal/scanner"
 )
 
 // Remote executes a campaign's experiments on a fleet of remote
@@ -38,9 +37,9 @@ type Remote struct {
 	// CampaignID keys the job, leases and record streams; the SaaS
 	// layer sets it to the campaign's public ID.
 	CampaignID string
-	// Spec is the serialized campaign the workers rebuild. The plan
-	// fields (Covered, PlanHash, NumExperiments) are completed by
-	// SetPlanContext once the control-plane scan/coverage phases ran.
+	// Spec is the serialized campaign the workers rebuild. The campaign
+	// workflow completes its plan fields (PlanHash, NumExperiments) once
+	// it built its Runner, before Run.
 	Spec remote.CampaignSpec
 	// LocalWorkers bounds parallelism of the in-process drain (<1 runs
 	// sequentially).
@@ -68,16 +67,6 @@ type RemoteCounts struct {
 
 // Name implements Executor.
 func (r *Remote) Name() string { return "remote" }
-
-// SetPlanContext completes the campaign spec with the control plane's
-// resolved plan: the coverage verdicts and the post-reduction exec
-// points (hashed so workers can detect divergence). The campaign
-// workflow calls this after its coverage phase, before Run.
-func (r *Remote) SetPlanContext(covered map[string]bool, points []scanner.InjectionPoint) {
-	r.Spec.Covered = covered
-	r.Spec.PlanHash = remote.PlanHash(points)
-	r.Spec.NumExperiments = len(points)
-}
 
 // Counts reports the remotely executed experiments' path kinds and fork
 // outcomes, as accounted from the record envelopes workers shipped.

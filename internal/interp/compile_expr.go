@@ -751,15 +751,20 @@ func (c *compiler) compileComposite(fc *fnCtx, x *ast.CompositeLit) cexpr {
 			slot int
 			val  cexpr
 		}
+		// A malformed element fails the literal where the tree-walk
+		// reaches it: after the elements before it ran (slot -1 is never
+		// written, its value always fails).
 		var fields []fieldInit
 		for _, elt := range x.Elts {
 			kv, ok := elt.(*ast.KeyValueExpr)
 			if !ok {
-				return errExpr("interp: struct literals require field: value elements")
+				fields = append(fields, fieldInit{slot: -1, val: errExpr("interp: struct literals require field: value elements")})
+				break
 			}
 			key, ok := kv.Key.(*ast.Ident)
 			if !ok {
-				return errExpr("interp: struct literal keys must be identifiers")
+				fields = append(fields, fieldInit{slot: -1, val: errExpr("interp: struct literal keys must be identifiers")})
+				break
 			}
 			sh = sh.with(key.Name)
 			fields = append(fields, fieldInit{slot: sh.slot(key.Name), val: c.compileExpr(fc, kv.Value)})
@@ -780,8 +785,9 @@ func (c *compiler) compileComposite(fc *fnCtx, x *ast.CompositeLit) cexpr {
 		var pairs []kvInit
 		for _, elt := range x.Elts {
 			kv, ok := elt.(*ast.KeyValueExpr)
-			if !ok {
-				return errExpr("interp: map literals require key: value elements")
+			if !ok { // fails after the pairs before it, like the struct case
+				pairs = append(pairs, kvInit{k: errExpr("interp: map literals require key: value elements")})
+				break
 			}
 			pairs = append(pairs, kvInit{k: c.compileExpr(fc, kv.Key), v: c.compileExpr(fc, kv.Value)})
 		}

@@ -25,6 +25,7 @@ package remote
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 
 	"profipy/internal/analysis"
 	"profipy/internal/faultmodel"
@@ -33,9 +34,9 @@ import (
 
 // CampaignSpec is the serialized form of a campaign's execution phase:
 // everything a worker needs to rebuild the campaign Runner and run any
-// experiment by plan index. The control plane resolves scan, sampling
-// and coverage itself and ships the verdicts, so worker-side Runners
-// derive the exact same plan (PlanHash proves it).
+// experiment by plan index. The worker's Runner scans, samples and runs
+// the campaign's fault-free pass itself, as the control plane's did, so
+// it derives the exact same plan and verdicts (PlanHash proves it).
 type CampaignSpec struct {
 	Name string `json:"name"`
 	// Files is the full container file set (target + workload sources),
@@ -66,10 +67,6 @@ type CampaignSpec struct {
 	SampleN    int   `json:"sampleN,omitempty"`
 	ReducePlan bool  `json:"reducePlan,omitempty"`
 
-	// Covered is the control plane's coverage verdict map; workers use
-	// it verbatim instead of re-running the coverage phase.
-	Covered map[string]bool `json:"covered,omitempty"`
-
 	// ProjectDigest is campaign.ProjectDigest over Files, ScanFiles and
 	// WorkloadFiles: the key under which both sides keep the parsed and
 	// compiled project between campaigns. Empty from a control plane
@@ -77,9 +74,9 @@ type CampaignSpec struct {
 	ProjectDigest string `json:"projectDigest,omitempty"`
 
 	// PlanHash fingerprints the control plane's post-reduction
-	// exec-point list. A worker whose rebuilt Runner derives a
-	// different hash refuses the lease instead of shipping records from
-	// a divergent plan.
+	// exec-point list and its coverage verdicts. A worker whose rebuilt
+	// Runner derives a different hash refuses the lease instead of
+	// shipping records from a divergent plan.
 	PlanHash string `json:"planHash"`
 	// NumExperiments is the control plane's exec-point count, shipped
 	// so workers can sanity-check shard bounds before executing.
@@ -88,13 +85,15 @@ type CampaignSpec struct {
 
 // PlanHash fingerprints an exec-point list: the sha256 over each
 // point's stable identity (file, function, statement address and spec
-// name), in plan order. Both sides compute it over their own view of
-// the plan; equality means every index maps to the same experiment.
-func PlanHash(points []scanner.InjectionPoint) string {
+// name) and its coverage verdict, in plan order. Both sides compute it
+// over their own plan and their own fault-free pass; equality means
+// every index maps to the same experiment with the same verdict. A
+// worker that hashes points without verdicts (one that took them from
+// the spec) never matches a non-empty plan, so it refuses the lease.
+func PlanHash(points []scanner.InjectionPoint, covered map[string]bool) string {
 	h := sha256.New()
 	for _, pt := range points {
-		h.Write([]byte(pt.ID()))
-		h.Write([]byte{'\n'})
+		fmt.Fprintf(h, "%s\t%t\n", pt.ID(), covered[pt.ID()])
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -30,8 +30,7 @@ func sampleSpec() CampaignSpec {
 		Seed:           101,
 		SampleN:        6,
 		ReducePlan:     true,
-		Covered:        map[string]bool{pts[0].ID(): true, pts[1].ID(): false},
-		PlanHash:       PlanHash(pts),
+		PlanHash:       PlanHash(pts, sampleCovered()),
 		NumExperiments: len(pts),
 	}
 }
@@ -41,6 +40,10 @@ func samplePoints() []scanner.InjectionPoint {
 		{Spec: "omit", File: "a.go", Func: "F", ListIndex: 0, Start: 1, N: 1, Line: 4, Snippet: "f()"},
 		{Spec: "omit", File: "a.go", Func: "G", ListIndex: 2, Start: 0, N: 1, Line: 9, Snippet: "f()"},
 	}
+}
+
+func sampleCovered() map[string]bool {
+	return map[string]bool{samplePoints()[0].ID(): true}
 }
 
 // TestCampaignSpecRoundTrip: what the control plane serializes is what
@@ -62,8 +65,9 @@ func TestCampaignSpecRoundTrip(t *testing.T) {
 }
 
 // TestCampaignSpecIgnoresLegacyEngineKeys: a control plane from before
-// the engine knobs were removed still ships "engine" and "treeWalk";
-// a worker must decode such a spec to the same campaign.
+// the engine knobs were removed still ships "engine" and "treeWalk",
+// and one from before workers ran their own coverage pass ships
+// "covered"; a worker must decode such a spec to the same campaign.
 func TestCampaignSpecIgnoresLegacyEngineKeys(t *testing.T) {
 	want := sampleSpec()
 	data, err := json.Marshal(want)
@@ -76,6 +80,7 @@ func TestCampaignSpecIgnoresLegacyEngineKeys(t *testing.T) {
 	}
 	raw["engine"] = json.RawMessage(`"closure"`)
 	raw["treeWalk"] = json.RawMessage(`true`)
+	raw["covered"] = json.RawMessage(`{"a.go:F:0:1:1:omit":true}`)
 	legacy, err := json.Marshal(raw)
 	if err != nil {
 		t.Fatal(err)
@@ -91,18 +96,22 @@ func TestCampaignSpecIgnoresLegacyEngineKeys(t *testing.T) {
 
 // TestPlanHashDependsOnPointOrder: shard leases name experiments by plan
 // index, so two plans holding the same points in a different order must
-// not share a hash.
+// not share a hash; records carry each point's verdict, so neither may
+// two plans whose verdicts differ.
 func TestPlanHashDependsOnPointOrder(t *testing.T) {
-	pts := samplePoints()
+	pts, cov := samplePoints(), sampleCovered()
 	swapped := []scanner.InjectionPoint{pts[1], pts[0]}
-	if PlanHash(pts) == PlanHash(swapped) {
+	if PlanHash(pts, cov) == PlanHash(swapped, cov) {
 		t.Error("PlanHash ignores point order")
 	}
-	if PlanHash(pts) != PlanHash(samplePoints()) {
-		t.Error("PlanHash is not a function of the points alone")
+	if PlanHash(pts, cov) != PlanHash(samplePoints(), sampleCovered()) {
+		t.Error("PlanHash is not a function of the points and verdicts alone")
 	}
-	if PlanHash(pts) == PlanHash(pts[:1]) {
+	if PlanHash(pts, cov) == PlanHash(pts[:1], cov) {
 		t.Error("PlanHash ignores a dropped point")
+	}
+	if PlanHash(pts, cov) == PlanHash(pts, map[string]bool{pts[1].ID(): true}) {
+		t.Error("PlanHash ignores the verdicts")
 	}
 }
 

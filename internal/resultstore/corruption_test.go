@@ -3,12 +3,14 @@ package resultstore
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"profipy/internal/analysis"
 	"profipy/internal/obs"
@@ -127,6 +129,41 @@ func TestRestoreQuarantinesBitFlippedSegment(t *testing.T) {
 		if strings.Contains(string(ln), "\x00") {
 			t.Fatal("corrupt bytes leaked into served records")
 		}
+	}
+}
+
+// TestShrunkSegmentFailsRead cuts a sealed segment to half its records
+// after the store opened: a read that reaches it must fail with
+// ErrSegmentShrunk, promptly, not spin holding the campaign's lock.
+func TestShrunkSegmentFailsRead(t *testing.T) {
+	dir := t.TempDir()
+	cdir := writeCampaign(t, dir, "camp-cut", 10)
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := segments(t, cdir)[0]
+	data, err := os.ReadFile(first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	if err := os.WriteFile(first, bytes.Join(lines[:2], nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Records("camp-cut", 0, 7)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrSegmentShrunk) {
+			t.Errorf("Records over a shrunk segment: err = %v, want ErrSegmentShrunk", err)
+		}
+		_ = s.Close()
+	case <-time.After(5 * time.Second):
+		t.Fatal("Records over a shrunk segment never returned") // and holds the lock Close needs
 	}
 }
 

@@ -67,6 +67,11 @@ const DefaultRetainCampaigns = 64
 // ErrNotFound reports an unknown campaign ID.
 var ErrNotFound = errors.New("resultstore: no such campaign")
 
+// ErrSegmentShrunk reports a sealed record segment that holds fewer
+// complete records on disk than the store counted in it: the file was
+// cut behind the store's back.
+var ErrSegmentShrunk = errors.New("resultstore: record segment shrank on disk")
+
 // Meta describes one stored campaign.
 type Meta struct {
 	ID      string `json:"id"`
@@ -493,10 +498,10 @@ func (c *campaign) segmentLines(seg *segment) ([][]byte, error) {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
 	lines := completeLines(data)
-	if len(lines) > seg.count {
-		lines = lines[:seg.count]
+	if len(lines) < seg.count {
+		return nil, fmt.Errorf("%w: %s holds %d complete records, want %d", ErrSegmentShrunk, seg.name, len(lines), seg.count)
 	}
-	return lines, nil
+	return lines[:seg.count], nil
 }
 
 // watchChan returns the channel closed on the campaign's next append or

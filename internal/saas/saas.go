@@ -508,9 +508,9 @@ func (s *Server) buildCampaignFrom(req CampaignRequest, projName string, files m
 	c.Metrics = s.reg
 	c.Prepared = s.prepared
 	if req.Remote {
-		// The distributed engine. The plan context is the one part of
-		// the spec still open: the campaign fills it in (SetPlanContext)
-		// once scan and coverage ran.
+		// The distributed engine. The plan fields are the one part of
+		// the spec still open: the campaign fills them in once it built
+		// its Runner.
 		c.Executor = &executor.Remote{
 			Coord:        s.fleet,
 			Spec:         spec,

@@ -418,3 +418,29 @@ func TestCoordinatorRestartUnderParkedPoll(t *testing.T) {
 		t.Errorf("%d lease requests answered 410, want the one that found the new coordinator", n)
 	}
 }
+
+// TestRestartedControlPlaneReusesCampaignID: a control plane without a
+// data dir that restarts hands out its campaign IDs again. A worker
+// that survived the restart registers anew and must run the new c1 on
+// a Runner built from its spec, not on the one it kept for the old c1
+// (same plan, another seed: campaign R's runtime faults draw their
+// triggers from it).
+func TestRestartedControlPlaneReusesCampaignID(t *testing.T) {
+	r := newRig(t, 30*time.Second)
+	a, _ := r.start(Config{Name: "w", Parallel: 1, Poll: 5 * time.Second})
+	r.awaitWorkers(1)
+	if got := r.run("c1", kvclient.CampaignR, 101); !bytes.Equal(got, local(t, kvclient.CampaignR, 101)) {
+		t.Error("records before the restart differ from Local")
+	}
+	before := a.ID()
+
+	r.boot(30 * time.Second)
+	r.ts.CloseClientConnections()
+	r.awaitWorkers(1)
+	if a.ID() == before {
+		t.Fatalf("worker kept its identity %q across the restart", before)
+	}
+	if got := r.run("c1", kvclient.CampaignR, 202); !bytes.Equal(got, local(t, kvclient.CampaignR, 202)) {
+		t.Error("records after the restart differ from Local: the worker ran the old campaign's Runner")
+	}
+}

@@ -114,8 +114,8 @@ type Agent struct {
 }
 
 type cachedRunner struct {
-	campaign string
-	runner   *campaign.Runner
+	campaign, worker string // campaign ID, the registration it was built under
+	runner           *campaign.Runner
 }
 
 // maxCachedRunners bounds Agent.runners. A Runner pins its campaign's
@@ -310,10 +310,14 @@ func (a *Agent) lease(ctx context.Context) (remote.Lease, bool, error) {
 }
 
 // runnerFor rebuilds (or returns the cached) execution context for a
-// campaign and verifies its plan matches the control plane's.
+// campaign and verifies its plan matches the control plane's. A cached
+// Runner serves only the registration it was built under: a control
+// plane that restarted may hand out the same campaign ID for another
+// campaign.
 func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (*campaign.Runner, error) {
+	key := cachedRunner{campaign: lease.Campaign, worker: a.ID()}
 	for i, cr := range a.runners {
-		if cr.campaign == lease.Campaign {
+		if cr.campaign == key.campaign && cr.worker == key.worker {
 			// Hit: move to the most-recent end.
 			copy(a.runners[i:], a.runners[i+1:])
 			a.runners[len(a.runners)-1] = cr
@@ -327,18 +331,14 @@ func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (*campaign.Ru
 		// paces the rebuild attempts.
 		return nil, err
 	}
-	a.cacheRunner(lease.Campaign, r)
-	return r, nil
-}
-
-// cacheRunner records a freshly built Runner as most recent, evicting
-// the least recently leased campaign beyond maxCachedRunners.
-func (a *Agent) cacheRunner(campaignID string, r *campaign.Runner) {
+	// Record it as most recent, evicting the least recently leased
+	// campaign beyond maxCachedRunners.
 	if len(a.runners) == maxCachedRunners {
-		copy(a.runners, a.runners[1:])
-		a.runners = a.runners[:maxCachedRunners-1]
+		a.runners = append(a.runners[:0], a.runners[1:]...)
 	}
-	a.runners = append(a.runners, cachedRunner{campaignID, r})
+	key.runner = r
+	a.runners = append(a.runners, key)
+	return r, nil
 }
 
 func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.Runner, error) {
@@ -373,14 +373,14 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 		return nil, fmt.Errorf("worker: campaign %s: %w", lease.Campaign, err)
 	}
 	c.Prepared = a.prepared
-	runner, err := campaign.NewRunner(c, spec.Covered)
+	runner, err := campaign.NewRunner(c)
 	if err != nil {
 		return nil, err
 	}
 	// Refuse to execute against a divergent plan: if the locally
-	// derived exec points differ from the control plane's, shard
-	// indices would name different experiments.
-	if got := remote.PlanHash(runner.Points()); got != spec.PlanHash || runner.Len() != spec.NumExperiments {
+	// derived exec points or verdicts differ from the control plane's,
+	// shard indices would name different experiments or records.
+	if got := runner.PlanHash(); got != spec.PlanHash || runner.Len() != spec.NumExperiments {
 		return nil, fmt.Errorf("worker: campaign %s: plan diverged (have %d points, hash %.8s, want %d, %.8s)",
 			lease.Campaign, runner.Len(), got, spec.NumExperiments, spec.PlanHash)
 	}

@@ -17,19 +17,27 @@ import (
 
 // specServer serves one valid campaign spec under every campaign ID
 // (IDs containing "bad" get a 500, IDs containing "nocompile" a spec
-// whose base program does not compile) and counts the fetches per ID.
+// whose base program does not compile, IDs containing "diverged" one
+// whose plan hash was taken with one coverage verdict flipped) and
+// counts the fetches per ID.
 // The specs carry the "engine"/"treeWalk" keys older control planes
 // shipped; workers ignore them.
 func specServer(t *testing.T) (*httptest.Server, func(id string) int64) {
 	t.Helper()
 	rt := sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: 2, Seed: 1})
 	c := kvclient.CampaignB(rt, 202)
-	r, err := campaign.NewRunner(c, nil)
+	r, err := campaign.NewRunner(c)
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
 	}
 	spec := specOf(c)
-	spec.PlanHash, spec.NumExperiments = remote.PlanHash(r.Points()), r.Len()
+	spec.PlanHash, spec.NumExperiments = r.PlanHash(), r.Len()
+	res, err := kvclient.CampaignB(rt, 202).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := res.Covered
+	flipped[r.Points()[0].ID()] = !flipped[r.Points()[0].ID()]
 	encode := func(spec remote.CampaignSpec) []byte {
 		data, err := json.Marshal(spec)
 		if err != nil {
@@ -53,6 +61,9 @@ func specServer(t *testing.T) (*httptest.Server, func(id string) int64) {
 	}
 	broken.Files[kvclient.FileAuth] = append(append([]byte(nil), spec.Files[kvclient.FileAuth]...), "\nfunc External()\n"...)
 	brokenBody := encode(broken)
+	diverged := spec
+	diverged.PlanHash = remote.PlanHash(r.Points(), flipped)
+	divergedBody := encode(diverged)
 	var fetches [16]atomic.Int64 // by trailing digit of the campaign ID
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := strings.TrimSuffix(strings.TrimPrefix(req.URL.Path, "/api/v1/workers/campaigns/"), "/spec")
@@ -64,6 +75,10 @@ func specServer(t *testing.T) (*httptest.Server, func(id string) int64) {
 		w.Header().Set("Content-Type", "application/json")
 		if strings.Contains(id, "nocompile") {
 			_, _ = w.Write(brokenBody)
+			return
+		}
+		if strings.Contains(id, "diverged") {
+			_, _ = w.Write(divergedBody)
 			return
 		}
 		_, _ = w.Write(body)
@@ -150,5 +165,21 @@ func TestBaseCompileFailureRefusesLease(t *testing.T) {
 		if len(a.runners) != 0 || fetched("nocompile-7") != int64(attempt) {
 			t.Fatalf("attempt %d: %d cache entries, %d spec fetches", attempt, len(a.runners), fetched("nocompile-7"))
 		}
+	}
+}
+
+// TestDivergedVerdictRefusesLease: a spec whose plan hash was taken
+// with one coverage verdict flipped — a control plane whose fault-free
+// pass disagrees with this worker's — is refused as a diverged plan,
+// and nothing is cached.
+func TestDivergedVerdictRefusesLease(t *testing.T) {
+	ts, _ := specServer(t)
+	a := New(Config{Server: ts.URL})
+	_, err := a.runnerFor(context.Background(), remote.Lease{Campaign: "diverged-8"})
+	if err == nil || !strings.Contains(err.Error(), "plan diverged") {
+		t.Fatalf("error = %v, want plan diverged", err)
+	}
+	if len(a.runners) != 0 {
+		t.Fatalf("refused build left %d cache entries", len(a.runners))
 	}
 }

@@ -32,7 +32,7 @@ import (
 
 // remoteSpec serializes a campaign the way the SaaS layer does:
 // everything a worker needs to rebuild the execution context, minus
-// the plan fields the campaign workflow fills in via SetPlanContext.
+// the plan fields the campaign workflow fills in.
 func remoteSpec(c *campaign.Campaign) remote.CampaignSpec {
 	return remote.CampaignSpec{
 		Name:          c.Name,
@@ -150,9 +150,9 @@ func metricValue(t *testing.T, reg *obs.Registry, name string) float64 {
 // geometry, worker count and batch boundaries must leave no trace in
 // the output. With the fleet live every shard runs on it, so the fork
 // outcomes the result reports are the workers' own, shipped in their
-// record envelopes: a
-// worker rebuilds its Runner from the spec alone, and campaign-late's
-// shards must fork there exactly as they do in-process.
+// record envelopes: a worker rebuilds its Runner from the spec alone,
+// and campaign-late's shards must fork there exactly as they do
+// in-process.
 func TestRemoteGoldenRecords(t *testing.T) {
 	type remoteCase struct {
 		name    string
@@ -185,10 +185,15 @@ func TestRemoteGoldenRecords(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("remote records drifted from golden fixture (%d vs %d bytes)", len(got), len(want))
 			}
-			// The control plane's own Runner executed nothing, so it built
-			// no prefix set; hits and misses are what the workers shipped.
-			if res.ForkSnapshots != 0 {
-				t.Errorf("control plane captured %d snapshots with every shard on the fleet", res.ForkSnapshots)
+			// The control plane's Runner ran the campaign's one fault-free
+			// pass, as a local campaign's does, so it captured the same
+			// snapshots; hits and misses are what the workers shipped.
+			ref, err := tc.build(NewRuntime(RuntimeConfig{Cores: 4, Seed: 20}), tc.seed).Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.ForkSnapshots != ref.ForkSnapshots {
+				t.Errorf("control plane captured %d snapshots, a local run %d", res.ForkSnapshots, ref.ForkSnapshots)
 			}
 			if tc.forks && res.ForkHits == 0 {
 				t.Errorf("no worker-side experiment forked (misses=%v)", res.ForkMissReasons)
