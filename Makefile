@@ -59,14 +59,16 @@ loc:
 	  | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); pkg[d] += $$1; t += $$1 } \
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
-# loc's total may not exceed the budget: the figure the last
-# simplification left (one way to build a Runner — every Runner runs the
-# campaign's one fault-free pass when NewRunner builds it, and the lazy
-# prefix build and the spec's coverage map are gone — 23 124 → 23 079).
-# A change that needs more lines raises the constant in the same diff,
-# where code review sees it; CI runs this instead of loc, so the size
-# cannot silently grow back.
-LOC_BUDGET := 23079
+# loc's total may not exceed the budget. The last simplification (one way
+# to build a Runner) left 23 079; the host-boundary change that makes a
+# host call build only what the program reads (lazy kvclient replies,
+# hash-free method dispatch, one host index per environment list) added
+# 120, to 23 199. The deletion that pays them back is ROADMAP item 3: the
+# tree-walk oracle (≈ 1 000 lines of eval.go and its entry points) moves
+# into internal/interp's tests. A change that needs more lines raises the
+# constant in the same diff, where code review sees it; CI runs this
+# instead of loc, so the size cannot silently grow back.
+LOC_BUDGET := 23199
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \

@@ -30,9 +30,8 @@ var builtinFuncs = map[string]func(it *Interp, args []Value) (Value, error){
 // prototype, see linker.proto).
 var builtinEnv = newBuiltinEnv()
 
-// baseEnvs is the environment list every interpreter starts from; its
-// capacity is clipped so an Install appends to a copy.
-var baseEnvs = []*HostEnv{builtinEnv}[:1:1]
+// baseEnvs is the environment list every interpreter starts from.
+var baseEnvs = newEnvList([]*HostEnv{builtinEnv})
 
 func newBuiltinEnv() *HostEnv {
 	env := NewHostEnv()

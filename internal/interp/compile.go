@@ -706,7 +706,17 @@ func (c *compiler) compileStmt(fc *fnCtx, s ast.Stmt) cstmt {
 		return c.compileDecl(fc, st)
 
 	case *ast.DeferStmt:
-		fnx := c.compileExpr(fc, st.Call.Fun)
+		// defer recv.m(args) keeps the method and its receiver, not the
+		// bound closure a selector read makes; the arguments live in the
+		// frame's recycled arena.
+		var fnx, recvx cexpr
+		var name string
+		var mid int
+		if sel, ok := st.Call.Fun.(*ast.SelectorExpr); ok {
+			recvx, name, mid = c.compileExpr(fc, sel.X), sel.Sel.Name, c.syms.methodID(sel.Sel.Name)
+		} else {
+			fnx = c.compileExpr(fc, st.Call.Fun)
+		}
 		argxs := make([]cexpr, len(st.Call.Args))
 		for i, a := range st.Call.Args {
 			argxs[i] = c.compileExpr(fc, a)
@@ -719,18 +729,26 @@ func (c *compiler) compileStmt(fc *fnCtx, s ast.Stmt) cstmt {
 			if frm == nil {
 				return ctlNone, nil, fmt.Errorf("interp: defer outside a function")
 			}
-			fn, err := fnx(it, fr)
+			var d deferredCall
+			var err error
+			if recvx == nil {
+				d.fn, err = fnx(it, fr)
+			} else if d.recv, err = recvx(it, fr); err == nil {
+				d.fn, d.mfn, err = it.lookupAttr(d.recv, name, mid)
+			}
 			if err != nil {
 				return ctlNone, nil, err
 			}
-			args := make([]Value, len(argxs))
+			n := len(frm.deferArgs)
+			frm.deferArgs = append(frm.deferArgs, make([]Value, len(argxs))...)
+			d.args = frm.deferArgs[n:len(frm.deferArgs):len(frm.deferArgs)]
 			for i, ax := range argxs {
-				args[i], err = ax(it, fr)
+				d.args[i], err = ax(it, fr)
 				if err != nil {
 					return ctlNone, nil, err
 				}
 			}
-			frm.defers = append(frm.defers, deferredCall{fn: fn, args: args})
+			frm.defers = append(frm.defers, d)
 			return ctlNone, nil, nil
 		}
 

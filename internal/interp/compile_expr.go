@@ -329,29 +329,25 @@ func (c *compiler) compileExpr(fc *fnCtx, e ast.Expr) cexpr {
 func (c *compiler) compileSelector(fc *fnCtx, x *ast.SelectorExpr) cexpr {
 	basex := c.compileExpr(fc, x.X)
 	name := x.Sel.Name
+	mid := c.syms.methodID(name)
 	return func(it *Interp, fr *cframe) (Value, error) {
 		base, err := basex(it, fr)
 		if err != nil {
 			return nil, err
 		}
-		return it.attrValue(base, name)
+		// A method read yields a closure bound to its receiver.
+		v, mfn, err := it.lookupAttr(base, name, mid)
+		if mfn != nil {
+			return &compiledClosure{fn: mfn, recv: base}, nil
+		}
+		return v, err
 	}
 }
 
-// attrValue implements selector reads. A method read yields a closure
-// bound to its receiver.
-func (it *Interp) attrValue(base Value, name string) (Value, error) {
-	v, mfn, err := it.lookupAttr(base, name)
-	if mfn != nil {
-		return &compiledClosure{fn: mfn, recv: base}, nil
-	}
-	return v, err
-}
-
-// lookupAttr resolves base.name. A method of an object comes back
-// unbound — mfn set, the receiver being base itself — so that a call
-// site invoking it immediately need not allocate the bound closure.
-func (it *Interp) lookupAttr(base Value, name string) (v Value, mfn *compiledFunc, err error) {
+// lookupAttr resolves base.name (selector ID mid). A method comes back
+// unbound — mfn set, the receiver being base — so that a call or defer
+// of it need not allocate the bound closure.
+func (it *Interp) lookupAttr(base Value, name string, mid int) (v Value, mfn *compiledFunc, err error) {
 	switch b := base.(type) {
 	case *Module:
 		v, ok := b.Member[name]
@@ -361,12 +357,10 @@ func (it *Interp) lookupAttr(base Value, name string) (v Value, mfn *compiledFun
 		return v, nil, nil
 	case *Object:
 		if i := b.shape.slot(name); i >= 0 {
-			return b.slots[i], nil, nil
+			return b.field(i), nil, nil
 		}
-		if it.prog != nil {
-			if mfn, ok := it.prog.methods[b.shape.typeName][name]; ok {
-				return nil, mfn, nil
-			}
+		if mfn := it.prog.methods.lookup(b.shape.typeName, mid); mfn != nil {
+			return nil, mfn, nil
 		}
 		return nil, nil, it.throw("AttributeError", "'"+b.shape.typeName+"' object has no attribute '"+name+"'")
 	case *Exc:
@@ -456,12 +450,13 @@ func (c *compiler) compileCall(fc *fnCtx, x *ast.CallExpr) cexpr {
 		// Evaluation order is unchanged: callee lookup, arguments, call.
 		basex := c.compileExpr(fc, sel.X)
 		name := sel.Sel.Name
+		mid := c.syms.methodID(name)
 		return func(it *Interp, fr *cframe) (Value, error) {
 			base, err := basex(it, fr)
 			if err != nil {
 				return nil, err
 			}
-			fn, mfn, err := it.lookupAttr(base, name)
+			fn, mfn, err := it.lookupAttr(base, name, mid)
 			if err != nil {
 				return nil, err
 			}
@@ -469,12 +464,7 @@ func (c *compiler) compileCall(fc *fnCtx, x *ast.CallExpr) cexpr {
 			if err != nil {
 				return nil, err
 			}
-			var v Value
-			if mfn != nil {
-				v, err = it.callMethod(mfn, base, it.argStack[sp:])
-			} else {
-				v, err = it.call(fn, it.argStack[sp:])
-			}
+			v, err := it.invoke(fn, mfn, base, it.argStack[sp:])
 			it.popArgs(sp)
 			return v, err
 		}

@@ -650,6 +650,48 @@ func F() any {
 	return before + "|" + after + "|" + str(other.Status) + ":" + other.Node.Value
 }`, "F", nil},
 	{"host-built-missing-field", `func F() any { return __mkresp().Missing }`, "F", nil},
+	// Lazily made host objects (__mklazy, built the way kvclient builds
+	// its replies) behave like whole ones.
+	{"lazy-alias-mutate", `
+func F() any {
+	a := __mklazy()
+	b := a
+	b.Status = 7
+	n := a.Node
+	b.Node.Value = "w"
+	return str(a.Status) + ":" + n.Value + ":" + str(a.Node == n)
+}`, "F", nil},
+	{"lazy-new-field", `
+func F() any {
+	r := __mklazy()
+	r.Detail = "true"
+	n := r.Nodes
+	r.Extra = 1
+	return r.Detail + str(r.Extra) + r.Message + str(len(n)) + r.Nodes[1].Key + str(r.Status)
+}`, "F", nil},
+	{"lazy-print", `
+func F() any {
+	r := __mklazy()
+	println(r)
+	println(r.Node, r.Nodes)
+	return str(r) + str(r.Node) + str(r.Nodes)
+}`, "F", nil},
+	{"lazy-equal", `
+func F() any {
+	a := __mklazy()
+	b := a
+	c := __mklazy()
+	return str(a == b) + str(a == c) + str(a.Node == b.Node) + str(a.Node == c.Node) + str(a.Nodes == c.Nodes)
+}`, "F", nil},
+	{"lazy-untouched-in-list", `
+func F() any {
+	xs := []any{}
+	for i := 0; i < 3; i++ {
+		xs = append(xs, __mklazy())
+	}
+	return str(len(xs)) + xs[2].Node.Value + str(xs[0] == xs[1]) + str(xs[1].Status)
+}`, "F", nil},
+	{"lazy-missing-field", `func F() any { r := __mklazy(); return r.Missing }`, "F", nil},
 	// Maps: one insertion-ordered representation, linear up to the
 	// small-map limit and hash-indexed beyond.
 	{"map-grows-past-small-limit", `
@@ -722,9 +764,45 @@ var (
 	equivNodeShape = NewShape("Node", "Key", "Value")
 )
 
+// equivLazy is a lazily made host object: slot i is made by field(i).
+type equivLazy struct {
+	obj   LazyObject
+	slots [4]Value
+	field func(i int) Value
+}
+
+func (l *equivLazy) Field(i int) Value { return l.field(i) }
+
+func newEquivLazy(sh *Shape, field func(i int) Value) *Object {
+	l := &equivLazy{field: field}
+	return sh.NewLazy(&l.obj, l.slots[:], l)
+}
+
+// equivLazyResp builds a Response the way kvclient builds its replies:
+// Node and the Nodes are lazy objects too, made on first read.
+func equivLazyResp() *Object {
+	node := func(key string) *Object {
+		return newEquivLazy(equivNodeShape, func(i int) Value { return []Value{key, "v" + key}[i] })
+	}
+	return newEquivLazy(equivRespShape, func(i int) Value {
+		switch i {
+		case 0:
+			return int64(200)
+		case 1:
+			return "ok"
+		case 2:
+			return node("/k")
+		}
+		return NewList(node("/a"), node("/b"))
+	})
+}
+
 var equivHostEnv = NewHostEnv().
 	Func("__mkresp", func(it *Interp, args []Value) (Value, error) {
 		return equivRespShape.New(int64(200), "ok", equivNodeShape.New("/k", "v"), NewList()), nil
+	}).
+	Func("__mklazy", func(it *Interp, args []Value) (Value, error) {
+		return equivLazyResp(), nil
 	}).
 	Func("__mkexc", func(it *Interp, args []Value) (Value, error) {
 		return &Exc{Type: "EtcdException", Msg: "boom"}, nil

@@ -145,11 +145,16 @@ func declDerived(t *testing.T, prog *Program, src []byte) (*Program, *ast.File, 
 // entered must reproduce a straight run of that mutant. A fork onto a
 // derived program may refuse (ErrUnforkable: a captured closure comes
 // from the replaced file); it may never diverge. Programs the tree-walk
-// rejects are skipped.
+// rejects are skipped. Every run has the corpus host environment
+// (equivHostSetup), so programs can hold host-built objects.
 func FuzzForkEquivalence(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
 	}
+	// A lazily made host reply and a deferred method call live across
+	// the snapshot boundaries: fields are first read after a fork.
+	f.Add("type C struct{}\nfunc (c *C) Close(r any) { println(\"close\", r.Status, r.Node.Value, len(r.Nodes)) }\n" +
+		"func F() any { c := &C{}\nr := __mklazy()\ndefer c.Close(r)\nr.Status = r.Status + 1\nn := r.Node\nn.Value = \"w\"\nreturn r.Message + str(r.Status) }")
 	for _, tc := range forkCorpus {
 		if tc.entry == "F" && tc.args == nil {
 			f.Add(tc.src)
@@ -161,6 +166,7 @@ func FuzzForkEquivalence(f *testing.F) {
 
 		var treeOut bytes.Buffer
 		tree := New(Config{MaxSteps: cfg.MaxSteps, Stdout: &treeOut})
+		equivHostSetup(tree)
 		if err := tree.LoadSource("fuzz.go", src); err != nil {
 			return // front end rejected it; nothing differential to run
 		}
@@ -172,13 +178,13 @@ func FuzzForkEquivalence(f *testing.F) {
 			t.Fatalf("tree-walk loaded but CompileProgram failed: %v\nsource:\n%s", err, src)
 		}
 		derived, file, fset := declDerived(t, prog, src)
-		straight := straightRun(t, prog, cfg, nil, "F")
-		pre, bounds, _ := prefixRun(t, prog, cfg, nil, "F")
+		straight := straightRun(t, prog, cfg, equivHostSetup, "F")
+		pre, bounds, _ := prefixRun(t, prog, cfg, equivHostSetup, "F")
 		if pre != straight {
 			t.Fatalf("CallPrefix diverged from Call:\n prefix:   %+v\n straight: %+v\nsource:\n%s", pre, straight, src)
 		}
 		check := func(name string, p *Program, b forkBoundary, mayRefuse bool, want ...forkOutcome) {
-			got, err := forkRun(p, cfg, nil, b)
+			got, err := forkRun(p, cfg, equivHostSetup, b)
 			if err != nil {
 				if !mayRefuse {
 					t.Errorf("%s fork@%d: %v\nsource:\n%s", name, b.snap.Stmt(), err, src)
@@ -216,7 +222,7 @@ func FuzzForkEquivalence(f *testing.F) {
 			if err != nil {
 				continue // the compiler rejects the mutant: no run to compare
 			}
-			mstraight := straightRun(t, mprog, cfg, nil, "F")
+			mstraight := straightRun(t, mprog, cfg, equivHostSetup, "F")
 			for _, b := range bounds {
 				if !b.entered[fd.Name.Name] {
 					check("mutant "+fd.Name.Name, mprog, b, true, mstraight)

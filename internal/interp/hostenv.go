@@ -1,5 +1,7 @@
 package interp
 
+import "sync/atomic"
+
 // HostEnv is a reusable host environment: global host functions and
 // importable modules, built once and installed on any number of
 // interpreters, concurrently. A campaign runs hundreds of interpreters
@@ -36,8 +38,24 @@ func (e *HostEnv) Module(m *Module) *HostEnv {
 // slots are resolved once per program family and an install is a
 // handful of stores. Later installs shadow earlier ones.
 func (it *Interp) Install(e *HostEnv) {
-	it.envs = append(it.envs, e)
+	l := it.envs
+	n := l.next.Load()
+	if n == nil || n.envs[len(n.envs)-1] != e {
+		n = newEnvList(append(l.envs[:len(l.envs):len(l.envs)], e))
+		l.next.Store(n)
+	}
+	it.envs = n
 	it.bind(e)
+}
+
+// envList is an installed environment list with its host index. Installs
+// of the same environments in the same order share one through next, so
+// the index is built once per list, not on every Snapshot and Fork.
+type envList struct {
+	envs  []*HostEnv
+	byVal map[any]string
+	byKey map[string]Value
+	next  atomic.Pointer[envList]
 }
 
 // bind stores the environment's globals into the interpreter's global
@@ -86,8 +104,8 @@ func (it *Interp) HostData(key any) any {
 // module resolves an import path against the environments, latest
 // first (the builtins are always the earliest, see baseEnvs).
 func (it *Interp) module(path string) (*Module, bool) {
-	for i := len(it.envs) - 1; i >= 0; i-- {
-		if m, ok := it.envs[i].modules[path]; ok {
+	for i := len(it.envs.envs) - 1; i >= 0; i-- {
+		if m, ok := it.envs.envs[i].modules[path]; ok {
 			return m, true
 		}
 	}

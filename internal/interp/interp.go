@@ -123,7 +123,7 @@ type Interp struct {
 	// Host environment: the shared environments installed on this
 	// interpreter (Install) and the per-run state their functions read
 	// (SetHostData), plus the tree-walk path's root-shape intern table.
-	envs     []*HostEnv
+	envs     *envList
 	hostData []hostDatum
 	shapes   map[string]*Shape
 
@@ -136,13 +136,18 @@ type Interp struct {
 }
 
 type frame struct {
-	name      string
-	defers    []deferredCall
+	name   string
+	defers []deferredCall
+	// deferArgs holds the arguments of the compiled defers.
+	deferArgs []Value
 	panicking *PanicError
 }
 
+// deferredCall is one pending defer: fn, or the method mfn of recv.
 type deferredCall struct {
 	fn   Value
+	mfn  *compiledFunc
+	recv Value
 	args []Value
 }
 
@@ -414,9 +419,12 @@ func (it *Interp) popArgs(base int) {
 	it.argStack = it.argStack[:base]
 }
 
-// callMethod invokes a method straight off its receiver, charging the
-// step call would charge for the bound closure.
-func (it *Interp) callMethod(mfn *compiledFunc, recv Value, args []Value) (Value, error) {
+// invoke calls fn or, when mfn is set, the method mfn straight off its
+// receiver, charging the step call would charge for the bound closure.
+func (it *Interp) invoke(fn Value, mfn *compiledFunc, recv Value, args []Value) (Value, error) {
+	if mfn == nil {
+		return it.call(fn, args)
+	}
 	if err := it.step(); err != nil {
 		return nil, err
 	}
@@ -473,16 +481,17 @@ func (it *Interp) runDefers(fr *frame, callErr error) error {
 	if len(fr.defers) == 0 {
 		return callErr
 	}
-	var pe *PanicError
-	if errors.As(callErr, &pe) {
+	if callErr != nil {
+		var pe *PanicError
+		if !errors.As(callErr, &pe) {
+			// Timeouts and budget exhaustion are not recoverable.
+			return callErr
+		}
 		fr.panicking = pe
-	} else if callErr != nil {
-		// Timeouts and budget exhaustion are not recoverable.
-		return callErr
 	}
 	for i := len(fr.defers) - 1; i >= 0; i-- {
 		d := fr.defers[i]
-		if _, derr := it.call(d.fn, d.args); derr != nil {
+		if _, derr := it.invoke(d.fn, d.mfn, d.recv, d.args); derr != nil {
 			// A panic raised inside a defer replaces the current one.
 			var dpe *PanicError
 			if errors.As(derr, &dpe) {

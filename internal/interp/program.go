@@ -39,6 +39,7 @@ type linker struct {
 	// program family names; literal shapes hang off them as transitions,
 	// so all experiments of a campaign share one shape tree.
 	shapes map[string]*Shape
+	mids   map[string]int // selector name -> ID (methodID)
 }
 
 // compileCounts tallies the derivations of one program lineage: decl
@@ -60,7 +61,7 @@ const (
 var fileReasons = [...]string{"no_decl", "rename", "new_name"}
 
 func newLinker() *linker {
-	l := &linker{idx: make(map[string]int), shapes: make(map[string]*Shape), hostSlot: make(map[*HostEnv][]int)}
+	l := &linker{idx: make(map[string]int), shapes: make(map[string]*Shape), hostSlot: make(map[*HostEnv][]int), mids: make(map[string]int)}
 	for i, s := range l.hostSlots(builtinEnv) {
 		l.proto[s] = builtinEnv.vals[i]
 	}
@@ -119,6 +120,16 @@ func (l *linker) rootShape(typeName string) *Shape {
 	return sh
 }
 
+// methodID returns the ID of a selector name, numbering it on first use.
+func (l *linker) methodID(name string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if _, ok := l.mids[name]; !ok {
+		l.mids[name] = len(l.mids)
+	}
+	return l.mids[name]
+}
+
 func (l *linker) lookup(name string) (int, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -148,7 +159,7 @@ type unit struct {
 	name     string
 	imports  []importBind
 	ops      []initOp
-	methods  map[string]map[string]*compiledFunc
+	methods  methodTable
 	topNames []string
 	// allFns is every compiledFunc the unit's compile produced, nested
 	// function literals included — the provenance set snapshot/fork
@@ -221,7 +232,7 @@ type Program struct {
 	// counts is shared with every program derived from this one.
 	counts  *compileCounts
 	units   []*unit
-	methods map[string]map[string]*compiledFunc
+	methods methodTable
 	globals map[string]bool
 	// nstmt bounds the program's reach IDs: [0, nstmt).
 	nstmt int
@@ -423,12 +434,13 @@ func (p *Program) withSite(ui, si int, fd *ast.FuncDecl) *Program {
 	if site.kind == siteMethod {
 		_, recvName := recvInfo(fd)
 		fn := c.compileFunc(nil, site.typeName+"."+site.name, fd.Type, fd.Body, recvName)
-		old := base.methods[site.typeName][site.name]
-		nu.methods = withMethod(base.methods, site.typeName, site.name, fn)
+		mid := p.ln.methodID(site.name)
+		old := base.methods.lookup(site.typeName, mid)
+		nu.methods = base.methods.with(site.typeName, mid, fn)
 		// The program-wide table changes only where this unit's method
 		// was the one it held (a later unit may redeclare it).
-		if p.methods[site.typeName][site.name] == old {
-			np.methods = withMethod(p.methods, site.typeName, site.name, fn)
+		if p.methods.lookup(site.typeName, mid) == old {
+			np.methods = p.methods.with(site.typeName, mid, fn)
 		}
 	} else {
 		fn := c.compileFunc(nil, site.name, fd.Type, fd.Body, "")
@@ -456,22 +468,6 @@ func (p *Program) withSite(ui, si int, fd *ast.FuncDecl) *Program {
 	return np
 }
 
-// withMethod returns tables with one method replaced, copying the outer
-// map and the one receiver type's map and sharing the rest.
-func withMethod(tables map[string]map[string]*compiledFunc, typeName, name string, fn *compiledFunc) map[string]map[string]*compiledFunc {
-	out := make(map[string]map[string]*compiledFunc, len(tables))
-	for tn, ms := range tables {
-		out[tn] = ms
-	}
-	ms := make(map[string]*compiledFunc, len(tables[typeName]))
-	for mn, f := range tables[typeName] {
-		ms[mn] = f
-	}
-	ms[name] = fn
-	out[typeName] = ms
-	return out
-}
-
 func hasNew(set map[string]bool, names []string) bool {
 	for _, n := range names {
 		if !set[n] {
@@ -492,19 +488,54 @@ func cloneWith(set map[string]bool, names []string) map[string]bool {
 	return out
 }
 
-func mergeMethods(units []*unit) map[string]map[string]*compiledFunc {
-	out := make(map[string]map[string]*compiledFunc)
-	for _, u := range units {
-		for tn, ms := range u.methods {
-			if out[tn] == nil {
-				out[tn] = make(map[string]*compiledFunc, len(ms))
-			}
-			for mn, fn := range ms {
-				out[tn][mn] = fn
+// methodTable resolves a method call without hashing: row mid holds the
+// methods selector ID mid names, one per receiver type. Each program has
+// its own, so programs derived from one base never see each other's.
+type methodTable [][]methodEntry
+
+type methodEntry struct {
+	typeName string
+	fn       *compiledFunc
+}
+
+func (t methodTable) lookup(typeName string, mid int) *compiledFunc {
+	if mid < len(t) {
+		for _, e := range t[mid] {
+			if e.typeName == typeName {
+				return e.fn
 			}
 		}
 	}
+	return nil
+}
+
+// with returns t with typeName's method mid set to fn, sharing the rest.
+func (t methodTable) with(typeName string, mid int, fn *compiledFunc) methodTable {
+	out := append(methodTable(nil), t...)
+	for len(out) <= mid {
+		out = append(out, nil)
+	}
+	row := []methodEntry{{typeName, fn}}
+	for _, e := range out[mid] {
+		if e.typeName != typeName {
+			row = append(row, e)
+		}
+	}
+	out[mid] = row
 	return out
+}
+
+// mergeMethods builds a program's table; later units override.
+func mergeMethods(units []*unit) methodTable {
+	var t methodTable
+	for _, u := range units {
+		for mid, row := range u.methods {
+			for _, e := range row {
+				t = t.with(e.typeName, mid, e.fn)
+			}
+		}
+	}
+	return t
 }
 
 // topLevelNames lists the global names a file contributes: import-bound
@@ -574,13 +605,7 @@ func compileUnit(c *compiler, name string, f *ast.File) (*unit, error) {
 					return nil, fmt.Errorf("interp: %s: unsupported receiver on %s", name, decl.Name.Name)
 				}
 				fn := c.compileFunc(nil, typeName+"."+decl.Name.Name, decl.Type, decl.Body, recvName)
-				if u.methods == nil {
-					u.methods = make(map[string]map[string]*compiledFunc)
-				}
-				if u.methods[typeName] == nil {
-					u.methods[typeName] = make(map[string]*compiledFunc)
-				}
-				u.methods[typeName][decl.Name.Name] = fn
+				u.methods = u.methods.with(typeName, c.syms.methodID(decl.Name.Name), fn)
 				site.kind, site.typeName = siteMethod, typeName
 			} else {
 				fn := c.compileFunc(nil, decl.Name.Name, decl.Type, decl.Body, "")
@@ -673,7 +698,7 @@ func (it *Interp) Boot() error {
 
 // callCompiled executes a compiled function with defer/recover semantics
 // identical to callClosure, against a recycled slot frame; the caller has
-// charged the call's step (see call and callMethod). checkpoint is nil
+// charged the call's step (see call and invoke). checkpoint is nil
 // except on CallPrefix's entry call, whose top-level body statements it
 // pauses before (see runCheckpointed).
 func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args []Value, checkpoint func(int) bool) (result Value, err error) {
@@ -757,6 +782,8 @@ func (it *Interp) putFrame(fr *frame) {
 		fr.defers[i] = deferredCall{}
 	}
 	fr.defers = fr.defers[:0]
+	clear(fr.deferArgs)
+	fr.deferArgs = fr.deferArgs[:0]
 	fr.panicking = nil
 	fr.name = ""
 	it.freeFrames = append(it.freeFrames, fr)

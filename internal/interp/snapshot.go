@@ -135,11 +135,7 @@ func (it *Interp) Snapshot() (*Snapshot, error) {
 		}
 	}
 	for _, d := range it.cpMeta.defers {
-		nd := deferredCall{fn: cp.copyVal(d.fn), args: make([]Value, len(d.args))}
-		for i, a := range d.args {
-			nd.args[i] = cp.copyVal(a)
-		}
-		sn.defers = append(sn.defers, nd)
+		sn.defers = append(sn.defers, cp.copyDefer(d))
 	}
 	sn.gslots = make([]Value, len(it.gslots))
 	for i, v := range it.gslots {
@@ -148,8 +144,7 @@ func (it *Interp) Snapshot() (*Snapshot, error) {
 	if cp.err != nil {
 		return nil, cp.err
 	}
-	byVal, _ := it.hostIndex()
-	sn.hostKey = byVal
+	sn.hostKey = it.envs.byVal
 	return sn, nil
 }
 
@@ -230,11 +225,7 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 
 	fr := it.getFrame(nf.name)
 	for _, d := range snap.defers {
-		nd := deferredCall{fn: cp.copyVal(d.fn), args: make([]Value, len(d.args))}
-		for i, a := range d.args {
-			nd.args[i] = cp.copyVal(a)
-		}
-		fr.defers = append(fr.defers, nd)
+		fr.defers = append(fr.defers, cp.copyDefer(d))
 	}
 	cf := it.getCframe(nf.nslots)
 	for i, v := range snap.slots {
@@ -258,18 +249,18 @@ func (it *Interp) Fork(snap *Snapshot) (Value, error) {
 	return it.endCall(nf.name, fr, cf, ctl, result, err)
 }
 
-// hostIndex maps installed host values both ways: by identity to their
-// registration key (capture side) and by key to the value (fork side).
-// Keys are stable across interpreters — "g:name" for globals, "m:name"
-// for modules, later environments shadowing earlier ones — so a forked
-// interpreter, whose environment installs equivalent values under the
-// same keys, finds the counterpart of every captured reference. Module
-// members get compound keys so a captured reference to a member
+// newEnvList indexes the host values of envs both ways: by identity to
+// their registration key (capture side) and by key to the value (fork
+// side). Keys are stable across interpreters — "g:name" for globals,
+// "m:name" for modules, later environments shadowing earlier ones — so a
+// forked interpreter, whose environment installs equivalent values under
+// the same keys, finds the counterpart of every captured reference.
+// Module members get compound keys so a captured reference to a member
 // function translates to the fork module's member. Only reference
 // values (host functions, modules) are indexed; scalars copy as-is.
-func (it *Interp) hostIndex() (byVal map[any]string, byKey map[string]Value) {
-	byVal = make(map[any]string)
-	byKey = make(map[string]Value)
+func newEnvList(envs []*HostEnv) *envList {
+	byVal := make(map[any]string)
+	byKey := make(map[string]Value)
 	note := func(key string, v Value) {
 		switch v.(type) {
 		case *HostFunc, *Module:
@@ -282,7 +273,7 @@ func (it *Interp) hostIndex() (byVal map[any]string, byKey map[string]Value) {
 		}
 	}
 	regs := make(map[string]Value)
-	for _, e := range it.envs {
+	for _, e := range envs {
 		for i, name := range e.names {
 			regs["g:"+name] = e.vals[i]
 		}
@@ -299,7 +290,7 @@ func (it *Interp) hostIndex() (byVal map[any]string, byKey map[string]Value) {
 			}
 		}
 	}
-	return byVal, byKey
+	return &envList{envs: envs, byVal: byVal, byKey: byKey}
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -335,7 +326,7 @@ func newForkCtx(snap *Snapshot, it *Interp) (*forkCtx, error) {
 		replaced: make(map[*compiledFunc]bool),
 		hostOld:  snap.hostKey,
 	}
-	_, fk.hostNew = it.hostIndex()
+	fk.hostNew = it.envs.byKey
 	for i := range op.units {
 		ou, nu := op.units[i], np.units[i]
 		if ou == nu {
@@ -355,10 +346,10 @@ func newForkCtx(snap *Snapshot, it *Interp) (*forkCtx, error) {
 				fk.funcMap[oop.fn.fn] = nfn
 			}
 		}
-		for tn, ms := range ou.methods {
-			for mn, ofn := range ms {
-				if nfn, ok := nu.methods[tn][mn]; ok {
-					fk.funcMap[ofn] = nfn
+		for mid, row := range ou.methods {
+			for _, e := range row {
+				if nfn := nu.methods.lookup(e.typeName, mid); nfn != nil {
+					fk.funcMap[e.fn] = nfn
 				}
 			}
 		}
@@ -386,6 +377,35 @@ func (vc *valCopier) fail(format string, args ...any) Value {
 		vc.err = fmt.Errorf("%w: %s", ErrUnforkable, fmt.Sprintf(format, args...))
 	}
 	return nil
+}
+
+// copyFn translates a compiled function into the fork program (capture
+// keeps it); ok is false, with err set, when it cannot.
+func (vc *valCopier) copyFn(fn *compiledFunc) (_ *compiledFunc, ok bool) {
+	if vc.fk == nil {
+		return fn, true
+	}
+	if nfn, ok := vc.fk.funcMap[fn]; ok {
+		if len(nfn.caps) != len(fn.caps) {
+			vc.fail("function %s changed capture shape", fn.name)
+			return nil, false
+		}
+		return nfn, true
+	}
+	if vc.fk.replaced[fn] {
+		vc.fail("captured closure %s comes from a mutated file", fn.name)
+		return nil, false
+	}
+	return fn, true
+}
+
+func (vc *valCopier) copyDefer(d deferredCall) deferredCall {
+	nd := deferredCall{fn: vc.copyVal(d.fn), recv: vc.copyVal(d.recv), args: make([]Value, len(d.args))}
+	nd.mfn, _ = vc.copyFn(d.mfn)
+	for i, a := range d.args {
+		nd.args[i] = vc.copyVal(a)
+	}
+	return nd
 }
 
 func (vc *valCopier) copyCell(c *cell) *cell {
@@ -456,10 +476,12 @@ func (vc *valCopier) copyVal(v Value) Value {
 			return got
 		}
 		// Shapes are immutable and shared; only the slot vector copies.
+		// A lazy object's fields are made first, so a snapshot holds
+		// whole objects and keeps nothing of the run it was taken from.
 		no := x.shape.alloc()
 		vc.memo[x] = no
-		for i, e := range x.slots {
-			no.slots[i] = vc.copyVal(e)
+		for i := range x.slots {
+			no.slots[i] = vc.copyVal(x.field(i))
 		}
 		return no
 	case *Exc:
@@ -475,16 +497,9 @@ func (vc *valCopier) copyVal(v Value) Value {
 		if got, ok := vc.memo[x]; ok {
 			return got
 		}
-		fn := x.fn
-		if vc.fk != nil {
-			if nfn, ok := vc.fk.funcMap[fn]; ok {
-				if len(nfn.caps) != len(fn.caps) {
-					return vc.fail("function %s changed capture shape", fn.name)
-				}
-				fn = nfn
-			} else if vc.fk.replaced[fn] {
-				return vc.fail("captured closure %s comes from a mutated file", fn.name)
-			}
+		fn, ok := vc.copyFn(x.fn)
+		if !ok {
+			return nil
 		}
 		nc := &compiledClosure{fn: fn}
 		vc.memo[x] = nc

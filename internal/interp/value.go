@@ -216,14 +216,6 @@ func (s *Shape) with(name string) *Shape {
 	return k
 }
 
-// New builds an object of this shape from its field values in shape
-// order; missing trailing values are nil.
-func (s *Shape) New(vals ...Value) *Object {
-	o := s.alloc()
-	copy(o.slots, vals)
-	return o
-}
-
 // alloc returns an object of this shape with every field nil. Slot
 // vectors of up to 8 fields are carved out of the object's own
 // allocation, so building an object is a single allocation.
@@ -260,13 +252,47 @@ type object8 struct {
 	buf [8]Value
 }
 
+// Lazy makes the fields of a host-built object (Shape.NewLazy), each on
+// its first read; a snapshot makes them all.
+type Lazy interface {
+	Field(i int) Value
+}
+
+// LazyObject heads a lazy object; host code allocates it, its slots and
+// source as one struct. An unmade slot holds the LazyObject itself.
+type LazyObject struct {
+	Object
+	src Lazy
+}
+
+// NewLazy makes o an object of this shape over slots, one per field,
+// whose values src makes on first read.
+func (s *Shape) NewLazy(o *LazyObject, slots []Value, src Lazy) *Object {
+	n := len(s.names)
+	o.shape, o.slots, o.src = s, slots[:n:n], src
+	for i := range o.slots {
+		o.slots[i] = o
+	}
+	return &o.Object
+}
+
+// field returns the value in slot i, making it first if need be.
+func (o *Object) field(i int) Value {
+	v := o.slots[i]
+	if lo, ok := v.(*LazyObject); ok {
+		v = lo.src.Field(i)
+		o.slots[i] = v
+	}
+	return v
+}
+
 // TypeName returns the object's dynamic type name.
 func (o *Object) TypeName() string { return o.shape.typeName }
 
 // Get returns the value of a field and whether the object has it.
 func (o *Object) Get(name string) (Value, bool) {
 	if i := o.shape.slot(name); i >= 0 {
-		return o.slots[i], true
+		return o.field(i), true
 	}
 	return nil, false
 }

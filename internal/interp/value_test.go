@@ -330,3 +330,12 @@ func TestFormatValueVerbs(t *testing.T) {
 		t.Errorf("FormatValue = %q", got)
 	}
 }
+
+// New builds an object of this shape from its field values in shape
+// order; missing trailing values are nil. Host code builds its objects
+// lazily (NewLazy); tests build them whole.
+func (s *Shape) New(vals ...Value) *Object {
+	o := s.alloc()
+	copy(o.slots, vals)
+	return o
+}

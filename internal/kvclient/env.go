@@ -75,6 +75,8 @@ type envRun struct {
 	clock clockRef
 	rng   *rand.Rand
 	stall stallState
+	// tracer is read from the env bag once per round, not per request.
+	tracer *trace.Recorder
 }
 
 type envRunKey struct{}
@@ -174,6 +176,7 @@ func InstallEnv(it *interp.Interp, c *sandbox.Container) *kvstore.Server {
 		c.PutEnv(envKeyState, run)
 	}
 	run.clock.attach(it)
+	run.tracer, _ = Tracer(c)
 
 	it.SetHostData(envRunKey{}, run)
 	it.Install(hostEnv)
@@ -265,23 +268,18 @@ func urllibModule() *interp.Module {
 			return nil, throwExc(it, "InvalidURL", err.Error())
 		}
 		startNS := it.Clock()
-		out, rerr := route(it, srv, ms, path, pm)
-		if rec, ok := Tracer(c); ok {
+		out := route(srv, ms, path, pm)
+		if rec := run.tracer; rec != nil {
 			span := trace.Span{
 				Name: ms + " " + path, Component: "urllib",
 				StartNS: startNS, EndNS: it.Clock(),
 			}
-			if rerr != nil {
-				span.Err = rerr.Error()
-			} else if obj, ok := out.(*interp.Object); ok {
-				v, _ := obj.Get("Status")
-				if st, ok := v.(int64); ok && st >= 400 {
-					span.Err = fmt.Sprintf("status %d", st)
-				}
+			if v, _ := out.Get("Status"); v.(int64) >= 400 {
+				span.Err = fmt.Sprintf("status %d", v)
 			}
 			rec.Record(span)
 		}
-		return out, rerr
+		return out, nil
 	})
 	m.Func("Quote", func(it *interp.Interp, args []interp.Value) (interp.Value, error) {
 		if len(args) == 0 || args[0] == nil {
@@ -311,30 +309,29 @@ func urlPath(url string) (string, error) {
 
 // route dispatches a parsed request to the server API and converts the
 // reply into a minigo Response object.
-func route(it *interp.Interp, srv *kvstore.Server, method, path string, params *interp.Map) (interp.Value, error) {
+func route(srv *kvstore.Server, method, path string, params *interp.Map) *interp.Object {
 	switch {
 	case path == "/health":
-		obj := newResponse(200, 0, "ok", "", 0)
+		obj := newResponse(kvstore.Response{Status: 200, Message: "ok"})
 		if getStr(params, "detail") == "true" {
 			obj.Set("Detail", "true")
 		}
-		return obj, nil
+		return obj
 	case path == "/v2/stats/self":
-		obj := newResponse(200, 0, "ok", "", 0)
+		obj := newResponse(kvstore.Response{Status: 200, Message: "ok"})
 		obj.Set("Name", "etcd-sim")
-		return obj, nil
+		return obj
 	case path == "/v2/members":
 		if method == "POST" || method == "PUT" {
 			id := getStr(params, "id")
 			if err := srv.RegisterMember(id); err != nil {
-				return newResponse(500, kvstore.CodeRaftInternal, err.Error(), "", srv.Index()), nil
+				return newResponse(kvstore.Response{Status: 500, ErrorCode: kvstore.CodeRaftInternal, Message: err.Error(), Index: srv.Index()})
 			}
-			return newResponse(200, 0, "", "add", srv.Index()), nil
+			return newResponse(kvstore.Response{Status: 200, Action: "add", Index: srv.Index()})
 		}
-		obj := newResponse(200, 0, "", "get", srv.Index())
-		return obj, nil
+		return newResponse(kvstore.Response{Status: 200, Action: "get", Index: srv.Index()})
 	case strings.HasPrefix(path, "/v2/auth/users"):
-		return newResponse(200, 0, "", "auth", srv.Index()), nil
+		return newResponse(kvstore.Response{Status: 200, Action: "auth", Index: srv.Index()})
 	case strings.HasPrefix(path, "/v2/keys"):
 		key := strings.TrimPrefix(path, "/v2/keys")
 		if key == "" {
@@ -355,34 +352,32 @@ func route(it *interp.Interp, srv *kvstore.Server, method, path string, params *
 			req.Recursive = true
 		}
 		if ttl := getVal(params, "ttl"); ttl != nil {
+			var err error
 			switch t := ttl.(type) {
 			case int64:
 				req.TTLSec = t
 			case string:
-				n, err := strconv.ParseInt(t, 10, 64)
-				if err != nil {
-					return newResponse(400, kvstore.CodeInvalidField, "Bad Request: invalid ttl", "", srv.Index()), nil
-				}
-				req.TTLSec = n
+				req.TTLSec, err = strconv.ParseInt(t, 10, 64)
 			default:
-				return newResponse(400, kvstore.CodeInvalidField, "Bad Request: invalid ttl", "", srv.Index()), nil
+				err = strconv.ErrSyntax
+			}
+			if err != nil {
+				return newResponse(kvstore.Response{Status: 400, ErrorCode: kvstore.CodeInvalidField, Message: "Bad Request: invalid ttl", Index: srv.Index()})
 			}
 		}
 		// prevExist=false emulates the lock recipe's create-only PUT.
 		if method == "PUT" && getStr(params, "prevExist") == "false" {
 			if probe := srv.Do(kvstore.Request{Method: "GET", Key: key}); probe.Status == 200 {
-				return newResponse(412, kvstore.CodeNodeExist, "Node exist", "", srv.Index()), nil
+				return newResponse(kvstore.Response{Status: 412, ErrorCode: kvstore.CodeNodeExist, Message: "Node exist", Index: srv.Index()})
 			}
 		}
-		resp := srv.Do(req)
-		return respToObject(resp), nil
+		return newResponse(srv.Do(req))
 	default:
-		return newResponse(404, 0, "not found: "+path, "", srv.Index()), nil
+		return newResponse(kvstore.Response{Status: 404, Message: "not found: " + path, Index: srv.Index()})
 	}
 }
 
-// The host-built objects have fixed layouts, laid out once: building one
-// is a single allocation filled in shape order.
+// The host-built objects have fixed layouts, laid out once.
 var (
 	responseShape = interp.NewShape("Response",
 		"Status", "ErrorCode", "Message", "Action", "Index", "Node", "PrevNode", "Nodes")
@@ -390,30 +385,65 @@ var (
 		"Key", "Value", "Dir", "TTL", "Created", "Modified")
 )
 
-func newResponse(status int, code int, msg, action string, index int64) *interp.Object {
-	return responseShape.New(int64(status), int64(code), msg, action, index, nil, nil, interp.NewList())
+// response is a reply as a Response object: one allocation whose fields,
+// Node, PrevNode and Nodes included, are made on first read.
+type response struct {
+	obj   interp.LazyObject
+	slots [8]interp.Value
+	r     kvstore.Response
 }
 
-func respToObject(r kvstore.Response) *interp.Object {
-	var node, prev interp.Value
-	if r.Node != nil {
-		node = nodeToObject(*r.Node)
-	}
-	if r.PrevNode != nil {
-		prev = nodeToObject(*r.PrevNode)
-	}
-	nodes := interp.NewList()
-	if len(r.Nodes) > 0 {
-		nodes.Elems = make([]interp.Value, len(r.Nodes))
-		for i, n := range r.Nodes {
-			nodes.Elems[i] = nodeToObject(n)
+func newResponse(r kvstore.Response) *interp.Object {
+	rs := &response{r: r}
+	return responseShape.NewLazy(&rs.obj, rs.slots[:], rs)
+}
+
+func (rs *response) Field(i int) interp.Value { return responseFields[i](&rs.r) }
+
+// responseFields make the fields of a response, in responseShape order.
+var responseFields = [...]func(r *kvstore.Response) interp.Value{
+	func(r *kvstore.Response) interp.Value { return int64(r.Status) },
+	func(r *kvstore.Response) interp.Value { return int64(r.ErrorCode) },
+	func(r *kvstore.Response) interp.Value { return r.Message },
+	func(r *kvstore.Response) interp.Value { return r.Action },
+	func(r *kvstore.Response) interp.Value { return r.Index },
+	func(r *kvstore.Response) interp.Value { return newNode(&r.Node) },
+	func(r *kvstore.Response) interp.Value { return newNode(&r.PrevNode) },
+	func(r *kvstore.Response) interp.Value {
+		nodes := make([]interp.Value, len(r.Nodes))
+		for i := range r.Nodes {
+			nodes[i] = newNode(&r.Nodes[i])
 		}
-	}
-	return responseShape.New(int64(r.Status), int64(r.ErrorCode), r.Message, r.Action, r.Index, node, prev, nodes)
+		return interp.NewList(nodes...)
+	},
 }
 
-func nodeToObject(n kvstore.NodeInfo) *interp.Object {
-	return nodeShape.New(n.Key, n.Value, n.Dir, n.TTL, n.Created, n.Modified)
+// node is a Node object, made like response from the reply it is in.
+type node struct {
+	obj   interp.LazyObject
+	slots [6]interp.Value
+	n     *kvstore.NodeInfo
+}
+
+// newNode returns nil for the zero NodeInfo (no node).
+func newNode(n *kvstore.NodeInfo) interp.Value {
+	if n.Key == "" {
+		return nil
+	}
+	nd := &node{n: n}
+	return nodeShape.NewLazy(&nd.obj, nd.slots[:], nd)
+}
+
+func (nd *node) Field(i int) interp.Value { return nodeFields[i](nd.n) }
+
+// nodeFields make the fields of a node, in nodeShape order.
+var nodeFields = [...]func(n *kvstore.NodeInfo) interp.Value{
+	func(n *kvstore.NodeInfo) interp.Value { return n.Key },
+	func(n *kvstore.NodeInfo) interp.Value { return n.Value },
+	func(n *kvstore.NodeInfo) interp.Value { return n.Dir },
+	func(n *kvstore.NodeInfo) interp.Value { return n.TTL },
+	func(n *kvstore.NodeInfo) interp.Value { return n.Created },
+	func(n *kvstore.NodeInfo) interp.Value { return n.Modified },
 }
 
 func getVal(m *interp.Map, key string) interp.Value {

@@ -22,12 +22,12 @@ type Request struct {
 }
 
 // Response is the server's reply, mirroring the etcd v2 JSON body plus the
-// HTTP status code.
+// HTTP status code. Node and PrevNode are values (see NodeInfo).
 type Response struct {
 	Status    int        `json:"status"`
 	Action    string     `json:"action,omitempty"`
-	Node      *NodeInfo  `json:"node,omitempty"`
-	PrevNode  *NodeInfo  `json:"prevNode,omitempty"`
+	Node      NodeInfo   `json:"node"`
+	PrevNode  NodeInfo   `json:"prevNode"`
 	Nodes     []NodeInfo `json:"nodes,omitempty"`
 	ErrorCode int        `json:"errorCode,omitempty"`
 	Message   string     `json:"message,omitempty"`
@@ -186,11 +186,9 @@ func (s *Server) doGet(key string, req Request, now int64) Response {
 		s.logf("WARN stale read of %s under contention", key)
 		info.Value = n.prevValue
 	}
-	resp := Response{Status: 200, Action: "get", Node: &info, Index: s.store.index}
-	if n.dir && req.Recursive || n.dir {
-		for _, c := range n.sortedChildren() {
-			resp.Nodes = append(resp.Nodes, c.info(now))
-		}
+	resp := Response{Status: 200, Action: "get", Node: info, Index: s.store.index}
+	if n.dir {
+		resp.Nodes = n.childInfos(now)
 	}
 	return resp
 }
@@ -199,12 +197,11 @@ func (s *Server) doPut(key string, req Request, now int64) Response {
 	if key == "/" {
 		return Response{Status: 403, ErrorCode: CodeRootReadOnly, Message: "Root is read only"}
 	}
-	parent, err := s.store.ensureDirs(key, now)
+	parent, name, err := s.store.ensureDirs(key, now)
 	if err != nil {
 		s.logf("ERROR not a directory for %s", key)
 		return Response{Status: 400, ErrorCode: CodeNotADir, Message: "Not a directory"}
 	}
-	name := leafName(key)
 	existing := parent.children[name]
 	if existing != nil && existing.expireNS > 0 && now >= existing.expireNS {
 		delete(parent.children, name)
@@ -240,7 +237,7 @@ func (s *Server) doPut(key string, req Request, now int64) Response {
 
 	s.store.index++
 	action := "set"
-	var prev *NodeInfo
+	var prev NodeInfo
 	n := existing
 	if n == nil {
 		n = &node{key: key, created: s.store.index}
@@ -253,8 +250,7 @@ func (s *Server) doPut(key string, req Request, now int64) Response {
 		parent.children[name] = n
 		action = "create"
 	} else {
-		pi := n.info(now)
-		prev = &pi
+		prev = n.info(now)
 		n.prevValue = n.value
 	}
 	n.value = req.Value
@@ -264,19 +260,17 @@ func (s *Server) doPut(key string, req Request, now int64) Response {
 	} else {
 		n.expireNS = 0
 	}
-	info := n.info(now)
-	return Response{Status: 200, Action: action, Node: &info, PrevNode: prev, Index: s.store.index}
+	return Response{Status: 200, Action: action, Node: n.info(now), PrevNode: prev, Index: s.store.index}
 }
 
 func (s *Server) doDelete(key string, req Request, now int64) Response {
 	if key == "/" {
 		return Response{Status: 403, ErrorCode: CodeRootReadOnly, Message: "Root is read only"}
 	}
-	parent, err := s.store.ensureDirs(key, now)
+	parent, name, err := s.store.ensureDirs(key, now)
 	if err != nil {
 		return Response{Status: 400, ErrorCode: CodeNotADir, Message: "Not a directory"}
 	}
-	name := leafName(key)
 	n, ok := parent.children[name]
 	if !ok || (n.expireNS > 0 && now >= n.expireNS) {
 		delete(parent.children, name)
@@ -286,9 +280,9 @@ func (s *Server) doDelete(key string, req Request, now int64) Response {
 		return Response{Status: 403, ErrorCode: CodeDirNotEmpty, Message: "Directory not empty"}
 	}
 	s.store.index++
-	pi := n.info(now)
+	prev := n.info(now)
 	delete(parent.children, name)
-	return Response{Status: 200, Action: "delete", PrevNode: &pi, Index: s.store.index}
+	return Response{Status: 200, Action: "delete", PrevNode: prev, Index: s.store.index}
 }
 
 // Index returns the current modification index.

@@ -23,7 +23,7 @@ func TestSetGetDelete(t *testing.T) {
 		t.Fatalf("put = %+v", resp)
 	}
 	resp = s.Do(Request{Method: "GET", Key: "/a"})
-	if resp.Status != 200 || resp.Node == nil || resp.Node.Value != "1" {
+	if resp.Status != 200 || resp.Node.Key == "" || resp.Node.Value != "1" {
 		t.Fatalf("get = %+v", resp)
 	}
 	resp = s.Do(Request{Method: "DELETE", Key: "/a"})
@@ -40,7 +40,7 @@ func TestUpdateReportsPrevNode(t *testing.T) {
 	s := newRunning(t)
 	s.Do(Request{Method: "PUT", Key: "/a", Value: "1"})
 	resp := s.Do(Request{Method: "PUT", Key: "/a", Value: "2"})
-	if resp.Action != "set" || resp.PrevNode == nil || resp.PrevNode.Value != "1" {
+	if resp.Action != "set" || resp.PrevNode.Key == "" || resp.PrevNode.Value != "1" {
 		t.Fatalf("update = %+v", resp)
 	}
 }

@@ -45,7 +45,7 @@ func newDir(key string, index int64) *node {
 	return &node{key: key, dir: true, children: map[string]*node{}, created: index, modified: index}
 }
 
-// NodeInfo is the externally visible form of a node.
+// NodeInfo is the externally visible form of a node; the zero value means no node.
 type NodeInfo struct {
 	Key      string `json:"key"`
 	Value    string `json:"value,omitempty"`
@@ -88,17 +88,19 @@ func normalize(key string) (string, error) {
 	return key, nil
 }
 
-func splitKey(key string) []string {
-	if key == "/" {
-		return nil
+// segment returns the segment of a normalized key starting at i and its end.
+func segment(key string, i int) (string, int) {
+	if j := strings.IndexByte(key[i:], '/'); j >= 0 {
+		return key[i : i+j], i + j
 	}
-	return strings.Split(strings.TrimPrefix(key, "/"), "/")
+	return key[i:], len(key)
 }
 
 // lookup walks to a node, pruning expired entries against now.
 func (s *store) lookup(key string, now int64) *node {
 	cur := s.root
-	for _, part := range splitKey(key) {
+	for i := 1; i < len(key); {
+		part, end := segment(key, i)
 		if !cur.dir {
 			return nil
 		}
@@ -110,19 +112,19 @@ func (s *store) lookup(key string, now int64) *node {
 			delete(cur.children, part)
 			return nil
 		}
-		cur = next
+		cur, i = next, end+1
 	}
 	return cur
 }
 
-// ensureDirs walks to the parent of key, creating intermediate dirs.
-func (s *store) ensureDirs(key string, now int64) (*node, error) {
-	parts := splitKey(key)
-	if len(parts) == 0 {
-		return nil, fmt.Errorf("root")
-	}
+// ensureDirs returns the parent of a non-root key, making dirs, and its last segment.
+func (s *store) ensureDirs(key string, now int64) (*node, string, error) {
 	cur := s.root
-	for _, part := range parts[:len(parts)-1] {
+	for i := 1; ; {
+		part, end := segment(key, i)
+		if end == len(key) {
+			return cur, part, nil
+		}
 		next, ok := cur.children[part]
 		if ok && next.expireNS > 0 && now >= next.expireNS {
 			delete(cur.children, part)
@@ -130,26 +132,14 @@ func (s *store) ensureDirs(key string, now int64) (*node, error) {
 		}
 		if !ok {
 			s.index++
-			next = newDir(cur.key+"/"+part, s.index)
-			if cur.key == "/" {
-				next.key = "/" + part
-			}
+			next = newDir(key[:end], s.index)
 			cur.children[part] = next
 		}
 		if !next.dir {
-			return nil, fmt.Errorf("not a directory: %s", next.key)
+			return nil, "", fmt.Errorf("not a directory: %s", next.key)
 		}
-		cur = next
+		cur, i = next, end+1
 	}
-	return cur, nil
-}
-
-func leafName(key string) string {
-	parts := splitKey(key)
-	if len(parts) == 0 {
-		return ""
-	}
-	return parts[len(parts)-1]
 }
 
 func (n *node) info(now int64) NodeInfo {
@@ -163,15 +153,19 @@ func (n *node) info(now int64) NodeInfo {
 	return NodeInfo{Key: n.key, Value: n.value, Dir: n.dir, TTL: ttl, Created: n.created, Modified: n.modified}
 }
 
-func (n *node) sortedChildren() []*node {
+// childInfos lists a directory's children by name; nil when it has none.
+func (n *node) childInfos(now int64) []NodeInfo {
+	if len(n.children) == 0 {
+		return nil
+	}
 	names := make([]string, 0, len(n.children))
 	for name := range n.children {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	out := make([]*node, 0, len(names))
-	for _, name := range names {
-		out = append(out, n.children[name])
+	out := make([]NodeInfo, len(names))
+	for i, name := range names {
+		out[i] = n.children[name].info(now)
 	}
 	return out
 }
