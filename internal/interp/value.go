@@ -12,6 +12,7 @@ package interp
 import (
 	"fmt"
 	"go/ast"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -380,8 +381,18 @@ func Truthy(v Value) bool {
 	}
 }
 
-// Equal reports deep equality between two values.
+// Equal reports deep equality between two values. A value may contain
+// itself: a pair of containers met again while it is still being compared
+// counts as equal, so two cycles are equal unless a finite walk tells them
+// apart.
 func Equal(a, b Value) bool {
+	var path [4]pair
+	return equal(a, b, path[:0])
+}
+
+type pair struct{ a, b Value }
+
+func equal(a, b Value, path []pair) bool {
 	if a == nil || b == nil {
 		return a == nil && b == nil
 	}
@@ -409,8 +420,12 @@ func Equal(a, b Value) bool {
 		if !ok || len(x.Elems) != len(y.Elems) {
 			return false
 		}
+		if slices.Contains(path, pair{x, y}) {
+			return true
+		}
+		path = append(path, pair{x, y})
 		for i := range x.Elems {
-			if !Equal(x.Elems[i], y.Elems[i]) {
+			if !equal(x.Elems[i], y.Elems[i], path) {
 				return false
 			}
 		}
@@ -420,9 +435,13 @@ func Equal(a, b Value) bool {
 		if !ok || x.Len() != y.Len() {
 			return false
 		}
+		if slices.Contains(path, pair{x, y}) {
+			return true
+		}
+		path = append(path, pair{x, y})
 		for i := range x.ents {
 			yv, ok := y.Get(x.ents[i].k)
-			if !ok || !Equal(x.ents[i].v, yv) {
+			if !ok || !equal(x.ents[i].v, yv, path) {
 				return false
 			}
 		}
@@ -435,8 +454,14 @@ func Equal(a, b Value) bool {
 	}
 }
 
-// Repr renders a value for logs and workload output, deterministically.
+// Repr renders a value for logs and workload output, deterministically. A
+// list or map inside itself renders as [...] or map[...].
 func Repr(v Value) string {
+	var path [4]Value
+	return repr(v, path[:0])
+}
+
+func repr(v Value, path []Value) string {
 	switch x := v.(type) {
 	case nil:
 		return "nil"
@@ -449,15 +474,23 @@ func Repr(v Value) string {
 	case string:
 		return x
 	case *List:
+		if slices.Contains(path, v) {
+			return "[...]"
+		}
+		path = append(path, v)
 		parts := make([]string, len(x.Elems))
 		for i, e := range x.Elems {
-			parts[i] = Repr(e)
+			parts[i] = repr(e, path)
 		}
 		return "[" + strings.Join(parts, " ") + "]"
 	case *Map:
+		if slices.Contains(path, v) {
+			return "map[...]"
+		}
+		path = append(path, v)
 		parts := make([]string, 0, x.Len())
 		for i := range x.ents {
-			parts = append(parts, Repr(x.ents[i].k)+":"+Repr(x.ents[i].v))
+			parts = append(parts, repr(x.ents[i].k, path)+":"+repr(x.ents[i].v, path))
 		}
 		sort.Strings(parts)
 		return "map[" + strings.Join(parts, " ") + "]"
@@ -474,7 +507,7 @@ func Repr(v Value) string {
 	case *Tuple:
 		parts := make([]string, len(x.Elems))
 		for i, e := range x.Elems {
-			parts[i] = Repr(e)
+			parts[i] = repr(e, path)
 		}
 		return "(" + strings.Join(parts, ", ") + ")"
 	case *Exc:

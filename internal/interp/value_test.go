@@ -339,3 +339,52 @@ func (s *Shape) New(vals ...Value) *Object {
 	copy(o.slots, vals)
 	return o
 }
+
+// TestSelfContainingValues: Repr and Equal of a list or map that contains
+// itself end, with one result on both engines, instead of recursing until
+// Go's stack overflows and kills the process.
+func TestSelfContainingValues(t *testing.T) {
+	l := NewList(nil)
+	l.Elems[0] = l
+	m := NewMap()
+	m.Set("a", m)
+	a, b := NewList(int64(1), nil), NewList(int64(1), nil)
+	a.Elems[1], b.Elems[1] = a, b
+	c := NewList(int64(2), nil)
+	c.Elems[1] = c
+	for _, tc := range []struct {
+		name      string
+		got, want bool
+	}{
+		{"l == l", Equal(l, l), true},
+		{"m == m", Equal(m, m), true},
+		{"[1 a] == [1 b]", Equal(a, b), true},
+		{"[1 a] == [2 c]", Equal(a, c), false},
+		{"l == m", Equal(l, m), false},
+	} {
+		if tc.got != tc.want {
+			t.Errorf("%s = %v, want %v", tc.name, tc.got, tc.want)
+		}
+	}
+	if got := Repr(l); got != "[[...]]" {
+		t.Errorf("Repr(l) = %q, want [[...]]", got)
+	}
+	if got := Repr(NewList(m, m)); got != "[map[a:map[...]] map[a:map[...]]]" {
+		t.Errorf("Repr([m m]) = %q", got)
+	}
+
+	v, err := equivOne(t, `func F() any {
+	m := map[string]any{}
+	m["a"] = m
+	l := []any{0, 1}
+	l[0] = l
+	println(m, l)
+	return str(m) + " " + str(l) + " " + str(l == l) + " " + str(m == m)
+}`, "F")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "map[a:map[...]] [[...] 1] true true"; v != want {
+		t.Errorf("F() = %q, want %q", v, want)
+	}
+}

@@ -6,8 +6,6 @@ package pattern_test
 import (
 	"fmt"
 	"go/ast"
-	"go/parser"
-	"go/token"
 	"reflect"
 	"testing"
 
@@ -55,23 +53,22 @@ func fuzzModels(tb testing.TB) []*pattern.MetaModel {
 
 // parseFuzzFile parses fuzzed text as a Go function body (nil when the
 // fragment does not parse).
-func parseFuzzFile(fset *token.FileSet, src string) *ast.File {
-	f, err := parser.ParseFile(fset, "fuzz.go",
-		"package p\nfunc fuzzTarget() {\n"+src+"\n}", parser.SkipObjectResolution)
+func parseFuzzFile(src string) *scanner.ParsedFile {
+	pf, err := scanner.ParseFileOnce("fuzz.go", []byte("package p\nfunc fuzzTarget() {\n"+src+"\n}"))
 	if err != nil {
 		return nil
 	}
-	return f
+	return pf
 }
 
 // parseFuzzBody returns the statements of the fuzzed body (nil when the
 // fragment does not parse).
 func parseFuzzBody(src string) []ast.Stmt {
-	f := parseFuzzFile(token.NewFileSet(), src)
-	if f == nil {
+	pf := parseFuzzFile(src)
+	if pf == nil {
 		return nil
 	}
-	for _, d := range f.Decls {
+	for _, d := range pf.File.Decls {
 		if fd, ok := d.(*ast.FuncDecl); ok && fd.Name.Name == "fuzzTarget" && fd.Body != nil {
 			return fd.Body.List
 		}
@@ -146,7 +143,7 @@ func FuzzMatchPrefix(f *testing.F) {
 
 // FuzzScanAgreesWithMatchPrefix holds the scanner's index to its
 // contract — it may only skip work, never change an answer: for every
-// fuzzed body, scanner.ScanFile with the whole panel must report exactly
+// fuzzed body, scanner.ScanParsed with the whole panel must report exactly
 // the (spec, list, start, n) sequence of the brute-force loop "for model,
 // for list, for start: MatchPrefix".
 func FuzzScanAgreesWithMatchPrefix(f *testing.F) {
@@ -155,14 +152,13 @@ func FuzzScanAgreesWithMatchPrefix(f *testing.F) {
 	}
 	models := fuzzModels(f)
 	f.Fuzz(func(t *testing.T, src string) {
-		fset := token.NewFileSet()
-		file := parseFuzzFile(fset, src)
-		if file == nil {
+		pf := parseFuzzFile(src)
+		if pf == nil {
 			return
 		}
 		var want []string
 		for _, mm := range models {
-			for li, sl := range scanner.CollectLists(file) {
+			for li, sl := range scanner.CollectLists(pf.File) {
 				for start := range *sl.Ptr {
 					if n, _, ok := mm.MatchPrefix(*sl.Ptr, start); ok {
 						want = append(want, fmt.Sprintf("%s #%d @%d+%d", mm.Name, li, start, n))
@@ -171,7 +167,7 @@ func FuzzScanAgreesWithMatchPrefix(f *testing.F) {
 			}
 		}
 		var got []string
-		for _, pt := range scanner.ScanFile(fset, "fuzz.go", file, models) {
+		for _, pt := range scanner.ScanParsed(pf, models) {
 			got = append(got, fmt.Sprintf("%s #%d @%d+%d", pt.Spec, pt.ListIndex, pt.Start, pt.N))
 		}
 		if !reflect.DeepEqual(got, want) {

@@ -122,3 +122,40 @@ func BenchmarkScanShapes(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkScanRealCode is the one-worker scan of code nobody generated:
+// the non-test files of the Go distribution's net/http and go/... under
+// the G-SWFIT + Extras faultload, each iteration parsing, indexing and
+// scanning. renders is how many distinct statement texts the points
+// start at (what the snippet memo prints), repeat_share the share of
+// start statements whose text an earlier one already had. It skips
+// where the Go source tree is not installed.
+func BenchmarkScanRealCode(b *testing.B) {
+	models, err := faultmodel.CompileAll(realCodeSpecs())
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dir := range []string{"net/http", "go"} {
+		files := gorootFiles(dir)
+		b.Run(strings.ReplaceAll(dir, "/", "-"), func(b *testing.B) {
+			if files == nil {
+				b.Skipf("no $GOROOT/src/%s", dir)
+			}
+			for i := 0; i < b.N; i++ {
+				if _, err := scanner.ScanProjectParallel(files, models, 1); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(genproject.Lines(files))*float64(b.N)/b.Elapsed().Seconds(), "lines/s")
+			b.StopTimer()
+			cache := scanner.NewProjectCache(files)
+			points, err := scanner.ScanCache(cache, models, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			starts, texts := checkFresh(b, cache, points)
+			b.ReportMetric(float64(texts), "renders")
+			b.ReportMetric(1-float64(texts)/float64(starts), "repeat_share")
+		})
+	}
+}

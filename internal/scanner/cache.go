@@ -28,6 +28,8 @@ type ParsedFile struct {
 	// Index answers, for every model and every scan of this parse, which
 	// statements of Lists a pattern element could unify with.
 	Index *pattern.Index
+	// tok is File's entry in Fset: position lookups go straight to it.
+	tok *token.File
 }
 
 // ParseFileOnce parses a source file and pre-collects its statement lists.
@@ -38,12 +40,12 @@ func ParseFileOnce(name string, src []byte) (*ParsedFile, error) {
 		return nil, err
 	}
 	lists := CollectLists(f)
-	return &ParsedFile{Name: name, Src: src, Fset: fset, File: f, Lists: lists, Index: indexLists(lists)}, nil
+	return &ParsedFile{Name: name, Src: src, Fset: fset, File: f, Lists: lists, Index: indexLists(lists), tok: fset.File(f.Pos())}, nil
 }
 
 // Offset translates a token position into a byte offset within Src.
 func (pf *ParsedFile) Offset(pos token.Pos) int {
-	return pf.Fset.Position(pos).Offset
+	return pf.tok.Offset(pos)
 }
 
 // ProjectCache is a per-campaign parse cache: filename -> lazily parsed

@@ -53,9 +53,9 @@ func TestScanReproducesCorpusDigests(t *testing.T) {
 }
 
 // TestScanAllocationBudget pins what a warm scan may allocate: the points
-// themselves (one snippet string per start statement, the growing result
-// slices), a constant per file, and whatever go/printer allocates inside
-// to render each start statement once — measured here, since the scanner
+// themselves (the growing result slices), a constant per file, and per
+// distinct start-statement text its memo entry and whatever go/printer
+// allocates inside to render it once — measured here, since the scanner
 // does not control it. Anything a trial allocates shows up beyond that:
 // the models are tried at many times more statements than they match.
 func TestScanAllocationBudget(t *testing.T) {
@@ -75,29 +75,24 @@ func TestScanAllocationBudget(t *testing.T) {
 		}
 	})
 
-	type start struct {
-		file        string
-		list, start int
-	}
-	seen := map[start]bool{}
+	seen := map[string]bool{}
 	var render float64
 	var buf bytes.Buffer
 	for _, pt := range points {
-		if at := (start{pt.File, pt.ListIndex, pt.Start}); !seen[at] {
-			seen[at] = true
-			pf, err := cache.Get(pt.File)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stmt := (*pf.Lists[pt.ListIndex].Ptr)[pt.Start]
-			render += testing.AllocsPerRun(1, func() {
+		pf, err := cache.Get(pt.File)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if stmt, text := startText(pf, pt); !seen[string(text)] {
+			seen[string(text)] = true
+			render += 1 + testing.AllocsPerRun(1, func() {
 				buf.Reset()
 				pattern.PrintNode(&buf, pf.Fset, stmt)
 			})
 		}
 	}
 	budget := render + 1.2*float64(len(points)) + 32*float64(len(files))
-	t.Logf("%d points at %d starts in %d files: %.0f allocs per scan (go/printer %.0f, budget %.0f)",
+	t.Logf("%d points at %d start texts in %d files: %.0f allocs per scan (renders %.0f, budget %.0f)",
 		len(points), len(seen), len(files), scan, render, budget)
 	if scan > budget {
 		t.Errorf("a warm scan allocates %.0f objects, budget %.0f: something allocates per trial again", scan, budget)

@@ -172,18 +172,10 @@ func truncateSnippet[T string | []byte](s T, max int) string {
 	return string(s[:cut]) + "..."
 }
 
-// ScanFile finds all matches of the given meta-models in a parsed file.
-// Matches are enumerated deterministically: per spec, per statement list
-// (DFS order), per start index.
-func ScanFile(fset *token.FileSet, filename string, f *ast.File, specs []*pattern.MetaModel) []InjectionPoint {
-	lists := CollectLists(f)
-	return scanLists(fset, filename, lists, indexLists(lists), specs)
-}
-
 // ScanParsed scans a cached parse, reusing its pre-collected statement
 // lists and their index across every spec.
 func ScanParsed(pf *ParsedFile, specs []*pattern.MetaModel) []InjectionPoint {
-	return scanLists(pf.Fset, pf.Name, pf.Lists, pf.Index, specs)
+	return scanLists(pf, specs, &renderer{})
 }
 
 func indexLists(lists []StmtList) *pattern.Index {
@@ -194,59 +186,66 @@ func indexLists(lists []StmtList) *pattern.Index {
 	return pattern.NewIndex(raw)
 }
 
-// scanLists asks each model for its matches (pattern.Scan decides which
-// starts are worth a unify) and turns them into injection points. Line
-// and snippet belong to the start statement, not to the spec, so each is
-// rendered once however many specs match there, into one buffer.
-func scanLists(fset *token.FileSet, filename string, lists []StmtList, ix *pattern.Index, specs []*pattern.MetaModel) []InjectionPoint {
-	base := make([]int, len(lists)+1)
-	for i, sl := range lists {
-		base[i+1] = base[i] + len(*sl.Ptr)
+// renderer makes the snippets of one scan worker. Without comments (which
+// ParseSource does not ask for), go/printer's output for a statement
+// depends only on its tokens and their relative lines, never on its
+// file, column, first line or a //line directive. So the statement's
+// source text determines its snippet, and memo renders each distinct text
+// once. It lives for one scan call.
+type renderer struct {
+	memo map[string]string
+	buf  bytes.Buffer
+}
+
+func (r *renderer) snippet(pf *ParsedFile, stmt ast.Stmt) string {
+	text := pf.Src[pf.Offset(stmt.Pos()):pf.Offset(stmt.End())]
+	if s, ok := r.memo[string(text)]; ok {
+		return s
 	}
-	rendered := make([]struct {
-		line    int
-		snippet string
-	}, base[len(lists)])
+	if r.memo == nil {
+		r.memo = make(map[string]string)
+	}
+	r.buf.Reset()
+	pattern.PrintNode(&r.buf, pf.Fset, stmt)
+	s := truncateSnippet(r.buf.Bytes(), snippetMax)
+	r.memo[string(text)] = s
+	return s
+}
+
+// scanLists asks each model for its matches (pattern.Scan decides which
+// starts are worth a unify) and turns them into injection points.
+func scanLists(pf *ParsedFile, specs []*pattern.MetaModel, r *renderer) []InjectionPoint {
 	var (
 		points []InjectionPoint
 		spec   string
-		buf    bytes.Buffer
 	)
 	emit := func(li, start, n int) {
-		r := &rendered[base[li]+start]
-		if r.line == 0 {
-			stmt := (*lists[li].Ptr)[start]
-			r.line = fset.Position(stmt.Pos()).Line
-			buf.Reset()
-			pattern.PrintNode(&buf, fset, stmt)
-			r.snippet = truncateSnippet(buf.Bytes(), snippetMax)
-		}
+		stmt := (*pf.Lists[li].Ptr)[start]
 		points = append(points, InjectionPoint{
 			Spec:      spec,
-			File:      filename,
-			Func:      lists[li].Func,
+			File:      pf.Name,
+			Func:      pf.Lists[li].Func,
 			ListIndex: li,
 			Start:     start,
 			N:         n,
-			Line:      r.line,
-			Snippet:   r.snippet,
+			Line:      pf.tok.Line(stmt.Pos()),
+			Snippet:   r.snippet(pf, stmt),
 		})
 	}
 	for _, mm := range specs {
 		spec = mm.Name
-		mm.Scan(ix, emit)
+		mm.Scan(pf.Index, emit)
 	}
 	return points
 }
 
 // ScanSource parses and scans one source file in a single call.
 func ScanSource(filename string, src []byte, specs []*pattern.MetaModel) ([]InjectionPoint, error) {
-	fset := token.NewFileSet()
-	f, err := ParseSource(fset, filename, src)
+	pf, err := ParseFileOnce(filename, src)
 	if err != nil {
 		return nil, err
 	}
-	return ScanFile(fset, filename, f, specs), nil
+	return ScanParsed(pf, specs), nil
 }
 
 // ScanProject scans a set of named source files (filename -> contents)
@@ -274,9 +273,10 @@ func ScanCache(cache *ProjectCache, specs []*pattern.MetaModel, workers int) ([]
 }
 
 // scanFiles is the scan's one worker pool: parse (through get) names[i],
-// scan it, take the next. Results are concatenated in names order; when
-// several files fail to parse, the error of the first failing file (in
-// that same order) is returned, so error reporting is deterministic too.
+// scan it, take the next, rendering snippets through one renderer per
+// worker. Results are concatenated in names order; when several files
+// fail to parse, the error of the first failing file (in that same
+// order) is returned, so error reporting is deterministic too.
 func scanFiles(names []string, specs []*pattern.MetaModel, workers int, get func(string) (*ParsedFile, error)) ([]InjectionPoint, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -291,8 +291,9 @@ func scanFiles(names []string, specs []*pattern.MetaModel, workers int, get func
 	perFile := make([][]InjectionPoint, len(names))
 	errs := make([]error, len(names))
 	if workers == 1 {
+		r := &renderer{}
 		for i, name := range names {
-			perFile[i], errs[i] = scanOne(get, name, specs)
+			perFile[i], errs[i] = scanOne(get, name, specs, r)
 		}
 	} else {
 		next := make(chan int)
@@ -301,8 +302,9 @@ func scanFiles(names []string, specs []*pattern.MetaModel, workers int, get func
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				r := &renderer{}
 				for i := range next {
-					perFile[i], errs[i] = scanOne(get, names[i], specs)
+					perFile[i], errs[i] = scanOne(get, names[i], specs, r)
 				}
 			}()
 		}
@@ -327,12 +329,12 @@ func scanFiles(names []string, specs []*pattern.MetaModel, workers int, get func
 	return all, nil
 }
 
-func scanOne(get func(string) (*ParsedFile, error), name string, specs []*pattern.MetaModel) ([]InjectionPoint, error) {
+func scanOne(get func(string) (*ParsedFile, error), name string, specs []*pattern.MetaModel, r *renderer) ([]InjectionPoint, error) {
 	pf, err := get(name)
 	if err != nil {
 		return nil, err
 	}
-	return ScanParsed(pf, specs), nil
+	return scanLists(pf, specs, r), nil
 }
 
 func errNoSuchFile(name string) error {
