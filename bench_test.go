@@ -76,14 +76,17 @@ func BenchmarkFig1DSLCompile(b *testing.B) {
 // faultloads, reporting the injection-point counts the paper's case study
 // is built on (experiment T1). Paper: A=26, B=66, C=37.
 func BenchmarkTable1Faultloads(b *testing.B) {
+	src := kvclient.Sources()
+	client := map[string][]byte{kvclient.FileClient: src[kvclient.FileClient], kvclient.FileLock: src[kvclient.FileLock], kvclient.FileAuth: src[kvclient.FileAuth]}
+	workload := map[string][]byte{kvclient.FileWorkload: src[kvclient.FileWorkload]}
 	rows := []struct {
 		name  string
 		files map[string][]byte
 		specs []Spec
 	}{
-		{"external-api-failures", kvclient.ClientFiles(), kvclient.CampaignAFaultload()},
-		{"wrong-inputs", kvclient.WorkloadFiles(), kvclient.CampaignBFaultload()},
-		{"resource-management", kvclient.WorkloadFiles(), kvclient.CampaignCFaultload()},
+		{"external-api-failures", client, kvclient.CampaignAFaultload()},
+		{"wrong-inputs", workload, kvclient.CampaignBFaultload()},
+		{"resource-management", workload, kvclient.CampaignCFaultload()},
 	}
 	for _, row := range rows {
 		b.Run(row.name, func(b *testing.B) {

@@ -1,7 +1,6 @@
 // End-to-end execute-phase benchmarks for the compile-once/run-many
 // interpreter: campaign throughput in experiments per second on the
-// production path, next to the tree-walk reference driven by the
-// test-local harness of oracle_test.go.
+// production path.
 //
 // TestEmitExecBenchJSON (gated by PROFIPY_BENCH_JSON) writes the
 // machine-readable BENCH_exec.json consumed by `make bench` and CI, so
@@ -40,37 +39,6 @@ func runCampaign(tb testing.TB, seed int64) *campaign.Result {
 	return res
 }
 
-// runTreeWalkCampaign is the tree-walk baseline of runCampaign: every
-// §V-A experiment (mutate, deploy, two rounds) on the reference
-// interpreter, scheduled N−1 parallel like the Local executor. It skips
-// the coverage pass and the analysis, both small next to the rounds.
-// Returns the experiment count.
-func runTreeWalkCampaign(tb testing.TB, seed int64) int {
-	tb.Helper()
-	rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
-	c := kvclient.CampaignA(rt, seed)
-	type exp struct {
-		img  sandbox.Image
-		seed int64
-	}
-	var exps []exp
-	eachExperiment(tb, c, func(_ InjectionPoint, img sandbox.Image, seed int64, _ *RuntimeFault) {
-		exps = append(exps, exp{img, seed})
-	})
-	errs := sandbox.RunBatch(rt, c.Image, len(exps), func(i int) error {
-		ctr := rt.CreateSeeded(exps[i].img, exps[i].seed)
-		defer func() { _ = rt.Destroy(ctr) }()
-		_, err := treeWalkRounds(ctr, c.Workload, 2)
-		return err
-	})
-	for _, err := range errs {
-		if err != nil {
-			tb.Fatal(err)
-		}
-	}
-	return len(exps)
-}
-
 // TestRuntimeCampaignDeterminism asserts the runtime-injection seed
 // guarantee: the same campaign seed produces byte-identical records
 // (trigger decisions, corruptions, activation counts included) across
@@ -98,9 +66,14 @@ func TestRuntimeCampaignDeterminism(t *testing.T) {
 // runtime trigger/action specs.
 func runtimeOnlyFaultload(tb testing.TB) []faultmodel.Spec {
 	tb.Helper()
+	specs := kvclient.CampaignRFaultload()
+	_, runtime, err := faultmodel.CompileSplit(specs)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var out []faultmodel.Spec
-	for _, s := range kvclient.CampaignRFaultload() {
-		if s.IsRuntime() {
+	for _, s := range specs {
+		if runtime[s.Name] != nil {
 			out = append(out, s)
 		}
 	}
@@ -207,13 +180,28 @@ func runLateExperiments(tb testing.TB, fork bool) (experiments, hits int) {
 		img  sandbox.Image
 		seed int64
 	}
+	// What the Runner deploys per point: the mutated file as overlay and
+	// the experiment's seed. campaign-late's faultload is mutants only.
+	scan := make(map[string][]byte, len(c.ScanFiles))
+	for _, name := range c.ScanFiles {
+		scan[name] = c.Files[name]
+	}
+	pl, err := Scan(scan, c.Faultload)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var exps []exp
-	eachExperiment(tb, c, func(pt InjectionPoint, img sandbox.Image, seed int64, fault *RuntimeFault) {
-		if fault != nil {
-			tb.Fatalf("campaign-late has a runtime fault at %s; this harness only recompiles mutants", pt.ID())
+	for i, pt := range pl.Points {
+		spec, _ := pl.Spec(pt.Spec)
+		mut, err := Mutate(c.Files[pt.File], spec, pt, MutateOptions{Triggered: true})
+		if err != nil {
+			tb.Fatalf("mutate %s: %v", pt.ID(), err)
 		}
-		exps = append(exps, exp{pt.Func, img, seed})
-	})
+		img := c.Image
+		img.Files = c.Files
+		img.Overlay = map[string][]byte{pt.File: mut.Source}
+		exps = append(exps, exp{pt.Func, img, c.Seed + int64(i) + 1})
+	}
 	var prefixes *workload.PrefixSet
 	if fork {
 		img := c.Image
@@ -432,28 +420,16 @@ func BenchmarkMutantDerive(b *testing.B) {
 
 // BenchmarkCampaignExecution measures end-to-end campaign throughput
 // (scan + coverage + all experiments + analysis) in experiments per
-// wall second, next to the tree-walk baseline (experiments only).
+// wall second.
 func BenchmarkCampaignExecution(b *testing.B) {
-	for _, row := range campaignRows {
-		b.Run(row.name, func(b *testing.B) {
-			experiments := 0
-			for i := 0; i < b.N; i++ {
-				experiments = row.run(b, 101)
-			}
-			b.ReportMetric(float64(experiments*b.N)/b.Elapsed().Seconds(), "experiments/s")
-			b.ReportMetric(float64(experiments), "experiments")
-		})
-	}
-}
-
-// campaignRows are the campaign-level benchmark rows; run returns the
-// experiment count.
-var campaignRows = []struct {
-	name string
-	run  func(tb testing.TB, seed int64) int
-}{
-	{"closure", func(tb testing.TB, seed int64) int { return len(runCampaign(tb, seed).Records) }},
-	{"tree-walk", runTreeWalkCampaign},
+	b.Run("closure", func(b *testing.B) {
+		experiments := 0
+		for i := 0; i < b.N; i++ {
+			experiments = len(runCampaign(b, 101).Records)
+		}
+		b.ReportMetric(float64(experiments*b.N)/b.Elapsed().Seconds(), "experiments/s")
+		b.ReportMetric(float64(experiments), "experiments")
+	})
 }
 
 // execBenchResult is one row of BENCH_exec.json.
@@ -481,72 +457,55 @@ func TestEmitExecBenchJSON(t *testing.T) {
 	}
 
 	var rows []execBenchResult
-	measureCampaign := func(name string, run func(tb testing.TB, seed int64) int) {
-		experiments := 0
-		br := testing.Benchmark(func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				experiments = run(b, 101)
-			}
-		})
-		row := execBenchResult{
-			Name:        name,
-			NsPerOp:     float64(br.NsPerOp()),
-			AllocsPerOp: br.AllocsPerOp(),
-			BytesPerOp:  br.AllocedBytesPerOp(),
+	experiments := 0
+	br := testing.Benchmark(func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			experiments = len(runCampaign(b, 101).Records)
 		}
-		if br.NsPerOp() > 0 {
-			row.ExperimentsPerSc = float64(experiments) * 1e9 / float64(br.NsPerOp())
-		}
-		rows = append(rows, row)
+	})
+	row := execBenchResult{
+		Name:        "campaign-exec/closure",
+		NsPerOp:     float64(br.NsPerOp()),
+		AllocsPerOp: br.AllocsPerOp(),
+		BytesPerOp:  br.AllocedBytesPerOp(),
 	}
-	for _, row := range campaignRows {
-		measureCampaign("campaign-exec/"+row.name, row.run)
+	if br.NsPerOp() > 0 {
+		row.ExperimentsPerSc = float64(experiments) * 1e9 / float64(br.NsPerOp())
 	}
+	rows = append(rows, row)
 
-	measureRound := func(name string, treeWalk bool) {
-		files := kvclient.Sources()
-		cfg := kvclient.WorkloadConfig()
-		if !treeWalk {
-			units := make([]interp.SourceUnit, 0, len(cfg.Files))
-			for _, f := range cfg.Files {
-				units = append(units, interp.SourceUnit{Name: f, Src: files[f]})
-			}
-			prog, err := interp.CompileProgram(units)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cfg.Program = prog
-		}
-		br := testing.Benchmark(func(b *testing.B) {
-			rt := NewRuntime(RuntimeConfig{Cores: 2, Seed: 7})
-			img := kvclient.Image()
-			img.Files = files
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ctr := rt.CreateSeeded(img, 7)
-				var err error
-				if treeWalk {
-					_, err = treeWalkRounds(ctr, cfg, 2)
-				} else {
-					_, err = workload.Run(ctr, cfg)
-				}
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := rt.Destroy(ctr); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		rows = append(rows, execBenchResult{
-			Name:        name,
-			NsPerOp:     float64(br.NsPerOp()),
-			AllocsPerOp: br.AllocsPerOp(),
-			BytesPerOp:  br.AllocedBytesPerOp(),
-		})
+	files := kvclient.Sources()
+	cfg := kvclient.WorkloadConfig()
+	units := make([]interp.SourceUnit, 0, len(cfg.Files))
+	for _, f := range cfg.Files {
+		units = append(units, interp.SourceUnit{Name: f, Src: files[f]})
 	}
-	measureRound("experiment-two-rounds/closure", false)
-	measureRound("experiment-two-rounds/tree-walk", true)
+	prog, err := interp.CompileProgram(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Program = prog
+	br = testing.Benchmark(func(b *testing.B) {
+		rt := NewRuntime(RuntimeConfig{Cores: 2, Seed: 7})
+		img := kvclient.Image()
+		img.Files = files
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ctr := rt.CreateSeeded(img, 7)
+			if _, err := workload.Run(ctr, cfg); err != nil {
+				b.Fatal(err)
+			}
+			if err := rt.Destroy(ctr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	rows = append(rows, execBenchResult{
+		Name:        "experiment-two-rounds/closure",
+		NsPerOp:     float64(br.NsPerOp()),
+		AllocsPerOp: br.AllocsPerOp(),
+		BytesPerOp:  br.AllocedBytesPerOp(),
+	})
 
 	// Fork-vs-full A/B on the late-site scenario: every injection site
 	// in campaign-late is first reached near the end of round 1, so the
@@ -692,11 +651,9 @@ func TestEmitExecBenchJSON(t *testing.T) {
 		Speedup    map[string]string `json:"speedup"`
 	}{Benchmarks: rows, Speedup: map[string]string{}}
 	for name, pair := range map[string][2]string{
-		"campaign-exec closure-vs-tree-walk":         {"campaign-exec/closure", "campaign-exec/tree-walk"},
-		"experiment-two-rounds closure-vs-tree-walk": {"experiment-two-rounds/closure", "experiment-two-rounds/tree-walk"},
-		"campaign-late prefix-fork-vs-full-runs":     {"campaign-late/prefix-fork-closure", "campaign-late/full-runs-closure"},
-		"late-experiment forked-vs-full":             {"prefix-fork/forked-experiment", "prefix-fork/full-experiment"},
-		"mutant-derive decl-vs-text":                 {"mutant-derive/decl", "mutant-derive/text"},
+		"campaign-late prefix-fork-vs-full-runs": {"campaign-late/prefix-fork-closure", "campaign-late/full-runs-closure"},
+		"late-experiment forked-vs-full":         {"prefix-fork/forked-experiment", "prefix-fork/full-experiment"},
+		"mutant-derive decl-vs-text":             {"mutant-derive/decl", "mutant-derive/text"},
 	} {
 		if v, ok := ratio(pair[0], pair[1]); ok {
 			out.Speedup[name] = v

@@ -130,9 +130,6 @@ func (a *Aggregator) Add(rec Record) {
 	}
 }
 
-// Count reports how many records have been folded in.
-func (a *Aggregator) Count() int { return a.total }
-
 // Report materializes the aggregate as a full analysis Report,
 // byte-identical to BuildReport over the same records. The snapshot is
 // deep-copied, so the aggregator can keep accumulating afterwards (live

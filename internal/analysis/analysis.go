@@ -7,7 +7,6 @@
 package analysis
 
 import (
-	"fmt"
 	"regexp"
 	"sort"
 
@@ -142,21 +141,6 @@ type compiledClass struct {
 	re    *regexp.Regexp
 }
 
-// BuildReport classifies all experiment records and computes the
-// metrics. It is the batch form of Aggregator: one record at a time
-// through the same online accumulator, so the two are equivalent by
-// construction.
-func BuildReport(records []Record, cfg Config) (*Report, error) {
-	agg, err := NewAggregator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	for _, rec := range records {
-		agg.Add(rec)
-	}
-	return agg.Report(), nil
-}
-
 func statsFor(m map[string]*TypeStats, key string) *TypeStats {
 	st, ok := m[key]
 	if !ok {
@@ -188,19 +172,6 @@ func ClassifyRecord(rec Record, classes []compiledClass) []string {
 		}
 	}
 	return modes
-}
-
-// Classify is the exported form of ClassifyRecord for a single class set.
-func Classify(rec Record, cfgClasses []FailureClass) ([]string, error) {
-	classes := make([]compiledClass, 0, len(cfgClasses))
-	for _, cl := range cfgClasses {
-		re, err := regexp.Compile(cl.Pattern)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: class %q: %w", cl.Name, err)
-		}
-		classes = append(classes, compiledClass{class: cl, re: re})
-	}
-	return ClassifyRecord(rec, classes), nil
 }
 
 func classMatches(rec Record, cc compiledClass) bool {
@@ -246,25 +217,4 @@ func propagated(rec Record, errRE *regexp.Regexp, components map[string][]string
 		}
 	}
 	return impacted >= 2
-}
-
-// Drill returns the failed records exhibiting the given failure mode.
-func Drill(records []Record, cfgClasses []FailureClass, mode string) ([]Record, error) {
-	var out []Record
-	for _, rec := range records {
-		if !rec.Failed() {
-			continue
-		}
-		modes, err := Classify(rec, cfgClasses)
-		if err != nil {
-			return nil, err
-		}
-		for _, m := range modes {
-			if m == mode {
-				out = append(out, rec)
-				break
-			}
-		}
-	}
-	return out, nil
 }

@@ -61,8 +61,9 @@ type Campaign struct {
 	Analysis analysis.Config
 	// TraceHook, when set, is called on every experiment container (and
 	// on the coverage pass's container, whose captured state must match
-	// theirs) to enable span recording (the kvclient campaign
-	// passes kvclient.EnableTracing).
+	// theirs) to enable span recording, kvclient.EnableTracing for
+	// example. Experiments run in parallel, so it is called from several
+	// goroutines at once.
 	TraceHook func(c *sandbox.Container)
 	// OnProgress, when set, is called as the workflow advances: once per
 	// phase transition and once per completed experiment. Experiments run

@@ -51,15 +51,6 @@ func Compile(name, src string) (*pattern.MetaModel, error) {
 	return cs.Model, nil
 }
 
-// HasRuntimeClauses reports whether the spec text uses the runtime
-// trigger/action form, from the section split alone — no preprocessing
-// or pattern compilation. Malformed texts report false; CompileFull
-// surfaces their errors.
-func HasRuntimeClauses(src string) bool {
-	sec, err := splitSections(src)
-	return err == nil && sec.runtime
-}
-
 // CompileFull compiles a bug specification of either kind:
 //
 //	change { <pattern> } into { <replacement> }           // compile-time

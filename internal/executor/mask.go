@@ -45,11 +45,3 @@ func (m *Mask) Count() int {
 	}
 	return m.count
 }
-
-// Len returns the mask's index range.
-func (m *Mask) Len() int {
-	if m == nil {
-		return 0
-	}
-	return m.n
-}

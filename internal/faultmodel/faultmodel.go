@@ -78,14 +78,6 @@ func (s Spec) CompileFull() (*dsl.CompiledSpec, error) {
 	return cs, nil
 }
 
-// IsRuntime reports whether the spec is a runtime trigger/action spec,
-// from the spec fields and the DSL's section structure alone (no
-// pattern compilation). Malformed specs report false; CompileFull
-// surfaces their errors.
-func (s Spec) IsRuntime() bool {
-	return s.Trigger != "" || s.Action != "" || dsl.HasRuntimeClauses(s.DSL)
-}
-
 // CompileSplit compiles a faultload in one pass, failing on the first
 // bad spec, and splits it into its execution forms: the site
 // meta-models of every spec in faultload order (what the scanner
@@ -123,13 +115,6 @@ func CompileAll(specs []Spec) ([]*pattern.MetaModel, error) {
 	return models, err
 }
 
-// CompileRuntime compiles the runtime specs of a faultload into
-// injector faults keyed by spec name (compile-time specs are skipped).
-func CompileRuntime(specs []Spec) (map[string]*runtimefault.Fault, error) {
-	_, runtime, err := CompileSplit(specs)
-	return runtime, err
-}
-
 // Model is a named fault model: a set of specs with documentation.
 type Model struct {
 	Name        string `json:"name"`
@@ -141,12 +126,6 @@ type Model struct {
 func (m *Model) Validate() error {
 	_, err := CompileAll(m.Specs)
 	return err
-}
-
-// Save serializes the model to JSON (the format users save and import
-// across campaigns).
-func (m *Model) Save() ([]byte, error) {
-	return json.MarshalIndent(m, "", "  ")
 }
 
 // Load parses a model from JSON and validates it.

@@ -17,16 +17,16 @@ func TestPredefinedModelsCompile(t *testing.T) {
 // runtime model compiles to a trigger/action fault.
 func TestRuntimeModelIsRuntime(t *testing.T) {
 	m := Runtime()
-	faults, err := CompileRuntime(m.Specs)
+	_, faults, err := CompileSplit(m.Specs)
 	if err != nil {
-		t.Fatalf("CompileRuntime: %v", err)
+		t.Fatalf("CompileSplit: %v", err)
 	}
 	if len(faults) != len(m.Specs) {
 		t.Fatalf("runtime model compiled to %d faults, want %d", len(faults), len(m.Specs))
 	}
 	for _, s := range m.Specs {
-		if !s.IsRuntime() {
-			t.Errorf("spec %s should report IsRuntime", s.Name)
+		if faults[s.Name] == nil {
+			t.Fatalf("spec %s compiled to no runtime fault", s.Name)
 		}
 		if faults[s.Name].Name != s.Name {
 			t.Errorf("fault name %q does not match spec %q", faults[s.Name].Name, s.Name)

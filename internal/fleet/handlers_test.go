@@ -83,8 +83,12 @@ func TestCompleteCarriesRecordsAndNextLease(t *testing.T) {
 	if again := s.post("complete", nil); again.Code != http.StatusGone {
 		t.Errorf("second complete under the same token = %d, want 410", again.Code)
 	}
-	if n := reg.Histogram("profipy_fleet_shard_seconds", "", nil).Count(); n != 1 {
-		t.Errorf("shard_seconds observed %d shards, want 1", n)
+	var scrape strings.Builder
+	if err := reg.WritePrometheus(&scrape); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(scrape.String(), "profipy_fleet_shard_seconds_count 1\n") {
+		t.Errorf("shard_seconds did not observe exactly 1 shard:\n%s", scrape.String())
 	}
 
 	// The next shard's completion finds nothing pending: 204.

@@ -91,8 +91,13 @@ var benchRows = []struct {
 	{name: "closure"},
 }
 
+// benchCaller is what a bench row calls: a *TreeWalk or a compiled *Interp.
+type benchCaller interface {
+	Call(name string, args ...Value) (Value, error)
+}
+
 // newBenchInterp builds a ready-to-call interpreter over the given source.
-func newBenchInterp(tb testing.TB, treeWalk bool, src string) *Interp {
+func newBenchInterp(tb testing.TB, treeWalk bool, src string) benchCaller {
 	cfg := Config{MaxSteps: 1 << 60}
 	if treeWalk {
 		it := New(cfg)

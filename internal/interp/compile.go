@@ -1,9 +1,9 @@
-// Closure compilation of minigo sources (the compile-once / execute-many
-// front end). A one-time pass lowers each parsed file into a tree of Go
-// closures (compiled statements and expressions) with lexical slot
-// resolution done at compile time: locals become indexed slots in a flat
-// frame array instead of map-based Scope chains, globals and builtins
-// bind once through an interned symbol table, and constant literals fold.
+// Compilation of minigo sources into Go closures (the compile-once /
+// execute-many front end): one pass lowers each parsed file into a tree
+// of compiled statements and expressions, slots resolved at compile time
+// — locals are indexed slots in a flat frame array instead of map-based
+// scope chains, globals and builtins bind once through an interned
+// symbol table, and constant literals fold.
 //
 // The compiled path preserves the tree-walk semantics EXACTLY, including
 // step counts, virtual-clock advancement, error messages and the
@@ -81,8 +81,7 @@ type compiledFunc struct {
 }
 
 // compiledClosure is the runtime value of a compiled function, optionally
-// bound to captured cells and a method receiver. It plays the role of
-// *Closure on the compiled path.
+// bound to captured cells and a method receiver.
 type compiledClosure struct {
 	fn   *compiledFunc
 	caps []*cell
@@ -474,7 +473,7 @@ func (c *compiler) compileStmts(fc *fnCtx, list []ast.Stmt) cblock {
 }
 
 // compileBlockStmts compiles a nested statement list in its own block
-// scope (the analog of execBlock with a fresh Scope: only var/const
+// scope (the analog of the tree-walk's fresh block scope: only var/const
 // declarations are block-scoped).
 func (c *compiler) compileBlockStmts(fc *fnCtx, list []ast.Stmt) cblock {
 	fc.blocks = append(fc.blocks, make(map[string]*vbind))

@@ -415,7 +415,7 @@ func (c *compiler) compileCall(fc *fnCtx, x *ast.CallExpr) cexpr {
 		case "new":
 			if len(x.Args) == 1 {
 				if tid, ok := x.Args[0].(*ast.Ident); ok {
-					sh := c.syms.rootShape(tid.Name)
+					sh := c.syms.structShape(tid.Name)
 					return func(it *Interp, fr *cframe) (Value, error) {
 						return sh.alloc(), nil
 					}
@@ -736,7 +736,7 @@ func (c *compiler) compileComposite(fc *fnCtx, x *ast.CompositeLit) cexpr {
 		// The literal's shape is known now: walk the type's transition
 		// chain once at compile time, then every evaluation fills a slot
 		// vector of that shape.
-		sh := c.syms.rootShape(t.Name)
+		sh := c.syms.structShape(t.Name)
 		type fieldInit struct {
 			slot int
 			val  cexpr

@@ -7,7 +7,7 @@
 // and on the tree-walk oracle loading the deployed text — and all three
 // must agree on both rounds' results, step counts, virtual clocks and on
 // stdout.
-package profipy
+package interp_test
 
 import (
 	"bytes"
@@ -15,6 +15,7 @@ import (
 	"reflect"
 	"testing"
 
+	"profipy"
 	"profipy/internal/interp"
 	"profipy/internal/mutator"
 	"profipy/internal/sandbox"
@@ -24,9 +25,9 @@ import (
 
 func TestDeclAndTextFrontEndsAgree(t *testing.T) {
 	total := 0
-	for _, gc := range goldenCampaigns {
+	for _, gc := range oracleCampaigns {
 		t.Run(gc.name, func(t *testing.T) {
-			rt := NewRuntime(RuntimeConfig{Cores: 2, Seed: 20})
+			rt := profipy.NewRuntime(profipy.RuntimeConfig{Cores: 2, Seed: 20})
 			c := gc.build(rt, gc.seed)
 			cache := scanner.NewProjectCache(c.Files)
 			units := make([]interp.SourceUnit, 0, len(c.Workload.Files))
@@ -41,13 +42,13 @@ func TestDeclAndTextFrontEndsAgree(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pl, err := Scan(c.Files, c.Faultload)
+			pl, err := profipy.Scan(c.Files, c.Faultload)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			mutants := 0
-			eachExperiment(t, c, func(pt InjectionPoint, img sandbox.Image, seed int64, fault *RuntimeFault) {
+			eachExperiment(t, c, func(pt profipy.InjectionPoint, img sandbox.Image, seed int64, fault *profipy.RuntimeFault) {
 				if fault != nil {
 					return // runs the base program: nothing is derived
 				}

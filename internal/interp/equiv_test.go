@@ -22,7 +22,7 @@ func runBothPaths(t *testing.T, cfg Config, files map[string]string, order []str
 	tcfg.Stdout = &treeOut
 	tree := New(tcfg)
 	if setup != nil {
-		setup(tree)
+		setup(tree.Interp)
 	}
 	var loadErr error
 	for _, name := range order {

@@ -166,12 +166,12 @@ func FuzzForkEquivalence(f *testing.F) {
 
 		var treeOut bytes.Buffer
 		tree := New(Config{MaxSteps: cfg.MaxSteps, Stdout: &treeOut})
-		equivHostSetup(tree)
+		equivHostSetup(tree.Interp)
 		if err := tree.LoadSource("fuzz.go", src); err != nil {
 			return // front end rejected it; nothing differential to run
 		}
 		tv, terr := tree.Call("F")
-		oracle := outcomeOf(tree, tv, terr, treeOut.String())
+		oracle := outcomeOf(tree.Interp, tv, terr, treeOut.String())
 
 		prog, err := CompileProgram([]SourceUnit{{Name: "fuzz.go", Src: src}})
 		if err != nil {

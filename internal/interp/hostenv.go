@@ -59,14 +59,8 @@ type envList struct {
 }
 
 // bind stores the environment's globals into the interpreter's global
-// scope (tree-walk) or global slots (compiled).
+// slots.
 func (it *Interp) bind(e *HostEnv) {
-	if it.prog == nil {
-		for i, name := range e.names {
-			it.globals.Define(name, e.vals[i])
-		}
-		return
-	}
 	for i, s := range it.prog.ln.hostSlots(e) {
 		for s >= len(it.gslots) {
 			it.gslots = append(it.gslots, unbound)

@@ -3,9 +3,6 @@ package interp
 import (
 	"errors"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"io"
 	"math"
 	"strings"
@@ -60,10 +57,7 @@ type Config struct {
 }
 
 // CallHook interposes on interpreted function calls — the runtime fault
-// injection surface. Both execution paths (tree-walk and compiled)
-// invoke the hook at exactly the same points with exactly the same
-// function names, so a deterministic hook observes an identical call
-// sequence on either path:
+// injection surface — at these points, with these function names:
 //
 //   - EnterCall runs after the callee's frame is pushed and parameters
 //     are bound, before the first body statement. A non-nil error aborts
@@ -80,20 +74,16 @@ type CallHook interface {
 	LeaveCall(it *Interp, fn string, result Value) (Value, error)
 }
 
-// ReachHook is an optional interface of Config.Hook: the compiled path
+// ReachHook is an optional interface of Config.Hook: the interpreter
 // calls Reach with a statement's ID (below Program.Stmts; see StmtAt) as
 // each statement starts, before its step — no step, no clock, and one nil
-// check per statement when absent. The tree-walk does not call it.
+// check per statement when absent.
 type ReachHook interface {
 	Reach(stmt int)
 }
 
 // Interp executes a loaded minigo program.
 type Interp struct {
-	fset    *token.FileSet
-	globals *Scope
-	methods map[string]map[string]*ast.FuncDecl
-
 	clockNS    int64
 	stepNS     int64
 	deadlineNS int64
@@ -108,8 +98,8 @@ type Interp struct {
 	reach  ReachHook // hook, when it implements ReachHook
 	frames []*frame
 
-	// Compiled-execution state (NewRun): the program and the flat global
-	// slot array indexed by the program's symbol table.
+	// The program and the flat global slot array indexed by its symbol
+	// table.
 	prog   *Program
 	gslots []Value
 	// argStack holds the evaluated arguments of the compiled calls in
@@ -122,10 +112,9 @@ type Interp struct {
 
 	// Host environment: the shared environments installed on this
 	// interpreter (Install) and the per-run state their functions read
-	// (SetHostData), plus the tree-walk path's root-shape intern table.
+	// (SetHostData).
 	envs     *envList
 	hostData []hostDatum
-	shapes   map[string]*Shape
 
 	// Checkpoint context, non-nil only while a CallPrefix checkpoint
 	// callback runs: the paused entry frame Snapshot captures.
@@ -151,8 +140,7 @@ type deferredCall struct {
 	args []Value
 }
 
-// withDefaults normalizes a Config; New and NewRun must share it so the
-// tree-walk and compiled paths always run under the same budgets.
+// withDefaults normalizes a Config: the budgets an unset field means.
 func (cfg Config) withDefaults() Config {
 	if cfg.StepNS <= 0 {
 		cfg.StepNS = 1000 // 1µs of virtual time per step
@@ -166,50 +154,11 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// New creates a tree-walk interpreter: LoadSource parses target files
-// and Call evaluates their AST directly. It is the reference the
-// compiled path (CompileProgram + NewRun) is tested against; nothing
-// outside tests runs experiments on it.
-func New(cfg Config) *Interp {
-	cfg = cfg.withDefaults()
-	it := &Interp{
-		fset:       token.NewFileSet(),
-		globals:    NewScope(nil),
-		methods:    make(map[string]map[string]*ast.FuncDecl),
-		stepNS:     cfg.StepNS,
-		deadlineNS: cfg.DeadlineNS,
-		maxSteps:   cfg.MaxSteps,
-		stdout:     cfg.Stdout,
-		hook:       cfg.Hook,
-		envs:       baseEnvs,
-	}
-	it.bind(builtinEnv)
-	return it
-}
-
-// SetCallHook installs (or clears, with nil) the call hook. Install it
-// before the first Call; swapping hooks mid-execution is not supported.
-func (it *Interp) SetCallHook(h CallHook) { it.hook = h; it.reach, _ = h.(ReachHook) }
-
 // Throw raises an interpreted exception from host code (hook or host
 // function): the error is a *PanicError carrying an *Exc, recoverable by
 // deferred recover() like any interpreted panic.
 func (it *Interp) Throw(excType, msg string) error {
 	return it.throw(excType, msg)
-}
-
-// rootShape returns the tree-walk path's interned field-less shape of a
-// struct type (compiled programs intern theirs in the linker).
-func (it *Interp) rootShape(typeName string) *Shape {
-	sh, ok := it.shapes[typeName]
-	if !ok {
-		if it.shapes == nil {
-			it.shapes = make(map[string]*Shape)
-		}
-		sh = &Shape{typeName: typeName}
-		it.shapes[typeName] = sh
-	}
-	return sh
 }
 
 // Clock returns the current virtual time in nanoseconds.
@@ -261,124 +210,8 @@ func (it *Interp) step() error {
 	return nil
 }
 
-// LoadSource parses and loads one target source file: top-level functions,
-// methods, constants and vars become available for execution. Imports are
-// resolved against the installed host environments' modules.
-func (it *Interp) LoadSource(filename string, src []byte) error {
-	f, err := parser.ParseFile(it.fset, filename, src, parser.SkipObjectResolution)
-	if err != nil {
-		return fmt.Errorf("interp: parse %s: %w", filename, err)
-	}
-	// Resolve imports first so top-level vars can use modules.
-	for _, imp := range f.Imports {
-		path := strings.Trim(imp.Path.Value, `"`)
-		mod, ok := it.module(path)
-		if !ok {
-			return fmt.Errorf("interp: %s imports unknown module %q", filename, path)
-		}
-		name := mod.Name
-		if i := strings.LastIndex(name, "/"); i >= 0 {
-			name = name[i+1:]
-		}
-		if imp.Name != nil {
-			name = imp.Name.Name
-		}
-		it.globals.Define(name, mod)
-	}
-	// Declarations.
-	for _, d := range f.Decls {
-		switch decl := d.(type) {
-		case *ast.FuncDecl:
-			if decl.Body == nil {
-				// A declaration without a body is legal Go syntax (an
-				// external function) but meaningless in minigo; calling
-				// one can only crash, so reject it at load time. The
-				// compiled path raises the identical error.
-				return fmt.Errorf("interp: %s: function %s has no body", filename, decl.Name.Name)
-			}
-			if decl.Recv != nil && len(decl.Recv.List) > 0 {
-				typeName, recvName := recvInfo(decl)
-				if typeName == "" {
-					return fmt.Errorf("interp: %s: unsupported receiver on %s", filename, decl.Name.Name)
-				}
-				if it.methods[typeName] == nil {
-					it.methods[typeName] = make(map[string]*ast.FuncDecl)
-				}
-				it.methods[typeName][decl.Name.Name] = decl
-				_ = recvName
-				continue
-			}
-			it.globals.Define(decl.Name.Name, &Closure{
-				Name:   decl.Name.Name,
-				Params: paramNames(decl.Type),
-				Body:   decl.Body,
-				Env:    it.globals,
-			})
-		case *ast.GenDecl:
-			if decl.Tok == token.VAR || decl.Tok == token.CONST {
-				for _, spec := range decl.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok {
-						continue
-					}
-					for i, name := range vs.Names {
-						var v Value
-						if i < len(vs.Values) {
-							var err error
-							v, err = it.evalExpr(vs.Values[i], it.globals)
-							if err != nil {
-								return fmt.Errorf("interp: %s: init %s: %w", filename, name.Name, err)
-							}
-						}
-						it.globals.Define(name.Name, v)
-					}
-				}
-			}
-			// Type declarations carry no runtime information in minigo;
-			// struct literals create dynamic Objects by name.
-		}
-	}
-	return nil
-}
-
-func recvInfo(decl *ast.FuncDecl) (typeName, recvName string) {
-	recv := decl.Recv.List[0]
-	t := recv.Type
-	if se, ok := t.(*ast.StarExpr); ok {
-		t = se.X
-	}
-	id, ok := t.(*ast.Ident)
-	if !ok {
-		return "", ""
-	}
-	if len(recv.Names) > 0 {
-		recvName = recv.Names[0].Name
-	}
-	return id.Name, recvName
-}
-
-func paramNames(ft *ast.FuncType) []string {
-	var names []string
-	if ft.Params == nil {
-		return names
-	}
-	for _, f := range ft.Params.List {
-		if len(f.Names) == 0 {
-			names = append(names, "_")
-			continue
-		}
-		for _, n := range f.Names {
-			names = append(names, n.Name)
-		}
-	}
-	return names
-}
-
 // Global returns the value bound to a global name.
 func (it *Interp) Global(name string) (Value, bool) {
-	if it.prog == nil {
-		return it.globals.Lookup(name)
-	}
 	if idx, ok := it.prog.ln.lookup(name); ok && idx < len(it.gslots) && it.gslots[idx] != unbound {
 		return it.gslots[idx], true
 	}
@@ -394,6 +227,14 @@ func (it *Interp) Call(name string, args ...Value) (Value, error) {
 	return it.call(fn, args)
 }
 
+// callable is a function value the compiled engine did not make: the
+// test-only tree-walk's closures. call runs one; Repr and TypeName name
+// it.
+type callable interface {
+	callWith(args []Value) (Value, error)
+	funcName() string
+}
+
 // call dispatches a call on a callable value.
 func (it *Interp) call(fn Value, args []Value) (Value, error) {
 	if err := it.step(); err != nil {
@@ -402,10 +243,10 @@ func (it *Interp) call(fn Value, args []Value) (Value, error) {
 	switch f := fn.(type) {
 	case *HostFunc:
 		return f.Fn(it, args)
-	case *Closure:
-		return it.callClosure(f, args)
 	case *compiledClosure:
 		return it.callCompiled(f.fn, f.caps, f.recv, args, nil)
+	case callable:
+		return f.callWith(args)
 	case nil:
 		return nil, it.throw("AttributeError", "nil object is not callable")
 	default:
@@ -429,50 +270,6 @@ func (it *Interp) invoke(fn Value, mfn *compiledFunc, recv Value, args []Value) 
 		return nil, err
 	}
 	return it.callCompiled(mfn, nil, recv, args, nil)
-}
-
-// callClosure executes a user function with defer/recover semantics.
-func (it *Interp) callClosure(f *Closure, args []Value) (result Value, err error) {
-	if len(it.frames) > 200 {
-		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+f.Name)
-	}
-	fr := &frame{name: f.Name}
-	it.frames = append(it.frames, fr)
-	defer func() { it.frames = it.frames[:len(it.frames)-1] }()
-
-	scope := NewScope(f.Env)
-	scope.funcRoot = true
-	if f.RecvN != "" {
-		scope.Define(f.RecvN, f.Recv)
-	}
-	for i, p := range f.Params {
-		var v Value
-		if i < len(args) {
-			v = args[i]
-		}
-		scope.Define(p, v)
-	}
-	// Extra args beyond declared params are dropped (emulating the
-	// paper's "omitted parameters use defaults" semantics in reverse).
-
-	var cerr error
-	if it.hook != nil {
-		cerr = it.hook.EnterCall(it, f.Name)
-	}
-	if cerr == nil {
-		var ctl control
-		var ret Value
-		ctl, ret, cerr = it.execBlock(f.Body.List, scope)
-		if ctl == ctlReturn {
-			result = ret
-		}
-	}
-	// Run defers (LIFO); a deferred recover() may squash a panic.
-	err = it.runDefers(fr, cerr)
-	if err == nil && it.hook != nil {
-		result, err = it.hook.LeaveCall(it, f.Name, result)
-	}
-	return result, err
 }
 
 // runDefers executes the frame's deferred calls; if execution was

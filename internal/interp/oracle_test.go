@@ -1,13 +1,12 @@
-// Oracle equivalence: the tree-walk interpreter (interp.New + LoadSource)
-// is no longer reachable from any production configuration, so this file
-// is where it keeps defining what a workload round must produce. The real
+// Oracle equivalence: the tree-walk interpreter (interp.New + LoadSource,
+// test-only) defines what a workload round must produce. The real
 // kvclient corpus — fault-free, and every experiment of the §V-A/B/C/R
 // plans at the golden seeds (mutated sources and runtime injectors) —
 // runs the two-round protocol on the tree-walk through the test-local
 // driver below and on the production path (workload.Run), and the two
 // must agree on every field of both round results, on stdout and on the
 // injector's activation report.
-package profipy
+package interp_test
 
 import (
 	"errors"
@@ -15,7 +14,9 @@ import (
 	"reflect"
 	"testing"
 
+	"profipy"
 	"profipy/internal/campaign"
+	"profipy/internal/faultmodel"
 	"profipy/internal/interp"
 	"profipy/internal/kvclient"
 	"profipy/internal/sandbox"
@@ -42,7 +43,7 @@ func treeWalkRounds(c *sandbox.Container, cfg workload.Config, rounds int) ([]wo
 			icfg.Hook = cfg.Injector
 		}
 		it := interp.New(icfg)
-		cfg.Env(it, c)
+		cfg.Env(it.Interp, c)
 		for _, f := range cfg.Files {
 			src, err := c.FS.Read(f)
 			if err != nil {
@@ -73,25 +74,39 @@ func treeWalkRounds(c *sandbox.Container, cfg workload.Config, rounds int) ([]wo
 	return out, nil
 }
 
+// oracleCampaigns are the golden campaigns of the module root's
+// golden_test.go, at the seeds their fixtures were recorded with.
+var oracleCampaigns = []struct {
+	name  string
+	build func(rt *profipy.Runtime, seed int64) *campaign.Campaign
+	seed  int64
+}{
+	{"campaign-a", kvclient.CampaignA, 101},
+	{"campaign-b", kvclient.CampaignB, 202},
+	{"campaign-c", kvclient.CampaignC, 303},
+	{"campaign-r", kvclient.CampaignR, 404},
+	{"campaign-late", kvclient.CampaignLate, 707},
+}
+
 // eachExperiment calls fn with what the campaign Runner deploys for
 // every point of the campaign's plan: the image (base files, plus the
 // mutated file as overlay for a compile-time fault), the experiment's
 // seed and, for a runtime fault, the fault bound to the point's function.
 func eachExperiment(tb testing.TB, c *campaign.Campaign,
-	fn func(pt InjectionPoint, img sandbox.Image, seed int64, fault *RuntimeFault)) {
+	fn func(pt profipy.InjectionPoint, img sandbox.Image, seed int64, fault *profipy.RuntimeFault)) {
 	tb.Helper()
 	scan := make(map[string][]byte, len(c.ScanFiles))
 	for _, name := range c.ScanFiles {
 		scan[name] = c.Files[name]
 	}
-	pl, err := Scan(scan, c.Faultload)
+	pl, err := profipy.Scan(scan, c.Faultload)
 	if err != nil {
 		tb.Fatal(err)
 	}
 	if pl.Len() == 0 {
 		tb.Fatal("empty plan")
 	}
-	rtFaults, err := pl.RuntimeFaults()
+	_, rtFaults, err := faultmodel.CompileSplit(pl.Specs)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -109,7 +124,7 @@ func eachExperiment(tb testing.TB, c *campaign.Campaign,
 		if !ok {
 			tb.Fatalf("plan names unknown spec %q", pt.Spec)
 		}
-		mut, err := Mutate(c.Files[pt.File], spec, pt, MutateOptions{Triggered: true})
+		mut, err := profipy.Mutate(c.Files[pt.File], spec, pt, profipy.MutateOptions{Triggered: true})
 		if err != nil {
 			tb.Fatalf("mutate %s: %v", pt.ID(), err)
 		}
@@ -121,15 +136,15 @@ func eachExperiment(tb testing.TB, c *campaign.Campaign,
 // compareWithOracle runs img's two rounds on both paths — each with its
 // own injector when the experiment has a runtime fault — and fails on
 // any difference in a round result, stdout or the activation report.
-func compareWithOracle(t *testing.T, rt *Runtime, img sandbox.Image, seed int64,
-	cfg workload.Config, fault *RuntimeFault, label string) {
+func compareWithOracle(t *testing.T, rt *profipy.Runtime, img sandbox.Image, seed int64,
+	cfg workload.Config, fault *profipy.RuntimeFault, label string) {
 	t.Helper()
 	cfg.Rounds = 2
-	arm := func(cfg workload.Config) (workload.Config, *InjectorEngine) {
+	arm := func(cfg workload.Config) (workload.Config, *profipy.InjectorEngine) {
 		if fault == nil {
 			return cfg, nil
 		}
-		eng, err := NewInjectorEngine([]RuntimeFault{*fault}, seed)
+		eng, err := profipy.NewInjectorEngine([]profipy.RuntimeFault{*fault}, seed)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -170,7 +185,7 @@ func TestOracleFaultFreeCorpus(t *testing.T) {
 		{"late-site", kvclient.LateWorkloadSource},
 	} {
 		t.Run(wl.name, func(t *testing.T) {
-			rt := NewRuntime(RuntimeConfig{Cores: 2, Seed: 20})
+			rt := profipy.NewRuntime(profipy.RuntimeConfig{Cores: 2, Seed: 20})
 			img := kvclient.Image()
 			img.Files = kvclient.Sources()
 			img.Files[kvclient.FileWorkload] = []byte(wl.src)
@@ -183,15 +198,15 @@ func TestOracleFaultFreeCorpus(t *testing.T) {
 }
 
 func TestOracleExperiments(t *testing.T) {
-	for _, gc := range goldenCampaigns {
+	for _, gc := range oracleCampaigns {
 		if gc.name == "campaign-late" {
 			continue // §V-A's mutants again, on a workload the fault-free test covers
 		}
 		t.Run(gc.name, func(t *testing.T) {
-			rt := NewRuntime(RuntimeConfig{Cores: 2, Seed: 20})
+			rt := profipy.NewRuntime(profipy.RuntimeConfig{Cores: 2, Seed: 20})
 			c := gc.build(rt, gc.seed)
 			mutants, injected := 0, 0
-			eachExperiment(t, c, func(pt InjectionPoint, img sandbox.Image, seed int64, fault *RuntimeFault) {
+			eachExperiment(t, c, func(pt profipy.InjectionPoint, img sandbox.Image, seed int64, fault *profipy.RuntimeFault) {
 				compareWithOracle(t, rt, img, seed, c.Workload, fault,
 					fmt.Sprintf("%s (experiment %d)", pt.ID(), mutants+injected))
 				if fault != nil {

@@ -108,8 +108,8 @@ func (l *linker) newGlobals() []Value {
 	return append([]Value(nil), l.proto...)
 }
 
-// rootShape returns the interned field-less shape of a struct type.
-func (l *linker) rootShape(typeName string) *Shape {
+// structShape returns the interned field-less shape of a struct type.
+func (l *linker) structShape(typeName string) *Shape {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	sh, ok := l.shapes[typeName]
@@ -239,8 +239,9 @@ type Program struct {
 }
 
 // CompileProgram compiles an ordered file set (the workload's load
-// order) into a Program. Compilation errors mirror the tree-walk's
-// LoadSource errors; constructs the tree-walk reports lazily stay lazy.
+// order) into a Program. Compilation errors mirror the tree-walk
+// oracle's load errors; constructs the tree-walk reports lazily stay
+// lazy.
 func CompileProgram(files []SourceUnit) (*Program, error) {
 	ln := newLinker()
 
@@ -574,8 +575,8 @@ func topLevelNames(f *ast.File) []string {
 	return out
 }
 
-// compileUnit lowers one parsed file, mirroring LoadSource's declaration
-// walk (imports, then declarations in source order).
+// compileUnit lowers one parsed file, mirroring the tree-walk oracle's
+// declaration walk (imports, then declarations in source order).
 func compileUnit(c *compiler, name string, f *ast.File) (*unit, error) {
 	u := &unit{name: name, topNames: topLevelNames(f), stmt0: c.nextStmt}
 	c.base = f.FileStart
@@ -595,7 +596,7 @@ func compileUnit(c *compiler, name string, f *ast.File) (*unit, error) {
 		switch decl := d.(type) {
 		case *ast.FuncDecl:
 			if decl.Body == nil {
-				// Same load-time rejection as the tree-walk's LoadSource.
+				// Rejected at load time, as the tree-walk oracle does.
 				return nil, fmt.Errorf("interp: %s: function %s has no body", name, decl.Name.Name)
 			}
 			site := declSite{name: decl.Name.Name, opIdx: -1, fnsLo: len(c.fns)}
@@ -642,9 +643,8 @@ func compileUnit(c *compiler, name string, f *ast.File) (*unit, error) {
 // ---------------------------------------------------------------------------
 // Run-time side: NewRun / Boot / compiled calls / pools
 
-// NewRun creates an interpreter executing a compiled program: the
-// compile-once / run-many counterpart of New+LoadSource. Install the
-// host environment and hooks, then call Boot once before Call.
+// NewRun creates an interpreter executing a compiled program. Install
+// the host environment and hooks, then call Boot once before Call.
 func NewRun(p *Program, cfg Config) *Interp {
 	cfg = cfg.withDefaults()
 	it := &Interp{
@@ -663,12 +663,9 @@ func NewRun(p *Program, cfg Config) *Interp {
 
 // Boot resolves imports against the installed modules and executes the
 // top-level declarations (function bindings and var initializers) in
-// load order — the compiled analog of LoadSource's load-time work. Call
-// it after installing the environment and before the first Call.
+// load order. Call it after installing the environment and before the
+// first Call.
 func (it *Interp) Boot() error {
-	if it.prog == nil {
-		return fmt.Errorf("interp: Boot on a non-compiled interpreter")
-	}
 	for _, u := range it.prog.units {
 		for _, imp := range u.imports {
 			mod, ok := it.module(imp.path)
@@ -697,10 +694,10 @@ func (it *Interp) Boot() error {
 }
 
 // callCompiled executes a compiled function with defer/recover semantics
-// identical to callClosure, against a recycled slot frame; the caller has
-// charged the call's step (see call and invoke). checkpoint is nil
-// except on CallPrefix's entry call, whose top-level body statements it
-// pauses before (see runCheckpointed).
+// against a recycled slot frame; the caller has charged the call's step
+// (see call and invoke). checkpoint is nil except on CallPrefix's entry
+// call, whose top-level body statements it pauses before (see
+// runCheckpointed).
 func (it *Interp) callCompiled(fn *compiledFunc, caps []*cell, recv Value, args []Value, checkpoint func(int) bool) (result Value, err error) {
 	if len(it.frames) > 200 {
 		return nil, it.throw("RecursionError", "maximum call depth exceeded in "+fn.name)

@@ -55,9 +55,6 @@ type Snapshot struct {
 	hostKey map[any]string // host value identity -> registration key
 }
 
-// Stmt returns the entry-body statement index the snapshot resumes at.
-func (s *Snapshot) Stmt() int { return s.stmt }
-
 // CallPrefix invokes a compiled entry function like Call, pausing before
 // each top-level statement of its body to run checkpoint(stmt). While
 // checkpoint executes, Snapshot may capture the paused state; checkpoint
@@ -67,9 +64,6 @@ func (s *Snapshot) Stmt() int { return s.stmt }
 // observing the entry itself sees it with no snapshot boundary
 // preceding it.
 func (it *Interp) CallPrefix(entry string, checkpoint func(stmt int) bool, args ...Value) (Value, error) {
-	if it.prog == nil {
-		return nil, fmt.Errorf("interp: CallPrefix requires a compiled program")
-	}
 	fn, ok := it.Global(entry)
 	if !ok {
 		return nil, fmt.Errorf("interp: undefined function %q", entry)
@@ -158,9 +152,6 @@ func (it *Interp) Snapshot() (*Snapshot, error) {
 // body statements run to completion under normal semantics — including
 // the LeaveCall hook, but not EnterCall, which fired during the prefix.
 func (it *Interp) Fork(snap *Snapshot) (Value, error) {
-	if it.prog == nil {
-		return nil, fmt.Errorf("interp: Fork requires a compiled program")
-	}
 	if it.steps != 0 || len(it.frames) != 0 {
 		return nil, fmt.Errorf("interp: Fork requires a fresh interpreter")
 	}
@@ -528,7 +519,7 @@ func (vc *valCopier) copyVal(v Value) Value {
 		}
 		return nv
 	default:
-		// *Closure/*Scope (tree-walk values) and anything unknown.
+		// Tree-walk closures and anything unknown.
 		return vc.fail("unsupported value type %s", TypeName(v))
 	}
 }

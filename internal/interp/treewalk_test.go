@@ -1,26 +1,144 @@
 package interp
 
+// The tree-walk reference interpreter: it evaluates the AST directly,
+// with globals, locals and captures in map-based Scope chains and methods
+// looked up by name per call. Production runs compiled programs only;
+// this engine defines what running a program means for the oracle tests
+// (runBothPaths, FuzzEngineEquivalence, FuzzForkEquivalence and, in the
+// external test package, the kvclient corpus and every §V experiment).
+// It shares the compiled engine's Interp for steps, clock, frames,
+// defers, hooks and host environments, and the helpers in ops.go.
+
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
 	"strconv"
-	"strings"
 )
 
-type control int
+// Closure is a tree-walk function or method bound to its environment.
+// It is the callable the compiled engine's call, Repr and TypeName take
+// from outside that engine.
+type Closure struct {
+	tw     *TreeWalk
+	Name   string
+	Params []string
+	Body   *ast.BlockStmt
+	Env    *Scope
+	Recv   Value  // bound receiver for methods, nil otherwise
+	RecvN  string // receiver parameter name
+}
 
-const (
-	ctlNone control = iota
-	ctlBreak
-	ctlContinue
-	ctlReturn
-)
+func (f *Closure) callWith(args []Value) (Value, error) { return f.tw.callClosure(f, args) }
+
+func (f *Closure) funcName() string { return f.Name }
+
+// Scope is a lexical scope chain for variables. Function-body scopes are
+// marked as funcRoot: plain assignment to an undeclared name defines it at
+// the function root (Python-style), which is what makes the paper's
+// "UnboundLocalError: local variable referenced before assignment" failure
+// mode reproducible (§V-C).
+type Scope struct {
+	vars     map[string]Value
+	parent   *Scope
+	funcRoot bool
+}
+
+// NewScope returns a scope with the given parent (nil for globals).
+func NewScope(parent *Scope) *Scope {
+	return &Scope{vars: make(map[string]Value), parent: parent}
+}
+
+// Lookup finds a variable, walking the parent chain.
+func (s *Scope) Lookup(name string) (Value, bool) {
+	for sc := s; sc != nil; sc = sc.parent {
+		if v, ok := sc.vars[name]; ok {
+			return v, true
+		}
+	}
+	return nil, false
+}
+
+// Define binds a name in this scope.
+func (s *Scope) Define(name string, v Value) { s.vars[name] = v }
+
+// DefineAtFuncRoot binds a name at the nearest enclosing function-root
+// scope (or locally when there is none).
+func (s *Scope) DefineAtFuncRoot(name string, v Value) {
+	for sc := s; sc != nil; sc = sc.parent {
+		if sc.funcRoot {
+			sc.vars[name] = v
+			return
+		}
+	}
+	s.vars[name] = v
+}
+
+// Assign updates an existing binding, searching the parent chain; it
+// reports whether the name was found.
+func (s *Scope) Assign(name string, v Value) bool {
+	for sc := s; sc != nil; sc = sc.parent {
+		if _, ok := sc.vars[name]; ok {
+			sc.vars[name] = v
+			return true
+		}
+	}
+	return false
+}
+
+// rootShape returns the interned field-less shape of a struct type. Each
+// tree-walk interns its own, in the linker of its empty program.
+func (tw *TreeWalk) rootShape(typeName string) *Shape { return tw.prog.ln.structShape(typeName) }
+
+// callClosure executes a user function with defer/recover semantics.
+func (tw *TreeWalk) callClosure(f *Closure, args []Value) (result Value, err error) {
+	if len(tw.frames) > 200 {
+		return nil, tw.throw("RecursionError", "maximum call depth exceeded in "+f.Name)
+	}
+	fr := &frame{name: f.Name}
+	tw.frames = append(tw.frames, fr)
+	defer func() { tw.frames = tw.frames[:len(tw.frames)-1] }()
+
+	scope := NewScope(f.Env)
+	scope.funcRoot = true
+	if f.RecvN != "" {
+		scope.Define(f.RecvN, f.Recv)
+	}
+	for i, p := range f.Params {
+		var v Value
+		if i < len(args) {
+			v = args[i]
+		}
+		scope.Define(p, v)
+	}
+	// Extra args beyond declared params are dropped (emulating the
+	// paper's "omitted parameters use defaults" semantics in reverse).
+
+	var cerr error
+	if tw.hook != nil {
+		cerr = tw.hook.EnterCall(tw.Interp, f.Name)
+	}
+	if cerr == nil {
+		var ctl control
+		var ret Value
+		ctl, ret, cerr = tw.execBlock(f.Body.List, scope)
+		if ctl == ctlReturn {
+			result = ret
+		}
+	}
+	// Run defers (LIFO); a deferred recover() may squash a panic.
+	err = tw.runDefers(fr, cerr)
+	if err == nil && tw.hook != nil {
+		result, err = tw.hook.LeaveCall(tw.Interp, f.Name, result)
+	}
+	return result, err
+}
 
 // execBlock executes a statement list in the given scope.
-func (it *Interp) execBlock(list []ast.Stmt, sc *Scope) (control, Value, error) {
+// execBlock executes a statement list in the given scope.
+func (tw *TreeWalk) execBlock(list []ast.Stmt, sc *Scope) (control, Value, error) {
 	for _, s := range list {
-		ctl, v, err := it.execStmt(s, sc)
+		ctl, v, err := tw.execStmt(s, sc)
 		if err != nil || ctl != ctlNone {
 			return ctl, v, err
 		}
@@ -28,18 +146,18 @@ func (it *Interp) execBlock(list []ast.Stmt, sc *Scope) (control, Value, error) 
 	return ctlNone, nil, nil
 }
 
-func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
-	if err := it.step(); err != nil {
+func (tw *TreeWalk) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
+	if err := tw.step(); err != nil {
 		return ctlNone, nil, err
 	}
 	switch st := s.(type) {
 	case *ast.ExprStmt:
-		_, err := it.evalExpr(st.X, sc)
+		_, err := tw.evalExpr(st.X, sc)
 		return ctlNone, nil, err
 	case *ast.AssignStmt:
-		return ctlNone, nil, it.execAssign(st, sc)
+		return ctlNone, nil, tw.execAssign(st, sc)
 	case *ast.IncDecStmt:
-		cur, err := it.evalExpr(st.X, sc)
+		cur, err := tw.evalExpr(st.X, sc)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -47,22 +165,22 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 		if st.Tok == token.DEC {
 			delta = -1
 		}
-		nv, err := it.binop(token.ADD, cur, delta)
+		nv, err := tw.binop(token.ADD, cur, delta)
 		if err != nil {
 			return ctlNone, nil, err
 		}
-		return ctlNone, nil, it.assignTo(st.X, nv, sc)
+		return ctlNone, nil, tw.assignTo(st.X, nv, sc)
 	case *ast.ReturnStmt:
 		switch len(st.Results) {
 		case 0:
 			return ctlReturn, nil, nil
 		case 1:
-			v, err := it.evalExpr(st.Results[0], sc)
+			v, err := tw.evalExpr(st.Results[0], sc)
 			return ctlReturn, v, err
 		default:
 			vals := make([]Value, len(st.Results))
 			for i, r := range st.Results {
-				v, err := it.evalExpr(r, sc)
+				v, err := tw.evalExpr(r, sc)
 				if err != nil {
 					return ctlNone, nil, err
 				}
@@ -73,39 +191,39 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 	case *ast.IfStmt:
 		isc := NewScope(sc)
 		if st.Init != nil {
-			if ctl, v, err := it.execStmt(st.Init, isc); err != nil || ctl != ctlNone {
+			if ctl, v, err := tw.execStmt(st.Init, isc); err != nil || ctl != ctlNone {
 				return ctl, v, err
 			}
 		}
-		cond, err := it.evalExpr(st.Cond, isc)
+		cond, err := tw.evalExpr(st.Cond, isc)
 		if err != nil {
 			return ctlNone, nil, err
 		}
 		if Truthy(cond) {
-			return it.execBlock(st.Body.List, NewScope(isc))
+			return tw.execBlock(st.Body.List, NewScope(isc))
 		}
 		if st.Else != nil {
 			if blk, ok := st.Else.(*ast.BlockStmt); ok {
-				return it.execBlock(blk.List, NewScope(isc))
+				return tw.execBlock(blk.List, NewScope(isc))
 			}
-			return it.execStmt(st.Else, isc)
+			return tw.execStmt(st.Else, isc)
 		}
 		return ctlNone, nil, nil
 	case *ast.BlockStmt:
-		return it.execBlock(st.List, NewScope(sc))
+		return tw.execBlock(st.List, NewScope(sc))
 	case *ast.ForStmt:
 		fsc := NewScope(sc)
 		if st.Init != nil {
-			if ctl, v, err := it.execStmt(st.Init, fsc); err != nil || ctl != ctlNone {
+			if ctl, v, err := tw.execStmt(st.Init, fsc); err != nil || ctl != ctlNone {
 				return ctl, v, err
 			}
 		}
 		for {
-			if err := it.step(); err != nil {
+			if err := tw.step(); err != nil {
 				return ctlNone, nil, err
 			}
 			if st.Cond != nil {
-				cond, err := it.evalExpr(st.Cond, fsc)
+				cond, err := tw.evalExpr(st.Cond, fsc)
 				if err != nil {
 					return ctlNone, nil, err
 				}
@@ -113,7 +231,7 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 					break
 				}
 			}
-			ctl, v, err := it.execBlock(st.Body.List, NewScope(fsc))
+			ctl, v, err := tw.execBlock(st.Body.List, NewScope(fsc))
 			if err != nil {
 				return ctlNone, nil, err
 			}
@@ -124,14 +242,14 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 				return ctl, v, nil
 			}
 			if st.Post != nil {
-				if _, _, err := it.execStmt(st.Post, fsc); err != nil {
+				if _, _, err := tw.execStmt(st.Post, fsc); err != nil {
 					return ctlNone, nil, err
 				}
 			}
 		}
 		return ctlNone, nil, nil
 	case *ast.RangeStmt:
-		return it.execRange(st, sc)
+		return tw.execRange(st, sc)
 	case *ast.BranchStmt:
 		switch st.Tok {
 		case token.BREAK:
@@ -142,7 +260,7 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 			return ctlNone, nil, fmt.Errorf("interp: unsupported branch %s", st.Tok)
 		}
 	case *ast.SwitchStmt:
-		return it.execSwitch(st, sc)
+		return tw.execSwitch(st, sc)
 	case *ast.DeclStmt:
 		gd, ok := st.Decl.(*ast.GenDecl)
 		if !ok || (gd.Tok != token.VAR && gd.Tok != token.CONST) {
@@ -157,7 +275,7 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 				var v Value
 				if i < len(vs.Values) {
 					var err error
-					v, err = it.evalExpr(vs.Values[i], sc)
+					v, err = tw.evalExpr(vs.Values[i], sc)
 					if err != nil {
 						return ctlNone, nil, err
 					}
@@ -167,17 +285,17 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 		}
 		return ctlNone, nil, nil
 	case *ast.DeferStmt:
-		fr := it.currentFrame()
+		fr := tw.currentFrame()
 		if fr == nil {
 			return ctlNone, nil, fmt.Errorf("interp: defer outside a function")
 		}
-		fn, err := it.evalExpr(st.Call.Fun, sc)
+		fn, err := tw.evalExpr(st.Call.Fun, sc)
 		if err != nil {
 			return ctlNone, nil, err
 		}
 		args := make([]Value, len(st.Call.Args))
 		for i, a := range st.Call.Args {
-			args[i], err = it.evalExpr(a, sc)
+			args[i], err = tw.evalExpr(a, sc)
 			if err != nil {
 				return ctlNone, nil, err
 			}
@@ -187,10 +305,10 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 	case *ast.GoStmt:
 		// minigo executes goroutines synchronously for determinism;
 		// concurrency effects (CPU hogs) are modelled by the virtual clock.
-		_, err := it.evalExpr(st.Call, sc)
+		_, err := tw.evalExpr(st.Call, sc)
 		return ctlNone, nil, err
 	case *ast.LabeledStmt:
-		return it.execStmt(st.Stmt, sc)
+		return tw.execStmt(st.Stmt, sc)
 	case *ast.EmptyStmt:
 		return ctlNone, nil, nil
 	default:
@@ -198,8 +316,8 @@ func (it *Interp) execStmt(s ast.Stmt, sc *Scope) (control, Value, error) {
 	}
 }
 
-func (it *Interp) execRange(st *ast.RangeStmt, sc *Scope) (control, Value, error) {
-	coll, err := it.evalExpr(st.X, sc)
+func (tw *TreeWalk) execRange(st *ast.RangeStmt, sc *Scope) (control, Value, error) {
+	coll, err := tw.evalExpr(st.X, sc)
 	if err != nil {
 		return ctlNone, nil, err
 	}
@@ -223,26 +341,26 @@ func (it *Interp) execRange(st *ast.RangeStmt, sc *Scope) (control, Value, error
 			pairs = append(pairs, [2]Value{i, nil})
 		}
 	case nil:
-		return ctlNone, nil, it.throw("TypeError", "nil object is not iterable")
+		return ctlNone, nil, tw.throw("TypeError", "nil object is not iterable")
 	default:
-		return ctlNone, nil, it.throw("TypeError", TypeName(coll)+" object is not iterable")
+		return ctlNone, nil, tw.throw("TypeError", TypeName(coll)+" object is not iterable")
 	}
 	for _, kv := range pairs {
-		if err := it.step(); err != nil {
+		if err := tw.step(); err != nil {
 			return ctlNone, nil, err
 		}
 		rsc := NewScope(sc)
 		if st.Key != nil {
-			if err := it.bindRangeVar(st.Key, kv[0], st.Tok, rsc); err != nil {
+			if err := tw.bindRangeVar(st.Key, kv[0], st.Tok, rsc); err != nil {
 				return ctlNone, nil, err
 			}
 		}
 		if st.Value != nil {
-			if err := it.bindRangeVar(st.Value, kv[1], st.Tok, rsc); err != nil {
+			if err := tw.bindRangeVar(st.Value, kv[1], st.Tok, rsc); err != nil {
 				return ctlNone, nil, err
 			}
 		}
-		ctl, v, err := it.execBlock(st.Body.List, rsc)
+		ctl, v, err := tw.execBlock(st.Body.List, rsc)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -256,10 +374,10 @@ func (it *Interp) execRange(st *ast.RangeStmt, sc *Scope) (control, Value, error
 	return ctlNone, nil, nil
 }
 
-func (it *Interp) bindRangeVar(e ast.Expr, v Value, tok token.Token, sc *Scope) error {
+func (tw *TreeWalk) bindRangeVar(e ast.Expr, v Value, tok token.Token, sc *Scope) error {
 	id, ok := e.(*ast.Ident)
 	if !ok {
-		return it.assignTo(e, v, sc)
+		return tw.assignTo(e, v, sc)
 	}
 	if id.Name == "_" {
 		return nil
@@ -271,13 +389,13 @@ func (it *Interp) bindRangeVar(e ast.Expr, v Value, tok token.Token, sc *Scope) 
 		}
 		return nil
 	}
-	return it.assignTo(id, v, sc)
+	return tw.assignTo(id, v, sc)
 }
 
-func (it *Interp) execSwitch(st *ast.SwitchStmt, sc *Scope) (control, Value, error) {
+func (tw *TreeWalk) execSwitch(st *ast.SwitchStmt, sc *Scope) (control, Value, error) {
 	ssc := NewScope(sc)
 	if st.Init != nil {
-		if ctl, v, err := it.execStmt(st.Init, ssc); err != nil || ctl != ctlNone {
+		if ctl, v, err := tw.execStmt(st.Init, ssc); err != nil || ctl != ctlNone {
 			return ctl, v, err
 		}
 	}
@@ -285,7 +403,7 @@ func (it *Interp) execSwitch(st *ast.SwitchStmt, sc *Scope) (control, Value, err
 	hasTag := st.Tag != nil
 	if hasTag {
 		var err error
-		tag, err = it.evalExpr(st.Tag, ssc)
+		tag, err = tw.evalExpr(st.Tag, ssc)
 		if err != nil {
 			return ctlNone, nil, err
 		}
@@ -301,7 +419,7 @@ func (it *Interp) execSwitch(st *ast.SwitchStmt, sc *Scope) (control, Value, err
 			continue
 		}
 		for _, ce := range cc.List {
-			cv, err := it.evalExpr(ce, ssc)
+			cv, err := tw.evalExpr(ce, ssc)
 			if err != nil {
 				return ctlNone, nil, err
 			}
@@ -312,7 +430,7 @@ func (it *Interp) execSwitch(st *ast.SwitchStmt, sc *Scope) (control, Value, err
 				hit = Truthy(cv)
 			}
 			if hit {
-				ctl, v, err := it.execBlock(cc.Body, NewScope(ssc))
+				ctl, v, err := tw.execBlock(cc.Body, NewScope(ssc))
 				if ctl == ctlBreak {
 					ctl = ctlNone
 				}
@@ -321,7 +439,7 @@ func (it *Interp) execSwitch(st *ast.SwitchStmt, sc *Scope) (control, Value, err
 		}
 	}
 	if defaultCase != nil {
-		ctl, v, err := it.execBlock(defaultCase.Body, NewScope(ssc))
+		ctl, v, err := tw.execBlock(defaultCase.Body, NewScope(ssc))
 		if ctl == ctlBreak {
 			ctl = ctlNone
 		}
@@ -330,17 +448,17 @@ func (it *Interp) execSwitch(st *ast.SwitchStmt, sc *Scope) (control, Value, err
 	return ctlNone, nil, nil
 }
 
-func (it *Interp) execAssign(st *ast.AssignStmt, sc *Scope) error {
+func (tw *TreeWalk) execAssign(st *ast.AssignStmt, sc *Scope) error {
 	// Compound assignment: x op= y.
 	if st.Tok != token.ASSIGN && st.Tok != token.DEFINE {
 		if len(st.Lhs) != 1 || len(st.Rhs) != 1 {
 			return fmt.Errorf("interp: invalid compound assignment")
 		}
-		cur, err := it.evalExpr(st.Lhs[0], sc)
+		cur, err := tw.evalExpr(st.Lhs[0], sc)
 		if err != nil {
 			return err
 		}
-		rhs, err := it.evalExpr(st.Rhs[0], sc)
+		rhs, err := tw.evalExpr(st.Rhs[0], sc)
 		if err != nil {
 			return err
 		}
@@ -348,11 +466,11 @@ func (it *Interp) execAssign(st *ast.AssignStmt, sc *Scope) error {
 		if !ok {
 			return fmt.Errorf("interp: unsupported assignment operator %s", st.Tok)
 		}
-		nv, err := it.binop(op, cur, rhs)
+		nv, err := tw.binop(op, cur, rhs)
 		if err != nil {
 			return err
 		}
-		return it.assignTo(st.Lhs[0], nv, sc)
+		return tw.assignTo(st.Lhs[0], nv, sc)
 	}
 
 	// Evaluate RHS values first (parallel assignment semantics).
@@ -360,12 +478,12 @@ func (it *Interp) execAssign(st *ast.AssignStmt, sc *Scope) error {
 	if len(st.Rhs) == 1 && len(st.Lhs) > 1 {
 		// Tuple unpack (multi-return) or comma-ok map read.
 		if idx, ok := st.Rhs[0].(*ast.IndexExpr); ok && len(st.Lhs) == 2 {
-			container, err := it.evalExpr(idx.X, sc)
+			container, err := tw.evalExpr(idx.X, sc)
 			if err != nil {
 				return err
 			}
 			if m, ok := container.(*Map); ok {
-				key, err := it.evalExpr(idx.Index, sc)
+				key, err := tw.evalExpr(idx.Index, sc)
 				if err != nil {
 					return err
 				}
@@ -374,17 +492,17 @@ func (it *Interp) execAssign(st *ast.AssignStmt, sc *Scope) error {
 			}
 		}
 		if vals == nil {
-			v, err := it.evalExpr(st.Rhs[0], sc)
+			v, err := tw.evalExpr(st.Rhs[0], sc)
 			if err != nil {
 				return err
 			}
 			t, ok := v.(*Tuple)
 			if !ok {
-				return it.throw("TypeError", "cannot unpack "+TypeName(v)+" into "+
+				return tw.throw("TypeError", "cannot unpack "+TypeName(v)+" into "+
 					strconv.Itoa(len(st.Lhs))+" variables")
 			}
 			if len(t.Elems) != len(st.Lhs) {
-				return it.throw("ValueError", fmt.Sprintf("expected %d values, got %d", len(st.Lhs), len(t.Elems)))
+				return tw.throw("ValueError", fmt.Sprintf("expected %d values, got %d", len(st.Lhs), len(t.Elems)))
 			}
 			vals = t.Elems
 		}
@@ -394,7 +512,7 @@ func (it *Interp) execAssign(st *ast.AssignStmt, sc *Scope) error {
 		}
 		vals = make([]Value, len(st.Rhs))
 		for i, r := range st.Rhs {
-			v, err := it.evalExpr(r, sc)
+			v, err := tw.evalExpr(r, sc)
 			if err != nil {
 				return err
 			}
@@ -431,35 +549,15 @@ func (it *Interp) execAssign(st *ast.AssignStmt, sc *Scope) error {
 			}
 			continue
 		}
-		if err := it.assignTo(lhs, v, sc); err != nil {
+		if err := tw.assignTo(lhs, v, sc); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func compoundOp(tok token.Token) (token.Token, bool) {
-	switch tok {
-	case token.ADD_ASSIGN:
-		return token.ADD, true
-	case token.SUB_ASSIGN:
-		return token.SUB, true
-	case token.MUL_ASSIGN:
-		return token.MUL, true
-	case token.QUO_ASSIGN:
-		return token.QUO, true
-	case token.REM_ASSIGN:
-		return token.REM, true
-	case token.OR_ASSIGN:
-		return token.OR, true
-	case token.AND_ASSIGN:
-		return token.AND, true
-	}
-	return token.ILLEGAL, false
-}
-
 // assignTo stores a value through an lvalue expression.
-func (it *Interp) assignTo(lhs ast.Expr, v Value, sc *Scope) error {
+func (tw *TreeWalk) assignTo(lhs ast.Expr, v Value, sc *Scope) error {
 	switch l := lhs.(type) {
 	case *ast.Ident:
 		if l.Name == "_" {
@@ -470,25 +568,25 @@ func (it *Interp) assignTo(lhs ast.Expr, v Value, sc *Scope) error {
 		}
 		return nil
 	case *ast.SelectorExpr:
-		base, err := it.evalExpr(l.X, sc)
+		base, err := tw.evalExpr(l.X, sc)
 		if err != nil {
 			return err
 		}
 		obj, ok := base.(*Object)
 		if !ok {
 			if base == nil {
-				return it.throw("AttributeError", "nil object has no attribute '"+l.Sel.Name+"'")
+				return tw.throw("AttributeError", "nil object has no attribute '"+l.Sel.Name+"'")
 			}
-			return it.throw("TypeError", "cannot set attribute on "+TypeName(base))
+			return tw.throw("TypeError", "cannot set attribute on "+TypeName(base))
 		}
 		obj.Set(l.Sel.Name, v)
 		return nil
 	case *ast.IndexExpr:
-		container, err := it.evalExpr(l.X, sc)
+		container, err := tw.evalExpr(l.X, sc)
 		if err != nil {
 			return err
 		}
-		key, err := it.evalExpr(l.Index, sc)
+		key, err := tw.evalExpr(l.Index, sc)
 		if err != nil {
 			return err
 		}
@@ -496,79 +594,72 @@ func (it *Interp) assignTo(lhs ast.Expr, v Value, sc *Scope) error {
 		case *List:
 			i, ok := key.(int64)
 			if !ok {
-				return it.throw("TypeError", "list index must be int, not "+TypeName(key))
+				return tw.throw("TypeError", "list index must be int, not "+TypeName(key))
 			}
 			if i < 0 || int(i) >= len(c.Elems) {
-				return it.throw("IndexError", "list index out of range")
+				return tw.throw("IndexError", "list index out of range")
 			}
 			c.Elems[i] = v
 			return nil
 		case *Map:
 			if !hashable(key) {
-				return it.throw("TypeError", "unhashable map key type "+TypeName(key))
+				return tw.throw("TypeError", "unhashable map key type "+TypeName(key))
 			}
 			c.Set(key, v)
 			return nil
 		case nil:
-			return it.throw("TypeError", "nil object does not support item assignment")
+			return tw.throw("TypeError", "nil object does not support item assignment")
 		default:
-			return it.throw("TypeError", TypeName(container)+" object does not support item assignment")
+			return tw.throw("TypeError", TypeName(container)+" object does not support item assignment")
 		}
 	case *ast.StarExpr:
-		return it.assignTo(l.X, v, sc)
+		return tw.assignTo(l.X, v, sc)
 	default:
 		return fmt.Errorf("interp: unsupported assignment target %T", lhs)
 	}
 }
 
-func hashable(v Value) bool {
-	switch v.(type) {
-	case nil, bool, int64, float64, string:
-		return true
-	}
-	return false
-}
-
 // evalExpr evaluates an expression in the given scope.
-func (it *Interp) evalExpr(e ast.Expr, sc *Scope) (Value, error) {
+func (tw *TreeWalk) evalExpr(e ast.Expr, sc *Scope) (Value, error) {
 	switch x := e.(type) {
 	case *ast.Ident:
-		return it.evalIdent(x, sc)
+		return tw.evalIdent(x, sc)
 	case *ast.BasicLit:
 		return evalLit(x)
 	case *ast.ParenExpr:
-		return it.evalExpr(x.X, sc)
+		return tw.evalExpr(x.X, sc)
 	case *ast.SelectorExpr:
-		return it.evalSelector(x, sc)
+		return tw.evalSelector(x, sc)
 	case *ast.CallExpr:
-		return it.evalCall(x, sc)
+		return tw.evalCall(x, sc)
 	case *ast.BinaryExpr:
-		return it.evalBinary(x, sc)
+		return tw.evalBinary(x, sc)
 	case *ast.UnaryExpr:
-		return it.evalUnary(x, sc)
+		return tw.evalUnary(x, sc)
 	case *ast.IndexExpr:
-		return it.evalIndex(x, sc)
+		return tw.evalIndex(x, sc)
 	case *ast.SliceExpr:
-		return it.evalSlice(x, sc)
+		return tw.evalSlice(x, sc)
 	case *ast.CompositeLit:
-		return it.evalComposite(x, sc)
+		return tw.evalComposite(x, sc)
 	case *ast.FuncLit:
 		return &Closure{
+			tw:     tw,
 			Name:   "<func>",
 			Params: paramNames(x.Type),
 			Body:   x.Body,
 			Env:    sc,
 		}, nil
 	case *ast.StarExpr:
-		return it.evalExpr(x.X, sc)
+		return tw.evalExpr(x.X, sc)
 	case *ast.TypeAssertExpr:
-		return it.evalExpr(x.X, sc)
+		return tw.evalExpr(x.X, sc)
 	default:
 		return nil, fmt.Errorf("interp: unsupported expression %T", e)
 	}
 }
 
-func (it *Interp) evalIdent(x *ast.Ident, sc *Scope) (Value, error) {
+func (tw *TreeWalk) evalIdent(x *ast.Ident, sc *Scope) (Value, error) {
 	switch x.Name {
 	case "nil":
 		return nil, nil
@@ -579,45 +670,14 @@ func (it *Interp) evalIdent(x *ast.Ident, sc *Scope) (Value, error) {
 	}
 	v, ok := sc.Lookup(x.Name)
 	if !ok {
-		return nil, it.throw("UnboundLocalError",
+		return nil, tw.throw("UnboundLocalError",
 			"local variable '"+x.Name+"' referenced before assignment")
 	}
 	return v, nil
 }
 
-func evalLit(x *ast.BasicLit) (Value, error) {
-	switch x.Kind {
-	case token.INT:
-		n, err := strconv.ParseInt(x.Value, 0, 64)
-		if err != nil {
-			return nil, fmt.Errorf("interp: bad int literal %q", x.Value)
-		}
-		return n, nil
-	case token.FLOAT:
-		f, err := strconv.ParseFloat(x.Value, 64)
-		if err != nil {
-			return nil, fmt.Errorf("interp: bad float literal %q", x.Value)
-		}
-		return f, nil
-	case token.STRING:
-		s, err := strconv.Unquote(x.Value)
-		if err != nil {
-			return nil, fmt.Errorf("interp: bad string literal %s", x.Value)
-		}
-		return s, nil
-	case token.CHAR:
-		s, err := strconv.Unquote(x.Value)
-		if err != nil || len(s) == 0 {
-			return nil, fmt.Errorf("interp: bad char literal %s", x.Value)
-		}
-		return s, nil
-	default:
-		return nil, fmt.Errorf("interp: unsupported literal kind %s", x.Kind)
-	}
-}
-
-func (it *Interp) evalSelector(x *ast.SelectorExpr, sc *Scope) (Value, error) {
-	base, err := it.evalExpr(x.X, sc)
+func (tw *TreeWalk) evalSelector(x *ast.SelectorExpr, sc *Scope) (Value, error) {
+	base, err := tw.evalExpr(x.X, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -626,25 +686,26 @@ func (it *Interp) evalSelector(x *ast.SelectorExpr, sc *Scope) (Value, error) {
 	case *Module:
 		v, ok := b.Member[name]
 		if !ok {
-			return nil, it.throw("AttributeError", "module '"+b.Name+"' has no attribute '"+name+"'")
+			return nil, tw.throw("AttributeError", "module '"+b.Name+"' has no attribute '"+name+"'")
 		}
 		return v, nil
 	case *Object:
 		if v, ok := b.Get(name); ok {
 			return v, nil
 		}
-		if decl, ok := it.methods[b.TypeName()][name]; ok {
+		if decl, ok := tw.methods[b.TypeName()][name]; ok {
 			_, recvName := recvInfo(decl)
 			return &Closure{
+				tw:     tw,
 				Name:   b.TypeName() + "." + name,
 				Params: paramNames(decl.Type),
 				Body:   decl.Body,
-				Env:    it.globals,
+				Env:    tw.globals,
 				Recv:   b,
 				RecvN:  recvName,
 			}, nil
 		}
-		return nil, it.throw("AttributeError", "'"+b.TypeName()+"' object has no attribute '"+name+"'")
+		return nil, tw.throw("AttributeError", "'"+b.TypeName()+"' object has no attribute '"+name+"'")
 	case *Exc:
 		switch name {
 		case "Type":
@@ -652,17 +713,17 @@ func (it *Interp) evalSelector(x *ast.SelectorExpr, sc *Scope) (Value, error) {
 		case "Msg":
 			return b.Msg, nil
 		}
-		return nil, it.throw("AttributeError", "exception has no attribute '"+name+"'")
+		return nil, tw.throw("AttributeError", "exception has no attribute '"+name+"'")
 	case nil:
 		// The Python "AttributeError: 'NoneType' object has no attribute"
 		// analog — the key failure mode of wrong-input injections (§V-B).
-		return nil, it.throw("AttributeError", "nil object has no attribute '"+name+"'")
+		return nil, tw.throw("AttributeError", "nil object has no attribute '"+name+"'")
 	default:
-		return nil, it.throw("AttributeError", "'"+TypeName(base)+"' object has no attribute '"+name+"'")
+		return nil, tw.throw("AttributeError", "'"+TypeName(base)+"' object has no attribute '"+name+"'")
 	}
 }
 
-func (it *Interp) evalCall(x *ast.CallExpr, sc *Scope) (Value, error) {
+func (tw *TreeWalk) evalCall(x *ast.CallExpr, sc *Scope) (Value, error) {
 	// Language-level special forms.
 	if id, ok := x.Fun.(*ast.Ident); ok {
 		switch id.Name {
@@ -670,53 +731,39 @@ func (it *Interp) evalCall(x *ast.CallExpr, sc *Scope) (Value, error) {
 			if len(x.Args) != 1 {
 				return nil, fmt.Errorf("interp: panic takes one argument")
 			}
-			v, err := it.evalExpr(x.Args[0], sc)
+			v, err := tw.evalExpr(x.Args[0], sc)
 			if err != nil {
 				return nil, err
 			}
-			return nil, &PanicError{Val: v, Stack: it.stackNames()}
+			return nil, &PanicError{Val: v, Stack: tw.stackNames()}
 		case "recover":
-			return it.evalRecover(), nil
+			return tw.evalRecover(), nil
 		case "make":
-			return it.evalMake(x)
+			return tw.evalMake(x)
 		case "new":
 			if len(x.Args) == 1 {
 				if tid, ok := x.Args[0].(*ast.Ident); ok {
-					return it.rootShape(tid.Name).alloc(), nil
+					return tw.rootShape(tid.Name).alloc(), nil
 				}
 			}
 			return nil, fmt.Errorf("interp: unsupported new() form")
 		}
 	}
-	fn, err := it.evalExpr(x.Fun, sc)
+	fn, err := tw.evalExpr(x.Fun, sc)
 	if err != nil {
 		return nil, err
 	}
 	args := make([]Value, len(x.Args))
 	for i, a := range x.Args {
-		args[i], err = it.evalExpr(a, sc)
+		args[i], err = tw.evalExpr(a, sc)
 		if err != nil {
 			return nil, err
 		}
 	}
-	return it.call(fn, args)
+	return tw.call(fn, args)
 }
 
-func (it *Interp) evalRecover() Value {
-	// recover() is valid when called (directly or transitively) from a
-	// deferred function: the frame below the deferred call chain holds
-	// the in-flight panic.
-	for i := len(it.frames) - 2; i >= 0; i-- {
-		if it.frames[i].panicking != nil {
-			v := it.frames[i].panicking.Val
-			it.frames[i].panicking = nil
-			return v
-		}
-	}
-	return nil
-}
-
-func (it *Interp) evalMake(x *ast.CallExpr) (Value, error) {
+func (tw *TreeWalk) evalMake(x *ast.CallExpr) (Value, error) {
 	if len(x.Args) == 0 {
 		return nil, fmt.Errorf("interp: make requires a type argument")
 	}
@@ -730,169 +777,49 @@ func (it *Interp) evalMake(x *ast.CallExpr) (Value, error) {
 	}
 }
 
-func (it *Interp) evalBinary(x *ast.BinaryExpr, sc *Scope) (Value, error) {
+func (tw *TreeWalk) evalBinary(x *ast.BinaryExpr, sc *Scope) (Value, error) {
 	// Short-circuit logicals.
 	switch x.Op {
 	case token.LAND:
-		l, err := it.evalExpr(x.X, sc)
+		l, err := tw.evalExpr(x.X, sc)
 		if err != nil {
 			return nil, err
 		}
 		if !Truthy(l) {
 			return false, nil
 		}
-		r, err := it.evalExpr(x.Y, sc)
+		r, err := tw.evalExpr(x.Y, sc)
 		if err != nil {
 			return nil, err
 		}
 		return Truthy(r), nil
 	case token.LOR:
-		l, err := it.evalExpr(x.X, sc)
+		l, err := tw.evalExpr(x.X, sc)
 		if err != nil {
 			return nil, err
 		}
 		if Truthy(l) {
 			return true, nil
 		}
-		r, err := it.evalExpr(x.Y, sc)
+		r, err := tw.evalExpr(x.Y, sc)
 		if err != nil {
 			return nil, err
 		}
 		return Truthy(r), nil
 	}
-	l, err := it.evalExpr(x.X, sc)
+	l, err := tw.evalExpr(x.X, sc)
 	if err != nil {
 		return nil, err
 	}
-	r, err := it.evalExpr(x.Y, sc)
+	r, err := tw.evalExpr(x.Y, sc)
 	if err != nil {
 		return nil, err
 	}
-	return it.binop(x.Op, l, r)
+	return tw.binop(x.Op, l, r)
 }
 
-func (it *Interp) binop(op token.Token, l, r Value) (Value, error) {
-	switch op {
-	case token.EQL:
-		return Equal(l, r), nil
-	case token.NEQ:
-		return !Equal(l, r), nil
-	}
-
-	switch lv := l.(type) {
-	case int64:
-		switch rv := r.(type) {
-		case int64:
-			return intOp(it, op, lv, rv)
-		case float64:
-			return floatOp(it, op, float64(lv), rv)
-		}
-	case float64:
-		switch rv := r.(type) {
-		case int64:
-			return floatOp(it, op, lv, float64(rv))
-		case float64:
-			return floatOp(it, op, lv, rv)
-		}
-	case string:
-		if rv, ok := r.(string); ok {
-			return stringOp(it, op, lv, rv)
-		}
-	case *List:
-		if rv, ok := r.(*List); ok && op == token.ADD {
-			out := NewList()
-			out.Elems = append(out.Elems, lv.Elems...)
-			out.Elems = append(out.Elems, rv.Elems...)
-			return out, nil
-		}
-	}
-	return nil, it.throw("TypeError", fmt.Sprintf(
-		"unsupported operand types for %s: '%s' and '%s'", op, TypeName(l), TypeName(r)))
-}
-
-func intOp(it *Interp, op token.Token, a, b int64) (Value, error) {
-	switch op {
-	case token.ADD:
-		return a + b, nil
-	case token.SUB:
-		return a - b, nil
-	case token.MUL:
-		return a * b, nil
-	case token.QUO:
-		if b == 0 {
-			return nil, it.throw("ZeroDivisionError", "integer division by zero")
-		}
-		return a / b, nil
-	case token.REM:
-		if b == 0 {
-			return nil, it.throw("ZeroDivisionError", "integer modulo by zero")
-		}
-		return a % b, nil
-	case token.LSS:
-		return a < b, nil
-	case token.LEQ:
-		return a <= b, nil
-	case token.GTR:
-		return a > b, nil
-	case token.GEQ:
-		return a >= b, nil
-	case token.AND:
-		return a & b, nil
-	case token.OR:
-		return a | b, nil
-	case token.XOR:
-		return a ^ b, nil
-	case token.SHL:
-		return a << uint(b), nil
-	case token.SHR:
-		return a >> uint(b), nil
-	}
-	return nil, fmt.Errorf("interp: unsupported int operator %s", op)
-}
-
-func floatOp(it *Interp, op token.Token, a, b float64) (Value, error) {
-	switch op {
-	case token.ADD:
-		return a + b, nil
-	case token.SUB:
-		return a - b, nil
-	case token.MUL:
-		return a * b, nil
-	case token.QUO:
-		if b == 0 {
-			return nil, it.throw("ZeroDivisionError", "float division by zero")
-		}
-		return a / b, nil
-	case token.LSS:
-		return a < b, nil
-	case token.LEQ:
-		return a <= b, nil
-	case token.GTR:
-		return a > b, nil
-	case token.GEQ:
-		return a >= b, nil
-	}
-	return nil, fmt.Errorf("interp: unsupported float operator %s", op)
-}
-
-func stringOp(it *Interp, op token.Token, a, b string) (Value, error) {
-	switch op {
-	case token.ADD:
-		return a + b, nil
-	case token.LSS:
-		return a < b, nil
-	case token.LEQ:
-		return a <= b, nil
-	case token.GTR:
-		return a > b, nil
-	case token.GEQ:
-		return a >= b, nil
-	}
-	return nil, fmt.Errorf("interp: unsupported string operator %s", op)
-}
-
-func (it *Interp) evalUnary(x *ast.UnaryExpr, sc *Scope) (Value, error) {
-	v, err := it.evalExpr(x.X, sc)
+func (tw *TreeWalk) evalUnary(x *ast.UnaryExpr, sc *Scope) (Value, error) {
+	v, err := tw.evalExpr(x.X, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -904,7 +831,7 @@ func (it *Interp) evalUnary(x *ast.UnaryExpr, sc *Scope) (Value, error) {
 		case float64:
 			return -n, nil
 		}
-		return nil, it.throw("TypeError", "bad operand type for unary -: '"+TypeName(v)+"'")
+		return nil, tw.throw("TypeError", "bad operand type for unary -: '"+TypeName(v)+"'")
 	case token.ADD:
 		return v, nil
 	case token.NOT:
@@ -917,20 +844,20 @@ func (it *Interp) evalUnary(x *ast.UnaryExpr, sc *Scope) (Value, error) {
 	}
 }
 
-func (it *Interp) evalIndex(x *ast.IndexExpr, sc *Scope) (Value, error) {
-	container, err := it.evalExpr(x.X, sc)
+func (tw *TreeWalk) evalIndex(x *ast.IndexExpr, sc *Scope) (Value, error) {
+	container, err := tw.evalExpr(x.X, sc)
 	if err != nil {
 		return nil, err
 	}
-	key, err := it.evalExpr(x.Index, sc)
+	key, err := tw.evalExpr(x.Index, sc)
 	if err != nil {
 		return nil, err
 	}
-	return indexValue(it, container, key)
+	return indexValue(tw.Interp, container, key)
 }
 
-func (it *Interp) evalSlice(x *ast.SliceExpr, sc *Scope) (Value, error) {
-	container, err := it.evalExpr(x.X, sc)
+func (tw *TreeWalk) evalSlice(x *ast.SliceExpr, sc *Scope) (Value, error) {
+	container, err := tw.evalExpr(x.X, sc)
 	if err != nil {
 		return nil, err
 	}
@@ -941,35 +868,35 @@ func (it *Interp) evalSlice(x *ast.SliceExpr, sc *Scope) (Value, error) {
 	case string:
 		length = len(c)
 	case nil:
-		return nil, it.throw("TypeError", "nil object is not subscriptable")
+		return nil, tw.throw("TypeError", "nil object is not subscriptable")
 	default:
-		return nil, it.throw("TypeError", TypeName(container)+" object is not sliceable")
+		return nil, tw.throw("TypeError", TypeName(container)+" object is not sliceable")
 	}
 	lo, hi := int64(0), int64(length)
 	if x.Low != nil {
-		v, err := it.evalExpr(x.Low, sc)
+		v, err := tw.evalExpr(x.Low, sc)
 		if err != nil {
 			return nil, err
 		}
 		n, ok := v.(int64)
 		if !ok {
-			return nil, it.throw("TypeError", "slice bound must be int")
+			return nil, tw.throw("TypeError", "slice bound must be int")
 		}
 		lo = n
 	}
 	if x.High != nil {
-		v, err := it.evalExpr(x.High, sc)
+		v, err := tw.evalExpr(x.High, sc)
 		if err != nil {
 			return nil, err
 		}
 		n, ok := v.(int64)
 		if !ok {
-			return nil, it.throw("TypeError", "slice bound must be int")
+			return nil, tw.throw("TypeError", "slice bound must be int")
 		}
 		hi = n
 	}
 	if lo < 0 || hi > int64(length) || lo > hi {
-		return nil, it.throw("IndexError", "slice bounds out of range")
+		return nil, tw.throw("IndexError", "slice bounds out of range")
 	}
 	switch c := container.(type) {
 	case *List:
@@ -980,10 +907,10 @@ func (it *Interp) evalSlice(x *ast.SliceExpr, sc *Scope) (Value, error) {
 	return nil, nil
 }
 
-func (it *Interp) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
+func (tw *TreeWalk) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
 	switch t := x.Type.(type) {
 	case *ast.Ident:
-		obj := it.rootShape(t.Name).alloc()
+		obj := tw.rootShape(t.Name).alloc()
 		for _, elt := range x.Elts {
 			kv, ok := elt.(*ast.KeyValueExpr)
 			if !ok {
@@ -993,7 +920,7 @@ func (it *Interp) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
 			if !ok {
 				return nil, fmt.Errorf("interp: struct literal keys must be identifiers")
 			}
-			v, err := it.evalExpr(kv.Value, sc)
+			v, err := tw.evalExpr(kv.Value, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -1007,14 +934,14 @@ func (it *Interp) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
 			if !ok {
 				return nil, fmt.Errorf("interp: map literals require key: value elements")
 			}
-			k, err := it.evalExpr(kv.Key, sc)
+			k, err := tw.evalExpr(kv.Key, sc)
 			if err != nil {
 				return nil, err
 			}
 			if !hashable(k) {
-				return nil, it.throw("TypeError", "unhashable map key type "+TypeName(k))
+				return nil, tw.throw("TypeError", "unhashable map key type "+TypeName(k))
 			}
-			v, err := it.evalExpr(kv.Value, sc)
+			v, err := tw.evalExpr(kv.Value, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -1024,7 +951,7 @@ func (it *Interp) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
 	case *ast.ArrayType:
 		l := NewList()
 		for _, elt := range x.Elts {
-			v, err := it.evalExpr(elt, sc)
+			v, err := tw.evalExpr(elt, sc)
 			if err != nil {
 				return nil, err
 			}
@@ -1034,41 +961,4 @@ func (it *Interp) evalComposite(x *ast.CompositeLit, sc *Scope) (Value, error) {
 	default:
 		return nil, fmt.Errorf("interp: unsupported composite literal type %T", x.Type)
 	}
-}
-
-// FormatValue renders a value using a printf-like verb subset; exposed for
-// the fmt host module.
-func FormatValue(format string, args []Value) string {
-	var sb strings.Builder
-	argi := 0
-	for i := 0; i < len(format); i++ {
-		c := format[i]
-		if c != '%' || i+1 >= len(format) {
-			sb.WriteByte(c)
-			continue
-		}
-		i++
-		verb := format[i]
-		if verb == '%' {
-			sb.WriteByte('%')
-			continue
-		}
-		var arg Value
-		if argi < len(args) {
-			arg = args[argi]
-			argi++
-		}
-		switch verb {
-		case 'd', 's', 'v', 'q', 'f', 't':
-			if verb == 'q' {
-				sb.WriteString(strconv.Quote(Repr(arg)))
-			} else {
-				sb.WriteString(Repr(arg))
-			}
-		default:
-			sb.WriteByte('%')
-			sb.WriteByte(verb)
-		}
-	}
-	return sb.String()
 }

@@ -1,9 +1,10 @@
 // Package interp implements the execution substrate that plays the role
-// of the Python runtime in the original ProFIPy: a small AST interpreter
-// for a dynamically-typed, Go-syntax target language ("minigo").
+// of the Python runtime in the original ProFIPy: an interpreter for a
+// dynamically-typed, Go-syntax target language ("minigo").
 //
-// Mutated target sources are parsed with go/parser and executed directly.
-// The interpreter provides Python-analog dynamic semantics — panics as
+// Target sources are parsed with go/parser and compiled once into Go
+// closures (CompileProgram), which every run executes (NewRun). The
+// interpreter provides Python-analog dynamic semantics — panics as
 // exceptions with defer/recover handlers, nil-attribute errors, type
 // errors at run time — plus a virtual clock and step budget so injected
 // hangs and CPU hogs are deterministic and fast to simulate.
@@ -11,7 +12,6 @@ package interp
 
 import (
 	"fmt"
-	"go/ast"
 	"slices"
 	"sort"
 	"strconv"
@@ -20,7 +20,7 @@ import (
 )
 
 // Value is a runtime value: nil, bool, int64, float64, string, *List,
-// *Map, *Object, *Closure, *HostFunc, *Tuple or *Exc.
+// *Map, *Object, a function, *HostFunc, *Module, *Tuple or *Exc.
 type Value any
 
 // List is a mutable sequence (the analog of a Python list / Go slice).
@@ -309,16 +309,6 @@ func (o *Object) Set(name string, v Value) {
 	o.slots = append(o.slots, v)
 }
 
-// Closure is a user-defined function or method bound to its environment.
-type Closure struct {
-	Name   string
-	Params []string
-	Body   *ast.BlockStmt
-	Env    *Scope
-	Recv   Value  // bound receiver for methods, nil otherwise
-	RecvN  string // receiver parameter name
-}
-
 // HostFunc is a function implemented by the embedding environment
 // (standard modules, fault hooks, the kvstore transport, ...). args is
 // a window of the interpreter's argument stack, valid until Fn returns:
@@ -496,10 +486,10 @@ func repr(v Value, path []Value) string {
 		return "map[" + strings.Join(parts, " ") + "]"
 	case *Object:
 		return "<" + x.TypeName() + ">"
-	case *Closure:
-		return "<func " + x.Name + ">"
 	case *compiledClosure:
 		return "<func " + x.fn.name + ">"
+	case callable:
+		return "<func " + x.funcName() + ">"
 	case *HostFunc:
 		return "<hostfunc " + x.Name + ">"
 	case *Module:
@@ -537,7 +527,7 @@ func TypeName(v Value) string {
 		return "map"
 	case *Object:
 		return x.TypeName()
-	case *Closure, *HostFunc, *compiledClosure:
+	case *HostFunc, *compiledClosure, callable:
 		return "func"
 	case *Tuple:
 		return "tuple"
@@ -548,57 +538,4 @@ func TypeName(v Value) string {
 	default:
 		return fmt.Sprintf("%T", v)
 	}
-}
-
-// Scope is a lexical scope chain for variables. Function-body scopes are
-// marked as funcRoot: plain assignment to an undeclared name defines it at
-// the function root (Python-style), which is what makes the paper's
-// "UnboundLocalError: local variable referenced before assignment" failure
-// mode reproducible (§V-C).
-type Scope struct {
-	vars     map[string]Value
-	parent   *Scope
-	funcRoot bool
-}
-
-// NewScope returns a scope with the given parent (nil for globals).
-func NewScope(parent *Scope) *Scope {
-	return &Scope{vars: make(map[string]Value), parent: parent}
-}
-
-// Lookup finds a variable, walking the parent chain.
-func (s *Scope) Lookup(name string) (Value, bool) {
-	for sc := s; sc != nil; sc = sc.parent {
-		if v, ok := sc.vars[name]; ok {
-			return v, true
-		}
-	}
-	return nil, false
-}
-
-// Define binds a name in this scope.
-func (s *Scope) Define(name string, v Value) { s.vars[name] = v }
-
-// DefineAtFuncRoot binds a name at the nearest enclosing function-root
-// scope (or locally when there is none).
-func (s *Scope) DefineAtFuncRoot(name string, v Value) {
-	for sc := s; sc != nil; sc = sc.parent {
-		if sc.funcRoot {
-			sc.vars[name] = v
-			return
-		}
-	}
-	s.vars[name] = v
-}
-
-// Assign updates an existing binding, searching the parent chain; it
-// reports whether the name was found.
-func (s *Scope) Assign(name string, v Value) bool {
-	for sc := s; sc != nil; sc = sc.parent {
-		if _, ok := sc.vars[name]; ok {
-			sc.vars[name] = v
-			return true
-		}
-	}
-	return false
 }

@@ -9,22 +9,41 @@ import (
 	"profipy/internal/sandbox"
 )
 
-func newEnv(t *testing.T) (*sandbox.Container, *interp.Interp) {
+// newEnv boots the client sources, plus the driver source when one is
+// given, in a fresh container.
+func newEnv(t *testing.T, driver ...string) (*sandbox.Container, *interp.Interp) {
 	t.Helper()
 	rt := sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: 2, Seed: 7})
 	c := rt.Create(sandbox.Image{Name: "kv", Files: Sources()})
-	it := interp.New(interp.Config{DeadlineNS: WorkloadTimeoutNS})
-	InstallEnv(it, c)
+	return c, boot(t, c, driver...)
+}
+
+// boot compiles the container's client sources and the driver source
+// into one program and runs its declarations with the environment
+// installed.
+func boot(t *testing.T, c *sandbox.Container, driver ...string) *interp.Interp {
+	t.Helper()
+	var units []interp.SourceUnit
 	for _, f := range []string{FileClient, FileLock, FileAuth, FileWorkload} {
 		src, err := c.FS.Read(f)
 		if err != nil {
 			t.Fatalf("read %s: %v", f, err)
 		}
-		if err := it.LoadSource(f, src); err != nil {
-			t.Fatalf("load %s: %v", f, err)
-		}
+		units = append(units, interp.SourceUnit{Name: f, Src: src})
 	}
-	return c, it
+	for _, src := range driver {
+		units = append(units, interp.SourceUnit{Name: "driver.go", Src: []byte(src)})
+	}
+	prog, err := interp.CompileProgram(units)
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := interp.NewRun(prog, interp.Config{DeadlineNS: WorkloadTimeoutNS})
+	InstallEnv(it, c)
+	if err := it.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	return it
 }
 
 func TestFaultFreeWorkloadSucceeds(t *testing.T) {
@@ -39,7 +58,18 @@ func TestFaultFreeWorkloadSucceeds(t *testing.T) {
 }
 
 func TestClientBasicOperations(t *testing.T) {
-	c, it := newEnv(t)
+	// Exercise the client through interpreted method dispatch.
+	c, it := newEnv(t, `package driver
+
+func Drive(c any) any {
+	c.Set("/x", "1")
+	r := c.Get("/x")
+	if r.Node.Value != "1" {
+		throw("TestFailed", "read-back mismatch")
+	}
+	c.Delete("/x")
+	return "done"
+}`)
 	srv := mustServer(t, c)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -56,21 +86,6 @@ func TestClientBasicOperations(t *testing.T) {
 		t.Fatal("client did not connect")
 	}
 
-	// Exercise the client through interpreted method dispatch.
-	src := `package driver
-
-func Drive(c any) any {
-	c.Set("/x", "1")
-	r := c.Get("/x")
-	if r.Node.Value != "1" {
-		throw("TestFailed", "read-back mismatch")
-	}
-	c.Delete("/x")
-	return "done"
-}`
-	if err := it.LoadSource("driver.go", []byte(src)); err != nil {
-		t.Fatalf("load driver: %v", err)
-	}
 	out, err := it.Call("Drive", cl)
 	if err != nil {
 		t.Fatalf("Drive: %v", err)
@@ -131,7 +146,11 @@ func TestCampaignPointCounts(t *testing.T) {
 }
 
 func TestNilKeyRaisesAttributeError(t *testing.T) {
-	c, it := newEnv(t)
+	c, it := newEnv(t, `package driver
+
+func DriveNil(c any) any {
+	return c.Get(nil)
+}`)
 	srv := mustServer(t, c)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -139,14 +158,6 @@ func TestNilKeyRaisesAttributeError(t *testing.T) {
 	cl, err := it.Call("NewClient", "http://127.0.0.1:2379", int64(3))
 	if err != nil {
 		t.Fatalf("NewClient: %v", err)
-	}
-	src := `package driver
-
-func DriveNil(c any) any {
-	return c.Get(nil)
-}`
-	if err := it.LoadSource("driver2.go", []byte(src)); err != nil {
-		t.Fatal(err)
 	}
 	_, err = it.Call("DriveNil", cl)
 	if err == nil || !strings.Contains(err.Error(), "AttributeError") {
@@ -158,18 +169,11 @@ func TestTracingRecordsSpans(t *testing.T) {
 	rt := sandbox.NewRuntime(sandbox.RuntimeConfig{Cores: 2, Seed: 9})
 	c := rt.Create(sandbox.Image{Name: "kv", Files: Sources()})
 	rec := EnableTracing(c)
-	it := interp.New(interp.Config{DeadlineNS: WorkloadTimeoutNS})
-	InstallEnv(it, c)
-	for _, f := range []string{FileClient, FileLock, FileAuth, FileWorkload} {
-		src, _ := c.FS.Read(f)
-		if err := it.LoadSource(f, src); err != nil {
-			t.Fatal(err)
-		}
-	}
+	it := boot(t, c)
 	if _, err := it.Call("Workload"); err != nil {
 		t.Fatalf("Workload: %v", err)
 	}
-	if rec.Len() == 0 {
+	if len(rec.Spans()) == 0 {
 		t.Fatal("no spans recorded")
 	}
 	spans := rec.Spans()
@@ -181,21 +185,17 @@ func TestTracingRecordsSpans(t *testing.T) {
 }
 
 func TestCorruptedValueRejectedByServer(t *testing.T) {
-	c, it := newEnv(t)
+	c, it := newEnv(t, `package driver
+
+func DriveBad(c any) any {
+	return c.Set("/k\xff", "v")
+}`)
 	srv := mustServer(t, c)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
 	cl, err := it.Call("NewClient", "http://127.0.0.1:2379", int64(3))
 	if err != nil {
-		t.Fatal(err)
-	}
-	src := `package driver
-
-func DriveBad(c any) any {
-	return c.Set("/k\xff", "v")
-}`
-	if err := it.LoadSource("driver3.go", []byte(src)); err != nil {
 		t.Fatal(err)
 	}
 	_, err = it.Call("DriveBad", cl)

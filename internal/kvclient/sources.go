@@ -569,32 +569,3 @@ func Sources() map[string][]byte {
 		FileWorkload: []byte(WorkloadSource),
 	}
 }
-
-// ClientFiles returns just the client library files (campaign A's scan
-// target).
-func ClientFiles() map[string][]byte {
-	return map[string][]byte{
-		FileClient: []byte(ClientSource),
-		FileLock:   []byte(LockSource),
-		FileAuth:   []byte(AuthSource),
-	}
-}
-
-// WorkloadFiles returns just the workload file (campaign B/C's scan
-// target).
-func WorkloadFiles() map[string][]byte {
-	return map[string][]byte{
-		FileWorkload: []byte(WorkloadSource),
-	}
-}
-
-// Components maps component names (for the failure-propagation analysis)
-// to their source files.
-func Components() map[string][]string {
-	return map[string][]string{
-		"client":   {FileClient},
-		"lock":     {FileLock},
-		"auth":     {FileAuth},
-		"workload": {FileWorkload},
-	}
-}

@@ -113,12 +113,6 @@ func (s *Server) Stop(clean bool) {
 // Running reports whether the server is serving requests.
 func (s *Server) Running() bool { return s.running }
 
-// Bound reports whether the TCP port is held.
-func (s *Server) Bound() bool { return s.bound }
-
-// Inconsistent reports whether the member state was corrupted.
-func (s *Server) Inconsistent() bool { return s.inconsistent }
-
 // RegisterMember adds a cluster member. Registering a member that already
 // exists corrupts the cluster state permanently (until the container is
 // torn down), reproducing the paper's bootstrap failure mode.

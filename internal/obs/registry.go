@@ -49,12 +49,6 @@ func NewRegistry() *Registry {
 	return &Registry{fams: make(map[string]*family)}
 }
 
-var defaultReg = NewRegistry()
-
-// Default returns the process-wide registry, for layers that are not
-// handed an explicit one.
-func Default() *Registry { return defaultReg }
-
 // family is one named metric family: a type, a label schema, and a set
 // of children keyed by their label values.
 type family struct {
@@ -185,9 +179,6 @@ type Gauge struct {
 
 func (g *Gauge) labelValues() []string { return g.values }
 
-// Set stores v.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
 // Add increases (or with negative v decreases) the gauge.
 func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
 
@@ -253,15 +244,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveSince records the seconds elapsed since start.
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 {
-	n := h.inf.Load()
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n
-}
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }

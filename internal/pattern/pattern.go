@@ -10,7 +10,6 @@
 package pattern
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"sort"
@@ -251,13 +250,4 @@ type Match struct {
 	N         int    // statements consumed by the pattern
 	Pos       token.Position
 	Bindings  Bindings
-}
-
-// ID returns a stable identifier for the match within its file.
-func (m *Match) ID() string {
-	parts := make([]string, 0, len(m.BlockPath)+2)
-	for _, p := range m.BlockPath {
-		parts = append(parts, strconv.Itoa(p))
-	}
-	return fmt.Sprintf("%s:%s:%s@%d+%d", m.File, m.FuncName, strings.Join(parts, "."), m.Start, m.N)
 }

@@ -6,14 +6,11 @@ package plan
 
 import (
 	"encoding/json"
-	"fmt"
 	"math/rand"
 	"sort"
 	"strconv"
 
 	"profipy/internal/faultmodel"
-	"profipy/internal/pattern"
-	"profipy/internal/runtimefault"
 	"profipy/internal/scanner"
 )
 
@@ -76,41 +73,6 @@ func (p *Plan) TypeOf(pt scanner.InjectionPoint) string {
 	return pt.Spec
 }
 
-// FilterFile keeps only points in files matching the glob (per-component
-// selection).
-func (p *Plan) FilterFile(glob string) *Plan {
-	out := New(p.Specs, nil)
-	for _, pt := range p.Points {
-		if pattern.GlobAny(glob, pt.File) {
-			out.Points = append(out.Points, pt)
-		}
-	}
-	return out
-}
-
-// FilterType keeps only points whose fault type matches the glob.
-func (p *Plan) FilterType(glob string) *Plan {
-	out := New(p.Specs, nil)
-	for _, pt := range p.Points {
-		if pattern.GlobAny(glob, p.TypeOf(pt)) {
-			out.Points = append(out.Points, pt)
-		}
-	}
-	return out
-}
-
-// Keep retains only points whose ID is in the given set (the reduced
-// plan produced by coverage analysis).
-func (p *Plan) Keep(ids map[string]bool) *Plan {
-	out := New(p.Specs, nil)
-	for _, pt := range p.Points {
-		if ids[pt.ID()] {
-			out.Points = append(out.Points, pt)
-		}
-	}
-	return out
-}
-
 // Sample selects up to n random points (deterministic for a fixed seed),
 // enforcing a bound on the number of experiments.
 func (p *Plan) Sample(n int, seed int64) *Plan {
@@ -129,30 +91,11 @@ func (p *Plan) Sample(n int, seed int64) *Plan {
 	return out
 }
 
-// RuntimeFaults compiles the plan's runtime trigger/action specs into
-// injector faults keyed by spec name; compile-time specs are skipped.
-// An empty map means the plan is purely compile-time mutation. (The
-// campaign engine partitions its faultload directly via
-// faultmodel.CompileSplit; this is the introspection form for plan
-// consumers.)
-func (p *Plan) RuntimeFaults() (map[string]*runtimefault.Fault, error) {
-	return faultmodel.CompileRuntime(p.Specs)
-}
-
 // CountByType returns experiments per fault type.
 func (p *Plan) CountByType() map[string]int {
 	out := make(map[string]int)
 	for _, pt := range p.Points {
 		out[p.TypeOf(pt)]++
-	}
-	return out
-}
-
-// CountByFile returns experiments per target file.
-func (p *Plan) CountByFile() map[string]int {
-	out := make(map[string]int)
-	for _, pt := range p.Points {
-		out[pt.File]++
 	}
 	return out
 }
@@ -214,16 +157,6 @@ func appendString(b []byte, s string) []byte {
 		}
 	}
 	return append(append(append(b, '"'), s...), '"')
-}
-
-// Load parses a plan from JSON.
-func Load(data []byte) (*Plan, error) {
-	var p Plan
-	if err := json.Unmarshal(data, &p); err != nil {
-		return nil, fmt.Errorf("plan: parse: %w", err)
-	}
-	p.indexSpecs()
-	return &p, nil
 }
 
 // Build scans a project with a faultload and returns the full plan. The

@@ -81,19 +81,20 @@ change {
 
 // TestRuntimeSpecsEnumerated asserts that runtime trigger/action specs
 // produce injection points through the same scan as compile-time ones,
-// and that RuntimeFaults identifies them.
+// and that faultmodel.CompileSplit identifies them among the plan's
+// specs.
 func TestRuntimeSpecsEnumerated(t *testing.T) {
 	p := buildMixedPlan(t)
 	byType := p.CountByType()
 	if byType["MFC"] != 2 || byType["RuntimeFlaky"] != 2 {
 		t.Fatalf("byType = %v, want 2 MFC + 2 RuntimeFlaky", byType)
 	}
-	rt, err := p.RuntimeFaults()
+	_, rt, err := faultmodel.CompileSplit(p.Specs)
 	if err != nil {
-		t.Fatalf("RuntimeFaults: %v", err)
+		t.Fatalf("CompileSplit: %v", err)
 	}
 	if len(rt) != 1 || rt["rt-flaky"] == nil {
-		t.Fatalf("RuntimeFaults = %v, want rt-flaky only", rt)
+		t.Fatalf("CompileSplit = %v, want rt-flaky only", rt)
 	}
 	if rt["rt-flaky"].Do.ExcType != "E" {
 		t.Fatalf("runtime fault action = %+v", rt["rt-flaky"].Do)
@@ -121,9 +122,9 @@ func TestRuntimePlanSurvivesSaveLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rt, err := p2.RuntimeFaults()
+	_, rt, err := faultmodel.CompileSplit(p2.Specs)
 	if err != nil {
-		t.Fatalf("RuntimeFaults after round-trip: %v", err)
+		t.Fatalf("CompileSplit after round-trip: %v", err)
 	}
 	if len(rt) != 1 {
 		t.Fatalf("runtime specs lost in round-trip: %v", rt)

@@ -222,17 +222,11 @@ func (e *Engine) fires(af *armedFault) bool {
 	}
 }
 
-// CorruptValue produces the corrupted variant of a value under the
-// given corruption mode, drawing choices from rng. nil values stay nil
-// under every mode except null (which they already are); values the
-// mode cannot perturb are returned unchanged.
-func CorruptValue(rng *rand.Rand, mode string, v interp.Value) interp.Value {
-	out, _ := corruptValue(rng, mode, v)
-	return out
-}
-
-// corruptValue is CorruptValue plus a flag reporting whether the value
-// actually changed, which the engine uses to keep fire counts honest.
+// corruptValue produces the corrupted variant of a value under the given
+// corruption mode, drawing choices from rng, and reports whether the
+// value actually changed, which the engine uses to keep fire counts
+// honest. nil values stay nil under every mode except null (which they
+// already are); values the mode cannot perturb are returned unchanged.
 // Corrupted aggregates are copies — the callee's own references are
 // never mutated. Objects and tuples pass through unchanged: their
 // reference identity is observable, so a corrupted replica would

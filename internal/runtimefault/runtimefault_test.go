@@ -138,10 +138,7 @@ func Probe(n int) any {
 	}
 	return out
 }`
-	it := interp.New(interp.Config{Hook: eng, MaxSteps: 200_000})
-	if err := it.LoadSource("t.go", []byte(src)); err != nil {
-		t.Fatal(err)
-	}
+	it := bootHooked(t, eng, src)
 	v, err := it.Call("Probe", int64(n))
 	if err != nil {
 		t.Fatalf("Probe: %v", err)
@@ -277,10 +274,7 @@ func TestEngineDelayAdvancesClock(t *testing.T) {
 		When: Trigger{Mode: TriggerAlways},
 		Do:   Action{Kind: ActionDelay, DelayNS: 1_000_000_000},
 	}}, 1)
-	it := interp.New(interp.Config{Hook: eng, MaxSteps: 200_000})
-	if err := it.LoadSource("t.go", []byte("package main\nfunc hooked() any { return 1 }\nfunc F() any { return hooked() + hooked() }")); err != nil {
-		t.Fatal(err)
-	}
+	it := bootHooked(t, eng, "package main\nfunc hooked() any { return 1 }\nfunc F() any { return hooked() + hooked() }")
 	if _, err := it.Call("F"); err != nil {
 		t.Fatal(err)
 	}
@@ -371,10 +365,7 @@ func TestCorruptFiresOnlyWhenChanged(t *testing.T) {
 			When: Trigger{Mode: TriggerAlways},
 			Do:   Action{Kind: ActionCorrupt, Corruption: corruption},
 		}}, 1)
-		it := interp.New(interp.Config{Hook: eng, MaxSteps: 200_000})
-		if err := it.LoadSource("t.go", []byte("package main\n"+src)); err != nil {
-			t.Fatal(err)
-		}
+		it := bootHooked(t, eng, "package main\n"+src)
 		if _, err := it.Call(entry); err != nil {
 			t.Fatal(err)
 		}
@@ -403,11 +394,8 @@ func TestEngineSiteGlobAndReportOrder(t *testing.T) {
 		{Name: "a", Site: "nomatch", When: Trigger{Mode: TriggerAlways}, Do: Action{Kind: ActionDelay, DelayNS: 1}},
 	}
 	eng := mustEngine(t, faults, 1)
-	it := interp.New(interp.Config{Hook: eng, MaxSteps: 200_000})
 	src := "package main\nfunc GetA() any { return 1 }\nfunc GetB() any { return 2 }\nfunc Other() any { return 3 }\nfunc F() any { return GetA() + GetB() + Other() }"
-	if err := it.LoadSource("t.go", []byte(src)); err != nil {
-		t.Fatal(err)
-	}
+	it := bootHooked(t, eng, src)
 	if _, err := it.Call("F"); err != nil {
 		t.Fatal(err)
 	}
@@ -425,4 +413,19 @@ func TestEngineSiteGlobAndReportOrder(t *testing.T) {
 	if rep[1].Activations != 0 {
 		t.Errorf("nomatch activations = %d, want 0", rep[1].Activations)
 	}
+}
+
+// bootHooked compiles src into a fresh interpreter hooked by eng and
+// runs its declarations.
+func bootHooked(t *testing.T, eng *Engine, src string) *interp.Interp {
+	t.Helper()
+	prog, err := interp.CompileProgram([]interp.SourceUnit{{Name: "t.go", Src: []byte(src)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := interp.NewRun(prog, interp.Config{Hook: eng, MaxSteps: 200_000})
+	if err := it.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	return it
 }

@@ -9,7 +9,6 @@ package sandbox
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -64,18 +63,6 @@ func (f *FS) Remove(path string) error {
 	return nil
 }
 
-// List returns all paths in sorted order.
-func (f *FS) List() []string {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	out := make([]string, 0, len(f.files))
-	for p := range f.files {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Len returns the number of files.
 func (f *FS) Len() int {
 	f.mu.Lock()
@@ -109,15 +96,4 @@ func (f *FS) restore(files map[string][]byte) {
 	for p, d := range files {
 		f.files[p] = append([]byte(nil), d...)
 	}
-}
-
-// Clone returns a deep copy (image -> container copy-on-create).
-func (f *FS) Clone() *FS {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	nf := NewFS()
-	for p, d := range f.files {
-		nf.files[p] = append([]byte(nil), d...)
-	}
-	return nf
 }

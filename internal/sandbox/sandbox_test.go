@@ -142,8 +142,6 @@ func TestRunBatchBoundsParallelism(t *testing.T) {
 func TestTriggerSharedMemory(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Cores: 2})
 	c := rt.Create(Image{Name: "kv"})
-	it := interp.New(interp.Config{})
-	InstallHooks(it, c)
 	src := `package main
 func F() any {
 	if __fault_enabled() {
@@ -151,9 +149,7 @@ func F() any {
 	}
 	return "clean"
 }`
-	if err := it.LoadSource("t.go", []byte(src)); err != nil {
-		t.Fatalf("LoadSource: %v", err)
-	}
+	it := bootHooked(t, c, src)
 	c.SetTrigger(true)
 	if got, _ := it.Call("F"); got != "faulty" {
 		t.Fatalf("round 1 = %v, want faulty", got)
@@ -167,16 +163,12 @@ func F() any {
 func TestHogAdvancesClockAndContention(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Cores: 2})
 	c := rt.Create(Image{Name: "kv"})
-	it := interp.New(interp.Config{})
-	InstallHooks(it, c)
 	src := `package main
 func F() any {
 	__hog("cpu", 2)
 	return nil
 }`
-	if err := it.LoadSource("t.go", []byte(src)); err != nil {
-		t.Fatal(err)
-	}
+	it := bootHooked(t, c, src)
 	before := it.Clock()
 	if _, err := it.Call("F"); err != nil {
 		t.Fatal(err)
@@ -192,16 +184,12 @@ func F() any {
 func TestComponentLogs(t *testing.T) {
 	rt := NewRuntime(RuntimeConfig{Cores: 2})
 	c := rt.Create(Image{Name: "kv"})
-	it := interp.New(interp.Config{})
-	InstallHooks(it, c)
 	src := `package main
 func F() any {
 	__log("client", "ERROR something broke")
 	return nil
 }`
-	if err := it.LoadSource("t.go", []byte(src)); err != nil {
-		t.Fatal(err)
-	}
+	it := bootHooked(t, c, src)
 	if _, err := it.Call("F"); err != nil {
 		t.Fatal(err)
 	}
@@ -256,4 +244,20 @@ func TestContainerSeedsDiffer(t *testing.T) {
 	if c1.ID == c2.ID {
 		t.Fatal("containers must have distinct IDs")
 	}
+}
+
+// bootHooked compiles src into a fresh interpreter with c's hooks
+// installed and its declarations run.
+func bootHooked(t *testing.T, c *Container, src string) *interp.Interp {
+	t.Helper()
+	prog, err := interp.CompileProgram([]interp.SourceUnit{{Name: "t.go", Src: []byte(src)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	it := interp.NewRun(prog, interp.Config{})
+	InstallHooks(it, c)
+	if err := it.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	return it
 }

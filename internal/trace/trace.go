@@ -5,7 +5,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -20,9 +19,6 @@ type Span struct {
 	EndNS     int64  `json:"endNs"`
 	Err       string `json:"err,omitempty"`
 }
-
-// Duration returns the span length in nanoseconds.
-func (s Span) Duration() int64 { return s.EndNS - s.StartNS }
 
 // Recorder collects spans during an experiment.
 type Recorder struct {
@@ -70,18 +66,6 @@ func (r *Recorder) Merge(o *Recorder) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.spans = append(r.spans, spans...)
-}
-
-// Len returns the number of recorded spans.
-func (r *Recorder) Len() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.spans)
-}
-
-// JSON serializes the spans (a Zipkin-like trace dump).
-func (r *Recorder) JSON() ([]byte, error) {
-	return json.MarshalIndent(r.Spans(), "", "  ")
 }
 
 // Timeline renders the spans as an ASCII chart: one row per span, a bar

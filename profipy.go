@@ -21,9 +21,8 @@
 // failure propagation.
 //
 // The complete workflow is driven through Campaign; the individual phases
-// are available as Compile, Scan and Mutate for custom pipelines. See
-// examples/ for runnable end-to-end scenarios and EXPERIMENTS.md for the
-// paper-reproduction results.
+// are available as Compile, Scan and Mutate for custom pipelines. The
+// package's Examples are runnable end-to-end scenarios.
 package profipy
 
 import (

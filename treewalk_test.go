@@ -11,20 +11,21 @@ import (
 	"testing"
 )
 
-// walkProgramFiles parses every program file of the module — non-test
-// Go files outside hidden directories, testdata, the separately built
-// bench/ module and the directory own — and hands each to visit with
-// the name it imports pkgPath under ("" when it does not import it).
-func walkProgramFiles(t *testing.T, pkgPath, own string, visit func(fset *token.FileSet, f *ast.File, pkgName string)) {
+// walkProgramFiles parses every program file under root into fset —
+// non-test Go files outside hidden directories, testdata, the directory
+// own and, below the module root, the separately built bench/ module —
+// and hands each to visit with the name it imports pkgPath under (""
+// when it does not import it).
+func walkProgramFiles(t *testing.T, fset *token.FileSet, root, pkgPath, own string, visit func(fset *token.FileSet, f *ast.File, pkgName string)) {
 	t.Helper()
 	files := 0
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
 		if d.IsDir() {
 			name := d.Name()
-			if path != "." && (strings.HasPrefix(name, ".") || name == "testdata" || path == "bench" || path == own) {
+			if path != root && (strings.HasPrefix(name, ".") || name == "testdata" || path == "bench" || path == own) {
 				return filepath.SkipDir
 			}
 			return nil
@@ -32,7 +33,6 @@ func walkProgramFiles(t *testing.T, pkgPath, own string, visit func(fset *token.
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		fset := token.NewFileSet()
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
 			return err
@@ -65,7 +65,7 @@ func walkProgramFiles(t *testing.T, pkgPath, own string, visit func(fset *token.
 // reachable from the product is one refactor away from running
 // experiments again.
 func TestTreeWalkIsTestOnly(t *testing.T) {
-	walkProgramFiles(t, "profipy/internal/interp", filepath.Join("internal", "interp"), func(fset *token.FileSet, f *ast.File, pkgName string) {
+	walkProgramFiles(t, token.NewFileSet(), ".", "profipy/internal/interp", filepath.Join("internal", "interp"), func(fset *token.FileSet, f *ast.File, pkgName string) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			sel, ok := n.(*ast.SelectorExpr)
 			if !ok {
@@ -85,7 +85,7 @@ func TestTreeWalkIsTestOnly(t *testing.T) {
 // call workload.BuildPrefixes, so every Runner gets its verdicts and
 // fork prefixes from the one coverage.Run that NewRunner makes.
 func TestOnlyCoverageRunsTheBasePass(t *testing.T) {
-	walkProgramFiles(t, "profipy/internal/workload", filepath.Join("internal", "coverage"), func(fset *token.FileSet, f *ast.File, pkgName string) {
+	walkProgramFiles(t, token.NewFileSet(), ".", "profipy/internal/workload", filepath.Join("internal", "coverage"), func(fset *token.FileSet, f *ast.File, pkgName string) {
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
