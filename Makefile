@@ -35,8 +35,9 @@ cover:
 # reference; the seed corpora live under the packages' testdata/fuzz/
 # directories), the fleet's record-stream decoder (arbitrary
 # records/complete bodies against a live coordinator), the plan's
-# encoder (Save against json.MarshalIndent) and the scan's snippet memo
-# (memoized points against fresh renders).
+# encoder (Save against json.MarshalIndent), the scan's snippet memo
+# (memoized points against fresh renders) and the result store's reopen
+# (fuzzed segment, meta and journal bytes; no .bad file ever replaced).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCompile -fuzztime $(FUZZTIME) ./internal/dsl/
@@ -47,6 +48,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRecordsBody -fuzztime $(FUZZTIME) ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzSaveMatchesMarshalIndent -fuzztime $(FUZZTIME) ./internal/plan/
 	$(GO) test -run '^$$' -fuzz FuzzScanSnippets -fuzztime $(FUZZTIME) ./internal/scanner/
+	$(GO) test -run '^$$' -fuzz FuzzStoreReopen -fuzztime $(FUZZTIME) ./internal/resultstore/
 
 # Regenerate the golden campaign-record fixtures (testdata/golden/)
 # after an intentional behavior change; review the diff before commit.
@@ -62,13 +64,12 @@ loc:
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # loc's total may not exceed the budget. It is the figure the last change
-# measured: the tree-walk oracle moved into internal/interp's tests, the
-# examples became Example functions, and functions only tests called left
-# the program (TestProgramFunctionsHaveProgramCallers keeps them out),
-# which took 23 236 to 21 315. A change that needs more lines raises the
+# measured: cancellation became how execution stops (no stub records, no
+# canceled takeover, no worker kill hook) and five pass-through settings
+# became constants, which took 21 315 to 21 260. A change that needs more lines raises the
 # constant in the same diff, where code review sees it; CI runs this
 # instead of loc, so the size cannot silently grow back.
-LOC_BUDGET := 21315
+LOC_BUDGET := 21260
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \

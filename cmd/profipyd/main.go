@@ -78,7 +78,6 @@ func run(ctx context.Context, args []string) error {
 	dataDir := fs.String("data-dir", "", "persistent result store directory (empty = in-memory only)")
 	shutdownTimeout := fs.Duration("shutdown-timeout", 10*time.Second, "graceful HTTP drain deadline on SIGINT/SIGTERM")
 	leaseTTL := fs.Duration("lease-ttl", 0, "remote worker shard lease TTL before re-dispatch (0 = 15s default)")
-	heartbeat := fs.Duration("heartbeat", 0, "heartbeat cadence suggested to remote workers (0 = lease-ttl/3)")
 	reqTimeout := fs.Duration("request-timeout", 0, "per-request deadline for non-streaming API routes (0 = 30s default, negative disables)")
 	debugAddr := fs.String("debug-addr", "", "optional pprof listen address (e.g. 127.0.0.1:6060); empty disables")
 	logLevel := fs.String("log-level", "info", "log level: debug, info, warn or error")
@@ -98,7 +97,7 @@ func run(ctx context.Context, args []string) error {
 	}
 	srv, err := saas.NewServerWithOptions(saas.Options{
 		Cores: *cores, Workers: *workers, QueueDepth: *queue,
-		DataDir: *dataDir, LeaseTTL: *leaseTTL, Heartbeat: *heartbeat, RequestTimeout: *reqTimeout,
+		DataDir: *dataDir, LeaseTTL: *leaseTTL, RequestTimeout: *reqTimeout,
 	})
 	if err != nil {
 		return err

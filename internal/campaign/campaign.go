@@ -321,12 +321,6 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 			e.Skip = skip
 		}
 	}
-	experiment := func(i int) analysis.Record {
-		if ctx.Err() != nil {
-			return analysis.Record{Point: execPoints[i], FaultType: runner.pl.TypeOf(execPoints[i])}
-		}
-		return runner.Experiment(i)
-	}
 	done := res.Replayed
 	sink := executor.SinkFunc(func(idx int, rec analysis.Record) {
 		agg.Add(rec)
@@ -337,16 +331,17 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		if collect != nil {
 			collect.Put(idx, rec)
 		}
-		// Stop forwarding to the caller's sink once canceled: the
-		// remaining records are skip stubs, not experiment outcomes, and
-		// must not pollute a durable store.
-		if c.Sink != nil && ctx.Err() == nil {
+		if c.Sink != nil {
 			c.Sink.Put(idx, rec)
 		}
 		done++
 		c.progress(PhaseExecute, done, len(execPoints))
 	})
-	if err := exec.Run(ctx, len(execPoints), experiment, sink); err != nil {
+	err = exec.Run(ctx, len(execPoints), runner.Experiment, sink)
+	if cerr := c.canceled(ctx); cerr != nil {
+		return nil, cerr
+	}
+	if err != nil {
 		return nil, fmt.Errorf("campaign %s: execute: %w", c.Name, err)
 	}
 	phaseSpan("execute", execStart)
@@ -375,9 +370,6 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	}
 	met.fork(build, forkHits, forkMisses)
 	met.mutantCompiles(runner.wcfg.Program.MutantCompiles())
-	if err := c.canceled(ctx); err != nil {
-		return nil, err
-	}
 
 	// --- Data analysis phase ---
 	// The report is already aggregated: every record was folded in as

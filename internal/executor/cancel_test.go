@@ -2,7 +2,9 @@ package executor
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,17 +16,11 @@ import (
 	"profipy/internal/scanner"
 )
 
-// cancellingExp returns a ctx-honoring Experiment that cancels the
-// context after `after` full experiments: later invocations observe the
-// cancellation and return stubs, exactly like the campaign's experiment
-// closure does.
-func cancellingExp(ctx context.Context, cancel context.CancelFunc, after int) Experiment {
-	var full atomic.Int32
+// cancellingExp returns an Experiment that cancels the context as its
+// after-th experiment starts, and counts the experiments started.
+func cancellingExp(cancel context.CancelFunc, after int, started *atomic.Int32) Experiment {
 	return func(idx int) analysis.Record {
-		if ctx.Err() != nil {
-			return analysis.Record{Point: scanner.InjectionPoint{Line: idx}, FaultType: "stub"}
-		}
-		if full.Add(1) == int32(after) {
+		if started.Add(1) == int32(after) {
 			cancel()
 		}
 		time.Sleep(time.Millisecond)
@@ -32,56 +28,72 @@ func cancellingExp(ctx context.Context, cancel context.CancelFunc, after int) Ex
 	}
 }
 
-// verifyDrain checks the cancellation contract: Run returned having
-// delivered all n records exactly once — some full, the canceled
-// remainder as stubs — with every record at its own plan index.
-func verifyDrain(t *testing.T, name string, recs []analysis.Record, n int) {
-	t.Helper()
-	fulls, stubs := 0, 0
-	for i, rec := range recs {
-		if rec.Point.Line != i {
-			t.Fatalf("%s: record %d holds index %d", name, i, rec.Point.Line)
-		}
-		switch rec.FaultType {
-		case "full":
-			fulls++
-		case "stub":
-			stubs++
-		default:
-			t.Fatalf("%s: record %d missing (%q)", name, i, rec.FaultType)
-		}
+// stopSink records deliveries and fails the test on one that comes
+// after Run returned.
+type stopSink struct {
+	t        *testing.T
+	mu       sync.Mutex
+	seen     map[int]int
+	returned bool
+}
+
+func (s *stopSink) Put(idx int, rec analysis.Record) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.returned {
+		s.t.Errorf("index %d delivered after Run returned", idx)
 	}
-	if fulls+stubs != n {
-		t.Fatalf("%s: %d full + %d stub records, want %d total", name, fulls, stubs, n)
+	if rec.Point.Line != idx || rec.FaultType != "full" {
+		s.t.Errorf("index %d delivered %+v", idx, rec)
 	}
-	if stubs == 0 {
-		t.Logf("%s: cancellation raced completion (0 stubs) — still a valid drain", name)
-	}
+	s.seen[idx]++
 }
 
 // TestCancellationDrainsCleanly cancels the context mid-run for every
-// engine and requires a complete, well-indexed record set anyway:
-// cancellation is cooperative and must never lose or duplicate an
-// index, only downgrade unexecuted experiments to stubs. A fleetless
-// Remote's one shard is already in its no_worker drain when the cancel
-// lands, so the canceled drain finds nothing left to take over.
+// engine: Run starts no further experiment, lets the running ones
+// deliver and returns context.Canceled. What arrived is fewer than n
+// records, each a full one at its own index, delivered once, and
+// nothing arrives after Run returned. A fleetless Remote runs its one
+// shard in its no_worker drain, which Run waits for.
 func TestCancellationDrainsCleanly(t *testing.T) {
-	const n = 40
-	engines := []func() Executor{
-		func() Executor { return Local{} },
-		func() Executor { return Local{Workers: 4} },
-		func() Executor { r := fleetless(2, nil); r.Reg = obs.NewRegistry(); return r },
+	const n, after = 40, 5
+	engines := []struct {
+		ex      func() Executor
+		workers int
+	}{
+		{func() Executor { return Local{} }, 1},
+		{func() Executor { return Local{Workers: 4} }, 4},
+		{func() Executor { r := fleetless(2, nil); r.Reg = obs.NewRegistry(); return r }, 2},
 	}
-	for _, mk := range engines {
-		ex := mk()
+	for _, e := range engines {
+		ex := e.ex()
 		t.Run(ex.Name(), func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			defer cancel()
-			col := NewCollect(n)
-			if err := ex.Run(ctx, n, cancellingExp(ctx, cancel, 5), col); err != nil {
-				t.Fatalf("run: %v", err)
+			var started atomic.Int32
+			sink := &stopSink{t: t, seen: map[int]int{}}
+			err := ex.Run(ctx, n, cancellingExp(cancel, after, &started), sink)
+			sink.mu.Lock()
+			sink.returned = true
+			delivered := len(sink.seen)
+			for idx, k := range sink.seen {
+				if k != 1 {
+					t.Errorf("index %d delivered %d times", idx, k)
+				}
 			}
-			verifyDrain(t, ex.Name(), col.Records(), n)
+			sink.mu.Unlock()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("Run returned %v, want context.Canceled", err)
+			}
+			if delivered >= n {
+				t.Errorf("%d records delivered after cancellation, want fewer than %d", delivered, n)
+			}
+			// Each worker may have held one experiment, or passed its
+			// check, when the cancel landed; none starts another.
+			if got := started.Load(); got > after+int32(e.workers) {
+				t.Errorf("%d experiments started, want at most %d", got, after+e.workers)
+			}
+			time.Sleep(20 * time.Millisecond) // a late Put fails in the sink
 			if r, ok := ex.(*Remote); ok {
 				if got, want := takeovers(r.Reg), map[string]float64{"no_worker": 1}; !reflect.DeepEqual(got, want) {
 					t.Errorf("takeovers = %v, want %v", got, want)
@@ -92,55 +104,69 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 }
 
 // TestRemoteCancellationRevokesLeasedShards cancels a Remote run whose
-// coordinator has a live worker that never asks for work, so every shard
-// is still pending — and no drain running — when the cancellation
-// lands: Run must revoke them all and drain the full index range as
-// stubs in-process, in one takeover counted as canceled.
+// coordinator has a live worker holding a lease it never works on, so
+// no shard is done and no drain is running when the cancellation lands:
+// Run must return at once, without taking anything over, and leave the
+// job closed — the worker's lease is fenced, nothing can be leased,
+// ingested or completed for the campaign any more.
 func TestRemoteCancellationRevokesLeasedShards(t *testing.T) {
-	const n = 24
+	const n, camp = 24, "cancel-test"
 	coord := fleet.New(fleet.Config{LeaseTTL: 10 * time.Second})
-	coord.RegisterWorker(remote.RegisterRequest{Name: "idle"})
+	w := coord.RegisterWorker(remote.RegisterRequest{Name: "idle"})
 	r := &Remote{
 		Coord:        coord,
-		CampaignID:   "cancel-test",
-		Spec:         remote.CampaignSpec{Name: "cancel-test"},
+		CampaignID:   camp,
+		Spec:         remote.CampaignSpec{Name: camp},
 		LocalWorkers: 2,
 		Reg:          obs.NewRegistry(),
 	}
 	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	leased := make(chan remote.Lease, 1)
 	go func() {
-		time.Sleep(20 * time.Millisecond)
+		// Parks until Run opens the job, then sits on the shard.
+		l, _, _ := coord.Lease(context.Background(), w.ID, 5*time.Second)
+		leased <- l
 		cancel()
 	}()
-	col := NewCollect(n)
+	var ran atomic.Int32
 	exp := func(idx int) analysis.Record {
-		kind := "full"
-		if ctx.Err() != nil {
-			kind = "stub"
-		}
-		return analysis.Record{Point: scanner.InjectionPoint{Line: idx}, FaultType: kind}
+		ran.Add(1)
+		return analysis.Record{Point: scanner.InjectionPoint{Line: idx}, FaultType: "full"}
 	}
+	puts := 0
 	done := make(chan error, 1)
-	go func() { done <- r.Run(ctx, n, exp, col) }()
+	go func() { done <- r.Run(ctx, n, exp, SinkFunc(func(int, analysis.Record) { puts++ })) }()
 	select {
 	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Remote.Run did not drain after cancellation")
+	case <-time.After(2 * time.Second):
+		t.Fatal("Remote.Run did not return after cancellation")
 	}
-	verifyDrain(t, r.Name(), col.Records(), n)
-	stubs := 0
-	for _, rec := range col.Records() {
-		if rec.FaultType == "stub" {
-			stubs++
-		}
+	if ran.Load() != 0 || puts != 0 {
+		t.Errorf("%d experiments ran and %d records were delivered, want none", ran.Load(), puts)
 	}
-	if stubs != n {
-		t.Fatalf("%d stubs, want all %d (no worker ever ran an experiment)", stubs, n)
+	if got := takeovers(r.Reg); len(got) != 0 {
+		t.Errorf("takeovers = %v, want none", got)
 	}
-	if got, want := takeovers(r.Reg), map[string]float64{"canceled": 1}; !reflect.DeepEqual(got, want) {
-		t.Errorf("takeovers = %v, want %v", got, want)
+
+	l := <-leased
+	if l.Campaign != camp {
+		t.Fatalf("the worker was granted %+v, want a shard of %s", l, camp)
+	}
+	line := []remote.RecordLine{{Idx: l.Lo, Rec: analysis.Record{FaultType: "full"}}}
+	if coord.Ingest(camp, l.Shard, l.Token, line) {
+		t.Error("the closed job ingested records")
+	}
+	if _, _, ok := coord.Complete(camp, l.Shard, l.Token, line); ok {
+		t.Error("the closed job accepted a completion")
+	}
+	if got, granted, _ := coord.Lease(context.Background(), w.ID, 0); granted {
+		t.Errorf("the closed job granted %+v", got)
+	}
+	if _, ok := coord.Spec(camp, nil); ok {
+		t.Error("the closed job still serves its spec")
 	}
 }

@@ -25,9 +25,7 @@ import (
 )
 
 // Experiment runs the experiment at plan index idx and returns its
-// record. Implementations must be safe for concurrent calls and honor
-// ctx by returning a stub record (Point and FaultType only) once the
-// context is canceled.
+// record. Implementations must be safe for concurrent calls.
 type Experiment func(idx int) analysis.Record
 
 // RecordSink receives completed experiment records. Executors never
@@ -67,9 +65,9 @@ type Executor interface {
 	// Name labels the engine in benchmarks and logs.
 	Name() string
 	// Run executes experiments [0, n), delivering every record exactly
-	// once to sink (never concurrently). Cancellation is cooperative: the
-	// Experiment function is expected to observe ctx and return stub
-	// records, so Run always delivers n records.
+	// once to sink (never concurrently). Once ctx is canceled Run starts
+	// no further experiment, lets the running ones deliver and returns
+	// ctx.Err(); the sink is never called after Run returns.
 	Run(ctx context.Context, n int, exp Experiment, sink RecordSink) error
 }
 
@@ -105,24 +103,26 @@ func (l Local) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) 
 	}
 	m := newMetrics(l.Reg, l.Name())
 	exp = m.instrument(exp)
-	runPool(0, n, l.Workers, l.Skip, exp, func(r indexed) {
+	runPool(ctx, 0, n, l.Workers, l.Skip.Has, exp, func(r indexed) {
 		m.record()
 		sink.Put(r.idx, r.rec)
 	})
-	return nil
+	return ctx.Err()
 }
 
-// runPool executes the experiments of [lo, hi) not masked by skip on a
-// bounded worker pool — the one pump shared by Local, the fleet worker's
-// shard loop and Remote's in-process drain. Workers (the calling
-// goroutine is one of them) claim ascending indices off a shared cursor
-// and deliver their own record to emit under the pool's mutex: emit is
-// never entered twice at once, and a slow emit stalls the workers
-// instead of queueing records.
-func runPool(lo, hi, workers int, skip *Mask, exp Experiment, emit func(indexed)) {
+// runPool executes the experiments of [lo, hi) that skip does not name
+// on a bounded worker pool — the one pump shared by Local, the fleet
+// worker's shard loop and Remote's in-process drain. Workers (the
+// calling goroutine is one of them) claim ascending indices off a shared
+// cursor and deliver their own record to emit under the pool's mutex:
+// emit is never entered twice at once, and a slow emit stalls the
+// workers instead of queueing records. A worker checks ctx before each
+// claim, so once it is canceled runPool returns as soon as the running
+// experiments have delivered.
+func runPool(ctx context.Context, lo, hi, workers int, skip func(int) bool, exp Experiment, emit func(indexed)) {
 	n := 0
 	for i := lo; i < hi; i++ {
-		if !skip.Has(i) {
+		if !skip(i) {
 			n++
 		}
 	}
@@ -145,12 +145,12 @@ func runPool(lo, hi, workers int, skip *Mask, exp Experiment, emit func(indexed)
 	}
 	work := func() {
 		defer wg.Done()
-		for {
+		for ctx.Err() == nil {
 			i := int(next.Add(1) - 1)
 			if i >= hi {
 				return
 			}
-			if !skip.Has(i) {
+			if !skip(i) {
 				deliver(indexed{i, exp(i)})
 				// A delivery usually wakes someone (a stream follower,
 				// a progress poller). The pool may own every P and never

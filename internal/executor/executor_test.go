@@ -43,7 +43,7 @@ func staleFleet(workers, localWorkers int, skip *Mask) *Remote {
 // takeovers reads profipy_executor_takeover_total off reg, by reason.
 func takeovers(reg *obs.Registry) map[string]float64 {
 	out := map[string]float64{}
-	for _, reason := range []string{"no_worker", "fleet_lost", "canceled"} {
+	for _, reason := range []string{"no_worker", "fleet_lost"} {
 		if n := reg.CounterVec("profipy_executor_takeover_total", "", "reason").With(reason).Value(); n > 0 {
 			out[reason] = n
 		}

@@ -36,7 +36,7 @@ func newMetrics(reg *obs.Registry, executor string) *emetrics {
 		busy: reg.Gauge("profipy_executor_workers_busy",
 			"Workers currently inside an experiment (utilization numerator)."),
 		takeovers: reg.CounterVec("profipy_executor_takeover_total",
-			"In-process drains that took shards over from the fleet, by trigger: no worker live when the job started (no_worker), every worker fell silent (fleet_lost), the campaign was canceled (canceled).", "reason"),
+			"In-process drains that took shards over from the fleet, by trigger: no worker live when the job started (no_worker), or every worker fell silent (fleet_lost).", "reason"),
 	}
 }
 

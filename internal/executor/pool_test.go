@@ -111,7 +111,7 @@ func TestPoolBlockingSinkStallsWorkers(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runPool(0, n, workers, nil, func(i int) analysis.Record {
+		runPool(context.Background(), 0, n, workers, (*Mask)(nil).Has, func(i int) analysis.Record {
 			started.Add(1)
 			return analysis.Record{}
 		}, func(r indexed) {
@@ -154,7 +154,7 @@ func TestPoolSequentialBelowTwoWorkers(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1} {
 		var trace []string
 		skip := maskOf(7, func(i int) bool { return i != 2 })
-		runPool(0, 7, workers, skip, func(i int) analysis.Record {
+		runPool(context.Background(), 0, 7, workers, skip.Has, func(i int) analysis.Record {
 			trace = append(trace, fmt.Sprintf("run%d", i))
 			return analysis.Record{}
 		}, func(r indexed) {
@@ -171,7 +171,7 @@ func TestPoolSequentialBelowTwoWorkers(t *testing.T) {
 // [lo, hi) of the plan; indices outside it are nobody's business.
 func TestPoolSubrange(t *testing.T) {
 	seen := make(map[int]int)
-	runPool(5, 17, 3, maskOf(20, func(i int) bool { return i%2 == 0 }),
+	runPool(context.Background(), 5, 17, 3, maskOf(20, func(i int) bool { return i%2 == 0 }).Has,
 		func(i int) analysis.Record { return analysis.Record{} },
 		func(r indexed) { seen[r.idx]++ })
 	for i := 0; i < 20; i++ {

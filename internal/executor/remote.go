@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"profipy/internal/analysis"
 	"profipy/internal/fleet"
 	"profipy/internal/obs"
 	"profipy/internal/remote"
@@ -81,8 +80,8 @@ func (r *Remote) Counts() RemoteCounts {
 // Run implements Executor. It opens a fleet job for the campaign,
 // lets workers drain it via leases, takes the plan over in-process while
 // no worker is live, and forwards every deduplicated delivery to sink.
-// Run always delivers n records: on cancellation the remaining shards
-// are revoked and executed locally, where exp returns stub records.
+// On cancellation it waits for a running drain and returns; closing the
+// job fences the workers' leases, so their next ship is refused.
 func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) error {
 	if n == 0 {
 		return nil
@@ -105,12 +104,12 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	}
 
 	// The in-process drain takes over what the fleet cannot do: while no
-	// worker is live it claims pending shards one at a time, and once ctx
-	// is canceled it revokes leased ones too, where exp returns stubs.
-	// Liveness is checked before every claim, so a worker that comes back
-	// gets the rest of the plan. At most one drain runs, so local
-	// parallelism stays LocalWorkers; a trigger that arrives while one
-	// runs (again) starts the next, under its own reason, when it ends.
+	// worker is live it claims pending shards one at a time and runs the
+	// indices nobody delivered yet. Liveness is checked before every
+	// claim, so a worker that comes back gets the rest of the plan. At
+	// most one drain runs, so local parallelism stays LocalWorkers; a
+	// trigger that arrives while one runs (again) starts the next, under
+	// its own reason, when it ends.
 	draining, again := false, ""
 	drained := make(chan struct{}, 1)
 	drain := func(reason string) {
@@ -120,8 +119,8 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 		}
 		draining = true
 		go func() {
-			for ctx.Err() != nil || r.Coord.LiveWorkers() == 0 {
-				lo, hi, ok := job.ClaimLocal(ctx.Err() != nil)
+			for ctx.Err() == nil && r.Coord.LiveWorkers() == 0 {
+				lo, hi, ok := job.ClaimLocal()
 				if !ok {
 					break
 				}
@@ -129,14 +128,7 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 					m.takeover(reason)
 					reason = ""
 				}
-				runPool(lo, hi, r.LocalWorkers, r.Skip, func(i int) analysis.Record {
-					if job.IsDelivered(i) {
-						// A worker delivered this index before losing its
-						// lease; the dedup below discards the stub.
-						return analysis.Record{}
-					}
-					return exp(i)
-				}, func(rec indexed) {
+				runPool(ctx, lo, hi, r.LocalWorkers, job.IsDelivered, exp, func(rec indexed) {
 					job.Deliver(rec.idx, remote.KindLocal, rec.rec)
 				})
 			}
@@ -154,7 +146,6 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	ticker := time.NewTicker(sweep)
 	defer ticker.Stop()
 
-	ctxDone := ctx.Done()
 	deliveries := job.Deliveries()
 	for {
 		select {
@@ -174,9 +165,11 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 				again = ""
 				drain(reason)
 			}
-		case <-ctxDone:
-			ctxDone = nil // fires once; the drain now revokes every shard
-			drain("canceled")
+		case <-ctx.Done():
+			if draining {
+				<-drained
+			}
+			return ctx.Err()
 		case <-ticker.C:
 			r.Coord.Sweep()
 			if r.Coord.LiveWorkers() == 0 {

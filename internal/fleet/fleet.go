@@ -46,21 +46,17 @@ import (
 // Config parameterises the coordinator.
 type Config struct {
 	// LeaseTTL is how long a shard lease survives without a heartbeat;
-	// 0 selects 15s.
+	// 0 selects 15s. Workers are told to heartbeat at a third of it.
 	LeaseTTL time.Duration
-	// Heartbeat is the cadence workers are told to heartbeat at;
-	// 0 selects LeaseTTL/3.
-	Heartbeat time.Duration
-	// Poll is how long idle workers are told to let one lease request
-	// wait for work before asking again; 0 selects 500ms.
-	Poll time.Duration
 	// Reg, when set, instruments the fleet.
 	Reg *obs.Registry
-	// Log, when set, records worker lifecycle and lease events.
-	Log *slog.Logger
 	// now overrides the clock in tests.
 	now func() time.Time
 }
+
+// idlePoll is how long idle workers are told to let one lease request
+// wait for work before asking again.
+const idlePoll = 500 * time.Millisecond
 
 // Coordinator tracks workers, campaign jobs and shard leases.
 type Coordinator struct {
@@ -144,17 +140,8 @@ func New(cfg Config) *Coordinator {
 	if cfg.LeaseTTL <= 0 {
 		cfg.LeaseTTL = 15 * time.Second
 	}
-	if cfg.Heartbeat <= 0 {
-		cfg.Heartbeat = cfg.LeaseTTL / 3
-	}
-	if cfg.Poll <= 0 {
-		cfg.Poll = 500 * time.Millisecond
-	}
 	if cfg.now == nil {
 		cfg.now = time.Now
-	}
-	if cfg.Log == nil {
-		cfg.Log = slog.Default()
 	}
 	var nonce [3]byte
 	_, _ = rand.Read(nonce[:]) // crypto/rand does not fail
@@ -187,6 +174,9 @@ func (c *Coordinator) wakeLocked() {
 // LeaseTTL reports the configured lease TTL.
 func (c *Coordinator) LeaseTTL() time.Duration { return c.cfg.LeaseTTL }
 
+// heartbeat is the cadence workers are told to heartbeat at.
+func (c *Coordinator) heartbeat() time.Duration { return c.cfg.LeaseTTL / 3 }
+
 // RegisterWorker admits a worker and assigns its identity.
 func (c *Coordinator) RegisterWorker(req remote.RegisterRequest) remote.RegisterResponse {
 	c.mu.Lock()
@@ -196,12 +186,12 @@ func (c *Coordinator) RegisterWorker(req remote.RegisterRequest) remote.Register
 	c.workers[id] = &workerState{
 		id: id, name: req.Name, parallel: req.Parallel, lastSeen: c.cfg.now(),
 	}
-	c.cfg.Log.Info("fleet: worker registered", "worker", id, "name", req.Name, "parallel", req.Parallel)
+	slog.Info("fleet: worker registered", "worker", id, "name", req.Name, "parallel", req.Parallel)
 	return remote.RegisterResponse{
 		ID:          id,
 		LeaseTTLMS:  c.cfg.LeaseTTL.Milliseconds(),
-		HeartbeatMS: c.cfg.Heartbeat.Milliseconds(),
-		PollMS:      c.cfg.Poll.Milliseconds(),
+		HeartbeatMS: c.heartbeat().Milliseconds(),
+		PollMS:      idlePoll.Milliseconds(),
 	}
 }
 
@@ -235,7 +225,7 @@ func (c *Coordinator) Heartbeat(workerID string) bool {
 // pending; it returns empty-handed at the deadline, when ctx is done or
 // when the coordinator closes.
 func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Duration) (remote.Lease, bool, error) {
-	timer := time.NewTimer(min(wait, c.cfg.Heartbeat))
+	timer := time.NewTimer(min(wait, c.heartbeat()))
 	defer timer.Stop()
 	start, result := time.Now(), "granted"
 	for {
@@ -289,7 +279,7 @@ func (c *Coordinator) grantLocked(w *workerState) (remote.Lease, bool) {
 			w.leases++
 			if sh.dispatches > 1 {
 				c.met.redispatch()
-				c.cfg.Log.Warn("fleet: shard re-dispatched",
+				slog.Warn("fleet: shard re-dispatched",
 					"campaign", camp, "shard", i, "worker", w.id, "dispatch", sh.dispatches)
 			}
 			return remote.Lease{
@@ -423,11 +413,11 @@ func (c *Coordinator) sweepLocked(now time.Time, asking string) int {
 			case sh.state != shardLeased:
 				continue
 			case sh.worker == asking:
-				c.cfg.Log.Warn("fleet: lease released, its holder asked for work",
+				slog.Warn("fleet: lease released, its holder asked for work",
 					"campaign", camp, "shard", i, "worker", sh.worker)
 				released++
 			case !now.Before(sh.expires):
-				c.cfg.Log.Warn("fleet: lease expired",
+				slog.Warn("fleet: lease expired",
 					"campaign", camp, "shard", i, "worker", sh.worker)
 				expired++
 				c.met.leaseExpired()
@@ -570,7 +560,7 @@ func (c *Coordinator) PredeliverJob(campaign string, done func(int) bool) int {
 	}
 	job.mu.Unlock()
 	if marked > 0 {
-		c.cfg.Log.Info("fleet: predelivered resumed indices",
+		slog.Info("fleet: predelivered resumed indices",
 			"campaign", campaign, "records", marked)
 	}
 	return marked
@@ -635,24 +625,16 @@ func (j *Job) IsDelivered(idx int) bool {
 	return idx < 0 || idx >= j.n || j.delivered[idx]
 }
 
-// ClaimLocal atomically takes one unfinished shard away from the fleet
-// for in-process execution: the oldest pending shard if any, else —
-// when force is set — the oldest leased shard (revoking its lease, used
-// for cancellation drains). Returns the shard's index range.
-func (j *Job) ClaimLocal(force bool) (lo, hi int, ok bool) {
+// ClaimLocal atomically takes the oldest pending shard away from the
+// fleet for in-process execution and returns its index range.
+func (j *Job) ClaimLocal() (lo, hi int, ok bool) {
 	c := j.coord
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for pass := 0; pass < 2; pass++ {
-		if pass == 1 && !force {
-			return 0, 0, false
-		}
-		for i := range j.shards {
-			sh := &j.shards[i]
-			if (pass == 0 && sh.state == shardPending) || (pass == 1 && sh.state == shardLeased) {
-				c.releaseLocked(sh, shardDone)
-				return sh.lo, sh.hi, true
-			}
+	for i := range j.shards {
+		if sh := &j.shards[i]; sh.state == shardPending {
+			c.releaseLocked(sh, shardDone)
+			return sh.lo, sh.hi, true
 		}
 	}
 	return 0, 0, false

@@ -264,10 +264,10 @@ func TestClaimLocal(t *testing.T) {
 		t.Fatal("no lease granted")
 	}
 
-	// Non-forcing claims take only pending shards (1 to 3).
+	// Claims take only pending shards (1 to 3), never the leased one.
 	var claimed int
 	for {
-		_, _, ok := job.ClaimLocal(false)
+		_, _, ok := job.ClaimLocal()
 		if !ok {
 			break
 		}
@@ -275,13 +275,6 @@ func TestClaimLocal(t *testing.T) {
 	}
 	if claimed != 3 {
 		t.Fatalf("claimed %d pending shards, want 3", claimed)
-	}
-	// Forcing revokes the leased shard too (cancellation drain).
-	if _, _, ok := job.ClaimLocal(true); !ok {
-		t.Fatal("forced claim did not revoke the leased shard")
-	}
-	if _, _, ok := job.ClaimLocal(true); ok {
-		t.Fatal("claim succeeded with no shards left")
 	}
 }
 

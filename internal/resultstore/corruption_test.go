@@ -393,3 +393,158 @@ func TestCampaignDegradesWhenItCannotStartOnDisk(t *testing.T) {
 		t.Error("resumed a finished campaign")
 	}
 }
+
+// TestQuarantineNeverReusesOrReplacesBadFiles corrupts an interrupted
+// campaign's last segment and its meta twice. In between, the store is
+// reopened (which quarantines them), then reopened again and the
+// campaign resumed. The resumed writer must number its segment past the
+// quarantined one, and the second quarantine must keep the first's
+// files: a .bad file is evidence, and os.Rename replaces its target.
+func TestQuarantineNeverReusesOrReplacesBadFiles(t *testing.T) {
+	dir := t.TempDir()
+	cdir := filepath.Join(dir, "campaigns", "camp-1")
+	metaPath := filepath.Join(cdir, "meta.json")
+	corrupt := func(path string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data[0] ^= 0xff
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	reopen := func() *Store {
+		t.Helper()
+		s, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	// resume reopens the store and appends n records to the campaign,
+	// leaving it interrupted (no Finish) and the store closed.
+	resume := func(first bool, n int) {
+		t.Helper()
+		s := reopen()
+		s.SetSegmentRecords(4)
+		var w *Writer
+		var err error
+		if first {
+			w, err = s.StartCampaign(Meta{ID: "camp-1", Project: "p"})
+		} else {
+			w, err = s.ResumeCampaign("camp-1")
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		appendN(t, w, n)
+		_ = s.Close()
+	}
+
+	resume(true, 6) // records-000001 (4 records) and records-000002 (2)
+	last := filepath.Join(cdir, segName(2))
+	firstSeg, firstMeta := corrupt(last), corrupt(metaPath)
+	_ = reopen().Close()
+	resume(false, 3)
+	if _, err := os.Stat(last); err == nil {
+		t.Fatalf("the resumed writer reused the quarantined segment's name %s", segName(2))
+	}
+	segs := segments(t, cdir)
+	corrupt(segs[len(segs)-1])
+	corrupt(metaPath)
+
+	s := reopen()
+	defer s.Close()
+	for path, want := range map[string][]byte{last + ".bad": firstSeg, metaPath + ".bad": firstMeta} {
+		if got, err := os.ReadFile(path); err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%s was replaced by a later quarantine (err %v)", filepath.Base(path), err)
+		}
+	}
+	for _, name := range []string{segName(3) + ".bad", "meta.json.bad.1"} {
+		if _, err := os.Stat(filepath.Join(cdir, name)); err != nil {
+			t.Errorf("second quarantine: %v", err)
+		}
+	}
+	if got := recordLines(t, s, "camp-1"); len(got) != 4 {
+		t.Errorf("restored %d records, want the 4 of the one intact segment", len(got))
+	}
+}
+
+// FuzzStoreReopen opens a data dir whose record segment, meta.json and
+// journal bytes come from the fuzzer, beside a segment and a meta an
+// earlier open quarantined. Open must not panic and must return a store
+// or a resultstore error. Twice, a store resumes the campaign, appends
+// and closes: no .bad file may be replaced or removed on the way, and
+// no segment may take the quarantined one's number.
+func FuzzStoreReopen(f *testing.F) {
+	var seg []byte
+	for i := 0; i < 3; i++ {
+		seg = append(append(seg, mustJSON(testRecord(i))...), '\n')
+	}
+	meta := mustJSON(Meta{ID: "camp-1", Project: "p", Status: StatusRunning})
+	journal := journalBytes(journalFixture())
+	f.Add(seg, meta, journal)
+	f.Add(seg[:len(seg)-5], meta[:len(meta)/2], journal[:len(journal)-7]) // torn tails
+	flipped := bytes.Clone(seg)
+	flipped[0] ^= 0xff // TestRestoreQuarantinesBitFlippedSegment
+	f.Add(flipped, meta, []byte(`{"job":"job-1","state":"bogus"}`+"\n"))
+	f.Add([]byte("not json at all\n"), []byte{}, []byte("\x00\xff{\n"))
+	f.Add([]byte{}, mustJSON(Meta{ID: "camp-2", Status: StatusDone}), []byte{})
+	f.Fuzz(func(t *testing.T, seg, meta, journal []byte) {
+		dir := t.TempDir()
+		cdir := filepath.Join(dir, "campaigns", "camp-1")
+		if err := os.MkdirAll(cdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		for path, data := range map[string][]byte{
+			filepath.Join(cdir, segName(1)):        seg,
+			filepath.Join(cdir, segName(2)+".bad"): []byte("quarantined before\n"),
+			filepath.Join(cdir, "meta.json"):       meta,
+			filepath.Join(cdir, "meta.json.bad"):   []byte("quarantined before\n"),
+			filepath.Join(dir, journalFile):        journal,
+		} {
+			if err := os.WriteFile(path, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		bad := map[string][]byte{}
+		keepsBad := func(when string) {
+			t.Helper()
+			for name, data := range bad {
+				if got, err := os.ReadFile(name); err != nil || !bytes.Equal(got, data) {
+					t.Fatalf("%s: %s was replaced or removed (err %v)", when, filepath.Base(name), err)
+				}
+			}
+			names, _ := filepath.Glob(filepath.Join(cdir, "*.bad*"))
+			for _, name := range names {
+				if bad[name] == nil {
+					bad[name], _ = os.ReadFile(name)
+				}
+			}
+			if _, err := os.Stat(filepath.Join(cdir, segName(2))); err == nil {
+				t.Fatalf("%s: a segment took the quarantined one's number", when)
+			}
+		}
+		keepsBad("setup")
+		for round := 0; round < 2; round++ {
+			s, err := Open(dir)
+			if err != nil {
+				if !strings.HasPrefix(err.Error(), "resultstore: ") {
+					t.Fatalf("open: unnamed error %v", err)
+				}
+				return
+			}
+			keepsBad("open")
+			if w, err := s.ResumeCampaign("camp-1"); err == nil {
+				if err := w.Append(testRecord(round)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			_ = s.Close()
+			keepsBad("resume")
+		}
+	})
+}

@@ -33,6 +33,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
 	"log/slog"
 	"os"
 	"path/filepath"
@@ -277,7 +278,7 @@ func (s *Store) loadCampaigns() error {
 				continue
 			}
 			if metaData != nil {
-				if rerr := os.Rename(metaPath, metaPath+".bad"); rerr != nil {
+				if rerr := quarantine(metaPath); rerr != nil {
 					return fmt.Errorf("resultstore: quarantining corrupt meta: %w", rerr)
 				}
 			}
@@ -318,9 +319,10 @@ func Seq(id string) int {
 // segment's extent; line data is not retained. A segment containing a
 // corrupt interior line (bit rot, partial overwrite) is quarantined —
 // renamed to <name>.bad and skipped — so one damaged file costs its own
-// records, never the whole campaign restore.
+// records, never the whole campaign restore. Quarantined names count
+// when numbering the next segment.
 func (c *campaign) loadSegments() error {
-	names, err := filepath.Glob(filepath.Join(c.dir, "records-*.jsonl"))
+	names, err := filepath.Glob(filepath.Join(c.dir, "records-*.jsonl*"))
 	if err != nil {
 		return err
 	}
@@ -330,6 +332,9 @@ func (c *campaign) loadSegments() error {
 		var idx int
 		if _, err := fmt.Sscanf(filepath.Base(path), "records-%d.jsonl", &idx); err == nil && idx >= c.nextSeg {
 			c.nextSeg = idx + 1
+		}
+		if !strings.HasSuffix(path, ".jsonl") {
+			continue
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -344,7 +349,7 @@ func (c *campaign) loadSegments() error {
 			}
 		}
 		if !valid {
-			if rerr := os.Rename(path, path+".bad"); rerr != nil {
+			if rerr := quarantine(path); rerr != nil {
 				return fmt.Errorf("resultstore: quarantining corrupt segment: %w", rerr)
 			}
 			slog.Warn("resultstore: quarantined corrupt record segment",
@@ -357,6 +362,23 @@ func (c *campaign) loadSegments() error {
 	}
 	c.seq = start
 	return nil
+}
+
+// quarantine moves a corrupt file aside to the first free name of
+// <path>.bad, <path>.bad.1, …: os.Rename replaces its target, and an
+// earlier quarantine's evidence must survive a later one.
+func quarantine(path string) error {
+	bad := path + ".bad"
+	for i := 1; ; i++ {
+		_, err := os.Lstat(bad)
+		if errors.Is(err, fs.ErrNotExist) {
+			return os.Rename(path, bad)
+		}
+		if err != nil {
+			return err
+		}
+		bad = fmt.Sprintf("%s.bad.%d", path, i)
+	}
 }
 
 // completeLines splits JSONL data into its newline-terminated lines,

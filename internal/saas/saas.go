@@ -155,9 +155,6 @@ type Options struct {
 	// LeaseTTL is how long a remote worker's shard lease survives
 	// without a heartbeat before it is re-dispatched (default 15s).
 	LeaseTTL time.Duration
-	// Heartbeat is the cadence workers are told to heartbeat at
-	// (default LeaseTTL/3).
-	Heartbeat time.Duration
 	// RequestTimeout bounds non-streaming API requests (default 30s;
 	// negative disables). Streaming routes (/stream) and synchronous
 	// campaign waits (?wait=true) manage their own lifetimes.
@@ -207,11 +204,7 @@ func NewServerWithOptions(opt Options) (*Server, error) {
 		reg:        opt.Metrics,
 		reqTimeout: reqTimeout,
 		prepared:   new(campaign.PreparedSet),
-		fleet: fleet.New(fleet.Config{
-			LeaseTTL:  opt.LeaseTTL,
-			Heartbeat: opt.Heartbeat,
-			Reg:       opt.Metrics,
-		}),
+		fleet:      fleet.New(fleet.Config{LeaseTTL: opt.LeaseTTL, Reg: opt.Metrics}),
 	}
 	s.recJobs = opt.Metrics.CounterVec("profipy_recovery_jobs_total",
 		"Journaled jobs re-admitted at startup, by outcome (requeued, resumed, abandoned).", "outcome")

@@ -141,9 +141,14 @@ func (r *rig) boot(ttl time.Duration) {
 // start runs an agent until the test ends (or the agent dies) and
 // returns it with the channel its Run error arrives on.
 func (r *rig) start(cfg Config) (*Agent, <-chan error) {
+	return r.startIn(context.Background(), cfg)
+}
+
+// startIn is start under ctx: canceling it kills the agent.
+func (r *rig) startIn(ctx context.Context, cfg Config) (*Agent, <-chan error) {
 	cfg.Server = r.ts.URL
 	a := New(cfg)
-	ctx, cancel := context.WithCancel(context.Background())
+	ctx, cancel := context.WithCancel(ctx)
 	done, stopped := make(chan error, 1), make(chan struct{})
 	go func() {
 		done <- a.Run(ctx)
@@ -351,24 +356,39 @@ func TestLostGrantIsRegrantedAtOnce(t *testing.T) {
 	}
 }
 
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { return f(req) }
+
 // TestKilledBeforeCompletion kills a worker after its shard's last
-// intermediate batch and before the completion that would have carried
-// the tail: the lease expires, a second worker re-runs the shard, the
-// batches the dead one shipped come back as duplicates and the tail
-// fills the hole.
+// intermediate batch, as it sends the completion that would have
+// carried the tail: its context is canceled, so it stops heartbeating.
+// The lease expires, a second worker re-runs the shard, the batches the
+// dead one shipped come back as duplicates and the tail fills the hole.
 func TestKilledBeforeCompletion(t *testing.T) {
 	const batch = 3
 	r := newRig(t, 300*time.Millisecond)
 	size := 27 / 4 // the first of the four shards one live worker gets
-	_, died := r.start(Config{Name: "victim", Parallel: 1, BatchSize: batch, Poll: 20 * time.Millisecond, KillAfterRecords: size})
+	ctx, kill := context.WithCancel(context.Background())
+	defer kill()
+	victim := roundTripFunc(func(req *http.Request) (*http.Response, error) {
+		if path.Base(req.URL.Path) == "complete" {
+			kill()
+			return nil, context.Canceled
+		}
+		return http.DefaultTransport.RoundTrip(req)
+	})
+	_, died := r.startIn(ctx, Config{Name: "victim", Parallel: 1, BatchSize: batch, Poll: 20 * time.Millisecond,
+		HTTPClient: &http.Client{Transport: victim}})
 	r.awaitWorkers(1)
 
 	done := make(chan []byte, 1)
 	go func() { done <- r.run("c1", kvclient.CampaignA, 101) }()
 	select {
 	case err := <-died:
-		if !errors.Is(err, ErrKilled) {
-			t.Fatalf("victim returned %v, want ErrKilled", err)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("victim returned %v, want context.Canceled", err)
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("victim never died")

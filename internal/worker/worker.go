@@ -30,7 +30,6 @@ import (
 	"net/http"
 	"net/url"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"profipy/internal/analysis"
@@ -62,17 +61,7 @@ type Config struct {
 	HTTPClient *http.Client
 	// Log receives worker lifecycle events; nil uses slog.Default.
 	Log *slog.Logger
-
-	// KillAfterRecords is a chaos test hook: after this many records
-	// have been produced, the agent "dies" — it stops heartbeating,
-	// abandons its shard without completing it and returns ErrKilled.
-	// 0 disables the hook.
-	KillAfterRecords int
 }
-
-// ErrKilled is returned by Run when the KillAfterRecords chaos hook
-// fired.
-var ErrKilled = errors.New("worker: killed by chaos hook")
 
 // errStale is a 410 on records or complete: the lease moved on, its new
 // owner regenerates the records. Not a failure of this worker.
@@ -108,9 +97,6 @@ type Agent struct {
 	// shards of one campaign scans, compiles and verifies the plan once.
 	// Only the serve loop touches it.
 	runners []cachedRunner
-
-	produced atomic.Int64
-	killed   atomic.Bool
 }
 
 type cachedRunner struct {
@@ -153,10 +139,11 @@ func (a *Agent) ID() string {
 	return a.id
 }
 
-// Run registers the agent and serves leases until ctx is canceled (or
-// the chaos hook kills it). Transient transport errors and failed
-// shards retry with exponential backoff; a control plane that restarted
-// (unknown worker) triggers re-registration.
+// Run registers the agent and serves leases until ctx is canceled, which
+// stops it mid-shard, without completing the shard, and stops its
+// heartbeats. Transient transport errors and failed shards retry with
+// exponential backoff; a control plane that restarted (unknown worker)
+// triggers re-registration.
 func (a *Agent) Run(ctx context.Context) error {
 	if err := a.register(ctx, ""); err != nil {
 		return err
@@ -173,15 +160,11 @@ func (a *Agent) Run(ctx context.Context) error {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if a.dead() {
-			return ErrKilled
-		}
 		var err error
 		if !held {
 			lease, held, err = a.lease(ctx)
-		} else if lease, held, err = a.executeLease(ctx, lease); errors.Is(err, ErrKilled) {
-			stopHB()
-			return err
+		} else {
+			lease, held, err = a.executeLease(ctx, lease)
 		}
 		if err == nil {
 			attempt = 0
@@ -203,12 +186,6 @@ func (a *Agent) Run(ctx context.Context) error {
 // execution and failure grep out of a worker's log by lease token.
 func (a *Agent) shardLog(lease remote.Lease) *slog.Logger {
 	return a.log.With("campaign", lease.Campaign, "shard", lease.Shard, "lease", lease.Token)
-}
-
-// dead reports whether the chaos hook has fired.
-func (a *Agent) dead() bool {
-	return a.killed.Load() ||
-		(a.cfg.KillAfterRecords > 0 && int(a.produced.Load()) >= a.cfg.KillAfterRecords)
 }
 
 // register obtains a worker identity. stale is the identity a 410 was
@@ -264,11 +241,6 @@ func (a *Agent) heartbeatLoop(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case <-t.C:
-		}
-		if a.dead() {
-			// Chaos hook: a dead worker stops heartbeating, which is
-			// exactly how the control plane finds out.
-			return
 		}
 		id := a.ID()
 		status, err := a.do(ctx, http.MethodPost, "/api/v1/workers/"+id+"/heartbeat", "", nil, nil, 0)
@@ -395,7 +367,7 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remote.Lease, more bool, err error) {
 	log := a.shardLog(lease)
 	defer func() {
-		if err != nil && !errors.Is(err, ErrKilled) {
+		if err != nil {
 			log.Warn("worker: shard failed", "err", err)
 		}
 	}()
@@ -423,11 +395,7 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remo
 	var shipErr error // first failed send; nothing is sent after it
 	seen := 0
 	sink := executor.SinkFunc(func(idx int, rec analysis.Record) {
-		if a.dead() {
-			return
-		}
 		batch = append(batch, remote.RecordLine{Idx: lease.Lo + idx, Kind: kinds[idx], Fork: forks[idx], Rec: rec})
-		a.produced.Add(1)
 		// The shard's last batch, full or not, rides with the completion.
 		if seen++; len(batch) >= a.cfg.BatchSize && seen < n && shipErr == nil {
 			_, _, shipErr = a.ship(ctx, lease, "records", batch)
@@ -437,10 +405,6 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remo
 	local := executor.Local{Workers: a.cfg.Parallel}
 	if err := local.Run(ctx, n, exp, sink); err != nil {
 		return next, false, err
-	}
-	if a.dead() {
-		a.killed.Store(true)
-		return next, false, ErrKilled
 	}
 	if shipErr == nil {
 		next, more, shipErr = a.ship(ctx, lease, "complete", batch)

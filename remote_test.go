@@ -11,13 +11,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,14 +58,46 @@ func remoteSpec(c *campaign.Campaign) remote.CampaignSpec {
 	}
 }
 
+// errKilled is the cause a killed worker's context is canceled with.
+var errKilled = errors.New("worker killed")
+
+// killer is a worker's transport that kills it once after records have
+// reached the wire: it cancels the worker's context, so the worker stops
+// mid-shard, never completes it and stops heartbeating.
+type killer struct {
+	after int
+	sent  atomic.Int64
+	kill  context.CancelCauseFunc
+}
+
+func (k *killer) RoundTrip(req *http.Request) (*http.Response, error) {
+	route := path.Base(req.URL.Path)
+	if route != "records" && route != "complete" {
+		return http.DefaultTransport.RoundTrip(req)
+	}
+	body, err := io.ReadAll(req.Body)
+	req.Body.Close()
+	if err != nil {
+		return nil, err
+	}
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	resp, err := http.DefaultTransport.RoundTrip(req)
+	if err == nil && k.sent.Add(int64(bytes.Count(body, []byte("\n")))) >= int64(k.after) {
+		k.kill(errKilled)
+	}
+	return resp, err
+}
+
 // runRemote executes one golden campaign through the distributed path
 // with the given worker fleet and returns the campaign result, each
-// worker's Run error and the metrics registry for assertions. The fleet
-// cuts the plan into four shards per registered worker; the campaign
-// runs in-process only while none is live — from the start with an
-// empty fleet, or once every worker died.
+// worker's Run error (errKilled for a killed one) and the metrics
+// registry for assertions. kill maps a worker's index to the number of
+// records after which it is killed. The fleet cuts the plan into four
+// shards per registered worker; the campaign runs in-process only while
+// none is live — from the start with an empty fleet, or once every
+// worker died.
 func runRemote(t *testing.T, build func(rt *Runtime, seed int64) *campaign.Campaign,
-	seed int64, ttl time.Duration, workers []worker.Config) (*campaign.Result, []error, *obs.Registry) {
+	seed int64, ttl time.Duration, workers []worker.Config, kill map[int]int) (*campaign.Result, []error, *obs.Registry) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	coord := fleet.New(fleet.Config{LeaseTTL: ttl, Reg: reg})
@@ -84,9 +119,19 @@ func runRemote(t *testing.T, build func(rt *Runtime, seed int64) *campaign.Campa
 		if cfg.Parallel == 0 {
 			cfg.Parallel = 2
 		}
+		wctx, cancelW := context.WithCancelCause(ctx)
+		if after, ok := kill[i]; ok {
+			cfg.HTTPClient = &http.Client{Transport: &killer{after: after, kill: cancelW}}
+		}
 		ag := worker.New(cfg)
 		wg.Add(1)
-		go func(i int) { defer wg.Done(); errs[i] = ag.Run(ctx) }(i)
+		go func(i int) {
+			defer wg.Done()
+			if errs[i] = ag.Run(wctx); errors.Is(errs[i], context.Canceled) {
+				errs[i] = context.Cause(wctx)
+			}
+			cancelW(nil)
+		}(i)
 	}
 
 	// Let every worker register before the campaign starts: the cut and
@@ -175,7 +220,7 @@ func TestRemoteGoldenRecords(t *testing.T) {
 			for i := range workers {
 				workers[i] = worker.Config{Name: "w", BatchSize: 3}
 			}
-			res, errs, _ := runRemote(t, tc.build, tc.seed, 10*time.Second, workers)
+			res, errs, _ := runRemote(t, tc.build, tc.seed, 10*time.Second, workers, nil)
 			for i, err := range errs {
 				if err != nil && !errors.Is(err, context.Canceled) {
 					t.Errorf("worker %d: %v", i, err)
@@ -205,9 +250,9 @@ func TestRemoteGoldenRecords(t *testing.T) {
 	}
 }
 
-// TestRemoteChaosKillMidShard kills one of two workers mid-shard via
-// the chaos hook: it stops heartbeating and abandons its lease without
-// completing. The lease must expire, the shard must be re-dispatched
+// TestRemoteChaosKillMidShard kills one of two workers mid-shard by
+// canceling its context once its first records reached the wire: it
+// stops heartbeating and abandons its lease without completing. The lease must expire, the shard must be re-dispatched
 // to the survivor and the final records must still match the golden
 // fixture byte-for-byte — re-execution only fills holes, never
 // duplicates or corrupts.
@@ -215,13 +260,13 @@ func TestRemoteChaosKillMidShard(t *testing.T) {
 	workers := []worker.Config{
 		// The victim dies after two records — mid-shard: two workers cut
 		// campaign A's 27 experiments into eight shards of three or four.
-		{Name: "victim", BatchSize: 2, Poll: time.Millisecond, KillAfterRecords: 2},
+		{Name: "victim", BatchSize: 2, Poll: time.Millisecond},
 		{Name: "survivor", BatchSize: 3, Poll: 10 * time.Millisecond},
 	}
-	res, errs, reg := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, workers)
+	res, errs, reg := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, workers, map[int]int{0: 2})
 	got := canonicalRecords(t, res.Records)
-	if !errors.Is(errs[0], worker.ErrKilled) {
-		t.Errorf("victim returned %v, want ErrKilled", errs[0])
+	if !errors.Is(errs[0], errKilled) {
+		t.Errorf("victim returned %v, want errKilled", errs[0])
 	}
 	if errs[1] != nil && !errors.Is(errs[1], context.Canceled) {
 		t.Errorf("survivor: %v", errs[1])
@@ -242,12 +287,12 @@ func TestRemoteChaosKillMidShard(t *testing.T) {
 // remaining shard in-process, still byte-identical to the fixture.
 func TestRemoteFleetDiesCompletely(t *testing.T) {
 	workers := []worker.Config{
-		{Name: "victim", BatchSize: 2, Poll: time.Millisecond, KillAfterRecords: 4},
+		{Name: "victim", BatchSize: 2, Poll: time.Millisecond},
 	}
-	res, errs, _ := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, workers)
+	res, errs, _ := runRemote(t, kvclient.CampaignA, 101, 400*time.Millisecond, workers, map[int]int{0: 4})
 	got := canonicalRecords(t, res.Records)
-	if !errors.Is(errs[0], worker.ErrKilled) {
-		t.Errorf("victim returned %v, want ErrKilled", errs[0])
+	if !errors.Is(errs[0], errKilled) {
+		t.Errorf("victim returned %v, want errKilled", errs[0])
 	}
 	if want := goldenFixture(t, "campaign-a"); !bytes.Equal(got, want) {
 		t.Errorf("records after total fleet loss drifted from golden fixture (%d vs %d bytes)", len(got), len(want))
@@ -259,7 +304,7 @@ func TestRemoteFleetDiesCompletely(t *testing.T) {
 // once, producing the exact fixture bytes — a fleet of zero is just
 // Local with extra bookkeeping.
 func TestRemoteNoWorkersFallsBackLocal(t *testing.T) {
-	res, _, _ := runRemote(t, kvclient.CampaignA, 101, time.Second, nil)
+	res, _, _ := runRemote(t, kvclient.CampaignA, 101, time.Second, nil, nil)
 	got := canonicalRecords(t, res.Records)
 	if want := goldenFixture(t, "campaign-a"); !bytes.Equal(got, want) {
 		t.Errorf("local-fallback records drifted from golden fixture (%d vs %d bytes)", len(got), len(want))
