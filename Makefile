@@ -64,12 +64,13 @@ loc:
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # loc's total may not exceed the budget. It is the figure the last change
-# measured: cancellation became how execution stops (no stub records, no
-# canceled takeover, no worker kill hook) and five pass-through settings
-# became constants, which took 21 315 to 21 260. A change that needs more lines raises the
-# constant in the same diff, where code review sees it; CI runs this
-# instead of loc, so the size cannot silently grow back.
-LOC_BUDGET := 21260
+# measured: a campaign's files are made by a background start while its
+# Runner is built, which took 21 260 to 21 337 (ROADMAP item 10(e), the
+# legacy jobs.jsonl fold, is the deletion that pays it back). A change
+# that needs more lines raises the constant in the same diff, where code
+# review sees it; CI runs this instead of loc, so the size cannot
+# silently grow back.
+LOC_BUDGET := 21337
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \

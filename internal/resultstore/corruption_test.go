@@ -318,10 +318,10 @@ func TestJournalValueCorruption(t *testing.T) {
 	}
 }
 
-// TestCampaignDegradesWhenItCannotStartOnDisk: a filesystem failure at
-// StartCampaign or ResumeCampaign is not an error — the campaign is
-// registered and serves from memory, degraded, exactly like one whose
-// disk failed mid-stream. Only names fail.
+// TestCampaignDegradesWhenItCannotStartOnDisk: a filesystem failure in
+// the start of StartCampaign or ResumeCampaign is not an error — the
+// campaign is registered and serves from memory, degraded, exactly like
+// one whose disk failed mid-stream. Only names fail.
 func TestCampaignDegradesWhenItCannotStartOnDisk(t *testing.T) {
 	dir := t.TempDir()
 	writeCampaignInterrupted := func() {
@@ -366,9 +366,6 @@ func TestCampaignDegradesWhenItCannotStartOnDisk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ResumeCampaign with an unwritable meta: %v", err)
 	}
-	if v := errors.Value(); v != 2 {
-		t.Errorf("write_errors_total = %v, want 2", v)
-	}
 	for id, w := range map[string]*Writer{"camp-1": w1, "camp-2": w2} {
 		before := len(recordLines(t, s, id))
 		appendN(t, w, 4)
@@ -385,6 +382,10 @@ func TestCampaignDegradesWhenItCannotStartOnDisk(t *testing.T) {
 		if _, err := s.Report(id); err != nil {
 			t.Errorf("%s: report not served: %v", id, err)
 		}
+	}
+	// Each start failed in the background and surfaced at its join.
+	if v := errors.Value(); v != 2 {
+		t.Errorf("write_errors_total = %v, want 2", v)
 	}
 	if _, err := s.StartCampaign(Meta{ID: "camp-1"}); err == nil {
 		t.Error("duplicate ID accepted")

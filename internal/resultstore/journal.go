@@ -82,9 +82,11 @@ const (
 )
 
 // AppendJournal writes one job lifecycle entry ahead of the work it
-// describes. The line is fsync'd before AppendJournal returns — this is
-// the store's write-ahead durability point — and folded into the
-// in-memory view. Memory-only stores fold without persisting.
+// describes and folds it into the in-memory view. A queued or terminal
+// line is fsync'd before AppendJournal returns — the store's write-ahead
+// durability point. A running line rides the next sync: recovery
+// resumes a job from its stored campaign whatever state the journal
+// names. Memory-only stores fold without persisting.
 func (s *Store) AppendJournal(e JournalEntry) error {
 	if e.Job == "" || journalRank(e.State) == 0 {
 		return fmt.Errorf("resultstore: journal entry needs a job and a known state (got %q/%q)", e.Job, e.State)
@@ -101,14 +103,14 @@ func (s *Store) AppendJournal(e JournalEntry) error {
 	if s.journalF == nil {
 		return nil
 	}
-	if _, err = s.journalF.Write(append(line, '\n')); err == nil {
+	if _, err = s.journalF.Write(append(line, '\n')); err == nil && e.State != JournalRunning {
+		s.met.fsync()
 		err = s.journalF.Sync()
 	}
 	if err != nil {
 		s.met.writeError()
 		return fmt.Errorf("resultstore: journal append: %w", err)
 	}
-	s.met.fsync()
 	s.journalBytes += int64(len(line)) + 1
 	if s.journalBytes-s.journalFolded > max(journalCompactMin, journalCompactFactor*s.journalFolded) {
 		// The entry is already durable: a failed rewrite leaves the longer
@@ -253,7 +255,7 @@ func (s *Store) loadJournal() error {
 // compactJournalLocked atomically replaces the journal file with its
 // fold — one line per pending job (payload included) and per retained
 // finished job (snapshot included) — and reattaches the append handle;
-// callers hold journalMu or are Open. writeFileSync renames a synced
+// callers hold journalMu or are Open. replaceFile renames a synced
 // temp file over the old journal, so a crash leaves one or the other.
 func (s *Store) compactJournalLocked() error {
 	var folded []byte
@@ -261,9 +263,10 @@ func (s *Store) compactJournalLocked() error {
 		folded = append(append(folded, mustJSON(s.journal[id])...), '\n')
 	}
 	path := filepath.Join(s.dir, journalFile)
-	if err := writeFileSync(path, folded); err != nil {
+	if err := s.replaceFile(path, folded); err != nil {
 		return err
 	}
+	s.syncDir(s.dir)
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)

@@ -264,17 +264,16 @@ func TestWriteErrorDegradesCampaignButKeepsReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Break the campaign directory out from under the writer before the
-	// first append (segments open lazily), so the segment create fails —
-	// a full disk looks the same.
-	s.mu.Lock()
-	c := s.camps["camp-1"]
-	s.mu.Unlock()
-	c.mu.Lock()
-	c.dir = filepath.Join(dir, "gone", "camp-1")
-	c.mu.Unlock()
-
-	for i := 0; i < 5; i++ {
+	// The start makes the first segment; once the first append has
+	// joined it, put a directory where the second one goes, so that
+	// segment's create fails — a full disk looks the same.
+	if err := w.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "campaigns", "camp-1", segName(2), "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < 5; i++ {
 		if err := w.Append(testRecord(i)); err != nil {
 			t.Fatalf("append after degradation returned error: %v", err)
 		}

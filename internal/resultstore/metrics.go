@@ -11,6 +11,7 @@ type storeMetrics struct {
 	fsyncs      *obs.Counter
 	writeErrors *obs.Counter
 	subscribers *obs.Gauge
+	startWait   *obs.Histogram
 }
 
 // Instrument registers the store's metric families in reg and starts
@@ -26,11 +27,14 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		bytes: reg.Counter("profipy_resultstore_bytes_total",
 			"Record bytes written to segment storage (including newlines)."),
 		fsyncs: reg.Counter("profipy_resultstore_fsyncs_total",
-			"Durability points: segment-roll syncs, journal appends and atomic meta/report writes."),
+			"fsync(2) calls: record segments, meta/report/journal files and their directories."),
 		writeErrors: reg.Counter("profipy_resultstore_write_errors_total",
 			"Segment or journal write failures; each degrades the affected campaign to memory-only records."),
 		subscribers: reg.Gauge("profipy_resultstore_follow_subscribers",
 			"Live Follow streams currently attached to campaigns."),
+		startWait: reg.Histogram("profipy_resultstore_start_wait_seconds",
+			"Time a campaign's first Append or Finish waited for the background start that makes its files; about 0 while building the Runner covers it.",
+			[]float64{.0001, .0005, .001, .005, .025, .1}),
 	}
 }
 
@@ -44,6 +48,12 @@ func (m *storeMetrics) append(n int) {
 func (m *storeMetrics) fsync() {
 	if m != nil {
 		m.fsyncs.Inc()
+	}
+}
+
+func (m *storeMetrics) startWaited(seconds float64) {
+	if m != nil {
+		m.startWait.Observe(seconds)
 	}
 }
 

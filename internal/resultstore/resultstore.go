@@ -7,8 +7,11 @@
 // are written through to JSONL segment files that roll at a fixed
 // record count with an fsync on every roll, so a crash or shutdown
 // mid-campaign loses at most the unsynced tail of one segment — and a
-// graceful shutdown, which closes the writer, loses nothing. Reads are
-// paginated by a monotonic record cursor and can follow a live
+// graceful shutdown, which closes the writer, loses nothing. A
+// campaign's directory, running metadata and first segment are made in
+// the background while its caller builds the campaign (writer.go's
+// start), so no file is created on the path to its first record.
+// Reads are paginated by a monotonic record cursor and can follow a live
 // campaign, which is what the SaaS layer's `?after=<cursor>` record
 // pages and NDJSON streams are built on.
 //
@@ -21,7 +24,8 @@
 //	campaigns/<id>/meta.json            campaign metadata (rewritten at finish)
 //	campaigns/<id>/report.json          final analysis report
 //	campaigns/<id>/records-NNNNNN.jsonl record segments, SegmentRecords lines each
-//	journal.jsonl                       job journal: queued (payload) → running → terminal (snapshot), fsync per entry
+//	journal.jsonl                       job journal: queued (payload) → running → terminal (snapshot);
+//	                                    queued and terminal entries fsync'd, running rides the next sync
 //
 // A data directory written before the two job logs were merged also
 // holds jobs.jsonl (bare terminal snapshots); Open folds it into the
@@ -131,6 +135,8 @@ type campaign struct {
 	file *os.File // open segment file (disk mode, while writing)
 	seq  int64    // records appended
 	live bool     // a Writer is attached
+	// start is the background start, pending until a Writer call joins it.
+	start *start
 	// nextSeg numbers the next segment file. It advances past every
 	// segment ever created in the directory — including quarantined
 	// ones — so a resumed campaign can never append into a file whose
@@ -200,6 +206,8 @@ func Open(dir string) (*Store, error) {
 	if err := os.MkdirAll(filepath.Join(dir, "campaigns"), 0o755); err != nil {
 		return nil, fmt.Errorf("resultstore: %w", err)
 	}
+	s.syncDir(dir) // the entry of campaigns/
+	removeTemps(dir)
 	if err := s.loadCampaigns(); err != nil {
 		return nil, err
 	}
@@ -265,6 +273,7 @@ func (s *Store) loadCampaigns() error {
 			continue
 		}
 		cdir := filepath.Join(s.dir, "campaigns", e.Name())
+		removeTemps(cdir)
 		metaPath := filepath.Join(cdir, "meta.json")
 		metaData, err := os.ReadFile(metaPath)
 		var meta Meta
@@ -303,6 +312,15 @@ func (s *Store) loadCampaigns() error {
 	// Stable: IDs without a number keep ReadDir's name order.
 	sort.SliceStable(s.order, func(i, j int) bool { return Seq(s.order[i]) < Seq(s.order[j]) })
 	return nil
+}
+
+// removeTemps deletes the temp files a crash left in dir between their
+// creation and their rename (a torn atomic write).
+func removeTemps(dir string) {
+	names, _ := filepath.Glob(filepath.Join(dir, ".tmp-*"))
+	for _, name := range names {
+		_ = os.Remove(name)
+	}
 }
 
 // Seq is the number an ID such as "camp-12" or "job-12" ends in, 0 when

@@ -379,6 +379,7 @@ func TestStartCampaignRejectsBadIDs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close() // joins the accepted campaign's start before TempDir goes
 	for _, id := range []string{"", "../evil", "a/b", `a\b`} {
 		if _, err := s.StartCampaign(Meta{ID: id}); err == nil {
 			t.Errorf("id %q accepted", id)

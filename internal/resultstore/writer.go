@@ -22,13 +22,13 @@ type Writer struct {
 	c *campaign
 }
 
-// StartCampaign registers a campaign and returns its record writer. The
-// metadata is persisted immediately with StatusRunning, so a live
+// StartCampaign registers a campaign and returns its record writer at
+// once; its start persists the metadata with StatusRunning, so a live
 // campaign is visible to readers (and to a post-crash reopen) from its
 // first record on. The ID is reserved under the store lock before any
 // filesystem write, so a duplicate can never clobber an existing
 // campaign's persisted metadata. Only an invalid or duplicate ID is an
-// error; see attach for filesystem failures.
+// error; see join for filesystem failures.
 func (s *Store) StartCampaign(meta Meta) (*Writer, error) {
 	if err := sanitizeID(meta.ID); err != nil {
 		return nil, err
@@ -46,87 +46,125 @@ func (s *Store) StartCampaign(meta Meta) (*Writer, error) {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("resultstore: campaign %s already stored", meta.ID)
 	}
+	s.begin(c) // before the campaign is published: Close must find its start
 	s.camps[meta.ID] = c
 	// In Seq order, ties by arrival, as a reopen lays it out.
 	i := sort.Search(len(s.order), func(j int) bool { return Seq(s.order[j]) > Seq(meta.ID) })
 	s.order = slices.Insert(s.order, i, meta.ID)
 	s.mu.Unlock()
 	s.evictMemory()
-	return s.attach(c, meta), nil
+	return &Writer{s: s, c: c}, nil
 }
 
-// attach hands out the writer of a campaign that just went live, after
-// persisting its running metadata. A filesystem failure here degrades
-// the campaign to memory-only records, like one mid-stream would: a
-// campaign the store has accepted is never un-registered.
-func (s *Store) attach(c *campaign, meta Meta) *Writer {
-	w := &Writer{s: s, c: c}
-	if c.dir != "" {
-		err := os.MkdirAll(c.dir, 0o755)
-		if err == nil {
-			err = w.writeFile("meta.json", mustJSON(meta))
-		}
-		if err != nil {
-			c.mu.Lock()
-			w.degradeLocked(err)
-			c.mu.Unlock()
-		}
+// start makes a campaign's files while its caller builds the campaign:
+// the directory (and its entry in campaigns/), the running meta.json
+// and the first segment. Its goroutine owns seg and err until done is
+// closed.
+type start struct {
+	done chan struct{}
+	name string // the first segment's file name
+	seg  *os.File
+	err  error
+}
+
+// begin launches a campaign's start; callers hold c.mu or own c.
+func (s *Store) begin(c *campaign) {
+	if c.dir == "" {
+		return
 	}
-	return w
+	c.nextSeg = max(c.nextSeg, 1)
+	st := &start{done: make(chan struct{}), name: segName(c.nextSeg)}
+	c.nextSeg++
+	c.start = st
+	go st.run(s, c.dir, mustJSON(c.meta))
+}
+
+func (st *start) run(s *Store, dir string, meta []byte) {
+	defer close(st.done)
+	if st.err = os.MkdirAll(dir, 0o755); st.err != nil {
+		return
+	}
+	s.syncDir(filepath.Dir(dir))
+	if st.err = s.replaceFile(filepath.Join(dir, "meta.json"), meta); st.err != nil {
+		return
+	}
+	s.syncDir(dir)
+	st.seg, st.err = os.OpenFile(filepath.Join(dir, st.name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+}
+
+// join waits for the campaign's start, if one is pending, and takes
+// over what it made. A start failure degrades the campaign to
+// memory-only records, like one mid-stream would: a campaign the store
+// has accepted is never un-registered. The wait holds no lock, so reads
+// of the campaign go on meanwhile.
+func (w *Writer) join() {
+	c := w.c
+	c.mu.Lock()
+	st := c.start
+	c.mu.Unlock()
+	if st == nil {
+		return
+	}
+	t := time.Now()
+	<-st.done
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.start != st {
+		return // a concurrent Abort or Store.Close took it over
+	}
+	c.start = nil
+	w.s.met.startWaited(time.Since(t).Seconds())
+	if st.err != nil {
+		w.degradeLocked(st.err)
+		return
+	}
+	c.file = st.seg
+	c.open = &segment{name: st.name, start: c.seq, lines: [][]byte{}}
 }
 
 // ResumeCampaign reattaches a Writer to a campaign a previous process
 // left behind mid-run (StatusInterrupted after a crash or shutdown):
 // the surviving segments stay read-only, new records append into a
 // fresh segment — never into a file whose trailing write may be torn —
-// and the metadata goes back to StatusRunning. The caller is expected
-// to replay the stored records into its aggregation and execute only
-// the missing plan indices. It fails only by name: unknown, already
-// live, already finished.
+// and the metadata goes back to StatusRunning (by a start, as in
+// StartCampaign). The caller is expected to replay the stored records
+// into its aggregation and execute only the missing plan indices. It
+// fails only by name: unknown, already live, already finished.
 func (s *Store) ResumeCampaign(id string) (*Writer, error) {
 	c, ok := s.camp(id)
 	if !ok {
 		return nil, ErrNotFound
 	}
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.live {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("resultstore: campaign %s already has a writer", id)
 	}
 	if c.meta.Status == StatusDone || c.meta.Status == StatusDegraded {
-		c.mu.Unlock()
 		return nil, fmt.Errorf("resultstore: campaign %s already finished", id)
 	}
 	c.live = true
 	c.meta.Status = StatusRunning
 	c.meta.FinishedMS = 0
 	c.meta.Error = ""
-	meta := c.meta
-	c.mu.Unlock()
-	return s.attach(c, meta), nil
-}
-
-// writeFile durably replaces one file of the campaign directory.
-func (w *Writer) writeFile(name string, data []byte) error {
-	err := writeFileSync(filepath.Join(w.c.dir, name), data)
-	if err == nil {
-		w.s.met.fsync()
-	}
-	return err
+	s.begin(c)
+	return &Writer{s: s, c: c}, nil
 }
 
 // Append streams one completed experiment record into the campaign's
 // current segment. The line reaches the OS immediately (live readers
 // and a graceful shutdown see it); fsync happens on segment roll and at
-// Finish. A file-level write failure does not reject the record: the
-// campaign degrades to memory-only persistence (reads keep serving,
-// Finish reports StatusDegraded) and the first error is retained.
+// Finish; a file is created only when a roll opens the next segment.
+// A file-level write failure does not reject the record: the campaign
+// degrades to memory-only persistence (reads keep serving, Finish
+// reports StatusDegraded) and the first error is retained.
 func (w *Writer) Append(rec analysis.Record) error {
 	line, err := json.Marshal(rec)
 	if err != nil {
 		return w.fail(err)
 	}
 	c := w.c
+	w.join()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.open == nil {
@@ -145,6 +183,9 @@ func (w *Writer) Append(rec analysis.Record) error {
 	c.notifyLocked()
 	if c.open.count >= w.s.segmentRecords {
 		w.rollLocked()
+		if !c.degraded {
+			w.s.syncDir(c.dir) // the rolled segment's entry
+		}
 	}
 	return nil
 }
@@ -156,9 +197,6 @@ func (w *Writer) openSegmentLocked() {
 	c := w.c
 	seg := &segment{start: c.seq, lines: [][]byte{}}
 	if c.dir != "" && !c.degraded {
-		if c.nextSeg == 0 {
-			c.nextSeg = 1
-		}
 		seg.name = segName(c.nextSeg)
 		f, err := os.OpenFile(filepath.Join(c.dir, seg.name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
@@ -173,7 +211,7 @@ func (w *Writer) openSegmentLocked() {
 }
 
 // rollLocked closes the open segment with an fsync — the durability
-// point of the stream — syncs the directory entry, and forgets the
+// point of the stream; the caller syncs the directory — and forgets the
 // segment's line cache in disk mode. A sync or close failure degrades
 // the campaign (the lines stay served from memory); callers hold c.mu.
 func (w *Writer) rollLocked() {
@@ -192,7 +230,6 @@ func (w *Writer) rollLocked() {
 			w.degradeLocked(fmt.Errorf("resultstore: roll segment: %w", err))
 		} else {
 			c.open.lines = nil // closed segments are re-read from disk
-			syncDir(c.dir)
 		}
 	}
 	c.segs = append(c.segs, c.open)
@@ -249,17 +286,24 @@ func (w *Writer) SetPhases(v any) error {
 
 // Finish seals the campaign: rolls the open segment (fsync), stores the
 // final report and summary, rewrites the metadata with the terminal
-// status, and wakes followers so live streams can end. It returns the
-// first error the stream hit, if any; a successful campaign whose
-// stream degraded finishes as StatusDegraded with the error surfaced
-// in Meta.Error.
+// status, syncs the directory once, and only then wakes followers so
+// live streams end on a durable seal. It returns the first error the
+// stream hit, if any; a successful campaign whose stream degraded
+// finishes as StatusDegraded with the error surfaced in Meta.Error.
 func (w *Writer) Finish(status string, summary any, report *analysis.Report) error {
 	c := w.c
+	w.join()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.live {
 		return fmt.Errorf("resultstore: campaign %s already finished", c.meta.ID)
 	}
+	return w.sealLocked(status, summary, report)
+}
+
+// sealLocked is Finish on a live campaign; callers hold c.mu.
+func (w *Writer) sealLocked(status string, summary any, report *analysis.Report) error {
+	c := w.c
 	w.rollLocked()
 	c.live = false
 	if status == StatusDone && c.werr != nil {
@@ -280,13 +324,14 @@ func (w *Writer) Finish(status string, summary any, report *analysis.Report) err
 	}
 	if c.dir != "" {
 		if c.report != nil {
-			if err := w.writeFile("report.json", c.report); err != nil {
+			if err := w.s.replaceFile(filepath.Join(c.dir, "report.json"), c.report); err != nil {
 				w.failLocked(err)
 			}
 		}
-		if err := w.writeFile("meta.json", mustJSON(c.meta)); err != nil {
+		if err := w.s.replaceFile(filepath.Join(c.dir, "meta.json"), mustJSON(c.meta)); err != nil {
 			w.failLocked(err)
 		}
+		w.s.syncDir(c.dir)
 	}
 	c.notifyLocked()
 	return c.werr
@@ -294,15 +339,15 @@ func (w *Writer) Finish(status string, summary any, report *analysis.Report) err
 
 // Abort seals a campaign that did not complete (canceled, failed,
 // shutdown): everything appended so far stays readable, no report is
-// stored. Safe to call after Finish (no-op).
+// stored. A no-op on a sealed campaign, even one Store.Close sealed.
 func (w *Writer) Abort(status string) error {
+	w.join()
 	w.c.mu.Lock()
-	live := w.c.live
-	w.c.mu.Unlock()
-	if !live {
+	defer w.c.mu.Unlock()
+	if !w.c.live {
 		return nil
 	}
-	return w.Finish(status, nil, nil)
+	return w.sealLocked(status, nil, nil)
 }
 
 // Close flushes and seals every still-live campaign (as
@@ -323,7 +368,8 @@ func (s *Store) Close() error {
 	}
 	s.journalMu.Lock()
 	if s.journalF != nil {
-		// Every journal append already fsync'd; just release the handle.
+		// Every queued and terminal line is already fsync'd; a running
+		// line is worth no sync of its own (see AppendJournal).
 		if err := s.journalF.Close(); err != nil && first == nil {
 			first = err
 		}
@@ -395,43 +441,41 @@ func mustJSON(v any) []byte {
 	return data
 }
 
-// writeFileSync writes data to path durably: temp file in the same
-// directory, fsync, atomic rename, directory fsync (so the rename
-// itself survives a power cut — a reader after a crash sees either the
-// old complete file or the new complete file, never a torn mix).
-func writeFileSync(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".tmp-*")
+// replaceFile durably replaces path with data: a temp file in the same
+// directory, fsync, atomic rename — a reader after a crash sees either
+// the old complete file or the new one, never a torn mix. The caller
+// syncs the directory to make the rename itself survive a power cut.
+func (s *Store) replaceFile(path string, data []byte) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), ".tmp-*")
 	if err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
+	if _, err = tmp.Write(data); err == nil {
+		s.met.fsync()
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp.Name())
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	syncDir(dir)
 	return nil
 }
 
 // syncDir fsyncs a directory so renames and newly created files in it
 // are durable. Best effort: some filesystems reject directory fsync,
 // and the data files themselves are already synced.
-func syncDir(dir string) {
+func (s *Store) syncDir(dir string) {
 	if dir == "" {
 		return
 	}
 	if d, err := os.Open(dir); err == nil {
+		s.met.fsync()
 		_ = d.Sync()
 		_ = d.Close()
 	}

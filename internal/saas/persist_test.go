@@ -21,6 +21,7 @@ import (
 	"profipy/internal/analysis"
 	"profipy/internal/campaign"
 	"profipy/internal/kvclient"
+	"profipy/internal/obs"
 	"profipy/internal/resultstore"
 	"profipy/internal/scheduler"
 )
@@ -757,5 +758,46 @@ func TestUnavailableCampaignIDFailsJobByName(t *testing.T) {
 	st, _ := pollUntilTerminal(t, ts.URL, submitDemo(t, ts.URL, 3))
 	if st.State != scheduler.Failed || !strings.Contains(st.Error, "camp-1") || !strings.Contains(st.Error, "already has a writer") {
 		t.Fatalf("job = %+v, want failed naming camp-1 and its writer", st)
+	}
+}
+
+// TestCampaignLateFsyncBudget pins the fsync(2) calls one campaign-late
+// run (13 records) costs through the service: the queued journal line
+// (1); the start, overlapped with the Runner's build — campaigns/, the
+// running meta.json and the campaign directory (3); the seal — the
+// segment, report.json, meta.json and the directory (4); the terminal
+// journal line (1). The running line rides the terminal one's sync. A
+// change that adds a sync to a campaign's path fails here.
+func TestCampaignLateFsyncBudget(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, ts := newAsyncTestServer(t, Options{Cores: 4, DataDir: t.TempDir(), Metrics: reg})
+	files := map[string]string{kvclient.FileWorkload: kvclient.LateWorkloadSource}
+	for name, src := range kvclient.Sources() {
+		if name != kvclient.FileWorkload {
+			files[name] = string(src)
+		}
+	}
+	resp, out := postJSON(t, ts.URL+"/api/v1/projects", map[string]any{"name": "late", "files": files})
+	var project string
+	if resp.StatusCode != http.StatusCreated || json.Unmarshal(out["id"], &project) != nil {
+		t.Fatalf("project upload = %d %v", resp.StatusCode, out)
+	}
+	resp, out = postJSON(t, ts.URL+"/api/v1/campaigns?wait=true", CampaignRequest{
+		Project: project, Specs: kvclient.CampaignAFaultload(),
+		ScanFiles: []string{kvclient.FileLock, kvclient.FileAuth}, Entry: "Workload",
+		WorkloadFiles: []string{kvclient.FileClient, kvclient.FileLock, kvclient.FileAuth, kvclient.FileWorkload},
+		Env:           "kvclient", Seed: 707, Classes: kvclient.AnalysisConfig().Classes,
+	})
+	var id string
+	if resp.StatusCode != http.StatusCreated || json.Unmarshal(out["id"], &id) != nil {
+		t.Fatalf("campaign = %d %v", resp.StatusCode, out)
+	}
+	if meta, _ := srv.Store().Get(id); meta.Records != 13 {
+		t.Fatalf("campaign-late stored %d records, want 13", meta.Records)
+	}
+	ts.Close()
+	srv.Close() // drains the scheduler: the terminal journal line is in
+	if got := reg.Counter("profipy_resultstore_fsyncs_total", "").Value(); got != 9 {
+		t.Errorf("one campaign-late run cost %v fsyncs, want 9", got)
 	}
 }

@@ -668,8 +668,10 @@ func (s *Server) loadResume(campID string) []analysis.Record {
 // stop pending, with the failure visible in the job history.
 func (s *Server) recover() {
 	for _, e := range s.store.PendingJobs() {
+		// The store, not the journal's running line, says whether the
+		// job had started: campaignTask resumes whatever it finds there.
 		outcome := "requeued"
-		if e.State == resultstore.JournalRunning {
+		if meta, ok := s.store.Get(campaignIDFor(e.Job)); ok && !finished(meta) {
 			outcome = "resumed"
 		}
 		var payload journaledJob

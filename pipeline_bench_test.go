@@ -70,7 +70,7 @@ func BenchmarkPipelineExecutors(b *testing.B) {
 // a disk-backed result store under the given campaign ID, and — when
 // journal is set — write-ahead journaling the job lifecycle exactly as
 // the saas layer does (queued and running before the run, terminal
-// after; each an fsync'd append). The journal-on vs journal-off pair in
+// after; the queued and terminal lines fsync'd, the running one not). The journal-on vs journal-off pair in
 // BENCH_pipeline.json is the durability-overhead gate: crash
 // consistency must stay within a few percent of records/s.
 func benchStoreCampaign(tb testing.TB, s *resultstore.Store, id string, journal bool) int {

@@ -70,6 +70,7 @@ for fam in \
   profipy_resultstore_bytes_total \
   profipy_resultstore_fsyncs_total \
   profipy_resultstore_follow_subscribers \
+  profipy_resultstore_start_wait_seconds \
   profipy_runtime_gc_cpu_fraction \
   profipy_runtime_gc_cycles \
   profipy_runtime_heap_live_bytes \
@@ -94,7 +95,7 @@ if [[ -n "$bad" ]]; then
   exit 1
 fi
 # Histograms must carry the +Inf bucket.
-for h in profipy_campaign_phase_seconds profipy_executor_experiment_seconds; do
+for h in profipy_campaign_phase_seconds profipy_executor_experiment_seconds profipy_resultstore_start_wait_seconds; do
   grep -q "^${h}_bucket{.*le=\"+Inf\"}" "$SCRAPE" || { echo "missing +Inf bucket for $h"; exit 1; }
 done
 # There is one engine: no executor or campaign family may carry an
@@ -125,6 +126,9 @@ fi
 if grep -E '^profipy_campaign_mutant_compiles_total\{path="file"' "$SCRAPE"; then
   echo "a healthy campaign recompiled a whole file (path=\"file\" sample above)"; exit 1
 fi
+
+# The one campaign's writer joined its background start exactly once.
+grep -q '^profipy_resultstore_start_wait_seconds_count 1$' "$SCRAPE" || { echo "profipy_resultstore_start_wait_seconds_count is not 1"; exit 1; }
 
 echo "== check pprof debug listener"
 curl -fs "http://$DEBUG_ADDR/debug/pprof/cmdline" >/dev/null
