@@ -187,15 +187,15 @@ func (c *Campaign) Run() (*Result, error) {
 // returned.
 func (c *Campaign) RunContext(ctx context.Context) (*Result, error) {
 	met := newMetrics(c.Metrics)
-	met.run("started")
+	met.runs.With("started").Inc()
 	res, err := c.runContext(ctx, met)
 	switch {
 	case err == nil:
-		met.run("completed")
+		met.runs.With("completed").Inc()
 	case errors.Is(err, context.Canceled):
-		met.run("canceled")
+		met.runs.With("canceled").Inc()
 	default:
-		met.run("failed")
+		met.runs.With("failed").Inc()
 	}
 	return res, err
 }
@@ -218,7 +218,7 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 			Name: name, Component: "campaign",
 			StartNS: from.Sub(t0).Nanoseconds(), EndNS: time.Since(t0).Nanoseconds(),
 		})
-		met.phase(name, d)
+		met.phaseDur.With(name).Observe(d.Seconds())
 		switch name {
 		case "scan":
 			res.ScanTime = d
@@ -322,11 +322,24 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		}
 	}
 	done := res.Replayed
+	// Executors call the sink one record at a time. It resolves each
+	// outcome's counter on that outcome's first record, so later records
+	// pay no label lookup and a run without infrastructure errors
+	// exposes no error sample.
+	var expOK, expErr *obs.Counter
 	sink := executor.SinkFunc(func(idx int, rec analysis.Record) {
 		agg.Add(rec)
-		met.experiment(rec.Result == nil)
 		if rec.Result == nil {
+			if expErr == nil {
+				expErr = met.experiments.With("error")
+			}
+			expErr.Inc()
 			res.Errors++
+		} else {
+			if expOK == nil {
+				expOK = met.experiments.With("ok")
+			}
+			expOK.Inc()
 		}
 		if collect != nil {
 			collect.Put(idx, rec)
@@ -368,8 +381,17 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	for _, n := range forkMisses {
 		res.ForkMisses += n
 	}
-	met.fork(build, forkHits, forkMisses)
-	met.mutantCompiles(runner.wcfg.Program.MutantCompiles())
+	met.forkEvents.With("snapshot", "").Add(float64(build.Snapshots))
+	met.forkEvents.With("short_site", "").Add(float64(build.Short))
+	met.forkEvents.With("hit", "").Add(float64(forkHits))
+	for reason, n := range forkMisses {
+		met.forkEvents.With("miss", reason).Add(float64(n))
+	}
+	decl, file := runner.wcfg.Program.MutantCompiles()
+	met.compiles.With("decl", "").Add(float64(decl))
+	for reason, n := range file {
+		met.compiles.With("file", reason).Add(float64(n))
+	}
 
 	// --- Data analysis phase ---
 	// The report is already aggregated: every record was folded in as

@@ -1,14 +1,12 @@
 package campaign
 
 import (
-	"time"
-
 	"profipy/internal/obs"
 	"profipy/internal/workload"
 )
 
-// cmetrics instruments campaign runs. A nil *cmetrics is valid and
-// inert, so call sites stay unconditional.
+// cmetrics holds the campaign's metric handles; without a registry they
+// are nil and inert (see obs), so call sites use them unconditionally.
 type cmetrics struct {
 	runs        *obs.CounterVec // status = started | completed | failed | canceled
 	experiments *obs.CounterVec // result = ok | error
@@ -24,9 +22,6 @@ var phaseBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 
 
 // newMetrics builds the campaign instrumentation.
 func newMetrics(reg *obs.Registry) *cmetrics {
-	if reg == nil {
-		return nil
-	}
 	// The rounds' own counter: registered here so it reads 0 until the
 	// first kill.
 	workload.WatchdogTimeouts(reg)
@@ -43,56 +38,5 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason).", "event", "reason"),
 		prepares: reg.CounterVec("profipy_campaign_prepared_total",
 			"Campaigns by how they came by their parsed and compiled project in this process's prepared set: borrowed (hit), prepared and retained (miss), prepared but over the set's byte bound and not retained (too_large).", "result"),
-	}
-}
-
-func (m *cmetrics) prepared(result string) {
-	if m != nil {
-		m.prepares.With(result).Inc()
-	}
-}
-
-func (m *cmetrics) run(status string) {
-	if m != nil {
-		m.runs.With(status).Inc()
-	}
-}
-
-func (m *cmetrics) phase(name string, d time.Duration) {
-	if m != nil {
-		m.phaseDur.With(name).Observe(d.Seconds())
-	}
-}
-
-func (m *cmetrics) experiment(infraError bool) {
-	if m == nil {
-		return
-	}
-	if infraError {
-		m.experiments.With("error").Inc()
-	} else {
-		m.experiments.With("ok").Inc()
-	}
-}
-
-func (m *cmetrics) fork(build workload.PrefixStats, hits int, misses map[string]int) {
-	if m == nil {
-		return
-	}
-	m.forkEvents.With("snapshot", "").Add(float64(build.Snapshots))
-	m.forkEvents.With("short_site", "").Add(float64(build.Short))
-	m.forkEvents.With("hit", "").Add(float64(hits))
-	for reason, n := range misses {
-		m.forkEvents.With("miss", reason).Add(float64(n))
-	}
-}
-
-func (m *cmetrics) mutantCompiles(decl uint64, file map[string]uint64) {
-	if m == nil {
-		return
-	}
-	m.compiles.With("decl", "").Add(float64(decl))
-	for reason, n := range file {
-		m.compiles.With("file", reason).Add(float64(n))
 	}
 }

@@ -180,7 +180,7 @@ func (c *Campaign) baseWorkload(p *Prepared, met *cmetrics) (workload.Config, st
 		}
 		result = c.Prepared.put(p)
 	}
-	met.prepared(result)
+	met.prepares.With(result).Inc()
 	wcfg.Program = p.prog.Counted()
 	return wcfg, result, nil
 }

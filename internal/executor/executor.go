@@ -104,7 +104,7 @@ func (l Local) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) 
 	m := newMetrics(l.Reg, l.Name())
 	exp = m.instrument(exp)
 	runPool(ctx, 0, n, l.Workers, l.Skip.Has, exp, func(r indexed) {
-		m.record()
+		m.records.Inc()
 		sink.Put(r.idx, r.rec)
 	})
 	return ctx.Err()

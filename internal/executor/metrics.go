@@ -7,10 +7,10 @@ import (
 	"profipy/internal/obs"
 )
 
-// emetrics instruments one engine's Run: completed records and
-// experiment latency (both hot-path, resolved to atomic children once
-// per Run) and the busy-worker gauge for utilization. A nil *emetrics
-// is valid and inert.
+// emetrics holds one engine's metric handles for a Run: completed
+// records and experiment latency (both hot-path, resolved to atomic
+// children once per Run) and the busy-worker gauge for utilization.
+// Without a registry the handles are nil and inert (see obs).
 type emetrics struct {
 	records   *obs.Counter
 	expDur    *obs.Histogram
@@ -25,9 +25,6 @@ var expDurBuckets = []float64{.0001, .00025, .0005, .001, .0025, .005, .01, .025
 // newMetrics resolves the hot-path vec children once per Run; executor
 // is the engine, "local" or "remote".
 func newMetrics(reg *obs.Registry, executor string) *emetrics {
-	if reg == nil {
-		return nil
-	}
 	return &emetrics{
 		records: reg.CounterVec("profipy_executor_records_total",
 			"Experiment records delivered to the sink, by executor.", "executor").With(executor),
@@ -41,10 +38,10 @@ func newMetrics(reg *obs.Registry, executor string) *emetrics {
 }
 
 // instrument wraps an Experiment with busy-gauge and latency
-// accounting; the no-metrics path returns exp untouched so the hot
-// loop pays nothing.
+// accounting; without a registry it returns exp untouched, so the
+// uninstrumented pool pays nothing, not even the clock reads.
 func (m *emetrics) instrument(exp Experiment) Experiment {
-	if m == nil {
+	if m.expDur == nil {
 		return exp
 	}
 	return func(idx int) analysis.Record {
@@ -54,19 +51,5 @@ func (m *emetrics) instrument(exp Experiment) Experiment {
 		m.expDur.ObserveSince(start)
 		m.busy.Dec()
 		return rec
-	}
-}
-
-// takeover counts one in-process drain that claimed work.
-func (m *emetrics) takeover(reason string) {
-	if m != nil {
-		m.takeovers.With(reason).Inc()
-	}
-}
-
-// record counts one delivered record.
-func (m *emetrics) record() {
-	if m != nil {
-		m.records.Inc()
 	}
 }

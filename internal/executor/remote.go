@@ -125,7 +125,7 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 					break
 				}
 				if reason != "" { // the first claim: count the takeover once
-					m.takeover(reason)
+					m.takeovers.With(reason).Inc()
 					reason = ""
 				}
 				runPool(ctx, lo, hi, r.LocalWorkers, job.IsDelivered, exp, func(rec indexed) {
@@ -156,7 +156,7 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 				}
 				return nil
 			}
-			m.record()
+			m.records.Inc()
 			r.account(d)
 			sink.Put(d.Idx, d.Rec)
 		case <-drained:

@@ -239,7 +239,8 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Dura
 		wake := c.wake
 		c.mu.Unlock()
 		if granted {
-			c.met.leaseRequest(result, time.Since(start))
+			c.met.leaseReqs.With(result).Inc()
+			c.met.leaseWait.ObserveSince(start)
 			return lease, true, nil
 		}
 		result = "woken"
@@ -250,7 +251,8 @@ func (c *Coordinator) Lease(ctx context.Context, workerID string, wait time.Dura
 		case <-ctx.Done():
 		case <-c.done:
 		}
-		c.met.leaseRequest("empty", time.Since(start))
+		c.met.leaseReqs.With("empty").Inc()
+		c.met.leaseWait.ObserveSince(start)
 		return remote.Lease{}, false, nil
 	}
 }
@@ -278,7 +280,7 @@ func (c *Coordinator) grantLocked(w *workerState) (remote.Lease, bool) {
 			sh.dispatches++
 			w.leases++
 			if sh.dispatches > 1 {
-				c.met.redispatch()
+				c.met.redisp.Inc()
 				slog.Warn("fleet: shard re-dispatched",
 					"campaign", camp, "shard", i, "worker", w.id, "dispatch", sh.dispatches)
 			}
@@ -339,7 +341,7 @@ func (c *Coordinator) Ingest(campaign string, shard int, token string, lines []r
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.met.staleBatch(len(lines))
+		c.met.stale.Add(float64(len(lines)))
 		return false
 	}
 	c.deliver(job, lines, start)
@@ -353,7 +355,9 @@ func (c *Coordinator) deliver(job *Job, lines []remote.RecordLine, start time.Ti
 			fresh++
 		}
 	}
-	c.met.ingest(fresh, len(lines)-fresh, c.cfg.now().Sub(start))
+	c.met.ingested.Add(float64(fresh))
+	c.met.duplicate.Add(float64(len(lines) - fresh))
+	c.met.ingestH.Observe(c.cfg.now().Sub(start).Seconds())
 }
 
 // Complete ingests the shard's last records, marks it fully executed
@@ -368,14 +372,14 @@ func (c *Coordinator) Complete(campaign string, shard int, token string, tail []
 	defer c.mu.Unlock()
 	job, ok := c.checkToken(campaign, shard, token)
 	if !ok {
-		c.met.staleBatch(len(tail))
+		c.met.stale.Add(float64(len(tail)))
 		return remote.Lease{}, false, false
 	}
 	if len(tail) > 0 {
 		c.deliver(job, tail, start)
 	}
 	sh := &job.shards[shard]
-	c.met.shardDone(start.Sub(sh.leasedAt))
+	c.met.shardH.Observe(start.Sub(sh.leasedAt).Seconds())
 	holder := c.workers[sh.worker]
 	c.releaseLocked(sh, shardDone)
 	next, granted = c.grantLocked(holder)
@@ -420,7 +424,7 @@ func (c *Coordinator) sweepLocked(now time.Time, asking string) int {
 				slog.Warn("fleet: lease expired",
 					"campaign", camp, "shard", i, "worker", sh.worker)
 				expired++
-				c.met.leaseExpired()
+				c.met.expiries.Inc()
 			default:
 				continue
 			}

@@ -47,11 +47,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 func (c *Coordinator) rejectBody(w http.ResponseWriter, what string, err error) {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) || errors.Is(err, bufio.ErrTooLong) {
-		c.met.reject("too_large")
+		c.met.rejected.With("too_large").Inc()
 		http.Error(w, what+": body over 16 MiB", http.StatusRequestEntityTooLarge)
 		return
 	}
-	c.met.reject("malformed")
+	c.met.rejected.With("malformed").Inc()
 	http.Error(w, what+": "+err.Error(), http.StatusBadRequest)
 }
 

@@ -1,13 +1,9 @@
 package fleet
 
-import (
-	"time"
+import "profipy/internal/obs"
 
-	"profipy/internal/obs"
-)
-
-// fmetrics instruments the fleet coordinator. All methods are nil-safe
-// no-ops when no registry was configured.
+// fmetrics holds the fleet coordinator's metric handles; without a
+// registry they are nil and inert (see obs).
 type fmetrics struct {
 	expiries  *obs.Counter
 	redisp    *obs.Counter
@@ -22,9 +18,6 @@ type fmetrics struct {
 }
 
 func newMetrics(reg *obs.Registry, c *Coordinator) *fmetrics {
-	if reg == nil {
-		return nil
-	}
 	reg.GaugeFunc("profipy_fleet_workers",
 		"Registered workers with a heartbeat within the lease TTL.",
 		func() float64 { return float64(c.LiveWorkers()) })
@@ -49,51 +42,5 @@ func newMetrics(reg *obs.Registry, c *Coordinator) *fmetrics {
 			"Time from a shard's lease to its completion.", nil),
 		rejected: reg.CounterVec("profipy_fleet_requests_rejected_total",
 			"Worker requests refused for their body: over the size bound (too_large, 413) or not decodable (malformed, 400).", "reason"),
-	}
-}
-
-func (m *fmetrics) leaseRequest(result string, d time.Duration) {
-	if m != nil {
-		m.leaseReqs.With(result).Inc()
-		m.leaseWait.Observe(d.Seconds())
-	}
-}
-
-func (m *fmetrics) shardDone(d time.Duration) {
-	if m != nil {
-		m.shardH.Observe(d.Seconds())
-	}
-}
-
-func (m *fmetrics) reject(reason string) {
-	if m != nil {
-		m.rejected.With(reason).Inc()
-	}
-}
-
-func (m *fmetrics) leaseExpired() {
-	if m != nil {
-		m.expiries.Inc()
-	}
-}
-
-func (m *fmetrics) redispatch() {
-	if m != nil {
-		m.redisp.Inc()
-	}
-}
-
-func (m *fmetrics) ingest(fresh, dup int, d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.ingested.Add(float64(fresh))
-	m.duplicate.Add(float64(dup))
-	m.ingestH.Observe(d.Seconds())
-}
-
-func (m *fmetrics) staleBatch(n int) {
-	if m != nil {
-		m.stale.Add(float64(n))
 	}
 }

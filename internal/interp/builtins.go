@@ -196,6 +196,9 @@ func builtinAppend(it *Interp, args []Value) (Value, error) {
 			return nil, it.throw("TypeError", "append first argument must be a list, not "+TypeName(args[0]))
 		}
 	}
+	if n := len(l.Elems) + len(args) - 1; n > maxListLen {
+		return nil, it.tooLarge("list", n, maxListLen)
+	}
 	out := NewList(append(append([]Value(nil), l.Elems...), args[1:]...)...)
 	return out, nil
 }

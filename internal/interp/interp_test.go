@@ -508,6 +508,43 @@ func TestRecursionDepthLimited(t *testing.T) {
 	}
 }
 
+// TestValueSizeLimited: list +, append and string + raise MemoryError
+// past their bounds on both engines. The first source is the committed
+// FuzzForkEquivalence crasher, which doubles a list per iteration and,
+// unbounded, ran the process out of memory long before MaxSteps.
+func TestValueSizeLimited(t *testing.T) {
+	for name, src := range map[string]string{
+		"list+":   "func F(){fs=[]A{}\nfor i=0;i<1;{j=0\nfs+=append(fs,func(){j})}}",
+		"append":  "func F(){l=[]any{1}\nfor i:=0;i<18;i++{l=l+l}\nl=append(l,1)}",
+		"string+": "func F(){s=\"x\"\nfor i:=0;i<24;i++{s+=s}\ns+=\"x\"}",
+	} {
+		src = "package main\n" + src
+		tree := New(Config{})
+		if err := tree.LoadSource("t.go", []byte(src)); err != nil {
+			t.Fatalf("%s: LoadSource: %v", name, err)
+		}
+		_, terr := tree.Call("F")
+		prog, err := CompileProgram([]SourceUnit{{Name: "t.go", Src: []byte(src)}})
+		if err != nil {
+			t.Fatalf("%s: CompileProgram: %v", name, err)
+		}
+		it := NewRun(prog, Config{})
+		if err := it.Boot(); err != nil {
+			t.Fatalf("%s: Boot: %v", name, err)
+		}
+		_, cerr := it.Call("F")
+		for engine, err := range map[string]error{"tree-walk": terr, "compiled": cerr} {
+			var pe *PanicError
+			if !errors.As(err, &pe) {
+				t.Fatalf("%s on %s: err = %v, want PanicError", name, engine, err)
+			}
+			if exc, _ := pe.Exception(); exc.Type != "MemoryError" {
+				t.Errorf("%s on %s: exception = %v, want MemoryError", name, engine, pe.Val)
+			}
+		}
+	}
+}
+
 func TestFmtSprintf(t *testing.T) {
 	src := `
 import "fmt"

@@ -12,6 +12,25 @@ import (
 	"strings"
 )
 
+// Value-size bounds. Steps bound a program's time, not its memory: one
+// step of list +, append or string + copies a whole value, so a loop of
+// them can double a value per iteration and exhaust the host long
+// before MaxSteps. Past these bounds the three raise MemoryError, as a
+// call past the depth bound raises RecursionError. They sit far above
+// what a workload round builds and keep one copy to 4 MiB of list
+// elements or 16 MiB of string; at this list bound the doubling loop
+// stops after 18 iterations, in well under a second even when forked at
+// every boundary.
+const (
+	maxListLen   = 1 << 18  // elements
+	maxStringLen = 16 << 20 // bytes
+)
+
+// tooLarge raises MemoryError for a value of n units past limit.
+func (it *Interp) tooLarge(what string, n, limit int) error {
+	return it.throw("MemoryError", fmt.Sprintf("%s of %d exceeds the limit of %d", what, n, limit))
+}
+
 // control is how a statement ends: normally, or by break, continue or
 // return.
 type control int
@@ -125,6 +144,9 @@ func (it *Interp) binop(op token.Token, l, r Value) (Value, error) {
 		}
 	case *List:
 		if rv, ok := r.(*List); ok && op == token.ADD {
+			if n := len(lv.Elems) + len(rv.Elems); n > maxListLen {
+				return nil, it.tooLarge("list", n, maxListLen)
+			}
 			out := NewList()
 			out.Elems = append(out.Elems, lv.Elems...)
 			out.Elems = append(out.Elems, rv.Elems...)
@@ -203,6 +225,9 @@ func floatOp(it *Interp, op token.Token, a, b float64) (Value, error) {
 func stringOp(it *Interp, op token.Token, a, b string) (Value, error) {
 	switch op {
 	case token.ADD:
+		if n := len(a) + len(b); n > maxStringLen {
+			return nil, it.tooLarge("string", n, maxStringLen)
+		}
 		return a + b, nil
 	case token.LSS:
 		return a < b, nil

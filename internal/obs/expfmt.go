@@ -12,8 +12,12 @@ import (
 
 // WritePrometheus renders every registered family in the Prometheus
 // text exposition format (version 0.0.4). Output is deterministic:
-// families sort by name, children by label values.
+// families sort by name, children by label values. A nil registry
+// renders nothing.
 func (r *Registry) WritePrometheus(w io.Writer) error {
+	if r == nil {
+		return nil
+	}
 	r.mu.RLock()
 	names := make([]string, 0, len(r.fams))
 	for name := range r.fams {

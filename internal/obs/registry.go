@@ -14,11 +14,18 @@
 // The hot-path cost is one atomic add per event: metric children are
 // resolved once (With) and cached by the instrumented layer, so
 // per-record instrumentation stays allocation-free.
+//
+// Every handle is inert when nil: a nil *Registry registers nothing and
+// returns nil handles, With on a nil vec returns a nil child, and a nil
+// child ignores updates and reads 0. A layer built without a registry
+// therefore holds nil handles and calls them unconditionally; no layer
+// wraps them to decide whether it is instrumented.
 package obs
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -38,7 +45,8 @@ const (
 var DefBuckets = []float64{.005, .01, .025, .05, .1, .25, .5, 1, 2.5, 5, 10}
 
 // Registry holds metric families. All methods are safe for concurrent
-// use. The zero value is not usable; call NewRegistry.
+// use. The zero value is not usable; call NewRegistry. A nil *Registry
+// registers nothing.
 type Registry struct {
 	mu   sync.RWMutex
 	fams map[string]*family
@@ -92,13 +100,10 @@ func (r *Registry) getOrCreate(name, help, typ string, labels []string, buckets 
 	if f.typ != typ {
 		panic(fmt.Sprintf("obs: metric %s registered as %s, requested as %s", name, f.typ, typ))
 	}
-	if len(f.labels) != len(labels) {
-		panic(fmt.Sprintf("obs: metric %s registered with labels %v, requested with %v", name, f.labels, labels))
-	}
-	for i := range labels {
-		if f.labels[i] != labels[i] {
-			panic(fmt.Sprintf("obs: metric %s registered with labels %v, requested with %v", name, f.labels, labels))
-		}
+	if !slices.Equal(f.labels, labels) {
+		// Joined, not formatted with %v: a slice passed to fmt escapes,
+		// and every registration's variadic labels with it.
+		panic(fmt.Sprintf("obs: metric %s registered with labels [%s], requested with [%s]", name, strings.Join(f.labels, " "), strings.Join(labels, " ")))
 	}
 	return f
 }
@@ -142,20 +147,28 @@ func (c *Counter) Inc() { c.Add(1) }
 // Add increases the counter by v (negative v is ignored — counters
 // never go down).
 func (c *Counter) Add(v float64) {
-	if v < 0 {
+	if c == nil || v < 0 {
 		return
 	}
 	addFloat(&c.bits, v)
 }
 
 // Value returns the current count.
-func (c *Counter) Value() float64 { return math.Float64frombits(c.bits.Load()) }
+func (c *Counter) Value() float64 {
+	if c == nil {
+		return 0
+	}
+	return math.Float64frombits(c.bits.Load())
+}
 
 // CounterVec is a labeled counter family.
 type CounterVec struct{ f *family }
 
 // With returns the child counter for the given label values.
 func (v *CounterVec) With(values ...string) *Counter {
+	if v == nil {
+		return nil
+	}
 	return v.f.child(values, func(vals []string) metric { return &Counter{values: vals} }).(*Counter)
 }
 
@@ -166,6 +179,9 @@ func (r *Registry) Counter(name, help string) *Counter {
 
 // CounterVec registers (or finds) a labeled counter family.
 func (r *Registry) CounterVec(name, help string, labels ...string) *CounterVec {
+	if r == nil {
+		return nil
+	}
 	return &CounterVec{f: r.getOrCreate(name, help, typeCounter, labels, nil)}
 }
 
@@ -180,7 +196,11 @@ type Gauge struct {
 func (g *Gauge) labelValues() []string { return g.values }
 
 // Add increases (or with negative v decreases) the gauge.
-func (g *Gauge) Add(v float64) { addFloat(&g.bits, v) }
+func (g *Gauge) Add(v float64) {
+	if g != nil {
+		addFloat(&g.bits, v)
+	}
+}
 
 // Inc adds 1.
 func (g *Gauge) Inc() { g.Add(1) }
@@ -189,13 +209,21 @@ func (g *Gauge) Inc() { g.Add(1) }
 func (g *Gauge) Dec() { g.Add(-1) }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
+func (g *Gauge) Value() float64 {
+	if g == nil {
+		return 0
+	}
+	return math.Float64frombits(g.bits.Load())
+}
 
 // GaugeVec is a labeled gauge family.
 type GaugeVec struct{ f *family }
 
 // With returns the child gauge for the given label values.
 func (v *GaugeVec) With(values ...string) *Gauge {
+	if v == nil {
+		return nil
+	}
 	return v.f.child(values, func(vals []string) metric { return &Gauge{values: vals} }).(*Gauge)
 }
 
@@ -206,12 +234,18 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 
 // GaugeVec registers (or finds) a labeled gauge family.
 func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
+	if r == nil {
+		return nil
+	}
 	return &GaugeVec{f: r.getOrCreate(name, help, typeGauge, labels, nil)}
 }
 
 // GaugeFunc registers a callback gauge: fn is evaluated at scrape time.
 // Registering the same name again replaces the callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
+	if r == nil {
+		return
+	}
 	f := r.getOrCreate(name, help, typeGauge, nil, nil)
 	f.mu.Lock()
 	f.fn = fn
@@ -233,6 +267,9 @@ func (h *Histogram) labelValues() []string { return h.values }
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	if h == nil {
+		return
+	}
 	i := sort.SearchFloat64s(h.buckets, v) // first bound >= v
 	if i < len(h.buckets) {
 		h.counts[i].Add(1)
@@ -246,13 +283,21 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) ObserveSince(start time.Time) { h.Observe(time.Since(start).Seconds()) }
 
 // Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
+func (h *Histogram) Sum() float64 {
+	if h == nil {
+		return 0
+	}
+	return math.Float64frombits(h.sumBits.Load())
+}
 
 // HistogramVec is a labeled histogram family.
 type HistogramVec struct{ f *family }
 
 // With returns the child histogram for the given label values.
 func (v *HistogramVec) With(values ...string) *Histogram {
+	if v == nil {
+		return nil
+	}
 	return v.f.child(values, func(vals []string) metric {
 		return &Histogram{
 			counts:  make([]atomic.Uint64, len(v.f.buckets)),
@@ -271,6 +316,9 @@ func (r *Registry) Histogram(name, help string, buckets []float64) *Histogram {
 
 // HistogramVec registers (or finds) a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...string) *HistogramVec {
+	if r == nil {
+		return nil
+	}
 	if buckets == nil {
 		buckets = DefBuckets
 	}

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func render(t *testing.T, r *Registry) string {
@@ -171,6 +172,45 @@ func TestTypeMismatchPanics(t *testing.T) {
 		}
 	}()
 	r.Gauge("x_total", "X.")
+}
+
+// TestNilHandlesAreInert holds the contract every instrumented layer
+// relies on instead of its own guards: without a registry, registration
+// returns nil handles, and every call on them does nothing or reads 0.
+func TestNilHandlesAreInert(t *testing.T) {
+	var r *Registry
+	if r.Counter("c_total", "C.") != nil || r.Gauge("g", "G.") != nil || r.Histogram("h_seconds", "H.", nil) != nil {
+		t.Error("a nil registry returned a non-nil handle")
+	}
+	cv, gv, hv := r.CounterVec("cv_total", "CV.", "l"), r.GaugeVec("gv", "GV.", "l"), r.HistogramVec("hv_seconds", "HV.", nil, "l")
+	if cv != nil || gv != nil || hv != nil {
+		t.Error("a nil registry returned a non-nil vec")
+	}
+	r.GaugeFunc("f", "F.", func() float64 { t.Error("callback of a nil registry evaluated"); return 0 })
+	RegisterRuntimeMetrics(r)
+	if out := render(t, r); out != "" {
+		t.Errorf("nil registry rendered %q", out)
+	}
+	rec := httptest.NewRecorder()
+	r.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if rec.Body.Len() != 0 {
+		t.Errorf("nil registry served %q", rec.Body.String())
+	}
+
+	c, g, h := cv.With("x"), gv.With("x"), hv.With("x")
+	if c != nil || g != nil || h != nil {
+		t.Error("With on a nil vec returned a non-nil child")
+	}
+	c.Inc()
+	c.Add(2)
+	g.Inc()
+	g.Dec()
+	g.Add(3)
+	h.Observe(1)
+	h.ObserveSince(time.Now())
+	if c.Value() != 0 || g.Value() != 0 || h.Sum() != 0 {
+		t.Error("a nil child read non-zero")
+	}
 }
 
 func TestHandler(t *testing.T) {

@@ -104,11 +104,11 @@ func (s *Store) AppendJournal(e JournalEntry) error {
 		return nil
 	}
 	if _, err = s.journalF.Write(append(line, '\n')); err == nil && e.State != JournalRunning {
-		s.met.fsync()
+		s.met.fsyncs.Inc()
 		err = s.journalF.Sync()
 	}
 	if err != nil {
-		s.met.writeError()
+		s.met.writeErrors.Inc()
 		return fmt.Errorf("resultstore: journal append: %w", err)
 	}
 	s.journalBytes += int64(len(line)) + 1
@@ -116,7 +116,7 @@ func (s *Store) AppendJournal(e JournalEntry) error {
 		// The entry is already durable: a failed rewrite leaves the longer
 		// file in place and a later append retries.
 		if err := s.compactJournalLocked(); err != nil {
-			s.met.writeError()
+			s.met.writeErrors.Inc()
 			slog.Warn("resultstore: journal compaction failed", "err", err)
 		}
 	}

@@ -2,9 +2,9 @@ package resultstore
 
 import "profipy/internal/obs"
 
-// storeMetrics instruments the persistence layer. A nil *storeMetrics
-// is valid and inert, so an uninstrumented store pays one nil check
-// per event.
+// storeMetrics holds the persistence layer's metric handles. Until
+// Instrument sets them they are nil and inert (see obs), so an
+// uninstrumented store pays one nil check per event.
 type storeMetrics struct {
 	appends     *obs.Counter
 	bytes       *obs.Counter
@@ -18,10 +18,7 @@ type storeMetrics struct {
 // counting. Call once, before traffic; a nil reg leaves the store
 // uninstrumented.
 func (s *Store) Instrument(reg *obs.Registry) {
-	if reg == nil {
-		return
-	}
-	s.met = &storeMetrics{
+	s.met = storeMetrics{
 		appends: reg.Counter("profipy_resultstore_appends_total",
 			"Experiment record lines appended across all campaigns."),
 		bytes: reg.Counter("profipy_resultstore_bytes_total",
@@ -33,38 +30,7 @@ func (s *Store) Instrument(reg *obs.Registry) {
 		subscribers: reg.Gauge("profipy_resultstore_follow_subscribers",
 			"Live Follow streams currently attached to campaigns."),
 		startWait: reg.Histogram("profipy_resultstore_start_wait_seconds",
-			"Time a campaign's first Append or Finish waited for the background start that makes its files; about 0 while building the Runner covers it.",
+			"Time a campaign's first Append, Finish or Abort waited for the background start that makes its directory, running meta.json and first segment.",
 			[]float64{.0001, .0005, .001, .005, .025, .1}),
-	}
-}
-
-func (m *storeMetrics) append(n int) {
-	if m != nil {
-		m.appends.Inc()
-		m.bytes.Add(float64(n))
-	}
-}
-
-func (m *storeMetrics) fsync() {
-	if m != nil {
-		m.fsyncs.Inc()
-	}
-}
-
-func (m *storeMetrics) startWaited(seconds float64) {
-	if m != nil {
-		m.startWait.Observe(seconds)
-	}
-}
-
-func (m *storeMetrics) writeError() {
-	if m != nil {
-		m.writeErrors.Inc()
-	}
-}
-
-func (m *storeMetrics) follow(delta float64) {
-	if m != nil {
-		m.subscribers.Add(delta)
 	}
 }

@@ -184,8 +184,9 @@ type Store struct {
 	journalFolded  int64
 	journalDropped int
 
-	// met is set once by Instrument before traffic; nil = uninstrumented.
-	met *storeMetrics
+	// met is set once by Instrument before traffic; its zero value
+	// counts nothing.
+	met storeMetrics
 }
 
 // Open opens (or initializes) a store rooted at dir; an empty dir gives

@@ -113,7 +113,7 @@ func (w *Writer) join() {
 		return // a concurrent Abort or Store.Close took it over
 	}
 	c.start = nil
-	w.s.met.startWaited(time.Since(t).Seconds())
+	w.s.met.startWait.ObserveSince(t)
 	if st.err != nil {
 		w.degradeLocked(st.err)
 		return
@@ -175,7 +175,8 @@ func (w *Writer) Append(rec analysis.Record) error {
 			w.degradeLocked(fmt.Errorf("resultstore: append: %w", err))
 		}
 	}
-	w.s.met.append(len(line) + 1)
+	w.s.met.appends.Inc()
+	w.s.met.bytes.Add(float64(len(line) + 1))
 	c.open.lines = append(c.open.lines, line)
 	c.open.count++
 	c.seq++
@@ -222,7 +223,7 @@ func (w *Writer) rollLocked() {
 	if c.file != nil {
 		err := c.file.Sync()
 		if err == nil {
-			w.s.met.fsync()
+			w.s.met.fsyncs.Inc()
 			err = c.file.Close()
 			c.file = nil
 		}
@@ -244,7 +245,7 @@ func (w *Writer) rollLocked() {
 func (w *Writer) degradeLocked(err error) {
 	c := w.c
 	w.failLocked(err)
-	w.s.met.writeError()
+	w.s.met.writeErrors.Inc()
 	if !c.degraded {
 		c.degraded = true
 		slog.Warn("resultstore: campaign degraded to memory-only records",
@@ -389,8 +390,8 @@ func (s *Store) Follow(ctx context.Context, id string, after int64, fn func(seq 
 	if !ok {
 		return ErrNotFound
 	}
-	s.met.follow(1)
-	defer s.met.follow(-1)
+	s.met.subscribers.Inc()
+	defer s.met.subscribers.Dec()
 	cursor := after
 	if cursor < 0 {
 		cursor = 0
@@ -451,7 +452,7 @@ func (s *Store) replaceFile(path string, data []byte) error {
 		return fmt.Errorf("resultstore: %w", err)
 	}
 	if _, err = tmp.Write(data); err == nil {
-		s.met.fsync()
+		s.met.fsyncs.Inc()
 		err = tmp.Sync()
 	}
 	if cerr := tmp.Close(); err == nil {
@@ -475,7 +476,7 @@ func (s *Store) syncDir(dir string) {
 		return
 	}
 	if d, err := os.Open(dir); err == nil {
-		s.met.fsync()
+		s.met.fsyncs.Inc()
 		_ = d.Sync()
 		_ = d.Close()
 	}

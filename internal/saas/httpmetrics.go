@@ -18,9 +18,6 @@ var httpBuckets = []float64{.001, .0025, .005, .01, .025, .05, .1, .25, .5, 1, 5
 // carries after ServeHTTP returns — path parameters never leak into
 // label values, so cardinality stays bounded by the route table.
 func instrumentHTTP(reg *obs.Registry, next http.Handler) http.Handler {
-	if reg == nil {
-		return next
-	}
 	requests := reg.CounterVec("profipy_http_requests_total",
 		"API requests served, by mux route pattern and status code.", "route", "status")
 	latency := reg.HistogramVec("profipy_http_request_seconds",

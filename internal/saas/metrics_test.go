@@ -1,13 +1,81 @@
 package saas
 
 import (
+	"bufio"
 	"encoding/json"
+	"flag"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"profipy/internal/trace"
 )
+
+var updateSchema = flag.Bool("update", false, "rewrite testdata/metrics-schema.txt from the current scrape")
+
+// TestMetricsSchema pins the catalog a daemon exposes after one campaign:
+// the # HELP and # TYPE line of every family, in scrape order, against
+// testdata/metrics-schema.txt. A family dropped, renamed, retyped or
+// re-described by a refactor shows up here as a diff; an intended change
+// is recorded with -update.
+func TestMetricsSchema(t *testing.T) {
+	srv, err := NewServerWithOptions(Options{Cores: 4, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(ts.Close)
+	t.Cleanup(srv.Close)
+	req, err := DemoCampaignRequest("A", 101)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.SampleN = 6
+	if resp, out := postJSON(t, ts.URL+"/api/v1/campaigns?wait=true", req); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("campaign = %d: %v", resp.StatusCode, out)
+	}
+	code, body := getBody(t, ts.URL+"/metrics")
+	if code != 200 {
+		t.Fatalf("/metrics = %d", code)
+	}
+	var got strings.Builder
+	sc := bufio.NewScanner(strings.NewReader(body))
+	sc.Buffer(nil, 1<<20)
+	for sc.Scan() {
+		if line := sc.Text(); strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ") {
+			got.WriteString(line + "\n")
+		}
+	}
+	path := filepath.Join("testdata", "metrics-schema.txt")
+	if *updateSchema {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update to record it)", err)
+	}
+	if got.String() != string(want) {
+		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+		for i := 0; i < max(len(gl), len(wl)); i++ {
+			var g, w string
+			if i < len(gl) {
+				g = gl[i]
+			}
+			if i < len(wl) {
+				w = wl[i]
+			}
+			if g != w {
+				t.Fatalf("metrics schema differs from %s at line %d:\n got: %s\nwant: %s", path, i+1, g, w)
+			}
+		}
+	}
+}
 
 // TestMetricsEndpointCoversAllLayers runs a campaign through the API
 // and asserts the scrape output contains every layer's metric families

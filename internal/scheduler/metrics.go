@@ -1,15 +1,11 @@
 package scheduler
 
-import (
-	"time"
-
-	"profipy/internal/obs"
-)
+import "profipy/internal/obs"
 
 // metrics is the scheduler's instrument panel. All fields resolve their
 // registry children once at construction, so the per-event cost is one
-// atomic add. A nil *metrics is valid and inert, keeping every call
-// site unconditional.
+// atomic add. Without a registry the handles are nil and inert (see
+// obs), keeping every call site unconditional.
 type metrics struct {
 	queueDepth *obs.Gauge
 	running    *obs.Gauge
@@ -22,9 +18,6 @@ type metrics struct {
 var jobDurBuckets = []float64{.01, .05, .1, .5, 1, 5, 15, 60, 300, 1800, 3600}
 
 func newMetrics(reg *obs.Registry) *metrics {
-	if reg == nil {
-		return nil
-	}
 	return &metrics{
 		queueDepth: reg.Gauge("profipy_scheduler_queue_depth",
 			"Jobs submitted but not yet started."),
@@ -36,45 +29,5 @@ func newMetrics(reg *obs.Registry) *metrics {
 			"Wall-clock job execution time (start to terminal state).", jobDurBuckets),
 		phaseDur: reg.HistogramVec("profipy_scheduler_job_phase_seconds",
 			"Wall-clock time jobs spend in each workflow phase.", jobDurBuckets, "phase"),
-	}
-}
-
-func (m *metrics) enqueued() {
-	if m != nil {
-		m.queueDepth.Inc()
-	}
-}
-
-func (m *metrics) dequeued(n int) {
-	if m != nil {
-		m.queueDepth.Add(float64(-n))
-	}
-}
-
-func (m *metrics) started() {
-	if m != nil {
-		m.running.Inc()
-	}
-}
-
-// terminal records a job reaching its final state. Jobs canceled while
-// still queued never started, so they carry no duration or running
-// decrement.
-func (m *metrics) terminal(st Status) {
-	if m == nil {
-		return
-	}
-	m.finished.With(string(st.State)).Inc()
-	if st.StartedMS != 0 {
-		m.running.Dec()
-		if st.FinishedMS >= st.StartedMS {
-			m.jobDur.Observe(float64(st.FinishedMS-st.StartedMS) / 1000)
-		}
-	}
-}
-
-func (m *metrics) phase(name string, d time.Duration) {
-	if m != nil && name != "" {
-		m.phaseDur.With(name).Observe(d.Seconds())
 	}
 }

@@ -113,7 +113,7 @@ type job struct {
 	id   string
 	name string
 	task Task
-	met  *metrics // shared with the scheduler; nil-safe
+	met  *metrics // shared with the scheduler
 
 	mu         sync.Mutex
 	state      State
@@ -179,7 +179,7 @@ func (j *job) report(p Progress) {
 	if p.Phase != j.prog.Phase {
 		if j.prog.Phase != "" {
 			j.phaseMS[j.prog.Phase] += time.Since(j.phaseStart).Milliseconds()
-			j.met.phase(j.prog.Phase, time.Since(j.phaseStart))
+			j.met.phaseDur.With(j.prog.Phase).ObserveSince(j.phaseStart)
 		}
 		j.phaseStart = time.Now()
 		j.prog = p
@@ -199,7 +199,7 @@ func (j *job) report(p Progress) {
 // instead of holding it until a worker pops and skips the corpse.
 type Scheduler struct {
 	cfg Config
-	met *metrics // nil when Config.Metrics is unset
+	met *metrics // inert handles when Config.Metrics is unset
 
 	mu      sync.Mutex
 	cond    *sync.Cond // signals workers: pending grew or closed
@@ -297,7 +297,7 @@ func (s *Scheduler) submit(id, name string, t Task) (string, error) {
 	s.order = append(s.order, id)
 	s.pending = append(s.pending, j)
 	s.cond.Signal()
-	s.met.enqueued()
+	s.met.queueDepth.Inc()
 	return id, nil
 }
 
@@ -341,7 +341,7 @@ func (s *Scheduler) Cancel(id string) (Status, bool) {
 	for i, p := range s.pending {
 		if ok && p == j {
 			s.pending = append(s.pending[:i], s.pending[i+1:]...)
-			s.met.dequeued(1)
+			s.met.queueDepth.Dec()
 			break
 		}
 	}
@@ -396,7 +396,7 @@ func (s *Scheduler) Close() {
 	s.pending = nil
 	s.cond.Broadcast()
 	s.mu.Unlock()
-	s.met.dequeued(len(drained))
+	s.met.queueDepth.Add(float64(-len(drained)))
 	for _, j := range drained {
 		j.mu.Lock()
 		canceled := j.state == Queued
@@ -426,7 +426,7 @@ func (s *Scheduler) worker() {
 		j := s.pending[0]
 		s.pending = s.pending[1:]
 		s.mu.Unlock()
-		s.met.dequeued(1)
+		s.met.queueDepth.Dec()
 		s.runJob(j)
 	}
 }
@@ -452,14 +452,14 @@ func (s *Scheduler) runJob(j *job) {
 	j.cancel = cancel
 	task := j.task
 	j.mu.Unlock()
-	s.met.started()
+	s.met.running.Inc()
 
 	err := task(ctx, j.report)
 
 	j.mu.Lock()
 	if j.prog.Phase != "" {
 		j.phaseMS[j.prog.Phase] += time.Since(j.phaseStart).Milliseconds()
-		j.met.phase(j.prog.Phase, time.Since(j.phaseStart))
+		j.met.phaseDur.With(j.prog.Phase).ObserveSince(j.phaseStart)
 	}
 	j.finished = time.Now()
 	// A Wait caller may hold the job past this point: release what only
@@ -522,7 +522,15 @@ func (s *Scheduler) RetryAfterEstimate() (time.Duration, bool) {
 // the job's line is durable — does the scheduler forget the job.
 func (s *Scheduler) finished(j *job) {
 	st := j.status()
-	s.met.terminal(st)
+	// A job canceled while still queued never started: it carries no
+	// duration and no running decrement.
+	s.met.finished.With(string(st.State)).Inc()
+	if st.StartedMS != 0 {
+		s.met.running.Dec()
+		if st.FinishedMS >= st.StartedMS {
+			s.met.jobDur.Observe(float64(st.FinishedMS-st.StartedMS) / 1000)
+		}
+	}
 	if s.cfg.OnFinish != nil {
 		s.cfg.OnFinish(st)
 	}

@@ -263,9 +263,7 @@ func classify(it *interp.Interp, err error, cfg Config) (RoundResult, error) {
 		rr.Timeout = true
 		rr.Watchdog = true
 		rr.Message = "workload timeout (watchdog: wall-clock budget exceeded)"
-		if cfg.Metrics != nil {
-			WatchdogTimeouts(cfg.Metrics).Inc()
-		}
+		WatchdogTimeouts(cfg.Metrics).Inc()
 	case errors.Is(err, interp.ErrTimeout), errors.Is(err, interp.ErrSteps):
 		rr.Timeout = true
 		rr.Message = "workload timeout (hang)"
