@@ -64,13 +64,14 @@ loc:
 	         END { for (d in pkg) printf "%7d %s\n", pkg[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 # loc's total may not exceed the budget. It is the figure the last change
-# measured: metric handles became inert when nil, so the five per-package
-# forwarding layers over internal/obs went, which took 21 337 to 21 241
-# (net of obs's nil checks, +52, and the interpreter's value-size bound,
-# +28). A change that needs more lines raises the constant in the same
+# measured: executors never hear of resume — a resumed campaign hands its
+# executor only the experiments without a record, so the skip mask, the
+# Local and Remote Skip fields and the fleet's PredeliverJob went, which
+# took 21 241 to 21 177 (net of the worker's check of the spec's indices,
+# +30). A change that needs more lines raises the constant in the same
 # diff, where code review sees it; CI runs this instead of loc, so the
 # size cannot silently grow back.
-LOC_BUDGET := 21241
+LOC_BUDGET := 21177
 
 loc-check:
 	@$(MAKE) -s loc | awk -v budget=$(LOC_BUDGET) '{ print } $$2 == "total" { t = $$1 } \

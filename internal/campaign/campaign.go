@@ -262,16 +262,15 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 
 	// --- Resume replay ---
 	// Records a previous run already produced are folded straight into
-	// the aggregator (and the collector), their plan indices marked done
-	// in the skip mask, and their path kinds re-derived — without
-	// executing anything — so the resumed run's Result and report are
-	// byte-identical to what one uninterrupted run would have produced.
-	// Stored records carry no plan index; the injection point's ID
-	// (file, function, window, spec) identifies it uniquely within the
-	// plan, so the bitmap is rebuilt by point identity.
-	var skip *executor.Mask
+	// the aggregator (and the collector) and their path kinds re-derived
+	// — without executing anything — so the resumed run's Result and
+	// report are byte-identical to what one uninterrupted run would have
+	// produced. Stored records carry no plan index; the injection point's
+	// ID (file, function, window, spec) identifies it uniquely within the
+	// plan, so the replayed indices are found by point identity.
+	var replayed []bool
 	if len(c.Resume) > 0 {
-		skip = executor.NewMask(len(execPoints))
+		replayed = make([]bool, len(execPoints))
 		byID := make(map[string][]int, len(execPoints))
 		for i, pt := range execPoints {
 			byID[pt.ID()] = append(byID[pt.ID()], i)
@@ -284,7 +283,7 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 			}
 			byID[id] = idxs[1:]
 			i := idxs[0]
-			skip.Set(i)
+			replayed[i] = true
 			res.Replayed++
 			agg.Add(rec)
 			if rec.Result == nil {
@@ -301,25 +300,26 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 			}
 		}
 	}
+	// todo lists the plan indices left to run, ascending; nil is all of
+	// them. The executor runs [0, len(todo)), so resume is this
+	// function's business alone.
+	var todo []int
+	if res.Replayed > 0 {
+		todo = make([]int, 0, len(execPoints)-res.Replayed)
+		for i, done := range replayed {
+			if !done {
+				todo = append(todo, i)
+			}
+		}
+	}
 	c.progress(PhaseExecute, res.Replayed, len(execPoints))
 	execStart := time.Now()
 	// The remote executor's spec is completed with the resolved plan's
-	// fingerprint — exec points and verdicts — and size, so a worker
-	// whose Runner derived a different plan refuses the shard.
+	// fingerprint — exec points and verdicts — so a worker whose Runner
+	// derived a different plan refuses the shard, and with the plan
+	// indices the job's experiments stand for.
 	if rm, ok := exec.(*executor.Remote); ok {
-		rm.Spec.PlanHash, rm.Spec.NumExperiments = runner.PlanHash(), len(execPoints)
-	}
-	// Hand the completion bitmap to whichever engine runs the missing
-	// indices. The value engine is copied (the caller's Executor field is
-	// a template, not shared state).
-	if skip != nil {
-		switch e := exec.(type) {
-		case executor.Local:
-			e.Skip = skip
-			exec = e
-		case *executor.Remote:
-			e.Skip = skip
-		}
+		rm.Spec.PlanHash, rm.Spec.Indices = runner.PlanHash(), todo
 	}
 	done := res.Replayed
 	// Executors call the sink one record at a time. It resolves each
@@ -350,7 +350,13 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 		done++
 		c.progress(PhaseExecute, done, len(execPoints))
 	})
-	err = exec.Run(ctx, len(execPoints), runner.Experiment, sink)
+	if todo == nil {
+		err = exec.Run(ctx, len(execPoints), runner.Experiment, sink)
+	} else {
+		err = exec.Run(ctx, len(todo),
+			func(j int) analysis.Record { return runner.Experiment(todo[j]) },
+			executor.SinkFunc(func(j int, rec analysis.Record) { sink(todo[j], rec) }))
+	}
 	if cerr := c.canceled(ctx); cerr != nil {
 		return nil, cerr
 	}

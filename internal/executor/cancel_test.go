@@ -63,7 +63,7 @@ func TestCancellationDrainsCleanly(t *testing.T) {
 	}{
 		{func() Executor { return Local{} }, 1},
 		{func() Executor { return Local{Workers: 4} }, 4},
-		{func() Executor { r := fleetless(2, nil); r.Reg = obs.NewRegistry(); return r }, 2},
+		{func() Executor { r := fleetless(2); r.Reg = obs.NewRegistry(); return r }, 2},
 	}
 	for _, e := range engines {
 		ex := e.ex()

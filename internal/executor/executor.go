@@ -24,15 +24,16 @@ import (
 	"profipy/internal/obs"
 )
 
-// Experiment runs the experiment at plan index idx and returns its
-// record. Implementations must be safe for concurrent calls.
+// Experiment runs experiment idx of [0, n) and returns its record; the
+// caller decides which plan index idx stands for. Implementations must
+// be safe for concurrent calls.
 type Experiment func(idx int) analysis.Record
 
 // RecordSink receives completed experiment records. Executors never
 // call Put concurrently and order each call before the next, so
 // implementations need no internal locking — but the calls may come
 // from different goroutines (the pool's workers deliver their own
-// records). idx is the experiment's plan index, which is not
+// records). idx is the experiment's index in [0, n), which is not
 // necessarily the arrival order.
 type RecordSink interface {
 	Put(idx int, rec analysis.Record)
@@ -71,7 +72,7 @@ type Executor interface {
 	Run(ctx context.Context, n int, exp Experiment, sink RecordSink) error
 }
 
-// indexed pairs a record with its plan index while in flight.
+// indexed pairs a record with its index while in flight.
 type indexed struct {
 	idx int
 	rec analysis.Record
@@ -84,10 +85,6 @@ type indexed struct {
 type Local struct {
 	// Workers bounds parallel experiments (<1 runs sequentially).
 	Workers int
-	// Skip, when set, marks plan indices that already have records (a
-	// resumed campaign's completion bitmap): they are neither executed
-	// nor emitted. Nil runs the full plan.
-	Skip *Mask
 	// Reg, when set, instruments the run: completed records,
 	// per-experiment latency and busy workers (see newMetrics).
 	Reg *obs.Registry
@@ -103,7 +100,7 @@ func (l Local) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) 
 	}
 	m := newMetrics(l.Reg, l.Name())
 	exp = m.instrument(exp)
-	runPool(ctx, 0, n, l.Workers, l.Skip.Has, exp, func(r indexed) {
+	runPool(ctx, 0, n, l.Workers, nil, exp, func(r indexed) {
 		m.records.Inc()
 		sink.Put(r.idx, r.rec)
 	})
@@ -111,15 +108,18 @@ func (l Local) Run(ctx context.Context, n int, exp Experiment, sink RecordSink) 
 }
 
 // runPool executes the experiments of [lo, hi) that skip does not name
-// on a bounded worker pool — the one pump shared by Local, the fleet
-// worker's shard loop and Remote's in-process drain. Workers (the
-// calling goroutine is one of them) claim ascending indices off a shared
-// cursor and deliver their own record to emit under the pool's mutex:
-// emit is never entered twice at once, and a slow emit stalls the
-// workers instead of queueing records. A worker checks ctx before each
-// claim, so once it is canceled runPool returns as soon as the running
-// experiments have delivered.
+// (nil names none) on a bounded worker pool — the one pump shared by
+// Local, the fleet worker's shard loop and Remote's in-process drain.
+// Workers (the calling goroutine is one of them) claim ascending indices
+// off a shared cursor and deliver their own record to emit under the
+// pool's mutex: emit is never entered twice at once, and a slow emit
+// stalls the workers instead of queueing records. A worker checks ctx
+// before each claim, so once it is canceled runPool returns as soon as
+// the running experiments have delivered.
 func runPool(ctx context.Context, lo, hi, workers int, skip func(int) bool, exp Experiment, emit func(indexed)) {
+	if skip == nil {
+		skip = func(int) bool { return false }
+	}
 	n := 0
 	for i := lo; i < hi; i++ {
 		if !skip(i) {

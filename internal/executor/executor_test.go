@@ -18,12 +18,11 @@ import (
 // fleetless builds a Remote whose coordinator has no workers: the plan
 // is one shard, which Run's in-process drain claims and runs on
 // localWorkers — per-index dedup and merge all run, without HTTP.
-func fleetless(localWorkers int, skip *Mask) *Remote {
+func fleetless(localWorkers int) *Remote {
 	return &Remote{
 		Coord:        fleet.New(fleet.Config{}),
 		Spec:         remote.CampaignSpec{Name: "t"},
 		LocalWorkers: localWorkers,
-		Skip:         skip,
 	}
 }
 
@@ -31,8 +30,8 @@ func fleetless(localWorkers int, skip *Mask) *Remote {
 // that never ask for work and fall silent after a short TTL: the plan is
 // cut into four shards per worker, and the drain takes them over one at
 // a time once the fleet is stale. Build it right before Run.
-func staleFleet(workers, localWorkers int, skip *Mask) *Remote {
-	r := fleetless(localWorkers, skip)
+func staleFleet(workers, localWorkers int) *Remote {
+	r := fleetless(localWorkers)
 	r.Coord = fleet.New(fleet.Config{LeaseTTL: 20 * time.Millisecond})
 	for i := 0; i < workers; i++ {
 		r.Coord.RegisterWorker(remote.RegisterRequest{Name: "silent"})
@@ -97,10 +96,10 @@ func TestExecutorsProduceIdenticalOrderedRecords(t *testing.T) {
 	executors := []func() Executor{
 		func() Executor { return Local{} },
 		func() Executor { return Local{Workers: 16} },
-		func() Executor { return fleetless(0, nil) },
-		func() Executor { return fleetless(3, nil) },
-		func() Executor { return staleFleet(1, 2, nil) },  // four shards
-		func() Executor { return staleFleet(16, 0, nil) }, // a shard per experiment
+		func() Executor { return fleetless(0) },
+		func() Executor { return fleetless(3) },
+		func() Executor { return staleFleet(1, 2) },  // four shards
+		func() Executor { return staleFleet(16, 0) }, // a shard per experiment
 	}
 	for _, mk := range executors {
 		ex := mk()
@@ -155,7 +154,7 @@ func TestRemoteTakeoverBoundsParallelism(t *testing.T) {
 
 	t.Run("no worker", func(t *testing.T) {
 		var active, peak atomic.Int64
-		check(t, fleetless(localWorkers, nil), &active, &peak, "no_worker")
+		check(t, fleetless(localWorkers), &active, &peak, "no_worker")
 	})
 
 	t.Run("fleet falls silent", func(t *testing.T) {
@@ -163,7 +162,7 @@ func TestRemoteTakeoverBoundsParallelism(t *testing.T) {
 		// shard, ships half of it and heartbeats once; then both fall
 		// silent, the lease expires as the worker goes stale, and one
 		// drain takes over the whole plan, the half-done shard included.
-		r := staleFleet(1, localWorkers, nil)
+		r := staleFleet(1, localWorkers)
 		r.CampaignID = "silent"
 		w := r.Coord.RegisterWorker(remote.RegisterRequest{Name: "leaser"})
 		leased := make(chan remote.Lease, 1)
@@ -194,7 +193,7 @@ func TestRemoteTakeoverBoundsParallelism(t *testing.T) {
 
 func TestSinkReceivesEveryIndexExactlyOnce(t *testing.T) {
 	const n = 29
-	for _, ex := range []Executor{Local{Workers: 3}, fleetless(2, nil)} {
+	for _, ex := range []Executor{Local{Workers: 3}, fleetless(2)} {
 		seen := map[int]int{}
 		sink := SinkFunc(func(idx int, rec analysis.Record) { seen[idx]++ })
 		var active, peak atomic.Int64
@@ -213,7 +212,7 @@ func TestSinkReceivesEveryIndexExactlyOnce(t *testing.T) {
 }
 
 func TestRunZeroExperiments(t *testing.T) {
-	for _, ex := range []Executor{Local{Workers: 4}, fleetless(0, nil)} {
+	for _, ex := range []Executor{Local{Workers: 4}, fleetless(0)} {
 		called := false
 		err := ex.Run(context.Background(), 0, func(int) analysis.Record {
 			called = true

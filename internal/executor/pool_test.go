@@ -38,46 +38,40 @@ func (s *exclusiveSink) Put(idx int, _ analysis.Record) {
 	s.inside.Add(-1)
 }
 
-func maskOf(n int, keep func(i int) bool) *Mask {
-	m := NewMask(n)
-	for i := 0; i < n; i++ {
-		if !keep(i) {
-			m.Set(i)
-		}
-	}
-	return m
-}
-
+// TestPoolDeliversEveryIndexExactlyOnce drives the pool with skip
+// functions from none to all. Without one it runs through Local, which
+// passes the pool none; Remote's in-process drain passes the job's
+// delivered set.
 func TestPoolDeliversEveryIndexExactlyOnce(t *testing.T) {
 	const workers = 4
-	masks := []struct {
+	skips := []struct {
 		name string
-		keep func(n int) func(i int) bool // nil: no mask at all
+		skip func(n int) func(i int) bool
 	}{
-		{"none", nil},
-		{"sparse", func(int) func(int) bool { return func(i int) bool { return i%3 != 1 } }},
-		{"all-but-one", func(n int) func(int) bool { return func(i int) bool { return i == n/2 } }},
-		{"all", func(int) func(int) bool { return func(int) bool { return false } }},
+		{"none", func(int) func(int) bool { return nil }},
+		{"sparse", func(int) func(int) bool { return func(i int) bool { return i%3 == 1 } }},
+		{"all-but-one", func(n int) func(int) bool { return func(i int) bool { return i != n/2 } }},
+		{"all", func(int) func(int) bool { return func(int) bool { return true } }},
 	}
 	for _, n := range []int{0, 1, workers - 1, workers, 10 * workers} {
-		for _, mk := range masks {
-			t.Run(fmt.Sprintf("n=%d/skip=%s", n, mk.name), func(t *testing.T) {
-				var skip *Mask
-				keep := func(int) bool { return true }
-				if mk.keep != nil {
-					keep = mk.keep(n)
-					skip = maskOf(n, keep)
-				}
+		for _, sk := range skips {
+			t.Run(fmt.Sprintf("n=%d/skip=%s", n, sk.name), func(t *testing.T) {
+				skip := sk.skip(n)
+				keep := func(i int) bool { return skip == nil || !skip(i) }
 				var ran sync.Map
-				sink := &exclusiveSink{}
-				err := Local{Workers: workers, Skip: skip}.Run(context.Background(), n, func(i int) analysis.Record {
+				exp := func(i int) analysis.Record {
 					if _, again := ran.LoadOrStore(i, true); again {
 						t.Errorf("experiment %d ran twice", i)
 					}
 					return analysis.Record{}
-				}, sink)
-				if err != nil {
-					t.Fatal(err)
+				}
+				sink := &exclusiveSink{}
+				if skip == nil {
+					if err := (Local{Workers: workers}).Run(context.Background(), n, exp, sink); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					runPool(context.Background(), 0, n, workers, skip, exp, func(r indexed) { sink.Put(r.idx, r.rec) })
 				}
 				for i := 0; i < n; i++ {
 					want := 0
@@ -111,7 +105,7 @@ func TestPoolBlockingSinkStallsWorkers(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		runPool(context.Background(), 0, n, workers, (*Mask)(nil).Has, func(i int) analysis.Record {
+		runPool(context.Background(), 0, n, workers, nil, func(i int) analysis.Record {
 			started.Add(1)
 			return analysis.Record{}
 		}, func(r indexed) {
@@ -153,8 +147,8 @@ func TestPoolBlockingSinkStallsWorkers(t *testing.T) {
 func TestPoolSequentialBelowTwoWorkers(t *testing.T) {
 	for _, workers := range []int{-1, 0, 1} {
 		var trace []string
-		skip := maskOf(7, func(i int) bool { return i != 2 })
-		runPool(context.Background(), 0, 7, workers, skip.Has, func(i int) analysis.Record {
+		skip := func(i int) bool { return i == 2 }
+		runPool(context.Background(), 0, 7, workers, skip, func(i int) analysis.Record {
 			trace = append(trace, fmt.Sprintf("run%d", i))
 			return analysis.Record{}
 		}, func(r indexed) {
@@ -171,7 +165,7 @@ func TestPoolSequentialBelowTwoWorkers(t *testing.T) {
 // [lo, hi) of the plan; indices outside it are nobody's business.
 func TestPoolSubrange(t *testing.T) {
 	seen := make(map[int]int)
-	runPool(context.Background(), 5, 17, 3, maskOf(20, func(i int) bool { return i%2 == 0 }).Has,
+	runPool(context.Background(), 5, 17, 3, func(i int) bool { return i%2 != 0 },
 		func(i int) analysis.Record { return analysis.Record{} },
 		func(r indexed) { seen[r.idx]++ })
 	for i := 0; i < 20; i++ {

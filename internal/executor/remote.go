@@ -20,7 +20,7 @@ import (
 // Robustness is the point of this engine, not raw parallelism:
 //   - a worker that dies mid-shard stops heartbeating, its lease
 //     expires and the shard is re-dispatched (or claimed locally);
-//   - record ingestion is idempotent per plan index, so overlapping
+//   - record ingestion is idempotent per index, so overlapping
 //     executions after a re-dispatch cannot duplicate records;
 //   - while no worker is live, one in-process drain claims the pending
 //     shards one at a time and runs them on LocalWorkers — a fleet of
@@ -37,17 +37,12 @@ type Remote struct {
 	// layer sets it to the campaign's public ID.
 	CampaignID string
 	// Spec is the serialized campaign the workers rebuild. The campaign
-	// workflow completes its plan fields (PlanHash, NumExperiments) once
-	// it built its Runner, before Run.
+	// workflow completes its plan fields (PlanHash, Indices) once it
+	// built its Runner, before Run; Run sets NumExperiments.
 	Spec remote.CampaignSpec
 	// LocalWorkers bounds parallelism of the in-process drain (<1 runs
 	// sequentially).
 	LocalWorkers int
-	// Skip marks already-recorded plan indices of a resumed campaign:
-	// they are pre-marked delivered on the fleet job (so neither workers
-	// nor the in-process drain produce records for them) and
-	// fully-covered shards complete without ever being leased.
-	Skip *Mask
 	// Reg, when set, instruments the run like Local.
 	Reg *obs.Registry
 
@@ -93,15 +88,10 @@ func (r *Remote) Run(ctx context.Context, n int, exp Experiment, sink RecordSink
 	if campID == "" {
 		campID = r.Spec.Name
 	}
-	job := r.Coord.StartJob(campID, r.Spec, n)
+	spec := r.Spec
+	spec.NumExperiments = n
+	job := r.Coord.StartJob(campID, spec, n)
 	defer r.Coord.CloseJob(campID)
-	if r.Skip.Count() > 0 {
-		// Resumed campaign: retire the already-recorded indices before
-		// anything executes. Shards they fully cover complete without a
-		// lease; partially-covered shards still run whole on a worker,
-		// whose duplicate records the per-index dedup discards.
-		r.Coord.PredeliverJob(campID, r.Skip.Has)
-	}
 
 	// The in-process drain takes over what the fleet cannot do: while no
 	// worker is live it claims pending shards one at a time and runs the

@@ -327,7 +327,7 @@ func (c *Coordinator) checkToken(campaign string, shard int, token string) (*Job
 }
 
 // Ingest folds a batch of record lines from a worker into the campaign,
-// deduplicating by plan index. Returns false when the lease token is
+// deduplicating by job index. Returns false when the lease token is
 // stale (the records of the batch are dropped — the shard's new owner
 // will regenerate them byte-identically).
 func (c *Coordinator) Ingest(campaign string, shard int, token string, lines []remote.RecordLine) bool {
@@ -494,8 +494,8 @@ func cut(n, live int) []shardState {
 
 // StartJob opens a campaign job over n experiments, cut into shards for
 // the workers live right now. The returned Job's Deliveries channel
-// carries each plan index exactly once, in delivery order, and is closed
-// when every index has been delivered.
+// carries each index of [0, n) exactly once, in delivery order, and is
+// closed when every index has been delivered.
 func (c *Coordinator) StartJob(campaign string, spec remote.CampaignSpec, n int) *Job {
 	job := &Job{
 		coord:      c,
@@ -519,57 +519,6 @@ func (c *Coordinator) StartJob(campaign string, spec remote.CampaignSpec, n int)
 	return job
 }
 
-// PredeliverJob marks plan indices that already have durable records
-// (a resumed campaign's completion bitmap) as delivered without
-// emitting them: workers and the local fallback will not produce fresh
-// records for them, and pending shards they fully cover complete
-// without ever being leased. Call right after StartJob, before the
-// delivery channel is drained. Returns the number of indices retired.
-// Lock order here is coordinator then job, matching Ingest's
-// unlock-then-deliver sequence (Job methods never take the coordinator
-// lock).
-func (c *Coordinator) PredeliverJob(campaign string, done func(int) bool) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	job, ok := c.jobs[campaign]
-	if !ok {
-		return 0
-	}
-	job.mu.Lock()
-	marked := 0
-	for i := 0; i < job.n; i++ {
-		if !job.delivered[i] && done(i) {
-			job.delivered[i] = true
-			job.remaining--
-			marked++
-		}
-	}
-	if job.remaining == 0 && !job.closed {
-		close(job.deliveries)
-		job.closed = true
-	}
-	covered := func(lo, hi int) bool {
-		for i := lo; i < hi; i++ {
-			if !job.delivered[i] {
-				return false
-			}
-		}
-		return true
-	}
-	for i := range job.shards {
-		sh := &job.shards[i]
-		if sh.state == shardPending && covered(sh.lo, sh.hi) {
-			sh.state = shardDone
-		}
-	}
-	job.mu.Unlock()
-	if marked > 0 {
-		slog.Info("fleet: predelivered resumed indices",
-			"campaign", campaign, "records", marked)
-	}
-	return marked
-}
-
 // CloseJob removes a finished campaign; outstanding leases become
 // stale (their tokens stop validating).
 func (c *Coordinator) CloseJob(campaign string) {
@@ -591,7 +540,7 @@ func (c *Coordinator) CloseJob(campaign string) {
 	}
 }
 
-// Deliveries is the job's record stream: every plan index exactly once,
+// Deliveries is the job's record stream: every index exactly once,
 // closed when all indices delivered. Drained by a single consumer.
 func (j *Job) Deliveries() <-chan Delivery { return j.deliveries }
 

@@ -15,7 +15,7 @@
 // batch. A worker names the project digests it has prepared
 // (…/spec?have=) and gets the spec without the files it already holds.
 // Every lease carries a fencing token, every record envelope
-// carries its plan index, and the control plane deduplicates by index —
+// carries its job index, and the control plane deduplicates by index —
 // so a lease that expires mid-shard and is re-dispatched to another
 // worker can only ever fill holes, never corrupt or duplicate records.
 // Experiment seeds derive from the campaign seed plus the plan index,
@@ -78,9 +78,15 @@ type CampaignSpec struct {
 	// Runner derives a different hash refuses the lease instead of
 	// shipping records from a divergent plan.
 	PlanHash string `json:"planHash"`
-	// NumExperiments is the control plane's exec-point count, shipped
-	// so workers can sanity-check shard bounds before executing.
+	// NumExperiments is the job's size: its shards cover [0,
+	// NumExperiments). Workers check it before executing.
 	NumExperiments int `json:"numExperiments"`
+	// Indices lists, strictly ascending, the plan indices that job
+	// indices [0, NumExperiments) stand for: a resumed campaign's
+	// experiments without a record. Empty is the identity over the
+	// whole plan. A worker that predates it sees NumExperiments differ
+	// from its plan's size and refuses the lease as a diverged plan.
+	Indices []int `json:"indices,omitempty"`
 }
 
 // PlanHash fingerprints an exec-point list: the sha256 over each
@@ -125,8 +131,9 @@ type RegisterResponse struct {
 type Lease struct {
 	Campaign string `json:"campaign"`
 	Shard    int    `json:"shard"`
-	// Lo and Hi are the shard's half-open experiment index range
-	// [Lo, Hi) into the campaign's post-reduction plan.
+	// Lo and Hi are the shard's half-open range [Lo, Hi) of job
+	// indices: into the campaign's post-reduction plan, or into the
+	// spec's Indices when it has them.
 	Lo int `json:"lo"`
 	Hi int `json:"hi"`
 	// Token fences the lease: record ingestion and completion must
@@ -161,7 +168,7 @@ const (
 )
 
 // RecordLine is one experiment result in a worker's NDJSON record
-// stream: the plan index, the execution-path kind (KindMutated /
+// stream: the job index, the execution-path kind (KindMutated /
 // KindInjected / ""), the fork outcome (ForkHit / ForkMiss / "") and
 // the record itself. Ingestion deduplicates by index, so retransmits
 // after a transport error are harmless.

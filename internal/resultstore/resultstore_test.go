@@ -264,21 +264,41 @@ func TestFollowStreamsLiveRecords(t *testing.T) {
 	const total = 10
 	var mu sync.Mutex
 	var got []int64
+	seen := make(chan int64, total)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	done := make(chan error, 1)
 	go func() {
-		done <- s.Follow(context.Background(), "camp-live", 0, func(seq int64, line json.RawMessage) error {
+		done <- s.Follow(ctx, "camp-live", 0, func(seq int64, line json.RawMessage) error {
 			mu.Lock()
 			got = append(got, seq)
 			mu.Unlock()
+			seen <- seq
 			return nil
 		})
 	}()
-
+	// A live follower sees each record before the next one is appended:
+	// Append wakes it, not only Finish.
+	await := func(want int64) {
+		t.Helper()
+		deadline := time.After(2 * time.Second)
+		for {
+			select {
+			case seq := <-seen:
+				if seq == want {
+					return
+				}
+			case <-deadline:
+				t.Fatalf("follower did not report record %d within 2s of its Append", want)
+			}
+		}
+	}
+	await(3)
 	for i := 3; i < total; i++ {
-		time.Sleep(2 * time.Millisecond)
 		if err := w.Append(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
+		await(int64(i + 1))
 	}
 	if err := w.Finish(StatusDone, nil, nil); err != nil {
 		t.Fatal(err)

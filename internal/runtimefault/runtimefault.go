@@ -10,8 +10,8 @@
 // every-Kth activation, after-Nth activation, round-scoped) and an
 // action (raise an exception, corrupt the return value, inject virtual
 // latency). All randomness flows from one per-experiment seeded PRNG,
-// so identical seeds yield byte-identical campaign records on both the
-// compiled and the tree-walk execution paths.
+// so identical seeds yield byte-identical campaign records whichever
+// process, pool or shard runs the experiment.
 package runtimefault
 
 import (

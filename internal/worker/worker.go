@@ -7,7 +7,7 @@
 // needs arrives in the campaign spec (what it retains between shards,
 // Runners and prepared projects, only saves rebuilding them), and
 // everything it produces is idempotent on the control-plane side
-// (records dedupe by plan index, completions are fenced by lease
+// (records dedupe by index, completions are fenced by lease
 // tokens). Killing a worker at any instant therefore costs only time:
 // the lease expires, the shard is re-dispatched and the replacement
 // regenerates byte-identical records, because experiment seeds derive
@@ -102,6 +102,9 @@ type Agent struct {
 type cachedRunner struct {
 	campaign, worker string // campaign ID, the registration it was built under
 	runner           *campaign.Runner
+	// indices maps job indices to plan indices (the spec's Indices);
+	// nil is the identity.
+	indices []int
 }
 
 // maxCachedRunners bounds Agent.runners. A Runner pins its campaign's
@@ -282,38 +285,56 @@ func (a *Agent) lease(ctx context.Context) (remote.Lease, bool, error) {
 }
 
 // runnerFor rebuilds (or returns the cached) execution context for a
-// campaign and verifies its plan matches the control plane's. A cached
-// Runner serves only the registration it was built under: a control
-// plane that restarted may hand out the same campaign ID for another
-// campaign.
-func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (*campaign.Runner, error) {
+// campaign, verifies its plan matches the control plane's and returns it
+// with the job's indices. A cached Runner serves only the registration
+// it was built under: a control plane that restarted may hand out the
+// same campaign ID for another campaign.
+func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (cachedRunner, error) {
 	key := cachedRunner{campaign: lease.Campaign, worker: a.ID()}
 	for i, cr := range a.runners {
 		if cr.campaign == key.campaign && cr.worker == key.worker {
 			// Hit: move to the most-recent end.
 			copy(a.runners[i:], a.runners[i+1:])
 			a.runners[len(a.runners)-1] = cr
-			return cr.runner, nil
+			return cr, nil
 		}
 	}
-	r, err := a.buildRunner(ctx, lease)
-	if err != nil {
+	var err error
+	if key.runner, key.indices, err = a.buildRunner(ctx, lease); err != nil {
 		// Don't cache failures: a transient spec-fetch error would
 		// otherwise poison the campaign on this worker forever. Run
 		// paces the rebuild attempts.
-		return nil, err
+		return cachedRunner{}, err
 	}
 	// Record it as most recent, evicting the least recently leased
 	// campaign beyond maxCachedRunners.
 	if len(a.runners) == maxCachedRunners {
 		a.runners = append(a.runners[:0], a.runners[1:]...)
 	}
-	key.runner = r
 	a.runners = append(a.runners, key)
-	return r, nil
+	return key, nil
 }
 
-func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.Runner, error) {
+// errBadIndices refuses a spec whose Indices cannot be the plan indices
+// of a job: the spec comes from another process, so it is checked before
+// anything executes.
+var errBadIndices = errors.New("bad indices")
+
+// checkIndices validates a spec's Indices against a plan of planLen
+// experiments: exactly n of them, strictly ascending, within the plan.
+func checkIndices(indices []int, n, planLen int) error {
+	if len(indices) != n {
+		return fmt.Errorf("%w: %d for a job of %d", errBadIndices, len(indices), n)
+	}
+	for j, i := range indices {
+		if i < 0 || i >= planLen || j > 0 && i <= indices[j-1] {
+			return fmt.Errorf("%w: job index %d names plan index %d (plan of %d, ascending)", errBadIndices, j, i, planLen)
+		}
+	}
+	return nil
+}
+
+func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.Runner, []int, error) {
 	log := a.shardLog(lease)
 	start := time.Now()
 	// Name the projects already prepared here: the control plane leaves
@@ -325,16 +346,16 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 	var spec remote.CampaignSpec
 	status, err := a.do(ctx, http.MethodGet, path, "", nil, &spec, 0)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if status != http.StatusOK {
-		return nil, fmt.Errorf("worker: spec fetch: status %d", status)
+		return nil, nil, fmt.Errorf("worker: spec fetch: status %d", status)
 	}
 	elided := len(spec.Files) == 0 && spec.ProjectDigest != ""
 	if elided {
 		var ok bool
 		if spec.Files, ok = a.prepared.Files(spec.ProjectDigest); !ok {
-			return nil, fmt.Errorf("worker: campaign %s: spec without files for a project this worker does not hold (%.8s)", lease.Campaign, spec.ProjectDigest)
+			return nil, nil, fmt.Errorf("worker: campaign %s: spec without files for a project this worker does not hold (%.8s)", lease.Campaign, spec.ProjectDigest)
 		}
 	}
 	log.Info("worker: spec fetched", "elided", elided, "ms", time.Since(start).Milliseconds())
@@ -342,26 +363,32 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 	start = time.Now()
 	c, err := kvclient.CampaignFromSpec(spec, a.cfg.Parallel+1)
 	if err != nil {
-		return nil, fmt.Errorf("worker: campaign %s: %w", lease.Campaign, err)
+		return nil, nil, fmt.Errorf("worker: campaign %s: %w", lease.Campaign, err)
 	}
 	c.Prepared = a.prepared
 	runner, err := campaign.NewRunner(c)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	// Refuse to execute against a divergent plan: if the locally
 	// derived exec points or verdicts differ from the control plane's,
 	// shard indices would name different experiments or records.
-	if got := runner.PlanHash(); got != spec.PlanHash || runner.Len() != spec.NumExperiments {
-		return nil, fmt.Errorf("worker: campaign %s: plan diverged (have %d points, hash %.8s, want %d, %.8s)",
+	if got := runner.PlanHash(); got != spec.PlanHash || len(spec.Indices) == 0 && runner.Len() != spec.NumExperiments {
+		return nil, nil, fmt.Errorf("worker: campaign %s: plan diverged (have %d points, hash %.8s, want %d, %.8s)",
 			lease.Campaign, runner.Len(), got, spec.NumExperiments, spec.PlanHash)
 	}
+	if len(spec.Indices) > 0 {
+		if err := checkIndices(spec.Indices, spec.NumExperiments, runner.Len()); err != nil {
+			return nil, nil, fmt.Errorf("worker: campaign %s: %w", lease.Campaign, err)
+		}
+	}
 	log.Info("worker: campaign prepared", "prepared", runner.Prepared(), "ms", time.Since(start).Milliseconds())
-	return runner, nil
+	return runner, spec.Indices, nil
 }
 
-// executeLease runs the leased shard [Lo, Hi) and streams its records
-// back: full batches as they fill, the last one with the completion,
+// executeLease runs the leased shard [Lo, Hi) of the job — the plan
+// indices the spec's Indices name there, or [Lo, Hi) itself — and
+// streams its records back under their job indices: full batches as they fill, the last one with the completion,
 // whose answer may be the next lease. Stale-lease responses abandon the
 // shard silently — its new owner regenerates the records.
 func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remote.Lease, more bool, err error) {
@@ -371,12 +398,16 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remo
 			log.Warn("worker: shard failed", "err", err)
 		}
 	}()
-	runner, err := a.runnerFor(ctx, lease)
+	cr, err := a.runnerFor(ctx, lease)
 	if err != nil {
 		return next, false, err
 	}
+	size, plan := cr.runner.Len(), func(j int) int { return j }
+	if cr.indices != nil {
+		size, plan = len(cr.indices), func(j int) int { return cr.indices[j] }
+	}
 	n := lease.Hi - lease.Lo
-	if lease.Lo < 0 || lease.Hi > runner.Len() || n <= 0 {
+	if lease.Lo < 0 || lease.Hi > size || n <= 0 {
 		return next, false, fmt.Errorf("worker: lease %s/%d: bad range [%d,%d)", lease.Campaign, lease.Shard, lease.Lo, lease.Hi)
 	}
 	log.Info("worker: executing shard", "lo", lease.Lo, "hi", lease.Hi)
@@ -386,7 +417,7 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remo
 	// worker calls with the record.
 	kinds, forks := make([]string, n), make([]string, n)
 	exp := func(i int) analysis.Record {
-		rec, kind, fork := runner.ExperimentDetail(lease.Lo + i)
+		rec, kind, fork := cr.runner.ExperimentDetail(plan(lease.Lo + i))
 		kinds[i], forks[i] = kind, fork
 		return rec
 	}

@@ -3,8 +3,10 @@ package worker
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -18,8 +20,9 @@ import (
 // specServer serves one valid campaign spec under every campaign ID
 // (IDs containing "bad" get a 500, IDs containing "nocompile" a spec
 // whose base program does not compile, IDs containing "diverged" one
-// whose plan hash was taken with one coverage verdict flipped) and
-// counts the fetches per ID.
+// whose plan hash was taken with one coverage verdict flipped, IDs
+// naming a key of indexSpecs that spec with its Indices and
+// NumExperiments) and counts the fetches per ID.
 // The specs carry the "engine"/"treeWalk" keys older control planes
 // shipped; workers ignore them.
 func specServer(t *testing.T) (*httptest.Server, func(id string) int64) {
@@ -60,10 +63,14 @@ func specServer(t *testing.T) (*httptest.Server, func(id string) int64) {
 		broken.Files[name] = src
 	}
 	broken.Files[kvclient.FileAuth] = append(append([]byte(nil), spec.Files[kvclient.FileAuth]...), "\nfunc External()\n"...)
-	brokenBody := encode(broken)
 	diverged := spec
 	diverged.PlanHash = remote.PlanHash(r.Points(), flipped)
-	divergedBody := encode(diverged)
+	bodies := map[string][]byte{"nocompile": encode(broken), "diverged": encode(diverged)}
+	for key, job := range indexSpecs(r.Len()) {
+		resumed := spec
+		resumed.Indices, resumed.NumExperiments = job.indices, job.n
+		bodies[key] = encode(resumed)
+	}
 	var fetches [16]atomic.Int64 // by trailing digit of the campaign ID
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := strings.TrimSuffix(strings.TrimPrefix(req.URL.Path, "/api/v1/workers/campaigns/"), "/spec")
@@ -73,13 +80,11 @@ func specServer(t *testing.T) (*httptest.Server, func(id string) int64) {
 		}
 		fetches[id[len(id)-1]-'0'].Add(1)
 		w.Header().Set("Content-Type", "application/json")
-		if strings.Contains(id, "nocompile") {
-			_, _ = w.Write(brokenBody)
-			return
-		}
-		if strings.Contains(id, "diverged") {
-			_, _ = w.Write(divergedBody)
-			return
+		for key, b := range bodies {
+			if strings.Contains(id, key) {
+				_, _ = w.Write(b)
+				return
+			}
 		}
 		_, _ = w.Write(body)
 	}))
@@ -97,11 +102,11 @@ func TestRunnerCacheIsBounded(t *testing.T) {
 	ctx := context.Background()
 	lease := func(id string) *campaign.Runner {
 		t.Helper()
-		r, err := a.runnerFor(ctx, remote.Lease{Campaign: id})
+		cr, err := a.runnerFor(ctx, remote.Lease{Campaign: id})
 		if err != nil {
 			t.Fatalf("runnerFor(%s): %v", id, err)
 		}
-		return r
+		return cr.runner
 	}
 
 	first := lease("camp-1")
@@ -181,5 +186,57 @@ func TestDivergedVerdictRefusesLease(t *testing.T) {
 	}
 	if len(a.runners) != 0 {
 		t.Fatalf("refused build left %d cache entries", len(a.runners))
+	}
+}
+
+// indexJob is a job's Indices and NumExperiments in a served spec.
+type indexJob struct {
+	indices []int
+	n       int
+}
+
+// indexSpecs are the jobs specServer serves under their keys, for a plan
+// of planLen experiments: a valid resumed job and ones a worker must
+// refuse.
+func indexSpecs(planLen int) map[string]indexJob {
+	return map[string]indexJob{
+		"resumed":    {[]int{1, 3, 4}, 3},
+		"outofrange": {[]int{0, planLen}, 2},
+		"negative":   {[]int{-1, 2}, 2},
+		"unsorted":   {[]int{3, 1}, 2},
+		"duplicated": {[]int{2, 2}, 2},
+		"count":      {[]int{1, 2, 3}, 2},
+		// What a worker that predates Indices reads of a resumed job.
+		"legacy": {nil, planLen - 1},
+	}
+}
+
+// TestBadIndicesRefuseLease: a spec's Indices come from another
+// process, so a worker checks them before it executes anything. Indices
+// outside the plan, out of order, repeated or not NumExperiments of
+// them refuse the lease by name, and nothing is cached; a job without
+// Indices must be the whole plan, or the plan diverged. Valid Indices
+// are cached with the Runner.
+func TestBadIndicesRefuseLease(t *testing.T) {
+	ts, _ := specServer(t)
+	a := New(Config{Server: ts.URL})
+	ctx := context.Background()
+	for _, id := range []string{"outofrange-1", "negative-2", "unsorted-3", "duplicated-4", "count-5"} {
+		if _, err := a.runnerFor(ctx, remote.Lease{Campaign: id}); !errors.Is(err, errBadIndices) {
+			t.Errorf("%s: error = %v, want %v", id, err, errBadIndices)
+		}
+	}
+	if _, err := a.runnerFor(ctx, remote.Lease{Campaign: "legacy-6"}); err == nil || !strings.Contains(err.Error(), "plan diverged") {
+		t.Errorf("legacy-6: error = %v, want plan diverged", err)
+	}
+	if len(a.runners) != 0 {
+		t.Fatalf("refused builds left %d cache entries", len(a.runners))
+	}
+	cr, err := a.runnerFor(ctx, remote.Lease{Campaign: "resumed-7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := a.runnerFor(ctx, remote.Lease{Campaign: "resumed-7"}); !slices.Equal(cr.indices, []int{1, 3, 4}) || !slices.Equal(again.indices, cr.indices) {
+		t.Fatalf("indices %v, cached %v, want [1 3 4]", cr.indices, again.indices)
 	}
 }

@@ -10,6 +10,7 @@ package profipy
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -24,6 +25,7 @@ import (
 	"testing"
 	"time"
 
+	"profipy/internal/analysis"
 	"profipy/internal/campaign"
 	"profipy/internal/executor"
 	"profipy/internal/fleet"
@@ -245,6 +247,53 @@ func TestRemoteGoldenRecords(t *testing.T) {
 			}
 			if !tc.forks && (res.ForkHits != 0 || res.ForkMisses != 0) {
 				t.Errorf("short-prefix campaign forked on the workers: hits=%d misses=%d", res.ForkHits, res.ForkMisses)
+			}
+		})
+	}
+}
+
+// TestRemoteResumeRunsOnlyTheMissing resumes campaign A on a live
+// two-worker fleet from the first k golden records. The fleet's job is
+// the 27−k experiments without a record, so the workers ship each of
+// them once and none of the replayed ones: k=4 ends inside a shard of
+// the full plan's eight, k=13 on a shard boundary, k=26 leaves one
+// experiment. Records and report are the uninterrupted run's.
+func TestRemoteResumeRunsOnlyTheMissing(t *testing.T) {
+	var golden []analysis.Record
+	if err := json.Unmarshal(goldenFixture(t, "campaign-a"), &golden); err != nil {
+		t.Fatal(err)
+	}
+	full, _ := runCampaignA(t, nil, nil)
+	wantReport := reportJSON(t, full)
+	for _, k := range []int{4, 13, 26} {
+		t.Run("k="+strconv.Itoa(k), func(t *testing.T) {
+			t.Parallel()
+			build := func(rt *Runtime, seed int64) *campaign.Campaign {
+				c := kvclient.CampaignA(rt, seed)
+				c.Resume = append([]analysis.Record(nil), golden[:k]...)
+				return c
+			}
+			workers := []worker.Config{{Name: "w", BatchSize: 3}, {Name: "w", BatchSize: 3}}
+			res, errs, reg := runRemote(t, build, 101, 10*time.Second, workers, nil)
+			for i, err := range errs {
+				if err != nil && !errors.Is(err, context.Canceled) {
+					t.Errorf("worker %d: %v", i, err)
+				}
+			}
+			if res.Replayed != k {
+				t.Errorf("replayed %d, want %d", res.Replayed, k)
+			}
+			if got, want := canonicalRecords(t, res.Records), goldenFixture(t, "campaign-a"); !bytes.Equal(got, want) {
+				t.Errorf("resumed records drifted from golden fixture (%d vs %d bytes)", len(got), len(want))
+			}
+			if !bytes.Equal(reportJSON(t, res), wantReport) {
+				t.Error("resumed report differs from the uninterrupted run")
+			}
+			if got, want := metricValue(t, reg, "profipy_fleet_records_ingested_total"), float64(len(golden)-k); got != want {
+				t.Errorf("fleet ingested %v records, want %v", got, want)
+			}
+			if dup := metricValue(t, reg, "profipy_fleet_records_duplicate_total"); dup != 0 {
+				t.Errorf("fleet discarded %v duplicate records, want 0", dup)
 			}
 		})
 	}

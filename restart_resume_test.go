@@ -93,6 +93,41 @@ func TestResumeProducesByteIdenticalResults(t *testing.T) {
 	}
 }
 
+// TestResumeOfEveryRecordRunsNothing: a resume that replays every
+// record leaves its executor no experiment. On Local and on a
+// worker-less Remote the campaign creates no container beyond its
+// Runner's fault-free pass, reaches no sink, and still yields the
+// uninterrupted run's records and report.
+func TestResumeOfEveryRecordRunsNothing(t *testing.T) {
+	full, _ := runCampaignA(t, nil, nil)
+	built := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
+	if _, err := campaign.NewRunner(kvclient.CampaignA(built, 101)); err != nil {
+		t.Fatal(err)
+	}
+	for name, exec := range map[string]executor.Executor{"local": nil, "remote": fleetless(2)} {
+		rt := NewRuntime(RuntimeConfig{Cores: 4, Seed: 20})
+		c := kvclient.CampaignA(rt, 101)
+		c.Executor = exec
+		c.Resume = full.Records
+		c.Sink = executor.SinkFunc(func(idx int, _ analysis.Record) {
+			t.Errorf("%s: a fully replayed resume delivered index %d", name, idx)
+		})
+		res, err := c.Run()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got, want := rt.Stats().Created, built.Stats().Created; got != want {
+			t.Errorf("%s: %d containers created, building the Runner alone creates %d", name, got, want)
+		}
+		if res.Replayed != len(full.Records) {
+			t.Errorf("%s: replayed %d of %d", name, res.Replayed, len(full.Records))
+		}
+		if !bytes.Equal(reportJSON(t, res), reportJSON(t, full)) || !bytes.Equal(recordsJSON(t, res), recordsJSON(t, full)) {
+			t.Errorf("%s: fully replayed result differs from the uninterrupted run", name)
+		}
+	}
+}
+
 // TestResumeIgnoresForeignRecords feeds the campaign records whose
 // injection points are not in its plan (a different campaign's store
 // read back by mistake): they must be ignored, and the run must still
