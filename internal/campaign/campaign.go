@@ -318,16 +318,25 @@ func (c *Campaign) runContext(ctx context.Context, met *cmetrics) (*Result, erro
 	// fingerprint — exec points and verdicts — so a worker whose Runner
 	// derived a different plan refuses the shard, and with the plan
 	// indices the job's experiments stand for.
+	execLabel := "local"
 	if rm, ok := exec.(*executor.Remote); ok {
 		rm.Spec.PlanHash, rm.Spec.Indices = runner.PlanHash(), todo
+		execLabel = "remote"
 	}
 	done := res.Replayed
 	// Executors call the sink one record at a time. It resolves each
 	// outcome's counter on that outcome's first record, so later records
 	// pay no label lookup and a run without infrastructure errors
-	// exposes no error sample.
+	// exposes no error sample. The first record is timed from t0 (how
+	// long the user waits for a sign that the campaign works), then its
+	// histogram is dropped.
 	var expOK, expErr *obs.Counter
+	firstRecord := met.firstRecord.With(execLabel)
 	sink := executor.SinkFunc(func(idx int, rec analysis.Record) {
+		if firstRecord != nil {
+			firstRecord.ObserveSince(t0)
+			firstRecord = nil
+		}
 		agg.Add(rec)
 		if rec.Result == nil {
 			if expErr == nil {

@@ -11,9 +11,10 @@ type cmetrics struct {
 	runs        *obs.CounterVec // status = started | completed | failed | canceled
 	experiments *obs.CounterVec // result = ok | error
 	phaseDur    *obs.HistogramVec
-	compiles    *obs.CounterVec // path = decl | file (by reason)
-	forkEvents  *obs.CounterVec // event = snapshot | short_site | hit | miss (by reason)
-	prepares    *obs.CounterVec // result = hit | miss | too_large
+	compiles    *obs.CounterVec   // path = decl | file (by reason)
+	forkEvents  *obs.CounterVec   // event = snapshot | short_site | hit | miss (by reason)
+	prepares    *obs.CounterVec   // result = hit | miss | too_large
+	firstRecord *obs.HistogramVec // executor = local | remote
 }
 
 // phaseBuckets cover millisecond scan phases through minute-scale
@@ -38,5 +39,7 @@ func newMetrics(reg *obs.Registry) *cmetrics {
 			"Prefix-fork activity: boundary snapshots captured, sites left to full runs because their prefix is too short to pay (short_site), experiments resumed from a snapshot (hit), fork attempts that fell back to a full run (miss, by reason).", "event", "reason"),
 		prepares: reg.CounterVec("profipy_campaign_prepared_total",
 			"Campaigns by how they came by their parsed and compiled project in this process's prepared set: borrowed (hit), prepared and retained (miss), prepared but over the set's byte bound and not retained (too_large).", "result"),
+		firstRecord: reg.HistogramVec("profipy_campaign_first_record_seconds",
+			"Wall-clock time from a campaign workflow's start to its first executed record, by executor (local or remote).", phaseBuckets, "executor"),
 	}
 }

@@ -83,6 +83,18 @@ func TestCompleteCarriesRecordsAndNextLease(t *testing.T) {
 	if again := s.post("complete", nil); again.Code != http.StatusGone {
 		t.Errorf("second complete under the same token = %d, want 410", again.Code)
 	}
+	// Records under the spent token are refused as stale, not ingested
+	// (nor counted as duplicates).
+	if late := s.post("records", ndjson(t, remote.RecordLine{Idx: 0, Rec: rec(0)})); late.Code != http.StatusGone {
+		t.Errorf("records under a stale token = %d, want 410", late.Code)
+	}
+	for name, want := range map[string]float64{
+		"profipy_fleet_records_ingested_total": 2, "profipy_fleet_records_duplicate_total": 0, "profipy_fleet_records_stale_total": 1,
+	} {
+		if got := reg.Counter(name, "").Value(); got != want {
+			t.Errorf("%s = %v after a stale records post, want %v", name, got, want)
+		}
+	}
 	var scrape strings.Builder
 	if err := reg.WritePrometheus(&scrape); err != nil {
 		t.Fatal(err)

@@ -118,6 +118,7 @@ func TestMetricsEndpointCoversAllLayers(t *testing.T) {
 		`profipy_campaign_runs_total{status="completed"} 1`,
 		`profipy_campaign_experiments_total{result="ok"} 6`,
 		`profipy_campaign_phase_seconds_count{phase="execute"} 1`,
+		`profipy_campaign_first_record_seconds_count{executor="local"} 1`,
 		// A compile-time mutant costs one declaration compile.
 		`profipy_campaign_mutant_compiles_total{path="decl",reason=""} `,
 		// Fork policy: campaign A's sites sit too early in the round to

@@ -58,8 +58,11 @@ type Status struct {
 	Name     string   `json:"project,omitempty"`
 	State    State    `json:"state"`
 	Progress Progress `json:"progress"`
-	// PhaseMillis records wall-clock time spent in each completed phase.
+	// PhaseMillis records wall-clock time spent in each completed phase,
+	// in whole milliseconds; PhaseMicros the same time in whole
+	// microseconds, so a phase under a millisecond does not read 0.
 	PhaseMillis map[string]int64 `json:"phaseMillis,omitempty"`
+	PhaseMicros map[string]int64 `json:"phaseMicros,omitempty"`
 	// Campaign names what the job produces. The scheduler never sets it:
 	// the service derives it from the job ID, once there is a campaign of
 	// that name to fetch or follow.
@@ -118,7 +121,7 @@ type job struct {
 	mu         sync.Mutex
 	state      State
 	prog       Progress
-	phaseMS    map[string]int64
+	phaseDur   map[string]time.Duration
 	phaseStart time.Time
 	err        error
 	enqueued   time.Time
@@ -138,10 +141,11 @@ func (j *job) status() Status {
 	if j.err != nil {
 		st.Error = j.err.Error()
 	}
-	if len(j.phaseMS) > 0 {
-		st.PhaseMillis = make(map[string]int64, len(j.phaseMS))
-		for k, v := range j.phaseMS {
-			st.PhaseMillis[k] = v
+	if len(j.phaseDur) > 0 {
+		st.PhaseMillis = make(map[string]int64, len(j.phaseDur))
+		st.PhaseMicros = make(map[string]int64, len(j.phaseDur))
+		for k, d := range j.phaseDur {
+			st.PhaseMillis[k], st.PhaseMicros[k] = d.Milliseconds(), d.Microseconds()
 		}
 	}
 	return st
@@ -164,6 +168,17 @@ func unixMS(t time.Time) int64 {
 	return t.UnixMilli()
 }
 
+// endPhaseLocked accounts the wall time of the phase the job is in, if
+// any, since it was entered; callers hold j.mu.
+func (j *job) endPhaseLocked() {
+	if j.prog.Phase == "" {
+		return
+	}
+	d := time.Since(j.phaseStart)
+	j.phaseDur[j.prog.Phase] += d
+	j.met.phaseDur.With(j.prog.Phase).Observe(d.Seconds())
+}
+
 // report folds a task progress update into the job. Counters are
 // monotonic within a phase (stale updates from parallel experiment
 // workers cannot move them backwards); a phase transition resets them,
@@ -177,10 +192,7 @@ func (j *job) report(p Progress) {
 		return // late update from an already-finished or canceled job
 	}
 	if p.Phase != j.prog.Phase {
-		if j.prog.Phase != "" {
-			j.phaseMS[j.prog.Phase] += time.Since(j.phaseStart).Milliseconds()
-			j.met.phaseDur.With(j.prog.Phase).ObserveSince(j.phaseStart)
-		}
+		j.endPhaseLocked()
 		j.phaseStart = time.Now()
 		j.prog = p
 		return
@@ -289,7 +301,7 @@ func (s *Scheduler) submit(id, name string, t Task) (string, error) {
 		task:     t,
 		met:      s.met,
 		state:    Queued,
-		phaseMS:  make(map[string]int64),
+		phaseDur: make(map[string]time.Duration),
 		enqueued: time.Now(),
 		done:     make(chan struct{}),
 	}
@@ -457,10 +469,7 @@ func (s *Scheduler) runJob(j *job) {
 	err := task(ctx, j.report)
 
 	j.mu.Lock()
-	if j.prog.Phase != "" {
-		j.phaseMS[j.prog.Phase] += time.Since(j.phaseStart).Milliseconds()
-		j.met.phaseDur.With(j.prog.Phase).ObserveSince(j.phaseStart)
-	}
+	j.endPhaseLocked()
 	j.finished = time.Now()
 	// A Wait caller may hold the job past this point: release what only
 	// a running job needs (the task closure pins the whole campaign).

@@ -33,15 +33,46 @@ func (o *outcomes) hook(st Status) {
 	o.cond.Broadcast()
 }
 
-// wait blocks until the job has been handed to OnFinish.
-func (o *outcomes) wait(id string) Status {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	for {
-		if st, ok := o.got[id]; ok {
-			return st
+// wait returns the job's status once it has been handed to OnFinish.
+func (o *outcomes) wait(t *testing.T, id string) Status {
+	t.Helper()
+	var st Status
+	await(t, "job "+id+" to reach OnFinish", func() {
+		o.mu.Lock()
+		defer o.mu.Unlock()
+		for ok := false; !ok; {
+			if st, ok = o.got[id]; !ok {
+				o.cond.Wait()
+			}
 		}
-		o.cond.Wait()
+	})
+	return st
+}
+
+// awaitTimeout bounds every wait of these tests.
+const awaitTimeout = 10 * time.Second
+
+// await runs f, which blocks until what the test waits for has
+// happened, and fails the test naming what it waited for if f has not
+// returned within awaitTimeout or the test ends first: a scheduler that
+// never gets there fails in seconds instead of hanging the package
+// until go test's timeout. Results leave f through the variables it
+// captures.
+func await(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	timer := time.NewTimer(awaitTimeout)
+	defer timer.Stop()
+	select {
+	case <-done:
+	case <-timer.C:
+		t.Fatalf("waited %v for %s", awaitTimeout, what)
+	case <-t.Context().Done():
+		t.Fatalf("test ended while waiting for %s", what)
 	}
 }
 
@@ -65,7 +96,7 @@ func gated(started chan<- string, release <-chan struct{}, name string) Task {
 func TestDrainOrderingSingleWorker(t *testing.T) {
 	out := newOutcomes()
 	s := New(Config{Workers: 1, QueueDepth: 64, OnFinish: out.hook})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	var mu sync.Mutex
 	var got []int
 	var ids []string
@@ -83,7 +114,7 @@ func TestDrainOrderingSingleWorker(t *testing.T) {
 		ids = append(ids, id)
 	}
 	for _, id := range ids {
-		if st := out.wait(id); st.State != Done {
+		if st := out.wait(t, id); st.State != Done {
 			t.Fatalf("job %s: %+v", id, st)
 		}
 	}
@@ -97,7 +128,7 @@ func TestDrainOrderingSingleWorker(t *testing.T) {
 func TestConcurrentSubmitAllComplete(t *testing.T) {
 	out := newOutcomes()
 	s := New(Config{Workers: 4, QueueDepth: 256, OnFinish: out.hook})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	const n = 64
 	var ran atomic.Int64
 	ids := make(chan string, n)
@@ -117,7 +148,7 @@ func TestConcurrentSubmitAllComplete(t *testing.T) {
 			ids <- id
 		}()
 	}
-	wg.Wait()
+	await(t, "the submits to return", wg.Wait)
 	close(ids)
 	seen := map[string]bool{}
 	for id := range ids {
@@ -125,7 +156,7 @@ func TestConcurrentSubmitAllComplete(t *testing.T) {
 			t.Fatalf("duplicate job id %s", id)
 		}
 		seen[id] = true
-		if st := out.wait(id); st.State != Done {
+		if st := out.wait(t, id); st.State != Done {
 			t.Fatalf("job %s did not finish: %+v", id, st)
 		}
 	}
@@ -138,7 +169,7 @@ func TestWorkerPoolSizing(t *testing.T) {
 	const workers = 3
 	out := newOutcomes()
 	s := New(Config{Workers: workers, QueueDepth: 16, OnFinish: out.hook})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	started := make(chan string, 8)
 	release := make(chan struct{})
 	var ids []string
@@ -150,9 +181,11 @@ func TestWorkerPoolSizing(t *testing.T) {
 		ids = append(ids, id)
 	}
 	// Exactly `workers` tasks start; the rest stay queued.
-	for i := 0; i < workers; i++ {
-		<-started
-	}
+	await(t, fmt.Sprintf("%d tasks to start", workers), func() {
+		for i := 0; i < workers; i++ {
+			<-started
+		}
+	})
 	select {
 	case name := <-started:
 		t.Fatalf("task %s started beyond pool size %d", name, workers)
@@ -171,11 +204,13 @@ func TestWorkerPoolSizing(t *testing.T) {
 		t.Fatalf("running=%d queued=%d, want %d/%d", running, queued, workers, 2)
 	}
 	close(release)
-	for i := 0; i < 2; i++ {
-		<-started
-	}
+	await(t, "the 2 queued tasks to start", func() {
+		for i := 0; i < 2; i++ {
+			<-started
+		}
+	})
 	for _, id := range ids {
-		if st := out.wait(id); st.State != Done {
+		if st := out.wait(t, id); st.State != Done {
 			t.Fatalf("job %s = %s, want done", id, st.State)
 		}
 	}
@@ -184,14 +219,14 @@ func TestWorkerPoolSizing(t *testing.T) {
 func TestCancelQueuedJob(t *testing.T) {
 	out := newOutcomes()
 	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	first, err := s.Submit("first", gated(started, release, "first"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started // worker is now occupied
+	await(t, "the first task to start", func() { <-started }) // worker is now occupied
 	var secondRan atomic.Bool
 	second, err := s.Submit("second", func(context.Context, func(Progress)) error {
 		secondRan.Store(true)
@@ -208,17 +243,17 @@ func TestCancelQueuedJob(t *testing.T) {
 		t.Error("canceled job has no finish time")
 	}
 	// Canceled while queued is terminal: journaled, then forgotten.
-	if st := out.wait(second); st.State != Canceled {
+	if st := out.wait(t, second); st.State != Canceled {
 		t.Fatalf("second job handed over as %s, want canceled", st.State)
 	}
 	if _, ok := s.Status(second); ok {
 		t.Error("scheduler still owns the canceled job")
 	}
 	close(release)
-	if st := out.wait(first); st.State != Done {
+	if st := out.wait(t, first); st.State != Done {
 		t.Fatalf("first job = %s, want done", st.State)
 	}
-	s.Close() // drains the pool: had the canceled job stayed queued, it ran
+	await(t, "Close", s.Close) // drains the pool: had the canceled job stayed queued, it ran
 	if secondRan.Load() {
 		t.Error("canceled job ran")
 	}
@@ -227,14 +262,14 @@ func TestCancelQueuedJob(t *testing.T) {
 func TestCancelRunningJob(t *testing.T) {
 	out := newOutcomes()
 	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	started := make(chan string, 1)
 	release := make(chan struct{}) // never closed: only ctx can end the task
 	id, err := s.Submit("victim", gated(started, release, "victim"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	await(t, "the victim to start", func() { <-started })
 	if st, _ := s.Status(id); st.State != Running {
 		t.Fatalf("state = %s, want running", st.State)
 	}
@@ -246,9 +281,11 @@ func TestCancelRunningJob(t *testing.T) {
 	}()
 	// Wait answers while the scheduler owns the job; had the cancel won
 	// the race after all, the outcome is OnFinish's to give.
-	st, ok := s.Wait(id)
+	var st Status
+	var ok bool
+	await(t, "Wait on the canceled job", func() { st, ok = s.Wait(id) })
 	if !ok {
-		st = out.wait(id)
+		st = out.wait(t, id)
 	}
 	if st.State != Canceled {
 		t.Fatalf("state after cancel = %s, want canceled", st.State)
@@ -272,7 +309,8 @@ func TestOwnershipEndsWhenOnFinishReturns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	handed := <-entered // the task returned; its journal line is "being written"
+	var handed Status
+	await(t, "OnFinish to be entered", func() { handed = <-entered }) // the task returned; its journal line is "being written"
 	if handed.ID != id || handed.State != Done || handed.FinishedMS == 0 {
 		t.Fatalf("OnFinish got %+v", handed)
 	}
@@ -287,7 +325,7 @@ func TestOwnershipEndsWhenOnFinishReturns(t *testing.T) {
 		t.Errorf("List during OnFinish = %+v", l)
 	}
 	close(leave)
-	s.Close() // the worker has run finished() to its end
+	await(t, "Close", s.Close) // the worker has run finished() to its end
 	for name, get := range map[string]func(string) (Status, bool){
 		"Status": s.Status, "Wait": s.Wait, "Cancel": s.Cancel,
 	} {
@@ -317,8 +355,8 @@ func TestOnFinishObservesEveryTerminalJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.wait(okID)
-	out.wait(failID)
+	out.wait(t, okID)
+	out.wait(t, failID)
 
 	started := make(chan string, 2)
 	release := make(chan struct{}) // never closed
@@ -326,7 +364,7 @@ func TestOnFinishObservesEveryTerminalJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	await(t, "the blocking task to start", func() { <-started })
 	// While the worker is blocked, a queued job canceled before running
 	// must also reach the hook — as must one still queued at Close.
 	queuedID, err := s.Submit("queued", noop)
@@ -338,15 +376,15 @@ func TestOnFinishObservesEveryTerminalJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Cancel(queuedID)
-	s.Close() // cancels the running job too
+	await(t, "Close", s.Close) // cancels the running job too
 
 	want := map[string]State{okID: Done, failID: Failed, queuedID: Canceled, drainedID: Canceled, blockID: Canceled}
 	for id, state := range want {
-		if st := out.wait(id); st.State != state {
+		if st := out.wait(t, id); st.State != state {
 			t.Errorf("job %s handed over as %q, want %q", id, st.State, state)
 		}
 	}
-	if st := out.wait(failID); st.Error != "boom" {
+	if st := out.wait(t, failID); st.Error != "boom" {
 		t.Errorf("failed job's error = %q", st.Error)
 	}
 	if l := s.List(); len(l) != 0 {
@@ -357,8 +395,8 @@ func TestOnFinishObservesEveryTerminalJob(t *testing.T) {
 func TestProgressMonotonicAndPhaseTimings(t *testing.T) {
 	out := newOutcomes()
 	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
-	defer s.Close()
-	steps := make(chan Progress)
+	defer await(t, "Close", s.Close)
+	steps := make(chan Progress, 1)
 	reported := make(chan struct{})
 	id, err := s.Submit("prog", func(ctx context.Context, report func(Progress)) error {
 		for p := range steps {
@@ -373,13 +411,14 @@ func TestProgressMonotonicAndPhaseTimings(t *testing.T) {
 	check := func(p Progress, wantDone, wantTotal int) {
 		t.Helper()
 		steps <- p
-		<-reported
+		await(t, fmt.Sprintf("the task to report %+v", p), func() { <-reported })
 		st, _ := s.Status(id)
 		if st.Progress.Done != wantDone || st.Progress.Total != wantTotal {
 			t.Fatalf("after %+v: progress = %+v, want %d/%d", p, st.Progress, wantDone, wantTotal)
 		}
 	}
 	check(Progress{Phase: "scan"}, 0, 0)
+	time.Sleep(200 * time.Microsecond) // a scan phase shorter than a millisecond
 	check(Progress{Phase: "coverage", Done: 0, Total: 100}, 0, 100)
 	// A phase transition may shrink the denominator (coverage pruning
 	// reduces the execution plan): counters reset with the new phase.
@@ -390,7 +429,7 @@ func TestProgressMonotonicAndPhaseTimings(t *testing.T) {
 	check(Progress{Phase: "execute", Done: 7, Total: 40}, 7, 40)
 	check(Progress{Phase: "analyze", Done: 40, Total: 40}, 40, 40)
 	close(steps)
-	st := out.wait(id)
+	st := out.wait(t, id)
 	if st.State != Done {
 		t.Fatalf("state = %s", st.State)
 	}
@@ -398,19 +437,26 @@ func TestProgressMonotonicAndPhaseTimings(t *testing.T) {
 		if _, ok := st.PhaseMillis[phase]; !ok {
 			t.Errorf("phaseMillis missing %q: %v", phase, st.PhaseMillis)
 		}
+		// Both views truncate one exact sum.
+		if ms, us := st.PhaseMillis[phase], st.PhaseMicros[phase]; ms != us/1000 {
+			t.Errorf("%s: phaseMillis %d, phaseMicros %d: not one duration", phase, ms, us)
+		}
+	}
+	if us := st.PhaseMicros["scan"]; us < 200 {
+		t.Errorf("scan phase of at least 200µs reads %dµs (phaseMillis %d)", us, st.PhaseMillis["scan"])
 	}
 }
 
 func TestQueueFull(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
 	if _, err := s.Submit("run", gated(started, release, "run")); err != nil {
 		t.Fatal(err)
 	}
-	<-started // worker busy, queue empty
+	await(t, "the running task to start", func() { <-started }) // worker busy, queue empty
 	if _, err := s.Submit("q1", noop); err != nil {
 		t.Fatalf("submit into empty queue: %v", err)
 	}
@@ -421,14 +467,14 @@ func TestQueueFull(t *testing.T) {
 
 func TestCancelQueuedFreesQueueSlot(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 1})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	started := make(chan string, 1)
 	release := make(chan struct{})
 	defer close(release)
 	if _, err := s.Submit("run", gated(started, release, "run")); err != nil {
 		t.Fatal(err)
 	}
-	<-started // worker busy
+	await(t, "the running task to start", func() { <-started }) // worker busy
 	queued, err := s.Submit("q", noop)
 	if err != nil {
 		t.Fatal(err)
@@ -455,7 +501,7 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	await(t, "the running task to start", func() { <-started })
 	var queuedRan atomic.Bool
 	queued, err := s.Submit("queued", func(ctx context.Context, report func(Progress)) error {
 		queuedRan.Store(true)
@@ -464,11 +510,11 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Close()
-	if st := out.wait(running); st.State != Canceled {
+	await(t, "Close", s.Close)
+	if st := out.wait(t, running); st.State != Canceled {
 		t.Fatalf("running job after Close = %s, want canceled", st.State)
 	}
-	if st := out.wait(queued); st.State != Canceled {
+	if st := out.wait(t, queued); st.State != Canceled {
 		t.Fatalf("queued job after Close = %s, want canceled", st.State)
 	}
 	// Close must not waste work running queued tasks against a dead
@@ -479,16 +525,18 @@ func TestCloseCancelsAndRejects(t *testing.T) {
 	if _, err := s.Submit("late", noop); err != ErrClosed {
 		t.Fatalf("submit after Close: err = %v, want ErrClosed", err)
 	}
-	s.Close() // idempotent
+	await(t, "a second Close", s.Close) // idempotent
 }
 
 func TestUnknownJobID(t *testing.T) {
 	s := New(Config{})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	if _, ok := s.Status("job-999"); ok {
 		t.Error("Status on unknown id")
 	}
-	if _, ok := s.Wait("job-999"); ok {
+	var ok bool
+	await(t, "Wait on an unknown id", func() { _, ok = s.Wait("job-999") })
+	if ok {
 		t.Error("Wait on unknown id")
 	}
 	if _, ok := s.Cancel("job-999"); ok {
@@ -498,7 +546,7 @@ func TestUnknownJobID(t *testing.T) {
 
 func TestAdvanceIDsSkipsNumbersAlreadyGivenOut(t *testing.T) {
 	s := New(Config{Workers: 1})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	s.AdvanceIDs(7)
 	s.AdvanceIDs(3) // never backwards
 	if id, err := s.Submit("new", noop); err != nil || id != "job-8" {
@@ -508,7 +556,7 @@ func TestAdvanceIDsSkipsNumbersAlreadyGivenOut(t *testing.T) {
 
 func TestRetryAfterEstimate(t *testing.T) {
 	s := New(Config{Workers: 2, QueueDepth: 8})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	if _, ok := s.RetryAfterEstimate(); ok {
 		t.Fatal("estimate available before any job finished")
 	}
@@ -523,8 +571,7 @@ func TestRetryAfterEstimate(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	<-started
-	<-started
+	await(t, "2 tasks to start", func() { <-started; <-started })
 	for i := 0; i < 3; i++ {
 		if _, err := s.Submit("q", noop); err != nil {
 			t.Fatal(err)
@@ -550,7 +597,7 @@ func TestRetryAfterEstimate(t *testing.T) {
 func TestFinishedJobFeedsRetryEstimate(t *testing.T) {
 	out := newOutcomes()
 	s := New(Config{Workers: 1, QueueDepth: 4, OnFinish: out.hook})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	id, err := s.Submit("slow", func(ctx context.Context, report func(Progress)) error {
 		time.Sleep(5 * time.Millisecond)
 		return nil
@@ -558,7 +605,7 @@ func TestFinishedJobFeedsRetryEstimate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out.wait(id)
+	out.wait(t, id)
 	est, ok := s.RetryAfterEstimate()
 	if !ok {
 		t.Fatal("no estimate after a job finished")
@@ -596,7 +643,7 @@ func TestTerminalJobReleasesTask(t *testing.T) {
 		<-release
 		return nil
 	})
-	<-started // the single worker is busy: the next two stay queued
+	await(t, "the first task to start", func() { <-started }) // the single worker is busy: the next two stay queued
 	canceled := submit("canceled", func(context.Context) error { return nil })
 	drained := submit("drained", func(context.Context) error { return nil })
 	if st, _ := s.Cancel(canceled); st.State != Canceled {
@@ -606,9 +653,9 @@ func TestTerminalJobReleasesTask(t *testing.T) {
 	// the running one, which the test lets finish.
 	closed := make(chan struct{})
 	go func() { s.Close(); close(closed) }()
-	out.wait(drained)
+	out.wait(t, drained)
 	close(release)
-	<-closed
+	await(t, "Close", func() { <-closed })
 
 	got := map[string]bool{}
 	for deadline := time.Now().Add(5 * time.Second); len(got) < 3 && time.Now().Before(deadline); {
@@ -624,7 +671,7 @@ func TestTerminalJobReleasesTask(t *testing.T) {
 		t.Errorf("terminal jobs still pin their task: only %v collected", got)
 	}
 	for id, want := range map[string]State{ran: Done, canceled: Canceled, drained: Canceled} {
-		if st := out.wait(id); st.State != want {
+		if st := out.wait(t, id); st.State != want {
 			t.Errorf("job %s ended %s, want %s", id, st.State, want)
 		}
 	}

@@ -7,11 +7,11 @@ import (
 func TestSubmitIDRunsUnderChosenID(t *testing.T) {
 	out := newOutcomes()
 	s := New(Config{Workers: 1, QueueDepth: 8, OnFinish: out.hook})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	if err := s.SubmitID("job-7", "recovered", noop); err != nil {
 		t.Fatal(err)
 	}
-	if st := out.wait("job-7"); st.State != Done || st.Name != "recovered" {
+	if st := out.wait(t, "job-7"); st.State != Done || st.Name != "recovered" {
 		t.Fatalf("recovered job = %+v", st)
 	}
 	// The ID counter advanced past the recovered job: the next Submit
@@ -27,7 +27,7 @@ func TestSubmitIDRunsUnderChosenID(t *testing.T) {
 
 func TestSubmitIDRejectsBadIDs(t *testing.T) {
 	s := New(Config{Workers: 1, QueueDepth: 8})
-	defer s.Close()
+	defer await(t, "Close", s.Close)
 	if err := s.SubmitID("", "x", noop); err == nil {
 		t.Fatal("empty ID accepted")
 	}
@@ -37,7 +37,7 @@ func TestSubmitIDRejectsBadIDs(t *testing.T) {
 	if err := s.SubmitID("job-3", "x", gated(started, release, "x")); err != nil {
 		t.Fatal(err)
 	}
-	<-started
+	await(t, "job-3 to start", func() { <-started })
 	if err := s.SubmitID("job-3", "x", noop); err == nil {
 		t.Fatal("ID of a live job accepted")
 	}
@@ -57,7 +57,7 @@ func TestSubmitIDQueueFullAndClosed(t *testing.T) {
 	if _, err := s.Submit("run", gated(started, release, "run")); err != nil {
 		t.Fatal(err)
 	}
-	<-started // worker busy, queue empty
+	await(t, "the running task to start", func() { <-started }) // worker busy, queue empty
 	if err := s.SubmitID("job-10", "q", noop); err != nil {
 		t.Fatalf("submit into empty queue: %v", err)
 	}
@@ -72,7 +72,7 @@ func TestSubmitIDQueueFullAndClosed(t *testing.T) {
 		t.Fatalf("submit after cancel freed slot: %v", err)
 	}
 	close(release)
-	s.Close()
+	await(t, "Close", s.Close)
 	if err := s.SubmitID("job-13", "late", noop); err != ErrClosed {
 		t.Fatalf("err after close = %v, want ErrClosed", err)
 	}

@@ -30,7 +30,8 @@ import (
 type call struct {
 	route  string // last path segment: lease, spec, records, complete, …
 	status int
-	files  int // files in a spec response
+	files  int   // files in a spec response
+	idx    []int // job indices of the record lines a records or complete request carried
 }
 
 // wire is the worker's transport with a ledger: every exchange is
@@ -45,14 +46,30 @@ type wire struct {
 }
 
 func (w *wire) RoundTrip(req *http.Request) (*http.Response, error) {
-	if path.Base(req.URL.Path) == "lease" {
+	c := call{route: path.Base(req.URL.Path)}
+	switch c.route {
+	case "lease":
 		w.leasesSent.Add(1)
+	case "records", "complete":
+		body, err := io.ReadAll(req.Body)
+		req.Body.Close()
+		if err != nil {
+			return nil, err
+		}
+		req.Body = io.NopCloser(bytes.NewReader(body))
+		for dec := json.NewDecoder(bytes.NewReader(body)); dec.More(); {
+			var ln remote.RecordLine
+			if err := dec.Decode(&ln); err != nil {
+				return nil, err
+			}
+			c.idx = append(c.idx, ln.Idx)
+		}
 	}
 	resp, err := http.DefaultTransport.RoundTrip(req)
 	if err != nil {
 		return nil, err
 	}
-	c := call{route: path.Base(req.URL.Path), status: resp.StatusCode}
+	c.status = resp.StatusCode
 	if c.route == "spec" && resp.StatusCode == http.StatusOK {
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
@@ -226,8 +243,9 @@ func (r *rig) counter(name string) float64 { return r.reg.Counter(name, "").Valu
 // campaigns on one project. Per campaign of S shards (four: one live
 // worker): one lease granted
 // (to the idle request the campaign woke), one spec, S completions, the
-// intermediate batches of shards longer than a batch — and no lease
-// request while a shard of the campaign was still to come. The second
+// intermediate batches of shards longer than a batch, the first shard's
+// first record on its own — and no lease request while a shard of the
+// campaign was still to come. The second
 // campaign's spec arrives without files, its project is a prepared hit,
 // and its records are those of a cold worker and of Local.
 func TestShardCostsOneRoundTrip(t *testing.T) {
@@ -262,6 +280,12 @@ func TestShardCostsOneRoundTrip(t *testing.T) {
 		records := 0
 		for i := 0; i < shards; i++ {
 			lo, hi := i*n/shards, (i+1)*n/shards
+			if i == 0 && hi-lo > 1 {
+				// The shard the worker built the Runner for ships its
+				// first record alone, then full batches of the rest.
+				records += 1 + (hi-lo-2)/batch
+				continue
+			}
 			records += (hi - lo - 1) / batch // the last batch rides with the completion
 		}
 		for route, want := range map[string]int{"lease": 1, "spec": 1, "complete": shards, "records": records} {
@@ -311,6 +335,42 @@ func TestShardCostsOneRoundTrip(t *testing.T) {
 	cold.awaitWorkers(1)
 	if got := cold.run("c2", kvclient.CampaignC, 303); !bytes.Equal(got, gotC) {
 		t.Error("campaign C on a warm worker differs from a cold worker's")
+	}
+}
+
+// TestFirstShardShipsItsFirstRecordAtOnce: the shard a worker builds a
+// campaign's Runner for posts its first finished record on its own,
+// before its completion, although the shard is no longer than a batch;
+// the campaign's later shards on that worker post nothing before their
+// completions.
+func TestFirstShardShipsItsFirstRecordAtOnce(t *testing.T) {
+	r := newRig(t, 10*time.Second)
+	w := &wire{}
+	r.start(Config{Name: "w", Parallel: 1, Poll: 50 * time.Millisecond, HTTPClient: &http.Client{Transport: w}})
+	r.awaitWorkers(1)
+	// Campaign A cuts into shards of 6, 7, 7 and 7 experiments, each
+	// within the default batch of 8.
+	if got := r.run("c1", kvclient.CampaignA, 101); !bytes.Equal(got, local(t, kvclient.CampaignA, 101)) {
+		t.Error("records differ from Local")
+	}
+	w.settle(t, 4)
+	var routes []string
+	var sent []call
+	for _, c := range w.ledger() {
+		if c.route == "records" || c.route == "complete" {
+			routes = append(routes, c.route)
+			sent = append(sent, c)
+		}
+	}
+	if want := "records complete complete complete complete"; strings.Join(routes, " ") != want {
+		t.Fatalf("record-carrying requests %v, want %s", routes, want)
+	}
+	// One pool worker: the shard's first finished record is its first.
+	if got := sent[0].idx; len(got) != 1 || got[0] != 0 {
+		t.Errorf("records request carried %v, want the first record alone: [0]", got)
+	}
+	if got := sent[1].idx; len(got) != 5 || got[0] != 1 {
+		t.Errorf("first shard's completion carried %v, want records 1 to 5", got)
 	}
 }
 
@@ -364,8 +424,10 @@ func (f roundTripFunc) RoundTrip(req *http.Request) (*http.Response, error) { re
 // TestKilledBeforeCompletion kills a worker after its shard's last
 // intermediate batch, as it sends the completion that would have
 // carried the tail: its context is canceled, so it stops heartbeating.
-// The lease expires, a second worker re-runs the shard, the batches the
-// dead one shipped come back as duplicates and the tail fills the hole.
+// The lease expires, a second worker re-runs the shard, what the dead
+// one shipped — the first record of the campaign's first shard it ran,
+// then full batches — comes back as duplicates and the tail fills the
+// hole.
 func TestKilledBeforeCompletion(t *testing.T) {
 	const batch = 3
 	r := newRig(t, 300*time.Millisecond)
@@ -402,7 +464,7 @@ func TestKilledBeforeCompletion(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("campaign did not finish")
 	}
-	shipped := (size - 1) / batch * batch // what the victim's record batches carried
+	shipped := 1 + (size-2)/batch*batch // the first record alone, then full batches
 	if ing, dup := r.counter("profipy_fleet_records_ingested_total"), r.counter("profipy_fleet_records_duplicate_total"); ing != 27 || dup != float64(shipped) {
 		t.Errorf("ingested=%v duplicates=%v, want 27 and %d", ing, dup, shipped)
 	}

@@ -286,17 +286,18 @@ func (a *Agent) lease(ctx context.Context) (remote.Lease, bool, error) {
 
 // runnerFor rebuilds (or returns the cached) execution context for a
 // campaign, verifies its plan matches the control plane's and returns it
-// with the job's indices. A cached Runner serves only the registration
-// it was built under: a control plane that restarted may hand out the
-// same campaign ID for another campaign.
-func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (cachedRunner, error) {
+// with the job's indices, and whether it was built for this lease. A
+// cached Runner serves only the registration it was built under: a
+// control plane that restarted may hand out the same campaign ID for
+// another campaign.
+func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (cachedRunner, bool, error) {
 	key := cachedRunner{campaign: lease.Campaign, worker: a.ID()}
 	for i, cr := range a.runners {
 		if cr.campaign == key.campaign && cr.worker == key.worker {
 			// Hit: move to the most-recent end.
 			copy(a.runners[i:], a.runners[i+1:])
 			a.runners[len(a.runners)-1] = cr
-			return cr, nil
+			return cr, false, nil
 		}
 	}
 	var err error
@@ -304,7 +305,7 @@ func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (cachedRunner
 		// Don't cache failures: a transient spec-fetch error would
 		// otherwise poison the campaign on this worker forever. Run
 		// paces the rebuild attempts.
-		return cachedRunner{}, err
+		return cachedRunner{}, false, err
 	}
 	// Record it as most recent, evicting the least recently leased
 	// campaign beyond maxCachedRunners.
@@ -312,7 +313,7 @@ func (a *Agent) runnerFor(ctx context.Context, lease remote.Lease) (cachedRunner
 		a.runners = append(a.runners[:0], a.runners[1:]...)
 	}
 	a.runners = append(a.runners, key)
-	return key, nil
+	return key, true, nil
 }
 
 // errBadIndices refuses a spec whose Indices cannot be the plan indices
@@ -388,9 +389,13 @@ func (a *Agent) buildRunner(ctx context.Context, lease remote.Lease) (*campaign.
 
 // executeLease runs the leased shard [Lo, Hi) of the job — the plan
 // indices the spec's Indices name there, or [Lo, Hi) itself — and
-// streams its records back under their job indices: full batches as they fill, the last one with the completion,
-// whose answer may be the next lease. Stale-lease responses abandon the
-// shard silently — its new owner regenerates the records.
+// streams its records back under their job indices: full batches as
+// they fill, the last one with the completion, whose answer may be the
+// next lease. The first shard this worker runs of a campaign (the one
+// its Runner was built for) also ships its first record at once, alone:
+// it may be the campaign's first, the one its user waits on. Stale-lease
+// responses abandon the shard silently — its new owner regenerates the
+// records.
 func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remote.Lease, more bool, err error) {
 	log := a.shardLog(lease)
 	defer func() {
@@ -398,7 +403,7 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remo
 			log.Warn("worker: shard failed", "err", err)
 		}
 	}()
-	cr, err := a.runnerFor(ctx, lease)
+	cr, built, err := a.runnerFor(ctx, lease)
 	if err != nil {
 		return next, false, err
 	}
@@ -428,7 +433,7 @@ func (a *Agent) executeLease(ctx context.Context, lease remote.Lease) (next remo
 	sink := executor.SinkFunc(func(idx int, rec analysis.Record) {
 		batch = append(batch, remote.RecordLine{Idx: lease.Lo + idx, Kind: kinds[idx], Fork: forks[idx], Rec: rec})
 		// The shard's last batch, full or not, rides with the completion.
-		if seen++; len(batch) >= a.cfg.BatchSize && seen < n && shipErr == nil {
+		if seen++; (built && seen == 1 || len(batch) >= a.cfg.BatchSize) && seen < n && shipErr == nil {
 			_, _, shipErr = a.ship(ctx, lease, "records", batch)
 			batch = batch[:0]
 		}

@@ -100,11 +100,17 @@ func TestRunnerCacheIsBounded(t *testing.T) {
 	ts, fetched := specServer(t)
 	a := New(Config{Server: ts.URL})
 	ctx := context.Background()
+	// lease reports a build exactly when the campaign's spec is fetched:
+	// the lease the worker ships a first record at once for.
 	lease := func(id string) *campaign.Runner {
 		t.Helper()
-		cr, err := a.runnerFor(ctx, remote.Lease{Campaign: id})
+		before := fetched(id)
+		cr, built, err := a.runnerFor(ctx, remote.Lease{Campaign: id})
 		if err != nil {
 			t.Fatalf("runnerFor(%s): %v", id, err)
+		}
+		if rebuilt := fetched(id) > before; built != rebuilt {
+			t.Fatalf("runnerFor(%s) reports built=%v, spec fetched: %v", id, built, rebuilt)
 		}
 		return cr.runner
 	}
@@ -145,7 +151,7 @@ func TestRunnerCacheIsBounded(t *testing.T) {
 func TestRunnerBuildFailureIsNotCached(t *testing.T) {
 	ts, _ := specServer(t)
 	a := New(Config{Server: ts.URL})
-	if _, err := a.runnerFor(context.Background(), remote.Lease{Campaign: "bad-1"}); err == nil {
+	if _, _, err := a.runnerFor(context.Background(), remote.Lease{Campaign: "bad-1"}); err == nil {
 		t.Fatal("runnerFor on a failing spec fetch returned no error")
 	}
 	if len(a.runners) != 0 {
@@ -160,7 +166,7 @@ func TestBaseCompileFailureRefusesLease(t *testing.T) {
 	ts, fetched := specServer(t)
 	a := New(Config{Server: ts.URL})
 	for attempt := 1; attempt <= 2; attempt++ {
-		_, err := a.runnerFor(context.Background(), remote.Lease{Campaign: "nocompile-7"})
+		_, _, err := a.runnerFor(context.Background(), remote.Lease{Campaign: "nocompile-7"})
 		if err == nil {
 			t.Fatal("runnerFor accepted a base program that does not compile")
 		}
@@ -180,7 +186,7 @@ func TestBaseCompileFailureRefusesLease(t *testing.T) {
 func TestDivergedVerdictRefusesLease(t *testing.T) {
 	ts, _ := specServer(t)
 	a := New(Config{Server: ts.URL})
-	_, err := a.runnerFor(context.Background(), remote.Lease{Campaign: "diverged-8"})
+	_, _, err := a.runnerFor(context.Background(), remote.Lease{Campaign: "diverged-8"})
 	if err == nil || !strings.Contains(err.Error(), "plan diverged") {
 		t.Fatalf("error = %v, want plan diverged", err)
 	}
@@ -222,21 +228,21 @@ func TestBadIndicesRefuseLease(t *testing.T) {
 	a := New(Config{Server: ts.URL})
 	ctx := context.Background()
 	for _, id := range []string{"outofrange-1", "negative-2", "unsorted-3", "duplicated-4", "count-5"} {
-		if _, err := a.runnerFor(ctx, remote.Lease{Campaign: id}); !errors.Is(err, errBadIndices) {
+		if _, _, err := a.runnerFor(ctx, remote.Lease{Campaign: id}); !errors.Is(err, errBadIndices) {
 			t.Errorf("%s: error = %v, want %v", id, err, errBadIndices)
 		}
 	}
-	if _, err := a.runnerFor(ctx, remote.Lease{Campaign: "legacy-6"}); err == nil || !strings.Contains(err.Error(), "plan diverged") {
+	if _, _, err := a.runnerFor(ctx, remote.Lease{Campaign: "legacy-6"}); err == nil || !strings.Contains(err.Error(), "plan diverged") {
 		t.Errorf("legacy-6: error = %v, want plan diverged", err)
 	}
 	if len(a.runners) != 0 {
 		t.Fatalf("refused builds left %d cache entries", len(a.runners))
 	}
-	cr, err := a.runnerFor(ctx, remote.Lease{Campaign: "resumed-7"})
+	cr, _, err := a.runnerFor(ctx, remote.Lease{Campaign: "resumed-7"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if again, _ := a.runnerFor(ctx, remote.Lease{Campaign: "resumed-7"}); !slices.Equal(cr.indices, []int{1, 3, 4}) || !slices.Equal(again.indices, cr.indices) {
+	if again, _, _ := a.runnerFor(ctx, remote.Lease{Campaign: "resumed-7"}); !slices.Equal(cr.indices, []int{1, 3, 4}) || !slices.Equal(again.indices, cr.indices) {
 		t.Fatalf("indices %v, cached %v, want [1 3 4]", cr.indices, again.indices)
 	}
 }

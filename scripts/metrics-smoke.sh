@@ -61,6 +61,7 @@ for fam in \
   profipy_campaign_runs_total \
   profipy_campaign_experiments_total \
   profipy_campaign_phase_seconds \
+  profipy_campaign_first_record_seconds \
   profipy_campaign_fork_events_total \
   profipy_workload_watchdog_timeouts_total \
   profipy_executor_records_total \
@@ -95,7 +96,7 @@ if [[ -n "$bad" ]]; then
   exit 1
 fi
 # Histograms must carry the +Inf bucket.
-for h in profipy_campaign_phase_seconds profipy_executor_experiment_seconds profipy_resultstore_start_wait_seconds; do
+for h in profipy_campaign_phase_seconds profipy_campaign_first_record_seconds profipy_executor_experiment_seconds profipy_resultstore_start_wait_seconds; do
   grep -q "^${h}_bucket{.*le=\"+Inf\"}" "$SCRAPE" || { echo "missing +Inf bucket for $h"; exit 1; }
 done
 # There is one engine: no executor or campaign family may carry an
@@ -126,6 +127,9 @@ fi
 if grep -E '^profipy_campaign_mutant_compiles_total\{path="file"' "$SCRAPE"; then
   echo "a healthy campaign recompiled a whole file (path=\"file\" sample above)"; exit 1
 fi
+
+# The one campaign, run in-process, timed its first record once.
+grep -q '^profipy_campaign_first_record_seconds_count{executor="local"} 1$' "$SCRAPE" || { echo "profipy_campaign_first_record_seconds_count{executor=\"local\"} is not 1"; exit 1; }
 
 # The one campaign's writer joined its background start exactly once.
 grep -q '^profipy_resultstore_start_wait_seconds_count 1$' "$SCRAPE" || { echo "profipy_resultstore_start_wait_seconds_count is not 1"; exit 1; }
